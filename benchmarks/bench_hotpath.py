@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -62,6 +63,14 @@ DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 #: a stage fails the --check gate when its speedup drops below
 #: baseline_speedup / REGRESSION_FACTOR
 REGRESSION_FACTOR = 2.0
+
+
+def _append_step_summary(line: str) -> None:
+    """Surface ``line`` in the CI job summary (no-op outside Actions)."""
+    path = os.environ.get("GITHUB_STEP_SUMMARY")
+    if path:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
 
 
 def _best_ms(fn, rounds: int) -> float:
@@ -190,6 +199,59 @@ def measure_conv(quick: bool, rounds: int) -> dict:
             "speedup": ref_ms / opt_ms,
         }
     return results
+
+
+def measure_conv_shape_churn(quick: bool) -> dict:
+    """Two same-geometry layers fed alternating batch sizes.
+
+    ``measure_conv`` loops one shape on one layer, so every buffer is warm
+    after the first round and it cannot see what a fleet run pays: several
+    networks whose batch sizes churn.  This case reports the steady-state
+    cost per fwd+bwd step *and* the minor page faults per step — scratch
+    that is re-allocated (or evicted and re-grown) shows up as faults long
+    before it shows up as milliseconds.  Informational: no gate reads it.
+    """
+    batches = (5, 32, 12, 44)
+    cycles = 2 if quick else 6
+    # The fleet classifier's conv2: 16 -> 32 maps of 24x24, 3x3 pad 1.
+    layers = [
+        Conv2D(16, 32, 3, pad=1, rng=np.random.default_rng(i), name="conv2")
+        for i in range(2)
+    ]
+    rng = np.random.default_rng(0)
+    inputs = {
+        b: rng.standard_normal((b, 16, 24, 24)).astype(np.float32)
+        for b in batches
+    }
+    grads = {
+        b: rng.standard_normal((b, 32, 24, 24)).astype(np.float32)
+        for b in batches
+    }
+
+    def cycle() -> None:
+        for i in range(len(batches)):
+            for j, layer in enumerate(layers):
+                b = batches[(i + j) % len(batches)]
+                layer.forward(inputs[b], training=True)
+                layer.backward(grads[b])
+
+    cycle()  # warm-up: every shape seen once by every layer
+    steps = cycles * len(batches) * len(layers)
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    for _ in range(cycles):
+        cycle()
+    elapsed = time.perf_counter() - t0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
+    return {
+        "conv_shape_churn": {
+            "batches": list(batches),
+            "layers": len(layers),
+            "steps": steps,
+            "ms_per_step": elapsed * 1e3 / steps,
+            "minflt_per_step": faults / steps,
+        }
+    }
 
 
 # ----------------------------------------------------------------------
@@ -336,6 +398,7 @@ def run_benchmarks(quick: bool, workers: int) -> dict:
     stages.update(measure_drift(quick, rounds))
     print("conv...", flush=True)
     stages.update(measure_conv(quick, rounds))
+    stages.update(measure_conv_shape_churn(quick))
     print("dataset cache...", flush=True)
     stages.update(measure_dataset_cache(quick))
     print("fleet...", flush=True)
@@ -463,12 +526,9 @@ def main(argv: list[str] | None = None) -> int:
                 "asserted"
             )
             print(warning)
-            step_summary = os.environ.get("GITHUB_STEP_SUMMARY")
-            if step_summary:
-                # Surface the disarmed gate in the CI job summary so a
-                # 1-core runner can't silently skip the speedup check.
-                with open(step_summary, "a", encoding="utf-8") as fh:
-                    fh.write(f":warning: {warning}\n")
+            # Surface the disarmed gate in the CI job summary so a
+            # 1-core runner can't silently skip the speedup check.
+            _append_step_summary(f":warning: {warning}")
         if args.out is not None:
             payload = {
                 "meta": {"cpu_count": os.cpu_count(), "gate_armed": armed},
@@ -486,7 +546,14 @@ def main(argv: list[str] | None = None) -> int:
     result = run_benchmarks(args.quick, args.workers)
     for name, stage in result["stages"].items():
         speed = stage.get("speedup")
-        print(f"  {name:24s} {speed:6.2f}x  {stage}")
+        shown = f"{speed:6.2f}x" if speed is not None else "   info"
+        print(f"  {name:24s} {shown}  {stage}")
+    churn = result["stages"]["conv_shape_churn"]
+    _append_step_summary(
+        f"conv shape churn (batches {churn['batches']}, "
+        f"{churn['layers']} layers): {churn['ms_per_step']:.2f} ms/step, "
+        f"{churn['minflt_per_step']:.0f} minor faults/step"
+    )
 
     out = args.out if args.out is not None else DEFAULT_OUT
     out.write_text(json.dumps(result, indent=2) + "\n")

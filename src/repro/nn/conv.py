@@ -5,11 +5,21 @@ count, the GPU model times its matmul form (Fig. 8), and the FPGA engines in
 ``repro.hw`` execute its loop-nest form (Fig. 9).  The numerical layer here
 is the *functional* reference those hardware models are validated against.
 
-The dense path keeps a small per-layer pool of scratch arrays (column
-matrices, gradient rows, col2im scratch) so the steady-state training loop
-performs no large allocations: the same buffers are rewritten every step.
-All reuse is pure data movement — GEMM call shapes and accumulation order
-are unchanged — so results stay bit-identical to the unpooled code.
+A layer owns its parameters and nothing else: every large temporary (column
+matrices, gradient rows, gradient columns, col2im scratch) is a view of the
+process-wide grow-only :mod:`repro.nn.workspace`, shared by all layers of
+all networks, so the steady-state training loop allocates — and page-faults
+— nothing, whatever batch sizes come through.  Transient temporaries use
+:func:`~repro.nn.workspace.take` roles (``cols_infer``, ``grad_rows``,
+``grad_w``, ``grad_cols``, ``col2im_padded``, ``grouped_grad_in``).  The
+training column matrix must survive from ``forward(training=True)`` to
+``backward``, so it lives in a slot named after the layer that is checked
+out in ``forward`` and released in ``backward``; when another live layer
+holds that slot (a second network with the same layer names mid-step, a
+dangling training forward) the layer allocates instead, so a live cache is
+never aliased.  All of this is pure data movement — GEMM call shapes,
+operand layouts and accumulation order are unchanged — so results stay
+bit-identical to freshly allocated buffers.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.nn import workspace
 from repro.nn.base import Layer, Shape
 from repro.nn.im2col import col2im, conv_output_size, im2col
 from repro.nn.init import he_normal
@@ -25,36 +36,6 @@ from repro.nn.tensor import Parameter
 from repro.obs.profile import profiled
 
 __all__ = ["Conv2D"]
-
-
-class _ScratchPool:
-    """Reusable scratch arrays keyed by (role, shape, dtype).
-
-    A convolution layer sees a handful of distinct batch shapes (train
-    batches, the trailing partial batch, eval batches); the pool keeps one
-    live array per role/shape pair with LRU eviction so alternating shapes
-    don't thrash.  Evicting an array that a caller still references is
-    harmless — they hold the only reference and it simply stops being
-    reused.
-    """
-
-    __slots__ = ("_arrays", "_cap")
-
-    def __init__(self, cap: int = 16) -> None:
-        self._arrays: dict[tuple, np.ndarray] = {}
-        self._cap = cap
-
-    def get(
-        self, role: str, shape: tuple[int, ...], dtype: np.dtype
-    ) -> np.ndarray:
-        key = (role, shape, np.dtype(dtype).str)
-        buf = self._arrays.pop(key, None)
-        if buf is None:
-            buf = np.empty(shape, dtype=dtype)
-        self._arrays[key] = buf
-        while len(self._arrays) > self._cap:
-            del self._arrays[next(iter(self._arrays))]
-        return buf
 
 
 class Conv2D(Layer):
@@ -79,10 +60,10 @@ class Conv2D(Layer):
 
     Notes
     -----
-    ``backward`` returns an input gradient that may alias a per-layer
-    scratch buffer rewritten on the *next* ``backward`` call; consume it
-    within the current backprop pass (as :class:`~repro.nn.network.Sequential`
-    does) rather than storing it across steps.
+    ``backward`` returns an input gradient that may alias workspace scratch
+    rewritten by the *next* convolution ``backward`` of any layer; consume
+    it before then (as :class:`~repro.nn.network.Sequential` does) rather
+    than storing it.
     """
 
     def __init__(
@@ -128,7 +109,6 @@ class Conv2D(Layer):
         #: input gradient, letting backward skip the expensive col2im scatter
         self.skip_input_grad = False
         self._cache: tuple[np.ndarray, Shape] | None = None
-        self._pool = _ScratchPool()
 
     @property
     def parameters(self) -> Sequence[Parameter]:
@@ -162,33 +142,77 @@ class Conv2D(Layer):
         return self._backward_grouped(grad_out)
 
     # ------------------------------------------------------------------
-    # groups == 1 (the common path)
+    # workspace plumbing
     # ------------------------------------------------------------------
-    def _col_shape(self, x_shape: Shape) -> tuple[int, int]:
-        batch = x_shape[0]
-        _, out_h, out_w = self.output_shape(x_shape[1:])
-        return (
-            batch * out_h * out_w,
-            self.in_channels * self.kernel * self.kernel,
+    @property
+    def _train_slot(self) -> str:
+        return f"cols_train/{self.name}"
+
+    def _cols_buffer(
+        self, shape: tuple[int, ...], dtype: np.dtype, *, training: bool
+    ) -> np.ndarray | None:
+        """Workspace view for the column matrix, or ``None`` to allocate.
+
+        Training columns live until ``backward``, so they need this layer's
+        slot; when another live layer holds it the caller allocates.
+        """
+        if training:
+            return workspace.checkout(self._train_slot, self, shape, dtype)
+        return workspace.take("cols_infer", shape, dtype)
+
+    def _take_cache(self) -> tuple:
+        """Hand the training cache to ``backward`` and free the slot.
+
+        Nothing else can claim the slot before ``backward`` returns, so
+        releasing up front keeps cache and slot in step on every exit path.
+        """
+        cache = self._cache
+        self._cache = None
+        workspace.release(self._train_slot, self)
+        return cache
+
+    def _grad_rows(self, grad_out: np.ndarray) -> np.ndarray:
+        """``grad_out`` as a contiguous ``(B*R*C, M)`` matrix."""
+        batch, channels, out_h, out_w = grad_out.shape
+        grad_rows = workspace.take(
+            "grad_rows", (batch * out_h * out_w, channels), grad_out.dtype
+        )
+        np.copyto(
+            grad_rows.reshape(batch, out_h, out_w, channels),
+            grad_out.transpose(0, 2, 3, 1),
+        )
+        return grad_rows
+
+    def _padded_grad(self, x_shape: Shape, channels: int, dtype) -> np.ndarray:
+        """col2im accumulation buffer for ``channels`` input maps."""
+        return workspace.take(
+            "col2im_padded",
+            (
+                x_shape[0],
+                channels,
+                x_shape[2] + 2 * self.pad,
+                x_shape[3] + 2 * self.pad,
+            ),
+            dtype,
         )
 
+    # ------------------------------------------------------------------
+    # groups == 1 (the common path)
+    # ------------------------------------------------------------------
     def _forward_dense(self, x: np.ndarray, *, training: bool) -> np.ndarray:
         batch = x.shape[0]
         _, out_h, out_w = self.output_shape(x.shape[1:])
-        if training:
-            # The training column matrix lives in self._cache until backward
-            # consumes it; only hand out the pooled buffer when no live cache
-            # still points at it.
-            col_buf = (
-                self._pool.get("cols_train", self._col_shape(x.shape), x.dtype)
-                if self._cache is None
-                else None
-            )
-        else:
-            col_buf = self._pool.get(
-                "cols_infer", self._col_shape(x.shape), x.dtype
-            )
-        cols = im2col(x, self.kernel, self.stride, self.pad, out=col_buf)
+        col_shape = (
+            batch * out_h * out_w,
+            self.in_channels * self.kernel * self.kernel,
+        )
+        cols = im2col(
+            x,
+            self.kernel,
+            self.stride,
+            self.pad,
+            out=self._cols_buffer(col_shape, x.dtype, training=training),
+        )
         # Fm (M x NK^2) @ Dm^T, computed as Dm_rows @ Fm^T for cache locality.
         flat_w = self.weight.data.reshape(self.out_channels, -1)
         out = cols @ flat_w.T
@@ -201,47 +225,28 @@ class Conv2D(Layer):
         )
 
     def _backward_dense(self, grad_out: np.ndarray) -> np.ndarray:
-        cols, x_shape = self._cache
-        self._cache = None
-        batch, _, out_h, out_w = grad_out.shape
-        rows_shape = (batch * out_h * out_w, self.out_channels)
-        grad_rows = self._pool.get("grad_rows", rows_shape, grad_out.dtype)
-        np.copyto(
-            grad_rows.reshape(batch, out_h, out_w, self.out_channels),
-            grad_out.transpose(0, 2, 3, 1),
-        )
+        cols, x_shape = self._take_cache()
+        grad_rows = self._grad_rows(grad_out)
         flat_w = self.weight.data.reshape(self.out_channels, -1)
-        grad_w = self._pool.get("grad_w", flat_w.shape, grad_rows.dtype)
-        np.matmul(grad_rows.T, cols, out=grad_w)
-        self.weight.accumulate(grad_w.reshape(self.weight.data.shape))
-        self.bias.accumulate(grad_rows.sum(axis=0))
+        # Frozen parameters discard their gradient; don't compute it.
+        if not self.weight.frozen:
+            grad_w = workspace.take("grad_w", flat_w.shape, grad_rows.dtype)
+            np.matmul(grad_rows.T, cols, out=grad_w)
+            self.weight.accumulate(grad_w.reshape(self.weight.data.shape))
+        if not self.bias.frozen:
+            self.bias.accumulate(grad_rows.sum(axis=0))
         if self.skip_input_grad:
             return np.zeros(x_shape, dtype=grad_out.dtype)
-        grad_cols = self._pool.get("grad_cols", cols.shape, grad_rows.dtype)
+        grad_cols = workspace.take("grad_cols", cols.shape, grad_rows.dtype)
         np.matmul(grad_rows, flat_w, out=grad_cols)
-        six_shape = (
-            batch,
-            self.in_channels,
-            self.kernel,
-            self.kernel,
-            out_h,
-            out_w,
-        )
-        padded_shape = (
-            batch,
-            self.in_channels,
-            x_shape[2] + 2 * self.pad,
-            x_shape[3] + 2 * self.pad,
-        )
         return col2im(
             grad_cols,
             x_shape,
             self.kernel,
             self.stride,
             self.pad,
-            scratch=self._pool.get("col2im_scratch", six_shape, grad_rows.dtype),
-            padded_out=self._pool.get(
-                "col2im_padded", padded_shape, grad_rows.dtype
+            padded_out=self._padded_grad(
+                x_shape, self.in_channels, grad_rows.dtype
             ),
         )
 
@@ -253,16 +258,21 @@ class Conv2D(Layer):
         _, out_h, out_w = self.output_shape(x.shape[1:])
         in_per = self.in_channels // self.groups
         out_per = self.out_channels // self.groups
-        group_cols = []
-        out = np.empty(
-            (batch * out_h * out_w, self.out_channels), dtype=x.dtype
+        rows = batch * out_h * out_w
+        col_buf = self._cols_buffer(
+            (self.groups, rows, in_per * self.kernel * self.kernel),
+            x.dtype,
+            training=training,
         )
+        group_cols = []
+        out = np.empty((rows, self.out_channels), dtype=x.dtype)
         for g in range(self.groups):
             cols = im2col(
                 x[:, g * in_per : (g + 1) * in_per],
                 self.kernel,
                 self.stride,
                 self.pad,
+                out=None if col_buf is None else col_buf[g],
             )
             group_cols.append(cols)
             w_g = self.weight.data[g * out_per : (g + 1) * out_per].reshape(
@@ -278,39 +288,54 @@ class Conv2D(Layer):
         )
 
     def _backward_grouped(self, grad_out: np.ndarray) -> np.ndarray:
-        group_cols, x_shape = self._cache
-        self._cache = None
-        batch, _, out_h, out_w = grad_out.shape
+        group_cols, x_shape = self._take_cache()
         in_per = self.in_channels // self.groups
         out_per = self.out_channels // self.groups
-        grad_rows = grad_out.transpose(0, 2, 3, 1).reshape(
-            batch * out_h * out_w, self.out_channels
-        )
-        self.bias.accumulate(grad_rows.sum(axis=0))
+        grad_rows = self._grad_rows(grad_out)
+        if not self.bias.frozen:
+            self.bias.accumulate(grad_rows.sum(axis=0))
         grad_in = (
             None
             if self.skip_input_grad
-            else np.empty(x_shape, dtype=grad_out.dtype)
+            else workspace.take("grouped_grad_in", x_shape, grad_out.dtype)
         )
-        grad_w_full = np.empty_like(self.weight.data)
+        grad_w_full = (
+            None
+            if self.weight.frozen
+            else workspace.take(
+                "grad_w", self.weight.data.shape, self.weight.data.dtype
+            )
+        )
         for g in range(self.groups):
             rows_g = grad_rows[:, g * out_per : (g + 1) * out_per]
             cols = group_cols[g]
-            grad_w_full[g * out_per : (g + 1) * out_per] = (
-                rows_g.T @ cols
-            ).reshape(out_per, in_per, self.kernel, self.kernel)
+            if grad_w_full is not None:
+                grad_w_full[g * out_per : (g + 1) * out_per] = (
+                    rows_g.T @ cols
+                ).reshape(out_per, in_per, self.kernel, self.kernel)
             if grad_in is not None:
                 w_g = self.weight.data[
                     g * out_per : (g + 1) * out_per
                 ].reshape(out_per, -1)
-                grad_cols = rows_g @ w_g
+                grad_cols = workspace.take(
+                    "grad_cols", cols.shape, grad_rows.dtype
+                )
+                np.matmul(rows_g, w_g, out=grad_cols)
                 group_shape = (x_shape[0], in_per, x_shape[2], x_shape[3])
                 grad_in[:, g * in_per : (g + 1) * in_per] = col2im(
-                    grad_cols, group_shape, self.kernel, self.stride, self.pad
+                    grad_cols,
+                    group_shape,
+                    self.kernel,
+                    self.stride,
+                    self.pad,
+                    padded_out=self._padded_grad(
+                        x_shape, in_per, grad_rows.dtype
+                    ),
                 )
         # Routed through accumulate (not a direct self.weight.grad poke) so
         # frozen-parameter semantics match the dense path.
-        self.weight.accumulate(grad_w_full)
+        if grad_w_full is not None:
+            self.weight.accumulate(grad_w_full)
         if grad_in is None:
             return np.zeros(x_shape, dtype=grad_out.dtype)
         return grad_in

@@ -18,13 +18,19 @@ strategy; the strategies below were picked by measurement:
   one CPU core the split point is ~2.5x either way at AlexNet-ish shapes.
 * ``col2im`` keeps a *contiguity copy* before the overlap-add scatter:
   scattering straight out of the transposed view was measured 1.5-2x slower
-  (strided reads defeat the adds) than copy-then-contiguous-adds.  What the
-  old implementation paid per call — fresh ``ascontiguousarray`` and
-  ``zeros`` allocations — is instead hoisted into caller-reusable buffers.
+  (strided reads defeat the adds) than copy-then-contiguous-adds.
 
-Callers that run every step (:class:`~repro.nn.conv.Conv2D`) pass reusable
-``out=`` / ``scratch=`` buffers so the hot loop stops allocating the big
-column matrices at all.
+Where the time actually went was not the copies but *first-touch page
+faults* on freshly allocated temporaries: on a 4-node fleet run about half
+of im2col's time and nearly all of the process's kernel time.  So every
+internal temporary — the zero-padded input, the two-step gather scratch,
+the col2im contiguity copy — is a view of the process-wide grow-only
+:mod:`repro.nn.workspace` (roles ``im2col_pad``, ``im2col_gather``,
+``col2im_scratch``), and only what is *returned* is freshly allocated:
+``im2col``'s result unless ``out=`` is given, ``col2im``'s result unless
+``padded_out=`` is given.  :class:`~repro.nn.conv.Conv2D` passes workspace
+views for those too, so the steady-state training loop allocates no large
+array at all.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.nn import workspace
 from repro.obs.profile import profiled
 
 __all__ = ["conv_output_size", "im2col", "col2im"]
@@ -50,6 +57,26 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
             f"stride={stride} pad={pad}"
         )
     return out
+
+
+def _zero_padded(images: np.ndarray, pad: int) -> np.ndarray:
+    """``np.pad(images, pad)`` on the last two axes, into the workspace.
+
+    The buffer is shared by every geometry, so the border is re-zeroed on
+    each call (four thin strips) and the interior overwritten.
+    """
+    batch, channels, height, width = images.shape
+    padded = workspace.take(
+        "im2col_pad",
+        (batch, channels, height + 2 * pad, width + 2 * pad),
+        images.dtype,
+    )
+    padded[:, :, :pad] = 0
+    padded[:, :, -pad:] = 0
+    padded[:, :, pad:-pad, :pad] = 0
+    padded[:, :, pad:-pad, -pad:] = 0
+    padded[:, :, pad:-pad, pad:-pad] = images
+    return padded
 
 
 def _check_buffer(
@@ -81,8 +108,8 @@ def im2col(
         Square-kernel convolution geometry.
     out:
         Optional preallocated result buffer of the exact output shape and
-        dtype; pass a reused per-layer buffer to keep the training hot loop
-        allocation-free.
+        dtype (a workspace view in the training hot loop); a fresh array is
+        allocated and returned when omitted.
 
     Returns
     -------
@@ -96,9 +123,7 @@ def im2col(
     out_w = conv_output_size(width, kernel, stride, pad)
 
     if pad:
-        images = np.pad(
-            images, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant"
-        )
+        images = _zero_padded(images, pad)
 
     shape = (batch * out_h * out_w, channels * kernel * kernel)
     if out is None:
@@ -114,8 +139,10 @@ def im2col(
         np.copyto(out6, windows.transpose(0, 2, 3, 1, 4, 5))
         return out
 
-    cols = np.empty(
-        (batch, channels, kernel, kernel, out_h, out_w), dtype=images.dtype
+    cols = workspace.take(
+        "im2col_gather",
+        (batch, channels, kernel, kernel, out_h, out_w),
+        images.dtype,
     )
     for ky in range(kernel):
         y_max = ky + stride * out_h
@@ -145,9 +172,10 @@ def col2im(
     accumulation the convolution backward pass needs.
 
     ``scratch`` (shape ``(B, N, K, K, R, C)``) receives the contiguity copy
-    and ``padded_out`` (shape ``(B, N, H+2p, W+2p)``) the accumulation;
-    passing reused buffers makes the call allocation-free.  When ``pad > 0``
-    the returned array is a view into ``padded_out``.
+    and defaults to a workspace view; ``padded_out`` (shape
+    ``(B, N, H+2p, W+2p)``) receives the accumulation and defaults to a
+    fresh array, because it is what the call returns (a view into it when
+    ``pad > 0``).
     """
     batch, channels, height, width = image_shape
     out_h = conv_output_size(height, kernel, stride, pad)
@@ -155,7 +183,7 @@ def col2im(
 
     six_shape = (batch, channels, kernel, kernel, out_h, out_w)
     if scratch is None:
-        scratch = np.empty(six_shape, dtype=cols.dtype)
+        scratch = workspace.take("col2im_scratch", six_shape, cols.dtype)
     else:
         _check_buffer(scratch, six_shape, cols.dtype, "col2im scratch")
     # One blocked copy into (B, N, K, K, R, C): the K*K overlap-adds below

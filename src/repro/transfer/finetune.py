@@ -106,6 +106,12 @@ def train_classifier(
     result = TrainResult(network=net)
     boundary = split_at_frozen_prefix(net) if cache_frozen_features else 0
 
+    # The tail shares its layers with ``net``, and ``Sequential`` marks its
+    # first conv ``skip_input_grad``.  The mark is scoped to this run: left
+    # set, a later full-network backward under a shallower freeze plan
+    # would silently feed zeros to the layers below the old boundary.
+    tail_head = net.layers[boundary] if boundary > 0 else None
+    skip_before = getattr(tail_head, "skip_input_grad", None)
     if boundary > 0:
         prefix_layers = net.layers[:boundary]
         tail = Sequential(net.layers[boundary:], net.shape_at(boundary))
@@ -124,26 +130,30 @@ def train_classifier(
     optimizer = SGD(
         trainable.parameters, lr=lr, momentum=momentum, weight_decay=weight_decay
     )
-    for _ in range(epochs):
-        order = rng.permutation(len(labels))
-        epoch_loss = 0.0
-        batches = 0
-        for start in range(0, len(labels), batch_size):
-            idx = order[start : start + batch_size]
-            x, y = inputs[idx], labels[idx]
-            logits = trainable.forward(x, training=True)
-            epoch_loss += loss_fn(logits, y)
-            batches += 1
-            trainable.zero_grad()
-            trainable.backward(loss_fn.backward())
-            optimizer.step()
-            result.sample_steps += len(idx)
-            # Forward + ~2x backward over the trainable portion only.
-            for layer in trainable.layers:
-                result.compute_units += 3.0 * _layer_work(layer, len(idx))
-        result.losses.append(epoch_loss / max(1, batches))
-        if eval_data is not None:
-            result.eval_accuracies.append(evaluate(net, eval_data))
+    try:
+        for _ in range(epochs):
+            order = rng.permutation(len(labels))
+            epoch_loss = 0.0
+            batches = 0
+            for start in range(0, len(labels), batch_size):
+                idx = order[start : start + batch_size]
+                x, y = inputs[idx], labels[idx]
+                logits = trainable.forward(x, training=True)
+                epoch_loss += loss_fn(logits, y)
+                batches += 1
+                trainable.zero_grad()
+                trainable.backward(loss_fn.backward())
+                optimizer.step()
+                result.sample_steps += len(idx)
+                # Forward + ~2x backward over the trainable portion only.
+                for layer in trainable.layers:
+                    result.compute_units += 3.0 * _layer_work(layer, len(idx))
+            result.losses.append(epoch_loss / max(1, batches))
+            if eval_data is not None:
+                result.eval_accuracies.append(evaluate(net, eval_data))
+    finally:
+        if skip_before is not None:
+            tail_head.skip_input_grad = skip_before
     result.wall_time_s = perf_counter() - started
     registry = obs_metrics.active()
     if registry is not None:

@@ -72,6 +72,24 @@ class TestConvGradients:
         assert np.all(conv.weight.grad == 0.0)
         assert np.all(conv.bias.grad == 0.0)
 
+    @pytest.mark.parametrize("groups", [1, 2])
+    def test_frozen_layer_still_propagates_exact_input_grad(self, groups):
+        """Freezing skips the dead weight/bias GEMMs, nothing else."""
+        layers = [
+            Conv2D(4, 4, 3, pad=1, groups=groups, rng=np.random.default_rng(3))
+            for _ in range(2)
+        ]
+        layers[1].freeze()
+        x = np.random.default_rng(4).normal(size=(2, 4, 6, 6)).astype(np.float32)
+        grads = []
+        for layer in layers:
+            out = layer.forward(x, training=True)
+            grads.append(layer.backward(np.sin(out)).copy())
+        assert np.array_equal(grads[0], grads[1])
+        assert np.any(layers[0].weight.grad != 0.0)
+        assert np.all(layers[1].weight.grad == 0.0)
+        assert np.all(layers[1].bias.grad == 0.0)
+
     def test_skip_input_grad_returns_zeros(self, rng):
         conv = Conv2D(2, 2, 3, pad=1, rng=rng)
         conv.skip_input_grad = True

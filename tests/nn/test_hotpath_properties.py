@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Conv2D, col2im, im2col
+from repro.nn import Conv2D, col2im, im2col, workspace
 from repro.nn.reference import col2im_reference, im2col_reference
 
 GEOMETRY = st.tuples(
@@ -64,6 +64,39 @@ class TestMatchesReference:
         lhs = float((cols * y).sum())
         rhs = float((x * col2im(y, x.shape, kernel, stride, pad)).sum())
         assert np.isclose(lhs, rhs, rtol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        geometries=st.lists(GEOMETRY, min_size=2, max_size=4),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_exact_through_workspace_buffers(self, geometries, dtype):
+        """Successive geometries carve ``out=`` / ``padded_out=`` (and the
+        internal pad / gather / scratch temporaries) from the same
+        workspace bytes, dirty with whatever the previous — possibly
+        larger, possibly other-dtype — geometry left there."""
+        for geometry in geometries:
+            batch, channels, size, kernel, stride, pad = geometry
+            rng = np.random.default_rng(hash(geometry) % 2**32)
+            shape = (batch, channels, size, size)
+            x = rng.normal(size=shape).astype(dtype)
+            want = im2col_reference(x, kernel, stride, pad)
+            out = workspace.take("cols_infer", want.shape, dtype)
+            got = im2col(x, kernel, stride, pad, out=out)
+            assert got is out
+            assert np.array_equal(got, want)
+
+            cols = rng.normal(size=want.shape).astype(dtype)
+            padded = workspace.take(
+                "col2im_padded",
+                (batch, channels, size + 2 * pad, size + 2 * pad),
+                dtype,
+            )
+            got = col2im(cols, shape, kernel, stride, pad, padded_out=padded)
+            assert np.shares_memory(got, padded)
+            assert np.array_equal(
+                got, col2im_reference(cols, shape, kernel, stride, pad)
+            )
 
     def test_reused_buffers_exact(self):
         """Pooled out=/scratch= buffers change nothing numerically."""

@@ -118,6 +118,45 @@ class TestTrainClassifier:
         x = small_ideal_dataset.images[:4]
         assert np.allclose(net_a.predict(x), net_b.predict(x), atol=1e-4)
 
+    def test_tail_training_does_not_leak_skip_input_grad(
+        self, rng, small_ideal_dataset
+    ):
+        """The tail run marks its first conv (conv4) ``skip_input_grad``;
+        the mark must not outlive the run, or a later full backward under
+        a shallower freeze plan feeds zeros to conv1..conv3."""
+        net = build_classifier(4, rng)
+        train_classifier(
+            net,
+            small_ideal_dataset,
+            epochs=1,
+            rng=rng,
+            freeze_plan=FreezePlan(3),
+        )
+        assert net["conv4"].skip_input_grad is False
+        assert net["conv1"].skip_input_grad is True  # the net's own first layer
+
+        net.unfreeze_all()
+        x = small_ideal_dataset.images[:4]
+        logits = net.forward(x, training=True)
+        net.zero_grad()
+        net.backward(np.ones_like(logits))
+        assert np.any(net["conv1"].weight.grad != 0.0)
+
+    def test_skip_input_grad_restored_when_training_raises(
+        self, rng, small_ideal_dataset
+    ):
+        net = build_classifier(4, rng)
+        bad_labels = small_ideal_dataset.labels.copy()
+        bad_labels[:] = 99  # out of range: the loss raises mid-epoch
+        broken = type(small_ideal_dataset)(
+            small_ideal_dataset.images, bad_labels
+        )
+        with pytest.raises(ValueError, match="labels out of range"):
+            train_classifier(
+                net, broken, epochs=1, rng=rng, freeze_plan=FreezePlan(3)
+            )
+        assert net["conv4"].skip_input_grad is False
+
     def test_empty_dataset_rejected(self, rng, small_ideal_dataset):
         net = build_classifier(4, rng)
         with pytest.raises(ValueError):
