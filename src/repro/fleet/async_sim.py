@@ -340,7 +340,6 @@ class _EventFleet:
     def _node_proc(self, i: int):
         profile = self.profiles[i]
         stages = self.assets.node_stages[i]
-        trajectory = self.report.nodes[i]
         epoch = 0
         while True:
             if not self.barrier:
@@ -353,47 +352,48 @@ class _EventFleet:
                     break
             stage = stages[epoch % len(stages)]
             outcome = yield from self._node_epoch_body(i, profile, stage, epoch)
-            (
-                start,
-                node_report,
-                compute_s,
-                count,
-                upload_start,
-                upload_done,
-                upload_energy,
-            ) = outcome
             if self.barrier:
                 # An epoch only commits once the fleet-wide round closes:
                 # a horizon that freezes the fleet mid-round must not
                 # count the fast nodes' half-finished round.
                 keep_going = yield self._round_event(epoch)
-            trajectory.records.append(
-                EpochRecord(
-                    epoch=epoch,
-                    stage_index=stage.index,
-                    node_id=profile.node_id,
-                    start_s=start,
-                    acquired=node_report.acquired_images,
-                    uploaded=count,
-                    accuracy_on_new=node_report.accuracy_before_update,
-                    compute_time_s=compute_s,
-                    upload_start_s=upload_start,
-                    upload_done_s=upload_done,
-                    upload_bytes=count * JPEG_IMAGE_BYTES,
-                    upload_energy_j=upload_energy,
-                    node_compute_energy_j=node_report.node_energy_j,
-                )
-            )
-            trajectory.ledger.record(
-                epoch, node_report.acquired_images, count
-            )
-            self.report.ledger.record(
-                epoch, node_report.acquired_images, count
-            )
+            self._commit_epoch(i, epoch, stage, outcome)
             if self.barrier and not keep_going:
                 break
             epoch += 1
-        trajectory.finish_s = self.sim.now
+        self.report.nodes[i].finish_s = self.sim.now
+
+    def _commit_epoch(self, i: int, epoch: int, stage, outcome) -> None:
+        """Record one finished epoch (``_node_epoch_body``'s result)."""
+        (
+            start,
+            node_report,
+            compute_s,
+            count,
+            upload_start,
+            upload_done,
+            upload_energy,
+        ) = outcome
+        trajectory = self.report.nodes[i]
+        trajectory.records.append(
+            EpochRecord(
+                epoch=epoch,
+                stage_index=stage.index,
+                node_id=self.profiles[i].node_id,
+                start_s=start,
+                acquired=node_report.acquired_images,
+                uploaded=count,
+                accuracy_on_new=node_report.accuracy_before_update,
+                compute_time_s=compute_s,
+                upload_start_s=upload_start,
+                upload_done_s=upload_done,
+                upload_bytes=count * JPEG_IMAGE_BYTES,
+                upload_energy_j=upload_energy,
+                node_compute_energy_j=node_report.node_energy_j,
+            )
+        )
+        trajectory.ledger.record(epoch, node_report.acquired_images, count)
+        self.report.ledger.record(epoch, node_report.acquired_images, count)
 
     def _node_epoch_body(self, i: int, profile, stage, epoch: int):
         """One node epoch minus round commit: sense, compute, upload.
@@ -724,14 +724,24 @@ class _EventFleet:
             system=self.config.system_id,
             bytes=num_bytes,
         )
+        self._land_download(i, num_bytes, state, stage_hint)
+
+    def _land_download(
+        self, i: int, num_bytes: int, state, stage: int, link=None
+    ) -> None:
+        """A model download finished at node ``i``: swap state, charge it.
+
+        ``link`` is the hop the node's radio paid for (its own link
+        unless a gateway's local hop delivered the bytes).
+        """
+        if link is None:
+            link = self.profiles[i].link
         self.node_states[i] = state
         trajectory = self.report.nodes[i]
         trajectory.download_bytes += num_bytes
-        trajectory.download_energy_j += profile.link.model_push_energy_j(
-            num_bytes
-        )
-        trajectory.ledger.record_download(stage_hint, num_bytes)
-        self.report.ledger.record_download(stage_hint, num_bytes)
+        trajectory.download_energy_j += link.model_push_energy_j(num_bytes)
+        trajectory.ledger.record_download(stage, num_bytes)
+        self.report.ledger.record_download(stage, num_bytes)
 
     # ------------------------------------------------------------------
     def run(self) -> FleetEventReport:

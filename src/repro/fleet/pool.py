@@ -1,4 +1,4 @@
-"""Persistent shared-memory worker runtime for lockstep fleet engines.
+"""Persistent shared-memory worker runtime for the lockstep stage loop.
 
 The PR-3 spawn pool made ``workers=N`` *correct* but slow: every
 ``run_fleet`` call booted a fresh pool whose initializer re-pickled the
@@ -31,8 +31,8 @@ Determinism contract: task results are keyed by node index and merged in
 fixed node order by the engines, and all diagnosis randomness is
 reseeded per ``(node, stage)`` inside the worker — so any worker count,
 any chunking, and any task placement produce bit-identical reports and
-trace bytes (``tests/fleet/test_pool.py`` pins this on the flat,
-topology, and scenario lockstep paths).
+trace bytes (``tests/fleet/test_pool.py`` pins this for the one lockstep
+stage loop under the direct tier, the gateway tier, and scenario hooks).
 
 Cleanup contract: :meth:`shutdown` (idempotent, also run by
 ``__exit__`` and a GC finalizer) cancels queued futures, stops the
@@ -151,9 +151,9 @@ class PoolTask:
     ``state`` is either an ``int`` generation from
     :meth:`FleetWorkerPool.publish` (the fast shared-memory path) or a
     raw state dict (the pickled fallback for layout-mismatched states).
-    ``trace_t0``/``tier``/``extra`` mirror the serial engines' calls to
-    ``_node_stage_records`` so worker-built trace records are
-    byte-identical to serial ones.
+    ``trace_t0``/``tier``/``extra`` are handed to the same
+    :func:`~repro.fleet.simulation.node_stage` the serial loop calls, so
+    worker-built trace records are byte-identical to serial ones.
     """
 
     node_index: int
@@ -449,36 +449,21 @@ def _pool_worker_chunk(
     system_id: str, stage_index: int, tasks: list[PoolTask]
 ) -> list[tuple]:
     """Run a contiguous chunk of one stage's node tasks in this worker."""
-    from repro.fleet.simulation import _node_stage_records, reseed_diagnoser
+    from repro.fleet.simulation import node_stage
 
     runtime = _worker_runtime(system_id)
     assets = _WORKER["assets"]
     out = []
     for task in tasks:
         _load_state(runtime, system_id, task.state)
-        node = runtime.nodes[task.node_index]
-        profile = assets.profiles[task.node_index]
-        reseed_diagnoser(
-            node.diagnoser,
-            assets.scenario.base.seed,
-            profile.node_id,
+        node_report, records = node_stage(
+            runtime,
+            assets,
+            task.node_index,
             stage_index,
-        )
-        node_report = node.process_stage(
-            assets.node_stages[task.node_index][stage_index]
-        )
-        records = (
-            _node_stage_records(
-                node_report,
-                stage_index=stage_index,
-                node_id=profile.node_id,
-                system_id=system_id,
-                t0=task.trace_t0,
-                tier=task.tier,
-                extra=task.extra,
-            )
-            if task.trace_t0 is not None
-            else None
+            trace_t0=task.trace_t0,
+            tier=task.tier,
+            extra=task.extra,
         )
         out.append((task.node_index, node_report, records))
     return out

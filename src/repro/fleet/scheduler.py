@@ -149,6 +149,15 @@ class FleetScheduler:
     # ------------------------------------------------------------------
     # Canary rollout
     # ------------------------------------------------------------------
+    def canaries_among(self, node_ids: tuple[int, ...]) -> tuple[int, ...]:
+        """The canary subset a rollout over ``node_ids`` will use.
+
+        Configured canaries restricted to the given (alive) fleet; when
+        none of them is present the first node stands in.
+        """
+        canaries = tuple(i for i in self.canary_ids if i in node_ids)
+        return canaries or node_ids[:1]
+
     def rollout(
         self,
         stage_index: int,
@@ -177,9 +186,7 @@ class FleetScheduler:
             batch_size=batch_size,
             lr=lr,
         )
-        canaries = tuple(i for i in self.canary_ids if i in all_node_ids)
-        if not canaries:  # degenerate fleets: first node is the canary
-            canaries = all_node_ids[:1]
+        canaries = self.canaries_among(all_node_ids)
         events = [
             DeployEvent(stage_index, node_id, -1, "canary")
             for node_id in canaries

@@ -50,10 +50,10 @@ from repro.diagnosis.diagnoser import (
 from repro.fleet.profiles import FleetScenario, NodeProfile
 from repro.nn.config import default_dtype
 from repro.fleet.scheduler import FleetScheduler, RolloutResult
-from repro.fleet.uplink import SharedUplink, Transfer, model_state_bytes
+from repro.fleet.uplink import DirectTier, SharedUplink, model_state_bytes
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceRecord, Tracer, make_event, make_span
+from repro.obs.trace import Tracer, make_event, make_span
 from repro.models.layer_specs import alexnet_spec, diagnosis_spec
 from repro.models.iot_models import build_classifier
 from repro.selfsup.jigsaw import JigsawSampler
@@ -72,9 +72,11 @@ __all__ = [
     "build_fleet_runtime",
     "cloud_initialize",
     "cloud_try_update",
+    "node_stage",
     "pooled_node_stage",
     "prepare_fleet_assets",
     "reseed_diagnoser",
+    "StageHooks",
     "run_fleet",
     "run_fleet_all_systems",
 ]
@@ -669,56 +671,63 @@ def reseed_diagnoser(
         sampler.rng = np.random.default_rng(children[1])
 
 
-def _node_stage_records(
-    node_report,
-    *,
+def node_stage(
+    runtime: FleetRuntime,
+    assets: FleetAssets,
+    node_index: int,
     stage_index: int,
-    node_id: int,
-    system_id: str,
-    t0: float,
+    *,
+    trace_t0: float | None,
     tier: str | None = None,
     extra: dict | None = None,
-) -> list[TraceRecord]:
-    """Trace records for one node's stage, stamped at virtual time ``t0``.
+) -> tuple:
+    """One node's stage against whatever its deployed net currently holds.
 
-    A module function (not a :class:`Tracer` method) so pool workers build
-    the very same records and ship them home alongside the
-    :class:`NodeReport`; the parent merges the per-(node, stage) buffers in
-    fixed node order, making the trace bytes identical for every worker
-    count.
+    The single per-node body of every lockstep run: the serial loop and
+    the pool workers both call it, so ``(NodeReport, records)`` cannot
+    depend on where a node ran — the parent merges the per-(node, stage)
+    results in fixed node order, making reports and trace bytes
+    identical for every worker count.
 
-    ``tier`` tags the records for hierarchical runs; flat runs pass
-    ``None`` and their record bytes carry no tier attribute at all.
-    ``extra`` adds further attributes the same way (scenario runs tag
-    records with their phase); ``None`` leaves the bytes untouched.
+    ``records`` are the node's trace records stamped at virtual time
+    ``trace_t0`` (``None`` = tracing off, no records).  ``tier`` tags
+    them for hierarchical runs and ``extra`` adds further attributes
+    (scenario runs tag their phase); flat runs pass neither and their
+    record bytes carry no such attribute at all.
     """
+    node = runtime.nodes[node_index]
+    profile = assets.profiles[node_index]
+    reseed_diagnoser(
+        node.diagnoser, assets.scenario.base.seed, profile.node_id, stage_index
+    )
+    node_report = node.process_stage(assets.node_stages[node_index][stage_index])
+    if trace_t0 is None:
+        return node_report, None
     compute_s = node_report.inference_time_s + node_report.diagnosis_time_s
-    tier_attrs = {} if tier is None else {"tier": tier}
-    if extra:
-        tier_attrs.update(extra)
-    return [
+    attrs = dict(
+        node=profile.node_id,
+        stage=stage_index,
+        system=runtime.config.system_id,
+        **({} if tier is None else {"tier": tier}),
+        **(extra or {}),
+    )
+    return node_report, [
         make_span(
             "node",
             "compute",
-            t0,
-            t0 + compute_s,
-            node=node_id,
-            stage=stage_index,
-            system=system_id,
+            trace_t0,
+            trace_t0 + compute_s,
             inference_s=node_report.inference_time_s,
             diagnosis_s=node_report.diagnosis_time_s,
-            **tier_attrs,
+            **attrs,
         ),
         make_event(
             "node",
             "diagnosis",
-            t0 + compute_s,
-            node=node_id,
-            stage=stage_index,
-            system=system_id,
+            trace_t0 + compute_s,
             acquired=node_report.acquired_images,
             flagged=node_report.flagged_images,
-            **tier_attrs,
+            **attrs,
         ),
     ]
 
@@ -735,14 +744,13 @@ def pooled_node_stage(
 ) -> dict[int, tuple]:
     """Run one stage's per-node compute on the persistent worker pool.
 
-    The shared seam all three lockstep engines dispatch through:
     ``node_items`` pairs each node index with the model state it should
     run under.  States are published into the pool's shared-memory
     weights block (interned — republishing the same dict object is
     free), so tasks carry only ``(node_index, generation)`` plus the
-    trace stamps.  Returns ``{node_index: (NodeReport, records)}``;
-    callers iterate node indices in fixed order, which keeps reports and
-    trace bytes identical to the serial path at any worker count.
+    trace stamps.  Returns ``{node_index: (NodeReport, records)}``; the
+    stage loop iterates node indices in fixed order, which keeps reports
+    and trace bytes identical to the serial path at any worker count.
     """
     from repro.fleet.pool import PoolTask
 
@@ -757,6 +765,40 @@ def pooled_node_stage(
         for i, state in node_items
     ]
     return pool.run_stage(system_id, stage_index, tasks)
+
+
+class StageHooks:
+    """Per-stage extension points of the lockstep stage loop.
+
+    The base class is the plain fleet: every node participates in every
+    stage and nothing happens beyond the paper's protocol.
+    ``repro.scenario`` overrides both methods to add churn, rejoin
+    reconciliation, and per-group heads.  A new per-stage *behaviour*
+    belongs here; a new *transport* belongs in an uplink tier.
+    """
+
+    def begin_stage(
+        self, s: int, t0: float, node_states: list
+    ) -> tuple[tuple[int, ...], dict, dict[int, int]]:
+        """Called before node compute, at virtual time ``t0``.
+
+        Returns the participating node indices (ascending), extra trace
+        attributes for the stage's records, and ``{node index: bytes}``
+        of model downloads that landed before compute.  May replace
+        entries of ``node_states``.
+        """
+        return tuple(range(len(node_states))), {}, {}
+
+    def after_push(
+        self, s: int, stage_start: float, t0: float, outcome, node_states: list
+    ) -> tuple[dict[int, int], float]:
+        """Called once the stage's model pushes have landed, at ``t0``.
+
+        Returns ``{node index: bytes}`` of further downloads and the
+        virtual time they add to the stage.  May replace entries of
+        ``node_states``.
+        """
+        return {}, 0.0
 
 
 def run_fleet(
@@ -793,8 +835,9 @@ def run_fleet(
     scope.  Both default to off with zero overhead.
 
     ``topology`` (a :class:`repro.topology.Topology`) interposes a
-    gateway tier between the nodes and the Cloud.  ``None`` and
-    passthrough topologies execute this exact flat code path, so the
+    gateway tier between the nodes and the Cloud: the same stage loop
+    runs, with the topology's uplink tier in place of the direct one.
+    ``None`` and passthrough topologies use the direct tier, so the
     default trajectories are byte-identical with or without the flag.
     """
     if workers < 1:
@@ -803,13 +846,13 @@ def run_fleet(
         raise ValueError("pool was built over different FleetAssets")
     if topology is not None:
         topology.validate_for(assets.profiles)
-    hierarchical = topology is not None and not topology.is_passthrough
-    uplink = SharedUplink(assets.scenario.backhaul_bps)
+    backhaul = SharedUplink(assets.scenario.backhaul_bps)
+    if topology is not None and not topology.is_passthrough:
+        tier = topology.lockstep_tier(config, assets, backhaul)
+    else:
+        tier = DirectTier(config, assets, backhaul)
     runtime = build_fleet_runtime(
-        config,
-        assets,
-        metrics=metrics,
-        canary_ids=topology.canary_node_ids if hierarchical else None,
+        config, assets, metrics=metrics, canary_ids=tier.canary_ids
     )
     owned_pool = None
     if pool is None and workers > 1:
@@ -819,26 +862,11 @@ def run_fleet(
         pool = owned_pool = FleetWorkerPool(assets, workers)
     try:
         with obs_metrics.use(metrics):
-            if hierarchical:
-                # Imported here: repro.topology imports this module.
-                from repro.topology.lockstep import run_topology_schedule
-
-                return run_topology_schedule(
-                    config,
-                    assets,
-                    runtime,
-                    topology,
-                    uplink,
-                    pool,
-                    tracer=tracer,
-                )
             report = _run_fleet_schedule(
-                config, assets, runtime, uplink, pool, tracer=tracer
+                config, assets, runtime, tier, pool, tracer=tracer
             )
-            # A passthrough topology executed the flat path verbatim;
-            # still record what was asked for.
-            report.topology = topology
-            return report
+        report.topology = topology
+        return report
     finally:
         if owned_pool is not None:
             owned_pool.shutdown()
@@ -848,24 +876,41 @@ def _run_fleet_schedule(
     config: SystemConfig,
     assets: FleetAssets,
     runtime: FleetRuntime,
-    uplink: SharedUplink,
+    tier,
     pool: "FleetWorkerPool | None",
     *,
     tracer: Tracer | None = None,
+    hooks: StageHooks | None = None,
 ) -> FleetReport:
+    """The one lockstep stage loop.
+
+    ``tier`` owns transport ("node upload -> Cloud arrival" and "Cloud
+    push -> node": :class:`~repro.fleet.uplink.DirectTier`, or the
+    gateway tier ``repro.topology`` supplies); ``hooks`` own per-stage
+    behaviour beyond the paper's protocol (:class:`StageHooks`).  The
+    two are independent.  Everything else — node compute, upload
+    selection, the Cloud step, records, ledgers, ``fleet.*`` metrics —
+    is here and nowhere else.
+    """
     scenario = assets.scenario
     base = scenario.base
     profiles = assets.profiles
-    cloud = runtime.cloud
     registry = runtime.registry
     scheduler = runtime.scheduler
-    deployed_net = runtime.deployed_net
+    sys_id = config.system_id
+    if hooks is None:
+        hooks = StageHooks()
+    if tracer is None:
+        tracer = Tracer(enabled=False)
 
     report = FleetReport(config=config, scenario=scenario, registry=registry)
     report.nodes = [NodeTrajectory(profile=p) for p in profiles]
-    all_node_ids = tuple(p.node_id for p in profiles)
+    index_of = {p.node_id: i for i, p in enumerate(profiles)}
     num_stages = len(assets.node_stages[0])
-    tracing = tracer is not None and tracer.enabled
+    # The model state each node runs.  A landed push moves a node to the
+    # registry's active state; hooks may move nodes too (reconciliation,
+    # per-group heads), so versions can diverge across the fleet.
+    node_states = [assets.initial_state] * len(profiles)
     # Virtual stage cursor: spans are stamped from the same barrier
     # timeline lockstep_timeline() reconstructs, so the trace stream is a
     # pure function of the report — identical for any worker count.
@@ -874,196 +919,168 @@ def _run_fleet_schedule(
     for s in range(num_stages):
         is_initial = s == 0
         stage_start = cursor
-        trace_t0 = stage_start if tracing else None
-        active_state = (
-            registry.active.state if len(registry) else assets.initial_state
-        )
+        nodes, extra, caught_up = hooks.begin_stage(s, stage_start, node_states)
+        for i, num_bytes in caught_up.items():
+            report.nodes[i].ledger.record_download(s, num_bytes)
+            report.ledger.record_download(s, num_bytes)
+
+        # --- node compute ---------------------------------------------
+        trace_t0 = stage_start if tracer.enabled else None
         if pool is None:
-            deployed_net.load_state_dict(active_state)
-            node_reports = []
-            for i in range(len(profiles)):
-                reseed_diagnoser(
-                    runtime.nodes[i].diagnoser,
-                    base.seed,
-                    profiles[i].node_id,
+            by_index = {}
+            loaded = None
+            for i in nodes:
+                if node_states[i] is not loaded:
+                    loaded = node_states[i]
+                    runtime.deployed_net.load_state_dict(loaded)
+                by_index[i] = node_stage(
+                    runtime,
+                    assets,
+                    i,
                     s,
+                    trace_t0=trace_t0,
+                    tier=tier.node_tag,
+                    extra=extra,
                 )
-                node_report = runtime.nodes[i].process_stage(
-                    assets.node_stages[i][s]
-                )
-                node_reports.append(node_report)
-                if tracing:
-                    tracer.extend(
-                        _node_stage_records(
-                            node_report,
-                            stage_index=s,
-                            node_id=profiles[i].node_id,
-                            system_id=config.system_id,
-                            t0=stage_start,
-                        )
-                    )
         else:
             by_index = pooled_node_stage(
                 pool,
-                config.system_id,
+                sys_id,
                 s,
-                [(i, active_state) for i in range(len(profiles))],
+                [(i, node_states[i]) for i in nodes],
                 trace_t0=trace_t0,
+                tier=tier.node_tag,
+                extra=extra,
             )
-            node_reports = []
-            for i in range(len(profiles)):
-                node_report, records = by_index[i]
-                node_reports.append(node_report)
-                if tracing and records is not None:
-                    tracer.extend(records)
+        node_reports = {}
+        for i in nodes:
+            node_reports[i], records = by_index[i]
+            if records is not None:
+                tracer.extend(records)
+
+        # --- uploads --------------------------------------------------
         # Systems without node-side diagnosis ship the raw stage data, not
         # the flagged subset; stage 0 is the initialization upload for all.
-        uploads: list[Dataset] = []
-        upload_counts: list[int] = []
-        for i, node_report in enumerate(node_reports):
+        uploads: dict[int, Dataset] = {}
+        upload_counts: dict[int, int] = {}
+        for i in nodes:
             if is_initial or config.uploads_everything:
-                uploads.append(assets.node_stages[i][s].new_data)
-                upload_counts.append(node_report.acquired_images)
+                uploads[i] = assets.node_stages[i][s].new_data
+                upload_counts[i] = node_reports[i].acquired_images
             else:
-                uploads.append(node_report.upload_data)
-                upload_counts.append(len(node_report.upload_data))
-
-        transfers = [
-            Transfer(
-                node_id=profiles[i].node_id,
-                link=profiles[i].link,
-                num_bytes=upload_counts[i] * JPEG_IMAGE_BYTES,
-            )
-            for i in range(len(profiles))
-        ]
-        upload_times, makespan = uplink.stage_upload_times(transfers)
-        compute_times = [
-            r.inference_time_s + r.diagnosis_time_s for r in node_reports
-        ]
-        uploads_start = stage_start + max(compute_times, default=0.0)
-        if tracing:
-            for i, profile in enumerate(profiles):
-                if upload_counts[i]:
-                    tracer.span(
-                        "net",
-                        "upload",
-                        uploads_start,
-                        uploads_start + upload_times[i],
-                        node=profile.node_id,
-                        stage=s,
-                        system=config.system_id,
-                        bytes=transfers[i].num_bytes,
-                    )
-
+                uploads[i] = node_reports[i].upload_data
+                upload_counts[i] = len(uploads[i])
+        compute_times = {
+            i: r.inference_time_s + r.diagnosis_time_s
+            for i, r in node_reports.items()
+        }
+        uploads_start = stage_start + max(compute_times.values(), default=0.0)
+        up = tier.upload(
+            s,
+            nodes,
+            uploads,
+            upload_counts,
+            uploads_start,
+            tracer=tracer,
+            extra=extra,
+        )
         fleet_accuracy = float(
-            np.mean([r.accuracy_before_update for r in node_reports])
+            np.mean([node_reports[i].accuracy_before_update for i in nodes])
         )
 
-        # --- cloud side -----------------------------------------------
+        # --- cloud side (sees the participating nodes as the fleet) ---
+        node_ids = tuple(profiles[i].node_id for i in nodes)
         if is_initial:
             outcome = cloud_initialize(
                 s,
-                uploads,
+                [e.data for e in up.entries],
                 runtime=runtime,
                 base=base,
-                all_node_ids=all_node_ids,
+                all_node_ids=node_ids,
             )
         else:
-            for i, upload in enumerate(uploads):
-                scheduler.offer(s, profiles[i].node_id, upload)
+            for entry in up.entries:
+                scheduler.offer(entry.stage_index, entry.node_id, entry.data)
+            canaries = scheduler.canaries_among(node_ids)
             outcome = cloud_try_update(
                 s,
                 fleet_accuracy,
                 lambda: Dataset.concat(
                     [
-                        assets.node_stages[i][s].new_data
-                        for i in assets.canary_ids
+                        assets.node_stages[index_of[c]][s].new_data
+                        for c in canaries
                     ]
                 ),
                 runtime=runtime,
                 base=base,
-                all_node_ids=all_node_ids,
+                all_node_ids=node_ids,
             )
-        push_bytes_per_node = outcome.push_bytes_per_node
+        push_bytes = outcome.push_bytes_per_node
 
         # --- stage timeline tail: cloud update, then model push-down ---
-        update_start = uploads_start + makespan
-        update_end = update_start + outcome.modeled_update_time_s
-        push_times = {
-            p.node_id: p.link.model_push_time_s(
-                push_bytes_per_node[p.node_id]
-            )
-            for p in profiles
-        }
-        if tracing:
-            if outcome.modeled_update_time_s > 0:
-                tracer.span(
-                    "cloud",
-                    "init" if is_initial else "update",
-                    update_start,
-                    update_end,
-                    stage=s,
-                    system=config.system_id,
-                    pooled=outcome.pooled_for_training,
-                    promoted=outcome.promoted,
-                )
-            tracer.event(
+        update_end = up.arrival_s + outcome.modeled_update_time_s
+        cloud_attrs = {**tier.cloud_attrs, **extra}
+        if outcome.modeled_update_time_s > 0:
+            tracer.span(
                 "cloud",
-                "decision",
+                "init" if is_initial else "update",
+                up.arrival_s,
                 update_end,
                 stage=s,
-                system=config.system_id,
-                updated=outcome.updated,
+                system=sys_id,
+                pooled=outcome.pooled_for_training,
                 promoted=outcome.promoted,
-                **rollback_attrs(outcome),
+                **cloud_attrs,
             )
-            for profile in profiles:
-                down_bytes = push_bytes_per_node[profile.node_id]
-                if down_bytes:
-                    tracer.span(
-                        "net",
-                        "push",
-                        update_end,
-                        update_end + push_times[profile.node_id],
-                        node=profile.node_id,
-                        stage=s,
-                        system=config.system_id,
-                        bytes=down_bytes,
-                    )
-        cursor = update_end + max(push_times.values(), default=0.0)
-
-        # --- downlink accounting --------------------------------------
-        push_energies = {
-            p.node_id: p.link.model_push_energy_j(push_bytes_per_node[p.node_id])
-            for p in profiles
-        }
+        tracer.event(
+            "cloud",
+            "decision",
+            update_end,
+            stage=s,
+            system=sys_id,
+            updated=outcome.updated,
+            promoted=outcome.promoted,
+            **rollback_attrs(outcome),
+            **cloud_attrs,
+        )
+        cursor = update_end + tier.push(
+            s, nodes, push_bytes, update_end, tracer=tracer
+        )
+        for i in nodes:
+            if push_bytes[profiles[i].node_id]:
+                node_states[i] = registry.active.state
+        later_bytes, later_s = hooks.after_push(
+            s, stage_start, cursor, outcome, node_states
+        )
+        cursor += later_s
 
         # --- per-node records -----------------------------------------
-        stage_download_bytes = 0
-        for i, profile in enumerate(profiles):
+        acquired = sum(r.acquired_images for r in node_reports.values())
+        pushed_bytes = 0
+        for i in nodes:
             node_report = node_reports[i]
-            down = push_bytes_per_node[profile.node_id]
-            stage_download_bytes += down
-            record = NodeStageRecord(
-                stage_index=s,
-                node_id=profile.node_id,
-                acquired=node_report.acquired_images,
-                uploaded=upload_counts[i],
-                accuracy_on_new=node_report.accuracy_before_update,
-                upload_time_s=upload_times[i],
-                upload_solo_time_s=uplink.solo_time(transfers[i]),
-                upload_energy_j=profile.link.image_upload_energy_j(
-                    upload_counts[i]
-                ),
-                node_compute_time_s=(
-                    node_report.inference_time_s + node_report.diagnosis_time_s
-                ),
-                node_compute_energy_j=node_report.node_energy_j,
-                download_bytes=down,
-                download_energy_j=push_energies[profile.node_id],
-            )
+            link = tier.node_link(i)
+            down = push_bytes[profiles[i].node_id] + later_bytes.get(i, 0)
+            pushed_bytes += down
             trajectory = report.nodes[i]
-            trajectory.records.append(record)
+            trajectory.records.append(
+                NodeStageRecord(
+                    stage_index=s,
+                    node_id=profiles[i].node_id,
+                    acquired=node_report.acquired_images,
+                    uploaded=upload_counts[i],
+                    accuracy_on_new=node_report.accuracy_before_update,
+                    upload_time_s=up.times[i],
+                    upload_solo_time_s=up.solo_times[i],
+                    upload_energy_j=link.image_upload_energy_j(
+                        upload_counts[i]
+                    ),
+                    node_compute_time_s=compute_times[i],
+                    node_compute_energy_j=node_report.node_energy_j,
+                    download_bytes=down,
+                    download_energy_j=link.model_push_energy_j(down),
+                )
+            )
             trajectory.ledger.record(
                 s, node_report.acquired_images, upload_counts[i]
             )
@@ -1072,42 +1089,41 @@ def _run_fleet_schedule(
             report.ledger.record(
                 s, node_report.acquired_images, upload_counts[i]
             )
-        if stage_download_bytes:
-            report.ledger.record_download(s, stage_download_bytes)
+        if pushed_bytes:
+            report.ledger.record_download(s, pushed_bytes)
+        tier.close_stage(s, report, runtime.metrics)
 
-        eval_accuracy = evaluate(cloud.inference_net, assets.eval_data)
         report.stages.append(
             FleetStageRecord(
                 stage_index=s,
-                acquired=sum(r.acquired_images for r in node_reports),
-                uploaded=sum(upload_counts),
+                acquired=acquired,
+                uploaded=sum(upload_counts.values()),
                 pooled_for_training=outcome.pooled_for_training,
                 updated=outcome.updated,
                 promoted=outcome.promoted,
                 fleet_accuracy_on_new=fleet_accuracy,
-                eval_accuracy=eval_accuracy,
+                eval_accuracy=evaluate(
+                    runtime.cloud.inference_net, assets.eval_data
+                ),
                 modeled_update_time_s=outcome.modeled_update_time_s,
                 modeled_cloud_energy_j=outcome.modeled_cloud_energy_j,
-                upload_makespan_s=makespan,
-                download_bytes=stage_download_bytes,
+                upload_makespan_s=up.makespan_s,
+                download_bytes=pushed_bytes + sum(caught_up.values()),
             )
         )
         m = runtime.metrics
         if m is not None:
-            sys_id = config.system_id
             m.counter("fleet.stages", system=sys_id).inc()
-            m.counter("fleet.images.acquired", system=sys_id).inc(
-                sum(r.acquired_images for r in node_reports)
-            )
+            m.counter("fleet.images.acquired", system=sys_id).inc(acquired)
             m.counter("fleet.images.flagged", system=sys_id).inc(
-                sum(r.flagged_images for r in node_reports)
+                sum(r.flagged_images for r in node_reports.values())
             )
             m.counter("fleet.images.uploaded", system=sys_id).inc(
-                sum(upload_counts)
+                sum(upload_counts.values())
             )
             hist = m.histogram("fleet.upload_time_s", system=sys_id)
-            for t in upload_times:
-                hist.observe(t)
+            for i in nodes:
+                hist.observe(up.times[i])
             snap = report.ledger.snapshot()
             m.gauge("fleet.bytes.uploaded", system=sys_id).set(
                 snap.uploaded_bytes

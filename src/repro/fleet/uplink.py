@@ -19,6 +19,11 @@ max-min fluid flows of :class:`repro.events.FlowLink`:
 Energy stays per-byte at each node's radio (the existing
 :class:`~repro.comm.link.NetworkLink` model): contention stretches *time*,
 not bytes.
+
+:class:`DirectTier` is the lockstep stage loop's view of this backhaul:
+"node upload -> Cloud arrival" and "Cloud push -> node" as two calls.
+``repro.topology`` supplies the other implementation of the same
+surface (a gateway tier between the nodes and the backhaul).
 """
 
 from __future__ import annotations
@@ -27,10 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.link import NetworkLink
+from repro.comm.link import JPEG_IMAGE_BYTES, NetworkLink
 from repro.events import FlowLink, Simulator
+from repro.fleet.scheduler import PendingUpload
 
-__all__ = ["Transfer", "SharedUplink", "model_state_bytes"]
+__all__ = [
+    "DirectTier",
+    "SharedUplink",
+    "StageUplink",
+    "Transfer",
+    "model_state_bytes",
+]
 
 
 def model_state_bytes(state: dict[str, np.ndarray]) -> int:
@@ -137,3 +149,101 @@ class SharedUplink:
             for i, link in enumerate(links)
         ]
         return self.transfer_times(transfers)
+
+
+@dataclass
+class StageUplink:
+    """What an uplink tier did with one stage's node uploads.
+
+    Per-node values are keyed by node *index* and denominated at the
+    node's own hop, so flat and hierarchical records stay comparable.
+    ``entries`` is what reached the Cloud this stage (anything with
+    ``stage_index``/``node_id``/``data``), in scheduler offer order.
+    """
+
+    times: dict[int, float]  # under contention
+    solo_times: dict[int, float]  # same bytes, hop to itself
+    makespan_s: float  # slowest transfer on the shared backhaul
+    arrival_s: float  # virtual time the last byte reaches the Cloud
+    entries: list
+
+
+class DirectTier:
+    """Every node talks straight to the Cloud over the shared backhaul."""
+
+    #: ``tier`` attribute on node records / attrs on ``cloud/*`` records;
+    #: the flat fleet carries neither.
+    node_tag: str | None = None
+    cloud_attrs: dict = {}
+    #: canary subset override for the runtime (None = the assets' sample)
+    canary_ids: tuple[int, ...] | None = None
+
+    def __init__(self, config, assets, backhaul: SharedUplink) -> None:
+        self.system_id = config.system_id
+        self.profiles = assets.profiles
+        self.backhaul = backhaul
+
+    def node_link(self, i: int) -> NetworkLink:
+        """The link node ``i``'s own hop rides (what its radio pays for)."""
+        return self.profiles[i].link
+
+    def upload(self, s, nodes, uploads, counts, t0, *, tracer, extra):
+        """Ship each node's upload; all flows start at ``t0``."""
+        transfers = [
+            Transfer(
+                node_id=self.profiles[i].node_id,
+                link=self.profiles[i].link,
+                num_bytes=counts[i] * JPEG_IMAGE_BYTES,
+            )
+            for i in nodes
+        ]
+        times, makespan = self.backhaul.stage_upload_times(transfers)
+        for i, time_s, transfer in zip(nodes, times, transfers):
+            if counts[i]:
+                tracer.span(
+                    "net",
+                    "upload",
+                    t0,
+                    t0 + time_s,
+                    node=transfer.node_id,
+                    stage=s,
+                    system=self.system_id,
+                    bytes=transfer.num_bytes,
+                    **extra,
+                )
+        return StageUplink(
+            times=dict(zip(nodes, times)),
+            solo_times={
+                i: self.backhaul.solo_time(t) for i, t in zip(nodes, transfers)
+            },
+            makespan_s=makespan,
+            arrival_s=t0 + makespan,
+            entries=[
+                PendingUpload(s, self.profiles[i].node_id, uploads[i])
+                for i in nodes
+            ],
+        )
+
+    def push(self, s, nodes, push_bytes, t0, *, tracer) -> float:
+        """Push each node's model bytes down; returns the slowest push."""
+        tail = 0.0
+        for i in nodes:
+            profile = self.profiles[i]
+            down = push_bytes[profile.node_id]
+            push_s = profile.link.model_push_time_s(down)
+            tail = max(tail, push_s)
+            if down:
+                tracer.span(
+                    "net",
+                    "push",
+                    t0,
+                    t0 + push_s,
+                    node=profile.node_id,
+                    stage=s,
+                    system=self.system_id,
+                    bytes=down,
+                )
+        return tail
+
+    def close_stage(self, s, report, metrics) -> None:
+        """Tier-level bookkeeping for the stage; the direct tier has none."""

@@ -5,8 +5,8 @@ class-incremental data arrival phases, and per-node-group head
 specialization — onto the fleet engines.  The YAML spec is validated
 with line-anchored errors (:mod:`repro.scenario.schema`), the processes
 are materialized as pure seeded plans (:mod:`repro.scenario.processes`),
-and the same plans drive both the lockstep engine
-(:mod:`repro.scenario.lockstep`) and the event engine
+and the same plans drive both the lockstep stage loop (through the
+hooks in :mod:`repro.scenario.lockstep`) and the event engine
 (:mod:`repro.scenario.event`) — with ``barrier: true`` the two agree on
 accuracy trajectories, byte ledgers, and registry history exactly.
 

@@ -16,7 +16,7 @@ The scenario deltas live in the overridden processes:
   stage (arrivals from future rounds are buffered), runs head
   specializations after every promoted rollout, and closes the round.
 
-With ``barrier=True`` this reproduces the lockstep scenario engine's
+With ``barrier=True`` this reproduces the lockstep scenario run's
 accuracy trajectories, byte ledgers, registry history, and stage info
 exactly; without it, nodes free-run between rounds like the flat async
 mode, and no lockstep claim is made.
@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.comm.link import JPEG_IMAGE_BYTES
 from repro.core.systems import system_by_id
-from repro.fleet.async_sim import EpochRecord, _EventFleet
+from repro.fleet.async_sim import _EventFleet
 from repro.fleet.simulation import (
     FleetAssets,
     cloud_initialize,
@@ -46,7 +45,6 @@ from repro.scenario.report import (
     canary_pool,
     configure_cloud,
     finalize_report,
-    scenario_canary_ids,
     strip_state,
 )
 from repro.scenario.schema import ScenarioSpec
@@ -109,7 +107,6 @@ class ScenarioEventFleet(_EventFleet):
     def _node_proc(self, i: int):
         profile = self.profiles[i]
         stages = self.assets.node_stages[i]
-        trajectory = self.report.nodes[i]
         num_stages = len(stages)
         for s in range(num_stages):
             if not self._alive(i, s):
@@ -121,37 +118,10 @@ class ScenarioEventFleet(_EventFleet):
             yield from self._maybe_reconcile(i, s)
             stage = stages[s]
             outcome = yield from self._node_epoch_body(i, profile, stage, s)
-            (
-                start,
-                node_report,
-                compute_s,
-                count,
-                upload_start,
-                upload_done,
-                upload_energy,
-            ) = outcome
             if self.barrier:
                 yield self._round_event(s)
-            trajectory.records.append(
-                EpochRecord(
-                    epoch=s,
-                    stage_index=stage.index,
-                    node_id=profile.node_id,
-                    start_s=start,
-                    acquired=node_report.acquired_images,
-                    uploaded=count,
-                    accuracy_on_new=node_report.accuracy_before_update,
-                    compute_time_s=compute_s,
-                    upload_start_s=upload_start,
-                    upload_done_s=upload_done,
-                    upload_bytes=count * JPEG_IMAGE_BYTES,
-                    upload_energy_j=upload_energy,
-                    node_compute_energy_j=node_report.node_energy_j,
-                )
-            )
-            trajectory.ledger.record(s, node_report.acquired_images, count)
-            self.report.ledger.record(s, node_report.acquired_images, count)
-        trajectory.finish_s = self.sim.now
+            self._commit_epoch(i, s, stage, outcome)
+        self.report.nodes[i].finish_s = self.sim.now
 
     def _maybe_reconcile(self, i: int, s: int):
         """Catch a rejoined node up to the current model, as a flow."""
@@ -186,15 +156,8 @@ class ScenarioEventFleet(_EventFleet):
             bytes=num_bytes,
             version=active_version,
         )
-        self.node_states[i] = target
         self.node_version[i] = active_version
-        trajectory = self.report.nodes[i]
-        trajectory.download_bytes += num_bytes
-        trajectory.download_energy_j += profile.link.model_push_energy_j(
-            num_bytes
-        )
-        trajectory.ledger.record_download(s, num_bytes)
-        self.report.ledger.record_download(s, num_bytes)
+        self._land_download(i, num_bytes, target, s)
         self._reconciled.setdefault(s, []).append((profile.node_id, num_bytes))
         if self.metrics is not None:
             self.metrics.counter(
@@ -244,9 +207,7 @@ class ScenarioEventFleet(_EventFleet):
             else:
                 for a in arrivals:
                     self.runtime.scheduler.offer(a.epoch, a.node_id, a.data)
-                canaries = scenario_canary_ids(
-                    self.assets.canary_ids, alive_ids
-                )
+                canaries = self.runtime.scheduler.canaries_among(alive_ids)
                 outcome = cloud_try_update(
                     r,
                     fleet_accuracy,
@@ -363,14 +324,7 @@ class ScenarioEventFleet(_EventFleet):
             bytes=num_bytes,
             head_group=group,
         )
-        self.node_states[i] = state
-        trajectory = self.report.nodes[i]
-        trajectory.download_bytes += num_bytes
-        trajectory.download_energy_j += profile.link.model_push_energy_j(
-            num_bytes
-        )
-        trajectory.ledger.record_download(stage_hint, num_bytes)
-        self.report.ledger.record_download(stage_hint, num_bytes)
+        self._land_download(i, num_bytes, state, stage_hint)
 
     # ------------------------------------------------------------------
     def run_scenario(self) -> ScenarioReport:

@@ -1,11 +1,12 @@
-"""Lockstep scenario engine: the flat fleet schedule plus processes.
+"""Lockstep scenario runs: the fleet stage loop plus scenario hooks.
 
-This mirrors :func:`repro.fleet.simulation._run_fleet_schedule` stage for
-stage, with three scenario deltas:
+:func:`run_scenario_lockstep` drives the one lockstep stage loop
+(:func:`repro.fleet.simulation._run_fleet_schedule`) over the direct
+uplink tier with :class:`ScenarioHooks` plugged in.  The hooks carry the
+three scenario deltas:
 
 * **churn** — only alive nodes compute, upload, and receive pushes; the
-  cloud sees each stage's alive subset as the whole fleet (canaries are
-  restricted the same way the scheduler restricts them);
+  cloud sees each stage's alive subset as the whole fleet;
 * **reconciliation** — a node whose held version went stale while it was
   down re-downloads the current model at stage start (charged to the
   downlink ledger like any push);
@@ -13,54 +14,38 @@ stage, with three scenario deltas:
   retrains its FC head; accepted heads are published on registry side
   tracks and only the head bytes travel to the group's alive members.
 
-Per-node model states are explicit (``node_states[i]``) instead of the
-flat engine's single ``active_state``, because churn makes versions
-diverge across the fleet mid-run.  Worker tasks ship each node's own
-state, so any worker count is bit-identical to the serial path.
+Churn makes versions diverge across the fleet mid-run, which is why the
+stage loop keeps one deployed state per node.  Worker tasks ship each
+node's own state, so any worker count is bit-identical to the serial
+path.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.comm.link import JPEG_IMAGE_BYTES
-from repro.core.systems import SystemConfig, system_by_id
-from repro.data.datasets import Dataset
+from repro.core.systems import system_by_id
 from repro.fleet.simulation import (
     FleetAssets,
-    FleetReport,
-    FleetRuntime,
-    FleetStageRecord,
-    NodeStageRecord,
-    NodeTrajectory,
-    _node_stage_records,
+    StageHooks,
+    _run_fleet_schedule,
     build_fleet_runtime,
-    cloud_initialize,
-    cloud_try_update,
-    pooled_node_stage,
-    reseed_diagnoser,
-    rollback_attrs,
 )
-from repro.fleet.uplink import SharedUplink, Transfer, model_state_bytes
+from repro.fleet.uplink import DirectTier, SharedUplink, model_state_bytes
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.scenario.assets import prepare_scenario_assets
 from repro.scenario.heads import build_head_net, run_head_updates
-from repro.scenario.processes import ScenarioPlans, build_plans
+from repro.scenario.processes import build_plans
 from repro.scenario.report import (
     ScenarioReport,
     ScenarioStageInfo,
-    canary_pool,
     configure_cloud,
     finalize_report,
-    scenario_canary_ids,
     strip_state,
 )
 from repro.scenario.schema import ScenarioSpec
-from repro.transfer.finetune import evaluate
 
-__all__ = ["run_scenario_lockstep"]
+__all__ = ["ScenarioHooks", "run_scenario_lockstep"]
 
 
 def run_scenario_lockstep(
@@ -81,6 +66,15 @@ def run_scenario_lockstep(
     plans = build_plans(spec, assets.profiles)
     runtime = build_fleet_runtime(config, assets, metrics=metrics)
     configure_cloud(runtime, spec)
+    if tracer is None:
+        tracer = Tracer(enabled=False)
+    report = ScenarioReport(
+        spec=spec, mode="lockstep", fleet=None, registry=runtime.registry
+    )
+    hooks = ScenarioHooks(spec, plans, assets, runtime, report, tracer)
+    tier = DirectTier(
+        config, assets, SharedUplink(assets.scenario.backhaul_bps)
+    )
     pool = None
     if workers > 1:
         from repro.fleet.pool import FleetWorkerPool
@@ -92,422 +86,166 @@ def run_scenario_lockstep(
         pool = FleetWorkerPool(assets, workers, state_slots=groups + 2)
     try:
         with obs_metrics.use(metrics):
-            return _run_scenario_schedule(
-                spec,
-                config,
-                assets,
-                plans,
-                runtime,
-                pool,
-                tracer=tracer,
+            report.fleet = _run_fleet_schedule(
+                config, assets, runtime, tier, pool, tracer=tracer, hooks=hooks
             )
     finally:
         if pool is not None:
             pool.shutdown()
+    finalize_report(report, runtime, assets, plans)
+    return report
 
 
-def _run_scenario_schedule(
-    spec: ScenarioSpec,
-    config: SystemConfig,
-    assets: FleetAssets,
-    plans: ScenarioPlans,
-    runtime: FleetRuntime,
-    pool,
-    *,
-    tracer: Tracer | None = None,
-) -> ScenarioReport:
-    scenario = assets.scenario
-    base = scenario.base
-    profiles = assets.profiles
-    cloud = runtime.cloud
-    registry = runtime.registry
-    scheduler = runtime.scheduler
-    deployed_net = runtime.deployed_net
-    uplink = SharedUplink(scenario.backhaul_bps)
+class ScenarioHooks(StageHooks):
+    """Churn, rejoin reconciliation, and per-group heads for one run."""
 
-    fleet_report = FleetReport(
-        config=config, scenario=scenario, registry=registry
-    )
-    fleet_report.nodes = [NodeTrajectory(profile=p) for p in profiles]
-    report = ScenarioReport(
-        spec=spec, mode="lockstep", fleet=fleet_report, registry=registry
-    )
-    num_nodes = len(profiles)
-    num_stages = len(assets.node_stages[0])
-    tracing = tracer is not None and tracer.enabled
-    head_net = build_head_net(spec) if spec.heads is not None else None
-    # Per-node deployed model state and the main-track version it is
-    # based on (0 = the pre-registry warm-start state).
-    node_states = [assets.initial_state for _ in range(num_nodes)]
-    node_version = [0] * num_nodes
-    # group -> (base main version, merged full state) of the latest
-    # accepted head, so rejoining members reconcile to their own head.
-    group_state: dict[int, tuple[int, dict]] = {}
-    cursor = 0.0
+    def __init__(self, spec, plans, assets, runtime, report, tracer) -> None:
+        self.spec = spec
+        self.plans = plans
+        self.assets = assets
+        self.runtime = runtime
+        self.report = report
+        self.tracer = tracer
+        self.profiles = assets.profiles
+        self.system_id = runtime.config.system_id
+        self.head_net = build_head_net(spec) if spec.heads is not None else None
+        # Main-track version each node's trunk is based on (0 = the
+        # pre-registry warm-start state every node boots with).
+        self.node_version = [0] * len(self.profiles)
+        # group -> (base main version, merged full state) of the latest
+        # accepted head, so rejoining members reconcile to their own head.
+        self.group_state: dict[int, tuple[int, dict]] = {}
+        # begin_stage's findings, for after_push's stage info
+        self._alive: tuple[int, ...] = ()
+        self._extra: dict = {}
+        self._caught_up: dict[int, int] = {}
 
-    for s in range(num_stages):
-        is_initial = s == 0
-        stage_start = cursor
-        trace_t0 = stage_start if tracing else None
-        alive = plans.alive_indices(s, num_nodes)
-        phase = plans.phase_name(s)
-        extra = {"phase": phase} if phase is not None else None
+    def begin_stage(self, s, t0, node_states):
+        """Pick the alive set; catch rejoined nodes up to the fleet.
+
+        A node that slept through a promotion holds a stale version; it
+        re-downloads the current model (its group head when one exists
+        for the active version) before computing.  The download overlaps
+        the stage's compute in the virtual timeline.
+        """
+        registry = self.runtime.registry
+        alive = self.plans.alive_indices(s, len(self.profiles))
+        phase = self.plans.phase_name(s)
         active_version = registry.active.version if len(registry) else 0
-
-        # --- rejoin reconciliation ------------------------------------
-        # A node that slept through a promotion holds a stale version;
-        # it re-downloads the current model (its group head when one
-        # exists for the active version) before computing.  The download
-        # overlaps the stage's compute in the virtual timeline.
-        reconciled: list[int] = []
-        reconcile_bytes = 0
+        caught_up: dict[int, int] = {}
         for i in alive:
-            if node_version[i] == active_version:
+            if self.node_version[i] == active_version:
                 continue
-            target = registry.active.state if len(registry) else assets.initial_state
-            if plans.heads is not None:
-                group = plans.heads.group_of(i)
-                held = group_state.get(group)
+            target = (
+                registry.active.state
+                if len(registry)
+                else self.assets.initial_state
+            )
+            if self.plans.heads is not None:
+                held = self.group_state.get(self.plans.heads.group_of(i))
                 if held is not None and held[0] == active_version:
                     target = held[1]
             num_bytes = model_state_bytes(target)
             node_states[i] = target
-            node_version[i] = active_version
-            reconciled.append(i)
-            reconcile_bytes += num_bytes
-            profile = profiles[i]
-            trajectory = fleet_report.nodes[i]
-            trajectory.ledger.record_download(s, num_bytes)
-            fleet_report.ledger.record_download(s, num_bytes)
-            if tracing:
-                tracer.span(
-                    "net",
-                    "reconcile",
-                    stage_start,
-                    stage_start + profile.link.model_push_time_s(num_bytes),
-                    node=profile.node_id,
-                    stage=s,
-                    system=config.system_id,
-                    bytes=num_bytes,
-                    version=active_version,
-                )
-
-        # --- node compute (alive only) --------------------------------
-        if pool is None:
-            node_reports = {}
-            for i in alive:
-                deployed_net.load_state_dict(node_states[i])
-                reseed_diagnoser(
-                    runtime.nodes[i].diagnoser,
-                    base.seed,
-                    profiles[i].node_id,
-                    s,
-                )
-                node_report = runtime.nodes[i].process_stage(
-                    assets.node_stages[i][s]
-                )
-                node_reports[i] = node_report
-                if tracing:
-                    tracer.extend(
-                        _node_stage_records(
-                            node_report,
-                            stage_index=s,
-                            node_id=profiles[i].node_id,
-                            system_id=config.system_id,
-                            t0=stage_start,
-                            extra=extra,
-                        )
-                    )
-        else:
-            by_index = pooled_node_stage(
-                pool,
-                config.system_id,
-                s,
-                [(i, node_states[i]) for i in alive],
-                trace_t0=trace_t0,
-                extra=extra,
-            )
-            node_reports = {}
-            for i in alive:
-                node_report, records = by_index[i]
-                node_reports[i] = node_report
-                if tracing and records is not None:
-                    tracer.extend(records)
-
-        # --- uploads (alive only) -------------------------------------
-        uploads: dict[int, Dataset] = {}
-        upload_counts: dict[int, int] = {}
-        for i in alive:
-            node_report = node_reports[i]
-            if is_initial or config.uploads_everything:
-                uploads[i] = assets.node_stages[i][s].new_data
-                upload_counts[i] = node_report.acquired_images
-            else:
-                uploads[i] = node_report.upload_data
-                upload_counts[i] = len(node_report.upload_data)
-        transfers = {
-            i: Transfer(
-                node_id=profiles[i].node_id,
-                link=profiles[i].link,
-                num_bytes=upload_counts[i] * JPEG_IMAGE_BYTES,
-            )
-            for i in alive
-        }
-        transfer_list = [transfers[i] for i in alive]
-        upload_time_list, makespan = uplink.stage_upload_times(transfer_list)
-        upload_times = dict(zip(alive, upload_time_list))
-        compute_times = [
-            node_reports[i].inference_time_s + node_reports[i].diagnosis_time_s
-            for i in alive
-        ]
-        uploads_start = stage_start + max(compute_times, default=0.0)
-        if tracing:
-            for i in alive:
-                if upload_counts[i]:
-                    tracer.span(
-                        "net",
-                        "upload",
-                        uploads_start,
-                        uploads_start + upload_times[i],
-                        node=profiles[i].node_id,
-                        stage=s,
-                        system=config.system_id,
-                        bytes=transfers[i].num_bytes,
-                        **(extra or {}),
-                    )
-
-        fleet_accuracy = float(
-            np.mean([node_reports[i].accuracy_before_update for i in alive])
-        )
-
-        # --- cloud side (sees the alive subset as the fleet) ----------
-        alive_node_ids = tuple(profiles[i].node_id for i in alive)
-        if is_initial:
-            outcome = cloud_initialize(
-                s,
-                [uploads[i] for i in alive],
-                runtime=runtime,
-                base=base,
-                all_node_ids=alive_node_ids,
-            )
-        else:
-            for i in alive:
-                scheduler.offer(s, profiles[i].node_id, uploads[i])
-            canaries = scenario_canary_ids(assets.canary_ids, alive_node_ids)
-            outcome = cloud_try_update(
-                s,
-                fleet_accuracy,
-                lambda: canary_pool(assets, s, canaries),
-                runtime=runtime,
-                base=base,
-                all_node_ids=alive_node_ids,
-            )
-        push_bytes_per_node = outcome.push_bytes_per_node
-        active_version = registry.active.version
-
-        # --- stage timeline tail: cloud update, then model push-down --
-        update_start = uploads_start + makespan
-        update_end = update_start + outcome.modeled_update_time_s
-        push_times = {
-            profiles[i].node_id: profiles[i].link.model_push_time_s(
-                push_bytes_per_node[profiles[i].node_id]
-            )
-            for i in alive
-        }
-        if tracing:
-            if outcome.modeled_update_time_s > 0:
-                tracer.span(
-                    "cloud",
-                    "init" if is_initial else "update",
-                    update_start,
-                    update_end,
-                    stage=s,
-                    system=config.system_id,
-                    pooled=outcome.pooled_for_training,
-                    promoted=outcome.promoted,
-                    **(extra or {}),
-                )
-            tracer.event(
-                "cloud",
-                "decision",
-                update_end,
+            self.node_version[i] = active_version
+            caught_up[i] = num_bytes
+            profile = self.profiles[i]
+            self.tracer.span(
+                "net",
+                "reconcile",
+                t0,
+                t0 + profile.link.model_push_time_s(num_bytes),
+                node=profile.node_id,
                 stage=s,
-                system=config.system_id,
-                updated=outcome.updated,
-                promoted=outcome.promoted,
-                **rollback_attrs(outcome),
-                **(extra or {}),
+                system=self.system_id,
+                bytes=num_bytes,
+                version=active_version,
             )
-            for i in alive:
-                down_bytes = push_bytes_per_node[profiles[i].node_id]
-                if down_bytes:
-                    tracer.span(
-                        "net",
-                        "push",
-                        update_end,
-                        update_end + push_times[profiles[i].node_id],
-                        node=profiles[i].node_id,
-                        stage=s,
-                        system=config.system_id,
-                        bytes=down_bytes,
-                    )
-        cursor = update_end + max(push_times.values(), default=0.0)
-        for i in alive:
-            if push_bytes_per_node[profiles[i].node_id]:
-                node_states[i] = registry.active.state
-                node_version[i] = active_version
+        self._alive = alive
+        self._extra = {} if phase is None else {"phase": phase}
+        self._caught_up = caught_up
+        return alive, self._extra, caught_up
 
-        # --- per-node head specialization -----------------------------
-        head_bytes_per_node = {i: 0 for i in alive}
+    def after_push(self, s, stage_start, t0, outcome, node_states):
+        """Specialize per-group heads after a promotion; close the stage."""
+        profiles = self.profiles
+        registry = self.runtime.registry
+        active_version = registry.active.version
+        alive_ids = tuple(profiles[i].node_id for i in self._alive)
+        for i in self._alive:
+            if outcome.push_bytes_per_node[profiles[i].node_id]:
+                self.node_version[i] = active_version
+
+        head_bytes: dict[int, int] = {}
         head_versions: list[int] = []
-        if outcome.promoted and spec.heads is not None:
+        head_tail = 0.0
+        if outcome.promoted and self.spec.heads is not None:
             updates = run_head_updates(
-                spec,
-                plans,
-                assets,
+                self.spec,
+                self.plans,
+                self.assets,
                 registry,
-                head_net,
+                self.head_net,
                 stage_index=s,
-                alive_ids=alive_node_ids,
+                alive_ids=alive_ids,
             )
-            head_tail = 0.0
             for update in updates:
-                report.head_updates.append(strip_state(update))
+                self.report.head_updates.append(strip_state(update))
                 if not update.accepted:
                     continue
                 head_versions.append(update.version)
-                group_state[update.group] = (active_version, update.state)
+                self.group_state[update.group] = (active_version, update.state)
                 for node_id in update.member_ids:
                     i = node_id  # node_id == profile index in flat fleets
-                    head_bytes_per_node[i] += update.push_bytes
+                    head_bytes[i] = head_bytes.get(i, 0) + update.push_bytes
                     node_states[i] = update.state
                     push_s = profiles[i].link.model_push_time_s(
                         update.push_bytes
                     )
                     head_tail = max(head_tail, push_s)
-                    if tracing:
-                        tracer.span(
-                            "net",
-                            "push-head",
-                            cursor,
-                            cursor + push_s,
-                            node=profiles[i].node_id,
-                            stage=s,
-                            system=config.system_id,
-                            bytes=update.push_bytes,
-                            head_group=update.group,
-                        )
-            cursor += head_tail
+                    self.tracer.span(
+                        "net",
+                        "push-head",
+                        t0,
+                        t0 + push_s,
+                        node=profiles[i].node_id,
+                        stage=s,
+                        system=self.system_id,
+                        bytes=update.push_bytes,
+                        head_group=update.group,
+                    )
 
-        # --- per-node records -----------------------------------------
-        stage_download_bytes = reconcile_bytes
-        for i in alive:
-            profile = profiles[i]
-            node_report = node_reports[i]
-            down = (
-                push_bytes_per_node[profile.node_id] + head_bytes_per_node[i]
-            )
-            stage_download_bytes += down
-            record = NodeStageRecord(
-                stage_index=s,
-                node_id=profile.node_id,
-                acquired=node_report.acquired_images,
-                uploaded=upload_counts[i],
-                accuracy_on_new=node_report.accuracy_before_update,
-                upload_time_s=upload_times[i],
-                upload_solo_time_s=uplink.solo_time(transfers[i]),
-                upload_energy_j=profile.link.image_upload_energy_j(
-                    upload_counts[i]
-                ),
-                node_compute_time_s=(
-                    node_report.inference_time_s + node_report.diagnosis_time_s
-                ),
-                node_compute_energy_j=node_report.node_energy_j,
-                download_bytes=down,
-                download_energy_j=profile.link.model_push_energy_j(down),
-            )
-            trajectory = fleet_report.nodes[i]
-            trajectory.records.append(record)
-            trajectory.ledger.record(
-                s, node_report.acquired_images, upload_counts[i]
-            )
-            if down:
-                trajectory.ledger.record_download(s, down)
-            fleet_report.ledger.record(
-                s, node_report.acquired_images, upload_counts[i]
-            )
-        if stage_download_bytes > reconcile_bytes:
-            fleet_report.ledger.record_download(
-                s, stage_download_bytes - reconcile_bytes
-            )
-
-        eval_accuracy = evaluate(cloud.inference_net, assets.eval_data)
-        fleet_report.stages.append(
-            FleetStageRecord(
-                stage_index=s,
-                acquired=sum(
-                    node_reports[i].acquired_images for i in alive
-                ),
-                uploaded=sum(upload_counts[i] for i in alive),
-                pooled_for_training=outcome.pooled_for_training,
-                updated=outcome.updated,
-                promoted=outcome.promoted,
-                fleet_accuracy_on_new=fleet_accuracy,
-                eval_accuracy=eval_accuracy,
-                modeled_update_time_s=outcome.modeled_update_time_s,
-                modeled_cloud_energy_j=outcome.modeled_cloud_energy_j,
-                upload_makespan_s=makespan,
-                download_bytes=stage_download_bytes,
-            )
-        )
-        report.stage_info.append(
+        reconcile_bytes = sum(self._caught_up.values())
+        self.report.stage_info.append(
             ScenarioStageInfo(
                 stage_index=s,
-                phase=phase,
-                alive=alive_node_ids,
-                reconciled=tuple(reconciled),
+                phase=self._extra.get("phase"),
+                alive=alive_ids,
+                reconciled=tuple(self._caught_up),
                 reconcile_bytes=reconcile_bytes,
                 head_versions=tuple(head_versions),
             )
         )
-        if tracing:
-            tracer.event(
-                "scenario",
-                "stage",
-                stage_start,
-                stage=s,
-                system=config.system_id,
-                alive=len(alive),
-                reconciled=len(reconciled),
-                **(extra or {}),
-            )
-        m = runtime.metrics
+        self.tracer.event(
+            "scenario",
+            "stage",
+            stage_start,
+            stage=s,
+            system=self.system_id,
+            alive=len(alive_ids),
+            reconciled=len(self._caught_up),
+            **self._extra,
+        )
+        m = self.runtime.metrics
         if m is not None:
-            sys_id = config.system_id
-            m.counter("fleet.stages", system=sys_id).inc()
-            m.counter("fleet.images.acquired", system=sys_id).inc(
-                sum(node_reports[i].acquired_images for i in alive)
+            m.counter("scenario.reconciliations", system=self.system_id).inc(
+                len(self._caught_up)
             )
-            m.counter("fleet.images.uploaded", system=sys_id).inc(
-                sum(upload_counts[i] for i in alive)
-            )
-            m.counter("scenario.reconciliations", system=sys_id).inc(
-                len(reconciled)
-            )
-            m.counter("scenario.reconcile_bytes", system=sys_id).inc(
+            m.counter("scenario.reconcile_bytes", system=self.system_id).inc(
                 reconcile_bytes
             )
             if head_versions:
-                m.counter("scenario.head_updates", system=sys_id).inc(
+                m.counter("scenario.head_updates", system=self.system_id).inc(
                     len(head_versions)
                 )
-            snap = fleet_report.ledger.snapshot()
-            m.gauge("fleet.bytes.uploaded", system=sys_id).set(
-                snap.uploaded_bytes
-            )
-            m.gauge("fleet.bytes.downloaded", system=sys_id).set(
-                snap.downloaded_bytes
-            )
-    fleet_report.rollouts = list(scheduler.history)
-    finalize_report(report, runtime, assets, plans)
-    return report
+        return head_bytes, head_tail

@@ -1,11 +1,10 @@
 """Scenario run reports and the helpers both engines share.
 
-The engine-agnostic pieces live here on purpose: the lockstep and event
-engines must call :func:`configure_cloud`, :func:`scenario_canary_ids`,
-:func:`canary_pool`, and :func:`finalize_report` in the same order with
-the same arguments, so every RNG stream they touch advances identically
-— that is the mechanism behind the lockstep ≡ event-barrier equivalence
-the tests pin.
+The engine-agnostic pieces live here on purpose: the lockstep hooks and
+the event engine must call :func:`configure_cloud` and
+:func:`finalize_report` in the same order with the same arguments, so
+every RNG stream they touch advances identically — that is the
+mechanism behind the lockstep ≡ event-barrier equivalence the tests pin.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "ScenarioStageInfo",
     "ScenarioReport",
     "configure_cloud",
-    "scenario_canary_ids",
     "canary_pool",
     "strip_state",
     "finalize_report",
@@ -109,22 +107,6 @@ def configure_cloud(runtime: FleetRuntime, spec: ScenarioSpec) -> None:
             np.random.SeedSequence((spec.fleet.seed, _REPLAY_SALT))
         ),
     )
-
-
-def scenario_canary_ids(
-    canary_ids: tuple[int, ...], alive_ids: tuple[int, ...]
-) -> tuple[int, ...]:
-    """The canary subset the scheduler will actually use this stage.
-
-    Mirrors :meth:`FleetScheduler.rollout`: configured canaries
-    restricted to the alive fleet, falling back to the first alive node
-    when every canary is down.
-    """
-    alive = frozenset(alive_ids)
-    chosen = tuple(c for c in canary_ids if c in alive)
-    if not chosen:
-        chosen = alive_ids[:1]
-    return chosen
 
 
 def canary_pool(

@@ -2,11 +2,12 @@
 
 The pure shape lives in :mod:`repro.topology.model`; gateway-side state
 (upload buffers, the second-opinion model) in
-:mod:`repro.topology.gateway`; and the two execution engines in
-:mod:`repro.topology.lockstep` and :mod:`repro.topology.event`.  Users
-normally pass a :class:`Topology` to ``run_fleet(..., topology=...)`` or
-``run_fleet_event(..., topology=...)`` rather than importing the engines
-directly.
+:mod:`repro.topology.gateway`; the gateway uplink tier that
+``run_fleet``'s one lockstep stage loop drives in
+:mod:`repro.topology.lockstep`; and the event engine in
+:mod:`repro.topology.event`.  Users pass a :class:`Topology` to
+``run_fleet(..., topology=...)`` or ``run_fleet_event(..., topology=...)``
+rather than importing either directly.
 """
 
 from repro.topology.gateway import (

@@ -18,7 +18,7 @@ the nodes and report to the Cloud once per round (flushed or not), so
 the Cloud's round barrier — and therefore the lockstep-equivalence
 guarantee — survives aggregation: buffered rounds simply contribute an
 empty report.  With no horizon, the final round force-flushes, matching
-the lockstep engine's horizon flush; horizon-bounded runs may end with
+the lockstep gateway tier's horizon flush; horizon-bounded runs may end with
 images still parked (reported in ``gateway_leftover_images``).
 """
 
@@ -210,7 +210,7 @@ class TopologyEventFleet(_EventFleet):
 
         The modeled inference time is returned for the caller to spend as
         virtual time.  Seeded per ``(gateway, node, stage)``, exactly like
-        the lockstep engine, so both modes escalate the same subsets.
+        the lockstep gateway tier, so both modes escalate the same subsets.
         """
         if (
             stage_key == 0
@@ -440,14 +440,7 @@ class TopologyEventFleet(_EventFleet):
             tier="edge",
             gateway=g.gateway_id,
         )
-        self.node_states[i] = state
-        trajectory = self.report.nodes[i]
-        trajectory.download_bytes += num_bytes
-        trajectory.download_energy_j += g.local_link.model_push_energy_j(
-            num_bytes
-        )
-        trajectory.ledger.record_download(stage_hint, num_bytes)
-        self.report.ledger.record_download(stage_hint, num_bytes)
+        self._land_download(i, num_bytes, state, stage_hint, link=g.local_link)
         self.report.ledger.record_tier(stage_hint, edge_down_bytes=num_bytes)
 
     # ------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Gateway-side machinery: upload aggregation and the second-opinion model.
 
-Both pieces are engine-agnostic: the lockstep schedule and the event
+Both pieces are engine-agnostic: the lockstep gateway tier and the event
 kernel drive the same :class:`GatewayBuffer` and :class:`SecondOpinion`
 objects, which is what keeps the two modes trajectory-equivalent under
 ``barrier=True``.

@@ -1,7 +1,9 @@
-"""Lockstep fleet schedule with a gateway tier interposed.
+"""The gateway uplink tier of the lockstep stage loop.
 
-This mirrors :func:`repro.fleet.simulation._run_fleet_schedule` stage by
-stage, with two extra hops:
+:func:`repro.fleet.simulation.run_fleet` runs one stage loop; what a
+topology changes is *transport*, and :class:`GatewayTier` is that
+transport, with the same surface as the flat
+:class:`~repro.fleet.uplink.DirectTier`:
 
 1. every node ships its (full or flagged) stage data to its gateway over
    the uncontended local link;
@@ -12,8 +14,8 @@ stage, with two extra hops:
 
 Stage 0 (the initialization upload) and the final stage (the horizon)
 force a flush, so the Cloud always initializes from the full stage-0
-pool — in exactly the flat engine's node order — and no data is
-stranded at the end of a run.
+pool — in exactly the flat fleet's node order — and no data is stranded
+at the end of a run.
 
 Model push-downs travel two hops in reverse: one WAN copy per gateway
 per rollout wave (the amortization win), then one local copy per child.
@@ -24,219 +26,138 @@ tier attribution lands in the fleet ledger's ``record_tier`` overlay.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.comm.link import JPEG_IMAGE_BYTES
-from repro.data.datasets import Dataset
-from repro.fleet.simulation import (
-    FleetAssets,
-    FleetReport,
-    FleetRuntime,
-    FleetStageRecord,
-    NodeStageRecord,
-    NodeTrajectory,
-    _node_stage_records,
-    cloud_initialize,
-    cloud_try_update,
-    pooled_node_stage,
-    reseed_diagnoser,
-    rollback_attrs,
-)
-from repro.fleet.uplink import SharedUplink, Transfer
-from repro.obs.trace import Tracer
+from repro.comm.link import JPEG_IMAGE_BYTES, NetworkLink
+from repro.fleet.uplink import SharedUplink, StageUplink, Transfer
 from repro.topology.gateway import (
     GatewayBuffer,
     GatewayStageRecord,
     SecondOpinion,
 )
-from repro.topology.model import Topology
-from repro.transfer.finetune import evaluate
 
-__all__ = ["run_topology_schedule"]
+if TYPE_CHECKING:  # pragma: no cover - typing only (model imports us lazily)
+    from repro.topology.model import Topology
+
+__all__ = ["GatewayTier"]
 
 
-def run_topology_schedule(
-    config,
-    assets: FleetAssets,
-    runtime: FleetRuntime,
-    topology: Topology,
-    uplink: SharedUplink,
-    pool,
-    *,
-    tracer: Tracer | None = None,
-) -> FleetReport:
-    """Replay the fleet schedule through the gateway tier (lockstep)."""
-    scenario = assets.scenario
-    base = scenario.base
-    profiles = assets.profiles
-    cloud = runtime.cloud
-    registry = runtime.registry
-    scheduler = runtime.scheduler
-    deployed_net = runtime.deployed_net
+class GatewayTier:
+    """Edge -> gateway -> Cloud transport for one lockstep run."""
 
-    report = FleetReport(
-        config=config, scenario=scenario, registry=registry, topology=topology
-    )
-    report.nodes = [NodeTrajectory(profile=p) for p in profiles]
-    all_node_ids = tuple(p.node_id for p in profiles)
-    num_stages = len(assets.node_stages[0])
-    tracing = tracer is not None and tracer.enabled
+    node_tag = "edge"
+    cloud_attrs = {"tier": "cloud"}
 
-    gateways = topology.gateways
-    buffers = {
-        g.gateway_id: GatewayBuffer(policy=topology.aggregation)
-        for g in gateways
-    }
-    opinions = {
-        g.gateway_id: SecondOpinion(
-            topology.second_opinion_fraction, topology.seed, g.device
-        )
-        for g in gateways
-    }
-    gateway_of = {
-        node_id: topology.gateway_of(node_id) for node_id in all_node_ids
-    }
-    cursor = 0.0
-
-    for s in range(num_stages):
-        is_initial = s == 0
-        stage_start = cursor
-        trace_t0 = stage_start if tracing else None
-        active_state = (
-            registry.active.state if len(registry) else assets.initial_state
-        )
-        # --- edge compute: identical to the flat engine, tier-tagged ---
-        if pool is None:
-            deployed_net.load_state_dict(active_state)
-            node_reports = []
-            for i in range(len(profiles)):
-                reseed_diagnoser(
-                    runtime.nodes[i].diagnoser,
-                    base.seed,
-                    profiles[i].node_id,
-                    s,
-                )
-                node_report = runtime.nodes[i].process_stage(
-                    assets.node_stages[i][s]
-                )
-                node_reports.append(node_report)
-                if tracing:
-                    tracer.extend(
-                        _node_stage_records(
-                            node_report,
-                            stage_index=s,
-                            node_id=profiles[i].node_id,
-                            system_id=config.system_id,
-                            t0=stage_start,
-                            tier="edge",
-                        )
-                    )
-        else:
-            by_index = pooled_node_stage(
-                pool,
-                config.system_id,
-                s,
-                [(i, active_state) for i in range(len(profiles))],
-                trace_t0=trace_t0,
-                tier="edge",
+    def __init__(
+        self, topology: "Topology", config, assets, backhaul: SharedUplink
+    ) -> None:
+        self.topology = topology
+        self.system_id = config.system_id
+        self.uploads_everything = config.uploads_everything
+        self.profiles = assets.profiles
+        self.last_stage = len(assets.node_stages[0]) - 1
+        self.backhaul = backhaul
+        #: rollouts canary regionally, on the canary gateway's children
+        self.canary_ids = topology.canary_node_ids
+        self.gateways = topology.gateways
+        self.gateway_of = {
+            p.node_id: topology.gateway_of(p.node_id) for p in self.profiles
+        }
+        self.buffers = {
+            g.gateway_id: GatewayBuffer(policy=topology.aggregation)
+            for g in self.gateways
+        }
+        self.opinions = {
+            g.gateway_id: SecondOpinion(
+                topology.second_opinion_fraction, topology.seed, g.device
             )
-            node_reports = []
-            for i in range(len(profiles)):
-                node_report, records = by_index[i]
-                node_reports.append(node_report)
-                if tracing and records is not None:
-                    tracer.extend(records)
+            for g in self.gateways
+        }
+        # What upload()/push() did this stage, for close_stage().
+        self._stage: dict = {}
 
-        # --- node -> gateway: what each node ships off-board ----------
-        uploads: list[Dataset] = []
-        upload_counts: list[int] = []
-        for i, node_report in enumerate(node_reports):
-            if is_initial or config.uploads_everything:
-                uploads.append(assets.node_stages[i][s].new_data)
-                upload_counts.append(node_report.acquired_images)
-            else:
-                uploads.append(node_report.upload_data)
-                upload_counts.append(len(node_report.upload_data))
+    def node_link(self, i: int) -> NetworkLink:
+        return self.gateway_of[self.profiles[i].node_id].local_link
 
-        compute_times = [
-            r.inference_time_s + r.diagnosis_time_s for r in node_reports
-        ]
-        uploads_start = stage_start + max(compute_times, default=0.0)
-        local_times = []
-        local_energies = []
-        for i, profile in enumerate(profiles):
-            local_link = gateway_of[profile.node_id].local_link
-            num_bytes = upload_counts[i] * JPEG_IMAGE_BYTES
-            local_times.append(local_link.transfer_time_s(num_bytes))
-            local_energies.append(local_link.transfer_energy_j(num_bytes))
-            if tracing and upload_counts[i]:
+    # ------------------------------------------------------------------
+    def upload(self, s, nodes, uploads, counts, t0, *, tracer, extra):
+        """Local hop, second opinion, buffer, then framed WAN flushes."""
+        topology = self.topology
+        gateways = self.gateways
+        # --- node -> gateway: uncontended local hop -------------------
+        local_times = {}
+        for i in nodes:
+            node_id = self.profiles[i].node_id
+            g = self.gateway_of[node_id]
+            num_bytes = counts[i] * JPEG_IMAGE_BYTES
+            local_times[i] = g.local_link.transfer_time_s(num_bytes)
+            if counts[i]:
                 tracer.span(
                     "net",
                     "upload",
-                    uploads_start,
-                    uploads_start + local_times[i],
-                    node=profile.node_id,
+                    t0,
+                    t0 + local_times[i],
+                    node=node_id,
                     stage=s,
-                    system=config.system_id,
+                    system=self.system_id,
                     bytes=num_bytes,
                     tier="edge",
-                    gateway=gateway_of[profile.node_id].gateway_id,
+                    gateway=g.gateway_id,
+                    **extra,
                 )
 
-        # --- gateway: second opinion, then buffer -------------------
-        so_start = uploads_start + max(local_times, default=0.0)
+        # --- gateway: second opinion, then buffer ---------------------
+        so_start = t0 + max(local_times.values(), default=0.0)
         so_times = {g.gateway_id: 0.0 for g in gateways}
         so_energies = {g.gateway_id: 0.0 for g in gateways}
         offered = {g.gateway_id: 0 for g in gateways}
         resolved = {g.gateway_id: 0 for g in gateways}
         apply_opinion = (
-            not is_initial
-            and not config.uploads_everything
+            s > 0
+            and not self.uploads_everything
             and topology.second_opinion_fraction > 0.0
         )
-        for i, profile in enumerate(profiles):
-            g = gateway_of[profile.node_id]
+        for i in nodes:
+            node_id = self.profiles[i].node_id
+            gid = self.gateway_of[node_id].gateway_id
             data = uploads[i]
-            offered[g.gateway_id] += len(data)
+            offered[gid] += len(data)
             if apply_opinion and len(data):
-                result = opinions[g.gateway_id].resolve(
-                    g.gateway_id, profile.node_id, s, data
-                )
-                so_times[g.gateway_id] += result.time_s
-                so_energies[g.gateway_id] += result.energy_j
-                resolved[g.gateway_id] += result.resolved_images
+                result = self.opinions[gid].resolve(gid, node_id, s, data)
+                so_times[gid] += result.time_s
+                so_energies[gid] += result.energy_j
+                resolved[gid] += result.resolved_images
                 data = result.escalated
-            buffers[g.gateway_id].offer(s, profile.node_id, data)
-        if tracing:
-            for g in gateways:
-                if so_times[g.gateway_id] > 0:
-                    tracer.span(
-                        "gateway",
-                        "second_opinion",
-                        so_start,
-                        so_start + so_times[g.gateway_id],
-                        gateway=g.gateway_id,
-                        stage=s,
-                        system=config.system_id,
-                        tier="gateway",
-                        offered=offered[g.gateway_id],
-                        resolved=resolved[g.gateway_id],
-                    )
+            self.buffers[gid].offer(s, node_id, data)
+        for g in gateways:
+            if so_times[g.gateway_id] > 0:
+                tracer.span(
+                    "gateway",
+                    "second_opinion",
+                    so_start,
+                    so_start + so_times[g.gateway_id],
+                    gateway=g.gateway_id,
+                    stage=s,
+                    system=self.system_id,
+                    tier="gateway",
+                    offered=offered[g.gateway_id],
+                    resolved=resolved[g.gateway_id],
+                )
 
         # --- gateway -> cloud: amortized WAN flushes ------------------
-        force_flush = is_initial or s == num_stages - 1
-        flushed_entries = []
-        flush_meta = []  # (gateway, images, payload+overhead bytes)
+        force_flush = s == 0 or s == self.last_stage
+        entries = []
+        flushes = []  # (gateway, images, payload+overhead bytes)
         for g in gateways:
-            buffer = buffers[g.gateway_id]
+            buffer = self.buffers[g.gateway_id]
             if not (force_flush or buffer.should_flush(s)):
                 continue
-            entries = buffer.flush()
-            if not entries:
+            flushed = buffer.flush()
+            if not flushed:
                 continue  # horizon flush on an idle gateway: no-op
-            images = sum(len(e.data) for e in entries)
-            flushed_entries.extend(entries)
-            flush_meta.append(
+            images = sum(len(e.data) for e in flushed)
+            entries.extend(flushed)
+            flushes.append(
                 (
                     g,
                     images,
@@ -244,278 +165,147 @@ def run_topology_schedule(
                     + topology.per_transfer_overhead_bytes,
                 )
             )
-        flushed_entries.sort(key=lambda e: (e.stage_index, e.node_id))
-        wan_transfers = [
-            Transfer(
-                node_id=g.gateway_id,
-                link=g.wan_link(profiles),
-                num_bytes=num_bytes,
-            )
-            for g, _, num_bytes in flush_meta
-        ]
-        wan_times, wan_makespan = uplink.stage_upload_times(wan_transfers)
-        wan_start = so_start + max(so_times.values(), default=0.0)
-        if tracing:
-            for k, (g, images, num_bytes) in enumerate(flush_meta):
-                tracer.span(
-                    "net",
-                    "flush",
-                    wan_start,
-                    wan_start + wan_times[k],
-                    gateway=g.gateway_id,
-                    stage=s,
-                    system=config.system_id,
-                    bytes=num_bytes,
-                    images=images,
-                    tier="gateway",
+        # Sorted by (stage, node_id) the forced stage-0 pool matches the
+        # flat fleet's node order exactly, so v1 is the identical model.
+        entries.sort(key=lambda e: (e.stage_index, e.node_id))
+        wan_times, wan_makespan = self.backhaul.stage_upload_times(
+            [
+                Transfer(
+                    node_id=g.gateway_id,
+                    link=g.wan_link(self.profiles),
+                    num_bytes=num_bytes,
                 )
-
-        fleet_accuracy = float(
-            np.mean([r.accuracy_before_update for r in node_reports])
+                for g, _, num_bytes in flushes
+            ]
+        )
+        wan_start = so_start + max(so_times.values(), default=0.0)
+        for (g, images, num_bytes), wan_time in zip(flushes, wan_times):
+            tracer.span(
+                "net",
+                "flush",
+                wan_start,
+                wan_start + wan_time,
+                gateway=g.gateway_id,
+                stage=s,
+                system=self.system_id,
+                bytes=num_bytes,
+                images=images,
+                tier="gateway",
+            )
+        self._stage = dict(
+            edge_up_bytes=sum(counts.values()) * JPEG_IMAGE_BYTES,
+            edge_up_transfers=sum(1 for c in counts.values() if c),
+            flushed={
+                g.gateway_id: (images, num_bytes, wan_time)
+                for (g, images, num_bytes), wan_time in zip(flushes, wan_times)
+            },
+            offered=offered,
+            resolved=resolved,
+            so_times=so_times,
+            so_energies=so_energies,
+        )
+        return StageUplink(
+            times=local_times,
+            solo_times=local_times,  # LAN hop: uncontended
+            makespan_s=wan_makespan,
+            arrival_s=wan_start + wan_makespan,
+            entries=entries,
         )
 
-        # --- cloud side -----------------------------------------------
-        if is_initial:
-            # The forced stage-0 flush delivers every node's full data;
-            # sorted by (stage, node_id) the pool order matches the flat
-            # engine exactly, so v1 is the identical model.
-            outcome = cloud_initialize(
-                s,
-                [e.data for e in flushed_entries],
-                runtime=runtime,
-                base=base,
-                all_node_ids=all_node_ids,
+    # ------------------------------------------------------------------
+    def push(self, s, nodes, push_bytes, t0, *, tracer) -> float:
+        """One WAN copy per gateway, then local fan-out to its children."""
+        tail = 0.0
+        wan_down_bytes = 0
+        for g in self.gateways:
+            # One copy of each pushed wave crosses the WAN per gateway; a
+            # node's push_bytes already count every wave it received, so
+            # the max over children is the per-gateway WAN payload.
+            wan_bytes = max(
+                (push_bytes.get(c, 0) for c in g.child_ids), default=0
             )
-        else:
-            for entry in flushed_entries:
-                scheduler.offer(entry.stage_index, entry.node_id, entry.data)
-            outcome = cloud_try_update(
-                s,
-                fleet_accuracy,
-                lambda: Dataset.concat(
-                    [
-                        assets.node_stages[i][s].new_data
-                        for i in topology.canary_node_ids
-                    ]
-                ),
-                runtime=runtime,
-                base=base,
-                all_node_ids=all_node_ids,
-            )
-        push_bytes_per_node = outcome.push_bytes_per_node
-
-        # --- push-down: one WAN copy per gateway, then local fan-out --
-        update_start = wan_start + wan_makespan
-        update_end = update_start + outcome.modeled_update_time_s
-        # One copy of each pushed wave crosses the WAN per gateway; a
-        # node's push_bytes already count every wave it received, so the
-        # max over children is the per-gateway WAN payload.
-        gw_wan_push = {
-            g.gateway_id: max(
-                (push_bytes_per_node[c] for c in g.child_ids), default=0
-            )
-            for g in gateways
-        }
-        push_times = {}
-        push_energies = {}
-        stage_push_tail = 0.0
-        for g in gateways:
-            wan_bytes = gw_wan_push[g.gateway_id]
-            wan_push_s = g.wan_link(profiles).model_push_time_s(wan_bytes)
-            if tracing and wan_bytes:
+            wan_down_bytes += wan_bytes
+            wan_push_s = g.wan_link(self.profiles).model_push_time_s(wan_bytes)
+            if wan_bytes:
                 tracer.span(
                     "net",
                     "push",
-                    update_end,
-                    update_end + wan_push_s,
+                    t0,
+                    t0 + wan_push_s,
                     gateway=g.gateway_id,
                     stage=s,
-                    system=config.system_id,
+                    system=self.system_id,
                     bytes=wan_bytes,
                     tier="gateway",
                 )
             local_tail = 0.0
             for c in g.child_ids:
-                down = push_bytes_per_node[c]
+                down = push_bytes.get(c, 0)
                 local_s = g.local_link.model_push_time_s(down)
-                push_times[c] = wan_push_s + local_s
-                push_energies[c] = g.local_link.model_push_energy_j(down)
                 local_tail = max(local_tail, local_s)
-                if tracing and down:
+                if down:
                     tracer.span(
                         "net",
                         "push",
-                        update_end + wan_push_s,
-                        update_end + wan_push_s + local_s,
+                        t0 + wan_push_s,
+                        t0 + wan_push_s + local_s,
                         node=c,
                         stage=s,
-                        system=config.system_id,
+                        system=self.system_id,
                         bytes=down,
                         tier="edge",
                         gateway=g.gateway_id,
                     )
-            stage_push_tail = max(stage_push_tail, wan_push_s + local_tail)
-        if tracing:
-            if outcome.modeled_update_time_s > 0:
-                tracer.span(
-                    "cloud",
-                    "init" if is_initial else "update",
-                    update_start,
-                    update_end,
-                    stage=s,
-                    system=config.system_id,
-                    pooled=outcome.pooled_for_training,
-                    promoted=outcome.promoted,
-                    tier="cloud",
-                )
-            tracer.event(
-                "cloud",
-                "decision",
-                update_end,
-                stage=s,
-                system=config.system_id,
-                updated=outcome.updated,
-                promoted=outcome.promoted,
-                tier="cloud",
-                **rollback_attrs(outcome),
-            )
-        cursor = update_end + stage_push_tail
+            tail = max(tail, wan_push_s + local_tail)
+        self._stage["edge_down_bytes"] = sum(push_bytes.values())
+        self._stage["wan_down_bytes"] = wan_down_bytes
+        return tail
 
-        # --- per-node records -----------------------------------------
-        stage_download_bytes = 0
-        for i, profile in enumerate(profiles):
-            node_report = node_reports[i]
-            down = push_bytes_per_node[profile.node_id]
-            stage_download_bytes += down
-            record = NodeStageRecord(
-                stage_index=s,
-                node_id=profile.node_id,
-                acquired=node_report.acquired_images,
-                uploaded=upload_counts[i],
-                accuracy_on_new=node_report.accuracy_before_update,
-                upload_time_s=local_times[i],
-                upload_solo_time_s=local_times[i],  # LAN hop: uncontended
-                upload_energy_j=local_energies[i],
-                node_compute_time_s=(
-                    node_report.inference_time_s + node_report.diagnosis_time_s
-                ),
-                node_compute_energy_j=node_report.node_energy_j,
-                download_bytes=down,
-                download_energy_j=push_energies[profile.node_id],
-            )
-            trajectory = report.nodes[i]
-            trajectory.records.append(record)
-            trajectory.ledger.record(
-                s, node_report.acquired_images, upload_counts[i]
-            )
-            if down:
-                trajectory.ledger.record_download(s, down)
-            report.ledger.record(
-                s, node_report.acquired_images, upload_counts[i]
-            )
-        if stage_download_bytes:
-            report.ledger.record_download(s, stage_download_bytes)
-
-        # --- tier attribution overlay ---------------------------------
-        edge_up_bytes = sum(upload_counts) * JPEG_IMAGE_BYTES
-        wan_up_bytes = sum(num_bytes for _, _, num_bytes in flush_meta)
-        overhead = (
-            len(flush_meta) * topology.per_transfer_overhead_bytes
-        )
+    # ------------------------------------------------------------------
+    def close_stage(self, s, report, metrics) -> None:
+        """Tier overlay, per-gateway records, and ``topology.*`` counters."""
+        stage = self._stage
+        overhead_each = self.topology.per_transfer_overhead_bytes
+        flushed = stage["flushed"]
+        wan_up_bytes = sum(num_bytes for _, num_bytes, _ in flushed.values())
+        overhead = len(flushed) * overhead_each
         report.ledger.record_tier(
             s,
-            edge_up_bytes=edge_up_bytes,
+            edge_up_bytes=stage["edge_up_bytes"],
             wan_up_bytes=wan_up_bytes,
-            edge_down_bytes=stage_download_bytes,
-            wan_down_bytes=sum(gw_wan_push.values()),
-            edge_up_transfers=sum(1 for c in upload_counts if c),
-            wan_up_transfers=len(flush_meta),
+            edge_down_bytes=stage["edge_down_bytes"],
+            wan_down_bytes=stage["wan_down_bytes"],
+            edge_up_transfers=stage["edge_up_transfers"],
+            wan_up_transfers=len(flushed),
             overhead_bytes=overhead,
         )
-
-        # --- per-gateway records --------------------------------------
-        flushed_by_gateway = {
-            g.gateway_id: (images, num_bytes, wan_times[j])
-            for j, (g, images, num_bytes) in enumerate(flush_meta)
-        }
-        for g in gateways:
-            flushed_here = g.gateway_id in flushed_by_gateway
-            if flushed_here:
-                images, num_bytes, wan_time = flushed_by_gateway[g.gateway_id]
-                wan_energy = g.wan_link(profiles).transfer_energy_j(num_bytes)
-            else:
-                images, num_bytes, wan_time, wan_energy = 0, 0, 0.0, 0.0
+        for g in self.gateways:
+            gid = g.gateway_id
+            images, num_bytes, wan_time = flushed.get(gid, (0, 0, 0.0))
             report.gateway_stages.append(
                 GatewayStageRecord(
                     stage_index=s,
-                    gateway_id=g.gateway_id,
-                    offered_images=offered[g.gateway_id],
-                    resolved_images=resolved[g.gateway_id],
+                    gateway_id=gid,
+                    offered_images=stage["offered"][gid],
+                    resolved_images=stage["resolved"][gid],
                     flushed_images=images,
                     flushed_bytes=num_bytes,
-                    overhead_bytes=(
-                        topology.per_transfer_overhead_bytes if images else 0
-                    ),
-                    buffered_images=buffers[g.gateway_id].buffered_images,
-                    flushed=flushed_here,
+                    overhead_bytes=overhead_each if images else 0,
+                    buffered_images=self.buffers[gid].buffered_images,
+                    flushed=gid in flushed,
                     wan_time_s=wan_time,
-                    wan_energy_j=wan_energy,
-                    second_opinion_time_s=so_times[g.gateway_id],
-                    second_opinion_energy_j=so_energies[g.gateway_id],
+                    wan_energy_j=g.wan_link(self.profiles).transfer_energy_j(
+                        num_bytes
+                    ),
+                    second_opinion_time_s=stage["so_times"][gid],
+                    second_opinion_energy_j=stage["so_energies"][gid],
                 )
             )
-
-        eval_accuracy = evaluate(cloud.inference_net, assets.eval_data)
-        report.stages.append(
-            FleetStageRecord(
-                stage_index=s,
-                acquired=sum(r.acquired_images for r in node_reports),
-                uploaded=sum(upload_counts),
-                pooled_for_training=outcome.pooled_for_training,
-                updated=outcome.updated,
-                promoted=outcome.promoted,
-                fleet_accuracy_on_new=fleet_accuracy,
-                eval_accuracy=eval_accuracy,
-                modeled_update_time_s=outcome.modeled_update_time_s,
-                modeled_cloud_energy_j=outcome.modeled_cloud_energy_j,
-                upload_makespan_s=wan_makespan,
-                download_bytes=stage_download_bytes,
+        if metrics is not None:
+            labels = dict(system=self.system_id, tier="gateway")
+            metrics.counter("topology.images.resolved", **labels).inc(
+                sum(stage["resolved"].values())
             )
-        )
-        m = runtime.metrics
-        if m is not None:
-            sys_id = config.system_id
-            m.counter("fleet.stages", system=sys_id).inc()
-            m.counter("fleet.images.acquired", system=sys_id).inc(
-                sum(r.acquired_images for r in node_reports)
-            )
-            m.counter("fleet.images.flagged", system=sys_id).inc(
-                sum(r.flagged_images for r in node_reports)
-            )
-            m.counter("fleet.images.uploaded", system=sys_id).inc(
-                sum(upload_counts)
-            )
-            m.counter(
-                "topology.images.resolved", system=sys_id, tier="gateway"
-            ).inc(sum(resolved.values()))
-            m.counter(
-                "topology.flushes", system=sys_id, tier="gateway"
-            ).inc(len(flush_meta))
-            m.counter(
-                "topology.wan_bytes", system=sys_id, tier="gateway"
-            ).inc(wan_up_bytes)
-            m.counter(
-                "topology.overhead_bytes", system=sys_id, tier="gateway"
-            ).inc(overhead)
-            hist = m.histogram("fleet.upload_time_s", system=sys_id)
-            for t in local_times:
-                hist.observe(t)
-            snap = report.ledger.snapshot()
-            m.gauge("fleet.bytes.uploaded", system=sys_id).set(
-                snap.uploaded_bytes
-            )
-            m.gauge("fleet.bytes.downloaded", system=sys_id).set(
-                snap.downloaded_bytes
-            )
-    report.rollouts = list(scheduler.history)
-    return report
+            metrics.counter("topology.flushes", **labels).inc(len(flushed))
+            metrics.counter("topology.wan_bytes", **labels).inc(wan_up_bytes)
+            metrics.counter("topology.overhead_bytes", **labels).inc(overhead)

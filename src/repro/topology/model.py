@@ -6,14 +6,15 @@ aggregates its children's uploads into amortized WAN transfers, can host
 a mid-size second-opinion model, and is the natural unit of regional
 canary rollout.  This module is the pure data model for that shape —
 who is under which gateway, which link each hop rides, and how the
-gateway batches uploads.  The engines that execute it live in
-:mod:`repro.topology.lockstep` and :mod:`repro.topology.event`.
+gateway batches uploads.  What executes it lives in
+:mod:`repro.topology.lockstep` (the gateway uplink tier of the one
+lockstep stage loop) and :mod:`repro.topology.event` (the event engine).
 
 Degenerate topologies (one node per gateway, passthrough links, no
 aggregation, no second opinion, no framing overhead) are *exactly* the
 flat fleet; :attr:`Topology.is_passthrough` detects that case and the
-fleet entry points delegate to the unmodified flat code path, so the
-flat trajectories stay byte-identical by construction.
+fleet entry points run the flat transport (direct tier / flat event
+engine), so the flat trajectories stay byte-identical by construction.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class Topology:
         True only when every gateway is a one-child passthrough relay
         with an inherited uplink, aggregation is off, no second opinion
         runs, and WAN transfers carry no framing overhead.  The fleet
-        entry points then execute the unmodified flat code path.
+        entry points then run the flat transport.
         """
         return (
             not self.aggregation.enabled
@@ -221,6 +222,17 @@ class Topology:
                 f"topology covers nodes {self.node_ids}, "
                 f"fleet has {fleet_ids}"
             )
+
+    def lockstep_tier(self, config, assets, backhaul):
+        """The uplink tier ``run_fleet``'s stage loop drives for this shape.
+
+        Handed over by the topology itself, so ``repro.fleet`` never has
+        to import ``repro.topology``.
+        """
+        # Imported here: repro.topology.lockstep imports this module.
+        from repro.topology.lockstep import GatewayTier
+
+        return GatewayTier(self, config, assets, backhaul)
 
     # ------------------------------------------------------------------
     # Builders
