@@ -1060,8 +1060,11 @@ def _run_fleet_schedule(
         for i in nodes:
             node_report = node_reports[i]
             link = tier.node_link(i)
-            down = push_bytes[profiles[i].node_id] + later_bytes.get(i, 0)
-            pushed_bytes += down
+            pushed = push_bytes[profiles[i].node_id] + later_bytes.get(i, 0)
+            pushed_bytes += pushed
+            # begin_stage downloads are already in the ledgers; the record
+            # carries them too, so a node's records sum to its ledger.
+            down = pushed + caught_up.get(i, 0)
             trajectory = report.nodes[i]
             trajectory.records.append(
                 NodeStageRecord(
@@ -1084,8 +1087,8 @@ def _run_fleet_schedule(
             trajectory.ledger.record(
                 s, node_report.acquired_images, upload_counts[i]
             )
-            if down:
-                trajectory.ledger.record_download(s, down)
+            if pushed:
+                trajectory.ledger.record_download(s, pushed)
             report.ledger.record(
                 s, node_report.acquired_images, upload_counts[i]
             )

@@ -107,6 +107,7 @@ class ScenarioHooks(StageHooks):
         self.report = report
         self.tracer = tracer
         self.profiles = assets.profiles
+        self.index_of = {p.node_id: i for i, p in enumerate(self.profiles)}
         self.system_id = runtime.config.system_id
         self.head_net = build_head_net(spec) if spec.heads is not None else None
         # Main-track version each node's trunk is based on (0 = the
@@ -196,7 +197,7 @@ class ScenarioHooks(StageHooks):
                 head_versions.append(update.version)
                 self.group_state[update.group] = (active_version, update.state)
                 for node_id in update.member_ids:
-                    i = node_id  # node_id == profile index in flat fleets
+                    i = self.index_of[node_id]
                     head_bytes[i] = head_bytes.get(i, 0) + update.push_bytes
                     node_states[i] = update.state
                     push_s = profiles[i].link.model_push_time_s(
@@ -221,7 +222,7 @@ class ScenarioHooks(StageHooks):
                 stage_index=s,
                 phase=self._extra.get("phase"),
                 alive=alive_ids,
-                reconciled=tuple(self._caught_up),
+                reconciled=tuple(profiles[i].node_id for i in self._caught_up),
                 reconcile_bytes=reconcile_bytes,
                 head_versions=tuple(head_versions),
             )

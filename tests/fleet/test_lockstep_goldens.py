@@ -61,6 +61,9 @@ NUM_NODES = 4
 # * scenario/metrics — the loop now emits fleet.images.flagged and
 #   fleet.upload_time_s for scenario runs like every other engine; with
 #   those two names dropped the dump hashes to the parent value.
+# * scenario/node_records — a rejoining node's NodeStageRecord now
+#   includes its reconcile download (download_bytes, download_energy_j),
+#   so a node's records sum to its ledger; no other field moved.
 GOLDENS: dict[str, dict[str, str]] = {
     "flat": {
         "trace": (
@@ -131,7 +134,7 @@ GOLDENS: dict[str, dict[str, str]] = {
             "cd629134d859b3da4f08baa0e1ff1b356612de2d3e558ac98954626040e85370"
         ),
         "node_records": (
-            "ba79652a1f5ba7a46c127dc1db80d47e05a2773bac943877958bd6824de4696e"
+            "722ac04a7a758521acf172ebc55bc752b7481681bee947e915c354ec3c311009"
         ),
         "stages": (
             "6fb3544d9a5edf59edbd16d9ec1a908f0dc9b03d7b47c0fb91b4956cc9ec6033"

@@ -136,6 +136,25 @@ class TestChurnSemantics:
             else:
                 assert info.reconcile_bytes == 0
 
+    def test_node_records_sum_to_node_ledger(self, lockstep_report):
+        # a rejoining node's catch-up download is part of its stage record
+        assert lockstep_report.reconciliations >= 1
+        for node in lockstep_report.fleet.nodes:
+            assert (
+                sum(r.download_bytes for r in node.records)
+                == node.ledger.total_downloaded_bytes
+            )
+
+    def test_download_energy_matches_event_barrier(
+        self, lockstep_report, event_barrier_report
+    ):
+        lockstep = [
+            sum(r.download_energy_j for r in node.records)
+            for node in lockstep_report.fleet.nodes
+        ]
+        event = [n.download_energy_j for n in event_barrier_report.fleet.nodes]
+        assert lockstep == pytest.approx(event)
+
     def test_reconciled_nodes_rejoined_that_stage(self, lockstep_report):
         # only a node that was absent earlier can owe a catch-up download
         seen_down = set()
