@@ -790,7 +790,7 @@ class StageHooks:
         return tuple(range(len(node_states))), {}, {}
 
     def after_push(
-        self, s: int, stage_start: float, t0: float, outcome, node_states: list
+        self, s: int, t0: float, outcome, node_states: list
     ) -> tuple[dict[int, int], float]:
         """Called once the stage's model pushes have landed, at ``t0``.
 
@@ -1050,12 +1050,13 @@ def _run_fleet_schedule(
             if push_bytes[profiles[i].node_id]:
                 node_states[i] = registry.active.state
         later_bytes, later_s = hooks.after_push(
-            s, stage_start, cursor, outcome, node_states
+            s, cursor, outcome, node_states
         )
         cursor += later_s
 
         # --- per-node records -----------------------------------------
         acquired = sum(r.acquired_images for r in node_reports.values())
+        uploaded = sum(upload_counts.values())
         pushed_bytes = 0
         for i in nodes:
             node_report = node_reports[i]
@@ -1100,7 +1101,7 @@ def _run_fleet_schedule(
             FleetStageRecord(
                 stage_index=s,
                 acquired=acquired,
-                uploaded=sum(upload_counts.values()),
+                uploaded=uploaded,
                 pooled_for_training=outcome.pooled_for_training,
                 updated=outcome.updated,
                 promoted=outcome.promoted,
@@ -1121,9 +1122,7 @@ def _run_fleet_schedule(
             m.counter("fleet.images.flagged", system=sys_id).inc(
                 sum(r.flagged_images for r in node_reports.values())
             )
-            m.counter("fleet.images.uploaded", system=sys_id).inc(
-                sum(upload_counts.values())
-            )
+            m.counter("fleet.images.uploaded", system=sys_id).inc(uploaded)
             hist = m.histogram("fleet.upload_time_s", system=sys_id)
             for i in nodes:
                 hist.observe(up.times[i])

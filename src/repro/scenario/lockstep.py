@@ -117,6 +117,7 @@ class ScenarioHooks(StageHooks):
         # accepted head, so rejoining members reconcile to their own head.
         self.group_state: dict[int, tuple[int, dict]] = {}
         # begin_stage's findings, for after_push's stage info
+        self._stage_start = 0.0
         self._alive: tuple[int, ...] = ()
         self._extra: dict = {}
         self._caught_up: dict[int, int] = {}
@@ -162,12 +163,13 @@ class ScenarioHooks(StageHooks):
                 bytes=num_bytes,
                 version=active_version,
             )
+        self._stage_start = t0
         self._alive = alive
         self._extra = {} if phase is None else {"phase": phase}
         self._caught_up = caught_up
         return alive, self._extra, caught_up
 
-    def after_push(self, s, stage_start, t0, outcome, node_states):
+    def after_push(self, s, t0, outcome, node_states):
         """Specialize per-group heads after a promotion; close the stage."""
         profiles = self.profiles
         registry = self.runtime.registry
@@ -230,7 +232,7 @@ class ScenarioHooks(StageHooks):
         self.tracer.event(
             "scenario",
             "stage",
-            stage_start,
+            self._stage_start,
             stage=s,
             system=self.system_id,
             alive=len(alive_ids),
@@ -239,12 +241,14 @@ class ScenarioHooks(StageHooks):
         )
         m = self.runtime.metrics
         if m is not None:
-            m.counter("scenario.reconciliations", system=self.system_id).inc(
-                len(self._caught_up)
-            )
-            m.counter("scenario.reconcile_bytes", system=self.system_id).inc(
-                reconcile_bytes
-            )
+            # Like the event engine: a counter exists once its process fired.
+            if self._caught_up:
+                m.counter(
+                    "scenario.reconciliations", system=self.system_id
+                ).inc(len(self._caught_up))
+                m.counter(
+                    "scenario.reconcile_bytes", system=self.system_id
+                ).inc(reconcile_bytes)
             if head_versions:
                 m.counter("scenario.head_updates", system=self.system_id).inc(
                     len(head_versions)

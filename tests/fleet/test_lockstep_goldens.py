@@ -343,6 +343,51 @@ class TestLockstepGoldens:
         _assert_matches("scenario", observe_scenario(scenario_inputs, workers))
 
 
+#: TINY_ALL_YAML's fleet with no ``processes:`` block, so no hook fires
+PROCESS_FREE_YAML = """\
+scenario:
+  name: process-free
+  seed: 3
+  engine: lockstep
+  barrier: true
+
+fleet:
+  nodes: 3
+  stages: 4
+  base:
+    stream_scale: 0.02
+    pretrain_images: 32
+    pretrain_epochs: 1
+    init_epochs: 2
+    update_epochs: 1
+    eval_images: 32
+"""
+
+
+class TestProcessFreeScenarioIsFlat:
+    """Lockstep twin of ``BENCH_scenario.json``'s control-identity check."""
+
+    def test_same_report_metrics_and_trace(self):
+        spec = load_spec(PROCESS_FREE_YAML, filename="process-free.yaml")
+        assets = prepare_scenario_assets(spec)
+        flat_tracer, flat_metrics = Tracer(), MetricsRegistry()
+        flat = run_fleet(
+            system_by_id("d"), assets, tracer=flat_tracer, metrics=flat_metrics
+        )
+        tracer, metrics = Tracer(), MetricsRegistry()
+        scenario = run_scenario_lockstep(
+            spec, assets=assets, tracer=tracer, metrics=metrics
+        )
+        assert _fleet_parts(scenario.fleet) == _fleet_parts(flat)
+        assert metrics.to_dict() == flat_metrics.to_dict()
+        tracer.records = [r for r in tracer.records if r.cat != "scenario"]
+        assert tracer.to_jsonl() == flat_tracer.to_jsonl()
+        assert all(
+            info.alive == (0, 1, 2) and not info.reconciled
+            for info in scenario.stage_info
+        )
+
+
 if __name__ == "__main__":
     fleet = prepare_fleet_assets(small_fleet())
     spec = load_spec(_scenario_yaml(), filename="tiny.yaml")
