@@ -1,4 +1,4 @@
-"""Cross-commit pins for the three lockstep consumers.
+"""Cross-commit pins for the lockstep and event fleet consumers.
 
 ``test_determinism_guard.py`` pins a handful of flat-path numbers across
 commits; the hierarchical and scenario lockstep runs were only ever
@@ -17,6 +17,13 @@ The three consumers:
   ``TINY_ALL_YAML`` (churn + class phases + per-node heads).
 
 Each runs at ``workers=1`` and ``workers=2`` against the same golden.
+
+The six event consumers (``EVENT_CONSUMERS``) pin the event engine the
+same way, through ``run_fleet_event`` / ``run_scenario_event``: flat
+async, flat barrier under a horizon that cycles the schedule and freezes
+a round half-way, the same hierarchical topology async under a horizon
+and barrier, and ``TINY_ALL_YAML`` event-barrier and event-async.
+
 To re-record after an intended behaviour change::
 
     PYTHONPATH=src python tests/fleet/test_lockstep_goldens.py
@@ -37,6 +44,7 @@ import numpy as np
 import pytest
 
 from repro.core.systems import system_by_id
+from repro.fleet.async_sim import run_fleet_event
 from repro.fleet.profiles import FleetScenario
 from repro.fleet.simulation import (
     fleet_base_scenario,
@@ -47,6 +55,7 @@ from repro.obs import MetricsRegistry, Tracer
 from repro.scenario import (
     load_spec,
     prepare_scenario_assets,
+    run_scenario_event,
     run_scenario_lockstep,
 )
 from repro.topology import AggregationPolicy, Topology
@@ -64,6 +73,9 @@ NUM_NODES = 4
 # * scenario/node_records — a rejoining node's NodeStageRecord now
 #   includes its reconcile download (download_bytes, download_energy_j),
 #   so a node's records sum to its ledger; no other field moved.
+#
+# The ``event_*`` consumers were recorded at commit 7dac000 (PR 13), before
+# the event engines were composed into one.
 GOLDENS: dict[str, dict[str, str]] = {
     "flat": {
         "trace": (
@@ -158,6 +170,210 @@ GOLDENS: dict[str, dict[str, str]] = {
             "d07303adb9423aebc93d205cff4d98a8109e144ca92ce3f12bfed255e69816a6"
         ),
     },
+    "event_flat_async": {
+        "trace": (
+            "fbfd59f01eb8458ca3ce92045d735e72655a3ddff2d71d63be9919d2bf3514d1"
+        ),
+        "trace_sorted": (
+            "4586b99cc40b0ce76c2098d88a44c11a487dfce8a2305d3b22a2cbbdcb9b25d1"
+        ),
+        "metrics": (
+            "119272f57844063086ca12657785954aadee8aa988f739d0e30b3c6ef5f5d93e"
+        ),
+        "nodes": (
+            "dbac97cadd75f90846061e901734ef6e187188411a78b97751d8aff2c8623a34"
+        ),
+        "updates": (
+            "750854f62f01a0f9969e0be9eb039b689b786d9bc98efa8a1051ae9747b02fcd"
+        ),
+        "gateway_flushes": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "gateway_leftover_images": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "ledgers": (
+            "33905fa0b3a1762fb62eb2ff92f2dd84c84bd85e68581f1f62fae2ebe7dfa59f"
+        ),
+        "registry": (
+            "7f709c9c294e2b878168b7b224c7dfd9ee57504293848c333153a48d9320ad5c"
+        ),
+        "rollouts": (
+            "3590cb409be787a89079d83b1b91dc55250c781a3d8728625f8693e2eb7b6ee0"
+        ),
+    },
+    "event_flat_barrier_horizon": {
+        "trace": (
+            "371e8e9821b0caca181d1d3a3c3f5d6720b3171ca7484850c1b07c6b084c2460"
+        ),
+        "trace_sorted": (
+            "d23574062512eae880e102f64de9ca2cb71238730fc09d1ba1da1008259a9544"
+        ),
+        "metrics": (
+            "34a63e8a0874ba500c1aed4afb781b748f1a3a76db97a0988451cbb63b419fb8"
+        ),
+        "nodes": (
+            "3e729f1289c521b4bc0560dc8c67fe0f97435b38059a11e71b48b23e5de35efc"
+        ),
+        "updates": (
+            "3294fa74ba860cd78d14605c631b58e0f78eba59c96c1f553b2ede42eb3b8b06"
+        ),
+        "gateway_flushes": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "gateway_leftover_images": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "ledgers": (
+            "baed3e99271b23a76108119046596c0d201b0d848aa5098ea14979f580ee16b2"
+        ),
+        "registry": (
+            "c8bf69aaa8268071a727b19fbfe29e94eb38a9eca279414c957630d0900d3ff2"
+        ),
+        "rollouts": (
+            "85596d1c38efdbf956970b7639d1d75ee8a9ac09ce5b7b6a7c7b001a002a9521"
+        ),
+    },
+    "event_topology_async_horizon": {
+        "trace": (
+            "2d12d81dd5a7b7478f8e7bb11b8804845525f4ef7608944f2d45bc16d1b36349"
+        ),
+        "trace_sorted": (
+            "cc9d0e3c313484ddce617cdfc75818090a362832f714ea1dc626841ee450c008"
+        ),
+        "metrics": (
+            "9f39b6bc05cb8b7a41613fd830360b98069baec69a957e070a01ca73573ae780"
+        ),
+        "nodes": (
+            "33723af9bd57ba458dea6caa2846e3979e7b55b0a60a9fbf63eacca1d282b786"
+        ),
+        "updates": (
+            "841d955b373089251ce62ae2ea258e22db8ff0ede8a84a39560a395d3576f604"
+        ),
+        "gateway_flushes": (
+            "0d2500a94957fd2c5ebb995e4ab23cdb4d9ba6cc56f4ce07af43afe6eb1e6b83"
+        ),
+        "gateway_leftover_images": (
+            "f76f1efd26cdc36d4b9aeb81758d56255bf460b1edc88a38bd980c8f0afbdcba"
+        ),
+        "ledgers": (
+            "7261edc81fc8749031ee098c8aadd6001c2983fffa87f6f1dc2826ee932f9e31"
+        ),
+        "registry": (
+            "3c72e5f91a89780149c2c87a5fd4c614e42cc06007c5ea3e49088d119039b229"
+        ),
+        "rollouts": (
+            "19304310d86ed6eb221fa16734bd9a613934265727a255669cd83267afc05b88"
+        ),
+    },
+    "event_topology_barrier": {
+        "trace": (
+            "aa4b5e37247d4aa1b71cceeb4ec0574541d21cca102094ba2270b91aecbddb3b"
+        ),
+        "trace_sorted": (
+            "b036d20b89cf70e2ee53debb2d26340ae191ff24fec84044323a20e62d4b156d"
+        ),
+        "metrics": (
+            "8807a3f921350724530d93b4b9d697c6197e39306e07e2b6c2eef63bd1d7f641"
+        ),
+        "nodes": (
+            "812a46688a4b0341d2f6db087245033b36fc61f9013c51e2c067e466e104888e"
+        ),
+        "updates": (
+            "618f4f31586dd5cb17605713fbad5e716af9e51c6af9ae57f15bd16ea5dd9745"
+        ),
+        "gateway_flushes": (
+            "aa8f9cff36fb73084e9b874fcc09ab0ae964e3ed58bf3c3f8c54a5a293dbd6d5"
+        ),
+        "gateway_leftover_images": (
+            "92a411fab11f72faf1c3131a31c1cdd18e25050d9ec156d75f373467e6a30d3c"
+        ),
+        "ledgers": (
+            "303580ba64cd56a7aed4962fe63d874da19081364e87573ce0b632baa9af97ca"
+        ),
+        "registry": (
+            "ad487eff1dc40a3a7b44f519c64c17c058f6db2d0954dcbe2aa590c3f8a9b89c"
+        ),
+        "rollouts": (
+            "7b1ec0f7dda1e9eacd4dae1feaddd020537fde97b23e2e96fe794b4deca20ee7"
+        ),
+    },
+    "event_scenario_barrier": {
+        "trace": (
+            "43823e9bce29c774b4d8ceb99542cb5fdc2ef78d3c9a2a512efdcda50049f82e"
+        ),
+        "trace_sorted": (
+            "89d76d72a0698c37ac43ec65c671730b3fe9752800869bba07e11f082f73e694"
+        ),
+        "metrics": (
+            "1cda862b62993949aad6664cd1591396c972e5e07a6ef69039c6479d667de352"
+        ),
+        "nodes": (
+            "e23aa33dd2ceaaf2981ea58cdf88424eebf52bf1342c67452391fda9a0cffbe5"
+        ),
+        "updates": (
+            "f039407d1f5a3d1662b8f48958d1b174d4c438d2503daf955d00f25c1534df60"
+        ),
+        "gateway_flushes": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "gateway_leftover_images": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "ledgers": (
+            "afc0d23a0b2a2b33d68f83306041c39bb574b658b6b91e84061789b69cce0385"
+        ),
+        "registry": (
+            "6a531623cff3d0b927e8eb9f9fafe0c7001698d0b307ce055f24a01d4bbd33c8"
+        ),
+        "rollouts": (
+            "f15a69ce2563b79ee053bf16073918fff20e14996fcff424c4b7db8162dbe813"
+        ),
+        "stage_info": (
+            "97799302ff1d2b80a51bf6f2295ef5cfa9e544a66d84c977dc2796d034573266"
+        ),
+        "scenario_outcome": (
+            "d07303adb9423aebc93d205cff4d98a8109e144ca92ce3f12bfed255e69816a6"
+        ),
+    },
+    "event_scenario_async": {
+        "trace": (
+            "091a9c74b302f6da9c78d845884b1754f2781345e8d384965eed3f1391e831a0"
+        ),
+        "trace_sorted": (
+            "5242fd7ed6971dd6e038fbe0c79553cc7219559327a2da89e52ba3b9eca5ce04"
+        ),
+        "metrics": (
+            "9ee71ba3cf05de1acd50527adce19b4802d700de31cd559c6d4625da72a64b64"
+        ),
+        "nodes": (
+            "13bf7b7f65c0f1c569db982ec9ee1857c2971cdc0b7d14dddb12f145be551a0a"
+        ),
+        "updates": (
+            "6a8e92b6c5b633ad3c2f07ee3ffd784c85cf89946c57bf6d3cb30b5887960756"
+        ),
+        "gateway_flushes": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "gateway_leftover_images": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "ledgers": (
+            "c1428b2b14a0147404e811e029ac99fe4597908515a16d2eb3f0cc6e9e308423"
+        ),
+        "registry": (
+            "6a531623cff3d0b927e8eb9f9fafe0c7001698d0b307ce055f24a01d4bbd33c8"
+        ),
+        "rollouts": (
+            "f15a69ce2563b79ee053bf16073918fff20e14996fcff424c4b7db8162dbe813"
+        ),
+        "stage_info": (
+            "97799302ff1d2b80a51bf6f2295ef5cfa9e544a66d84c977dc2796d034573266"
+        ),
+        "scenario_outcome": (
+            "d07303adb9423aebc93d205cff4d98a8109e144ca92ce3f12bfed255e69816a6"
+        ),
+    },
 }
 
 
@@ -195,13 +411,49 @@ def _state_sha(state: dict[str, np.ndarray]) -> str:
 
 def _fleet_parts(report) -> dict[str, str]:
     """One digest per report component, so a diff names what moved."""
-    registry = report.registry
     return {
         "node_records": _digest(
             [[asdict(r) for r in n.records] for n in report.nodes]
         ),
         "stages": _digest([asdict(s) for s in report.stages]),
         "gateway_stages": _digest([asdict(g) for g in report.gateway_stages]),
+        **_shared_parts(report),
+    }
+
+
+def _event_parts(report) -> dict[str, str]:
+    """``_fleet_parts`` for a ``FleetEventReport``."""
+    return {
+        "nodes": _digest(
+            [
+                {
+                    "records": [asdict(r) for r in n.records],
+                    "download_bytes": n.download_bytes,
+                    "download_energy_j": n.download_energy_j,
+                    "finish_s": n.finish_s,
+                }
+                for n in report.nodes
+            ]
+        ),
+        "updates": _digest(
+            {
+                "updates": [asdict(u) for u in report.updates],
+                "makespan_s": report.makespan_s,
+                "final_eval_accuracy": report.final_eval_accuracy,
+            }
+        ),
+        "gateway_flushes": _digest([asdict(f) for f in report.gateway_flushes]),
+        "gateway_leftover_images": _digest(
+            sorted(report.gateway_leftover_images.items())
+        ),
+        **_shared_parts(report),
+    }
+
+
+def _shared_parts(report) -> dict[str, str]:
+    """The components lockstep and event reports have in common."""
+    registry = report.registry
+    return {
         "ledgers": _digest(
             [
                 [asdict(ledger.snapshot()), [asdict(m) for m in ledger.stages]]
@@ -237,8 +489,8 @@ def _fleet_parts(report) -> dict[str, str]:
     }
 
 
-def _scenario_parts(report) -> dict[str, str]:
-    parts = _fleet_parts(report.fleet)
+def _scenario_parts(report, fleet_parts=_fleet_parts) -> dict[str, str]:
+    parts = fleet_parts(report.fleet)
     parts["stage_info"] = _digest([asdict(i) for i in report.stage_info])
     parts["scenario_outcome"] = _digest(
         {
@@ -324,10 +576,44 @@ def observe_scenario(inputs, workers: int) -> dict[str, str]:
     return _observed(_scenario_parts(report), tracer, metrics)
 
 
+#: name -> ("fleet" | "scenario", engine kwargs); the fleet ones run
+#: system ``d`` on ``small_fleet()``, the scenario ones ``TINY_ALL_YAML``
+EVENT_CONSUMERS: dict[str, tuple[str, dict]] = {
+    "event_flat_async": ("fleet", {}),
+    "event_flat_barrier_horizon": ("fleet", {"barrier": True, "horizon_s": 9.0}),
+    "event_topology_async_horizon": ("fleet", {"hier": True, "horizon_s": 1.0}),
+    "event_topology_barrier": ("fleet", {"hier": True, "barrier": True}),
+    "event_scenario_barrier": ("scenario", {"barrier": True}),
+    "event_scenario_async": ("scenario", {"barrier": False}),
+}
+
+
+def observe_event(case: str, assets, inputs) -> dict[str, str]:
+    kind, kwargs = EVENT_CONSUMERS[case]
+    tracer, metrics = Tracer(), MetricsRegistry()
+    if kind == "scenario":
+        spec, scenario_assets = inputs
+        report = run_scenario_event(
+            spec, assets=scenario_assets, tracer=tracer, metrics=metrics, **kwargs
+        )
+        return _observed(_scenario_parts(report, _event_parts), tracer, metrics)
+    kwargs = dict(kwargs)
+    topology = hier_topology() if kwargs.pop("hier", False) else None
+    report = run_fleet_event(
+        system_by_id("d"),
+        assets,
+        tracer=tracer,
+        metrics=metrics,
+        topology=topology,
+        **kwargs,
+    )
+    return _observed(_event_parts(report), tracer, metrics)
+
+
 def _assert_matches(case: str, observed: dict[str, str]) -> None:
     moved = sorted(k for k in GOLDENS[case] if observed.get(k) != GOLDENS[case][k])
     assert not moved and observed.keys() == GOLDENS[case].keys(), (
-        f"{case} lockstep goldens moved: {moved}"
+        f"{case} goldens moved: {moved}"
     )
 
 
@@ -341,6 +627,11 @@ class TestLockstepGoldens:
 
     def test_scenario(self, scenario_inputs, workers):
         _assert_matches("scenario", observe_scenario(scenario_inputs, workers))
+
+
+@pytest.mark.parametrize("case", sorted(EVENT_CONSUMERS))
+def test_event_goldens(case, fleet_assets, scenario_inputs):
+    _assert_matches(case, observe_event(case, fleet_assets, scenario_inputs))
 
 
 #: TINY_ALL_YAML's fleet with no ``processes:`` block, so no hook fires
@@ -398,6 +689,10 @@ if __name__ == "__main__":
                 "flat": observe_flat(fleet, 1),
                 "topology": observe_topology(fleet, 1),
                 "scenario": observe_scenario(scenario, 1),
+                **{
+                    case: observe_event(case, fleet, scenario)
+                    for case in EVENT_CONSUMERS
+                },
             },
             indent=4,
         )
