@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.comm.link import JPEG_IMAGE_BYTES
+from repro.comm.link import JPEG_IMAGE_BYTES, NetworkLink
 from repro.comm.movement import DataMovementLedger
 from repro.core.registry import ModelRegistry
 from repro.core.systems import SystemConfig
@@ -62,7 +62,9 @@ from repro.obs.trace import Tracer
 from repro.transfer.finetune import evaluate
 
 __all__ = [
+    "DirectEventTier",
     "EpochRecord",
+    "EventHooks",
     "NodeEventTrajectory",
     "CloudUpdateRecord",
     "FleetEventReport",
@@ -202,19 +204,147 @@ class _Arrival:
         self.accuracy = accuracy
 
 
+class EventHooks:
+    """Per-round extension points of the event engine.
+
+    The base class is the plain fleet: every node runs every epoch and
+    nothing happens beyond the paper's protocol.  ``repro.scenario``
+    overrides all four to add churn, rejoin reconciliation, and per-group
+    heads.  A new per-round *behaviour* belongs here; a new *transport*
+    belongs in an event tier.
+    """
+
+    #: True keeps the Cloud strictly round-based even without the node
+    #: barrier: hooks that park nodes on round events need rounds to exist.
+    round_based = False
+
+    def alive(self, i: int, s: int) -> bool:
+        """Does node index ``i`` take part in round ``s``?"""
+        return True
+
+    def before_epoch(self, engine: "_EventFleet", i: int, s: int):
+        """Kernel generator run by node ``i`` before it senses epoch ``s``."""
+        yield from ()
+
+    def after_deliver(
+        self, engine: "_EventFleet", r: int, alive_ids, outcome
+    ):
+        """Kernel generator run by the Cloud once round ``r``'s pushes land."""
+        yield from ()
+
+    def close_round(self, engine: "_EventFleet", r: int, alive_ids) -> None:
+        """Called as round ``r`` closes, before its barrier event fires."""
+
+
+class DirectEventTier:
+    """Every node rides the shared backhaul straight to the Cloud.
+
+    The event engine's view of transport is "node upload -> Cloud
+    arrival" and "Cloud push -> node" as kernel generators;
+    ``repro.topology`` supplies the other implementation of this surface
+    (gateway processes between the nodes and the backhaul).
+    """
+
+    #: ``tier`` attribute on node records / attrs on ``cloud/*`` records;
+    #: the flat fleet carries neither.
+    node_tag: str | None = None
+    cloud_attrs: dict = {}
+    #: canary subset override for the runtime (None = the assets' sample)
+    canary_ids: tuple[int, ...] | None = None
+
+    def start(self, engine: "_EventFleet") -> None:
+        """Bind to the run; a tier with its own processes spawns them here."""
+        self.engine = engine
+        #: arrivals of a later round than the one being collected (only
+        #: without the node barrier can a fast node run ahead)
+        self._pending: dict[int, list] = {}
+
+    def finish(self, report: FleetEventReport) -> None:
+        """Tier-level results for the report; the direct tier has none."""
+
+    def node_link(self, i: int) -> NetworkLink:
+        """The link node ``i``'s own hop rides (what its radio pays for)."""
+        return self.engine.profiles[i].link
+
+    def transport(self, i: int, stage, epoch: int, upload_data, count: int,
+                  accuracy: float):
+        """Move one epoch's upload off node ``i`` and deliver it cloudward."""
+        engine = self.engine
+        profile = engine.profiles[i]
+        upload_start = engine.sim.now
+        yield engine.uplink.transfer(
+            count * JPEG_IMAGE_BYTES,
+            profile.link.bandwidth_bps,
+            latency_s=profile.link.latency_s,
+            tag=profile.node_id,
+        )
+        if count:
+            engine.tracer.span(
+                "net",
+                "upload",
+                upload_start,
+                engine.sim.now,
+                node=profile.node_id,
+                stage=stage.index,
+                epoch=epoch,
+                system=engine.config.system_id,
+                bytes=count * JPEG_IMAGE_BYTES,
+            )
+        engine.arrivals.put(
+            _Arrival(profile.node_id, epoch, stage.index, upload_data, accuracy)
+        )
+
+    def collect_round(self, round_index: int, alive_ids: tuple[int, ...]):
+        """One arrival per alive node for this round, plus their accuracy."""
+        got = self._pending.pop(round_index, [])
+        while len(got) < len(alive_ids):
+            arrival = yield self.engine.arrivals.get()
+            if arrival.epoch == round_index:
+                got.append(arrival)
+            else:
+                self._pending.setdefault(arrival.epoch, []).append(arrival)
+        got.sort(key=lambda a: a.node_id)
+        return got, float(np.mean([a.accuracy for a in got]))
+
+    def push_wave(self, pushes, state, stage_hint: int):
+        """Push ``state`` to every ``(node_id, bytes)`` at once, as flows."""
+        engine = self.engine
+        procs = [
+            engine.sim.process(
+                engine.download(
+                    engine.index_of[node_id], num_bytes, state, stage_hint
+                )
+            )
+            for node_id, num_bytes in pushes
+        ]
+        for proc in procs:
+            yield proc
+
+
 class _EventFleet:
-    """Shared state of one event-driven fleet run."""
+    """The one event engine: node and Cloud kernel processes of a fleet run.
+
+    ``tier`` owns transport ("node upload -> Cloud arrival" and "Cloud
+    push -> node": :class:`DirectEventTier`, or the gateway tier
+    ``repro.topology`` supplies); ``hooks`` own per-round behaviour beyond
+    the paper's protocol (:class:`EventHooks`).  The two are independent.
+    Everything else — the node loop, upload selection, both Cloud
+    policies, model push-downs, records, ledgers, ``fleet.*`` metrics —
+    is here and nowhere else.
+    """
 
     def __init__(
         self,
         config: SystemConfig,
         assets: FleetAssets,
+        runtime: FleetRuntime,
+        tier,
         *,
         horizon_s: float | None,
         barrier: bool,
         acquire_time_s: float,
         tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
+        hooks: EventHooks | None = None,
     ) -> None:
         if horizon_s is not None and horizon_s <= 0:
             raise ValueError("horizon_s must be positive")
@@ -224,6 +354,11 @@ class _EventFleet:
         self.scenario = assets.scenario
         self.base = self.scenario.base
         self.config = config
+        self.runtime = runtime
+        self.tier = tier
+        self.hooks = hooks if hooks is not None else EventHooks()
+        #: is the Cloud round-based (vs the free-running async policy)?
+        self.round_based = barrier or self.hooks.round_based
         self.horizon_s = horizon_s
         self.barrier = barrier
         self.acquire_time_s = acquire_time_s
@@ -234,15 +369,16 @@ class _EventFleet:
         # call; spans are stamped with the kernel clock, so the stream is
         # as deterministic as the report itself.
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.metrics = metrics
+        self.metrics = runtime.metrics
 
         self.sim = Simulator()
         backhaul = SharedUplink(self.scenario.backhaul_bps)
-        self.uplink = backhaul.open(self.sim, metrics=metrics)
-        self.downlink = backhaul.open(self.sim, downlink=True, metrics=metrics)
+        self.uplink = backhaul.open(self.sim, metrics=self.metrics)
+        self.downlink = backhaul.open(
+            self.sim, downlink=True, metrics=self.metrics
+        )
         self.arrivals = Store(self.sim)
 
-        self.runtime: FleetRuntime = self._make_runtime(config, assets)
         self.report = FleetEventReport(
             config=config,
             scenario=self.scenario,
@@ -263,82 +399,9 @@ class _EventFleet:
         self._round_events: dict[int, object] = {}
 
     # ------------------------------------------------------------------
-    # Override points for hierarchical topologies
-    # ------------------------------------------------------------------
-    def _make_runtime(
-        self, config: SystemConfig, assets: FleetAssets
-    ) -> FleetRuntime:
-        """Build the shared runtime; subclasses may override canary scope."""
-        return build_fleet_runtime(config, assets, metrics=self.metrics)
-
-    def _canary_ids(self) -> tuple[int, ...]:
-        """Node ids whose fresh data validates candidate models."""
-        return self.assets.canary_ids
-
-    def _transport(
-        self, i: int, profile, stage, epoch: int, upload_data, count: int,
-        node_report,
-    ):
-        """Move one epoch's upload off the node and deliver it cloudward.
-
-        The flat fleet rides the shared backhaul straight to the Cloud's
-        arrival store; the topology subclass rides the local hop to the
-        node's gateway instead.  Returns ``(upload_start_s, upload_done_s,
-        upload_energy_j)`` for the node's epoch record.
-        """
-        upload_start = self.sim.now
-        yield self.uplink.transfer(
-            count * JPEG_IMAGE_BYTES,
-            profile.link.bandwidth_bps,
-            latency_s=profile.link.latency_s,
-            tag=profile.node_id,
-        )
-        upload_done = self.sim.now
-        if count:
-            self.tracer.span(
-                "net",
-                "upload",
-                upload_start,
-                upload_done,
-                node=profile.node_id,
-                stage=stage.index,
-                epoch=epoch,
-                system=self.config.system_id,
-                bytes=count * JPEG_IMAGE_BYTES,
-            )
-        self.arrivals.put(
-            _Arrival(
-                profile.node_id,
-                epoch,
-                stage.index,
-                upload_data,
-                node_report.accuracy_before_update,
-            )
-        )
-        return (
-            upload_start,
-            upload_done,
-            profile.link.image_upload_energy_j(count),
-        )
-
-    def _collect_round(self, round_index: int):
-        """Gather one barrier round's arrivals plus the fleet accuracy."""
-        arrivals = yield from self._collect(len(self.profiles))
-        accuracy = float(np.mean([a.accuracy for a in arrivals]))
-        return arrivals, accuracy
-
-    def _spawn_processes(self) -> None:
-        for i in range(len(self.profiles)):
-            self.sim.process(self._node_proc(i))
-        self.sim.process(
-            self._cloud_barrier() if self.barrier else self._cloud_async()
-        )
-
-    # ------------------------------------------------------------------
     # Node processes
     # ------------------------------------------------------------------
     def _node_proc(self, i: int):
-        profile = self.profiles[i]
         stages = self.assets.node_stages[i]
         epoch = 0
         while True:
@@ -350,14 +413,21 @@ class _EventFleet:
                         break
                 elif epoch >= len(stages):
                     break
-            stage = stages[epoch % len(stages)]
-            outcome = yield from self._node_epoch_body(i, profile, stage, epoch)
-            if self.barrier:
-                # An epoch only commits once the fleet-wide round closes:
-                # a horizon that freezes the fleet mid-round must not
-                # count the fast nodes' half-finished round.
-                keep_going = yield self._round_event(epoch)
-            self._commit_epoch(i, epoch, stage, outcome)
+            if not self.hooks.alive(i, epoch):
+                # A down node contributes nothing this round and must not
+                # race ahead of it — even async nodes park here, because
+                # the round that excludes them defines when they rejoin.
+                keep_going = yield self.round_event(epoch)
+            else:
+                yield from self.hooks.before_epoch(self, i, epoch)
+                stage = stages[epoch % len(stages)]
+                outcome = yield from self._node_epoch_body(i, stage, epoch)
+                if self.barrier:
+                    # An epoch only commits once the fleet-wide round
+                    # closes: a horizon that freezes the fleet mid-round
+                    # must not count the fast nodes' half-finished round.
+                    keep_going = yield self.round_event(epoch)
+                self._commit_epoch(i, epoch, stage, outcome)
             if self.barrier and not keep_going:
                 break
             epoch += 1
@@ -365,15 +435,7 @@ class _EventFleet:
 
     def _commit_epoch(self, i: int, epoch: int, stage, outcome) -> None:
         """Record one finished epoch (``_node_epoch_body``'s result)."""
-        (
-            start,
-            node_report,
-            compute_s,
-            count,
-            upload_start,
-            upload_done,
-            upload_energy,
-        ) = outcome
+        start, node_report, compute_s, count, upload_start, upload_done = outcome
         trajectory = self.report.nodes[i]
         trajectory.records.append(
             EpochRecord(
@@ -388,22 +450,22 @@ class _EventFleet:
                 upload_start_s=upload_start,
                 upload_done_s=upload_done,
                 upload_bytes=count * JPEG_IMAGE_BYTES,
-                upload_energy_j=upload_energy,
+                upload_energy_j=self.tier.node_link(i).image_upload_energy_j(
+                    count
+                ),
                 node_compute_energy_j=node_report.node_energy_j,
             )
         )
         trajectory.ledger.record(epoch, node_report.acquired_images, count)
         self.report.ledger.record(epoch, node_report.acquired_images, count)
 
-    def _node_epoch_body(self, i: int, profile, stage, epoch: int):
+    def _node_epoch_body(self, i: int, stage, epoch: int):
         """One node epoch minus round commit: sense, compute, upload.
 
-        Extracted so scenario subclasses (stage-indexed loops, churn,
-        reconciliation) replay the exact same per-epoch sequence the flat
-        engine runs — bit-identical compute, trace, and transport — while
-        owning their own outer loop.  Returns ``(start, node_report,
-        compute_s, count, upload_start, upload_done, upload_energy)``.
+        Returns ``(start, node_report, compute_s, count, upload_start,
+        upload_done)`` for :meth:`_commit_epoch`.
         """
+        profile = self.profiles[i]
         start = self.sim.now
         if self.acquire_time_s > 0:
             # Sensing window: images trickle in before processing.
@@ -453,11 +515,16 @@ class _EventFleet:
         else:
             upload_data = node_report.upload_data
             count = len(upload_data)
-        upload_start, upload_done, upload_energy = yield from (
-            self._transport(
-                i, profile, stage, epoch, upload_data, count, node_report
-            )
+        upload_start = self.sim.now
+        yield from self.tier.transport(
+            i,
+            stage,
+            epoch,
+            upload_data,
+            count,
+            node_report.accuracy_before_update,
         )
+        upload_done = self.sim.now
         m = self.metrics
         if m is not None:
             sys_id = self.config.system_id
@@ -476,17 +543,10 @@ class _EventFleet:
             node_report.accuracy_before_update
         )
         self.last_data[profile.node_id] = stage.new_data
-        return (
-            start,
-            node_report,
-            compute_s,
-            count,
-            upload_start,
-            upload_done,
-            upload_energy,
-        )
+        return start, node_report, compute_s, count, upload_start, upload_done
 
-    def _round_event(self, round_index: int):
+    def round_event(self, round_index: int):
+        """The event that fires (with "keep going?") as a round closes."""
         ev = self._round_events.get(round_index)
         if ev is None:
             ev = self.sim.event()
@@ -496,14 +556,6 @@ class _EventFleet:
     # ------------------------------------------------------------------
     # Cloud processes
     # ------------------------------------------------------------------
-    def _collect(self, count: int):
-        arrivals = []
-        for _ in range(count):
-            arrival = yield self.arrivals.get()
-            arrivals.append(arrival)
-        arrivals.sort(key=lambda a: a.node_id)
-        return arrivals
-
     def _record_update(
         self,
         kind: str,
@@ -553,7 +605,10 @@ class _EventFleet:
         # Initialization waits for every node's first (full) upload, then
         # trains v1 and pushes it fleet-wide — the one synchronization
         # point the paper's protocol itself requires.
-        arrivals = yield from self._collect(len(self.profiles))
+        arrivals = []
+        for _ in self.profiles:
+            arrivals.append((yield self.arrivals.get()))
+        arrivals.sort(key=lambda a: a.node_id)
         trigger = self.sim.now
         outcome = cloud_initialize(
             0,
@@ -588,7 +643,10 @@ class _EventFleet:
                     latest_epoch,
                     fleet_accuracy,
                     lambda: Dataset.concat(
-                        [self.last_data[c] for c in self._canary_ids()]
+                        [
+                            self.last_data[c]
+                            for c in self.runtime.scheduler.canary_ids
+                        ]
                     ),
                     runtime=self.runtime,
                     base=self.base,
@@ -605,13 +663,23 @@ class _EventFleet:
                     outcome, stage_hint=latest_epoch
                 )
 
-    def _cloud_barrier(self):
-        """Lockstep-reference Cloud: one pooled update per fleet-wide round."""
+    def _cloud_rounds(self):
+        """Round-based Cloud: one pooled update per fleet-wide round.
+
+        Sees each round's alive subset as the whole fleet.  With the node
+        barrier this is the lockstep reference; with a horizon the rounds
+        cycle the acquisition schedule until the clock runs out.
+        """
         num_stages = len(self.assets.node_stages[0])
         round_index = 0
         while True:
-            arrivals, fleet_accuracy = yield from self._collect_round(
-                round_index
+            alive_ids = tuple(
+                p.node_id
+                for i, p in enumerate(self.profiles)
+                if self.hooks.alive(i, round_index)
+            )
+            arrivals, fleet_accuracy = yield from self.tier.collect_round(
+                round_index, alive_ids
             )
             trigger = self.sim.now
             if round_index == 0:
@@ -620,12 +688,13 @@ class _EventFleet:
                     [a.data for a in arrivals],
                     runtime=self.runtime,
                     base=self.base,
-                    all_node_ids=self.all_node_ids,
+                    all_node_ids=alive_ids,
                 )
             else:
                 stage_slot = round_index % num_stages
                 for a in arrivals:
                     self.runtime.scheduler.offer(a.epoch, a.node_id, a.data)
+                canaries = self.runtime.scheduler.canaries_among(alive_ids)
                 outcome = cloud_try_update(
                     round_index,
                     fleet_accuracy,
@@ -634,12 +703,12 @@ class _EventFleet:
                             self.assets.node_stages[self.index_of[c]][
                                 stage_slot
                             ].new_data
-                            for c in self._canary_ids()
+                            for c in canaries
                         ]
                     ),
                     runtime=self.runtime,
                     base=self.base,
-                    all_node_ids=self.all_node_ids,
+                    all_node_ids=alive_ids,
                 )
             if outcome.modeled_update_time_s > 0:
                 yield self.sim.timeout(outcome.modeled_update_time_s)
@@ -651,11 +720,15 @@ class _EventFleet:
                     stage=round_index,
                 )
             yield from self._deliver_outcome(outcome, stage_hint=round_index)
+            yield from self.hooks.after_deliver(
+                self, round_index, alive_ids, outcome
+            )
+            self.hooks.close_round(self, round_index, alive_ids)
             if self.horizon_s is not None:
                 keep_going = self.sim.now < self.horizon_s
             else:
                 keep_going = round_index + 1 < num_stages
-            self._round_event(round_index).succeed(keep_going)
+            self.round_event(round_index).succeed(keep_going)
             if not keep_going:
                 return
             round_index += 1
@@ -664,13 +737,16 @@ class _EventFleet:
     # Model push-downs as flows
     # ------------------------------------------------------------------
     def _deliver_outcome(self, outcome: CloudStageOutcome, *, stage_hint: int):
-        """Push the outcome's model bytes down the backhaul as flows.
+        """Push the outcome's model bytes down through the tier.
 
         Canary pushes go first (that deployment is the point of a
         canary); the fleet or rollback wave follows once every canary
         flow lands.  Nodes switch to the delivered state only when their
         own flow completes, so slow-link nodes run stale versions longer.
         """
+        # The registry's active version is what every push carries: the
+        # promoted candidate, or the restored version on a rollback.
+        state = self.runtime.registry.active.state
         rollout = outcome.rollout
         if rollout is None:
             pushes = [
@@ -678,7 +754,7 @@ class _EventFleet:
                 for node_id, num_bytes in outcome.push_bytes_per_node.items()
                 if num_bytes > 0
             ]
-            yield from self._push_wave(pushes, stage_hint)
+            yield from self.tier.push_wave(pushes, state, stage_hint)
             return
         unit = outcome.push_unit_bytes
         canaries = [
@@ -687,67 +763,65 @@ class _EventFleet:
         followers = [
             (e.node_id, unit) for e in rollout.events if e.kind != "canary"
         ]
-        yield from self._push_wave(canaries, stage_hint)
+        yield from self.tier.push_wave(canaries, state, stage_hint)
         if followers:
-            yield from self._push_wave(followers, stage_hint)
+            yield from self.tier.push_wave(followers, state, stage_hint)
 
-    def _push_wave(self, pushes, stage_hint: int):
-        # The registry's active version is what every push carries: the
-        # promoted candidate, or the restored version on a rollback.
-        state = self.runtime.registry.active.state
-        procs = [
-            self.sim.process(
-                self._push_proc(node_id, num_bytes, state, stage_hint)
-            )
-            for node_id, num_bytes in pushes
-        ]
-        for proc in procs:
-            yield proc
+    def download(
+        self, i: int, num_bytes: int, state, stage: int, name: str = "push",
+        **attrs,
+    ):
+        """One model download to node ``i`` over the shared backhaul.
 
-    def _push_proc(self, node_id: int, num_bytes: int, state, stage_hint: int):
-        i = self.index_of[node_id]
+        The flow, its ``net/<name>`` span, and the landing — every
+        push-down that rides a node's own link (rollout waves, head
+        pushes, rejoin reconciliation) is this one generator.
+        """
         profile = self.profiles[i]
-        push_start = self.sim.now
+        start = self.sim.now
         yield self.downlink.transfer(
             num_bytes,
             profile.link.downlink_bps,
             latency_s=profile.link.latency_s,
-            tag=node_id,
+            tag=profile.node_id,
         )
         self.tracer.span(
             "net",
-            "push",
-            push_start,
+            name,
+            start,
             self.sim.now,
-            node=node_id,
-            stage=stage_hint,
+            node=profile.node_id,
+            stage=stage,
             system=self.config.system_id,
             bytes=num_bytes,
+            **attrs,
         )
-        self._land_download(i, num_bytes, state, stage_hint)
+        self.land_download(i, num_bytes, state, stage)
 
-    def _land_download(
-        self, i: int, num_bytes: int, state, stage: int, link=None
-    ) -> None:
-        """A model download finished at node ``i``: swap state, charge it.
-
-        ``link`` is the hop the node's radio paid for (its own link
-        unless a gateway's local hop delivered the bytes).
-        """
-        if link is None:
-            link = self.profiles[i].link
+    def land_download(self, i: int, num_bytes: int, state, stage: int) -> None:
+        """A model download finished at node ``i``: swap state, charge it."""
         self.node_states[i] = state
         trajectory = self.report.nodes[i]
         trajectory.download_bytes += num_bytes
-        trajectory.download_energy_j += link.model_push_energy_j(num_bytes)
+        trajectory.download_energy_j += self.tier.node_link(
+            i
+        ).model_push_energy_j(num_bytes)
         trajectory.ledger.record_download(stage, num_bytes)
         self.report.ledger.record_download(stage, num_bytes)
 
     # ------------------------------------------------------------------
     def run(self) -> FleetEventReport:
-        self._spawn_processes()
+        for i in range(len(self.profiles)):
+            self.sim.process(self._node_proc(i))
+        # The Cloud starts before the tier's own processes, so a round is
+        # always opened (``collect_round``) before any of them enters it.
+        self.sim.process(
+            self._cloud_rounds() if self.round_based else self._cloud_async()
+        )
+        self.tier.start(self)
         with obs_metrics.use(self.metrics):
             self.report.makespan_s = self.sim.run(until=self.horizon_s)
+        self.tier.finish(self.report)
         self.report.rollouts = list(self.runtime.scheduler.history)
         self.report.final_eval_accuracy = evaluate(
             self.runtime.cloud.inference_net, self.assets.eval_data
@@ -801,38 +875,30 @@ def run_fleet_event(
     topology:
         A :class:`repro.topology.Topology` interposing gateway processes
         between the nodes and the Cloud; gateway flushes become flows on
-        the shared backhaul.  ``None`` and passthrough topologies run
-        this exact flat engine, so default trajectories are unchanged.
+        the shared backhaul.  The same engine runs, with the topology's
+        event tier in place of the direct one.  ``None`` and passthrough
+        topologies use the direct tier, so default trajectories are
+        unchanged.
     """
     if topology is not None:
         topology.validate_for(assets.profiles)
     if topology is not None and not topology.is_passthrough:
-        # Imported here: repro.topology imports this module.
-        from repro.topology.event import TopologyEventFleet
-
-        engine = TopologyEventFleet(
-            config,
-            assets,
-            topology=topology,
-            horizon_s=horizon_s,
-            barrier=barrier,
-            acquire_time_s=acquire_time_s,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        return engine.run()
-    engine = _EventFleet(
+        tier = topology.event_tier(config, assets)
+    else:
+        tier = DirectEventTier()
+    runtime = build_fleet_runtime(
+        config, assets, metrics=metrics, canary_ids=tier.canary_ids
+    )
+    report = _EventFleet(
         config,
         assets,
+        runtime,
+        tier,
         horizon_s=horizon_s,
         barrier=barrier,
         acquire_time_s=acquire_time_s,
         tracer=tracer,
-        metrics=metrics,
-    )
-    report = engine.run()
-    # A passthrough topology executed the flat path verbatim; still
-    # record what was asked for.
+    ).run()
     report.topology = topology
     return report
 

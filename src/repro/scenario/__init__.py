@@ -6,8 +6,8 @@ specialization — onto the fleet engines.  The YAML spec is validated
 with line-anchored errors (:mod:`repro.scenario.schema`), the processes
 are materialized as pure seeded plans (:mod:`repro.scenario.processes`),
 and the same plans drive both the lockstep stage loop (through the
-hooks in :mod:`repro.scenario.lockstep`) and the event engine
-(:mod:`repro.scenario.event`) — with ``barrier: true`` the two agree on
+hooks in :mod:`repro.scenario.lockstep`) and the event engine (through
+the hooks in :mod:`repro.scenario.event`) — with ``barrier: true`` the two agree on
 accuracy trajectories, byte ledgers, and registry history exactly.
 
 ``python -m repro scenario run <yaml>`` runs replicates and emits a
@@ -15,7 +15,7 @@ byte-stable summary JSON with seeded bootstrap confidence intervals.
 """
 
 from repro.scenario.assets import prepare_scenario_assets
-from repro.scenario.event import ScenarioEventFleet, run_scenario_event
+from repro.scenario.event import run_scenario_event
 from repro.scenario.heads import HeadUpdate, run_head_updates
 from repro.scenario.lockstep import run_scenario_lockstep
 from repro.scenario.processes import (
@@ -40,7 +40,6 @@ __all__ = [
     "HeadGroupPlan",
     "HeadUpdate",
     "ScenarioError",
-    "ScenarioEventFleet",
     "ScenarioPlans",
     "ScenarioReport",
     "ScenarioSpec",

@@ -1,10 +1,14 @@
-"""Scenario run reports and the helpers both engines share.
+"""Scenario run reports and the state both engines share.
 
 The engine-agnostic pieces live here on purpose: the lockstep hooks and
-the event engine must call :func:`configure_cloud` and
+the event hooks must call :func:`configure_cloud` and
 :func:`finalize_report` in the same order with the same arguments, so
 every RNG stream they touch advances identically — that is the
 mechanism behind the lockstep ≡ event-barrier equivalence the tests pin.
+:class:`ScenarioState` holds every scenario-level decision (who is
+alive, what a rejoining node downloads, which heads were accepted, the
+per-stage info), so the two sets of hooks differ only in how the
+resulting bytes cross time.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.registry import ModelRegistry
-from repro.data.datasets import Dataset
 from repro.fleet.simulation import FleetAssets, FleetRuntime
-from repro.scenario.heads import HeadUpdate
+from repro.scenario.heads import HeadUpdate, build_head_net, run_head_updates
 from repro.scenario.processes import ScenarioPlans
 from repro.scenario.schema import ScenarioSpec
 from repro.transfer.finetune import evaluate, evaluate_on_classes
@@ -25,9 +28,8 @@ from repro.transfer.incremental import ReplayBuffer
 __all__ = [
     "ScenarioStageInfo",
     "ScenarioReport",
+    "ScenarioState",
     "configure_cloud",
-    "canary_pool",
-    "strip_state",
     "finalize_report",
 ]
 
@@ -109,18 +111,141 @@ def configure_cloud(runtime: FleetRuntime, spec: ScenarioSpec) -> None:
     )
 
 
-def canary_pool(
-    assets: FleetAssets, stage_index: int, canaries: tuple[int, ...]
-) -> Dataset:
-    """Fresh stage data of the canary nodes (validation set for the guard)."""
-    return Dataset.concat(
-        [assets.node_stages[i][stage_index].new_data for i in canaries]
-    )
+class ScenarioState:
+    """Scenario-level state of one run, for either engine's hooks."""
 
+    def __init__(self, spec, plans, assets, runtime, report, tracer) -> None:
+        self.spec = spec
+        self.plans = plans
+        self.assets = assets
+        self.runtime = runtime
+        self.report = report
+        self.tracer = tracer
+        self.profiles = assets.profiles
+        self.index_of = {p.node_id: i for i, p in enumerate(self.profiles)}
+        self.system_id = runtime.config.system_id
+        self.head_net = build_head_net(spec) if spec.heads is not None else None
+        # Main-track version each node's trunk is based on (0 = the
+        # pre-registry warm-start state every node boots with).
+        self.node_version = [0] * len(self.profiles)
+        # group -> (base main version, merged full state) of the latest
+        # accepted head, so rejoining members reconcile to their own head.
+        self.group_state: dict[int, tuple[int, dict]] = {}
+        #: stage -> {node index: bytes} of rejoin catch-up downloads
+        self.caught_up: dict[int, dict[int, int]] = {}
+        #: head-track versions published by the stage now closing
+        self.head_versions: list[int] = []
 
-def strip_state(update: HeadUpdate) -> HeadUpdate:
-    """Drop the merged weights before archiving an update in the report."""
-    return replace(update, state=None)
+    def alive(self, i: int, s: int) -> bool:
+        churn = self.plans.churn
+        return churn is None or churn.alive(i, s)
+
+    def alive_indices(self, s: int) -> tuple[int, ...]:
+        return self.plans.alive_indices(s, len(self.profiles))
+
+    def phase_attrs(self, s: int) -> dict:
+        """The ``phase`` trace attribute of stage ``s``, when phases run."""
+        phase = self.plans.phase_name(s)
+        return {} if phase is None else {"phase": phase}
+
+    def reconcile_target(self, i: int):
+        """``(version, state)`` node ``i`` must download first, or ``None``.
+
+        A node that slept through a promotion holds a stale version; it
+        catches up to the current model — its group head when one exists
+        for the active version — before computing.
+        """
+        registry = self.runtime.registry
+        active_version = registry.active.version if len(registry) else 0
+        if self.node_version[i] == active_version:
+            return None
+        target = (
+            registry.active.state if len(registry) else self.assets.initial_state
+        )
+        if self.plans.heads is not None:
+            held = self.group_state.get(self.plans.heads.group_of(i))
+            if held is not None and held[0] == active_version:
+                target = held[1]
+        return active_version, target
+
+    def reconciled(self, i: int, s: int, version: int, num_bytes: int) -> None:
+        """Node ``i`` finished its stage-``s`` catch-up download."""
+        self.node_version[i] = version
+        self.caught_up.setdefault(s, {})[i] = num_bytes
+
+    def accept_heads(self, s: int, alive_ids: tuple[int, ...], outcome) -> list:
+        """Note the landed main-track pushes; specialize heads on a promotion.
+
+        Returns the accepted :class:`HeadUpdate` s (state attached), whose
+        head bytes the caller still has to move to ``member_ids``.
+        """
+        registry = self.runtime.registry
+        active_version = registry.active.version
+        for node_id, num_bytes in outcome.push_bytes_per_node.items():
+            if num_bytes:
+                self.node_version[self.index_of[node_id]] = active_version
+        accepted = []
+        if outcome.promoted and self.spec.heads is not None:
+            for update in run_head_updates(
+                self.spec,
+                self.plans,
+                self.assets,
+                registry,
+                self.head_net,
+                stage_index=s,
+                alive_ids=alive_ids,
+            ):
+                # The archived copy drops the merged weights.
+                self.report.head_updates.append(replace(update, state=None))
+                if update.accepted:
+                    self.group_state[update.group] = (
+                        active_version,
+                        update.state,
+                    )
+                    accepted.append(update)
+        self.head_versions = [update.version for update in accepted]
+        return accepted
+
+    def close_stage(self, s: int, alive_ids: tuple[int, ...], at_s: float) -> None:
+        """Stage info, the ``scenario/stage`` event, ``scenario.*`` counters."""
+        caught_up = dict(sorted(self.caught_up.pop(s, {}).items()))
+        head_versions = self.head_versions
+        attrs = self.phase_attrs(s)
+        reconcile_bytes = sum(caught_up.values())
+        self.report.stage_info.append(
+            ScenarioStageInfo(
+                stage_index=s,
+                phase=attrs.get("phase"),
+                alive=alive_ids,
+                reconciled=tuple(self.profiles[i].node_id for i in caught_up),
+                reconcile_bytes=reconcile_bytes,
+                head_versions=tuple(head_versions),
+            )
+        )
+        self.tracer.event(
+            "scenario",
+            "stage",
+            at_s,
+            stage=s,
+            system=self.system_id,
+            alive=len(alive_ids),
+            reconciled=len(caught_up),
+            **attrs,
+        )
+        m = self.runtime.metrics
+        if m is not None:
+            # A counter exists once its process fired.
+            if caught_up:
+                m.counter(
+                    "scenario.reconciliations", system=self.system_id
+                ).inc(len(caught_up))
+                m.counter(
+                    "scenario.reconcile_bytes", system=self.system_id
+                ).inc(reconcile_bytes)
+            if head_versions:
+                m.counter("scenario.head_updates", system=self.system_id).inc(
+                    len(head_versions)
+                )
 
 
 def finalize_report(

@@ -1,7 +1,9 @@
-"""Event-driven fleet with a gateway tier: flushes as backhaul flows.
+"""The gateway tier of the event engine: flushes as backhaul flows.
 
-:class:`TopologyEventFleet` subclasses the flat event engine and swaps
-three things, leaving the node/cloud machinery untouched:
+:func:`repro.fleet.async_sim.run_fleet_event` runs one event engine; what
+a topology changes is *transport*, and :class:`GatewayEventTier` is that
+transport, with the same surface as the flat
+:class:`~repro.fleet.async_sim.DirectEventTier`:
 
 * **transport** — a node's upload rides the uncontended local hop to its
   gateway (a plain timeout) instead of a shared-backhaul flow;
@@ -12,6 +14,10 @@ three things, leaving the node/cloud machinery untouched:
   Cloud's initialization barrier sees every node's data;
 * **push-down** — one WAN flow per gateway per wave, then local copies
   fan out to the children.
+
+Every decision (second-opinion gate, flush rule, WAN framing) is
+:class:`~repro.topology.gateway.GatewayPolicy`'s, shared with the
+lockstep gateway tier; this module only moves the bytes through time.
 
 In ``barrier`` mode gateways synchronize on the same round events as
 the nodes and report to the Cloud once per round (flushed or not), so
@@ -28,18 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.link import JPEG_IMAGE_BYTES
-from repro.fleet.async_sim import _Arrival, _EventFleet
-from repro.fleet.simulation import (
-    FleetAssets,
-    FleetRuntime,
-    build_fleet_runtime,
-)
+from repro.comm.link import JPEG_IMAGE_BYTES, NetworkLink
 from repro.events import Store
-from repro.topology.gateway import GatewayBuffer, SecondOpinion
-from repro.topology.model import Topology
+from repro.fleet.async_sim import _Arrival
+from repro.topology.gateway import GatewayPolicy
 
-__all__ = ["GatewayFlushRecord", "TopologyEventFleet"]
+__all__ = ["GatewayEventTier", "GatewayFlushRecord"]
 
 
 @dataclass(frozen=True)
@@ -55,19 +55,6 @@ class GatewayFlushRecord:
     done_s: float
 
 
-class _GatewayMsg:
-    """One node's upload, landed at its gateway over the local hop."""
-
-    __slots__ = ("node_id", "epoch", "stage_index", "data", "accuracy")
-
-    def __init__(self, node_id, epoch, stage_index, data, accuracy):
-        self.node_id = node_id
-        self.epoch = epoch
-        self.stage_index = stage_index
-        self.data = data
-        self.accuracy = accuracy
-
-
 class _GatewayRound:
     """A gateway's per-round report to the barrier Cloud."""
 
@@ -77,109 +64,92 @@ class _GatewayRound:
         self.gateway_id = gateway_id
         self.round_index = round_index
         self.entries = entries  # BufferedUpload list flushed this round
-        self.accuracies = accuracies  # [(node_id, accuracy)] all children
+        self.accuracies = accuracies  # [(node_id, accuracy)] alive children
 
 
-class TopologyEventFleet(_EventFleet):
-    """The flat event engine with gateway processes interposed."""
+class GatewayEventTier:
+    """Edge -> gateway -> Cloud transport for one event-driven run."""
 
-    def __init__(self, config, assets: FleetAssets, *, topology: Topology,
-                 **kwargs) -> None:
-        # Set before super().__init__: _make_runtime consults it.
+    node_tag = "edge"
+    cloud_attrs = {"tier": "cloud"}
+
+    def __init__(self, topology, config, assets) -> None:
         self.topology = topology
-        super().__init__(config, assets, **kwargs)
-        self.report.topology = topology
-        self.gateway_by_id = {
-            g.gateway_id: g for g in topology.gateways
-        }
-        self.gateway_of = {
-            node_id: topology.gateway_of(node_id)
-            for node_id in self.all_node_ids
-        }
-        self.gateway_inbox = {
-            g.gateway_id: Store(self.sim) for g in topology.gateways
-        }
-        self.gateway_reports = Store(self.sim)
-        self.buffers = {
-            g.gateway_id: GatewayBuffer(policy=topology.aggregation)
-            for g in topology.gateways
-        }
-        self.opinions = {
-            g.gateway_id: SecondOpinion(
-                topology.second_opinion_fraction, topology.seed, g.device
+        self.policy = GatewayPolicy(topology, config, assets)
+        self.canary_ids = self.policy.canary_ids
+        self.gateway_by_id = {g.gateway_id: g for g in topology.gateways}
+
+    def node_link(self, i: int) -> NetworkLink:
+        return self.policy.node_link(i)
+
+    def start(self, engine) -> None:
+        """Bind to the run and start one process per gateway."""
+        if engine.round_based and not engine.barrier:
+            raise ValueError(
+                "a round-based Cloud over gateways needs barrier=True"
             )
-            for g in topology.gateways
+        self.engine = engine
+        self.inbox = {gid: Store(engine.sim) for gid in self.gateway_by_id}
+        self.reports = Store(engine.sim)
+        # The round the Cloud is collecting; gateway processes read it on
+        # entering a round (the engine opens a round before they resume).
+        self._alive_ids: tuple[int, ...] = ()
+        for g in self.topology.gateways:
+            engine.sim.process(
+                self._gateway_proc_barrier(g)
+                if engine.barrier
+                else self._gateway_proc_async(g)
+            )
+
+    def finish(self, report) -> None:
+        report.gateway_leftover_images = {
+            gateway_id: buffer.buffered_images
+            for gateway_id, buffer in sorted(self.policy.buffers.items())
         }
 
     # ------------------------------------------------------------------
-    # Hook overrides
+    # Node -> gateway -> Cloud
     # ------------------------------------------------------------------
-    def _make_runtime(self, config, assets) -> FleetRuntime:
-        return build_fleet_runtime(
-            config,
-            assets,
-            metrics=self.metrics,
-            canary_ids=self.topology.canary_node_ids,
-        )
-
-    def _canary_ids(self) -> tuple[int, ...]:
-        return self.topology.canary_node_ids
-
-    def _transport(
-        self, i, profile, stage, epoch, upload_data, count, node_report
-    ):
+    def transport(self, i, stage, epoch, upload_data, count, accuracy):
         """Ship the upload one hop, to the node's gateway (uncontended)."""
-        g = self.gateway_of[profile.node_id]
+        engine = self.engine
+        node_id = engine.profiles[i].node_id
+        g = self.policy.gateway_of[node_id]
         num_bytes = count * JPEG_IMAGE_BYTES
-        upload_start = self.sim.now
-        yield self.sim.timeout(g.local_link.transfer_time_s(num_bytes))
-        upload_done = self.sim.now
+        upload_start = engine.sim.now
+        yield engine.sim.timeout(g.local_link.transfer_time_s(num_bytes))
         if count:
-            self.tracer.span(
+            engine.tracer.span(
                 "net",
                 "upload",
                 upload_start,
-                upload_done,
-                node=profile.node_id,
+                engine.sim.now,
+                node=node_id,
                 stage=stage.index,
                 epoch=epoch,
-                system=self.config.system_id,
+                system=engine.config.system_id,
                 bytes=num_bytes,
                 tier="edge",
                 gateway=g.gateway_id,
             )
-        self.report.ledger.record_tier(
+        engine.report.ledger.record_tier(
             epoch,
             edge_up_bytes=num_bytes,
             edge_up_transfers=1 if count else 0,
         )
-        self.gateway_inbox[g.gateway_id].put(
-            _GatewayMsg(
-                profile.node_id,
-                epoch,
-                stage.index,
-                upload_data,
-                node_report.accuracy_before_update,
-            )
-        )
-        return (
-            upload_start,
-            upload_done,
-            g.local_link.transfer_energy_j(num_bytes),
+        self.inbox[g.gateway_id].put(
+            _Arrival(node_id, epoch, stage.index, upload_data, accuracy)
         )
 
-    def _collect_round(self, round_index: int):
+    def collect_round(self, round_index: int, alive_ids: tuple[int, ...]):
         """Collect one report per gateway; flatten flushes into arrivals."""
+        self._alive_ids = alive_ids
         reports = []
-        for _ in range(len(self.topology.gateways)):
-            reports.append((yield self.gateway_reports.get()))
+        for _ in self.gateway_by_id:
+            reports.append((yield self.reports.get()))
         reports.sort(key=lambda r: r.gateway_id)
         entries = [e for r in reports for e in r.entries]
         entries.sort(key=lambda e: (e.stage_index, e.node_id))
-        arrivals = [
-            _Arrival(e.node_id, e.stage_index, e.stage_index, e.data, 0.0)
-            for e in entries
-        ]
         accuracy_by_node = {}
         for r in reports:
             for node_id, accuracy in r.accuracies:
@@ -187,144 +157,126 @@ class TopologyEventFleet(_EventFleet):
         ordered = [
             accuracy_by_node[n] for n in sorted(accuracy_by_node)
         ]
-        return arrivals, float(np.mean(ordered))
+        return self._as_arrivals(entries), float(np.mean(ordered))
 
-    def _spawn_processes(self) -> None:
-        for i in range(len(self.profiles)):
-            self.sim.process(self._node_proc(i))
-        for g in self.topology.gateways:
-            self.sim.process(
-                self._gateway_proc_barrier(g)
-                if self.barrier
-                else self._gateway_proc_async(g)
-            )
-        self.sim.process(
-            self._cloud_barrier() if self.barrier else self._cloud_async()
-        )
+    @staticmethod
+    def _as_arrivals(entries) -> list[_Arrival]:
+        """Flushed buffer entries in the shape the Cloud pools."""
+        return [
+            _Arrival(e.node_id, e.stage_index, e.stage_index, e.data, 0.0)
+            for e in entries
+        ]
 
     # ------------------------------------------------------------------
     # Gateway processes
     # ------------------------------------------------------------------
-    def _apply_second_opinion(self, g, node_id: int, stage_key: int, data):
-        """Run the gateway model over one upload; returns escalated data.
-
-        The modeled inference time is returned for the caller to spend as
-        virtual time.  Seeded per ``(gateway, node, stage)``, exactly like
-        the lockstep gateway tier, so both modes escalate the same subsets.
-        """
-        if (
-            stage_key == 0
-            or self.config.uploads_everything
-            or self.topology.second_opinion_fraction == 0.0
-            or not len(data)
-        ):
-            return data, 0, 0.0
-        result = self.opinions[g.gateway_id].resolve(
-            g.gateway_id, node_id, stage_key, data
-        )
-        return result.escalated, result.resolved_images, result.time_s
+    def _second_opinion(self, g, msgs, stage_key: int):
+        """Settle ``msgs`` at the gateway, then park what escalates."""
+        engine = self.engine
+        results = [
+            self.policy.second_opinion(
+                g.gateway_id, m.node_id, stage_key, m.data
+            )
+            for m in msgs
+        ]
+        so_time = sum(r.time_s for r in results)
+        if so_time > 0:
+            so_start = engine.sim.now
+            yield engine.sim.timeout(so_time)
+            engine.tracer.span(
+                "gateway",
+                "second_opinion",
+                so_start,
+                engine.sim.now,
+                gateway=g.gateway_id,
+                stage=stage_key,
+                system=engine.config.system_id,
+                tier="gateway",
+                resolved=sum(r.resolved_images for r in results),
+            )
+        for m, result in zip(msgs, results):
+            self.policy.buffers[g.gateway_id].offer(
+                stage_key, m.node_id, result.escalated
+            )
 
     def _wan_flush(self, g, entries, round_index: int):
         """One framed WAN transfer carrying a flushed buffer upstream."""
-        images = sum(len(e.data) for e in entries)
-        payload = (
-            images * JPEG_IMAGE_BYTES + self.topology.per_transfer_overhead_bytes
-        )
-        wan = g.wan_link(self.profiles)
-        start = self.sim.now
-        yield self.uplink.transfer(
+        engine = self.engine
+        images, payload = self.policy.wan_payload(entries)
+        overhead = self.topology.per_transfer_overhead_bytes
+        wan = g.wan_link(engine.profiles)
+        start = engine.sim.now
+        yield engine.uplink.transfer(
             payload,
             wan.bandwidth_bps,
             latency_s=wan.latency_s,
             tag=g.gateway_id,
         )
-        self.tracer.span(
+        engine.tracer.span(
             "net",
             "flush",
             start,
-            self.sim.now,
+            engine.sim.now,
             gateway=g.gateway_id,
             stage=round_index,
-            system=self.config.system_id,
+            system=engine.config.system_id,
             bytes=payload,
             images=images,
             tier="gateway",
         )
-        self.report.gateway_flushes.append(
+        engine.report.gateway_flushes.append(
             GatewayFlushRecord(
                 gateway_id=g.gateway_id,
                 round_index=round_index,
                 images=images,
                 payload_bytes=payload,
-                overhead_bytes=self.topology.per_transfer_overhead_bytes,
+                overhead_bytes=overhead,
                 start_s=start,
-                done_s=self.sim.now,
+                done_s=engine.sim.now,
             )
         )
-        self.report.ledger.record_tier(
+        engine.report.ledger.record_tier(
             round_index,
             wan_up_bytes=payload,
             wan_up_transfers=1,
-            overhead_bytes=self.topology.per_transfer_overhead_bytes,
+            overhead_bytes=overhead,
         )
-        m = self.metrics
+        m = engine.metrics
         if m is not None:
-            sys_id = self.config.system_id
-            m.counter("topology.flushes", system=sys_id, tier="gateway").inc()
-            m.counter(
-                "topology.wan_bytes", system=sys_id, tier="gateway"
-            ).inc(payload)
-            m.counter(
-                "topology.overhead_bytes", system=sys_id, tier="gateway"
-            ).inc(self.topology.per_transfer_overhead_bytes)
+            labels = dict(system=engine.config.system_id, tier="gateway")
+            m.counter("topology.flushes", **labels).inc()
+            m.counter("topology.wan_bytes", **labels).inc(payload)
+            m.counter("topology.overhead_bytes", **labels).inc(overhead)
 
     def _gateway_proc_barrier(self, g):
         """Round-synchronized gateway: report to the Cloud every round."""
-        inbox = self.gateway_inbox[g.gateway_id]
-        buffer = self.buffers[g.gateway_id]
-        num_stages = len(self.assets.node_stages[0])
+        engine = self.engine
+        inbox = self.inbox[g.gateway_id]
+        num_stages = len(engine.assets.node_stages[0])
         round_index = 0
         while True:
             msgs = []
-            for _ in range(len(g.child_ids)):
+            for _ in [c for c in g.child_ids if c in self._alive_ids]:
                 msgs.append((yield inbox.get()))
             msgs.sort(key=lambda m: m.node_id)
-            accuracies = [(m.node_id, m.accuracy) for m in msgs]
-            so_time = 0.0
-            resolved = 0
-            for m in msgs:
-                data, k, time_s = self._apply_second_opinion(
-                    g, m.node_id, round_index, m.data
-                )
-                so_time += time_s
-                resolved += k
-                buffer.offer(round_index, m.node_id, data)
-            if so_time > 0:
-                so_start = self.sim.now
-                yield self.sim.timeout(so_time)
-                self.tracer.span(
-                    "gateway",
-                    "second_opinion",
-                    so_start,
-                    self.sim.now,
-                    gateway=g.gateway_id,
-                    stage=round_index,
-                    system=self.config.system_id,
-                    tier="gateway",
-                    resolved=resolved,
-                )
-            force = round_index == 0 or (
-                self.horizon_s is None and round_index == num_stages - 1
+            yield from self._second_opinion(g, msgs, round_index)
+            entries = self.policy.flush(
+                g.gateway_id,
+                round_index,
+                final=engine.horizon_s is None
+                and round_index == num_stages - 1,
             )
-            entries = []
-            if force or buffer.should_flush(round_index):
-                entries = buffer.flush()
             if entries:
                 yield from self._wan_flush(g, entries, round_index)
-            self.gateway_reports.put(
-                _GatewayRound(g.gateway_id, round_index, entries, accuracies)
+            self.reports.put(
+                _GatewayRound(
+                    g.gateway_id,
+                    round_index,
+                    entries,
+                    [(m.node_id, m.accuracy) for m in msgs],
+                )
             )
-            keep_going = yield self._round_event(round_index)
+            keep_going = yield engine.round_event(round_index)
             if not keep_going:
                 return
             round_index += 1
@@ -336,55 +288,28 @@ class TopologyEventFleet(_EventFleet):
         required synchronization point — initialization on every node's
         first upload — is never starved by the aggregation policy.
         """
-        inbox = self.gateway_inbox[g.gateway_id]
-        buffer = self.buffers[g.gateway_id]
+        engine = self.engine
+        inbox = self.inbox[g.gateway_id]
         while True:
             msg = yield inbox.get()
-            data, resolved, so_time = self._apply_second_opinion(
-                g, msg.node_id, msg.epoch, msg.data
-            )
-            if so_time > 0:
-                so_start = self.sim.now
-                yield self.sim.timeout(so_time)
-                self.tracer.span(
-                    "gateway",
-                    "second_opinion",
-                    so_start,
-                    self.sim.now,
-                    gateway=g.gateway_id,
-                    stage=msg.epoch,
-                    system=self.config.system_id,
-                    tier="gateway",
-                    resolved=resolved,
-                )
-            buffer.offer(msg.epoch, msg.node_id, data)
-            if msg.epoch == 0 or buffer.should_flush(msg.epoch):
-                entries = buffer.flush()
-                if entries:
-                    yield from self._wan_flush(g, entries, msg.epoch)
-                    for e in entries:
-                        self.arrivals.put(
-                            _Arrival(
-                                e.node_id,
-                                e.stage_index,
-                                e.stage_index,
-                                e.data,
-                                0.0,
-                            )
-                        )
+            yield from self._second_opinion(g, [msg], msg.epoch)
+            entries = self.policy.flush(g.gateway_id, msg.epoch, final=False)
+            if entries:
+                yield from self._wan_flush(g, entries, msg.epoch)
+                for arrival in self._as_arrivals(entries):
+                    engine.arrivals.put(arrival)
 
     # ------------------------------------------------------------------
     # Two-hop push-down
     # ------------------------------------------------------------------
-    def _push_wave(self, pushes, stage_hint: int):
+    def push_wave(self, pushes, state, stage_hint: int):
         """One WAN copy per gateway, then local fan-out to the children."""
-        state = self.runtime.registry.active.state
         by_gateway: dict[int, list] = {}
         for node_id, num_bytes in pushes:
-            gid = self.gateway_of[node_id].gateway_id
+            gid = self.policy.gateway_of[node_id].gateway_id
             by_gateway.setdefault(gid, []).append((node_id, num_bytes))
         procs = [
-            self.sim.process(
+            self.engine.sim.process(
                 self._gateway_push_proc(gid, items, state, stage_hint)
             )
             for gid, items in sorted(by_gateway.items())
@@ -393,30 +318,31 @@ class TopologyEventFleet(_EventFleet):
             yield proc
 
     def _gateway_push_proc(self, gateway_id, items, state, stage_hint):
+        engine = self.engine
         g = self.gateway_by_id[gateway_id]
-        wan = g.wan_link(self.profiles)
+        wan = g.wan_link(engine.profiles)
         unit = max(num_bytes for _, num_bytes in items)
-        start = self.sim.now
-        yield self.downlink.transfer(
+        start = engine.sim.now
+        yield engine.downlink.transfer(
             unit,
             wan.downlink_bps,
             latency_s=wan.latency_s,
             tag=gateway_id,
         )
-        self.tracer.span(
+        engine.tracer.span(
             "net",
             "push",
             start,
-            self.sim.now,
+            engine.sim.now,
             gateway=gateway_id,
             stage=stage_hint,
-            system=self.config.system_id,
+            system=engine.config.system_id,
             bytes=unit,
             tier="gateway",
         )
-        self.report.ledger.record_tier(stage_hint, wan_down_bytes=unit)
+        engine.report.ledger.record_tier(stage_hint, wan_down_bytes=unit)
         procs = [
-            self.sim.process(
+            engine.sim.process(
                 self._local_push_proc(g, node_id, num_bytes, state, stage_hint)
             )
             for node_id, num_bytes in items
@@ -425,29 +351,22 @@ class TopologyEventFleet(_EventFleet):
             yield proc
 
     def _local_push_proc(self, g, node_id, num_bytes, state, stage_hint):
-        i = self.index_of[node_id]
-        start = self.sim.now
-        yield self.sim.timeout(g.local_link.model_push_time_s(num_bytes))
-        self.tracer.span(
+        engine = self.engine
+        start = engine.sim.now
+        yield engine.sim.timeout(g.local_link.model_push_time_s(num_bytes))
+        engine.tracer.span(
             "net",
             "push",
             start,
-            self.sim.now,
+            engine.sim.now,
             node=node_id,
             stage=stage_hint,
-            system=self.config.system_id,
+            system=engine.config.system_id,
             bytes=num_bytes,
             tier="edge",
             gateway=g.gateway_id,
         )
-        self._land_download(i, num_bytes, state, stage_hint, link=g.local_link)
-        self.report.ledger.record_tier(stage_hint, edge_down_bytes=num_bytes)
-
-    # ------------------------------------------------------------------
-    def run(self):
-        report = super().run()
-        report.gateway_leftover_images = {
-            gateway_id: buffer.buffered_images
-            for gateway_id, buffer in sorted(self.buffers.items())
-        }
-        return report
+        engine.land_download(
+            engine.index_of[node_id], num_bytes, state, stage_hint
+        )
+        engine.report.ledger.record_tier(stage_hint, edge_down_bytes=num_bytes)

@@ -30,11 +30,7 @@ from typing import TYPE_CHECKING
 
 from repro.comm.link import JPEG_IMAGE_BYTES, NetworkLink
 from repro.fleet.uplink import SharedUplink, StageUplink, Transfer
-from repro.topology.gateway import (
-    GatewayBuffer,
-    GatewayStageRecord,
-    SecondOpinion,
-)
+from repro.topology.gateway import GatewayPolicy, GatewayStageRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (model imports us lazily)
     from repro.topology.model import Topology
@@ -52,37 +48,24 @@ class GatewayTier:
         self, topology: "Topology", config, assets, backhaul: SharedUplink
     ) -> None:
         self.topology = topology
+        self.policy = GatewayPolicy(topology, config, assets)
         self.system_id = config.system_id
-        self.uploads_everything = config.uploads_everything
         self.profiles = assets.profiles
         self.last_stage = len(assets.node_stages[0]) - 1
         self.backhaul = backhaul
-        #: rollouts canary regionally, on the canary gateway's children
-        self.canary_ids = topology.canary_node_ids
+        self.canary_ids = self.policy.canary_ids
         self.gateways = topology.gateways
-        self.gateway_of = {
-            p.node_id: topology.gateway_of(p.node_id) for p in self.profiles
-        }
-        self.buffers = {
-            g.gateway_id: GatewayBuffer(policy=topology.aggregation)
-            for g in self.gateways
-        }
-        self.opinions = {
-            g.gateway_id: SecondOpinion(
-                topology.second_opinion_fraction, topology.seed, g.device
-            )
-            for g in self.gateways
-        }
+        self.gateway_of = self.policy.gateway_of
+        self.buffers = self.policy.buffers
         # What upload()/push() did this stage, for close_stage().
         self._stage: dict = {}
 
     def node_link(self, i: int) -> NetworkLink:
-        return self.gateway_of[self.profiles[i].node_id].local_link
+        return self.policy.node_link(i)
 
     # ------------------------------------------------------------------
     def upload(self, s, nodes, uploads, counts, t0, *, tracer, extra):
         """Local hop, second opinion, buffer, then framed WAN flushes."""
-        topology = self.topology
         gateways = self.gateways
         # --- node -> gateway: uncontended local hop -------------------
         local_times = {}
@@ -112,23 +95,15 @@ class GatewayTier:
         so_energies = {g.gateway_id: 0.0 for g in gateways}
         offered = {g.gateway_id: 0 for g in gateways}
         resolved = {g.gateway_id: 0 for g in gateways}
-        apply_opinion = (
-            s > 0
-            and not self.uploads_everything
-            and topology.second_opinion_fraction > 0.0
-        )
         for i in nodes:
             node_id = self.profiles[i].node_id
             gid = self.gateway_of[node_id].gateway_id
-            data = uploads[i]
-            offered[gid] += len(data)
-            if apply_opinion and len(data):
-                result = self.opinions[gid].resolve(gid, node_id, s, data)
-                so_times[gid] += result.time_s
-                so_energies[gid] += result.energy_j
-                resolved[gid] += result.resolved_images
-                data = result.escalated
-            self.buffers[gid].offer(s, node_id, data)
+            offered[gid] += len(uploads[i])
+            result = self.policy.second_opinion(gid, node_id, s, uploads[i])
+            so_times[gid] += result.time_s
+            so_energies[gid] += result.energy_j
+            resolved[gid] += result.resolved_images
+            self.buffers[gid].offer(s, node_id, result.escalated)
         for g in gateways:
             if so_times[g.gateway_id] > 0:
                 tracer.span(
@@ -145,26 +120,16 @@ class GatewayTier:
                 )
 
         # --- gateway -> cloud: amortized WAN flushes ------------------
-        force_flush = s == 0 or s == self.last_stage
         entries = []
         flushes = []  # (gateway, images, payload+overhead bytes)
         for g in gateways:
-            buffer = self.buffers[g.gateway_id]
-            if not (force_flush or buffer.should_flush(s)):
-                continue
-            flushed = buffer.flush()
+            flushed = self.policy.flush(
+                g.gateway_id, s, final=s == self.last_stage
+            )
             if not flushed:
                 continue  # horizon flush on an idle gateway: no-op
-            images = sum(len(e.data) for e in flushed)
             entries.extend(flushed)
-            flushes.append(
-                (
-                    g,
-                    images,
-                    images * JPEG_IMAGE_BYTES
-                    + topology.per_transfer_overhead_bytes,
-                )
-            )
+            flushes.append((g, *self.policy.wan_payload(flushed)))
         # Sorted by (stage, node_id) the forced stage-0 pool matches the
         # flat fleet's node order exactly, so v1 is the identical model.
         entries.sort(key=lambda e: (e.stage_index, e.node_id))

@@ -8,7 +8,8 @@ canary rollout.  This module is the pure data model for that shape —
 who is under which gateway, which link each hop rides, and how the
 gateway batches uploads.  What executes it lives in
 :mod:`repro.topology.lockstep` (the gateway uplink tier of the one
-lockstep stage loop) and :mod:`repro.topology.event` (the event engine).
+lockstep stage loop) and :mod:`repro.topology.event` (the gateway tier of
+the one event engine).
 
 Degenerate topologies (one node per gateway, passthrough links, no
 aggregation, no second opinion, no framing overhead) are *exactly* the
@@ -233,6 +234,13 @@ class Topology:
         from repro.topology.lockstep import GatewayTier
 
         return GatewayTier(self, config, assets, backhaul)
+
+    def event_tier(self, config, assets):
+        """The event tier ``run_fleet_event``'s engine drives for this shape."""
+        # Imported here: repro.topology.event imports this package.
+        from repro.topology.event import GatewayEventTier
+
+        return GatewayEventTier(self, config, assets)
 
     # ------------------------------------------------------------------
     # Builders
