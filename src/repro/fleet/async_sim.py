@@ -484,28 +484,30 @@ class _EventFleet:
         )
         compute_start = self.sim.now
         yield self.sim.timeout(compute_s)
+        tag = self.tier.node_tag
+        attrs = dict(
+            node=profile.node_id,
+            stage=stage.index,
+            epoch=epoch,
+            system=self.config.system_id,
+            **({} if tag is None else {"tier": tag}),
+        )
         self.tracer.span(
             "node",
             "compute",
             compute_start,
             self.sim.now,
-            node=profile.node_id,
-            stage=stage.index,
-            epoch=epoch,
-            system=self.config.system_id,
             inference_s=node_report.inference_time_s,
             diagnosis_s=node_report.diagnosis_time_s,
+            **attrs,
         )
         self.tracer.event(
             "node",
             "diagnosis",
             self.sim.now,
-            node=profile.node_id,
-            stage=stage.index,
-            epoch=epoch,
-            system=self.config.system_id,
             acquired=node_report.acquired_images,
             flagged=node_report.flagged_images,
+            **attrs,
         )
         # Epoch 0 is the initialization upload for every system; after
         # that, diagnosis-based systems ship only the flagged subset.
@@ -574,6 +576,7 @@ class _EventFleet:
                 system=self.config.system_id,
                 pooled=outcome.pooled_for_training,
                 promoted=outcome.promoted,
+                **self.tier.cloud_attrs,
             )
         self.tracer.event(
             "cloud",
@@ -584,6 +587,7 @@ class _EventFleet:
             updated=outcome.updated,
             promoted=outcome.promoted,
             **rollback_attrs(outcome),
+            **self.tier.cloud_attrs,
         )
         self.report.updates.append(
             CloudUpdateRecord(

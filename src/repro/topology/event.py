@@ -180,6 +180,7 @@ class GatewayEventTier:
             for m in msgs
         ]
         so_time = sum(r.time_s for r in results)
+        resolved = sum(r.resolved_images for r in results)
         if so_time > 0:
             so_start = engine.sim.now
             yield engine.sim.timeout(so_time)
@@ -192,8 +193,15 @@ class GatewayEventTier:
                 stage=stage_key,
                 system=engine.config.system_id,
                 tier="gateway",
-                resolved=sum(r.resolved_images for r in results),
+                offered=sum(len(m.data) for m in msgs),
+                resolved=resolved,
             )
+        if engine.metrics is not None:
+            engine.metrics.counter(
+                "topology.images.resolved",
+                system=engine.config.system_id,
+                tier="gateway",
+            ).inc(resolved)
         for m, result in zip(msgs, results):
             self.policy.buffers[g.gateway_id].offer(
                 stage_key, m.node_id, result.escalated

@@ -75,7 +75,14 @@ NUM_NODES = 4
 #   so a node's records sum to its ledger; no other field moved.
 #
 # The ``event_*`` consumers were recorded at commit 7dac000 (PR 13), before
-# the event engines were composed into one.
+# the event engines were composed into one; the composition moved nothing.
+# Re-pinned since (each verified against the parent recording):
+# * event_topology_*/trace, trace_sorted — the engine now stamps
+#   ``tier="edge"`` on node/* and ``tier="cloud"`` on cloud/* records and
+#   ``offered`` on gateway/second_opinion, as the stage loop always did;
+#   with those attrs dropped both hash to the parent value.
+# * event_topology_*/metrics — the gateway tier now emits the
+#   ``topology.images.resolved`` counter; with it dropped, the parent value.
 GOLDENS: dict[str, dict[str, str]] = {
     "flat": {
         "trace": (
@@ -236,13 +243,13 @@ GOLDENS: dict[str, dict[str, str]] = {
     },
     "event_topology_async_horizon": {
         "trace": (
-            "2d12d81dd5a7b7478f8e7bb11b8804845525f4ef7608944f2d45bc16d1b36349"
+            "bd5c12a2576c14054c26ceb9109086a32e4240dff69de5f7e5ca3938c7864b44"
         ),
         "trace_sorted": (
-            "cc9d0e3c313484ddce617cdfc75818090a362832f714ea1dc626841ee450c008"
+            "544e584e28215722ebb67697d282b10c85e86d5beb092ececa137b8ab00b01f4"
         ),
         "metrics": (
-            "9f39b6bc05cb8b7a41613fd830360b98069baec69a957e070a01ca73573ae780"
+            "208a9d2a7b6b87ee0af2681254133a36784f59da139bc247941583bb709e8253"
         ),
         "nodes": (
             "33723af9bd57ba458dea6caa2846e3979e7b55b0a60a9fbf63eacca1d282b786"
@@ -268,13 +275,13 @@ GOLDENS: dict[str, dict[str, str]] = {
     },
     "event_topology_barrier": {
         "trace": (
-            "aa4b5e37247d4aa1b71cceeb4ec0574541d21cca102094ba2270b91aecbddb3b"
+            "5466284d4e39c1667b57eb5202c4e8e48a2ba652d1c1ed9997c14217742643ff"
         ),
         "trace_sorted": (
-            "b036d20b89cf70e2ee53debb2d26340ae191ff24fec84044323a20e62d4b156d"
+            "7c3af625c47fb733a5e77410e10504121849ba0cb6f47a5e27db52350a57131f"
         ),
         "metrics": (
-            "8807a3f921350724530d93b4b9d697c6197e39306e07e2b6c2eef63bd1d7f641"
+            "40252a8daefac0f0a2eb6c9f5b1806a890caf71ff14af5159309a0a4032a18aa"
         ),
         "nodes": (
             "812a46688a4b0341d2f6db087245033b36fc61f9013c51e2c067e466e104888e"

@@ -25,7 +25,8 @@ from repro.fleet import (
     run_fleet,
     run_fleet_event,
 )
-from repro.obs import Tracer, explain_divergence
+from repro.obs import MetricsRegistry, Tracer, explain_divergence
+from repro.obs.analyze import health_report
 from repro.topology import AggregationPolicy, Topology
 
 NUM_NODES = 4
@@ -190,6 +191,53 @@ class TestModeEquivalence:
             images == 0
             for images in hier_event.gateway_leftover_images.values()
         )
+
+    def test_event_trace_is_tier_attributed_like_lockstep(self, assets):
+        """``obs health`` reads the ``tier`` attribute: the event engine
+        must stamp node compute as edge and Cloud retrains as cloud, and
+        account second-opinion work, exactly as the stage loop does."""
+
+        def observe(run, **kwargs):
+            tracer, metrics = Tracer(), MetricsRegistry()
+            run(
+                system_by_id("d"),
+                assets,
+                topology=hier_topology(second_opinion_fraction=0.5),
+                tracer=tracer,
+                metrics=metrics,
+                **kwargs,
+            )
+            records = [(r.cat, r.name, dict(r.attrs)) for r in tracer.records]
+            return {
+                "tiers": [
+                    row["tier"] for row in health_report(tracer.records)["tiers"]
+                ],
+                "stamped": {
+                    (cat, name): attrs["tier"]
+                    for cat, name, attrs in records
+                    if "tier" in attrs
+                },
+                "opinions": sorted(
+                    (a["gateway"], a["stage"], a["offered"], a["resolved"])
+                    for cat, name, a in records
+                    if (cat, name) == ("gateway", "second_opinion")
+                ),
+                "resolved": metrics.counter(
+                    "topology.images.resolved", system="d", tier="gateway"
+                ).value,
+            }
+
+        event = observe(run_fleet_event, barrier=True)
+        assert event["tiers"] == ["cloud", "edge", "gateway"]
+        assert event["stamped"][("node", "compute")] == "edge"
+        assert event["stamped"][("cloud", "decision")] == "cloud"
+        assert event["resolved"] == sum(o[3] for o in event["opinions"]) > 0
+        lockstep = observe(run_fleet)
+        # the Cloud span is named by what it did; everything else agrees
+        lockstep["stamped"][("cloud", "rollout")] = lockstep["stamped"].pop(
+            ("cloud", "update")
+        )
+        assert event == lockstep
 
     def test_workers_bit_identical(self, assets, hier_lock):
         workers = run_fleet(
