@@ -815,8 +815,10 @@ class _EventFleet:
 
     # ------------------------------------------------------------------
     def run(self) -> FleetEventReport:
-        for i in range(len(self.profiles)):
+        node_procs = [
             self.sim.process(self._node_proc(i))
+            for i in range(len(self.profiles))
+        ]
         # The Cloud starts before the tier's own processes, so a round is
         # always opened (``collect_round``) before any of them enters it.
         self.sim.process(
@@ -825,6 +827,10 @@ class _EventFleet:
         self.tier.start(self)
         with obs_metrics.use(self.metrics):
             self.report.makespan_s = self.sim.run(until=self.horizon_s)
+        for trajectory, proc in zip(self.report.nodes, node_procs):
+            if not proc.triggered:
+                # Frozen mid-epoch by the horizon: it ran to the end.
+                trajectory.finish_s = self.report.makespan_s
         self.tier.finish(self.report)
         self.report.rollouts = list(self.runtime.scheduler.history)
         self.report.final_eval_accuracy = evaluate(

@@ -218,6 +218,24 @@ class TestHeterogeneousHorizon:
         counts = set(report.epochs_by_node.values())
         assert len(counts) == 1
 
+    @pytest.mark.parametrize("barrier", [False, True])
+    def test_nodes_frozen_by_the_horizon_finish_at_it(
+        self, mixed_assets, barrier
+    ):
+        # The horizon stops the world mid-epoch; a node that was still
+        # running then finished when the run did, not at 0.0.
+        report = run_fleet_event(
+            system_by_id("d"), mixed_assets, horizon_s=120.0, barrier=barrier
+        )
+        assert report.makespan_s == 120.0
+        assert [t.finish_s for t in report.nodes] == [120.0, 120.0]
+        unbounded = run_fleet_event(
+            system_by_id("d"), mixed_assets, barrier=barrier
+        )
+        assert all(
+            0.0 < t.finish_s <= unbounded.makespan_s for t in unbounded.nodes
+        )
+
     def test_lockstep_reference_has_equal_counts(self, mixed_assets):
         report = run_fleet(system_by_id("d"), mixed_assets)
         counts = {len(t.records) for t in report.nodes}

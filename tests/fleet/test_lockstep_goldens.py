@@ -83,6 +83,9 @@ NUM_NODES = 4
 #   with those attrs dropped both hash to the parent value.
 # * event_topology_*/metrics — the gateway tier now emits the
 #   ``topology.images.resolved`` counter; with it dropped, the parent value.
+# * event_flat_barrier_horizon/nodes, event_topology_async_horizon/nodes —
+#   nodes the horizon froze mid-epoch now report ``finish_s = makespan_s``
+#   instead of 0.0; with ``finish_s`` zeroed both hash to the parent value.
 GOLDENS: dict[str, dict[str, str]] = {
     "flat": {
         "trace": (
@@ -220,7 +223,7 @@ GOLDENS: dict[str, dict[str, str]] = {
             "34a63e8a0874ba500c1aed4afb781b748f1a3a76db97a0988451cbb63b419fb8"
         ),
         "nodes": (
-            "3e729f1289c521b4bc0560dc8c67fe0f97435b38059a11e71b48b23e5de35efc"
+            "28b2c37c291ebd78f0e076c639b8f434d1bcc66b539e902a416276b599ea67b1"
         ),
         "updates": (
             "3294fa74ba860cd78d14605c631b58e0f78eba59c96c1f553b2ede42eb3b8b06"
@@ -252,7 +255,7 @@ GOLDENS: dict[str, dict[str, str]] = {
             "208a9d2a7b6b87ee0af2681254133a36784f59da139bc247941583bb709e8253"
         ),
         "nodes": (
-            "33723af9bd57ba458dea6caa2846e3979e7b55b0a60a9fbf63eacca1d282b786"
+            "75e23d76fef6a770a391a8ae8967682a2694eed63cdef857ef99bf0782db9991"
         ),
         "updates": (
             "841d955b373089251ce62ae2ea258e22db8ff0ede8a84a39560a395d3576f604"
