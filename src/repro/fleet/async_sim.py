@@ -25,6 +25,10 @@ Two reference behaviors anchor the model:
   node completes strictly more epochs than an LTE neighbor — the
   behavior the lockstep barrier structurally hides.
 
+There is one engine, :class:`_EventFleet`; what a topology or a
+scenario changes is its *tier* (transport) or *hooks* (per-round
+behaviour) argument, never the node or Cloud processes.
+
 Determinism: everything runs on the deterministic kernel and all
 randomness derives from the scenario seed, so a given (assets, config,
 mode) always produces the identical report.
@@ -242,7 +246,9 @@ class DirectEventTier:
     The event engine's view of transport is "node upload -> Cloud
     arrival" and "Cloud push -> node" as kernel generators;
     ``repro.topology`` supplies the other implementation of this surface
-    (gateway processes between the nodes and the backhaul).
+    (gateway processes between the nodes and the backhaul).  Like the
+    hooks, a tier is handed the engine per call and keeps no reference
+    to it, so a finished run is freed without waiting for the cycle GC.
     """
 
     #: ``tier`` attribute on node records / attrs on ``cloud/*`` records;
@@ -252,25 +258,26 @@ class DirectEventTier:
     #: canary subset override for the runtime (None = the assets' sample)
     canary_ids: tuple[int, ...] | None = None
 
-    def start(self, engine: "_EventFleet") -> None:
-        """Bind to the run; a tier with its own processes spawns them here."""
-        self.engine = engine
+    def __init__(self, assets: FleetAssets) -> None:
+        self.profiles = assets.profiles
         #: arrivals of a later round than the one being collected (only
         #: without the node barrier can a fast node run ahead)
         self._pending: dict[int, list] = {}
+
+    def start(self, engine: "_EventFleet") -> None:
+        """Spawn the tier's own kernel processes; the direct tier has none."""
 
     def finish(self, report: FleetEventReport) -> None:
         """Tier-level results for the report; the direct tier has none."""
 
     def node_link(self, i: int) -> NetworkLink:
         """The link node ``i``'s own hop rides (what its radio pays for)."""
-        return self.engine.profiles[i].link
+        return self.profiles[i].link
 
-    def transport(self, i: int, stage, epoch: int, upload_data, count: int,
-                  accuracy: float):
+    def transport(self, engine: "_EventFleet", i: int, stage, epoch: int,
+                  upload_data, count: int, accuracy: float):
         """Move one epoch's upload off node ``i`` and deliver it cloudward."""
-        engine = self.engine
-        profile = engine.profiles[i]
+        profile = self.profiles[i]
         upload_start = engine.sim.now
         yield engine.uplink.transfer(
             count * JPEG_IMAGE_BYTES,
@@ -294,11 +301,12 @@ class DirectEventTier:
             _Arrival(profile.node_id, epoch, stage.index, upload_data, accuracy)
         )
 
-    def collect_round(self, round_index: int, alive_ids: tuple[int, ...]):
+    def collect_round(self, engine: "_EventFleet", round_index: int,
+                      alive_ids: tuple[int, ...]):
         """One arrival per alive node for this round, plus their accuracy."""
         got = self._pending.pop(round_index, [])
         while len(got) < len(alive_ids):
-            arrival = yield self.engine.arrivals.get()
+            arrival = yield engine.arrivals.get()
             if arrival.epoch == round_index:
                 got.append(arrival)
             else:
@@ -306,9 +314,8 @@ class DirectEventTier:
         got.sort(key=lambda a: a.node_id)
         return got, float(np.mean([a.accuracy for a in got]))
 
-    def push_wave(self, pushes, state, stage_hint: int):
+    def push_wave(self, engine: "_EventFleet", pushes, state, stage_hint: int):
         """Push ``state`` to every ``(node_id, bytes)`` at once, as flows."""
-        engine = self.engine
         procs = [
             engine.sim.process(
                 engine.download(
@@ -519,6 +526,7 @@ class _EventFleet:
             count = len(upload_data)
         upload_start = self.sim.now
         yield from self.tier.transport(
+            self,
             i,
             stage,
             epoch,
@@ -683,7 +691,7 @@ class _EventFleet:
                 if self.hooks.alive(i, round_index)
             )
             arrivals, fleet_accuracy = yield from self.tier.collect_round(
-                round_index, alive_ids
+                self, round_index, alive_ids
             )
             trigger = self.sim.now
             if round_index == 0:
@@ -758,7 +766,7 @@ class _EventFleet:
                 for node_id, num_bytes in outcome.push_bytes_per_node.items()
                 if num_bytes > 0
             ]
-            yield from self.tier.push_wave(pushes, state, stage_hint)
+            yield from self.tier.push_wave(self, pushes, state, stage_hint)
             return
         unit = outcome.push_unit_bytes
         canaries = [
@@ -767,9 +775,9 @@ class _EventFleet:
         followers = [
             (e.node_id, unit) for e in rollout.events if e.kind != "canary"
         ]
-        yield from self.tier.push_wave(canaries, state, stage_hint)
+        yield from self.tier.push_wave(self, canaries, state, stage_hint)
         if followers:
-            yield from self.tier.push_wave(followers, state, stage_hint)
+            yield from self.tier.push_wave(self, followers, state, stage_hint)
 
     def download(
         self, i: int, num_bytes: int, state, stage: int, name: str = "push",
@@ -895,7 +903,7 @@ def run_fleet_event(
     if topology is not None and not topology.is_passthrough:
         tier = topology.event_tier(config, assets)
     else:
-        tier = DirectEventTier()
+        tier = DirectEventTier(assets)
     runtime = build_fleet_runtime(
         config, assets, metrics=metrics, canary_ids=tier.canary_ids
     )

@@ -129,7 +129,7 @@ def run_scenario_event(
         config,
         assets,
         runtime,
-        DirectEventTier(),
+        DirectEventTier(assets),
         horizon_s=None,
         barrier=barrier,
         acquire_time_s=acquire_time_s,

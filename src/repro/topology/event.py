@@ -83,12 +83,11 @@ class GatewayEventTier:
         return self.policy.node_link(i)
 
     def start(self, engine) -> None:
-        """Bind to the run and start one process per gateway."""
+        """Start one process per gateway (the engine is never kept)."""
         if engine.round_based and not engine.barrier:
             raise ValueError(
                 "a round-based Cloud over gateways needs barrier=True"
             )
-        self.engine = engine
         self.inbox = {gid: Store(engine.sim) for gid in self.gateway_by_id}
         self.reports = Store(engine.sim)
         # The round the Cloud is collecting; gateway processes read it on
@@ -96,9 +95,9 @@ class GatewayEventTier:
         self._alive_ids: tuple[int, ...] = ()
         for g in self.topology.gateways:
             engine.sim.process(
-                self._gateway_proc_barrier(g)
+                self._gateway_proc_barrier(engine, g)
                 if engine.barrier
-                else self._gateway_proc_async(g)
+                else self._gateway_proc_async(engine, g)
             )
 
     def finish(self, report) -> None:
@@ -110,9 +109,8 @@ class GatewayEventTier:
     # ------------------------------------------------------------------
     # Node -> gateway -> Cloud
     # ------------------------------------------------------------------
-    def transport(self, i, stage, epoch, upload_data, count, accuracy):
+    def transport(self, engine, i, stage, epoch, upload_data, count, accuracy):
         """Ship the upload one hop, to the node's gateway (uncontended)."""
-        engine = self.engine
         node_id = engine.profiles[i].node_id
         g = self.policy.gateway_of[node_id]
         num_bytes = count * JPEG_IMAGE_BYTES
@@ -141,7 +139,9 @@ class GatewayEventTier:
             _Arrival(node_id, epoch, stage.index, upload_data, accuracy)
         )
 
-    def collect_round(self, round_index: int, alive_ids: tuple[int, ...]):
+    def collect_round(
+        self, engine, round_index: int, alive_ids: tuple[int, ...]
+    ):
         """Collect one report per gateway; flatten flushes into arrivals."""
         self._alive_ids = alive_ids
         reports = []
@@ -170,9 +170,8 @@ class GatewayEventTier:
     # ------------------------------------------------------------------
     # Gateway processes
     # ------------------------------------------------------------------
-    def _second_opinion(self, g, msgs, stage_key: int):
+    def _second_opinion(self, engine, g, msgs, stage_key: int):
         """Settle ``msgs`` at the gateway, then park what escalates."""
-        engine = self.engine
         results = [
             self.policy.second_opinion(
                 g.gateway_id, m.node_id, stage_key, m.data
@@ -207,9 +206,8 @@ class GatewayEventTier:
                 stage_key, m.node_id, result.escalated
             )
 
-    def _wan_flush(self, g, entries, round_index: int):
+    def _wan_flush(self, engine, g, entries, round_index: int):
         """One framed WAN transfer carrying a flushed buffer upstream."""
-        engine = self.engine
         images, payload = self.policy.wan_payload(entries)
         overhead = self.topology.per_transfer_overhead_bytes
         wan = g.wan_link(engine.profiles)
@@ -256,9 +254,8 @@ class GatewayEventTier:
             m.counter("topology.wan_bytes", **labels).inc(payload)
             m.counter("topology.overhead_bytes", **labels).inc(overhead)
 
-    def _gateway_proc_barrier(self, g):
+    def _gateway_proc_barrier(self, engine, g):
         """Round-synchronized gateway: report to the Cloud every round."""
-        engine = self.engine
         inbox = self.inbox[g.gateway_id]
         num_stages = len(engine.assets.node_stages[0])
         round_index = 0
@@ -267,7 +264,7 @@ class GatewayEventTier:
             for _ in [c for c in g.child_ids if c in self._alive_ids]:
                 msgs.append((yield inbox.get()))
             msgs.sort(key=lambda m: m.node_id)
-            yield from self._second_opinion(g, msgs, round_index)
+            yield from self._second_opinion(engine, g, msgs, round_index)
             entries = self.policy.flush(
                 g.gateway_id,
                 round_index,
@@ -275,7 +272,7 @@ class GatewayEventTier:
                 and round_index == num_stages - 1,
             )
             if entries:
-                yield from self._wan_flush(g, entries, round_index)
+                yield from self._wan_flush(engine, g, entries, round_index)
             self.reports.put(
                 _GatewayRound(
                     g.gateway_id,
@@ -289,44 +286,42 @@ class GatewayEventTier:
                 return
             round_index += 1
 
-    def _gateway_proc_async(self, g):
+    def _gateway_proc_async(self, engine, g):
         """Free-running gateway: flush on threshold/age, per message.
 
         Epoch-0 messages force an immediate flush so the Cloud's one
         required synchronization point — initialization on every node's
         first upload — is never starved by the aggregation policy.
         """
-        engine = self.engine
         inbox = self.inbox[g.gateway_id]
         while True:
             msg = yield inbox.get()
-            yield from self._second_opinion(g, [msg], msg.epoch)
+            yield from self._second_opinion(engine, g, [msg], msg.epoch)
             entries = self.policy.flush(g.gateway_id, msg.epoch, final=False)
             if entries:
-                yield from self._wan_flush(g, entries, msg.epoch)
+                yield from self._wan_flush(engine, g, entries, msg.epoch)
                 for arrival in self._as_arrivals(entries):
                     engine.arrivals.put(arrival)
 
     # ------------------------------------------------------------------
     # Two-hop push-down
     # ------------------------------------------------------------------
-    def push_wave(self, pushes, state, stage_hint: int):
+    def push_wave(self, engine, pushes, state, stage_hint: int):
         """One WAN copy per gateway, then local fan-out to the children."""
         by_gateway: dict[int, list] = {}
         for node_id, num_bytes in pushes:
             gid = self.policy.gateway_of[node_id].gateway_id
             by_gateway.setdefault(gid, []).append((node_id, num_bytes))
         procs = [
-            self.engine.sim.process(
-                self._gateway_push_proc(gid, items, state, stage_hint)
+            engine.sim.process(
+                self._gateway_push_proc(engine, gid, items, state, stage_hint)
             )
             for gid, items in sorted(by_gateway.items())
         ]
         for proc in procs:
             yield proc
 
-    def _gateway_push_proc(self, gateway_id, items, state, stage_hint):
-        engine = self.engine
+    def _gateway_push_proc(self, engine, gateway_id, items, state, stage_hint):
         g = self.gateway_by_id[gateway_id]
         wan = g.wan_link(engine.profiles)
         unit = max(num_bytes for _, num_bytes in items)
@@ -351,15 +346,16 @@ class GatewayEventTier:
         engine.report.ledger.record_tier(stage_hint, wan_down_bytes=unit)
         procs = [
             engine.sim.process(
-                self._local_push_proc(g, node_id, num_bytes, state, stage_hint)
+                self._local_push_proc(
+                    engine, g, node_id, num_bytes, state, stage_hint
+                )
             )
             for node_id, num_bytes in items
         ]
         for proc in procs:
             yield proc
 
-    def _local_push_proc(self, g, node_id, num_bytes, state, stage_hint):
-        engine = self.engine
+    def _local_push_proc(self, engine, g, node_id, num_bytes, state, stage_hint):
         start = engine.sim.now
         yield engine.sim.timeout(g.local_link.model_push_time_s(num_bytes))
         engine.tracer.span(

@@ -247,9 +247,9 @@ class TestChurnOverGateways:
         def event_engine(config, runtime, tier, hooks):
             collect = tier.collect_round
 
-            def spy(round_index, alive_ids):
+            def spy(engine, round_index, alive_ids):
                 collected.append((round_index, alive_ids))
-                return collect(round_index, alive_ids)
+                return collect(engine, round_index, alive_ids)
 
             tier.collect_round = spy
             return _EventFleet(

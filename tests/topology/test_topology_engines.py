@@ -15,6 +15,9 @@ Three contracts anchor the hierarchical tier to the flat reference:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import system_by_id
@@ -25,6 +28,8 @@ from repro.fleet import (
     run_fleet,
     run_fleet_event,
 )
+from repro.fleet.async_sim import DirectEventTier, _EventFleet
+from repro.fleet.simulation import build_fleet_runtime
 from repro.obs import MetricsRegistry, Tracer, explain_divergence
 from repro.obs.analyze import health_report
 from repro.topology import AggregationPolicy, Topology
@@ -238,6 +243,37 @@ class TestModeEquivalence:
             ("cloud", "update")
         )
         assert event == lockstep
+
+    @pytest.mark.parametrize("hier", [False, True])
+    def test_finished_engine_is_freed_without_the_cycle_gc(self, assets, hier):
+        # A tier (or hooks) that kept the engine would close a reference
+        # cycle, and a replicate loop would then hold the previous run's
+        # runtime until the cycle collector got to it: +12% peak RSS on
+        # the scenario_full benchmark workload when this was the case.
+        config = system_by_id("d")
+        tier = (
+            hier_topology().event_tier(config, assets)
+            if hier
+            else DirectEventTier(assets)
+        )
+        engine = _EventFleet(
+            config,
+            assets,
+            build_fleet_runtime(config, assets, canary_ids=tier.canary_ids),
+            tier,
+            horizon_s=None,
+            barrier=True,
+            acquire_time_s=0.0,
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            engine.run()
+            alive = weakref.ref(engine)
+            del engine
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_workers_bit_identical(self, assets, hier_lock):
         workers = run_fleet(
