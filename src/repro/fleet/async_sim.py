@@ -274,8 +274,7 @@ class DirectEventTier:
         """The link node ``i``'s own hop rides (what its radio pays for)."""
         return self.profiles[i].link
 
-    def transport(self, engine: "_EventFleet", i: int, stage, epoch: int,
-                  upload_data, count: int, accuracy: float):
+    def transport(self, engine, i, stage, epoch, upload_data, count, accuracy):
         """Move one epoch's upload off node ``i`` and deliver it cloudward."""
         profile = self.profiles[i]
         upload_start = engine.sim.now
@@ -301,8 +300,7 @@ class DirectEventTier:
             _Arrival(profile.node_id, epoch, stage.index, upload_data, accuracy)
         )
 
-    def collect_round(self, engine: "_EventFleet", round_index: int,
-                      alive_ids: tuple[int, ...]):
+    def collect_round(self, engine, round_index: int, alive_ids: tuple[int, ...]):
         """One arrival per alive node for this round, plus their accuracy."""
         got = self._pending.pop(round_index, [])
         while len(got) < len(alive_ids):
@@ -314,7 +312,7 @@ class DirectEventTier:
         got.sort(key=lambda a: a.node_id)
         return got, float(np.mean([a.accuracy for a in got]))
 
-    def push_wave(self, engine: "_EventFleet", pushes, state, stage_hint: int):
+    def push_wave(self, engine, pushes, state, stage_hint: int):
         """Push ``state`` to every ``(node_id, bytes)`` at once, as flows."""
         procs = [
             engine.sim.process(
@@ -779,10 +777,7 @@ class _EventFleet:
         if followers:
             yield from self.tier.push_wave(self, followers, state, stage_hint)
 
-    def download(
-        self, i: int, num_bytes: int, state, stage: int, name: str = "push",
-        **attrs,
-    ):
+    def download(self, i, num_bytes, state, stage, name="push", **attrs):
         """One model download to node ``i`` over the shared backhaul.
 
         The flow, its ``net/<name>`` span, and the landing — every

@@ -26,18 +26,14 @@ mode, and no lockstep claim is made.
 
 from __future__ import annotations
 
-from repro.core.systems import system_by_id
 from repro.fleet.async_sim import DirectEventTier, EventHooks, _EventFleet
-from repro.fleet.simulation import FleetAssets, build_fleet_runtime
+from repro.fleet.simulation import FleetAssets
 from repro.fleet.uplink import model_state_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.scenario.assets import prepare_scenario_assets
-from repro.scenario.processes import build_plans
 from repro.scenario.report import (
     ScenarioReport,
     ScenarioState,
-    configure_cloud,
     finalize_report,
 )
 from repro.scenario.schema import ScenarioSpec
@@ -108,33 +104,24 @@ def run_scenario_event(
     :func:`repro.scenario.lockstep.run_scenario_lockstep` trajectories,
     ledgers, registry history, and stage info on the event kernel.
     """
-    config = system_by_id(system_id)
-    if assets is None:
-        assets = prepare_scenario_assets(spec)
-    plans = build_plans(spec, assets.profiles)
-    runtime = build_fleet_runtime(config, assets, metrics=metrics)
-    configure_cloud(runtime, spec)
-    if tracer is None:
-        tracer = Tracer(enabled=False)
-    report = ScenarioReport(
-        spec=spec,
-        mode="event-barrier" if barrier else "event",
-        fleet=None,
-        registry=runtime.registry,
-    )
-    hooks = ScenarioEventHooks(
-        ScenarioState(spec, plans, assets, runtime, report, tracer)
-    )
-    report.fleet = _EventFleet(
-        config,
+    state = ScenarioState.open(
+        spec,
         assets,
-        runtime,
-        DirectEventTier(assets),
+        mode="event-barrier" if barrier else "event",
+        system_id=system_id,
+        tracer=tracer,
+        metrics=metrics,
+    )
+    state.report.fleet = _EventFleet(
+        state.runtime.config,
+        state.assets,
+        state.runtime,
+        DirectEventTier(state.assets),
         horizon_s=None,
         barrier=barrier,
         acquire_time_s=acquire_time_s,
-        tracer=tracer,
-        hooks=hooks,
+        tracer=state.tracer,
+        hooks=ScenarioEventHooks(state),
     ).run()
-    finalize_report(report, runtime, assets, plans)
-    return report
+    finalize_report(state.report, state.runtime, state.assets, state.plans)
+    return state.report

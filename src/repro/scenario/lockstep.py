@@ -22,23 +22,18 @@ path.
 
 from __future__ import annotations
 
-from repro.core.systems import system_by_id
 from repro.fleet.simulation import (
     FleetAssets,
     StageHooks,
     _run_fleet_schedule,
-    build_fleet_runtime,
 )
 from repro.fleet.uplink import DirectTier, SharedUplink, model_state_bytes
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.scenario.assets import prepare_scenario_assets
-from repro.scenario.processes import build_plans
 from repro.scenario.report import (
     ScenarioReport,
     ScenarioState,
-    configure_cloud,
     finalize_report,
 )
 from repro.scenario.schema import ScenarioSpec
@@ -58,20 +53,16 @@ def run_scenario_lockstep(
     """Run one scenario replicate on the lockstep engine."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    config = system_by_id(system_id)
-    if assets is None:
-        assets = prepare_scenario_assets(spec)
-    plans = build_plans(spec, assets.profiles)
-    runtime = build_fleet_runtime(config, assets, metrics=metrics)
-    configure_cloud(runtime, spec)
-    if tracer is None:
-        tracer = Tracer(enabled=False)
-    report = ScenarioReport(
-        spec=spec, mode="lockstep", fleet=None, registry=runtime.registry
+    state = ScenarioState.open(
+        spec,
+        assets,
+        mode="lockstep",
+        system_id=system_id,
+        tracer=tracer,
+        metrics=metrics,
     )
-    hooks = ScenarioHooks(
-        ScenarioState(spec, plans, assets, runtime, report, tracer)
-    )
+    assets, plans, runtime = state.assets, state.plans, state.runtime
+    config, report = runtime.config, state.report
     tier = DirectTier(
         config, assets, SharedUplink(assets.scenario.backhaul_bps)
     )
@@ -87,7 +78,13 @@ def run_scenario_lockstep(
     try:
         with obs_metrics.use(metrics):
             report.fleet = _run_fleet_schedule(
-                config, assets, runtime, tier, pool, tracer=tracer, hooks=hooks
+                config,
+                assets,
+                runtime,
+                tier,
+                pool,
+                tracer=state.tracer,
+                hooks=ScenarioHooks(state),
             )
     finally:
         if pool is not None:
@@ -135,7 +132,7 @@ class ScenarioHooks(StageHooks):
             )
         self._stage_start = t0
         self._alive = alive
-        return alive, state.phase_attrs(s), dict(state.caught_up.get(s, {}))
+        return alive, state.phase_attrs(s), state.caught_up.get(s, {})
 
     def after_push(self, s, t0, outcome, node_states):
         """Specialize per-group heads after a promotion; close the stage."""

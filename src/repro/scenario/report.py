@@ -18,9 +18,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.core.registry import ModelRegistry
-from repro.fleet.simulation import FleetAssets, FleetRuntime
+from repro.core.systems import system_by_id
+from repro.fleet.simulation import FleetAssets, FleetRuntime, build_fleet_runtime
+from repro.obs.trace import Tracer
+from repro.scenario.assets import prepare_scenario_assets
 from repro.scenario.heads import HeadUpdate, build_head_net, run_head_updates
-from repro.scenario.processes import ScenarioPlans
+from repro.scenario.processes import ScenarioPlans, build_plans
 from repro.scenario.schema import ScenarioSpec
 from repro.transfer.finetune import evaluate, evaluate_on_classes
 from repro.transfer.incremental import ReplayBuffer
@@ -136,6 +139,29 @@ class ScenarioState:
         #: head-track versions published by the stage now closing
         self.head_versions: list[int] = []
 
+    @classmethod
+    def open(
+        cls, spec, assets, *, mode: str, system_id: str, tracer, metrics
+    ) -> "ScenarioState":
+        """Everything either engine builds before it runs, in one order.
+
+        Plans, runtime, :func:`configure_cloud` (right after the runtime:
+        the replay buffer's RNG is seeded there) and the empty report.
+        """
+        if assets is None:
+            assets = prepare_scenario_assets(spec)
+        plans = build_plans(spec, assets.profiles)
+        runtime = build_fleet_runtime(
+            system_by_id(system_id), assets, metrics=metrics
+        )
+        configure_cloud(runtime, spec)
+        report = ScenarioReport(
+            spec=spec, mode=mode, fleet=None, registry=runtime.registry
+        )
+        if tracer is None:
+            tracer = Tracer(enabled=False)
+        return cls(spec, plans, assets, runtime, report, tracer)
+
     def alive(self, i: int, s: int) -> bool:
         churn = self.plans.churn
         return churn is None or churn.alive(i, s)
@@ -209,7 +235,6 @@ class ScenarioState:
     def close_stage(self, s: int, alive_ids: tuple[int, ...], at_s: float) -> None:
         """Stage info, the ``scenario/stage`` event, ``scenario.*`` counters."""
         caught_up = dict(sorted(self.caught_up.pop(s, {}).items()))
-        head_versions = self.head_versions
         attrs = self.phase_attrs(s)
         reconcile_bytes = sum(caught_up.values())
         self.report.stage_info.append(
@@ -219,7 +244,7 @@ class ScenarioState:
                 alive=alive_ids,
                 reconciled=tuple(self.profiles[i].node_id for i in caught_up),
                 reconcile_bytes=reconcile_bytes,
-                head_versions=tuple(head_versions),
+                head_versions=tuple(self.head_versions),
             )
         )
         self.tracer.event(
@@ -242,9 +267,9 @@ class ScenarioState:
                 m.counter(
                     "scenario.reconcile_bytes", system=self.system_id
                 ).inc(reconcile_bytes)
-            if head_versions:
+            if self.head_versions:
                 m.counter("scenario.head_updates", system=self.system_id).inc(
-                    len(head_versions)
+                    len(self.head_versions)
                 )
 
 

@@ -58,11 +58,10 @@ class GatewayFlushRecord:
 class _GatewayRound:
     """A gateway's per-round report to the barrier Cloud."""
 
-    __slots__ = ("gateway_id", "round_index", "entries", "accuracies")
+    __slots__ = ("gateway_id", "entries", "accuracies")
 
-    def __init__(self, gateway_id, round_index, entries, accuracies):
+    def __init__(self, gateway_id, entries, accuracies):
         self.gateway_id = gateway_id
-        self.round_index = round_index
         self.entries = entries  # BufferedUpload list flushed this round
         self.accuracies = accuracies  # [(node_id, accuracy)] alive children
 
@@ -139,9 +138,7 @@ class GatewayEventTier:
             _Arrival(node_id, epoch, stage.index, upload_data, accuracy)
         )
 
-    def collect_round(
-        self, engine, round_index: int, alive_ids: tuple[int, ...]
-    ):
+    def collect_round(self, engine, round_index: int, alive_ids: tuple[int, ...]):
         """Collect one report per gateway; flatten flushes into arrivals."""
         self._alive_ids = alive_ids
         reports = []
@@ -276,7 +273,6 @@ class GatewayEventTier:
             self.reports.put(
                 _GatewayRound(
                     g.gateway_id,
-                    round_index,
                     entries,
                     [(m.node_id, m.accuracy) for m in msgs],
                 )
