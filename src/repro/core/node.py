@@ -20,8 +20,8 @@ from repro.data.stream import AcquisitionStage
 from repro.diagnosis.diagnoser import Diagnoser
 from repro.hw.specs import GPUSpec
 from repro.models.layer_specs import NetworkSpec
-from repro.nn import Sequential
-from repro.transfer.finetune import evaluate
+from repro.nn import Sequential, accuracy
+from repro.transfer.finetune import predict_logits
 
 __all__ = ["NodeReport", "InSituNode"]
 
@@ -123,11 +123,15 @@ class InSituNode:
         (Fig. 24 c/d).
         """
         data = stage.new_data
-        accuracy = evaluate(self.inference_net, data)
+        # The two tasks are co-located so that they share work: the
+        # inference pass runs once and the diagnoser reads its output.
+        logits = predict_logits(self.inference_net, data)
         if self.diagnoser is None:
             flags = np.ones(len(data), dtype=bool)
         else:
-            flags = self.diagnoser.flags(data)
+            flags = self.diagnoser.flags_given_logits(
+                data, self.inference_net, logits
+            )
         upload = data.subset(np.flatnonzero(flags))
         inference = self.costing.inference_cost(len(data))
         diagnosis = (
@@ -139,7 +143,7 @@ class InSituNode:
             stage_index=stage.index,
             acquired_images=len(data),
             flagged_images=int(flags.sum()),
-            accuracy_before_update=accuracy,
+            accuracy_before_update=accuracy(logits, data.labels),
             inference_time_s=inference.seconds,
             diagnosis_time_s=diagnosis.seconds,
             node_energy_j=inference.joules + diagnosis.joules,

@@ -34,10 +34,11 @@ from repro.diagnosis.diagnoser import (
     OracleDiagnoser,
 )
 from repro.models.layer_specs import NetworkSpec, alexnet_spec
+from repro.nn import accuracy
 from repro.nn.config import default_dtype
 from repro.selfsup.jigsaw import JigsawSampler
 from repro.selfsup.permutations import PermutationSet
-from repro.transfer.finetune import evaluate
+from repro.transfer.finetune import evaluate, predict_logits
 
 __all__ = [
     "Scenario",
@@ -298,14 +299,17 @@ def run_system(
 
     for stage in assets.stages:
         data = stage.new_data
-        acc_before = evaluate(cloud.inference_net, data)
+        logits = predict_logits(cloud.inference_net, data)
+        acc_before = accuracy(logits, data.labels)
         is_initial = stage.index == 0
 
         # --- selection -------------------------------------------------
         if is_initial or config.diagnosis_location == "none":
             selected = data
         else:
-            flags = diagnoser.flags(data)
+            flags = diagnoser.flags_given_logits(
+                data, cloud.inference_net, logits
+            )
             selected = data.subset(np.flatnonzero(flags))
 
         # --- movement --------------------------------------------------

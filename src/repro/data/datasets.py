@@ -88,14 +88,18 @@ class Dataset:
         *,
         rng: np.random.Generator | None = None,
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Iterate (images, labels) minibatches; shuffles when rng given."""
+        """Iterate (images, labels) minibatches; shuffles when rng given.
+
+        Unshuffled batches are views of the dataset's arrays (an
+        evaluation sweep reads them in place); shuffled ones are copies.
+        """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        order = (
-            rng.permutation(len(self)) if rng is not None else np.arange(len(self))
-        )
+        order = rng.permutation(len(self)) if rng is not None else None
         for start in range(0, len(self), batch_size):
-            idx = order[start : start + batch_size]
+            idx = slice(start, start + batch_size)
+            if order is not None:
+                idx = order[idx]
             yield self.images[idx], self.labels[idx]
 
     def class_counts(self) -> np.ndarray:

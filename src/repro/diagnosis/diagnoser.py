@@ -27,6 +27,7 @@ from repro.nn import Sequential, softmax
 from repro.obs import metrics as obs_metrics
 from repro.selfsup.context_net import ContextNetwork
 from repro.selfsup.jigsaw import JigsawSampler
+from repro.transfer.finetune import predict_logits
 
 __all__ = [
     "Diagnoser",
@@ -42,6 +43,17 @@ class Diagnoser:
 
     def flags(self, data: Dataset) -> np.ndarray:
         raise NotImplementedError
+
+    def flags_given_logits(
+        self, data: Dataset, net: Sequential, logits: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`flags` for a caller holding ``predict_logits(net, data)``.
+
+        The node's inference task has just run that pass.  A diagnoser
+        that reads the same network's logits (oracle, confidence) takes
+        them instead of repeating it; every other diagnoser ignores them.
+        """
+        return self.flags(data)
 
     def diagnose(self, data: Dataset) -> np.ndarray:
         """``flags`` plus flag-rate accounting into the ambient metrics.
@@ -130,31 +142,57 @@ class JigsawDiagnoser(Diagnoser):
         return scores / self.trials
 
 
-class InferenceConfidenceDiagnoser(Diagnoser):
+class _LogitDiagnoser(Diagnoser):
+    """Base of the diagnosers that read the inference network's own logits.
+
+    Their pass is :func:`~repro.transfer.finetune.predict_logits` — the
+    slices :func:`~repro.transfer.finetune.evaluate` runs — so logits a
+    caller already computed for ``self.network`` are the very arrays the
+    diagnoser would compute, and the flags cannot differ.
+    """
+
+    def __init__(self, network: Sequential) -> None:
+        self.network = network
+
+    def _logits(self, data: Dataset, logits: np.ndarray | None) -> np.ndarray:
+        return predict_logits(self.network, data) if logits is None else logits
+
+    def flags(
+        self, data: Dataset, logits: np.ndarray | None = None
+    ) -> np.ndarray:
+        raise NotImplementedError
+
+    def flags_given_logits(
+        self, data: Dataset, net: Sequential, logits: np.ndarray
+    ) -> np.ndarray:
+        return self.flags(data, logits if net is self.network else None)
+
+
+class InferenceConfidenceDiagnoser(_LogitDiagnoser):
     """Flag samples whose inference softmax confidence is below a threshold."""
 
-    def __init__(
-        self, network: Sequential, threshold: float = 0.6, *, batch_size: int = 128
-    ) -> None:
+    def __init__(self, network: Sequential, threshold: float = 0.6) -> None:
         if not 0.0 < threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
-        self.network = network
+        super().__init__(network)
         self.threshold = threshold
-        self.batch_size = batch_size
 
-    def score(self, data: Dataset) -> np.ndarray:
+    def score(
+        self, data: Dataset, logits: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Top softmax probability per sample (high = recognized)."""
+        # The scores stay in the precision the threshold is given in.
         scores = np.zeros(len(data))
-        for start in range(0, len(data), self.batch_size):
-            stop = start + self.batch_size
-            probs = softmax(self.network.predict(data.images[start:stop]), axis=1)
-            scores[start:stop] = probs.max(axis=1)
+        scores[...] = softmax(self._logits(data, logits), axis=1).max(axis=1)
         return scores
 
-    def flags(self, data: Dataset) -> np.ndarray:
-        return self.score(data) < self.threshold
+    def flags(
+        self, data: Dataset, logits: np.ndarray | None = None
+    ) -> np.ndarray:
+        return self.score(data, logits) < self.threshold
 
 
-class OracleDiagnoser(Diagnoser):
+class OracleDiagnoser(_LogitDiagnoser):
     """Ground-truth misclassification — the ideal "unrecognized" criterion.
 
     Requires labels, so it is an experimental upper bound (it is exactly the
@@ -162,17 +200,10 @@ class OracleDiagnoser(Diagnoser):
     model got wrong).
     """
 
-    def __init__(self, network: Sequential, *, batch_size: int = 128) -> None:
-        self.network = network
-        self.batch_size = batch_size
-
-    def flags(self, data: Dataset) -> np.ndarray:
-        wrong = np.zeros(len(data), dtype=bool)
-        for start in range(0, len(data), self.batch_size):
-            stop = start + self.batch_size
-            preds = self.network.predict(data.images[start:stop]).argmax(axis=1)
-            wrong[start:stop] = preds != data.labels[start:stop]
-        return wrong
+    def flags(
+        self, data: Dataset, logits: np.ndarray | None = None
+    ) -> np.ndarray:
+        return self._logits(data, logits).argmax(axis=1) != data.labels
 
 
 class RandomDiagnoser(Diagnoser):

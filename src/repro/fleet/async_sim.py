@@ -63,7 +63,6 @@ from repro.fleet.uplink import SharedUplink
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.transfer.finetune import evaluate
 
 __all__ = [
     "DirectEventTier",
@@ -604,8 +603,8 @@ class _EventFleet:
                 promoted=outcome.promoted,
                 modeled_time_s=outcome.modeled_update_time_s,
                 modeled_energy_j=outcome.modeled_cloud_energy_j,
-                eval_accuracy=evaluate(
-                    self.runtime.cloud.inference_net, self.assets.eval_data
+                eval_accuracy=self.runtime.eval_accuracy(
+                    self.assets.eval_data
                 ),
             )
         )
@@ -836,8 +835,8 @@ class _EventFleet:
                 trajectory.finish_s = self.report.makespan_s
         self.tier.finish(self.report)
         self.report.rollouts = list(self.runtime.scheduler.history)
-        self.report.final_eval_accuracy = evaluate(
-            self.runtime.cloud.inference_net, self.assets.eval_data
+        self.report.final_eval_accuracy = self.runtime.eval_accuracy(
+            self.assets.eval_data
         )
         m = self.metrics
         if m is not None:

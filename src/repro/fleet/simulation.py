@@ -22,6 +22,7 @@ discipline ``core.simulation.run_all_systems`` applies per node.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -43,11 +44,13 @@ from repro.data.drift import DriftModel
 from repro.data.images import ImageGenerator
 from repro.data.stream import AcquisitionStage, IoTStream
 from repro.diagnosis.diagnoser import (
+    Diagnoser,
     InferenceConfidenceDiagnoser,
     JigsawDiagnoser,
     OracleDiagnoser,
 )
 from repro.fleet.profiles import FleetScenario, NodeProfile
+from repro.nn import Sequential
 from repro.nn.config import default_dtype
 from repro.fleet.scheduler import FleetScheduler, RolloutResult
 from repro.fleet.uplink import DirectTier, SharedUplink, model_state_bytes
@@ -396,12 +399,35 @@ class FleetRuntime:
     cloud: InSituCloud
     registry: ModelRegistry
     scheduler: FleetScheduler
-    deployed_net: object  # shared node-side classifier (nn.Sequential)
+    deployed_net: Sequential  # shared node-side classifier
     nodes: list[InSituNode]
-    cloud_diagnoser: object | None
+    cloud_diagnoser: Diagnoser | None
     #: observability sink threaded through both fleet modes; ``None``
     #: keeps every instrumentation site a cheap no-op.
     metrics: MetricsRegistry | None = None
+    _eval_memo: dict[tuple[int, bytes], float] = field(
+        default_factory=dict, repr=False
+    )
+
+    def eval_accuracy(self, eval_data: Dataset) -> float:
+        """Accuracy of the Cloud model as it stands now on ``eval_data``.
+
+        Both engines score the Cloud after every stage / decision and at
+        the end, mostly on weights that have not moved since the last
+        score.  The memo is keyed on the parameter *bytes*, so however
+        the weights got there (retrain, rollback, reconcile, head load)
+        equal content is one forward sweep and different content never
+        reads a stale score.  ``eval_data`` must outlive the runtime (a
+        run's assets do): it is told apart by identity.
+        """
+        net = self.cloud.inference_net
+        digest = hashlib.blake2b(digest_size=16)
+        for p in net.parameters:
+            digest.update(np.ascontiguousarray(p.data))
+        key = (id(eval_data), digest.digest())
+        if key not in self._eval_memo:
+            self._eval_memo[key] = evaluate(net, eval_data)
+        return self._eval_memo[key]
 
 
 def build_fleet_runtime(
@@ -1106,9 +1132,7 @@ def _run_fleet_schedule(
                 updated=outcome.updated,
                 promoted=outcome.promoted,
                 fleet_accuracy_on_new=fleet_accuracy,
-                eval_accuracy=evaluate(
-                    runtime.cloud.inference_net, assets.eval_data
-                ),
+                eval_accuracy=runtime.eval_accuracy(assets.eval_data),
                 modeled_update_time_s=outcome.modeled_update_time_s,
                 modeled_cloud_energy_j=outcome.modeled_cloud_energy_j,
                 upload_makespan_s=up.makespan_s,

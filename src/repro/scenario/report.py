@@ -284,7 +284,7 @@ def finalize_report(
     registry = runtime.registry
     net = runtime.cloud.inference_net
     net.load_state_dict(registry.active.state)
-    report.final_eval_accuracy = float(evaluate(net, assets.eval_data))
+    report.final_eval_accuracy = runtime.eval_accuracy(assets.eval_data)
     if plans.phases is not None:
         for k, group in enumerate(plans.phases.groups):
             report.phase_accuracies[f"p{k}"] = float(

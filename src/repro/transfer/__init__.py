@@ -5,6 +5,7 @@ from repro.transfer.finetune import (
     TrainResult,
     evaluate,
     evaluate_on_classes,
+    predict_logits,
     split_at_frozen_prefix,
     train_classifier,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "evaluate",
     "evaluate_on_classes",
     "incremental_update",
+    "predict_logits",
     "reinitialize_above",
     "split_at_frozen_prefix",
     "train_classifier",

@@ -22,6 +22,7 @@ from repro.transfer.surgery import FreezePlan
 __all__ = [
     "TrainResult",
     "evaluate_on_classes",
+    "predict_logits",
     "split_at_frozen_prefix",
     "train_classifier",
 ]
@@ -166,14 +167,29 @@ def train_classifier(
     return result
 
 
+def predict_logits(
+    net: Sequential, data: Dataset, *, batch_size: int = 128
+) -> np.ndarray:
+    """Inference-mode logits of every sample, in dataset order.
+
+    The one forward sweep :func:`evaluate` and the logit-reading
+    diagnosers are built on: a caller that needs both the accuracy and
+    the flags of the same (weights, data) runs it once and hands the
+    result to each.
+    """
+    if len(data) == 0:  # nothing to concatenate; a diagnoser flags nothing
+        return np.zeros((0, *net.output_shape), dtype=data.images.dtype)
+    return np.concatenate(
+        [net.predict(x) for x, _ in data.batches(batch_size)]
+    )
+
+
 def evaluate(net: Sequential, data: Dataset, *, batch_size: int = 128) -> float:
     """Top-1 accuracy of the network on a dataset."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    correct = 0
-    for x, y in data.batches(batch_size):
-        correct += int((net.predict(x).argmax(axis=1) == y).sum())
-    return correct / len(data)
+    logits = predict_logits(net, data, batch_size=batch_size)
+    return accuracy(logits, data.labels)
 
 
 def evaluate_on_classes(

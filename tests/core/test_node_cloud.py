@@ -7,10 +7,16 @@ import pytest
 
 from repro.core import InSituCloud, InSituNode
 from repro.data import ImageGenerator, IoTStream, make_dataset
-from repro.diagnosis import OracleDiagnoser
+from repro.data.stream import AcquisitionStage
+from repro.diagnosis import (
+    InferenceConfidenceDiagnoser,
+    JigsawDiagnoser,
+    OracleDiagnoser,
+)
 from repro.hw import TX1
 from repro.models import alexnet_spec, build_classifier, diagnosis_spec
-from repro.selfsup import PermutationSet
+from repro.nn import softmax
+from repro.selfsup import JigsawSampler, PermutationSet, build_context_network
 
 
 @pytest.fixture
@@ -76,6 +82,112 @@ class TestInSituNode:
         node.deploy(net_b.state_dict())
         x = stage.new_data.images[:2]
         assert np.allclose(node.inference_net.predict(x), net_b.predict(x))
+
+
+def count_forwards(net) -> list:
+    """Record every ``net.forward`` call's batch size from here on."""
+    seen: list[int] = []
+    forward = net.forward
+
+    def counting(x, *, training=False):
+        seen.append(len(x))
+        return forward(x, training=training)
+
+    net.forward = counting
+    return seen
+
+
+class TestSharedInferencePass:
+    """One forward sweep per stage feeds both the accuracy and the flags."""
+
+    make_node = TestInSituNode.make_node
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        rng = np.random.default_rng(11)
+        generator = ImageGenerator(image_size=48, num_classes=4, rng=rng)
+        return make_dataset(300, generator=generator, rng=rng)
+
+    @staticmethod
+    def two_pass(net, data, kind, threshold):
+        """Accuracy and flags as two separate 128-row sweeps computed them."""
+        correct = 0
+        for start in range(0, len(data), 128):
+            idx = np.arange(start, min(start + 128, len(data)))
+            preds = net.predict(data.images[idx]).argmax(axis=1)
+            correct += int((preds == data.labels[idx]).sum())
+        if kind == "oracle":
+            flags = np.zeros(len(data), dtype=bool)
+            for start in range(0, len(data), 128):
+                stop = start + 128
+                preds = net.predict(data.images[start:stop]).argmax(axis=1)
+                flags[start:stop] = preds != data.labels[start:stop]
+        else:
+            scores = np.zeros(len(data))
+            for start in range(0, len(data), 128):
+                stop = start + 128
+                probs = softmax(net.predict(data.images[start:stop]), axis=1)
+                scores[start:stop] = probs.max(axis=1)
+            flags = scores < threshold
+        return correct / len(data), flags
+
+    @pytest.mark.parametrize("kind", ["oracle", "confidence"])
+    @pytest.mark.parametrize("count", [5, 130, 300])
+    def test_stage_equals_the_two_pass_formulation(
+        self, rng, pool, kind, count
+    ):
+        net = build_classifier(4, np.random.default_rng(4))
+        data = pool.take(count)
+        threshold = 0.2505  # splits this untrained net's scores
+        accuracy, flags = self.two_pass(net, data, kind, threshold)
+        diagnoser = (
+            OracleDiagnoser(net)
+            if kind == "oracle"
+            else InferenceConfidenceDiagnoser(net, threshold=threshold)
+        )
+        node = self.make_node(rng, diagnoser, net=net)
+        forwards = count_forwards(net)
+        report = node.process_stage(AcquisitionStage(1, data, count, 0.0))
+        assert forwards == [min(128, count - s) for s in range(0, count, 128)]
+        assert report.accuracy_before_update == accuracy
+        assert report.flagged_images == int(flags.sum())
+        kept = np.flatnonzero(flags)
+        assert np.array_equal(report.upload_data.images, data.images[kept])
+        assert np.array_equal(report.upload_data.labels, data.labels[kept])
+        # the modelled diagnosis cost is charged as before
+        assert report.diagnosis_time_s > 0
+
+    def test_oracle_on_another_network_runs_its_own_pass(self, rng, pool):
+        net = build_classifier(4, np.random.default_rng(4))
+        cloud_net = build_classifier(4, np.random.default_rng(5))
+        data = pool.take(130)
+        expected = OracleDiagnoser(cloud_net).flags(data)
+        node = self.make_node(rng, OracleDiagnoser(cloud_net), net=net)
+        own, foreign = count_forwards(net), count_forwards(cloud_net)
+        report = node.process_stage(AcquisitionStage(1, data, 130, 0.0))
+        assert own == [128, 2] and foreign == [128, 2]
+        assert np.array_equal(
+            report.upload_data.labels, data.labels[np.flatnonzero(expected)]
+        )
+
+    def test_jigsaw_diagnoser_is_untouched(self, rng, pool):
+        net = build_classifier(4, np.random.default_rng(4))
+        data = pool.take(12)
+
+        def jigsaw():
+            permset = PermutationSet.generate(4, rng=np.random.default_rng(1))
+            sampler = JigsawSampler(permset, rng=np.random.default_rng(2))
+            network = build_context_network(
+                permset, rng=np.random.default_rng(5)
+            )
+            return JigsawDiagnoser(network, sampler, trials=2)
+
+        expected = jigsaw().flags(data)
+        node = self.make_node(rng, jigsaw(), net=net)
+        forwards = count_forwards(net)
+        report = node.process_stage(AcquisitionStage(1, data, 12, 0.0))
+        assert forwards == [12]
+        assert report.flagged_images == int(expected.sum())
 
 
 class TestInSituCloud:

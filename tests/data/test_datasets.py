@@ -79,6 +79,18 @@ class TestDataset:
         seen = [y for _, ys in data.batches(batch) for y in ys]
         assert len(seen) == n
 
+    def test_unshuffled_batches_are_ordered_views(self):
+        data = toy_dataset(11)
+        batches = list(data.batches(4))
+        assert [len(ys) for _, ys in batches] == [4, 4, 3]
+        assert np.array_equal(
+            np.concatenate([xs for xs, _ in batches]), data.images
+        )
+        assert np.array_equal(
+            np.concatenate([ys for _, ys in batches]), data.labels
+        )
+        assert all(np.shares_memory(xs, data.images) for xs, _ in batches)
+
     def test_shuffled_batches_preserve_pairs(self, rng):
         data = toy_dataset(16)
         pair_map = {

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import DriftModel, make_dataset
+from repro.data import DriftModel, ImageGenerator, make_dataset
 from repro.diagnosis import (
     InferenceConfidenceDiagnoser,
     JigsawDiagnoser,
@@ -13,8 +13,9 @@ from repro.diagnosis import (
     RandomDiagnoser,
 )
 from repro.models import build_classifier
+from repro.nn import softmax
 from repro.selfsup import JigsawSampler, PermutationSet, build_context_network
-from repro.transfer import train_classifier
+from repro.transfer import evaluate, predict_logits, train_classifier
 
 
 @pytest.fixture
@@ -133,3 +134,122 @@ class TestRandomDiagnoser:
         data = make_dataset(4, generator=generator, rng=rng)
         with pytest.raises(ValueError):
             RandomDiagnoser(0.5, rng=rng).upload_fraction(data.take(0))
+
+
+def two_pass_logits(net, data):
+    """The pass each logit diagnoser used to run for itself: 128-row copies."""
+    return [
+        net.predict(data.images[np.arange(start, min(start + 128, len(data)))])
+        for start in range(0, len(data), 128)
+    ]
+
+
+class TestSharedInferencePass:
+    """Logits handed over by the caller are the diagnoser's own pass."""
+
+    @pytest.fixture(scope="class")
+    def net(self):
+        return build_classifier(4, np.random.default_rng(2))
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(7)
+        generator = ImageGenerator(image_size=48, num_classes=4, rng=rng)
+        return make_dataset(300, generator=generator, rng=rng)
+
+    @pytest.mark.parametrize("count", [5, 130, 300])
+    def test_predict_logits_is_the_evaluate_sweep(self, net, data, count):
+        part = data.take(count)
+        parts = two_pass_logits(net, part)
+        assert len(parts) == -(-count // 128)
+        logits = predict_logits(net, part)
+        assert np.array_equal(logits, np.concatenate(parts))
+        correct = sum(
+            int((p.argmax(axis=1) == part.labels[i * 128 : (i + 1) * 128]).sum())
+            for i, p in enumerate(parts)
+        )
+        assert evaluate(net, part) == correct / count
+
+    @pytest.mark.parametrize("count", [5, 130, 300])
+    def test_oracle_flags_equal_its_own_pass(self, net, data, count):
+        part = data.take(count)
+        own = np.concatenate(
+            [p.argmax(axis=1) for p in two_pass_logits(net, part)]
+        ) != part.labels
+        oracle = OracleDiagnoser(net)
+        assert np.array_equal(oracle.flags(part), own)
+        logits = predict_logits(net, part)
+        assert np.array_equal(oracle.flags(part, logits), own)
+        assert np.array_equal(
+            oracle.flags_given_logits(part, net, logits), own
+        )
+
+    @pytest.mark.parametrize("count", [5, 130, 300])
+    def test_confidence_scores_equal_its_own_pass(self, net, data, count):
+        part = data.take(count)
+        # per-slice softmax into a float64 array, as the diagnoser's own
+        # loop did
+        own = np.zeros(count)
+        for i, p in enumerate(two_pass_logits(net, part)):
+            own[i * 128 : (i + 1) * 128] = softmax(p, axis=1).max(axis=1)
+        threshold = float(np.median(own))
+        diag = InferenceConfidenceDiagnoser(net, threshold=threshold)
+        logits = predict_logits(net, part)
+        for scores in (diag.score(part), diag.score(part, logits)):
+            assert scores.dtype == own.dtype
+            assert np.array_equal(scores, own)
+        flagged = own < threshold
+        assert 0 < flagged.sum() < count
+        assert np.array_equal(diag.flags(part), flagged)
+        assert np.array_equal(
+            diag.flags_given_logits(part, net, logits), flagged
+        )
+
+    def test_an_empty_dataset_flags_nothing(self, net, data):
+        assert predict_logits(net, data.take(0)).shape == (0, 4)
+        assert OracleDiagnoser(net).flags(data.take(0)).shape == (0,)
+
+    def test_handed_over_logits_are_used_not_recomputed(self, net, data):
+        part = data.take(20)
+        forged = np.zeros((20, 4), dtype=np.float32)
+        forged[:, 1] = 1.0
+        flags = OracleDiagnoser(net).flags_given_logits(part, net, forged)
+        assert np.array_equal(flags, part.labels != 1)
+
+    def test_other_networks_logits_are_ignored(self, net, data):
+        """A diagnoser bound to a different network runs its own pass."""
+        part = data.take(20)
+        other = build_classifier(4, np.random.default_rng(9))
+        foreign = predict_logits(other, part)
+        oracle = OracleDiagnoser(net)
+        assert np.array_equal(
+            oracle.flags_given_logits(part, other, foreign), oracle.flags(part)
+        )
+        confidence = InferenceConfidenceDiagnoser(net, threshold=0.5)
+        assert np.array_equal(
+            confidence.flags_given_logits(part, other, foreign),
+            confidence.flags(part),
+        )
+
+    def test_jigsaw_and_random_take_no_logits(self, net, data):
+        part = data.take(12)
+        logits = predict_logits(net, part)
+
+        def jigsaw():
+            permset = PermutationSet.generate(4, rng=np.random.default_rng(1))
+            sampler = JigsawSampler(permset, rng=np.random.default_rng(2))
+            network = build_context_network(
+                permset, rng=np.random.default_rng(5)
+            )
+            return JigsawDiagnoser(network, sampler, trials=2)
+
+        assert np.array_equal(
+            jigsaw().flags_given_logits(part, net, logits),
+            jigsaw().flags(part),
+        )
+        assert np.array_equal(
+            RandomDiagnoser(
+                0.5, rng=np.random.default_rng(3)
+            ).flags_given_logits(part, net, logits),
+            RandomDiagnoser(0.5, rng=np.random.default_rng(3)).flags(part),
+        )

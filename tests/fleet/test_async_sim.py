@@ -26,6 +26,8 @@ from repro.fleet import (
     run_fleet,
     run_fleet_event,
 )
+from repro.fleet import simulation as fleet_simulation
+from repro.transfer import evaluate
 
 
 def tiny_fleet(**overrides) -> FleetScenario:
@@ -251,6 +253,37 @@ class TestHeterogeneousHorizon:
             for p in mixed_assets.profiles
         }
         assert blocked["lte"] > blocked["wifi"]
+
+
+class TestCloudEvalMemo:
+    """The event engine scores the Cloud through ``FleetRuntime.eval_accuracy``."""
+
+    @pytest.mark.parametrize("barrier", [False, True])
+    def test_a_cloud_that_never_retrains_is_swept_once(
+        self, mixed_assets, monkeypatch, barrier
+    ):
+        swept = []
+
+        def counting(net, data, **kwargs):
+            swept.append(data)
+            return evaluate(net, data, **kwargs)
+
+        monkeypatch.setattr(fleet_simulation, "evaluate", counting)
+        report = run_fleet_event(
+            system_by_id("d"), mixed_assets, barrier=barrier
+        )
+        assert [u.kind for u in report.updates] == ["init"]
+        # the init record and the final eval score the same weights
+        assert len(swept) == 1 and swept[0] is mixed_assets.eval_data
+        assert report.final_eval_accuracy == report.updates[0].eval_accuracy
+
+    def test_final_eval_is_the_last_records(
+        self, lockstep_d, barrier_d, async_d
+    ):
+        assert barrier_d.final_eval_accuracy == lockstep_d.final_accuracy
+        for report in (barrier_d, async_d):
+            assert any(u.promoted for u in report.updates[1:])
+            assert report.final_eval_accuracy == report.updates[-1].eval_accuracy
 
 
 class TestLockstepTimeline:

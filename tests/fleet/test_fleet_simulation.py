@@ -11,6 +11,9 @@ from repro.fleet import (
     prepare_fleet_assets,
     run_fleet,
 )
+from repro.fleet import simulation as fleet_simulation
+from repro.fleet.simulation import build_fleet_runtime
+from repro.transfer import evaluate
 
 
 def tiny_fleet(**overrides) -> FleetScenario:
@@ -144,3 +147,92 @@ class TestAccuracy:
     def test_per_node_trajectories_full_length(self, report_d):
         for trajectory in report_d.nodes:
             assert len(trajectory.records) == 5
+
+
+@pytest.fixture
+def eval_sweeps(monkeypatch):
+    """Every dataset ``FleetRuntime.eval_accuracy`` really sweeps, in order."""
+    swept = []
+
+    def counting(net, data, **kwargs):
+        swept.append(data)
+        return evaluate(net, data, **kwargs)
+
+    monkeypatch.setattr(fleet_simulation, "evaluate", counting)
+    return swept
+
+
+class TestCloudEvalMemo:
+    """The Cloud model is scored once per distinct weights, by content."""
+
+    @pytest.fixture
+    def runtime(self, assets):
+        runtime = build_fleet_runtime(system_by_id("d"), assets)
+        runtime.registry.publish(runtime.cloud.model_state(), {"stage": 0})
+        return runtime
+
+    def rollout(self, runtime, assets, *, max_regression):
+        runtime.scheduler.guard.max_regression = max_regression
+        return runtime.scheduler.rollout(
+            1,
+            assets.node_stages[0][1].new_data,
+            assets.eval_data,
+            tuple(p.node_id for p in assets.profiles),
+            weight_shared=True,
+            epochs=1,
+        )
+
+    def test_a_cloud_that_never_retrains_is_swept_once(self, eval_sweeps):
+        assets = prepare_fleet_assets(
+            tiny_fleet(scheduler_policy="threshold", upload_threshold=10**9)
+        )
+        report = run_fleet(system_by_id("d"), assets)
+        assert len(report.stages) == 5
+        assert not any(s.updated for s in report.stages[1:])
+        assert len(eval_sweeps) == 1 and eval_sweeps[0] is assets.eval_data
+        # ... and every stage reports what a sweep of its own would have
+        net = build_fleet_runtime(system_by_id("d"), assets).cloud.inference_net
+        net.load_state_dict(report.registry.active.state)
+        direct = evaluate(net, assets.eval_data)
+        assert [s.eval_accuracy for s in report.stages] == [direct] * 5
+        assert report.final_accuracy == direct
+
+    def test_rollback_hits_and_promotion_misses(
+        self, runtime, assets, eval_sweeps
+    ):
+        before = runtime.eval_accuracy(assets.eval_data)
+        assert len(eval_sweeps) == 1
+        # a guard nothing can satisfy: trained, canaried, restored
+        rejected = self.rollout(runtime, assets, max_regression=-2.0)
+        assert not rejected.promoted
+        assert runtime.eval_accuracy(assets.eval_data) == before
+        assert len(eval_sweeps) == 1
+        promoted = self.rollout(runtime, assets, max_regression=2.0)
+        assert promoted.promoted
+        after = runtime.eval_accuracy(assets.eval_data)
+        assert len(eval_sweeps) == 2
+        assert after == promoted.decision.accuracy_after
+        assert after == evaluate(runtime.cloud.inference_net, assets.eval_data)
+
+    def test_key_is_the_weight_content(self, runtime, assets, eval_sweeps):
+        net = runtime.cloud.inference_net
+        before = runtime.eval_accuracy(assets.eval_data)
+        weight = net.parameters[-1].data
+        original = weight.flat[0]
+        weight.flat[0] = original + 100.0  # in place: no load, no publish
+        moved = runtime.eval_accuracy(assets.eval_data)
+        assert len(eval_sweeps) == 2
+        assert moved == evaluate(net, assets.eval_data)
+        weight.flat[0] = original
+        assert runtime.eval_accuracy(assets.eval_data) == before
+        assert len(eval_sweeps) == 2
+
+    def test_each_eval_set_has_its_own_scores(
+        self, runtime, assets, eval_sweeps
+    ):
+        other = assets.node_stages[0][0].new_data
+        runtime.eval_accuracy(assets.eval_data)
+        assert runtime.eval_accuracy(other) == evaluate(
+            runtime.cloud.inference_net, other
+        )
+        assert [d is other for d in eval_sweeps] == [False, True]
