@@ -6,20 +6,29 @@ count, the GPU model times its matmul form (Fig. 8), and the FPGA engines in
 is the *functional* reference those hardware models are validated against.
 
 A layer owns its parameters and nothing else: every large temporary (column
-matrices, gradient rows, gradient columns, col2im scratch) is a view of the
-process-wide grow-only :mod:`repro.nn.workspace`, shared by all layers of
-all networks, so the steady-state training loop allocates — and page-faults
-— nothing, whatever batch sizes come through.  Transient temporaries use
-:func:`~repro.nn.workspace.take` roles (``cols_infer``, ``grad_rows``,
-``grad_w``, ``grad_cols``, ``col2im_padded``, ``grouped_grad_in``).  The
-training column matrix must survive from ``forward(training=True)`` to
-``backward``, so it lives in a slot named after the layer that is checked
-out in ``forward`` and released in ``backward``; when another live layer
-holds that slot (a second network with the same layer names mid-step, a
-dangling training forward) the layer allocates instead, so a live cache is
-never aliased.  All of this is pure data movement — GEMM call shapes,
-operand layouts and accumulation order are unchanged — so results stay
-bit-identical to freshly allocated buffers.
+matrices, gradient rows, gradient columns, the col2im accumulator) is a view
+of the process-wide grow-only :mod:`repro.nn.workspace`, shared by all layers
+of all networks, so the steady-state training loop allocates — and
+page-faults — nothing, whatever batch sizes come through.  Transient
+temporaries use :func:`~repro.nn.workspace.take` roles (``cols_infer``,
+``grad_rows``, ``grad_w``, ``grad_cols``, ``col2im_padded``,
+``grouped_grad_in``).  The training column matrix must survive from
+``forward(training=True)`` to ``backward``, so it lives in a slot named after
+the layer that is checked out in ``forward`` and released in ``backward``;
+when another live layer holds that slot (a second network with the same layer
+names mid-step, a dangling training forward) the layer allocates instead, so
+a live cache is never aliased.
+
+Column matrices sit in memory in the paper's Dm layout ``(N*K*K, B*R*C)``
+(Fig. 8) and the GEMMs see them through transpose views: forward and
+weight-gradient products are written exactly as for a row-major column
+matrix, and the gradient columns are computed straight into Dm layout as
+``Fm^T @ grad_rows^T``, whose planes :func:`~repro.nn.im2col.col2im` adds
+from in place.  All of this is pure data movement — every GEMM keeps its
+logical operands, shapes and accumulation order — so results stay
+bit-identical to the reference formulation
+(``tests/nn/test_hotpath_properties.py`` pins that, and says where BLAS's
+small-matrix kernels stop it holding).
 """
 
 from __future__ import annotations
@@ -151,7 +160,7 @@ class Conv2D(Layer):
     def _cols_buffer(
         self, shape: tuple[int, ...], dtype: np.dtype, *, training: bool
     ) -> np.ndarray | None:
-        """Workspace view for the column matrix, or ``None`` to allocate.
+        """Workspace view for the Dm-layout columns, or ``None`` to allocate.
 
         Training columns live until ``backward``, so they need this layer's
         slot; when another live layer holds it the caller allocates.
@@ -184,12 +193,12 @@ class Conv2D(Layer):
         return grad_rows
 
     def _padded_grad(self, x_shape: Shape, channels: int, dtype) -> np.ndarray:
-        """col2im accumulation buffer for ``channels`` input maps."""
+        """Channel-major col2im accumulator for ``channels`` input maps."""
         return workspace.take(
             "col2im_padded",
             (
-                x_shape[0],
                 channels,
+                x_shape[0],
                 x_shape[2] + 2 * self.pad,
                 x_shape[3] + 2 * self.pad,
             ),
@@ -202,18 +211,19 @@ class Conv2D(Layer):
     def _forward_dense(self, x: np.ndarray, *, training: bool) -> np.ndarray:
         batch = x.shape[0]
         _, out_h, out_w = self.output_shape(x.shape[1:])
-        col_shape = (
-            batch * out_h * out_w,
+        dm_shape = (
             self.in_channels * self.kernel * self.kernel,
+            batch * out_h * out_w,
         )
         cols = im2col(
             x,
             self.kernel,
             self.stride,
             self.pad,
-            out=self._cols_buffer(col_shape, x.dtype, training=training),
+            out=self._cols_buffer(dm_shape, x.dtype, training=training),
         )
-        # Fm (M x NK^2) @ Dm^T, computed as Dm_rows @ Fm^T for cache locality.
+        # Fm (M x NK^2) @ Dm, written as Dm^T @ Fm^T so the result comes out
+        # in (B*R*C, M) rows; cols is the Dm^T view.
         flat_w = self.weight.data.reshape(self.out_channels, -1)
         out = cols @ flat_w.T
         out += self.bias.data
@@ -237,10 +247,10 @@ class Conv2D(Layer):
             self.bias.accumulate(grad_rows.sum(axis=0))
         if self.skip_input_grad:
             return np.zeros(x_shape, dtype=grad_out.dtype)
-        grad_cols = workspace.take("grad_cols", cols.shape, grad_rows.dtype)
-        np.matmul(grad_rows, flat_w, out=grad_cols)
+        grad_dm = workspace.take("grad_cols", cols.T.shape, grad_rows.dtype)
+        np.matmul(flat_w.T, grad_rows.T, out=grad_dm)
         return col2im(
-            grad_cols,
+            grad_dm.T,
             x_shape,
             self.kernel,
             self.stride,
@@ -260,7 +270,7 @@ class Conv2D(Layer):
         out_per = self.out_channels // self.groups
         rows = batch * out_h * out_w
         col_buf = self._cols_buffer(
-            (self.groups, rows, in_per * self.kernel * self.kernel),
+            (self.groups, in_per * self.kernel * self.kernel, rows),
             x.dtype,
             training=training,
         )
@@ -317,13 +327,13 @@ class Conv2D(Layer):
                 w_g = self.weight.data[
                     g * out_per : (g + 1) * out_per
                 ].reshape(out_per, -1)
-                grad_cols = workspace.take(
-                    "grad_cols", cols.shape, grad_rows.dtype
+                grad_dm = workspace.take(
+                    "grad_cols", cols.T.shape, grad_rows.dtype
                 )
-                np.matmul(rows_g, w_g, out=grad_cols)
+                np.matmul(w_g.T, rows_g.T, out=grad_dm)
                 group_shape = (x_shape[0], in_per, x_shape[2], x_shape[3])
                 grad_in[:, g * in_per : (g + 1) * in_per] = col2im(
-                    grad_cols,
+                    grad_dm.T,
                     group_shape,
                     self.kernel,
                     self.stride,

@@ -8,44 +8,42 @@ module implements exactly that transformation (and its transpose, used by the
 backward pass).
 
 Both transforms are pure data movement, so they are bit-exact regardless of
-strategy; the strategies below were picked by measurement:
+strategy.  The strategy is to keep the bytes in the paper's layout and
+transpose the *small* tensor instead of the large one:
 
-* ``im2col`` builds the GEMM matrix from a zero-copy
-  :func:`numpy.lib.stride_tricks.sliding_window_view` with a **single** copy
-  into the output layout.  For 3x3 kernels the windowed copy's short inner
-  runs lose to a two-step gather (per-tap slice copies into a small scratch,
-  then one blocked transpose), so small kernels dispatch to that path — on
-  one CPU core the split point is ~2.5x either way at AlexNet-ish shapes.
-* ``col2im`` keeps a *contiguity copy* before the overlap-add scatter:
-  scattering straight out of the transposed view was measured 1.5-2x slower
-  (strided reads defeat the adds) than copy-then-contiguous-adds.
+* ``im2col`` makes one zero-padded **channel-major** ``(N, B, H+2p, W+2p)``
+  copy of the input (whatever the input's strides) and then fills the
+  C-contiguous ``Dm`` array ``(N*K*K, B*R*C)`` with ``K*K`` slice copies,
+  one per kernel tap, whose inner runs are whole output rows.  Callers get
+  the transpose **view** — logically the ``(B*R*C, N*K*K)`` matrix of
+  receptive-field rows, same values as ever — and BLAS, which packs its
+  operands anyway, absorbs the transpose.
+* ``col2im`` overlap-adds straight out of the ``K*K`` contiguous planes of
+  a Dm-layout gradient (what :class:`~repro.nn.conv.Conv2D` hands it) into
+  a channel-major padded buffer, tap by tap in ``(ky, kx)`` order, and
+  returns the logical NCHW view.  Columns in any other layout (a
+  C-ordered ``(B*R*C, N*K*K)`` array from another caller) are first copied
+  into that plane layout: adding from strided planes was measured 1.5-2x
+  slower than copy-then-contiguous-adds.
 
-Where the time actually went was not the copies but *first-touch page
-faults* on freshly allocated temporaries: on a 4-node fleet run about half
-of im2col's time and nearly all of the process's kernel time.  So every
-internal temporary — the zero-padded input, the two-step gather scratch,
-the col2im contiguity copy — is a view of the process-wide grow-only
-:mod:`repro.nn.workspace` (roles ``im2col_pad``, ``im2col_gather``,
-``col2im_scratch``), and only what is *returned* is freshly allocated:
-``im2col``'s result unless ``out=`` is given, ``col2im``'s result unless
-``padded_out=`` is given.  :class:`~repro.nn.conv.Conv2D` passes workspace
-views for those too, so the steady-state training loop allocates no large
-array at all.
+Every internal temporary — the channel-major padded input, the fallback
+contiguity copy — is a view of the process-wide grow-only
+:mod:`repro.nn.workspace` (roles ``im2col_pad``, ``col2im_scratch``), because
+first-touch page faults on fresh temporaries once cost more than the copies
+themselves.  Only what is *returned* is freshly allocated: ``im2col``'s
+result unless ``out=`` is given, ``col2im``'s result unless ``padded_out=``
+is given.  :class:`~repro.nn.conv.Conv2D` passes workspace views for those
+too, so the steady-state training loop allocates no large array at all.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn import workspace
 from repro.obs.profile import profiled
 
 __all__ = ["conv_output_size", "im2col", "col2im"]
-
-#: kernels at least this wide use the single-copy sliding-window gather;
-#: smaller kernels (3x3, 2x2) measured faster on the two-step path.
-_SLIDING_MIN_KERNEL = 4
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -59,23 +57,30 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
-def _zero_padded(images: np.ndarray, pad: int) -> np.ndarray:
-    """``np.pad(images, pad)`` on the last two axes, into the workspace.
+def _channel_major_padded(images: np.ndarray, pad: int) -> np.ndarray:
+    """``images`` zero-padded on the last two axes, as ``(N, B, H+2p, W+2p)``.
 
-    The buffer is shared by every geometry, so the border is re-zeroed on
-    each call (four thin strips) and the interior overwritten.
+    A workspace view.  The buffer is shared by every geometry, so the border
+    is re-zeroed on each call (four thin strips) and the interior
+    overwritten; this copy is also where an input with unusual strides (the
+    NHWC-physical output of the previous convolution, a channel slice of a
+    grouped one) is brought into row-contiguous order, once, on the small
+    tensor.
     """
     batch, channels, height, width = images.shape
     padded = workspace.take(
         "im2col_pad",
-        (batch, channels, height + 2 * pad, width + 2 * pad),
+        (channels, batch, height + 2 * pad, width + 2 * pad),
         images.dtype,
     )
-    padded[:, :, :pad] = 0
-    padded[:, :, -pad:] = 0
-    padded[:, :, pad:-pad, :pad] = 0
-    padded[:, :, pad:-pad, -pad:] = 0
-    padded[:, :, pad:-pad, pad:-pad] = images
+    if pad:
+        padded[:, :, :pad] = 0
+        padded[:, :, -pad:] = 0
+        padded[:, :, pad:-pad, :pad] = 0
+        padded[:, :, pad:-pad, -pad:] = 0
+    padded[:, :, pad : pad + height, pad : pad + width] = images.transpose(
+        1, 0, 2, 3
+    )
     return padded
 
 
@@ -103,56 +108,44 @@ def im2col(
     Parameters
     ----------
     images:
-        Batch in NCHW layout, shape ``(B, N, H, W)``.
+        Batch in NCHW layout, shape ``(B, N, H, W)``, any strides.
     kernel, stride, pad:
         Square-kernel convolution geometry.
     out:
-        Optional preallocated result buffer of the exact output shape and
-        dtype (a workspace view in the training hot loop); a fresh array is
-        allocated and returned when omitted.
+        Optional preallocated C-contiguous buffer in the paper's Dm layout,
+        shape ``(N * kernel * kernel, B * R * C)`` (a workspace view in the
+        training hot loop); a fresh array is allocated when omitted.  The
+        result is its transpose view.
 
     Returns
     -------
     np.ndarray
         Shape ``(B * R * C, N * kernel * kernel)`` where ``R``/``C`` are the
         output spatial dims.  Row ``b*R*C + r*C + c`` holds the receptive
-        field of output pixel ``(r, c)`` of sample ``b``.
+        field of output pixel ``(r, c)`` of sample ``b``.  It is the
+        transpose *view* of the Dm array, so ``result.T`` is C-contiguous
+        and ``result`` itself is not.
     """
     batch, channels, height, width = images.shape
     out_h = conv_output_size(height, kernel, stride, pad)
     out_w = conv_output_size(width, kernel, stride, pad)
 
-    if pad:
-        images = _zero_padded(images, pad)
-
-    shape = (batch * out_h * out_w, channels * kernel * kernel)
+    shape = (channels * kernel * kernel, batch * out_h * out_w)
     if out is None:
         out = np.empty(shape, dtype=images.dtype)
     else:
         _check_buffer(out, shape, images.dtype, "im2col out")
-    out6 = out.reshape(batch, out_h, out_w, channels, kernel, kernel)
+        if not out.flags.c_contiguous:
+            raise ValueError("im2col out buffer must be C-contiguous")
+    dm6 = out.reshape(channels, kernel, kernel, batch, out_h, out_w)
 
-    if kernel >= _SLIDING_MIN_KERNEL or kernel == 1:
-        windows = sliding_window_view(images, (kernel, kernel), axis=(2, 3))[
-            :, :, ::stride, ::stride
-        ]
-        np.copyto(out6, windows.transpose(0, 2, 3, 1, 4, 5))
-        return out
-
-    cols = workspace.take(
-        "im2col_gather",
-        (batch, channels, kernel, kernel, out_h, out_w),
-        images.dtype,
-    )
+    padded = _channel_major_padded(images, pad)
     for ky in range(kernel):
         y_max = ky + stride * out_h
         for kx in range(kernel):
             x_max = kx + stride * out_w
-            cols[:, :, ky, kx, :, :] = images[
-                :, :, ky:y_max:stride, kx:x_max:stride
-            ]
-    np.copyto(out6, cols.transpose(0, 4, 5, 1, 2, 3))
-    return out
+            dm6[:, ky, kx] = padded[:, :, ky:y_max:stride, kx:x_max:stride]
+    return out.T
 
 
 @profiled("nn.col2im")
@@ -171,32 +164,40 @@ def col2im(
     Overlapping patches are *summed*, which is exactly the gradient
     accumulation the convolution backward pass needs.
 
-    ``scratch`` (shape ``(B, N, K, K, R, C)``) receives the contiguity copy
-    and defaults to a workspace view; ``padded_out`` (shape
-    ``(B, N, H+2p, W+2p)``) receives the accumulation and defaults to a
-    fresh array, because it is what the call returns (a view into it when
-    ``pad > 0``).
+    ``cols`` is the logical ``(B*R*C, N*K*K)`` matrix.  When it is a
+    Dm-layout view (``cols.T`` C-contiguous, as :func:`im2col` returns and
+    :class:`~repro.nn.conv.Conv2D` computes its gradient columns) its
+    ``K*K`` planes are read in place.  Otherwise ``scratch`` (shape
+    ``(N, K, K, B, R, C)``, a workspace view by default) receives a
+    contiguity copy first.  ``padded_out`` (channel-major, shape
+    ``(N, B, H+2p, W+2p)``) receives the accumulation and defaults to a
+    fresh array, because the call returns a view into it: logical
+    ``(B, N, H, W)``, cropped when ``pad > 0``.
     """
     batch, channels, height, width = image_shape
     out_h = conv_output_size(height, kernel, stride, pad)
     out_w = conv_output_size(width, kernel, stride, pad)
 
-    six_shape = (batch, channels, kernel, kernel, out_h, out_w)
-    if scratch is None:
-        scratch = workspace.take("col2im_scratch", six_shape, cols.dtype)
+    six_shape = (channels, kernel, kernel, batch, out_h, out_w)
+    if cols.T.flags.c_contiguous:
+        planes = cols.T.reshape(six_shape)
     else:
-        _check_buffer(scratch, six_shape, cols.dtype, "col2im scratch")
-    # One blocked copy into (B, N, K, K, R, C): the K*K overlap-adds below
-    # then stream over contiguous planes, which measures 1.5-2x faster than
-    # adding straight from the transposed view.
-    np.copyto(
-        scratch,
-        cols.reshape(batch, out_h, out_w, channels, kernel, kernel).transpose(
-            0, 3, 4, 5, 1, 2
-        ),
-    )
+        if scratch is None:
+            scratch = workspace.take("col2im_scratch", six_shape, cols.dtype)
+        else:
+            _check_buffer(scratch, six_shape, cols.dtype, "col2im scratch")
+        # One blocked copy into (N, K, K, B, R, C): the K*K overlap-adds
+        # below then stream over contiguous planes, which measures 1.5-2x
+        # faster than adding straight from strided ones.
+        np.copyto(
+            scratch,
+            cols.reshape(
+                batch, out_h, out_w, channels, kernel, kernel
+            ).transpose(3, 4, 5, 0, 1, 2),
+        )
+        planes = scratch
 
-    padded_shape = (batch, channels, height + 2 * pad, width + 2 * pad)
+    padded_shape = (channels, batch, height + 2 * pad, width + 2 * pad)
     if padded_out is None:
         padded = np.zeros(padded_shape, dtype=cols.dtype)
     else:
@@ -207,9 +208,9 @@ def col2im(
         y_max = ky + stride * out_h
         for kx in range(kernel):
             x_max = kx + stride * out_w
-            padded[:, :, ky:y_max:stride, kx:x_max:stride] += scratch[
-                :, :, ky, kx, :, :
+            padded[:, :, ky:y_max:stride, kx:x_max:stride] += planes[
+                :, ky, kx
             ]
-    if pad:
-        return padded[:, :, pad:-pad, pad:-pad]
-    return padded
+    return padded[:, :, pad : pad + height, pad : pad + width].transpose(
+        1, 0, 2, 3
+    )

@@ -53,9 +53,16 @@ class MaxPool2D(Layer):
             conv_output_size(width, self.kernel, self.stride, 0),
         )
 
+    def _tiled(self, x: np.ndarray) -> bool:
+        """Non-overlapping windows that cover the input (the common case)."""
+        k = self.kernel
+        return k == self.stride and x.shape[2] % k == 0 and x.shape[3] % k == 0
+
     def forward(self, x: np.ndarray, *, training: bool = False) -> np.ndarray:
-        windows = _windows(x, self.kernel, self.stride)
-        out = windows.max(axis=(4, 5))
+        if self._tiled(x):
+            out = self._forward_tiled(x)
+        else:
+            out = _windows(x, self.kernel, self.stride).max(axis=(4, 5))
         if training:
             self._cache = (x, out)
         return out
@@ -66,7 +73,7 @@ class MaxPool2D(Layer):
         x, out = self._cache
         self._cache = None
         k, s = self.kernel, self.stride
-        if k == s and x.shape[2] % k == 0 and x.shape[3] % k == 0:
+        if self._tiled(x):
             return self._backward_tiled(x, out, grad_out)
         grad_in = np.zeros_like(x)
         out_h, out_w = out.shape[2], out.shape[3]
@@ -83,17 +90,42 @@ class MaxPool2D(Layer):
                 )
         return grad_in
 
+    def _taps(self, x: np.ndarray) -> list[np.ndarray]:
+        """The ``k*k`` strided views holding each window's tap ``(i, j)``."""
+        k = self.kernel
+        return [x[:, :, i::k, j::k] for i in range(k) for j in range(k)]
+
+    def _forward_tiled(self, x: np.ndarray) -> np.ndarray:
+        """Running maximum over the taps: no window temporaries."""
+        taps = self._taps(x)
+        out = taps[0].copy(order="K")
+        for tap in taps[1:]:
+            np.maximum(out, tap, out=out)
+        return out
+
     def _backward_tiled(
         self, x: np.ndarray, out: np.ndarray, grad_out: np.ndarray
     ) -> np.ndarray:
-        """Vectorized backward for non-overlapping pooling (the common case)."""
-        batch, channels, height, width = x.shape
-        k = self.kernel
-        tiles = x.reshape(batch, channels, height // k, k, width // k, k)
-        mask = tiles == out[:, :, :, None, :, None]
-        counts = mask.sum(axis=(3, 5), keepdims=True).astype(grad_out.dtype)
-        grad = mask * grad_out[:, :, :, None, :, None] / counts
-        return grad.reshape(batch, channels, height, width)
+        """Each window's gradient goes to its maxima, split equally on ties.
+
+        Computed as ``(grad_out / count) * mask`` per tap, which equals the
+        general path's ``(mask * grad_out) / count`` bit for bit.
+        """
+        masks = [tap == out for tap in self._taps(x)]
+        # Tie counts in the narrowest type that holds k*k (uint8 up to k=15).
+        counts = masks[0].astype(np.min_scalar_type(len(masks)))
+        for mask in masks[1:]:
+            counts += mask
+        # share and grad_in take the byte order of the cached activations
+        # (channels-last after a convolution), whatever grad_out's is, so
+        # the taps below and the ReLU backward downstream stream over
+        # matching strides.
+        share = np.empty_like(out, dtype=grad_out.dtype)
+        np.divide(grad_out, counts, out=share)
+        grad_in = np.empty_like(x, dtype=grad_out.dtype)
+        for tap, mask in zip(self._taps(grad_in), masks):
+            np.multiply(share, mask, out=tap)
+        return grad_in
 
 
 class AvgPool2D(Layer):

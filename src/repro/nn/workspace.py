@@ -2,10 +2,14 @@
 
 Every large temporary of :mod:`repro.nn.im2col` and
 :class:`~repro.nn.conv.Conv2D` is a *view* carved from one flat byte buffer
-per **role** (``cols_infer``, ``grad_rows``, ``grad_cols``, ``im2col_pad``,
-...).  A role's buffer is as large as the largest request it has ever served
-and is never shrunk, so once a process has seen its biggest batch the hot
-loop touches only memory it has touched before, whatever shapes follow.
+per **role**: ``cols_infer`` and ``grad_cols`` (column matrices in the
+paper's Dm layout ``(N*K*K, B*R*C)``), ``grad_rows``, ``grad_w``,
+``grouped_grad_in``, the channel-major ``(N, B, H+2p, W+2p)`` images
+``im2col_pad`` and ``col2im_padded``, and ``col2im_scratch`` (touched only
+when ``col2im`` is handed C-ordered columns).  A role's buffer is as large
+as the largest request it has ever served and is never shrunk, so once a
+process has seen its biggest batch the hot loop touches only memory it has
+touched before, whatever shapes follow.
 
 Why not exact-shape buffers owned by each layer (what this replaced): every
 ``Conv2D`` instance of every network kept one array per distinct shape, and

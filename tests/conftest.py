@@ -23,6 +23,27 @@ def float64_mode():
 
 
 @pytest.fixture
+def physical_layouts():
+    """``layouts(x)``: the same NCHW values in the three byte orders the
+    conv stack produces — C-contiguous, channels-last (a conv output) and
+    channel-major (a col2im gradient)."""
+
+    def layouts(x: np.ndarray) -> dict[str, np.ndarray]:
+        def stored_as(*axes: int) -> np.ndarray:
+            return np.ascontiguousarray(x.transpose(axes)).transpose(
+                np.argsort(axes)
+            )
+
+        return {
+            "contiguous": x,
+            "nhwc": stored_as(0, 2, 3, 1),
+            "channel_major": stored_as(1, 0, 2, 3),
+        }
+
+    return layouts
+
+
+@pytest.fixture
 def generator(rng) -> ImageGenerator:
     return ImageGenerator(image_size=48, num_classes=4, rng=rng)
 

@@ -8,6 +8,76 @@ import pytest
 from repro.nn import AvgPool2D, GlobalAvgPool2D, MaxPool2D
 
 
+def maxpool_tiled_reference(x, grad_out, k):
+    """The windowed / 6-D broadcast formulation ``MaxPool2D`` used before."""
+    batch, channels, height, width = x.shape
+    tiles = x.reshape(batch, channels, height // k, k, width // k, k)
+    out = tiles.max(axis=(3, 5))
+    mask = tiles == out[:, :, :, None, :, None]
+    counts = mask.sum(axis=(3, 5), keepdims=True).astype(grad_out.dtype)
+    grad = mask * grad_out[:, :, :, None, :, None] / counts
+    return out, grad.reshape(x.shape)
+
+
+class TestMaxPoolTiledMatchesOldFormulation:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_forward_backward_exact(self, k, dtype, physical_layouts):
+        rng = np.random.default_rng(k)
+        # Few distinct values: plenty of 2-, 3- and 4-way ties per window.
+        x = rng.integers(0, 3, size=(3, 4, 6 * k, 4 * k)).astype(dtype)
+        x += rng.normal(size=x.shape).astype(dtype) * (x == 2)
+        shape = (3, 4, 6, 4)
+        grad_out = rng.normal(size=shape).astype(dtype)  # mixed sign
+        want_out, want_grad = maxpool_tiled_reference(x, grad_out, k)
+        assert (want_grad == 0).any() and (want_grad < 0).any()
+        for x_name, x_given in physical_layouts(x).items():
+            for g_name, g_given in physical_layouts(grad_out).items():
+                pool = MaxPool2D(k)
+                out = pool.forward(x_given, training=True)
+                grad = pool.backward(g_given)
+                assert out.dtype == grad.dtype == dtype
+                assert np.array_equal(out, want_out), x_name
+                assert np.array_equal(grad, want_grad), (x_name, g_name)
+                # Signed zeros too: (g/c)*mask and (mask*g)/c agree bit for bit.
+                assert np.array_equal(
+                    np.signbit(grad), np.signbit(want_grad)
+                ), (x_name, g_name)
+
+    @pytest.mark.parametrize("k", [2, 3, 16])
+    def test_flat_input_splits_gradient_evenly(self, k):
+        """Every window ties k*k ways: each tap gets 1/k^2 of its gradient
+        (k = 16: 256 ties, one more than a uint8 count could hold)."""
+        x = np.full((2, 3, 2 * k, 2 * k), 0.5, dtype=np.float32)
+        grad_out = np.random.default_rng(1).normal(size=(2, 3, 2, 2))
+        grad_out = grad_out.astype(np.float32)
+        pool = MaxPool2D(k)
+        pool.forward(x, training=True)
+        grad = pool.backward(grad_out)
+        want = np.repeat(np.repeat(grad_out, k, axis=2), k, axis=3)
+        want = want / np.float32(k * k)
+        assert np.array_equal(grad, want)
+        assert np.array_equal(
+            grad, maxpool_tiled_reference(x, grad_out, k)[1]
+        )
+
+    def test_inference_forward_keeps_no_cache(self):
+        pool = MaxPool2D(2)
+        pool.forward(np.zeros((1, 1, 4, 4)))
+        assert pool._cache is None
+
+    def test_indivisible_input_takes_the_general_path(self):
+        """kernel == stride but a ragged edge: not the tiled case."""
+        x = np.random.default_rng(2).normal(size=(1, 2, 5, 5))
+        pool = MaxPool2D(2)
+        out = pool.forward(x, training=True)
+        assert out.shape == (1, 2, 2, 2)
+        assert np.array_equal(out[0, 0, 1, 1], x[0, 0, 2:4, 2:4].max())
+        grad = pool.backward(np.ones_like(out))
+        assert not grad[:, :, 4].any() and not grad[:, :, :, 4].any()
+        assert grad.sum() == out.size
+
+
 class TestMaxPool:
     def test_values(self):
         x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
