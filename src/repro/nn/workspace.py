@@ -35,16 +35,54 @@ it carries no values from one call to the next, so results cannot depend on
 which process (fleet pool worker or parent) ran a step.  It is not
 thread-safe: one convolution pass at a time per process, which is how every
 engine in this repo runs (parallelism is by process, :mod:`repro.fleet.pool`).
+
+What the workspace cannot cover — the first touch of its own buffers, and
+every array a layer *returns* (GEMM results, activations, masks, pooled
+gradients) — is steadied at the allocator instead, once, when this module is
+imported: numpy's ``MADV_HUGEPAGE`` hint is switched off
+(:func:`_keep_arrays_on_small_pages`).  No value is touched by that.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import weakref
 
 import numpy as np
 
 __all__ = ["checkout", "release", "reset", "sizes", "take"]
+
+
+def _keep_arrays_on_small_pages() -> None:
+    """Stop numpy asking the kernel for huge pages under arrays of 4 MB and up.
+
+    numpy ``madvise``\\ s every such allocation ``MADV_HUGEPAGE``.  Where
+    transparent huge pages are in ``madvise`` mode (the usual server default)
+    the first touch of each 2 MB of a fresh activation or workspace buffer is
+    then a *synchronous* huge-page fault, and on a virtual machine whose free
+    2 MB blocks have been handed back to the host that fault costs anything
+    from 0.5 ms to 90 ms: a fleet run's kernel time measured 0.1 s on one
+    repetition and 1.8 s on the next, same seed, same ~7 k faults, on top of
+    1.7 s of user time.  The same bytes on 4 KB pages are five times as many
+    faults at a steady 2-5 us each (0.07-0.12 s per run) and no slower to
+    compute on.  Values are untouched: this only decides the page size under
+    arrays allocated from here on.
+
+    An explicit ``NUMPY_MADVISE_HUGEPAGE`` (numpy's own switch) wins.  The
+    setter is numpy-private, so a numpy without it is left as it is.
+    """
+    if "NUMPY_MADVISE_HUGEPAGE" in os.environ:
+        return
+    core = getattr(np, "_core", None) or getattr(np, "core", None)
+    setter = getattr(
+        getattr(core, "multiarray", None), "_set_madvise_hugepage", None
+    )
+    if setter is not None:
+        setter(False)
+
+
+_keep_arrays_on_small_pages()
 
 #: role -> flat byte buffer, grown to the largest request ever seen
 _BUFFERS: dict[str, np.ndarray] = {}

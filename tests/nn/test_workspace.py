@@ -9,6 +9,7 @@ stop growing once the largest shapes have been seen.
 from __future__ import annotations
 
 import copy
+import os
 import pickle
 
 import numpy as np
@@ -270,3 +271,38 @@ class TestPadBuffer:
         keep = grad.copy()
         col2im(again, x.shape, 3, 1, 1)
         assert np.array_equal(grad, keep)
+
+
+class TestSmallPages:
+    """Importing the workspace switches numpy's MADV_HUGEPAGE hint off:
+    where huge-page faults are synchronous their cost swings a hundredfold
+    from one run to the next (see ``_keep_arrays_on_small_pages``)."""
+
+    @pytest.fixture
+    def hint(self):
+        """numpy's private setter (returns the previous state); whatever a
+        test does, the package's own choice is put back afterwards."""
+        core = getattr(np, "_core", None) or np.core
+        setter = getattr(core.multiarray, "_set_madvise_hugepage", None)
+        if setter is None:
+            pytest.skip("this numpy has no madvise switch")
+        before = setter(False)
+        setter(before)
+        yield setter
+        setter(before)
+
+    def test_off_once_imported(self, hint):
+        if "NUMPY_MADVISE_HUGEPAGE" in os.environ:
+            pytest.skip("explicit numpy switch in the environment")
+        assert hint(False) is False
+
+    def test_switches_off_and_explicit_numpy_setting_wins(
+        self, hint, monkeypatch
+    ):
+        monkeypatch.delenv("NUMPY_MADVISE_HUGEPAGE", raising=False)
+        hint(True)
+        workspace._keep_arrays_on_small_pages()
+        assert hint(True) is False
+        monkeypatch.setenv("NUMPY_MADVISE_HUGEPAGE", "1")
+        workspace._keep_arrays_on_small_pages()
+        assert hint(False) is True
