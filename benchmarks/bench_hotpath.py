@@ -1,5 +1,5 @@
-"""Hot-path benchmark: batched rendering, im2col convolution, dataset
-cache, and parallel fleet workers.
+"""Hot-path benchmark: rendering, im2col convolution, dataset cache,
+and parallel fleet workers.
 
 Times every optimized stage against its pre-optimization reference (kept
 verbatim in :mod:`repro.data.reference` / :mod:`repro.nn.reference`) and
@@ -14,11 +14,9 @@ milliseconds) are compared so the gate survives runner hardware changes.
 
 Notes on expectations:
 
-* ``render_exact`` and ``drift_batch`` hold the historical RNG stream
-  bit-for-bit, which pins the per-image ziggurat noise draws and the
-  float64 op sequence — both are memory/`libm`-bound, so ~1x is the
-  ceiling; they are benchmarked to prove batching did not *regress* them.
-  ``render_throughput`` is the unconstrained float32 mode.
+* ``render_exact`` holds the historical RNG stream bit-for-bit, which
+  pins the per-image ziggurat noise draws and the float64 op sequence —
+  memory/`libm`-bound, so ~1x is the ceiling.
 * ``conv1_fwd_bwd`` (227x227, 11x11 stride 4) is im2col-bound and shows
   the full rewrite win.  ``conv2_fwd_bwd`` (27x27, 5x5 stride 1) is
   GEMM-bound — the three matmuls are identical in both paths and take
@@ -46,9 +44,8 @@ import numpy as np
 
 from repro.core.systems import system_by_id
 from repro.data.cache import dataset_cache
-from repro.data.drift import DriftModel
 from repro.data.images import ImageGenerator
-from repro.data.reference import ReferenceImageGenerator, drift_batch_reference
+from repro.data.reference import ReferenceImageGenerator
 from repro.fleet.profiles import FleetScenario
 from repro.fleet.simulation import (
     fleet_base_scenario,
@@ -84,7 +81,7 @@ def _best_ms(fn, rounds: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# Stage 1: batched rendering + drift
+# Stage 1: rendering
 # ----------------------------------------------------------------------
 def measure_render(quick: bool, rounds: int) -> dict:
     count = 96 if quick else 256
@@ -94,7 +91,6 @@ def measure_render(quick: bool, rounds: int) -> dict:
 
     ref_ms = _best_ms(lambda: ref.batch(labels), rounds)
     exact_ms = _best_ms(lambda: gen.batch(labels), rounds)
-    fast_ms = _best_ms(lambda: gen.batch(labels, exact_stream=False), rounds)
     return {
         "render_exact": {
             "images": count,
@@ -102,37 +98,6 @@ def measure_render(quick: bool, rounds: int) -> dict:
             "optimized_ms": exact_ms,
             "speedup": ref_ms / exact_ms,
         },
-        "render_throughput": {
-            "images": count,
-            "reference_ms": ref_ms,
-            "optimized_ms": fast_ms,
-            "speedup": ref_ms / fast_ms,
-        },
-    }
-
-
-def measure_drift(quick: bool, rounds: int) -> dict:
-    count = 64 if quick else 128
-    gen = ImageGenerator(48, 10, rng=np.random.default_rng(3))
-    images = gen.batch(np.random.default_rng(4).integers(0, 10, size=count))
-
-    def ref() -> None:
-        drift_batch_reference(
-            DriftModel(0.7, rng=np.random.default_rng(1)), images
-        )
-
-    def opt() -> None:
-        DriftModel(0.7, rng=np.random.default_rng(1)).apply_batch(images)
-
-    ref_ms = _best_ms(ref, rounds)
-    opt_ms = _best_ms(opt, rounds)
-    return {
-        "drift_batch": {
-            "images": count,
-            "reference_ms": ref_ms,
-            "optimized_ms": opt_ms,
-            "speedup": ref_ms / opt_ms,
-        }
     }
 
 
@@ -394,8 +359,6 @@ def run_benchmarks(quick: bool, workers: int) -> dict:
     stages: dict = {}
     print("render...", flush=True)
     stages.update(measure_render(quick, rounds))
-    print("drift...", flush=True)
-    stages.update(measure_drift(quick, rounds))
     print("conv...", flush=True)
     stages.update(measure_conv(quick, rounds))
     stages.update(measure_conv_shape_churn(quick))

@@ -46,6 +46,8 @@ __all__ = [
     "SystemRunResult",
     "ScenarioAssets",
     "prepare_assets",
+    "build_cloud",
+    "make_diagnoser",
     "run_system",
     "run_all_systems",
 ]
@@ -236,35 +238,38 @@ def prepare_assets(scenario: Scenario) -> ScenarioAssets:
     )
 
 
-def _build_cloud(assets: ScenarioAssets) -> InSituCloud:
-    s = assets.scenario
+def build_cloud(
+    base: Scenario, permset: PermutationSet, cost_spec: NetworkSpec
+) -> InSituCloud:
+    """The scenario's Cloud, weights freshly drawn from ``seed + 1``."""
     return InSituCloud(
-        s.num_classes,
-        assets.permset,
-        cost_spec=assets.cost_spec,
-        shared_depth=s.shared_depth,
-        width=s.width,
-        hidden=s.hidden,
-        rng=np.random.default_rng(s.seed + 1),
+        base.num_classes,
+        permset,
+        cost_spec=cost_spec,
+        shared_depth=base.shared_depth,
+        width=base.width,
+        hidden=base.hidden,
+        rng=np.random.default_rng(base.seed + 1),
     )
 
 
-def _make_diagnoser(cloud: InSituCloud, assets: ScenarioAssets):
-    s = assets.scenario
-    if s.diagnoser_kind == "oracle":
-        return OracleDiagnoser(cloud.inference_net)
-    if s.diagnoser_kind == "confidence":
+def make_diagnoser(kind: str, net, cloud: InSituCloud, base: Scenario):
+    """The ``kind`` diagnoser scoring ``net`` (jigsaw scores the Cloud's
+    context net; its streams are ``seed + 2`` / ``seed + 3``)."""
+    if kind == "oracle":
+        return OracleDiagnoser(net)
+    if kind == "confidence":
         return InferenceConfidenceDiagnoser(
-            cloud.inference_net, threshold=s.confidence_threshold
+            net, threshold=base.confidence_threshold
         )
     sampler = JigsawSampler(
-        assets.permset, rng=np.random.default_rng(s.seed + 2)
+        cloud.permset, rng=np.random.default_rng(base.seed + 2)
     )
     return JigsawDiagnoser(
         cloud.context_net,
         sampler,
         trials=2,
-        rng=np.random.default_rng(s.seed + 3),
+        rng=np.random.default_rng(base.seed + 3),
     )
 
 
@@ -284,7 +289,7 @@ def run_system(
     them inside this run.
     """
     s = assets.scenario
-    cloud = _build_cloud(assets)
+    cloud = build_cloud(s, assets.permset, assets.cost_spec)
     if pretrained_trunk_state is not None:
         cloud.context_net.load_state_dict(pretrained_trunk_state)
     else:
@@ -295,7 +300,9 @@ def run_system(
         )
 
     result = SystemRunResult(config=config)
-    diagnoser = _make_diagnoser(cloud, assets)
+    diagnoser = make_diagnoser(
+        s.diagnoser_kind, cloud.inference_net, cloud, s
+    )
 
     for stage in assets.stages:
         data = stage.new_data
@@ -392,7 +399,7 @@ def run_all_systems(
     assets = prepare_assets(scenario)
     # Share the unsupervised pre-training and the stage-0 initialization:
     # both are policy-identical across the four systems.
-    seed_cloud = _build_cloud(assets)
+    seed_cloud = build_cloud(scenario, assets.permset, assets.cost_spec)
     seed_cloud.unsupervised_pretrain(
         assets.pretrain_data,
         epochs=scenario.pretrain_epochs,

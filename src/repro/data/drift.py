@@ -155,83 +155,10 @@ class DriftModel:
         return out
 
     def apply_batch(self, images: np.ndarray) -> np.ndarray:
-        """Apply the drift pipeline to a whole batch.
-
-        Bit-identical to a per-image :meth:`apply` loop for the same
-        starting RNG state: pass 1 consumes ``self.rng`` in exactly the
-        per-image draw order (gates, conditional transform parameters,
-        then that image's sensor noise), pass 2 applies each transform
-        stage batch-wide.  The stages compose in the same per-image order
-        as :meth:`apply`, and every batched stage is elementwise or
-        axis-aligned, so no cross-image math changes any pixel.
-        """
+        """Apply the drift pipeline to a batch: the per-image :meth:`apply`
+        loop, stacked (float64, as :func:`sensor_noise` promotes)."""
         if images.ndim != 4 or images.shape[1] != 3:
             raise ValueError(f"expected (B, 3, H, W), got {images.shape}")
-        count = images.shape[0]
-        if self.severity == 0.0 or count == 0:
+        if self.severity == 0.0 or images.shape[0] == 0:
             return images.copy()
-        rng = self.rng
-        sev = self.severity
-        _, _, height, width = images.shape
-
-        # -- pass 1: draws, in the exact order apply() consumes them -----
-        g_illum = np.zeros(count, dtype=bool)
-        factor = np.empty(count)
-        occ_rects: list[tuple[int, int, int, int, int, float]] = []
-        rotations: list[tuple[int, float]] = []
-        zooms: list[tuple[int, float]] = []
-        g_blur = np.zeros(count, dtype=bool)
-        noise = np.empty((count, 3, height, width))
-        noise_flat = noise.reshape(count, -1)
-        for i in range(count):
-            if rng.random() < 0.6 * sev + 0.2:
-                g_illum[i] = True
-                factor[i] = 1.0 - 0.75 * sev * rng.random()
-            if rng.random() < 0.5 * sev:
-                frac = 0.25 * sev * rng.random()
-                # occlude() draws the rectangle only when frac > 0
-                if frac > 0.0:
-                    occ_h = max(1, int(height * np.sqrt(frac)))
-                    occ_w = max(1, int(width * np.sqrt(frac)))
-                    top = int(rng.integers(0, height - occ_h + 1))
-                    left = int(rng.integers(0, width - occ_w + 1))
-                    fill = float(rng.uniform(0.05, 0.2))
-                    occ_rects.append((i, top, left, occ_h, occ_w, fill))
-            if rng.random() < 0.5 * sev:
-                rotations.append((i, float(rng.uniform(-90, 90)) * sev))
-            if rng.random() < 0.35 * sev:
-                zooms.append((i, 1.0 + 1.5 * sev * rng.random()))
-            if rng.random() < 0.3 * sev:
-                g_blur[i] = True
-            # Same values as per-image normal(0, std): standard_normal into
-            # the batch buffer, one deferred scale below.
-            rng.standard_normal(out=noise_flat[i])
-        noise *= 0.08 * sev
-
-        # -- pass 2: staged batch application, same per-image stage order --
-        out = images.copy()
-        if g_illum.any():
-            idx = np.flatnonzero(g_illum)
-            sub = out[idx]
-            # factor enters at the image dtype, matching the python-float
-            # scalar promotion in low_illumination().
-            sub *= factor[idx, None, None, None].astype(sub.dtype, copy=False)
-            np.power(sub, 1.2, out=sub)
-            sub += 0.02
-            np.clip(sub, 0.0, 1.0, out=sub)
-            out[idx] = sub
-        for i, top, left, occ_h, occ_w, fill in occ_rects:
-            out[i, :, top : top + occ_h, left : left + occ_w] = fill
-        for i, angle in rotations:
-            out[i] = random_pose(out[i], angle)
-        for i, zoom in zooms:
-            out[i] = close_up(out[i], zoom)
-        if g_blur.any():
-            size = max(1, int(round(2.0 * sev)))
-            idx = np.flatnonzero(g_blur)
-            out[idx] = ndimage.uniform_filter1d(
-                out[idx], size=size * 2 + 1, axis=-1, mode="nearest"
-            )
-        result = out + noise  # promotes to float64, as sensor_noise does
-        np.clip(result, 0.0, 1.0, out=result)
-        return result
+        return np.stack([self.apply(image) for image in images])

@@ -8,20 +8,9 @@ degradations (poor illumination, occlusion, random pose, close-up crops —
 Fig. 2 of the paper) are applied separately by :mod:`repro.data.drift` so
 "ideal" and "in-situ" conditions draw from the same underlying classes.
 
-Images are float64 CHW arrays in [0, 1] (float32 in throughput mode, the
-dtype :class:`~repro.data.datasets.Dataset` stores anyway).
-
-:meth:`ImageGenerator.batch` renders whole batches at once.  It has two
-RNG-stream contracts:
-
-* ``exact_stream=True`` (default) consumes ``self.rng`` in the exact
-  per-image order of the historical ``generate`` loop, so every recorded
-  simulation trajectory stays bit-identical.  Only the rendering *math* is
-  batched; the per-image parameter and noise draws are pinned.
-* ``exact_stream=False`` is the throughput mode: parameters and noise are
-  drawn as whole blocks and the render runs in float32.  Deterministic for
-  a given seed, but a *different* stream — use it for new workloads, not
-  for reproducing recorded runs.
+Images are float64 CHW arrays in [0, 1].  :meth:`ImageGenerator.batch`
+is the per-image :meth:`~ImageGenerator.generate` loop, so a batch
+consumes ``self.rng`` exactly as that many single renders would.
 """
 
 from __future__ import annotations
@@ -35,33 +24,6 @@ from repro.obs.profile import profiled
 __all__ = ["NUM_SHAPE_CLASSES", "ShapeParams", "ImageGenerator"]
 
 NUM_SHAPE_CLASSES = 10
-
-#: images per chunk in the batched renderer; sized so the live scratch set
-#: (seven (chunk, S, S) planes at S=48) stays cache-resident on one core.
-_RENDER_CHUNK = 32
-
-
-def _gaussian_f32(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` standard normals via vectorized float32 Box-Muller.
-
-    numpy's ziggurat sampler is scalar rejection sampling (~13 ns/value on
-    one core); Box-Muller on the SIMD float32 log/sqrt/sin/cos ufuncs
-    measures ~1.6x faster.  Only the throughput render path uses this —
-    the exact-stream path must reproduce ``Generator.normal`` bitwise.
-    """
-    half = (n + 1) // 2
-    u1 = rng.random(half, dtype=np.float32)
-    u2 = rng.random(half, dtype=np.float32)
-    np.subtract(np.float32(1.0), u1, out=u1)  # (0, 1]: log stays finite
-    np.log(u1, out=u1)
-    u1 *= np.float32(-2.0)
-    np.sqrt(u1, out=u1)  # radius
-    u2 *= np.float32(2.0 * np.pi)  # angle
-    cos_part = np.cos(u2)
-    np.sin(u2, out=u2)
-    cos_part *= u1
-    u2 *= u1
-    return np.concatenate([cos_part, u2])[:n]
 
 
 @dataclass(frozen=True)
@@ -107,7 +69,7 @@ class ImageGenerator:
         self.image_size = image_size
         self.num_classes = num_classes
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        grid = np.arange(image_size, dtype=np.float64)  # repro-lint: ignore[RPR004] f64 pixel grid is the exact-stream render contract (bit-pins trig terms)
+        grid = np.arange(image_size, dtype=np.float64)  # repro-lint: ignore[RPR004] f64 pixel grid is the render contract (bit-pins trig terms)
         self._yy, self._xx = np.meshgrid(grid, grid, indexing="ij")
         # Fixed background terms, precomputed once; bitwise identical to
         # evaluating them per image (they depend only on the pixel grid).
@@ -115,7 +77,6 @@ class ImageGenerator:
         self._bg_texture = 0.04 * np.sin(self._yy * 0.9) * np.cos(
             self._xx * 0.7
         )
-        self._grid_cache: dict[str, tuple[np.ndarray, ...]] = {}
 
     # ------------------------------------------------------------------
     def sample_params(self) -> ShapeParams:
@@ -190,15 +151,9 @@ class ImageGenerator:
         return np.clip(img, 0.0, 1.0)
 
     @profiled("images.batch")
-    def batch(
-        self, labels: np.ndarray, *, exact_stream: bool = True
-    ) -> np.ndarray:
-        """Render a batch of images for the given label vector.
-
-        ``exact_stream=True`` is bit-identical to calling :meth:`generate`
-        per label with the same starting RNG state (see the module
-        docstring for the two stream contracts).
-        """
+    def batch(self, labels: np.ndarray) -> np.ndarray:
+        """Render one image per label: the :meth:`generate` loop, stacked
+        into a ``(B, 3, S, S)`` float64 array."""
         labels = np.asarray(labels)
         bad = (labels < 0) | (labels >= self.num_classes)
         if labels.size and bad.any():
@@ -206,172 +161,11 @@ class ImageGenerator:
             raise ValueError(
                 f"class_id {offender} out of range [0, {self.num_classes})"
             )
-        count = len(labels)
         size = self.image_size
-        dtype = np.float64 if exact_stream else np.float32  # repro-lint: ignore[RPR004] exact_stream contract renders in f64 to match generate() bitwise
-        if count == 0:
-            return np.empty((0, 3, size, size), dtype=dtype)
-        if exact_stream:
-            return self._batch_exact(labels)
-        return self._batch_throughput(labels)
-
-    def _batch_exact(self, labels: np.ndarray) -> np.ndarray:
-        count = len(labels)
-        size = self.image_size
-        rng = self.rng
-        noise = np.empty((count, 3, size, size))
-        noise_flat = noise.reshape(count, -1)
-        draws = np.empty((count, 8))
-        # Per-image draw order (params then noise) is pinned by the stream
-        # contract; only the raw draws happen in the loop — the scalings
-        # below match Generator.uniform bitwise (see sample_params), and
-        # f64 cos/sin are elementwise-identical batched or per-scalar.
-        # standard_normal(out=) + one deferred *= 0.015 produces the same
-        # values as per-image normal(0, 0.015) without the alloc+copy.
-        for i in range(count):
-            draws[i] = rng.random(8)
-            rng.standard_normal(out=noise_flat[i])
-        noise *= 0.015
-        hue = 0.45 + (1.0 - 0.45) * draws[:, :3]
-        fg = hue / hue.max(axis=1, keepdims=True)
-        cy = (0.38 + (0.62 - 0.38) * draws[:, 3]) * size
-        cx = (0.38 + (0.62 - 0.38) * draws[:, 4]) * size
-        scale = (0.24 + (0.34 - 0.24) * draws[:, 5]) * size
-        angle = -0.35 + (0.35 - (-0.35)) * draws[:, 6]
-        bg = 0.12 + (0.3 - 0.12) * draws[:, 7]
-        imgs = self._render_batch(
-            labels, cy, cx, scale, np.cos(angle), np.sin(angle), fg, bg,
-            np.float64,  # repro-lint: ignore[RPR004] exact-stream path must accumulate in f64 to stay bit-identical to per-image generate()
-        )
-        imgs += noise
-        return np.clip(imgs, 0.0, 1.0)
-
-    def _batch_throughput(self, labels: np.ndarray) -> np.ndarray:
-        count = len(labels)
-        size = self.image_size
-        rng = self.rng
-        hue = rng.uniform(0.45, 1.0, size=(count, 3))
-        fg = hue / hue.max(axis=1, keepdims=True)
-        cy = rng.uniform(0.38, 0.62, size=count) * size
-        cx = rng.uniform(0.38, 0.62, size=count) * size
-        scale = rng.uniform(0.24, 0.34, size=count) * size
-        angle = rng.uniform(-0.35, 0.35, size=count).astype(np.float32)
-        bg = rng.uniform(0.12, 0.3, size=count)
-        imgs = self._render_batch(
-            labels,
-            cy.astype(np.float32),
-            cx.astype(np.float32),
-            scale.astype(np.float32),
-            np.cos(angle),
-            np.sin(angle),
-            fg.astype(np.float32),
-            bg.astype(np.float32),
-            np.float32,
-        )
-        noise = _gaussian_f32(rng, count * 3 * size * size)
-        noise *= np.float32(0.015)
-        imgs += noise.reshape(count, 3, size, size)
-        return np.clip(imgs, 0.0, 1.0)
-
-    # ------------------------------------------------------------------
-    def _grids(self, dtype) -> tuple[np.ndarray, ...]:
-        key = np.dtype(dtype).str
-        cached = self._grid_cache.get(key)
-        if cached is None:
-            cached = tuple(
-                a.astype(dtype, copy=False)
-                for a in (
-                    self._yy,
-                    self._xx,
-                    self._bg_grad15,
-                    self._bg_texture,
-                )
-            )
-            self._grid_cache[key] = cached
-        return cached
-
-    def _render_batch(
-        self,
-        labels: np.ndarray,
-        cy: np.ndarray,
-        cx: np.ndarray,
-        scale: np.ndarray,
-        cos_a: np.ndarray,
-        sin_a: np.ndarray,
-        fg: np.ndarray,
-        bg: np.ndarray,
-        dtype,
-    ) -> np.ndarray:
-        """Noise-free batched render: mask/background/compose over (B, S, S).
-
-        Images are rendered in label-sorted order so each chunk covers long
-        same-class runs (one mask-formula dispatch per run, contiguous
-        slices, no gather copies), through preallocated chunk-sized scratch
-        planes, then un-permuted once at the end.  In float64 the op
-        sequence matches the per-image path exactly, so the result is
-        bit-identical to a :meth:`generate` loop fed the same parameters.
-        """
-        count = len(labels)
-        size = self.image_size
-        yy, xx, bg_grad15, bg_texture = self._grids(dtype)
-        yy = yy[None]
-        xx = xx[None]
-
-        order = np.argsort(labels, kind="stable")
-        ls = labels[order]
-        cys, cxs, ss = cy[order], cx[order], scale[order]
-        cs, sn = cos_a[order], sin_a[order]
-        fgs, bgs = fg[order], bg[order]
-
-        buf = np.empty((count, 3, size, size), dtype=dtype)
-        chunk = min(_RENDER_CHUNK, count)
-        dy = np.empty((chunk, size, size), dtype=dtype)
-        dx = np.empty_like(dy)
-        ry = np.empty_like(dy)
-        rx = np.empty_like(dy)
-        tmp = np.empty_like(dy)
-        mask = np.empty_like(dy)
-        bgc = np.empty_like(dy)
-        for lo in range(0, count, chunk):
-            hi = min(lo + chunk, count)
-            m = hi - lo
-            _dy, _dx, _ry, _rx = dy[:m], dx[:m], ry[:m], rx[:m]
-            _tmp, _mask, _bg = tmp[:m], mask[:m], bgc[:m]
-            np.subtract(yy, cys[lo:hi, None, None], out=_dy)
-            np.subtract(xx, cxs[lo:hi, None, None], out=_dx)
-            # ry = cos*dy + sin*dx ; rx = -sin*dy + cos*dx, with the same
-            # operand association as _rotated_coords.
-            np.multiply(_dy, cs[lo:hi, None, None], out=_ry)
-            np.multiply(_dx, sn[lo:hi, None, None], out=_tmp)
-            _ry += _tmp
-            np.multiply(_dx, cs[lo:hi, None, None], out=_rx)
-            np.multiply(_dy, sn[lo:hi, None, None], out=_tmp)
-            _rx -= _tmp
-            pos = 0
-            while pos < m:
-                cid = int(ls[lo + pos])
-                end = pos
-                while end < m and ls[lo + end] == cid:
-                    end += 1
-                raw = self._mask_raw(
-                    cid,
-                    _ry[pos:end],
-                    _rx[pos:end],
-                    ss[lo + pos : lo + end, None, None],
-                )
-                np.clip(raw, -1.0, 1.0, out=_mask[pos:end])
-                _mask[pos:end] *= 0.5
-                _mask[pos:end] += 0.5
-                pos = end
-            np.add(bgs[lo:hi, None, None], bg_grad15[None], out=_bg)
-            _bg += bg_texture
-            np.subtract(1.0, _mask, out=_tmp)
-            np.multiply(_bg[:, None], _tmp[:, None], out=buf[lo:hi])
-            buf[lo:hi] += fgs[lo:hi][:, :, None, None] * _mask[:, None]
-
-        inverse = np.empty(count, dtype=np.intp)
-        inverse[order] = np.arange(count)
-        return buf[inverse]
+        out = np.empty((len(labels), 3, size, size))
+        for i, label in enumerate(labels):
+            out[i] = self.generate(int(label))
+        return out
 
     # ------------------------------------------------------------------
     def _background(self, p: ShapeParams) -> np.ndarray:
@@ -393,13 +187,8 @@ class ImageGenerator:
 
     @staticmethod
     def _mask_raw(class_id: int, ry, rx, s):
-        """Signed shape field; broadcasts over single images or batches.
-
-        ``ry``/``rx`` are rotated pixel grids — ``(S, S)`` for one image or
-        ``(B, S, S)`` for a batch — and ``s`` the matching scalar or
-        ``(B, 1, 1)`` scale.  Pure elementwise math, so the batched result
-        equals the per-image result bit-for-bit.
-        """
+        """Signed shape field over the rotated ``(S, S)`` pixel grids
+        ``ry``/``rx`` at scale ``s``."""
         if class_id == 0:  # disk
             d = np.sqrt(ry**2 + rx**2)
             raw = s - d

@@ -3,8 +3,8 @@
 Verbatim copies of the original per-image ``ImageGenerator`` rendering code
 and the per-image ``DriftModel.apply_batch`` loop, kept as ground truth for
 
-* the property tests in ``tests/data``, which assert the vectorized
-  :mod:`repro.data.images` / :mod:`repro.data.drift` fast paths match these
+* the property tests in ``tests/data``, which assert
+  :mod:`repro.data.images` / :mod:`repro.data.drift` match these
   **bit-exactly** for the same seeds, and
 * ``benchmarks/bench_hotpath.py``, which reports optimized-vs-reference
   speedups without checking out the old revision.

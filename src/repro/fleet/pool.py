@@ -386,9 +386,9 @@ def _pool_worker_init(
     assets = pickle.loads(assets_shm.buf[:assets_len])
     assets_shm.close()
     _WORKER.update(
-        # repro-lint: ignore[RPR014] deliberate worker-local cache: filled
-        # once per process in the initializer, never read by the parent;
-        # chunk results flow back through return values only
+        # Deliberate worker-local cache: filled once per process in the
+        # initializer, never read by the parent; chunk results flow back
+        # through return values only.
         assets=assets,
         weights=_attach_segment(weights_name),
         layout=layout,
@@ -406,10 +406,9 @@ def _worker_runtime(system_id: str):
         from repro.fleet.simulation import build_fleet_runtime
 
         runtime = build_fleet_runtime(system_by_id(system_id), _WORKER["assets"])
-        _WORKER["runtimes"][system_id] = (
-            runtime  # repro-lint: ignore[RPR014] worker-local memo: rebuilt
-            # deterministically from shared-memory assets in any process
-        )
+        # Worker-local memo: rebuilt deterministically from shared-memory
+        # assets in any process.
+        _WORKER["runtimes"][system_id] = runtime
     return runtime
 
 
@@ -433,16 +432,14 @@ def _load_state(runtime, system_id: str, state: int | dict) -> None:
             )
         base = _WORKER["data_base"] + slot * layout.slot_nbytes
         runtime.deployed_net.load_state_dict(layout.read(weights.buf, base))
-        _WORKER["loaded"][system_id] = (
-            state  # repro-lint: ignore[RPR014] worker-local generation tag:
-            # tracks what this process's net holds, parent never reads it
-        )
+        # Worker-local generation tag: tracks what this process's net
+        # holds, parent never reads it.
+        _WORKER["loaded"][system_id] = state
     else:
         runtime.deployed_net.load_state_dict(state)
-        _WORKER["loaded"][system_id] = (
-            None  # repro-lint: ignore[RPR014] worker-local generation tag:
-            # explicit dicts bypass the slot cache, so mark state unknown
-        )
+        # Worker-local generation tag: explicit dicts bypass the slot
+        # cache, so mark state unknown.
+        _WORKER["loaded"][system_id] = None
 
 
 def _pool_worker_chunk(

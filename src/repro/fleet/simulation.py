@@ -36,19 +36,14 @@ from repro.comm.movement import DataMovementLedger
 from repro.core.cloud import InSituCloud
 from repro.core.node import InSituNode
 from repro.core.registry import ModelRegistry, UpdateGuard
-from repro.core.simulation import Scenario
+from repro.core.simulation import Scenario, build_cloud, make_diagnoser
 from repro.core.systems import SYSTEMS, SystemConfig
 from repro.data.cache import dataset_cache
 from repro.data.datasets import Dataset, make_dataset
 from repro.data.drift import DriftModel
 from repro.data.images import ImageGenerator
 from repro.data.stream import AcquisitionStage, IoTStream
-from repro.diagnosis.diagnoser import (
-    Diagnoser,
-    InferenceConfidenceDiagnoser,
-    JigsawDiagnoser,
-    OracleDiagnoser,
-)
+from repro.diagnosis.diagnoser import Diagnoser
 from repro.fleet.profiles import FleetScenario, NodeProfile
 from repro.nn import Sequential
 from repro.nn.config import default_dtype
@@ -59,7 +54,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, make_event, make_span
 from repro.models.layer_specs import alexnet_spec, diagnosis_spec
 from repro.models.iot_models import build_classifier
-from repro.selfsup.jigsaw import JigsawSampler
 from repro.selfsup.permutations import PermutationSet
 from repro.transfer.finetune import evaluate
 
@@ -275,19 +269,6 @@ def _node_stream(
     return dataset_cache.get_or_build(key, build)
 
 
-def _build_cloud(scenario: FleetScenario, permset: PermutationSet) -> InSituCloud:
-    base = scenario.base
-    return InSituCloud(
-        base.num_classes,
-        permset,
-        cost_spec=alexnet_spec(),
-        shared_depth=base.shared_depth,
-        width=base.width,
-        hidden=base.hidden,
-        rng=np.random.default_rng(base.seed + 1),
-    )
-
-
 def prepare_fleet_assets(scenario: FleetScenario) -> FleetAssets:
     """Generate per-node streams and the shared warm-start states.
 
@@ -334,7 +315,7 @@ def prepare_fleet_assets(scenario: FleetScenario) -> FleetAssets:
         .take(base.pretrain_images)
         .as_unlabeled()
     )
-    seed_cloud = _build_cloud(scenario, permset)
+    seed_cloud = build_cloud(base, permset, alexnet_spec())
     seed_cloud.unsupervised_pretrain(
         pretrain_data, epochs=base.pretrain_epochs, batch_size=base.batch_size
     )
@@ -365,24 +346,6 @@ def prepare_fleet_assets(scenario: FleetScenario) -> FleetAssets:
         trunk_state=trunk_state,
         initial_state=initial_state,
         canary_ids=canary_ids,
-    )
-
-
-def _make_diagnoser(kind: str, net, cloud: InSituCloud, base: Scenario):
-    if kind == "oracle":
-        return OracleDiagnoser(net)
-    if kind == "confidence":
-        return InferenceConfidenceDiagnoser(
-            net, threshold=base.confidence_threshold
-        )
-    sampler = JigsawSampler(
-        cloud.permset, rng=np.random.default_rng(base.seed + 2)
-    )
-    return JigsawDiagnoser(
-        cloud.context_net,
-        sampler,
-        trials=2,
-        rng=np.random.default_rng(base.seed + 3),
     )
 
 
@@ -449,7 +412,7 @@ def build_fleet_runtime(
     inference_spec = alexnet_spec()
     diag_spec = diagnosis_spec(inference_spec)
 
-    cloud = _build_cloud(scenario, assets.permset)
+    cloud = build_cloud(base, assets.permset, inference_spec)
     cloud.context_net.load_state_dict(assets.trunk_state)
     cloud.inference_net.load_state_dict(assets.initial_state)
 
@@ -480,12 +443,12 @@ def build_fleet_runtime(
         hidden=base.hidden,
     )
     node_diagnoser = (
-        _make_diagnoser(base.diagnoser_kind, deployed_net, cloud, base)
+        make_diagnoser(base.diagnoser_kind, deployed_net, cloud, base)
         if config.diagnosis_location == "node"
         else None
     )
     cloud_diagnoser = (
-        _make_diagnoser(base.diagnoser_kind, cloud.inference_net, cloud, base)
+        make_diagnoser(base.diagnoser_kind, cloud.inference_net, cloud, base)
         if config.diagnosis_location == "cloud"
         else None
     )

@@ -6,17 +6,11 @@ no silent float64 promotion on hot paths, and strict isolation of the
 ``*.reference`` oracle modules.  ``repro.lint`` makes those invariants
 machine-checked: a zero-dependency (stdlib ``ast``) analysis pass with a
 stable rule registry (``RPR001``...), per-statement suppressions that
-must carry a reason, and text/JSON/SARIF reporters wired into CI.
-
-Beyond the per-file rules, a whole-program layer (``repro.lint.graph``)
-builds the project import DAG and call graph to enforce interprocedural
-invariants: seed provenance (RPR013), worker-mutable state (RPR014), and
-the module layering contract (RPR015).  A content-hash incremental cache
-(``.repro-lint-cache.json``) keeps warm runs fast.
+must carry a reason, and text/JSON reporters wired into CI.
 
 Usage::
 
-    python -m repro lint [paths ...] [--format json|sarif] [--since REV]
+    python -m repro lint [paths ...] [--format json]
     python -m repro lint --list-rules
 
 Programmatic::
@@ -33,13 +27,11 @@ from repro.lint.engine import (
     lint_paths,
     lint_source,
 )
-from repro.lint.graph import ProjectGraph, lint_project
-from repro.lint.report import render_json, render_sarif, render_text
+from repro.lint.report import render_json, render_text
 from repro.lint.rules import RULES, Rule, all_codes, get_rule, select_rules
 
 __all__ = [
     "Finding",
-    "ProjectGraph",
     "RULES",
     "Rule",
     "all_codes",
@@ -47,10 +39,8 @@ __all__ = [
     "iter_python_files",
     "lint_file",
     "lint_paths",
-    "lint_project",
     "lint_source",
     "render_json",
-    "render_sarif",
     "render_text",
     "select_rules",
 ]

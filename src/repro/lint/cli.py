@@ -2,35 +2,17 @@
 
 Exit status: 0 when every finding is suppressed (or none exist), 1 when
 any active finding remains, 2 on usage errors.  CI runs this over
-``src tests benchmarks examples`` with ``--format json`` (plus a SARIF
-run uploaded to code scanning) and fails on a non-zero exit.
-
-The whole-program rules always see the full file set; ``--since REV``
-only *filters the report* to files changed since ``REV`` plus their
-reverse dependencies on the import graph, so a layering or provenance
-violation introduced by a change is still attributed even when the
-finding lands in an unchanged file.  The content-hash cache
-(``.repro-lint-cache.json``) makes the full-graph run cheap; disable it
-with ``--no-cache`` or relocate it with ``--cache PATH``.
+``src tests benchmarks examples`` with ``--format json`` and fails on a
+non-zero exit.
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 from pathlib import Path
 
-from repro.lint.graph import (
-    CACHE_DEFAULT,
-    lint_project,
-    reverse_dependency_closure,
-)
-from repro.lint.report import (
-    render_json,
-    render_list_rules,
-    render_sarif,
-    render_text,
-)
+from repro.lint.engine import lint_paths
+from repro.lint.report import render_json, render_list_rules, render_text
 from repro.lint.rules import all_codes, select_rules
 
 __all__ = ["main"]
@@ -55,52 +37,6 @@ def _parse_codes(
     return codes
 
 
-def _changed_paths(rev: str) -> set[Path]:
-    """Files changed since ``rev`` (committed, staged, or untracked)."""
-    root = Path(
-        subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout.strip()
-    )
-    changed: set[Path] = set()
-    for args in (
-        ["git", "diff", "--name-only", rev, "--"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        out = subprocess.run(
-            args, capture_output=True, text=True, check=True
-        ).stdout
-        for line in out.splitlines():
-            if line.strip():
-                changed.add((root / line.strip()).resolve())
-    return changed
-
-
-def _filter_since(result, rev: str):
-    """Keep findings in changed files and their reverse dependencies."""
-    changed = _changed_paths(rev)
-    changed_displays = {
-        a.display
-        for a in result.analyses
-        if Path(a.display).resolve() in changed
-    }
-    changed_modules = {
-        a.module
-        for a in result.analyses
-        if a.display in changed_displays and a.module
-    }
-    affected = reverse_dependency_closure(result.graph, changed_modules)
-    keep = {
-        a.display
-        for a in result.analyses
-        if a.display in changed_displays or (a.module and a.module in affected)
-    }
-    return [f for f in result.findings if f.file in keep]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro lint",
@@ -123,22 +59,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help=(
-            "report format (json schema v1 is stable, see DESIGN.md; "
-            "sarif targets GitHub code scanning)"
-        ),
-    )
-    parser.add_argument(
-        "--since",
-        metavar="REV",
-        default=None,
-        help=(
-            "report only findings in files changed since the git revision "
-            "REV, plus their reverse dependencies on the import graph "
-            "(the whole-program analysis still sees every file)"
-        ),
+        help="report format (json schema v1 is stable, see DESIGN.md)",
     )
     parser.add_argument(
         "--select",
@@ -151,20 +74,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="CODES",
         default=None,
         help="comma-separated rule codes to skip",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="PATH",
-        default=CACHE_DEFAULT,
-        help=(
-            "incremental cache file (default: %(default)s; content-hashed "
-            "per file and invalidated when the linter itself changes)"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache for this run",
     )
     parser.add_argument(
         "--show-suppressed",
@@ -194,23 +103,13 @@ def main(argv: list[str] | None = None) -> int:
             "no paths given and none of the default paths "
             f"({', '.join(DEFAULT_PATHS)}) exist here"
         )
-    cache_path = None if args.no_cache else args.cache
     try:
-        result = lint_project(paths, rules=rules, cache_path=cache_path)
+        findings = lint_paths(paths, rules=rules)
     except FileNotFoundError as exc:
         parser.error(str(exc))
 
-    findings = result.findings
-    if args.since is not None:
-        try:
-            findings = _filter_since(result, args.since)
-        except (subprocess.CalledProcessError, FileNotFoundError) as exc:
-            parser.error(f"--since {args.since}: git failed ({exc})")
-
     if args.format == "json":
         print(render_json(findings))
-    elif args.format == "sarif":
-        print(render_sarif(findings))
     else:
         print(render_text(findings, show_suppressed=args.show_suppressed))
     return 1 if any(not f.suppressed for f in findings) else 0

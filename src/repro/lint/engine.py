@@ -21,14 +21,6 @@ Pragmas (all are comments, matched only at the start of a comment):
 Directories containing a ``.repro-lint-fixtures`` marker file are skipped
 when walking (they hold intentionally-bad rule fixtures); explicitly
 listed *files* are always linted.
-
-The engine is split into an *analyze* half (parse + per-file rules +
-suppression application, cacheable per file content) and a *finalize*
-half (unused-suppression accounting, which must wait until the
-whole-program rules in :mod:`repro.lint.graph` have had their chance to
-consume a suppression).  ``lint_file`` / ``lint_paths`` run both halves
-plus the whole-program rules; ``lint_source`` is the single-file view
-(per-file rules only — a lone source blob has no project graph).
 """
 
 from __future__ import annotations
@@ -40,26 +32,18 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.lint.rules import RULES, Rule, all_codes
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.graph import FileSummary
-
 __all__ = [
-    "FileAnalysis",
     "FileContext",
     "Finding",
     "FIXTURE_MARKER",
-    "analysis_from_cache",
-    "analysis_to_cache",
-    "analyze_file",
     "iter_python_files",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "unused_suppression_findings",
 ]
 
 FIXTURE_MARKER = ".repro-lint-fixtures"
@@ -308,66 +292,37 @@ def _scan_pragmas(source: str) -> _Pragmas:
     return pragmas
 
 
-@dataclass
-class FileAnalysis:
-    """Per-file lint result, independent of the rest of the project.
-
-    Holds everything the whole-program layer needs: the per-file
-    findings (suppressions already applied), the suppressions themselves
-    (so graph-rule findings can still consume them), and the
-    :class:`repro.lint.graph.FileSummary` feeding the project graph.
-    Instances round-trip through the incremental cache via
-    :func:`analysis_to_cache` / :func:`analysis_from_cache`.
-    """
-
-    display: str
-    module: str | None
-    kind: str
-    findings: list[Finding] = field(default_factory=list)
-    suppressions: list[_Suppression] = field(default_factory=list)
-    summary: "FileSummary | None" = None
-
-    def apply_suppressions(self, finding: Finding) -> None:
-        for sup in self.suppressions:
-            if finding.line in sup.covered and finding.code in sup.codes:
-                finding.suppressed = True
-                finding.suppress_reason = sup.reason or None
-                sup.used.add(finding.code)
-                return
-
-
-def analyze_file(
-    path: Path | str,
+def lint_source(
     source: str,
+    path: Path | str,
     *,
-    rules: Sequence[Rule],
-    run_codes: set[str],
+    rules: Sequence[Rule] | None = None,
     module: str | None = None,
     kind: str | None = None,
-) -> FileAnalysis:
-    """Run the per-file half of the engine on one source blob.
+) -> list[Finding]:
+    """Lint one in-memory source blob.
 
-    ``rules`` must already be filtered to non-meta, non-whole-program
-    rules; ``run_codes`` is the full selected code set (it gates the
-    engine-enforced RPR000/RPR009 findings).
+    ``module``/``kind`` override scoping context (pragmas in the source
+    override these in turn, mirroring CLI behavior on fixture files).
     """
+    run = RULES if rules is None else tuple(rules)
+    run_codes = {r.code for r in run}
     path = Path(path)
     display = str(path)
     try:
         tree = ast.parse(source)
     except SyntaxError as exc:
-        analysis = FileAnalysis(display=display, module=module, kind=kind or "other")
-        if "RPR000" in run_codes:
-            analysis.findings.append(
-                Finding(
-                    file=display,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 1) - 1,
-                    code="RPR000",
-                    message=f"syntax error: {exc.msg}",
-                )
+        if "RPR000" not in run_codes:
+            return []
+        return [
+            Finding(
+                file=display,
+                line=exc.lineno or 1,
+                col=(exc.offset or 1) - 1,
+                code="RPR000",
+                message=f"syntax error: {exc.msg}",
             )
-        return analysis
+        ]
 
     pragmas = _scan_pragmas(source)
     parts = path.parts
@@ -380,142 +335,52 @@ def analyze_file(
         kind=pragmas.kind or kind or _kind_from_path(parts),
         imports=_ImportMap(tree),
     )
-    analysis = FileAnalysis(
-        display=display,
-        module=ctx.module,
-        kind=ctx.kind,
-        suppressions=pragmas.suppressions,
-    )
 
-    for rule in rules:
-        if rule.meta or rule.whole_program or not rule.applies(ctx):
+    findings: list[Finding] = []
+    for rule in run:
+        if rule.meta or not rule.applies(ctx):
             continue
-        analysis.findings.extend(rule.check(ctx))
-    for finding in analysis.findings:
-        analysis.apply_suppressions(finding)
+        findings.extend(rule.check(ctx))
 
+    # Apply statement suppressions.
+    for finding in findings:
+        for sup in pragmas.suppressions:
+            if finding.line in sup.covered and finding.code in sup.codes:
+                finding.suppressed = True
+                finding.suppress_reason = sup.reason or None
+                sup.used.add(finding.code)
+                break
+
+    # Meta rules: suppression hygiene and unused suppressions.
     if "RPR009" in run_codes:
         for line, col, message in pragmas.problems:
-            analysis.findings.append(
+            findings.append(
                 Finding(
                     file=display, line=line, col=col, code="RPR009",
                     message=message,
                 )
             )
-    analysis.findings.sort(key=Finding.sort_key)
-
-    from repro.lint.graph import summarize
-
-    analysis.summary = summarize(ctx)
-    return analysis
-
-
-def unused_suppression_findings(
-    analysis: FileAnalysis, run_codes: set[str]
-) -> list[Finding]:
-    """RPR010: suppressions no rule (per-file or whole-program) consumed.
-
-    Runs *after* the whole-program rules so a pragma suppressing an
-    RPR013/14/15 finding is not condemned; only codes whose rules
-    actually ran are judged (a ``--select``'ed subset must not condemn
-    suppressions for the rules it skipped).
-    """
-    findings: list[Finding] = []
-    if "RPR010" not in run_codes:
-        return findings
-    for sup in analysis.suppressions:
-        for code in sup.codes:
-            if code in run_codes and code not in sup.used:
-                findings.append(
-                    Finding(
-                        file=analysis.display,
-                        line=sup.line,
-                        col=sup.col,
-                        code="RPR010",
-                        message=(
-                            f"suppression for {code} matches no "
-                            "finding on this line: remove it or "
-                            "re-anchor it"
-                        ),
+    if "RPR010" in run_codes:
+        for sup in pragmas.suppressions:
+            for code in sup.codes:
+                # Only judge codes whose rules actually ran: a
+                # --select'ed subset must not condemn suppressions
+                # for the rules it skipped.
+                if code in run_codes and code not in sup.used:
+                    findings.append(
+                        Finding(
+                            file=display,
+                            line=sup.line,
+                            col=sup.col,
+                            code="RPR010",
+                            message=(
+                                f"suppression for {code} matches no "
+                                "finding on this line: remove it or "
+                                "re-anchor it"
+                            ),
+                        )
                     )
-                )
-    return findings
 
-
-# ---------------------------------------------------------------------------
-# Cache (de)serialization — the storage format lives with the dataclasses
-# it mirrors; the cache file itself is managed by repro.lint.graph.
-
-
-def analysis_to_cache(analysis: FileAnalysis, digest: str) -> dict:
-    return {
-        "sha256": digest,
-        "module": analysis.module,
-        "kind": analysis.kind,
-        "findings": [
-            [f.line, f.col, f.code, f.message, f.suppressed, f.suppress_reason]
-            for f in analysis.findings
-        ],
-        "suppressions": [
-            [s.line, s.col, list(s.codes), s.reason, list(s.covered),
-             sorted(s.used)]
-            for s in analysis.suppressions
-        ],
-        "summary": None if analysis.summary is None else analysis.summary.to_dict(),
-    }
-
-
-def analysis_from_cache(display: str, entry: dict, summary_from_dict) -> FileAnalysis:
-    analysis = FileAnalysis(
-        display=display, module=entry["module"], kind=entry["kind"]
-    )
-    analysis.findings = [
-        Finding(
-            file=display, line=line, col=col, code=code, message=message,
-            suppressed=suppressed, suppress_reason=reason,
-        )
-        for line, col, code, message, suppressed, reason in entry["findings"]
-    ]
-    analysis.suppressions = [
-        _Suppression(
-            line=line, col=col, codes=tuple(codes), reason=reason,
-            covered=tuple(covered), used=set(used),
-        )
-        for line, col, codes, reason, covered, used in entry["suppressions"]
-    ]
-    if entry["summary"] is not None:
-        analysis.summary = summary_from_dict(entry["summary"])
-    return analysis
-
-
-# ---------------------------------------------------------------------------
-# Public entry points
-
-
-def lint_source(
-    source: str,
-    path: Path | str,
-    *,
-    rules: Sequence[Rule] | None = None,
-    module: str | None = None,
-    kind: str | None = None,
-) -> list[Finding]:
-    """Lint one in-memory source blob with the per-file rules.
-
-    ``module``/``kind`` override scoping context (pragmas in the source
-    override these in turn, mirroring CLI behavior on fixture files).
-    Whole-program rules need a project graph and therefore do not run —
-    and their codes are excluded from RPR010 judgment here.
-    """
-    run = RULES if rules is None else tuple(rules)
-    per_file = tuple(r for r in run if not r.meta and not r.whole_program)
-    run_codes = {r.code for r in run if not r.whole_program}
-    analysis = analyze_file(
-        path, source, rules=per_file, run_codes=run_codes,
-        module=module, kind=kind,
-    )
-    findings = list(analysis.findings)
-    findings.extend(unused_suppression_findings(analysis, run_codes))
     findings.sort(key=Finding.sort_key)
     return findings
 
@@ -527,19 +392,10 @@ def lint_file(
     module: str | None = None,
     kind: str | None = None,
 ) -> list[Finding]:
-    """Lint one file, whole-program rules included (a one-file project).
-
-    When ``module``/``kind`` overrides are given the call degrades to
-    :func:`lint_source` semantics (per-file rules only) — the overrides
-    describe a hypothetical context, not a real project file.
-    """
+    """Lint one file on disk (:func:`lint_source` on its contents)."""
     path = Path(path)
-    if module is not None or kind is not None:
-        source = path.read_text(encoding="utf-8")
-        return lint_source(source, path, rules=rules, module=module, kind=kind)
-    from repro.lint.graph import lint_project
-
-    return lint_project([path], rules=rules).findings
+    source = path.read_text(encoding="utf-8")
+    return lint_source(source, path, rules=rules, module=module, kind=kind)
 
 
 def iter_python_files(paths: Iterable[Path | str]) -> Iterator[Path]:
@@ -575,14 +431,11 @@ def lint_paths(
     paths: Iterable[Path | str],
     *,
     rules: Sequence[Rule] | None = None,
-    cache_path: Path | str | None = None,
 ) -> list[Finding]:
-    """Lint a file set: per-file rules plus the whole-program rules.
-
-    ``cache_path`` enables the content-hash incremental cache (the CLI
-    passes ``.repro-lint-cache.json``; the API default stays uncached so
-    tests are hermetic).
-    """
-    from repro.lint.graph import lint_project
-
-    return lint_project(paths, rules=rules, cache_path=cache_path).findings
+    """Lint every file :func:`iter_python_files` yields, sorted by
+    (file, line, col, code)."""
+    findings: list[Finding] = []
+    for path in iter_python_files(paths):
+        findings.extend(lint_file(path, rules=rules))
+    findings.sort(key=Finding.sort_key)
+    return findings

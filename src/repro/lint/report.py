@@ -1,4 +1,4 @@
-"""Text, JSON, and SARIF reporters for lint findings.
+"""Text and JSON reporters for lint findings.
 
 The JSON schema is stable (version 1) and documented in DESIGN.md:
 
@@ -27,14 +27,9 @@ from typing import Iterable, Sequence
 from repro.lint.engine import Finding
 from repro.lint.rules import RULES
 
-__all__ = ["render_json", "render_list_rules", "render_sarif", "render_text"]
+__all__ = ["render_json", "render_list_rules", "render_text"]
 
 JSON_SCHEMA_VERSION = 1
-SARIF_VERSION = "2.1.0"
-SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
 
 
 def render_text(
@@ -82,73 +77,6 @@ def render_json(findings: Sequence[Finding]) -> str:
             "active": sum(1 for f in findings if not f.suppressed),
             "suppressed": sum(1 for f in findings if f.suppressed),
         },
-    }
-    return json.dumps(payload, indent=2)
-
-
-def render_sarif(findings: Sequence[Finding]) -> str:
-    """SARIF 2.1.0 output for GitHub code scanning.
-
-    Deterministic: findings arrive pre-sorted from the engine, the rule
-    array follows registry (code) order, and the serialization is plain
-    ``json.dumps`` with a fixed indent — two identical runs produce
-    byte-identical files.  Suppressed findings are emitted with an
-    ``inSource`` suppression object so code scanning shows them as
-    dismissed rather than open.
-    """
-    rule_index = {rule.code: i for i, rule in enumerate(RULES)}
-    rules_payload = [
-        {
-            "id": rule.code,
-            "name": rule.name,
-            "shortDescription": {"text": rule.summary},
-            "fullDescription": {"text": rule.rationale},
-            "defaultConfiguration": {"level": "error"},
-            "properties": {"scope": rule.scope},
-        }
-        for rule in RULES
-    ]
-    results = []
-    for f in findings:
-        result = {
-            "ruleId": f.code,
-            "ruleIndex": rule_index.get(f.code, -1),
-            "level": "error",
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": f.file},
-                        "region": {
-                            "startLine": f.line,
-                            "startColumn": f.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        if f.suppressed:
-            result["suppressions"] = [
-                {
-                    "kind": "inSource",
-                    "justification": f.suppress_reason or "",
-                }
-            ]
-        results.append(result)
-    payload = {
-        "$schema": SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "repro-lint",
-                        "rules": rules_payload,
-                    }
-                },
-                "results": results,
-            }
-        ],
     }
     return json.dumps(payload, indent=2)
 

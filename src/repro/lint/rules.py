@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import FileContext, Finding
-    from repro.lint.graph import ProjectGraph
 
 __all__ = ["RULES", "Rule", "all_codes", "get_rule", "select_rules"]
 
@@ -31,12 +30,6 @@ class Rule:
     ``meta=True`` marks rules enforced by the engine itself (syntax
     errors, suppression hygiene) rather than by an AST pass; they still
     occupy registry codes so reporters and ``--list-rules`` describe them.
-
-    ``whole_program=True`` marks rules that need the project graph
-    (import DAG + call graph from :mod:`repro.lint.graph`): they
-    implement :meth:`check_project` instead of :meth:`check`, run once
-    per lint invocation rather than once per file, and are skipped by
-    ``lint_source`` (a lone source blob has no project).
     """
 
     code: str
@@ -45,15 +38,11 @@ class Rule:
     rationale: str
     scope: str
     meta: bool = False
-    whole_program: bool = False
 
     def applies(self, ctx: "FileContext") -> bool:
         return True
 
     def check(self, ctx: "FileContext") -> Iterator["Finding"]:
-        return iter(())
-
-    def check_project(self, graph: "ProjectGraph") -> Iterator["Finding"]:
         return iter(())
 
     def finding(
@@ -908,100 +897,6 @@ _register(
             "repro.core/events/fleet/scenario/topology, "
             "excluding *.cli modules"
         ),
-    )
-)
-
-
-# ---------------------------------------------------------------------------
-# RPR013 / RPR014 / RPR015 — whole-program rules (repro.lint.graph)
-#
-# These need the project-wide import DAG and call graph, so their logic
-# lives in repro.lint.graph / repro.lint.taint (imported lazily: the
-# graph module imports the engine, which imports this registry).
-
-
-class _SeedProvenance(Rule):
-    def check_project(self, graph: "ProjectGraph") -> Iterator["Finding"]:
-        from repro.lint.taint import seed_findings
-
-        yield from seed_findings(self, graph)
-
-
-_register(
-    _SeedProvenance(
-        code="RPR013",
-        name="seed-provenance",
-        summary=(
-            "RNG seeds inside simulation functions must trace, through "
-            "the call graph, to a SeedSequence-derived parameter or an "
-            "approved root module"
-        ),
-        rationale=(
-            "a Generator seeded from a function-local literal is locally "
-            "deterministic but globally unseeded: the experiment's "
-            "SeedSequence tree cannot reach it, so per-(node,stage) "
-            "spawning silently forks a stream no seed plumbing controls"
-        ),
-        scope=(
-            "src/repro functions, excluding repro.core, repro.reports, "
-            "and CLI entry points"
-        ),
-        whole_program=True,
-    )
-)
-
-
-class _WorkerMutableState(Rule):
-    def check_project(self, graph: "ProjectGraph") -> Iterator["Finding"]:
-        from repro.lint.graph import worker_state_findings
-
-        yield from worker_state_findings(self, graph)
-
-
-_register(
-    _WorkerMutableState(
-        code="RPR014",
-        name="worker-mutable-state",
-        summary=(
-            "module-level mutable state must not be written by functions "
-            "reachable from repro.fleet.pool worker entry points"
-        ),
-        rationale=(
-            "a module-level object mutated inside a pool worker diverges "
-            "per process and never syncs back to the parent, so results "
-            "silently depend on worker count and task placement — the "
-            "exact divergence class the shared-memory runtime enables"
-        ),
-        scope="functions reachable from repro.fleet.pool worker entries",
-        whole_program=True,
-    )
-)
-
-
-class _LayeringContract(Rule):
-    def check_project(self, graph: "ProjectGraph") -> Iterator["Finding"]:
-        from repro.lint.graph import layering_findings
-
-        yield from layering_findings(self, graph)
-
-
-_register(
-    _LayeringContract(
-        code="RPR015",
-        name="layering-contract",
-        summary=(
-            "module-level imports must respect the declared tier order "
-            "(core/nn/data below fleet below topology/scenario) and stay "
-            "acyclic"
-        ),
-        rationale=(
-            "an upward import couples a low tier to engine/orchestration "
-            "internals, turning every scenario change into a potential "
-            "kernel change; deferred function-level imports are the one "
-            "sanctioned inversion seam and stay off this graph"
-        ),
-        scope="module-level imports between src/repro tiers",
-        whole_program=True,
     )
 )
 

@@ -12,18 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.simulation import Scenario
+from repro.core.simulation import Scenario, build_cloud
 from repro.data.cache import dataset_cache
 from repro.data.datasets import Dataset, make_dataset
 from repro.data.drift import DriftModel
 from repro.data.images import ImageGenerator
 from repro.data.stream import AcquisitionStage, IoTStream
 from repro.fleet.profiles import NodeProfile
-from repro.fleet.simulation import (
-    FleetAssets,
-    _build_cloud,
-    prepare_fleet_assets,
-)
+from repro.fleet.simulation import FleetAssets, prepare_fleet_assets
+from repro.models.layer_specs import alexnet_spec
 from repro.nn.config import default_dtype
 from repro.scenario.processes import ClassPhasePlan
 from repro.scenario.schema import ScenarioSpec
@@ -124,7 +121,7 @@ def prepare_scenario_assets(spec: ScenarioSpec) -> FleetAssets:
         .take(base.pretrain_images)
         .as_unlabeled()
     )
-    seed_cloud = _build_cloud(scenario, permset)
+    seed_cloud = build_cloud(base, permset, alexnet_spec())
     seed_cloud.unsupervised_pretrain(
         pretrain_data, epochs=base.pretrain_epochs, batch_size=base.batch_size
     )

@@ -78,6 +78,16 @@ def test_unknown_code_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "removed", [["--format", "sarif"], ["--since", "HEAD"], ["--cache", "c.json"]]
+)
+def test_removed_options_are_usage_errors(removed, capsys):
+    # The whole-program layer's options are gone, not silently accepted.
+    with pytest.raises(SystemExit) as exc:
+        main([str(FIXTURES / "rpr001_good.py"), *removed])
+    assert exc.value.code == 2
+
+
 def test_missing_path_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([str(FIXTURES / "does_not_exist.py")])

@@ -29,9 +29,6 @@ CASES = {
     "RPR010": ("rpr010_bad.py", "rpr010_good.py"),
     "RPR011": ("rpr011_bad.py", "rpr011_good.py"),
     "RPR012": ("rpr012_bad.py", "rpr012_good.py"),
-    "RPR013": ("rpr013_bad.py", "rpr013_good.py"),
-    "RPR014": ("rpr014_bad.py", "rpr014_good.py"),
-    "RPR015": ("rpr015_bad.py", "rpr015_good.py"),
     "RPR016": ("rpr016_bad.py", "rpr016_good.py"),
 }
 
@@ -48,9 +45,6 @@ EXPECTED_BAD_COUNTS = {
     "RPR010": 1,
     "RPR011": 3,  # time.time, time.perf_counter, datetime.datetime.now
     "RPR012": 2,  # ProcessPoolExecutor(...), shared_memory.SharedMemory(...)
-    "RPR013": 2,  # direct literal default_rng, literal through a seed param
-    "RPR014": 2,  # initializer subscript-write, transitive mutator call
-    "RPR015": 2,  # import of fleet tier, from-import of topology tier
     "RPR016": 3,  # print, json.dump, json.dumps
 }
 
