@@ -52,6 +52,7 @@ from repro.fleet.simulation import (
     prepare_fleet_assets,
     run_fleet,
 )
+from repro.nn import prefix_memo
 from repro.nn.conv import Conv2D
 from repro.nn.reference import col2im_reference, im2col_reference
 
@@ -333,9 +334,13 @@ def measure_fleet(
         scenario = FleetScenario(base=base, num_nodes=n, seed=0)
         assets = prepare_fleet_assets(scenario)
         config = system_by_id("d")
+        # Each timed run starts on an empty prefix memo: the second would
+        # otherwise find the Cloud-side sweeps of the first already made.
+        prefix_memo.clear()
         t0 = time.perf_counter()
         serial = run_fleet(config, assets, workers=1)
         serial_ms = (time.perf_counter() - t0) * 1e3
+        prefix_memo.clear()
         t0 = time.perf_counter()
         parallel = run_fleet(config, assets, workers=workers)
         parallel_ms = (time.perf_counter() - t0) * 1e3

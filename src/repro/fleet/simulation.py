@@ -22,7 +22,6 @@ discipline ``core.simulation.run_all_systems`` applies per node.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -47,6 +46,7 @@ from repro.diagnosis.diagnoser import Diagnoser
 from repro.fleet.profiles import FleetScenario, NodeProfile
 from repro.nn import Sequential
 from repro.nn.config import default_dtype
+from repro.nn.prefix_memo import params_digest
 from repro.fleet.scheduler import FleetScheduler, RolloutResult
 from repro.fleet.uplink import DirectTier, SharedUplink, model_state_bytes
 from repro.obs import metrics as obs_metrics
@@ -384,10 +384,7 @@ class FleetRuntime:
         run's assets do): it is told apart by identity.
         """
         net = self.cloud.inference_net
-        digest = hashlib.blake2b(digest_size=16)
-        for p in net.parameters:
-            digest.update(np.ascontiguousarray(p.data))
-        key = (id(eval_data), digest.digest())
+        key = (id(eval_data), params_digest(net.layers))
         if key not in self._eval_memo:
             self._eval_memo[key] = evaluate(net, eval_data)
         return self._eval_memo[key]

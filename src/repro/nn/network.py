@@ -10,10 +10,12 @@ models.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.nn import prefix_memo
 from repro.nn.base import Layer, Shape
 from repro.nn.conv import Conv2D
 from repro.nn.tensor import Parameter
@@ -51,11 +53,25 @@ class Sequential:
         # the expensive col2im scatter there.
         if self.layers and isinstance(self.layers[0], Conv2D):
             self.layers[0].skip_input_grad = True
+        self._reuse_depths: tuple[int, ...] = ()
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    @contextmanager
+    def reusing_prefix(self, depths: Sequence[int]) -> Iterator[None]:
+        """Inference forwards inside the block resume from, and feed,
+        :mod:`repro.nn.prefix_memo` at the prefix lengths ``depths``: for
+        passes whose batches recur (dataset-order sweeps), not minibatches."""
+        before, self._reuse_depths = self._reuse_depths, tuple(depths)
+        try:
+            yield
+        finally:
+            self._reuse_depths = before
+
     def forward(self, x: np.ndarray, *, training: bool = False) -> np.ndarray:
+        if self._reuse_depths and not training:
+            return prefix_memo.infer(self.layers, self._reuse_depths, x)
         out = x
         for layer in self.layers:
             out = layer.forward(out, training=training)

@@ -106,6 +106,9 @@ class BatchNorm2D(Layer):
     def parameters(self) -> Sequence[Parameter]:
         return (self.gamma, self.beta)
 
+    def inference_arrays(self) -> Sequence[np.ndarray]:
+        return (*super().inference_arrays(), self.running_mean, self.running_var)
+
     def output_shape(self, input_shape: Shape) -> Shape:
         return input_shape
 

@@ -24,8 +24,14 @@ import numpy as np
 from repro.data.datasets import Dataset
 from repro.nn import SGD, Sequential
 from repro.nn.activations import softmax
+from repro.nn.prefix_memo import params_digest
 from repro.obs.clock import perf_counter
-from repro.transfer.finetune import TrainResult, evaluate
+from repro.transfer.finetune import (
+    TrainResult,
+    evaluate,
+    split_at_frozen_prefix,
+    trainable_tail,
+)
 from repro.transfer.surgery import FreezePlan
 
 __all__ = ["DistillationLoss", "distill_classifier"]
@@ -112,10 +118,11 @@ def distill_classifier(
 ) -> TrainResult:
     """Fine-tune ``net`` under the combined hard + distillation loss.
 
-    ``teacher`` is a frozen snapshot of the pre-update model; its logits
-    are recomputed per batch (no feature caching — the trainable region
-    usually reaches into conv layers during class-incremental updates,
-    and the exemplar-augmented datasets are small).
+    ``teacher`` is a frozen snapshot of the pre-update model; its logits are
+    recomputed per batch.  A frozen prefix of ``net`` that the teacher shares
+    byte for byte (system d's locked conv block) runs once per minibatch, in
+    inference mode, for both; backward and the optimizer see the student's
+    tail only.  Shuffled minibatches never recur, so they bypass the memo.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -128,27 +135,36 @@ def distill_classifier(
     started = perf_counter()
     result = TrainResult(network=net)
     loss_fn = DistillationLoss(distill_weight, temperature)
-    optimizer = SGD(
-        net.parameters, lr=lr, momentum=momentum, weight_decay=weight_decay
-    )
+    boundary = split_at_frozen_prefix(net)
+    prefix = net.layers[:boundary]
+    if params_digest(prefix) != params_digest(teacher.layers[:boundary]):
+        boundary, prefix = 0, []  # nothing byte-equal to run once for both
     inputs, labels = train_data.images, train_data.labels
-    for _ in range(epochs):
-        order = rng.permutation(len(labels))
-        epoch_loss = 0.0
-        batches = 0
-        for start in range(0, len(labels), batch_size):
-            idx = order[start : start + batch_size]
-            x, y = inputs[idx], labels[idx]
-            teacher_logits = teacher.predict(x)
-            logits = net.forward(x, training=True)
-            epoch_loss += loss_fn(logits, teacher_logits, y)
-            batches += 1
-            net.zero_grad()
-            net.backward(loss_fn.backward())
-            optimizer.step()
-            result.sample_steps += len(idx)
-        result.losses.append(epoch_loss / max(1, batches))
-        if eval_data is not None:
-            result.eval_accuracies.append(evaluate(net, eval_data))
+    with trainable_tail(net, boundary) as student, trainable_tail(
+        teacher, boundary
+    ) as teacher_tail:
+        optimizer = SGD(
+            student.parameters, lr=lr, momentum=momentum, weight_decay=weight_decay
+        )
+        for _ in range(epochs):
+            order = rng.permutation(len(labels))
+            epoch_loss = 0.0
+            batches = 0
+            for start in range(0, len(labels), batch_size):
+                idx = order[start : start + batch_size]
+                x, y = inputs[idx], labels[idx]
+                for layer in prefix:
+                    x = layer.forward(x, training=False)
+                teacher_logits = teacher_tail.predict(x)
+                logits = student.forward(x, training=True)
+                epoch_loss += loss_fn(logits, teacher_logits, y)
+                batches += 1
+                student.zero_grad()
+                student.backward(loss_fn.backward())
+                optimizer.step()
+                result.sample_steps += len(idx)
+            result.losses.append(epoch_loss / max(1, batches))
+            if eval_data is not None:
+                result.eval_accuracies.append(evaluate(net, eval_data))
     result.wall_time_s = perf_counter() - started
     return result

@@ -9,12 +9,14 @@ update time of In-situ AI (Fig. 25).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.nn import SGD, CrossEntropyLoss, Sequential, accuracy
+from repro.nn import SGD, CrossEntropyLoss, Sequential, accuracy, prefix_memo
 from repro.obs import metrics as obs_metrics
 from repro.obs.clock import perf_counter
 from repro.transfer.surgery import FreezePlan
@@ -23,8 +25,10 @@ __all__ = [
     "TrainResult",
     "evaluate_on_classes",
     "predict_logits",
+    "reuse_depths",
     "split_at_frozen_prefix",
     "train_classifier",
+    "trainable_tail",
 ]
 
 
@@ -60,12 +64,44 @@ def split_at_frozen_prefix(net: Sequential) -> int:
                 boundary = i + 1
             else:
                 break
-    # Extend across the stateless layers that immediately follow the last
-    # frozen parameterized layer.
+    return _block_end(net, boundary)
+
+
+def _block_end(net: Sequential, boundary: int) -> int:
+    """``boundary`` extended across the stateless layers that follow it."""
     while boundary < len(net.layers) and not net.layers[boundary].parameters:
         boundary += 1
     # Never swallow the whole network: the head must remain trainable.
     return min(boundary, max(0, len(net.layers) - 1))
+
+
+def reuse_depths(net: Sequential) -> tuple[int, ...]:
+    """Prefix lengths at which sweeps consult :mod:`repro.nn.prefix_memo`:
+    where the freeze plans in use split the network — the end of the CONV-3
+    block system d locks, and of the CONV-5 trunk head updates lock."""
+    return tuple(
+        _block_end(net, i + 1)
+        for i, layer in enumerate(net.layers)
+        if layer.name in ("conv3", "conv5")
+    )
+
+
+@contextmanager
+def trainable_tail(net: Sequential, boundary: int) -> Iterator[Sequential]:
+    """``net`` from layer ``boundary`` on, as the network a trainer steps.
+
+    The tail shares its layers with ``net``, and ``Sequential`` marks its
+    first conv ``skip_input_grad``.  The mark is scoped to the block: left
+    set, a later full-network backward under a shallower freeze plan
+    would silently feed zeros to the layers below the old boundary.
+    """
+    tail_head = net.layers[boundary]
+    skip_before = getattr(tail_head, "skip_input_grad", None)
+    try:
+        yield Sequential(net.layers[boundary:], net.shape_at(boundary))
+    finally:
+        if skip_before is not None:
+            tail_head.skip_input_grad = skip_before
 
 
 def _layer_work(layer, batch: int) -> float:
@@ -106,32 +142,19 @@ def train_classifier(
     started = perf_counter()
     result = TrainResult(network=net)
     boundary = split_at_frozen_prefix(net) if cache_frozen_features else 0
-
-    # The tail shares its layers with ``net``, and ``Sequential`` marks its
-    # first conv ``skip_input_grad``.  The mark is scoped to this run: left
-    # set, a later full-network backward under a shallower freeze plan
-    # would silently feed zeros to the layers below the old boundary.
-    tail_head = net.layers[boundary] if boundary > 0 else None
-    skip_before = getattr(tail_head, "skip_input_grad", None)
-    if boundary > 0:
-        prefix_layers = net.layers[:boundary]
-        tail = Sequential(net.layers[boundary:], net.shape_at(boundary))
-        features = train_data.images
-        for layer in prefix_layers:
-            features = layer.forward(features, training=False)
-        for layer in prefix_layers:
-            result.compute_units += _layer_work(layer, len(train_data))
-        trainable: Sequential = tail
-        inputs, labels = features, train_data.labels
-    else:
-        trainable = net
-        inputs, labels = train_data.images, train_data.labels
+    # One pass over the frozen prefix, or none if a sweep already made it.
+    prefix = net.layers[:boundary]
+    depths = [d for d in reuse_depths(net) if d <= boundary]
+    inputs = prefix_memo.infer(prefix, depths, train_data.images)
+    labels = train_data.labels
+    for layer in prefix:
+        result.compute_units += _layer_work(layer, len(train_data))
 
     loss_fn = CrossEntropyLoss()
-    optimizer = SGD(
-        trainable.parameters, lr=lr, momentum=momentum, weight_decay=weight_decay
-    )
-    try:
+    with trainable_tail(net, boundary) as trainable:
+        optimizer = SGD(
+            trainable.parameters, lr=lr, momentum=momentum, weight_decay=weight_decay
+        )
         for _ in range(epochs):
             order = rng.permutation(len(labels))
             epoch_loss = 0.0
@@ -152,9 +175,6 @@ def train_classifier(
             result.losses.append(epoch_loss / max(1, batches))
             if eval_data is not None:
                 result.eval_accuracies.append(evaluate(net, eval_data))
-    finally:
-        if skip_before is not None:
-            tail_head.skip_input_grad = skip_before
     result.wall_time_s = perf_counter() - started
     registry = obs_metrics.active()
     if registry is not None:
@@ -179,9 +199,10 @@ def predict_logits(
     """
     if len(data) == 0:  # nothing to concatenate; a diagnoser flags nothing
         return np.zeros((0, *net.output_shape), dtype=data.images.dtype)
-    return np.concatenate(
-        [net.predict(x) for x, _ in data.batches(batch_size)]
-    )
+    with net.reusing_prefix(reuse_depths(net)):
+        return np.concatenate(
+            [net.predict(x) for x, _ in data.batches(batch_size)]
+        )
 
 
 def evaluate(net: Sequential, data: Dataset, *, batch_size: int = 128) -> float:
