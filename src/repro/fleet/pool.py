@@ -1,25 +1,25 @@
-"""Persistent shared-memory worker runtime for the lockstep stage loop.
+"""Persistent forked worker runtime for the lockstep stage loop.
 
-The PR-3 spawn pool made ``workers=N`` *correct* but slow: every
-``run_fleet`` call booted a fresh pool whose initializer re-pickled the
-full :class:`~repro.fleet.simulation.FleetAssets`, and every per-(node,
-stage) task shipped a pickled model state dict both ways.  On the
-``BENCH_hotpath.json`` workloads that overhead made parallel a strict
-pessimization (0.17x at n=4).
+:class:`FleetWorkerPool` is created **once per run** and reused across
+stages, engines, and system variants.  Its workers are ``fork``-ed from
+the parent at the first :meth:`~FleetWorkerPool.run_stage`, so each one
+is a copy-on-write snapshot of the warm parent: ``repro`` imported,
+``nn.workspace``'s small-pages switch applied, the
+:class:`~repro.fleet.simulation.FleetAssets` already in memory.  A
+worker never boots an interpreter, re-imports a module or unpickles the
+assets (DESIGN §12, *Why fork is safe here*).  ``fork`` is POSIX-only:
+where it does not exist the constructor raises, and ``workers=1`` is the
+way to run.
 
-:class:`FleetWorkerPool` replaces that with a runtime created **once per
-run** and reused across stages, engines, and system variants:
-
-* **Assets segment** — the pickled ``FleetAssets`` lives in one
-  :mod:`multiprocessing.shared_memory` segment; workers unpickle it once
-  at init instead of receiving it per pool (and per variant).
-* **Weights block** — a slot-based (double-buffered by default) shared
-  block holds the active model states.  The parent :meth:`publish`-es a
-  state dict once per *change* (publication is interned on object
-  identity, so re-publishing the registry's active state is free) and
-  tasks carry only a small integer *generation*.  Workers map the slot's
-  arrays straight out of shared memory — no per-task weight pickling in
-  either direction.
+* **Weights block** — the pool's one :mod:`multiprocessing.shared_memory`
+  segment: a slot-based (double-buffered by default) block holding the
+  active model states.  The parent :meth:`publish`-es a state dict once
+  per *change* (publication is interned on object identity, so
+  re-publishing the registry's active state is free) and tasks carry
+  only a small integer *generation*.  Workers map the slot's arrays
+  straight out of the mapping they inherited — no per-task weight
+  pickling in either direction.  Weights change after the fork, which
+  is why they, unlike the assets, need memory both sides share.
 * **Chunked dispatch** — :meth:`run_stage` groups a stage's node items
   into one contiguous chunk per worker, amortizing executor round trips
   from O(nodes) to O(workers) per stage.
@@ -36,7 +36,7 @@ stage loop under the direct tier, the gateway tier, and scenario hooks).
 
 Cleanup contract: :meth:`shutdown` (idempotent, also run by
 ``__exit__`` and a GC finalizer) cancels queued futures, stops the
-workers, and closes **and unlinks** both segments — no shared-memory
+workers, and closes **and unlinks** the segment — no shared-memory
 segment survives a ``run_fleet`` call, whether it returns or raises.
 ``_ACTIVE_SEGMENTS`` tracks live segment names so tests can assert
 leak-freedom.
@@ -49,7 +49,6 @@ one seam keeps the lifecycle auditable.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -176,14 +175,14 @@ def _chunked(items: list, chunks: int) -> list[list]:
 
 
 class FleetWorkerPool:
-    """Persistent process pool with shared-memory assets and weights.
+    """Persistent forked process pool with a shared-memory weights block.
 
     Create once per run (``run_fleet`` does this when handed
     ``workers > 1`` without a pool; ``run_fleet_all_systems`` and the
     scenario engine create one explicitly and reuse it), then
     :meth:`publish` each model state and :meth:`run_stage` every stage's
     node items.  Always :meth:`shutdown` — engines do so in ``finally``,
-    so segments are unlinked even when a stage raises.
+    so the segment is unlinked even when a stage raises.
     """
 
     def __init__(
@@ -197,6 +196,12 @@ class FleetWorkerPool:
             raise ValueError("FleetWorkerPool needs workers >= 2")
         if state_slots < 2:
             raise ValueError("state_slots must be >= 2 (double buffer)")
+        methods = multiprocessing.get_all_start_methods()
+        if "fork" not in methods:
+            raise ValueError(
+                f"workers={workers} needs the 'fork' start method and this "
+                f"platform offers only {methods}; run with workers=1"
+            )
         self.assets = assets
         self.workers = int(workers)
         self._layout = _StateLayout.from_state(assets.initial_state)
@@ -206,13 +211,6 @@ class FleetWorkerPool:
         #: id(state) -> (state, generation); strong refs pin object ids.
         self._interned: dict[int, tuple[object, int]] = {}
         self._shutdown_done = False
-
-        payload = pickle.dumps(assets, protocol=pickle.HIGHEST_PROTOCOL)
-        self._assets_shm = shared_memory.SharedMemory(
-            create=True, size=max(1, len(payload))
-        )
-        _ACTIVE_SEGMENTS.add(self._assets_shm.name)
-        self._assets_shm.buf[: len(payload)] = payload
 
         header = self._slots * 8  # one int64 generation per slot
         self._data_base = -(-header // _ALIGN) * _ALIGN
@@ -226,28 +224,27 @@ class FleetWorkerPool:
         )
         self._header[:] = 0
 
+        # Workers are forked by the first submit (run_stage), all at
+        # once; what the parent holds at that moment is what they see.
+        # initargs cross by inheritance, not by pickle: ``assets`` is
+        # the parent's object and ``_weights_shm`` the parent's mapping.
         self._executor = ProcessPoolExecutor(
             max_workers=self.workers,
-            mp_context=multiprocessing.get_context("spawn"),
+            mp_context=multiprocessing.get_context("fork"),
             initializer=_pool_worker_init,
             initargs=(
-                self._assets_shm.name,
-                len(payload),
-                self._weights_shm.name,
+                assets,
+                self._weights_shm,
                 self._layout,
                 self._slots,
                 self._data_base,
             ),
         )
         # Belt and braces: a pool the caller forgot to shut down still
-        # unlinks its segments when garbage-collected (engines do call
+        # unlinks its segment when garbage-collected (engines do call
         # shutdown() in ``finally`` — this only covers misuse).
         self._finalizer = weakref.finalize(
-            self,
-            _finalize_pool,
-            self._executor,
-            self._assets_shm,
-            self._weights_shm,
+            self, _finalize_pool, self._executor, self._weights_shm
         )
 
     # -- parent-side state publication ---------------------------------
@@ -315,7 +312,7 @@ class FleetWorkerPool:
 
     # -- lifecycle ------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop workers and unlink both segments.  Idempotent.
+        """Stop workers and unlink the segment.  Idempotent.
 
         ``cancel_futures=True`` drops queued chunks so a mid-stage
         exception tears the pool down instead of hanging on the backlog.
@@ -326,8 +323,7 @@ class FleetWorkerPool:
         self._finalizer.detach()
         self._executor.shutdown(wait=True, cancel_futures=True)
         self._header = None  # release the exported buffer view
-        for shm in (self._assets_shm, self._weights_shm):
-            _unlink_segment(shm)
+        _unlink_segment(self._weights_shm)
 
     def __enter__(self) -> "FleetWorkerPool":
         return self
@@ -344,13 +340,12 @@ def _unlink_segment(shm: shared_memory.SharedMemory) -> None:
         _ACTIVE_SEGMENTS.discard(shm.name)
 
 
-def _finalize_pool(executor, assets_shm, weights_shm) -> None:
+def _finalize_pool(executor, weights_shm) -> None:
     executor.shutdown(wait=False, cancel_futures=True)
-    for shm in (assets_shm, weights_shm):
-        try:
-            _unlink_segment(shm)
-        except Exception:  # already unlinked, or views still exported
-            pass
+    try:
+        _unlink_segment(weights_shm)
+    except Exception:  # already unlinked, or views still exported
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -361,36 +356,29 @@ def _finalize_pool(executor, assets_shm, weights_shm) -> None:
 _WORKER: dict = {}
 
 
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to a parent-owned segment.
-
-    Spawned workers inherit the parent's resource-tracker process, so
-    the registration performed by attaching is an idempotent set-add on
-    the name the parent already registered at create time; the parent's
-    ``unlink()`` is the single deregistration.  (Worker-side
-    ``unregister`` would strip the shared entry and leave the parent's
-    own deregistration dangling.)
-    """
-    return shared_memory.SharedMemory(name=name)
-
-
 def _pool_worker_init(
-    assets_name: str,
-    assets_len: int,
-    weights_name: str,
+    assets,
+    weights: shared_memory.SharedMemory,
     layout: _StateLayout,
     slots: int,
     data_base: int,
 ) -> None:
-    assets_shm = _attach_segment(assets_name)
-    assets = pickle.loads(assets_shm.buf[:assets_len])
-    assets_shm.close()
+    """Record what this forked worker inherited from the parent.
+
+    ``weights`` is the parent's own ``SharedMemory`` object: its mapping
+    is ``MAP_SHARED``, so the copy a fork makes of it addresses the same
+    pages and later :meth:`FleetWorkerPool.publish` writes show up here.
+    The worker therefore opens nothing by name and tells the resource
+    tracker nothing; the parent's ``unlink()`` stays the only
+    deregistration.  Workers leave through ``os._exit``, so the copy is
+    never closed or unlinked from this side.
+    """
     _WORKER.update(
         # Deliberate worker-local cache: filled once per process in the
         # initializer, never read by the parent; chunk results flow back
         # through return values only.
         assets=assets,
-        weights=_attach_segment(weights_name),
+        weights=weights,
         layout=layout,
         slots=slots,
         data_base=data_base,
@@ -406,7 +394,7 @@ def _worker_runtime(system_id: str):
         from repro.fleet.simulation import build_fleet_runtime
 
         runtime = build_fleet_runtime(system_by_id(system_id), _WORKER["assets"])
-        # Worker-local memo: rebuilt deterministically from shared-memory
+        # Worker-local memo: rebuilt deterministically from the inherited
         # assets in any process.
         _WORKER["runtimes"][system_id] = runtime
     return runtime

@@ -800,18 +800,18 @@ def run_fleet(
     """Replay the whole fleet schedule for one system variant.
 
     ``workers > 1`` runs the per-node inference/diagnosis epochs on a
-    persistent :class:`repro.fleet.pool.FleetWorkerPool`: workers attach
-    once to shared-memory segments holding the assets and the active
-    model weights, and each stage ships only small (node, generation)
-    work items in per-worker chunks.  Results are keyed by node index
-    and merged in fixed node order, and all diagnosis randomness is
-    seeded per (node, stage), so every worker count produces
-    bit-identical reports.
+    persistent :class:`repro.fleet.pool.FleetWorkerPool`: workers are
+    forked from this process with ``assets`` already in memory, read the
+    active model weights from one shared-memory block, and each stage
+    ships only small (node, generation) work items in per-worker chunks.
+    Results are keyed by node index and merged in fixed node order, and
+    all diagnosis randomness is seeded per (node, stage), so every
+    worker count produces bit-identical reports.
 
     ``pool`` reuses an existing pool (it must have been built over these
     same ``assets``) instead of creating one per call — this is how
     :func:`run_fleet_all_systems` amortizes one pool across all four
-    system variants.  A pool created here is shut down — segments
+    system variants.  A pool created here is shut down — its segment
     unlinked — before returning, whether the run completes or raises.
 
     ``tracer`` collects virtual-time spans for the whole run (stage spans
@@ -1137,9 +1137,9 @@ def run_fleet_all_systems(
 
     ``workers > 1`` builds **one** worker pool and reuses it for all
     four variants (workers cache one runtime per system id), so the
-    spawn/attach cost is paid once per sweep rather than once per
-    variant.  The pool is shut down — and its shared-memory segments
-    unlinked — before returning, also on exceptions.
+    workers are forked once per sweep rather than once per variant.
+    The pool is shut down — and its shared-memory segment unlinked —
+    before returning, also on exceptions.
     """
     assets = prepare_fleet_assets(scenario)
     pool = None

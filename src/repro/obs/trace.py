@@ -51,8 +51,8 @@ _Attrs = tuple[tuple[str, object], ...]
 class TraceRecord:
     """One span (``t1`` set) or instant event (``t1`` None).
 
-    Frozen and tuple-keyed so records pickle cleanly across the fleet's
-    spawn-based worker pool and merge deterministically in the parent.
+    Frozen and tuple-keyed so records pickle cleanly back from the
+    fleet's worker pool and merge deterministically in the parent.
     """
 
     kind: str  # "span" | "event"

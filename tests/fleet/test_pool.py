@@ -12,13 +12,18 @@ run, whether it exits normally or raises mid-stage.
 from __future__ import annotations
 
 import glob
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.core.systems import system_by_id
-from repro.fleet.pool import _ACTIVE_SEGMENTS, FleetWorkerPool
+from repro.fleet.pool import _ACTIVE_SEGMENTS, FleetWorkerPool, PoolTask
 from repro.fleet.profiles import FleetScenario
 from repro.fleet.simulation import (
+    FleetAssets,
     fleet_base_scenario,
     prepare_fleet_assets,
     run_fleet,
@@ -234,4 +239,74 @@ class TestSegmentCleanup:
             with FleetWorkerPool(assets, 2):
                 raise RuntimeError("boom")
         assert _ACTIVE_SEGMENTS == set()
+        assert _shm_names() == before
+
+
+class TestForkOnly:
+    def test_platform_without_fork_is_refused_before_any_segment(
+        self, assets, monkeypatch
+    ):
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        before = _shm_names()
+        with pytest.raises(ValueError, match=r"workers=2 .*'fork'.*\['spawn'\]"):
+            FleetWorkerPool(assets, 2)
+        assert _ACTIVE_SEGMENTS == set()
+        assert _shm_names() == before
+
+
+class _UnpicklableAssets(FleetAssets):
+    def __reduce__(self):
+        raise TypeError("FleetAssets must reach the workers by inheritance")
+
+
+class TestForkHygiene:
+    def test_one_segment_while_open_none_after(self, assets):
+        before = _shm_names()
+        with FleetWorkerPool(assets, 2) as pool:
+            task = PoolTask(0, pool.publish(assets.initial_state))
+            assert pool.run_stage("d", 0, [task]).keys() == {0}
+            assert len(_ACTIVE_SEGMENTS) == 1
+            assert len(_shm_names() - before) == 1
+        assert _ACTIVE_SEGMENTS == set()
+        assert _shm_names() == before
+
+    def test_stage_raising_in_a_worker_leaves_no_segments(self, assets):
+        before = _shm_names()
+        with pytest.raises(IndexError):
+            with FleetWorkerPool(assets, 2) as pool:
+                state = pool.publish(assets.initial_state)
+                pool.run_stage(
+                    "d", 0, [PoolTask(0, state), PoolTask(NUM_NODES, state)]
+                )
+        assert _ACTIVE_SEGMENTS == set()
+        assert _shm_names() == before
+
+    def test_assets_are_inherited_not_pickled(self, assets, flat_serial):
+        assert flat_run(_UnpicklableAssets(**vars(assets)), 2) == flat_serial
+
+    def test_cli_with_piped_stdout_matches_serial(self, tmp_path):
+        # Piped stdout is block-buffered: bytes sitting in the parent's
+        # buffer at fork time would be written once more by each worker.
+        # One BLAS thread per process: two workers on a 2-core runner.
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        before = _shm_names()
+        runs = {}
+        for workers in (1, 2):
+            trace = tmp_path / f"trace_w{workers}.jsonl"
+            done = subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "fleet", "--nodes", "2",
+                    "--policy", "threshold",  # fewest Cloud retrains
+                    "--workers", str(workers), "--trace", str(trace),
+                ],
+                stdout=subprocess.PIPE,
+                env=env,
+                check=True,
+                timeout=300,
+            )
+            runs[workers] = (done.stdout, trace.read_bytes())
+        assert runs[1][0] and runs[1][1]
+        assert runs[2] == runs[1]
         assert _shm_names() == before
