@@ -23,8 +23,8 @@ Notes on expectations:
   ~2/3 of the step — so its ceiling is ~1.2-1.4x by construction.
 * fleet worker scaling depends on core count; ``meta.cpu_count`` records
   what the run had and ``meta.gate_armed`` whether a workers>1 win was
-  physically possible.  The persistent shared-memory pool
-  (:mod:`repro.fleet.pool`) ships only tiny work items per stage, so on
+  physically possible.  The persistent forked pool
+  (:mod:`repro.fleet.pool`) ships only small work items per stage, so on
   multi-core runners ``workers=4`` must beat serial (``--fleet-gate``);
   on a single core it cannot, and the speedup assertion disarms while
   bit-identity stays asserted.
@@ -304,7 +304,7 @@ def measure_dataset_cache(quick: bool) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Stage 4: fleet epoch, serial vs persistent shared-memory pool
+# Stage 4: fleet epoch, serial vs persistent forked pool
 # ----------------------------------------------------------------------
 def fleet_gate_armed() -> bool:
     """Whether the workers>1-must-win assertion is physically meaningful.

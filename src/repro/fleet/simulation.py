@@ -720,7 +720,6 @@ def node_stage(
 
 def pooled_node_stage(
     pool: "FleetWorkerPool",
-    system_id: str,
     stage_index: int,
     node_items: list[tuple[int, dict[str, np.ndarray]]],
     *,
@@ -728,15 +727,16 @@ def pooled_node_stage(
     tier: str | None = None,
     extra: dict | None = None,
 ) -> dict[int, tuple]:
-    """Run one stage's per-node compute on the persistent worker pool.
+    """Run one stage's per-node compute on the run's worker pool.
 
     ``node_items`` pairs each node index with the model state it should
-    run under.  States are published into the pool's shared-memory
-    weights block (interned — republishing the same dict object is
-    free), so tasks carry only ``(node_index, generation)`` plus the
-    trace stamps.  Returns ``{node_index: (NodeReport, records)}``; the
-    stage loop iterates node indices in fixed order, which keeps reports
-    and trace bytes identical to the serial path at any worker count.
+    run under.  States are published to the pool (interned —
+    republishing the same dict object returns the same token), so tasks
+    carry ``(node_index, token)`` plus the trace stamps and each chunk
+    carries the states its tokens name.  Returns
+    ``{node_index: (NodeReport, records)}``; the stage loop iterates
+    node indices in fixed order, which keeps reports and trace bytes
+    identical to the serial path at any worker count.
     """
     from repro.fleet.pool import PoolTask
 
@@ -750,7 +750,7 @@ def pooled_node_stage(
         )
         for i, state in node_items
     ]
-    return pool.run_stage(system_id, stage_index, tasks)
+    return pool.run_stage(stage_index, tasks)
 
 
 class StageHooks:
@@ -795,24 +795,19 @@ def run_fleet(
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     topology=None,
-    pool: "FleetWorkerPool | None" = None,
 ) -> FleetReport:
     """Replay the whole fleet schedule for one system variant.
 
     ``workers > 1`` runs the per-node inference/diagnosis epochs on a
-    persistent :class:`repro.fleet.pool.FleetWorkerPool`: workers are
-    forked from this process with ``assets`` already in memory, read the
-    active model weights from one shared-memory block, and each stage
-    ships only small (node, generation) work items in per-worker chunks.
+    :class:`repro.fleet.pool.FleetWorkerPool`: workers are forked from
+    this process with the run's runtime and ``assets`` already in
+    memory, and each stage ships per-worker chunks of small (node,
+    token) work items together with the model weights they name.
     Results are keyed by node index and merged in fixed node order, and
     all diagnosis randomness is seeded per (node, stage), so every
-    worker count produces bit-identical reports.
-
-    ``pool`` reuses an existing pool (it must have been built over these
-    same ``assets``) instead of creating one per call — this is how
-    :func:`run_fleet_all_systems` amortizes one pool across all four
-    system variants.  A pool created here is shut down — its segment
-    unlinked — before returning, whether the run completes or raises.
+    worker count produces bit-identical reports.  The pool is shut down
+    — its workers joined — before returning, whether the run completes
+    or raises.
 
     ``tracer`` collects virtual-time spans for the whole run (stage spans
     are stamped from the reconstructed lockstep timeline, so the stream is
@@ -828,8 +823,6 @@ def run_fleet(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if pool is not None and pool.assets is not assets:
-        raise ValueError("pool was built over different FleetAssets")
     if topology is not None:
         topology.validate_for(assets.profiles)
     backhaul = SharedUplink(assets.scenario.backhaul_bps)
@@ -840,12 +833,12 @@ def run_fleet(
     runtime = build_fleet_runtime(
         config, assets, metrics=metrics, canary_ids=tier.canary_ids
     )
-    owned_pool = None
-    if pool is None and workers > 1:
+    pool = None
+    if workers > 1:
         # Imported here: repro.fleet.pool imports this module.
         from repro.fleet.pool import FleetWorkerPool
 
-        pool = owned_pool = FleetWorkerPool(assets, workers)
+        pool = FleetWorkerPool(runtime, assets, workers)
     try:
         with obs_metrics.use(metrics):
             report = _run_fleet_schedule(
@@ -854,8 +847,8 @@ def run_fleet(
         report.topology = topology
         return report
     finally:
-        if owned_pool is not None:
-            owned_pool.shutdown()
+        if pool is not None:
+            pool.shutdown()
 
 
 def _run_fleet_schedule(
@@ -931,7 +924,6 @@ def _run_fleet_schedule(
         else:
             by_index = pooled_node_stage(
                 pool,
-                sys_id,
                 s,
                 [(i, node_states[i]) for i in nodes],
                 trace_t0=trace_t0,
@@ -1135,31 +1127,18 @@ def run_fleet_all_systems(
     stream; every record carries a ``system`` attribute or label, so the
     variants stay separable downstream.
 
-    ``workers > 1`` builds **one** worker pool and reuses it for all
-    four variants (workers cache one runtime per system id), so the
-    workers are forked once per sweep rather than once per variant.
-    The pool is shut down — and its shared-memory segment unlinked —
-    before returning, also on exceptions.
+    ``workers > 1`` forks each variant its own workers (~10 ms per
+    variant against runs of seconds); see :func:`run_fleet`.
     """
     assets = prepare_fleet_assets(scenario)
-    pool = None
-    if workers > 1:
-        from repro.fleet.pool import FleetWorkerPool
-
-        pool = FleetWorkerPool(assets, workers)
-    try:
-        return {
-            config.system_id: run_fleet(
-                config,
-                assets,
-                workers=workers,
-                tracer=tracer,
-                metrics=metrics,
-                topology=topology,
-                pool=pool,
-            )
-            for config in SYSTEMS
-        }
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    return {
+        config.system_id: run_fleet(
+            config,
+            assets,
+            workers=workers,
+            tracer=tracer,
+            metrics=metrics,
+            topology=topology,
+        )
+        for config in SYSTEMS
+    }

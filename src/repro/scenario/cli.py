@@ -34,6 +34,13 @@ def _run(args) -> int:
     except ScenarioError as err:
         print(f"error: {err}")
         return 1
+    engine = args.engine or spec.engine
+    if args.workers > 1 and engine != "lockstep":
+        print(
+            "error: --workers only applies to the lockstep engine "
+            f"(this run uses {engine!r})"
+        )
+        return 2
     tracer = Tracer(enabled=args.trace is not None)
     summary = build_summary(
         spec, engine=args.engine, workers=args.workers, tracer=tracer

@@ -70,11 +70,7 @@ def run_scenario_lockstep(
     if workers > 1:
         from repro.fleet.pool import FleetWorkerPool
 
-        # Churn + per-group heads make node states diverge mid-run, so
-        # one stage can reference up to (head groups + 1) distinct
-        # states at once; size the weights block to hold them all live.
-        groups = plans.heads.num_groups if plans.heads is not None else 0
-        pool = FleetWorkerPool(assets, workers, state_slots=groups + 2)
+        pool = FleetWorkerPool(runtime, assets, workers)
     try:
         with obs_metrics.use(metrics):
             report.fleet = _run_fleet_schedule(

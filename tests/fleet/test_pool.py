@@ -1,30 +1,34 @@
-"""Persistent worker pool: bit-identity, placement invariance, cleanup.
+"""Forked worker pool: bit-identity, placement invariance, cleanup.
 
 The pool's contract is that parallelism is *invisible* in the results:
 any worker count produces byte-identical reports and traces on every
 lockstep path (flat, topology, scenario), because all diagnosis
 randomness is reseeded per (node, stage) and node results merge in
 fixed node order regardless of which worker ran them.  The other half
-of the contract is hygiene: shared-memory segments never outlive the
-run, whether it exits normally or raises mid-stage.
+of the contract is hygiene: no worker process and no ``/dev/shm`` entry
+outlives the run, whether it exits normally, raises mid-stage, or loses
+a worker.
 """
 
 from __future__ import annotations
 
-import glob
 import multiprocessing
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.core.systems import system_by_id
-from repro.fleet.pool import _ACTIVE_SEGMENTS, FleetWorkerPool, PoolTask
+from repro.fleet.pool import FleetWorkerPool, PoolTask
 from repro.fleet.profiles import FleetScenario
 from repro.fleet.simulation import (
     FleetAssets,
+    FleetRuntime,
+    build_fleet_runtime,
     fleet_base_scenario,
+    node_stage,
     prepare_fleet_assets,
     run_fleet,
     run_fleet_all_systems,
@@ -186,6 +190,7 @@ class TestPlacementInvariance:
 
 class TestPoolReuse:
     def test_one_pool_serves_all_system_variants(self):
+        # Every variant forks its own workers; each is pooled == serial.
         scenario = tiny_fleet()
         serial = run_fleet_all_systems(scenario)
         pooled = run_fleet_all_systems(scenario, workers=2)
@@ -195,16 +200,19 @@ class TestPoolReuse:
                 pooled[system_id]
             )
 
-    def test_foreign_assets_rejected(self, assets, scenario_assets):
-        with FleetWorkerPool(assets, 2) as pool:
-            with pytest.raises(ValueError, match="FleetAssets"):
-                run_fleet(
-                    system_by_id("d"), scenario_assets, workers=2, pool=pool
-                )
+
+def _residue() -> tuple[list, list[str]]:
+    """What a pool could leave behind: child processes, /dev/shm names."""
+    return multiprocessing.active_children(), sorted(os.listdir("/dev/shm"))
 
 
-def _shm_names() -> set[str]:
-    return set(glob.glob("/dev/shm/psm_*"))
+@pytest.fixture
+def no_residue():
+    """Nothing the test starts is alive or on /dev/shm when it ends."""
+    children, shm = _residue()
+    assert children == []
+    yield
+    assert _residue() == ([], shm)
 
 
 class _ExplodingTracer(Tracer):
@@ -214,84 +222,146 @@ class _ExplodingTracer(Tracer):
         raise RuntimeError("tracer exploded mid-stage")
 
 
-class TestSegmentCleanup:
-    def test_normal_exit_leaves_no_segments(self, assets):
-        before = _shm_names()
-        run_fleet(system_by_id("d"), assets, workers=2)
-        assert _ACTIVE_SEGMENTS == set()
-        assert _shm_names() == before
+def _normal_exit(assets):
+    run_fleet(system_by_id("d"), assets, workers=2)
 
-    def test_exception_leaves_no_segments(self, assets):
-        before = _shm_names()
-        with pytest.raises(RuntimeError, match="exploded"):
-            run_fleet(
-                system_by_id("d"),
-                assets,
-                workers=2,
-                tracer=_ExplodingTracer(),
-            )
-        assert _ACTIVE_SEGMENTS == set()
-        assert _shm_names() == before
 
-    def test_context_manager_unlinks_on_error(self, assets):
-        before = _shm_names()
-        with pytest.raises(RuntimeError, match="boom"):
-            with FleetWorkerPool(assets, 2):
-                raise RuntimeError("boom")
-        assert _ACTIVE_SEGMENTS == set()
-        assert _shm_names() == before
+def _parent_side_exception(assets):
+    with pytest.raises(RuntimeError, match="exploded"):
+        run_fleet(
+            system_by_id("d"), assets, workers=2, tracer=_ExplodingTracer()
+        )
+
+
+def _worker_side_exception(assets):
+    runtime = build_fleet_runtime(system_by_id("d"), assets)
+    with pytest.raises(IndexError):
+        with FleetWorkerPool(runtime, assets, 2) as pool:
+            state = pool.publish(assets.initial_state)
+            pool.run_stage(0, [PoolTask(0, state), PoolTask(NUM_NODES, state)])
+
+
+def _with_block_raising(assets):
+    runtime = build_fleet_runtime(system_by_id("d"), assets)
+    with pytest.raises(RuntimeError, match="boom"):
+        with FleetWorkerPool(runtime, assets, 2) as pool:
+            task = PoolTask(0, pool.publish(assets.initial_state))
+            assert pool.run_stage(0, [task]).keys() == {0}
+            raise RuntimeError("boom")
+
+
+class TestNoResidue:
+    @pytest.mark.parametrize(
+        "run",
+        [
+            _normal_exit,
+            _parent_side_exception,
+            _worker_side_exception,
+            _with_block_raising,
+        ],
+        ids=[
+            "normal-exit",
+            "parent-exception",
+            "worker-exception",
+            "with-block",
+        ],
+    )
+    def test_run_leaves_nothing_behind(self, assets, no_residue, run):
+        run(assets)
+
+    def test_killed_worker_names_the_stage_and_nodes(
+        self, assets, no_residue, monkeypatch
+    ):
+        def dying_node_stage(runtime, assets, node_index, stage_index, **kw):
+            if (node_index, stage_index) == (2, 1):
+                os._exit(9)
+            return node_stage(runtime, assets, node_index, stage_index, **kw)
+
+        # Patched before the first dispatch: the forked workers inherit it.
+        monkeypatch.setattr(
+            "repro.fleet.simulation.node_stage", dying_node_stage
+        )
+        with pytest.raises(
+            RuntimeError,
+            match=r"fleet worker died during stage 1 \(nodes \[0, 1, 2\]\); "
+            "results discarded",
+        ) as caught:
+            run_fleet(system_by_id("d"), assets, workers=2)
+        assert type(caught.value.__cause__).__name__ == "BrokenProcessPool"
 
 
 class TestForkOnly:
     def test_platform_without_fork_is_refused_before_any_segment(
-        self, assets, monkeypatch
+        self, assets, no_residue, monkeypatch
     ):
         monkeypatch.setattr(
             multiprocessing, "get_all_start_methods", lambda: ["spawn"]
         )
-        before = _shm_names()
+        runtime = build_fleet_runtime(system_by_id("d"), assets)
         with pytest.raises(ValueError, match=r"workers=2 .*'fork'.*\['spawn'\]"):
-            FleetWorkerPool(assets, 2)
-        assert _ACTIVE_SEGMENTS == set()
-        assert _shm_names() == before
+            FleetWorkerPool(runtime, assets, 2)
+
+
+def _inherited_not_pickled(self):
+    raise TypeError(f"{type(self).__name__} must cross the fork by inheritance")
 
 
 class _UnpicklableAssets(FleetAssets):
-    def __reduce__(self):
-        raise TypeError("FleetAssets must reach the workers by inheritance")
+    __reduce__ = _inherited_not_pickled
+
+
+def _report_fields(result):
+    node_report, records = result
+    fields = dict(vars(node_report))
+    upload = fields.pop("upload_data")
+    return fields, upload.images.tobytes(), upload.labels.tobytes(), records
 
 
 class TestForkHygiene:
-    def test_one_segment_while_open_none_after(self, assets):
-        before = _shm_names()
-        with FleetWorkerPool(assets, 2) as pool:
-            task = PoolTask(0, pool.publish(assets.initial_state))
-            assert pool.run_stage("d", 0, [task]).keys() == {0}
-            assert len(_ACTIVE_SEGMENTS) == 1
-            assert len(_shm_names() - before) == 1
-        assert _ACTIVE_SEGMENTS == set()
-        assert _shm_names() == before
-
-    def test_stage_raising_in_a_worker_leaves_no_segments(self, assets):
-        before = _shm_names()
-        with pytest.raises(IndexError):
-            with FleetWorkerPool(assets, 2) as pool:
-                state = pool.publish(assets.initial_state)
-                pool.run_stage(
-                    "d", 0, [PoolTask(0, state), PoolTask(NUM_NODES, state)]
-                )
-        assert _ACTIVE_SEGMENTS == set()
-        assert _shm_names() == before
-
-    def test_assets_are_inherited_not_pickled(self, assets, flat_serial):
+    def test_assets_are_inherited_not_pickled(
+        self, assets, flat_serial, monkeypatch
+    ):
+        monkeypatch.setattr(FleetRuntime, "__reduce__", _inherited_not_pickled)
         assert flat_run(_UnpicklableAssets(**vars(assets)), 2) == flat_serial
 
-    def test_cli_with_piped_stdout_matches_serial(self, tmp_path):
+    def test_one_stage_may_reference_any_number_of_states(
+        self, assets, no_residue
+    ):
+        # Three distinct states in one stage, two of them in one chunk;
+        # each permutes the classifier's outputs differently.
+        config, stage = system_by_id("d"), 1
+        head = assets.initial_state["fc8.weight"]
+        states = [
+            {**assets.initial_state, "fc8.weight": np.roll(head, k, axis=0)}
+            for k in range(3)
+        ]
+        runtime = build_fleet_runtime(config, assets)
+
+        def serial_stage(node_index, state):
+            runtime.deployed_net.load_state_dict(state)
+            return _report_fields(
+                node_stage(runtime, assets, node_index, stage, trace_t0=0.5)
+            )
+
+        serial = {i: serial_stage(i, state) for i, state in enumerate(states)}
+        # The states are told apart: a worker that kept the chunk's
+        # first state loaded for node 1 would be caught below.
+        assert serial_stage(1, states[0]) != serial[1]
+
+        fresh = build_fleet_runtime(config, assets)
+        with FleetWorkerPool(fresh, assets, 2) as pool:
+            tokens = [pool.publish(state) for state in states]
+            assert tokens == [pool.publish(state) for state in states]
+            assert len(set(tokens)) == 3
+            tasks = [PoolTask(i, t, trace_t0=0.5) for i, t in enumerate(tokens)]
+            pooled = pool.run_stage(stage, tasks)
+        assert {i: _report_fields(r) for i, r in pooled.items()} == serial
+
+    def test_cli_with_piped_stdout_matches_serial(self, tmp_path, no_residue):
         # Piped stdout is block-buffered: bytes sitting in the parent's
         # buffer at fork time would be written once more by each worker.
         # One BLAS thread per process: two workers on a 2-core runner.
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-        before = _shm_names()
         runs = {}
         for workers in (1, 2):
             trace = tmp_path / f"trace_w{workers}.jsonl"
@@ -309,4 +379,3 @@ class TestForkHygiene:
             runs[workers] = (done.stdout, trace.read_bytes())
         assert runs[1][0] and runs[1][1]
         assert runs[2] == runs[1]
-        assert _shm_names() == before

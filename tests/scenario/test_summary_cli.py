@@ -143,3 +143,25 @@ class TestCli:
         path.write_text(SMALL_YAML)
         with pytest.raises(SystemExit):
             scenario_main(["run", str(path), "--engine", "warp"])
+
+    @pytest.mark.parametrize(
+        ("spec_engine", "flags"),
+        [("event", []), ("lockstep", ["--engine", "event"])],
+        ids=["spec-engine", "engine-override"],
+    )
+    def test_run_refuses_workers_on_the_event_engine(
+        self, tmp_path, capsys, monkeypatch, spec_engine, flags
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("refused before any asset is built")
+
+        monkeypatch.setattr("repro.scenario.cli.build_summary", no_build)
+        path = tmp_path / "run.yaml"
+        path.write_text(
+            SMALL_YAML.replace("engine: lockstep", f"engine: {spec_engine}")
+        )
+        assert scenario_main(["run", str(path), "--workers", "2", *flags]) == 2
+        assert capsys.readouterr().out == (
+            "error: --workers only applies to the lockstep engine "
+            "(this run uses 'event')\n"
+        )
