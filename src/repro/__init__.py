@@ -38,7 +38,6 @@ from repro import (
     data,
     diagnosis,
     hw,
-    lint,
     models,
     nn,
     reports,
@@ -55,7 +54,6 @@ __all__ = [
     "data",
     "diagnosis",
     "hw",
-    "lint",
     "models",
     "nn",
     "reports",
