@@ -346,14 +346,11 @@ class _EventFleet:
         *,
         horizon_s: float | None,
         barrier: bool,
-        acquire_time_s: float,
         tracer: Tracer | None = None,
         hooks: EventHooks | None = None,
     ) -> None:
         if horizon_s is not None and horizon_s <= 0:
             raise ValueError("horizon_s must be positive")
-        if acquire_time_s < 0:
-            raise ValueError("acquire_time_s must be >= 0")
         self.assets = assets
         self.scenario = assets.scenario
         self.base = self.scenario.base
@@ -365,7 +362,6 @@ class _EventFleet:
         self.round_based = barrier or self.hooks.round_based
         self.horizon_s = horizon_s
         self.barrier = barrier
-        self.acquire_time_s = acquire_time_s
         self.profiles = assets.profiles
         self.all_node_ids = tuple(p.node_id for p in self.profiles)
         self.index_of = {p.node_id: i for i, p in enumerate(self.profiles)}
@@ -471,9 +467,6 @@ class _EventFleet:
         """
         profile = self.profiles[i]
         start = self.sim.now
-        if self.acquire_time_s > 0:
-            # Sensing window: images trickle in before processing.
-            yield self.sim.timeout(len(stage.new_data) * self.acquire_time_s)
         # Inference + diagnosis against the node's *current* version.
         self.runtime.deployed_net.load_state_dict(self.node_states[i])
         reseed_diagnoser(
@@ -486,7 +479,6 @@ class _EventFleet:
         compute_s = (
             node_report.inference_time_s + node_report.diagnosis_time_s
         )
-        compute_start = self.sim.now
         yield self.sim.timeout(compute_s)
         tag = self.tier.node_tag
         attrs = dict(
@@ -499,7 +491,7 @@ class _EventFleet:
         self.tracer.span(
             "node",
             "compute",
-            compute_start,
+            start,
             self.sim.now,
             inference_s=node_report.inference_time_s,
             diagnosis_s=node_report.diagnosis_time_s,
@@ -857,7 +849,6 @@ def run_fleet_event(
     *,
     horizon_s: float | None = None,
     barrier: bool = False,
-    acquire_time_s: float = 0.0,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     topology=None,
@@ -878,8 +869,6 @@ def run_fleet_event(
         Re-insert the fleet-wide epoch barrier.  This is the lockstep
         reference mode: with it, the event-driven run reproduces
         :func:`run_fleet`'s accuracy and byte trajectories.
-    acquire_time_s:
-        Virtual sensing time per acquired image, before processing.
     tracer, metrics:
         Optional observability sinks.  Spans are stamped with the kernel
         clock (``Simulator.now``), so a given (assets, config, mode)
@@ -908,7 +897,6 @@ def run_fleet_event(
         tier,
         horizon_s=horizon_s,
         barrier=barrier,
-        acquire_time_s=acquire_time_s,
         tracer=tracer,
     ).run()
     report.topology = topology

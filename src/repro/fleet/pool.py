@@ -26,7 +26,7 @@ Determinism contract: results are keyed by node index and merged in
 fixed node order by the engines, and diagnosis randomness is reseeded
 per ``(node, stage)`` inside the worker — so any worker count, chunking
 and placement produce bit-identical reports and trace bytes
-(``tests/fleet/test_pool.py``: direct tier, gateway tier, scenario hooks).
+(``tests/fleet/test_pool.py``: direct tier, gateway tier).
 
 Cleanup contract: :meth:`shutdown` (idempotent, also run by
 ``__exit__``) cancels queued futures and joins the workers.  The pool
@@ -54,7 +54,7 @@ class PoolTask:
     """One node's share of a stage dispatch.
 
     ``state`` is a token from :meth:`FleetWorkerPool.publish`.
-    ``trace_t0``/``tier``/``extra`` are handed to the same
+    ``trace_t0``/``tier`` are handed to the same
     :func:`~repro.fleet.simulation.node_stage` the serial loop calls, so
     worker-built trace records are byte-identical to serial ones.
     """
@@ -63,7 +63,6 @@ class PoolTask:
     state: int
     trace_t0: float | None = None
     tier: str | None = None
-    extra: dict | None = None
 
 
 def _chunked(items: list, chunks: int) -> list[list]:
@@ -81,8 +80,9 @@ def _chunked(items: list, chunks: int) -> list[list]:
 class FleetWorkerPool:
     """The forked worker processes of one lockstep run.
 
-    ``run_fleet`` and ``run_scenario_lockstep`` build one over the run's
-    runtime when handed ``workers > 1`` and shut it down in ``finally``.
+    :func:`~repro.fleet.simulation.run_fleet` — the only caller — builds
+    one over the run's runtime when handed ``workers > 1`` and shuts it
+    down in ``finally``.
     """
 
     def __init__(self, runtime, assets, workers: int) -> None:
@@ -194,7 +194,6 @@ def _pool_worker_chunk(
             stage_index,
             trace_t0=task.trace_t0,
             tier=task.tier,
-            extra=task.extra,
         )
         out.append((task.node_index, node_report, records))
     return out

@@ -73,7 +73,6 @@ __all__ = [
     "pooled_node_stage",
     "prepare_fleet_assets",
     "reseed_diagnoser",
-    "StageHooks",
     "run_fleet",
     "run_fleet_all_systems",
 ]
@@ -665,7 +664,6 @@ def node_stage(
     *,
     trace_t0: float | None,
     tier: str | None = None,
-    extra: dict | None = None,
 ) -> tuple:
     """One node's stage against whatever its deployed net currently holds.
 
@@ -677,9 +675,8 @@ def node_stage(
 
     ``records`` are the node's trace records stamped at virtual time
     ``trace_t0`` (``None`` = tracing off, no records).  ``tier`` tags
-    them for hierarchical runs and ``extra`` adds further attributes
-    (scenario runs tag their phase); flat runs pass neither and their
-    record bytes carry no such attribute at all.
+    them for hierarchical runs; flat runs pass none and their record
+    bytes carry no such attribute at all.
     """
     node = runtime.nodes[node_index]
     profile = assets.profiles[node_index]
@@ -695,7 +692,6 @@ def node_stage(
         stage=stage_index,
         system=runtime.config.system_id,
         **({} if tier is None else {"tier": tier}),
-        **(extra or {}),
     )
     return node_report, [
         make_span(
@@ -725,7 +721,6 @@ def pooled_node_stage(
     *,
     trace_t0: float | None = None,
     tier: str | None = None,
-    extra: dict | None = None,
 ) -> dict[int, tuple]:
     """Run one stage's per-node compute on the run's worker pool.
 
@@ -746,45 +741,10 @@ def pooled_node_stage(
             state=pool.publish(state),
             trace_t0=trace_t0,
             tier=tier,
-            extra=extra,
         )
         for i, state in node_items
     ]
     return pool.run_stage(stage_index, tasks)
-
-
-class StageHooks:
-    """Per-stage extension points of the lockstep stage loop.
-
-    The base class is the plain fleet: every node participates in every
-    stage and nothing happens beyond the paper's protocol.
-    ``repro.scenario`` overrides both methods to add churn, rejoin
-    reconciliation, and per-group heads.  A new per-stage *behaviour*
-    belongs here; a new *transport* belongs in an uplink tier.
-    """
-
-    def begin_stage(
-        self, s: int, t0: float, node_states: list
-    ) -> tuple[tuple[int, ...], dict, dict[int, int]]:
-        """Called before node compute, at virtual time ``t0``.
-
-        Returns the participating node indices (ascending), extra trace
-        attributes for the stage's records, and ``{node index: bytes}``
-        of model downloads that landed before compute.  May replace
-        entries of ``node_states``.
-        """
-        return tuple(range(len(node_states))), {}, {}
-
-    def after_push(
-        self, s: int, t0: float, outcome, node_states: list
-    ) -> tuple[dict[int, int], float]:
-        """Called once the stage's model pushes have landed, at ``t0``.
-
-        Returns ``{node index: bytes}`` of further downloads and the
-        virtual time they add to the stage.  May replace entries of
-        ``node_states``.
-        """
-        return {}, 0.0
 
 
 def run_fleet(
@@ -859,17 +819,15 @@ def _run_fleet_schedule(
     pool: "FleetWorkerPool | None",
     *,
     tracer: Tracer | None = None,
-    hooks: StageHooks | None = None,
 ) -> FleetReport:
     """The one lockstep stage loop.
 
     ``tier`` owns transport ("node upload -> Cloud arrival" and "Cloud
     push -> node": :class:`~repro.fleet.uplink.DirectTier`, or the
-    gateway tier ``repro.topology`` supplies); ``hooks`` own per-stage
-    behaviour beyond the paper's protocol (:class:`StageHooks`).  The
-    two are independent.  Everything else — node compute, upload
-    selection, the Cloud step, records, ledgers, ``fleet.*`` metrics —
-    is here and nowhere else.
+    gateway tier ``repro.topology`` supplies).  Everything else — node
+    compute, upload selection, the Cloud step, records, ledgers,
+    ``fleet.*`` metrics — is here and nowhere else.  Every node takes
+    part in every stage: the paper's protocol, with no extension seam.
     """
     scenario = assets.scenario
     base = scenario.base
@@ -877,8 +835,6 @@ def _run_fleet_schedule(
     registry = runtime.registry
     scheduler = runtime.scheduler
     sys_id = config.system_id
-    if hooks is None:
-        hooks = StageHooks()
     if tracer is None:
         tracer = Tracer(enabled=False)
 
@@ -886,9 +842,11 @@ def _run_fleet_schedule(
     report.nodes = [NodeTrajectory(profile=p) for p in profiles]
     index_of = {p.node_id: i for i, p in enumerate(profiles)}
     num_stages = len(assets.node_stages[0])
+    nodes = tuple(range(len(profiles)))
+    node_ids = tuple(p.node_id for p in profiles)
     # The model state each node runs.  A landed push moves a node to the
-    # registry's active state; hooks may move nodes too (reconciliation,
-    # per-group heads), so versions can diverge across the fleet.
+    # registry's active state, and a canary rollout reaches only some
+    # nodes, so versions can diverge across the fleet.
     node_states = [assets.initial_state] * len(profiles)
     # Virtual stage cursor: spans are stamped from the same barrier
     # timeline lockstep_timeline() reconstructs, so the trace stream is a
@@ -898,10 +856,6 @@ def _run_fleet_schedule(
     for s in range(num_stages):
         is_initial = s == 0
         stage_start = cursor
-        nodes, extra, caught_up = hooks.begin_stage(s, stage_start, node_states)
-        for i, num_bytes in caught_up.items():
-            report.nodes[i].ledger.record_download(s, num_bytes)
-            report.ledger.record_download(s, num_bytes)
 
         # --- node compute ---------------------------------------------
         trace_t0 = stage_start if tracer.enabled else None
@@ -919,7 +873,6 @@ def _run_fleet_schedule(
                     s,
                     trace_t0=trace_t0,
                     tier=tier.node_tag,
-                    extra=extra,
                 )
         else:
             by_index = pooled_node_stage(
@@ -928,7 +881,6 @@ def _run_fleet_schedule(
                 [(i, node_states[i]) for i in nodes],
                 trace_t0=trace_t0,
                 tier=tier.node_tag,
-                extra=extra,
             )
         node_reports = {}
         for i in nodes:
@@ -954,20 +906,13 @@ def _run_fleet_schedule(
         }
         uploads_start = stage_start + max(compute_times.values(), default=0.0)
         up = tier.upload(
-            s,
-            nodes,
-            uploads,
-            upload_counts,
-            uploads_start,
-            tracer=tracer,
-            extra=extra,
+            s, nodes, uploads, upload_counts, uploads_start, tracer=tracer
         )
         fleet_accuracy = float(
             np.mean([node_reports[i].accuracy_before_update for i in nodes])
         )
 
-        # --- cloud side (sees the participating nodes as the fleet) ---
-        node_ids = tuple(profiles[i].node_id for i in nodes)
+        # --- cloud side ----------------------------------------------
         if is_initial:
             outcome = cloud_initialize(
                 s,
@@ -997,7 +942,6 @@ def _run_fleet_schedule(
 
         # --- stage timeline tail: cloud update, then model push-down ---
         update_end = up.arrival_s + outcome.modeled_update_time_s
-        cloud_attrs = {**tier.cloud_attrs, **extra}
         if outcome.modeled_update_time_s > 0:
             tracer.span(
                 "cloud",
@@ -1008,7 +952,7 @@ def _run_fleet_schedule(
                 system=sys_id,
                 pooled=outcome.pooled_for_training,
                 promoted=outcome.promoted,
-                **cloud_attrs,
+                **tier.cloud_attrs,
             )
         tracer.event(
             "cloud",
@@ -1019,7 +963,7 @@ def _run_fleet_schedule(
             updated=outcome.updated,
             promoted=outcome.promoted,
             **rollback_attrs(outcome),
-            **cloud_attrs,
+            **tier.cloud_attrs,
         )
         cursor = update_end + tier.push(
             s, nodes, push_bytes, update_end, tracer=tracer
@@ -1027,10 +971,6 @@ def _run_fleet_schedule(
         for i in nodes:
             if push_bytes[profiles[i].node_id]:
                 node_states[i] = registry.active.state
-        later_bytes, later_s = hooks.after_push(
-            s, cursor, outcome, node_states
-        )
-        cursor += later_s
 
         # --- per-node records -----------------------------------------
         acquired = sum(r.acquired_images for r in node_reports.values())
@@ -1039,11 +979,8 @@ def _run_fleet_schedule(
         for i in nodes:
             node_report = node_reports[i]
             link = tier.node_link(i)
-            pushed = push_bytes[profiles[i].node_id] + later_bytes.get(i, 0)
+            pushed = push_bytes[profiles[i].node_id]
             pushed_bytes += pushed
-            # begin_stage downloads are already in the ledgers; the record
-            # carries them too, so a node's records sum to its ledger.
-            down = pushed + caught_up.get(i, 0)
             trajectory = report.nodes[i]
             trajectory.records.append(
                 NodeStageRecord(
@@ -1059,8 +996,8 @@ def _run_fleet_schedule(
                     ),
                     node_compute_time_s=compute_times[i],
                     node_compute_energy_j=node_report.node_energy_j,
-                    download_bytes=down,
-                    download_energy_j=link.model_push_energy_j(down),
+                    download_bytes=pushed,
+                    download_energy_j=link.model_push_energy_j(pushed),
                 )
             )
             trajectory.ledger.record(
@@ -1088,7 +1025,7 @@ def _run_fleet_schedule(
                 modeled_update_time_s=outcome.modeled_update_time_s,
                 modeled_cloud_energy_j=outcome.modeled_cloud_energy_j,
                 upload_makespan_s=up.makespan_s,
-                download_bytes=pushed_bytes + sum(caught_up.values()),
+                download_bytes=pushed_bytes,
             )
         )
         m = runtime.metrics

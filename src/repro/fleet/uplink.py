@@ -187,7 +187,7 @@ class DirectTier:
         """The link node ``i``'s own hop rides (what its radio pays for)."""
         return self.profiles[i].link
 
-    def upload(self, s, nodes, uploads, counts, t0, *, tracer, extra):
+    def upload(self, s, nodes, uploads, counts, t0, *, tracer):
         """Ship each node's upload; all flows start at ``t0``."""
         transfers = [
             Transfer(
@@ -209,7 +209,6 @@ class DirectTier:
                     stage=s,
                     system=self.system_id,
                     bytes=transfer.num_bytes,
-                    **extra,
                 )
         return StageUplink(
             times=dict(zip(nodes, times)),

@@ -5,10 +5,10 @@ class-incremental data arrival phases, and per-node-group head
 specialization — onto the fleet engines.  The YAML spec is validated
 with line-anchored errors (:mod:`repro.scenario.schema`), the processes
 are materialized as pure seeded plans (:mod:`repro.scenario.processes`),
-and the same plans drive both the lockstep stage loop (through the
-hooks in :mod:`repro.scenario.lockstep`) and the event engine (through
-the hooks in :mod:`repro.scenario.event`) — with ``barrier: true`` the two agree on
-accuracy trajectories, byte ledgers, and registry history exactly.
+and the plans drive the event engine through the one hooks class in
+:mod:`repro.scenario.event`.  ``engine: lockstep`` is that engine's
+barrier mode (the paper's stage-synchronous protocol); ``engine: event``
+honours the spec's ``barrier`` flag.
 
 ``python -m repro scenario run <yaml>`` runs replicates and emits a
 byte-stable summary JSON with seeded bootstrap confidence intervals.
@@ -17,7 +17,6 @@ byte-stable summary JSON with seeded bootstrap confidence intervals.
 from repro.scenario.assets import prepare_scenario_assets
 from repro.scenario.event import run_scenario_event
 from repro.scenario.heads import HeadUpdate, run_head_updates
-from repro.scenario.lockstep import run_scenario_lockstep
 from repro.scenario.processes import (
     ChurnPlan,
     ClassPhasePlan,
@@ -52,6 +51,5 @@ __all__ = [
     "run_head_updates",
     "run_replicate",
     "run_scenario_event",
-    "run_scenario_lockstep",
     "summary_json",
 ]

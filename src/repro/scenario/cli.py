@@ -2,11 +2,11 @@
 
 Subcommands:
 
-``run FILE [--out PATH] [--trace PATH] [--workers N] [--engine E]``
+``run FILE [--out PATH] [--trace PATH] [--engine E]``
     Run every replicate of the scenario and print a metric table.
     ``--out`` writes the canonical summary JSON (byte-stable across
-    invocations and worker counts); ``--trace`` writes the JSONL trace
-    of all replicates; ``--engine`` overrides the spec's engine.
+    invocations); ``--trace`` writes the JSONL trace of all replicates;
+    ``--engine`` overrides the spec's engine.
 
 ``validate FILE``
     Parse and validate only.  Exit 0 on success; on failure, print the
@@ -34,17 +34,8 @@ def _run(args) -> int:
     except ScenarioError as err:
         print(f"error: {err}")
         return 1
-    engine = args.engine or spec.engine
-    if args.workers > 1 and engine != "lockstep":
-        print(
-            "error: --workers only applies to the lockstep engine "
-            f"(this run uses {engine!r})"
-        )
-        return 2
     tracer = Tracer(enabled=args.trace is not None)
-    summary = build_summary(
-        spec, engine=args.engine, workers=args.workers, tracer=tracer
-    )
+    summary = build_summary(spec, engine=args.engine, tracer=tracer)
     scenario = summary["scenario"]
     print(
         f"scenario {scenario['name']!r}: engine={scenario['engine']} "
@@ -128,12 +119,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--out", help="write summary JSON here")
     p_run.add_argument("--trace", help="write JSONL trace here")
     p_run.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process-pool size for lockstep node stages (default: 1)",
-    )
-    p_run.add_argument(
         "--engine",
         choices=("lockstep", "event"),
         help="override the spec's engine",
@@ -154,6 +139,4 @@ def main(argv: list[str] | None = None) -> int:
     p_list.set_defaults(func=_list)
 
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) < 1:
-        parser.error("--workers must be at least 1")
     return args.func(args)

@@ -1,4 +1,4 @@
-"""Event-driven scenario runs: the one event engine plus scenario hooks.
+"""Scenario runs: the one event engine plus scenario hooks.
 
 :func:`run_scenario_event` drives the one event engine
 (:class:`repro.fleet.async_sim._EventFleet`) over the direct tier with
@@ -18,10 +18,12 @@ scenario deltas as kernel generators:
   travel to the group's members as flows, and the round closes with its
   :class:`~repro.scenario.report.ScenarioStageInfo`.
 
-With ``barrier=True`` this reproduces the lockstep scenario run's
-accuracy trajectories, byte ledgers, registry history, and stage info
-exactly; without it, nodes free-run between rounds like the flat async
-mode, and no lockstep claim is made.
+This is the only scenario engine.  ``engine: lockstep`` specs run it
+with ``barrier=True`` (every node finishes round ``r`` before any node
+starts round ``r + 1``, the paper's stage-synchronous protocol);
+``engine: event`` specs run it with the spec's ``barrier`` flag, and
+without the barrier nodes free-run between rounds like the flat async
+mode.
 """
 
 from __future__ import annotations
@@ -93,16 +95,14 @@ def run_scenario_event(
     *,
     assets: FleetAssets | None = None,
     barrier: bool = False,
-    acquire_time_s: float = 0.0,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
     system_id: str = "d",
 ) -> ScenarioReport:
     """Run one scenario replicate on the event engine.
 
-    ``barrier=True`` is the lockstep-reference mode: it reproduces
-    :func:`repro.scenario.lockstep.run_scenario_lockstep` trajectories,
-    ledgers, registry history, and stage info on the event kernel.
+    ``barrier=True`` is the stage-synchronous mode ``engine: lockstep``
+    specs run in.
     """
     state = ScenarioState.open(
         spec,
@@ -119,7 +119,6 @@ def run_scenario_event(
         DirectEventTier(state.assets),
         horizon_s=None,
         barrier=barrier,
-        acquire_time_s=acquire_time_s,
         tracer=state.tracer,
         hooks=ScenarioEventHooks(state),
     ).run()

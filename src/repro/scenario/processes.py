@@ -1,11 +1,11 @@
 """Seeded scenario processes: churn, class phases, and head groups.
 
 Each plan is a *pure function of the spec and the fleet seed*, fully
-materialized before either engine starts.  That is what lets the
-lockstep and event engines agree bit-for-bit: they consume identical
-precomputed plans instead of sampling mid-run, so engine-internal event
-ordering can never perturb who crashes, which classes arrive, or which
-nodes share a head.
+materialized before the engine starts.  That is what lets the barrier
+and async modes agree on the plan: they consume identical precomputed
+plans instead of sampling mid-run, so engine-internal event ordering can
+never perturb who crashes, which classes arrive, or which nodes share a
+head.
 """
 
 from __future__ import annotations
@@ -181,11 +181,6 @@ class ScenarioPlans:
     churn: ChurnPlan | None
     phases: ClassPhasePlan | None
     heads: HeadGroupPlan | None
-
-    def alive_indices(self, stage: int, num_nodes: int) -> tuple[int, ...]:
-        if self.churn is None:
-            return tuple(range(num_nodes))
-        return self.churn.alive_indices(stage)
 
     def phase_name(self, stage: int) -> str | None:
         if self.phases is None:

@@ -1,14 +1,11 @@
-"""Scenario run reports and the state both engines share.
+"""Scenario run reports and the scenario-level state of one run.
 
-The engine-agnostic pieces live here on purpose: the lockstep hooks and
-the event hooks must call :func:`configure_cloud` and
-:func:`finalize_report` in the same order with the same arguments, so
-every RNG stream they touch advances identically — that is the
-mechanism behind the lockstep ≡ event-barrier equivalence the tests pin.
 :class:`ScenarioState` holds every scenario-level decision (who is
 alive, what a rejoining node downloads, which heads were accepted, the
-per-stage info), so the two sets of hooks differ only in how the
-resulting bytes cross time.
+per-stage info); the event hooks in :mod:`repro.scenario.event` only
+move the resulting bytes through time.  :func:`configure_cloud` runs
+right after the runtime is built and :func:`finalize_report` after the
+last round, so every RNG stream they touch advances in one fixed order.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ _REPLAY_SALT = 77171
 
 @dataclass(frozen=True)
 class ScenarioStageInfo:
-    """Scenario-level view of one stage, identical across engines."""
+    """Scenario-level view of one stage (one event-engine round)."""
 
     stage_index: int
     phase: str | None  # class-incremental phase name, if that process runs
@@ -54,11 +51,11 @@ class ScenarioStageInfo:
 
 @dataclass
 class ScenarioReport:
-    """Full outcome of one scenario replicate on either engine."""
+    """Full outcome of one scenario replicate."""
 
     spec: ScenarioSpec
-    mode: str  # "lockstep" | "event" | "event-barrier"
-    fleet: object  # FleetReport or FleetEventReport
+    mode: str  # "event" | "event-barrier"
+    fleet: object  # FleetEventReport
     registry: ModelRegistry
     stage_info: list[ScenarioStageInfo] = field(default_factory=list)
     head_updates: list[HeadUpdate] = field(default_factory=list)
@@ -96,9 +93,9 @@ class ScenarioReport:
 def configure_cloud(runtime: FleetRuntime, spec: ScenarioSpec) -> None:
     """Arm the cloud's class-incremental machinery, if configured.
 
-    Must be called right after :func:`build_fleet_runtime` in both
-    engines: the replay buffer's RNG is seeded here, so call order is
-    part of the determinism contract.
+    Must be called right after :func:`build_fleet_runtime`: the replay
+    buffer's RNG is seeded here, so call order is part of the
+    determinism contract.
     """
     ci = spec.class_incremental
     if ci is None:
@@ -115,7 +112,7 @@ def configure_cloud(runtime: FleetRuntime, spec: ScenarioSpec) -> None:
 
 
 class ScenarioState:
-    """Scenario-level state of one run, for either engine's hooks."""
+    """Scenario-level state of one run, behind the event hooks."""
 
     def __init__(self, spec, plans, assets, runtime, report, tracer) -> None:
         self.spec = spec
@@ -143,7 +140,7 @@ class ScenarioState:
     def open(
         cls, spec, assets, *, mode: str, system_id: str, tracer, metrics
     ) -> "ScenarioState":
-        """Everything either engine builds before it runs, in one order.
+        """Everything a run builds before the engine starts, in one order.
 
         Plans, runtime, :func:`configure_cloud` (right after the runtime:
         the replay buffer's RNG is seeded there) and the empty report.
@@ -165,9 +162,6 @@ class ScenarioState:
     def alive(self, i: int, s: int) -> bool:
         churn = self.plans.churn
         return churn is None or churn.alive(i, s)
-
-    def alive_indices(self, s: int) -> tuple[int, ...]:
-        return self.plans.alive_indices(s, len(self.profiles))
 
     def phase_attrs(self, s: int) -> dict:
         """The ``phase`` trace attribute of stage ``s``, when phases run."""
@@ -279,7 +273,7 @@ def finalize_report(
     assets: FleetAssets,
     plans: ScenarioPlans,
 ) -> None:
-    """Final-model evaluations shared by both engines (RNG-free)."""
+    """Final-model evaluations (RNG-free)."""
     spec = report.spec
     registry = runtime.registry
     net = runtime.cloud.inference_net

@@ -11,7 +11,7 @@ Top-level grammar (see DESIGN.md §11 for the full reference)::
       description: <str>
       seed: <int >= 0>
       engine: lockstep | event
-      barrier: <bool>        # event engine only
+      barrier: <bool>        # engine: event only (lockstep always holds it)
     fleet:                   # required
       nodes: <int >= 1>      # required
       stages: <int >= 1>

@@ -5,8 +5,8 @@ function of the YAML spec: replicate ``r`` reseeds the whole fleet with
 ``seed + 9973*r`` (replicate 0 is the spec's own seed, so a
 single-replicate summary matches a direct engine run), and the bootstrap
 confidence intervals resample with their own salted ``SeedSequence``.
-Two invocations of the same spec — at any worker count — must produce
-byte-identical summary text; the CI job diffs exactly that.
+Two invocations of the same spec must produce byte-identical summary
+text; the CI job diffs exactly that.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import numpy as np
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.scenario.event import run_scenario_event
-from repro.scenario.lockstep import run_scenario_lockstep
 from repro.scenario.report import ScenarioReport
-from repro.scenario.schema import ScenarioSpec
+from repro.scenario.schema import ENGINES, ScenarioSpec
 
 __all__ = [
     "replicate_seed",
@@ -60,21 +59,25 @@ def run_replicate(
     spec: ScenarioSpec,
     *,
     engine: str | None = None,
-    workers: int = 1,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> ScenarioReport:
-    """Run one replicate on the spec's engine (or an override)."""
+    """Run one replicate on the spec's engine (or an override).
+
+    Both engines are the event engine: ``lockstep`` is its barrier mode,
+    ``event`` runs with the spec's ``barrier`` flag.
+    """
+    return run_scenario_event(
+        spec, barrier=_barrier(spec, engine), tracer=tracer, metrics=metrics
+    )
+
+
+def _barrier(spec: ScenarioSpec, engine: str | None) -> bool:
+    """Whether a run of ``spec`` on ``engine`` holds the round barrier."""
     engine = engine if engine is not None else spec.engine
-    if engine == "lockstep":
-        return run_scenario_lockstep(
-            spec, workers=workers, tracer=tracer, metrics=metrics
-        )
-    if engine == "event":
-        return run_scenario_event(
-            spec, barrier=spec.barrier, tracer=tracer, metrics=metrics
-        )
-    raise ValueError(f"unknown engine {engine!r}")
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    return engine == "lockstep" or spec.barrier
 
 
 def replicate_metrics(report: ScenarioReport) -> dict[str, float]:
@@ -137,7 +140,6 @@ def build_summary(
     spec: ScenarioSpec,
     *,
     engine: str | None = None,
-    workers: int = 1,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> dict:
@@ -146,8 +148,7 @@ def build_summary(
     for r in range(spec.replicates.count):
         rep = replicate_spec(spec, r)
         report = run_replicate(
-            rep, engine=engine, workers=workers, tracer=tracer,
-            metrics=metrics,
+            rep, engine=engine, tracer=tracer, metrics=metrics
         )
         row = {"replicate": r, "seed": rep.seed}
         row.update(
@@ -181,7 +182,7 @@ def build_summary(
             "name": spec.name,
             "description": spec.description,
             "engine": engine if engine is not None else spec.engine,
-            "barrier": spec.barrier,
+            "barrier": _barrier(spec, engine),
             "seed": spec.seed,
             "nodes": spec.fleet.num_nodes,
             "stages": spec.num_stages,

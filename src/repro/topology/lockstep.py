@@ -64,7 +64,7 @@ class GatewayTier:
         return self.policy.node_link(i)
 
     # ------------------------------------------------------------------
-    def upload(self, s, nodes, uploads, counts, t0, *, tracer, extra):
+    def upload(self, s, nodes, uploads, counts, t0, *, tracer):
         """Local hop, second opinion, buffer, then framed WAN flushes."""
         gateways = self.gateways
         # --- node -> gateway: uncontended local hop -------------------
@@ -86,7 +86,6 @@ class GatewayTier:
                     bytes=num_bytes,
                     tier="edge",
                     gateway=g.gateway_id,
-                    **extra,
                 )
 
         # --- gateway: second opinion, then buffer ---------------------

@@ -314,9 +314,3 @@ class TestValidation:
             run_fleet_event(
                 system_by_id("d"), homogeneous_assets, horizon_s=0.0
             )
-
-    def test_negative_acquire_time_rejected(self, homogeneous_assets):
-        with pytest.raises(ValueError):
-            run_fleet_event(
-                system_by_id("d"), homogeneous_assets, acquire_time_s=-1.0
-            )

@@ -1,20 +1,18 @@
 """Cross-commit pins for the lockstep and event fleet consumers.
 
 ``test_determinism_guard.py`` pins a handful of flat-path numbers across
-commits; the hierarchical and scenario lockstep runs were only ever
-compared against *themselves* (rerun, worker count, event-barrier).  This
-module records, per consumer, hashes of everything a run emits — the
-JSONL trace (in emission order and order-free), the metrics dump, and
-every report field — so a refactor of the stage loop shows up as a
-named diff instead of passing silently.
+commits; the hierarchical lockstep run was only ever compared against
+*itself* (rerun, worker count).  This module records, per consumer,
+hashes of everything a run emits — the JSONL trace (in emission order
+and order-free), the metrics dump, and every report field — so a
+refactor of the stage loop shows up as a named diff instead of passing
+silently.
 
-The three consumers:
+The two lockstep consumers:
 
 * ``flat`` — ``run_fleet`` system ``d``;
 * ``topology`` — ``run_fleet(topology=Topology.fan_out(...))`` with
-  aggregation, second opinion, and per-transfer overhead all active;
-* ``scenario`` — ``run_scenario_lockstep`` on the scenario suite's
-  ``TINY_ALL_YAML`` (churn + class phases + per-node heads).
+  aggregation, second opinion, and per-transfer overhead all active.
 
 Each runs at ``workers=1`` and ``workers=2`` against the same golden.
 
@@ -23,6 +21,10 @@ same way, through ``run_fleet_event`` / ``run_scenario_event``: flat
 async, flat barrier under a horizon that cycles the schedule and freezes
 a round half-way, the same hierarchical topology async under a horizon
 and barrier, and ``TINY_ALL_YAML`` event-barrier and event-async.
+``event_scenario_barrier`` is also what an ``engine: lockstep`` scenario
+runs.  The lockstep ``scenario`` consumer it replaced recorded the very
+same ``registry``, ``rollouts``, ``stage_info`` and ``scenario_outcome``
+hashes, so those four pins carry over unchanged.
 
 To re-record after an intended behaviour change::
 
@@ -56,7 +58,6 @@ from repro.scenario import (
     load_spec,
     prepare_scenario_assets,
     run_scenario_event,
-    run_scenario_lockstep,
 )
 from repro.topology import AggregationPolicy, Topology
 
@@ -65,14 +66,8 @@ NUM_NODES = 4
 # Recorded at commit 589884d (PR 12), before the stage loops were folded.
 # Re-pinned since (each verified against the parent recording):
 # * topology/trace — folding the loops put each stage's cloud/update +
-#   cloud/decision records ahead of its net/push records, as the flat and
-#   scenario paths always had them; trace_sorted did not move.
-# * scenario/metrics — the loop now emits fleet.images.flagged and
-#   fleet.upload_time_s for scenario runs like every other engine; with
-#   those two names dropped the dump hashes to the parent value.
-# * scenario/node_records — a rejoining node's NodeStageRecord now
-#   includes its reconcile download (download_bytes, download_energy_j),
-#   so a node's records sum to its ledger; no other field moved.
+#   cloud/decision records ahead of its net/push records, as the flat
+#   path always had them; trace_sorted did not move.
 #
 # The ``event_*`` consumers were recorded at commit 7dac000 (PR 13), before
 # the event engines were composed into one; the composition moved nothing.
@@ -143,41 +138,6 @@ GOLDENS: dict[str, dict[str, str]] = {
         ),
         "rollouts": (
             "7b1ec0f7dda1e9eacd4dae1feaddd020537fde97b23e2e96fe794b4deca20ee7"
-        ),
-    },
-    "scenario": {
-        "trace": (
-            "eb5af7e95e3c2e686785899f1dbae7fe24881f9c1482b7af6c88f1c47352a711"
-        ),
-        "trace_sorted": (
-            "8bf00b817eecdf894eafee7e9dc65332df1f5138f4c3865b9331332fb4a3259b"
-        ),
-        "metrics": (
-            "cd629134d859b3da4f08baa0e1ff1b356612de2d3e558ac98954626040e85370"
-        ),
-        "node_records": (
-            "722ac04a7a758521acf172ebc55bc752b7481681bee947e915c354ec3c311009"
-        ),
-        "stages": (
-            "6fb3544d9a5edf59edbd16d9ec1a908f0dc9b03d7b47c0fb91b4956cc9ec6033"
-        ),
-        "gateway_stages": (
-            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
-        ),
-        "ledgers": (
-            "8fa1118729208cf36bd98d1d5c4ca48ed0af12d408d000b9e29b4b9c5bf7140d"
-        ),
-        "registry": (
-            "6a531623cff3d0b927e8eb9f9fafe0c7001698d0b307ce055f24a01d4bbd33c8"
-        ),
-        "rollouts": (
-            "f15a69ce2563b79ee053bf16073918fff20e14996fcff424c4b7db8162dbe813"
-        ),
-        "stage_info": (
-            "97799302ff1d2b80a51bf6f2295ef5cfa9e544a66d84c977dc2796d034573266"
-        ),
-        "scenario_outcome": (
-            "d07303adb9423aebc93d205cff4d98a8109e144ca92ce3f12bfed255e69816a6"
         ),
     },
     "event_flat_async": {
@@ -499,8 +459,8 @@ def _shared_parts(report) -> dict[str, str]:
     }
 
 
-def _scenario_parts(report, fleet_parts=_fleet_parts) -> dict[str, str]:
-    parts = fleet_parts(report.fleet)
+def _scenario_parts(report) -> dict[str, str]:
+    parts = _event_parts(report.fleet)
     parts["stage_info"] = _digest([asdict(i) for i in report.stage_info])
     parts["scenario_outcome"] = _digest(
         {
@@ -577,15 +537,6 @@ def observe_topology(assets, workers: int) -> dict[str, str]:
     return _observed(_fleet_parts(report), tracer, metrics)
 
 
-def observe_scenario(inputs, workers: int) -> dict[str, str]:
-    spec, assets = inputs
-    tracer, metrics = Tracer(), MetricsRegistry()
-    report = run_scenario_lockstep(
-        spec, assets=assets, workers=workers, tracer=tracer, metrics=metrics
-    )
-    return _observed(_scenario_parts(report), tracer, metrics)
-
-
 #: name -> ("fleet" | "scenario", engine kwargs); the fleet ones run
 #: system ``d`` on ``small_fleet()``, the scenario ones ``TINY_ALL_YAML``
 EVENT_CONSUMERS: dict[str, tuple[str, dict]] = {
@@ -606,7 +557,7 @@ def observe_event(case: str, assets, inputs) -> dict[str, str]:
         report = run_scenario_event(
             spec, assets=scenario_assets, tracer=tracer, metrics=metrics, **kwargs
         )
-        return _observed(_scenario_parts(report, _event_parts), tracer, metrics)
+        return _observed(_scenario_parts(report), tracer, metrics)
     kwargs = dict(kwargs)
     topology = hier_topology() if kwargs.pop("hier", False) else None
     report = run_fleet_event(
@@ -634,9 +585,6 @@ class TestLockstepGoldens:
 
     def test_topology(self, fleet_assets, workers):
         _assert_matches("topology", observe_topology(fleet_assets, workers))
-
-    def test_scenario(self, scenario_inputs, workers):
-        _assert_matches("scenario", observe_scenario(scenario_inputs, workers))
 
 
 @pytest.mark.parametrize("case", sorted(EVENT_CONSUMERS))
@@ -666,20 +614,29 @@ fleet:
 
 
 class TestProcessFreeScenarioIsFlat:
-    """Lockstep twin of ``BENCH_scenario.json``'s control-identity check."""
+    """Tier-1 twin of ``BENCH_scenario.json``'s control-identity check.
+
+    A scenario with no process runs exactly the flat event-barrier fleet:
+    same report, same metrics, and the same trace once the per-round
+    ``scenario`` records are set aside.
+    """
 
     def test_same_report_metrics_and_trace(self):
         spec = load_spec(PROCESS_FREE_YAML, filename="process-free.yaml")
         assets = prepare_scenario_assets(spec)
         flat_tracer, flat_metrics = Tracer(), MetricsRegistry()
-        flat = run_fleet(
-            system_by_id("d"), assets, tracer=flat_tracer, metrics=flat_metrics
+        flat = run_fleet_event(
+            system_by_id("d"),
+            assets,
+            barrier=True,
+            tracer=flat_tracer,
+            metrics=flat_metrics,
         )
         tracer, metrics = Tracer(), MetricsRegistry()
-        scenario = run_scenario_lockstep(
-            spec, assets=assets, tracer=tracer, metrics=metrics
+        scenario = run_scenario_event(
+            spec, assets=assets, barrier=True, tracer=tracer, metrics=metrics
         )
-        assert _fleet_parts(scenario.fleet) == _fleet_parts(flat)
+        assert _event_parts(scenario.fleet) == _event_parts(flat)
         assert metrics.to_dict() == flat_metrics.to_dict()
         tracer.records = [r for r in tracer.records if r.cat != "scenario"]
         assert tracer.to_jsonl() == flat_tracer.to_jsonl()
@@ -698,7 +655,6 @@ if __name__ == "__main__":
             {
                 "flat": observe_flat(fleet, 1),
                 "topology": observe_topology(fleet, 1),
-                "scenario": observe_scenario(scenario, 1),
                 **{
                     case: observe_event(case, fleet, scenario)
                     for case in EVENT_CONSUMERS

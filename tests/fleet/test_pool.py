@@ -2,7 +2,7 @@
 
 The pool's contract is that parallelism is *invisible* in the results:
 any worker count produces byte-identical reports and traces on every
-lockstep path (flat, topology, scenario), because all diagnosis
+lockstep path (flat, topology), because all diagnosis
 randomness is reseeded per (node, stage) and node results merge in
 fixed node order regardless of which worker ran them.  The other half
 of the contract is hygiene: no worker process and no ``/dev/shm`` entry
@@ -34,41 +34,9 @@ from repro.fleet.simulation import (
     run_fleet_all_systems,
 )
 from repro.obs import Tracer
-from repro.scenario import (
-    load_spec,
-    prepare_scenario_assets,
-    run_scenario_lockstep,
-)
 from repro.topology import Topology
 
 NUM_NODES = 3
-
-SCENARIO_YAML = """\
-scenario:
-  name: pool-tiny
-  seed: 3
-  engine: lockstep
-  barrier: true
-
-fleet:
-  nodes: 3
-  stages: 4
-  base:
-    stream_scale: 0.02
-    pretrain_images: 32
-    pretrain_epochs: 1
-    init_epochs: 2
-    update_epochs: 1
-    eval_images: 32
-
-processes:
-  churn:
-    rate: 0.4
-  per_node_heads:
-    groups: 2
-    epochs: 1
-"""
-
 
 def tiny_fleet() -> FleetScenario:
     base = fleet_base_scenario(
@@ -95,16 +63,6 @@ def fleet_signature(report):
         [n.accuracy_trajectory for n in report.nodes],
         report.total_uploaded_bytes,
         report.total_downloaded_bytes,
-    )
-
-
-def scenario_signature(report):
-    return (
-        [n.accuracy_trajectory for n in report.fleet.nodes],
-        report.stage_info,
-        report.final_eval_accuracy,
-        report.phase_accuracies,
-        report.head_accuracies,
     )
 
 
@@ -138,29 +96,6 @@ def topology_serial(assets):
     return topology_run(assets, 1)
 
 
-@pytest.fixture(scope="module")
-def scenario_spec():
-    return load_spec(SCENARIO_YAML, filename="pool-tiny.yaml")
-
-
-@pytest.fixture(scope="module")
-def scenario_assets(scenario_spec):
-    return prepare_scenario_assets(scenario_spec)
-
-
-def scenario_run(spec, assets, workers):
-    tracer = Tracer()
-    report = run_scenario_lockstep(
-        spec, assets=assets, workers=workers, tracer=tracer
-    )
-    return scenario_signature(report), tracer.to_jsonl()
-
-
-@pytest.fixture(scope="module")
-def scenario_serial(scenario_spec, scenario_assets):
-    return scenario_run(scenario_spec, scenario_assets, 1)
-
-
 class TestBitIdentity:
     """workers in {2, 4}: reports and trace bytes match serial exactly."""
 
@@ -171,13 +106,6 @@ class TestBitIdentity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_topology(self, assets, topology_serial, workers):
         assert topology_run(assets, workers) == topology_serial
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_scenario(self, scenario_spec, scenario_assets, scenario_serial, workers):
-        assert (
-            scenario_run(scenario_spec, scenario_assets, workers)
-            == scenario_serial
-        )
 
 
 class TestPlacementInvariance:

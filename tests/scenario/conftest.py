@@ -1,8 +1,8 @@
-"""Shared tiny scenario: all three processes composed, run once per engine.
+"""Shared tiny scenario: all three processes composed, run once per mode.
 
-The expensive fixtures are session-scoped — the equivalence, churn, and
-head tests all read the same three reports (lockstep, event-barrier,
-event-async) instead of re-running the fleet per test.
+The expensive fixtures are session-scoped — the churn and head tests all
+read the same two reports (event-barrier, the mode ``engine: lockstep``
+runs, and event-async) instead of re-running the fleet per test.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from repro.scenario import (
     load_spec,
     prepare_scenario_assets,
     run_scenario_event,
-    run_scenario_lockstep,
 )
 
 #: 3 nodes x 4 stages with churn + class phases + per-node heads — the
@@ -64,11 +63,6 @@ def tiny_spec():
 @pytest.fixture(scope="session")
 def tiny_assets(tiny_spec):
     return prepare_scenario_assets(tiny_spec)
-
-
-@pytest.fixture(scope="session")
-def lockstep_report(tiny_spec, tiny_assets):
-    return run_scenario_lockstep(tiny_spec, assets=tiny_assets)
 
 
 @pytest.fixture(scope="session")

@@ -124,5 +124,4 @@ class TestBuildPlans:
         assets = prepare_fleet_assets(spec.fleet)
         plans = build_plans(spec, assets.profiles)
         assert (plans.churn, plans.phases, plans.heads) == (None, None, None)
-        assert plans.alive_indices(0, 2) == (0, 1)
         assert plans.phase_name(0) is None

@@ -20,7 +20,6 @@ from repro.scenario import (
     load_spec,
     prepare_scenario_assets,
     run_scenario_event,
-    run_scenario_lockstep,
 )
 
 YAML = """\
@@ -60,66 +59,48 @@ def poison_stage(assets, stage: int, num_classes: int, skip: set[int]):
 
 
 @pytest.fixture(scope="module")
-def reports():
+def report():
+    """The run an ``engine: lockstep`` spec gets: the event barrier mode."""
     spec = load_spec(YAML, filename="rollback.yaml")
     assets = prepare_scenario_assets(spec)
     assets = poison_stage(
         assets, 2, spec.fleet.base.num_classes, skip=set(assets.canary_ids)
     )
-    lock = run_scenario_lockstep(spec, assets=assets)
-    event = run_scenario_event(spec, assets=assets, barrier=True)
-    return spec, lock, event
+    return run_scenario_event(spec, assets=assets, barrier=True)
 
 
 class TestRejoinAfterRollback:
-    def test_the_shape_this_test_depends_on(self, reports):
+    def test_the_shape_this_test_depends_on(self, report):
         # pin the seed-12 plan so a churn-model change that invalidates
         # the premise fails loudly instead of vacuously passing
-        _, lock, _ = reports
-        assert [i.alive for i in lock.stage_info] == [
+        assert [i.alive for i in report.stage_info] == [
             (0, 1, 2),
             (0, 2),
             (0, 2),
             (0, 1, 2),
         ]
-        assert [(r.stage_index, r.promoted) for r in lock.fleet.rollouts] == [
+        assert [(r.stage_index, r.promoted) for r in report.fleet.rollouts] == [
             (1, True),
             (2, True),
             (3, False),
         ]
 
-    def test_rejected_candidate_never_becomes_a_version(self, reports):
-        _, lock, _ = reports
+    def test_rejected_candidate_never_becomes_a_version(self, report):
         # v1 init + one version per promotion; nothing for the rejected
         # stage-3 candidate
-        assert [v.version for v in lock.registry.versions()] == [1, 2, 3]
-        assert lock.registry.active.version == 3
+        assert [v.version for v in report.registry.versions()] == [1, 2, 3]
+        assert report.registry.active.version == 3
 
-    def test_rejoining_node_reconciles_to_the_promoted_active(self, reports):
-        _, lock, _ = reports
-        rejoin = lock.stage_info[3]
+    def test_rejoining_node_reconciles_to_the_promoted_active(self, report):
+        rejoin = report.stage_info[3]
         assert rejoin.reconciled == (1,)
         # a full-model catch-up download of exactly the active version
         assert rejoin.reconcile_bytes == model_state_bytes(
-            lock.registry.active.state
+            report.registry.active.state
         )
         # nothing reconciled while the node was down
-        assert all(not info.reconciled for info in lock.stage_info[:3])
+        assert all(not info.reconciled for info in report.stage_info[:3])
 
-    def test_downed_node_missed_the_canary_windows(self, reports):
-        _, lock, _ = reports
-        for rollout in lock.fleet.rollouts:
+    def test_downed_node_missed_the_canary_windows(self, report):
+        for rollout in report.fleet.rollouts:
             assert 1 not in rollout.canary_ids
-
-    def test_engines_agree_under_rollback_and_churn(self, reports):
-        _, lock, event = reports
-        assert lock.stage_info == event.stage_info
-        assert [(r.stage_index, r.promoted) for r in lock.fleet.rollouts] == [
-            (r.stage_index, r.promoted) for r in event.fleet.rollouts
-        ]
-        assert [v.version for v in lock.registry.versions()] == [
-            v.version for v in event.registry.versions()
-        ]
-        assert (
-            lock.final_eval_accuracy == event.final_eval_accuracy
-        )

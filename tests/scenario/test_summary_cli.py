@@ -1,13 +1,14 @@
 """Summary determinism and the `python -m repro scenario` CLI.
 
 The summary JSON is the scenario engine's published artifact: CI diffs
-two back-to-back runs byte-for-byte, so its determinism — across reruns
-AND across lockstep worker counts — is pinned here, along with the
+two back-to-back runs byte-for-byte, so its determinism across reruns is
+pinned here, along with a cross-commit hash of one summary and the
 replicate seeding scheme that makes bootstrap CIs reproducible.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -69,11 +70,30 @@ class TestSummaryDeterminism:
     def summary(self, small_spec):
         return build_summary(small_spec)
 
-    def test_byte_identical_across_reruns_and_workers(
-        self, small_spec, summary
-    ):
-        again = build_summary(small_spec, workers=2)
+    def test_byte_identical_across_reruns(self, small_spec, summary):
+        again = build_summary(small_spec)
         assert summary_json(again) == summary_json(summary)
+
+    def test_summary_bytes_are_pinned(self, summary):
+        # Recorded when ``engine: lockstep`` still had its own stage loop;
+        # the event engine's barrier mode reproduces it byte for byte.
+        assert hashlib.sha256(summary_json(summary).encode()).hexdigest() == (
+            "b6c57ee35fda0d1a28e427ccf15137f2884634aaaa2ad9f39247e1d55c77f4d8"
+        )
+
+    def test_lockstep_override_reports_the_barrier_it_ran(self, summary):
+        # An event spec that opts out of the barrier, forced onto the
+        # lockstep engine: the run is stage-synchronous, and says so.
+        spec = load_spec(
+            SMALL_YAML.replace(
+                "engine: lockstep", "engine: event\n  barrier: false"
+            ),
+            filename="small.yaml",
+        )
+        assert spec.barrier is False
+        forced = build_summary(spec, engine="lockstep")
+        assert forced["scenario"]["barrier"] is True
+        assert forced == summary
 
     def test_shape(self, small_spec, summary):
         assert summary["schema"] == 1
@@ -143,25 +163,3 @@ class TestCli:
         path.write_text(SMALL_YAML)
         with pytest.raises(SystemExit):
             scenario_main(["run", str(path), "--engine", "warp"])
-
-    @pytest.mark.parametrize(
-        ("spec_engine", "flags"),
-        [("event", []), ("lockstep", ["--engine", "event"])],
-        ids=["spec-engine", "engine-override"],
-    )
-    def test_run_refuses_workers_on_the_event_engine(
-        self, tmp_path, capsys, monkeypatch, spec_engine, flags
-    ):
-        def no_build(*args, **kwargs):
-            raise AssertionError("refused before any asset is built")
-
-        monkeypatch.setattr("repro.scenario.cli.build_summary", no_build)
-        path = tmp_path / "run.yaml"
-        path.write_text(
-            SMALL_YAML.replace("engine: lockstep", f"engine: {spec_engine}")
-        )
-        assert scenario_main(["run", str(path), "--workers", "2", *flags]) == 2
-        assert capsys.readouterr().out == (
-            "error: --workers only applies to the lockstep engine "
-            "(this run uses 'event')\n"
-        )

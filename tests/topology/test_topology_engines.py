@@ -263,7 +263,6 @@ class TestModeEquivalence:
             tier,
             horizon_s=None,
             barrier=True,
-            acquire_time_s=0.0,
         )
         gc.collect()
         gc.disable()
