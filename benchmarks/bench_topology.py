@@ -16,6 +16,8 @@ against the flat wiring on two axes:
 
 The flat baseline's "transfer events" are its per-node uploads (each a
 WAN transfer in the flat wiring); the hierarchy's are gateway flushes.
+Both sides run on the event engine's barrier mode
+(``run_fleet_event(barrier=True)``), the only engine with a gateway tier.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.fleet import (
     FleetScenario,
     fleet_base_scenario,
     prepare_fleet_assets,
-    run_fleet,
+    run_fleet_event,
 )
 from repro.topology import AggregationPolicy, Topology
 
@@ -56,13 +58,13 @@ def _assets():
 
 
 def _accuracies(report) -> list[float]:
-    return [s.eval_accuracy for s in report.stages]
+    return [u.eval_accuracy for u in report.updates]
 
 
 def sweep():
     assets = _assets()
     config = system_by_id("d")
-    flat = run_fleet(config, assets)
+    flat = run_fleet_event(config, assets, barrier=True)
     flat_uploads = sum(
         1 for t in flat.nodes for r in t.records if r.uploaded > 0
     )
@@ -77,8 +79,8 @@ def sweep():
                 ),
                 per_transfer_overhead_bytes=OVERHEAD_BYTES,
             )
-            rows[(fan_out, flush_images)] = run_fleet(
-                config, assets, topology=topology
+            rows[(fan_out, flush_images)] = run_fleet_event(
+                config, assets, barrier=True, topology=topology
             )
     return flat, flat_uploads, rows
 
@@ -97,7 +99,7 @@ def bench_topology(benchmark, tables):
                 flat_uploads,
                 f"{flat_uploads * OVERHEAD_BYTES / 1e3:.0f}",
                 f"{flat.total_uploaded_bytes / 1e6:.0f}",
-                f"{flat.final_accuracy:.0%}",
+                f"{flat.final_eval_accuracy:.0%}",
             ]
         ]
         + [
@@ -106,7 +108,7 @@ def bench_topology(benchmark, tables):
                 s.wan_transfer_events,
                 f"{s.transfer_overhead_bytes / 1e3:.0f}",
                 f"{s.gateway_to_cloud_bytes / 1e6:.0f}",
-                f"{r.final_accuracy:.0%}",
+                f"{r.final_eval_accuracy:.0%}",
             ]
             for (fan_out, flush), r in sorted(rows.items())
             for s in (r.ledger.snapshot(),)
@@ -118,7 +120,7 @@ def bench_topology(benchmark, tables):
     # all-node canary region.
     relay = rows[(8, 1)]
     assert _accuracies(relay) == _accuracies(flat)
-    assert relay.final_accuracy == flat.final_accuracy
+    assert relay.final_eval_accuracy == flat.final_eval_accuracy
 
     # ... while already amortizing WAN transfers by the fan-out factor.
     for (fan_out, flush), report in rows.items():

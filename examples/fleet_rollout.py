@@ -16,11 +16,14 @@ Run:  python examples/fleet_rollout.py [--topology]
 With ``--topology`` the eight traps report through two site gateways
 (four traps each) that batch flagged uploads into amortized WAN
 transfers, resolve a quarter of flags with a gateway-side second
-opinion, and scope the canary to gateway 0's region; the default stays
-the flat paper wiring, byte-for-byte.  With ``--trace`` the run also
-emits a deterministic JSONL trace of the fleet timeline (convert with
-``python -m repro obs convert``); with ``--metrics`` it dumps the
-fleet/cloud/training counters; ``--summary-json`` writes a
+opinion, and scope the canary to gateway 0's region.  Hierarchical
+fleets run on the event engine, so this run is
+``run_fleet_event(..., barrier=True, topology=...)`` — the lockstep
+schedule with the stage barrier kept; the default stays the flat paper
+wiring on the lockstep ``run_fleet``, byte-for-byte.  With ``--trace``
+the run also emits a deterministic JSONL trace of the fleet timeline
+(convert with ``python -m repro obs convert``); with ``--metrics`` it
+dumps the fleet/cloud/training counters; ``--summary-json`` writes a
 deterministic machine-readable summary of the run.
 """
 
@@ -41,6 +44,7 @@ from repro.fleet import (
     fleet_base_scenario,
     prepare_fleet_assets,
     run_fleet,
+    run_fleet_event,
 )
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.cli import summarize
@@ -51,11 +55,17 @@ def build_summary(report, *, mode: str) -> dict:
 
     The key set and value types are schema-pinned by
     ``tests/integration/test_fleet_rollout_summary.py`` — extend rather
-    than rename, and keep every value JSON-serializable.
+    than rename, and keep every value JSON-serializable.  ``report`` is
+    the flat run's lockstep ``FleetReport`` or the hierarchy's
+    ``FleetEventReport``; only the latter has gateways to count.
     """
+    hierarchical = hasattr(report, "gateway_flushes")
     return {
         "mode": mode,
-        "final_accuracy": report.final_accuracy,
+        "final_accuracy": (
+            report.final_eval_accuracy if hierarchical
+            else report.final_accuracy
+        ),
         "ledger": dataclasses.asdict(report.ledger.snapshot()),
         "rollouts": [
             {
@@ -65,9 +75,12 @@ def build_summary(report, *, mode: str) -> dict:
             }
             for r in report.rollouts
         ],
-        "gateway_flushes": sum(1 for g in report.gateway_stages if g.flushed),
-        "second_opinion_images": sum(
-            g.resolved_images for g in report.gateway_stages
+        "gateway_flushes": (
+            len(report.gateway_flushes) if hierarchical else 0
+        ),
+        "second_opinion_images": (
+            sum(report.gateway_resolved_images.values()) if hierarchical
+            else 0
         ),
     }
 
@@ -134,13 +147,19 @@ def main(argv: list[str] | None = None) -> None:
     # Act 1: the In-situ AI variant (d) at fleet scale.
     # ------------------------------------------------------------------
     assets = prepare_fleet_assets(scenario)
-    report = run_fleet(
-        system_by_id("d"),
-        assets,
-        tracer=tracer,
-        metrics=metrics,
-        topology=topology,
-    )
+    if topology is None:
+        report = run_fleet(
+            system_by_id("d"), assets, tracer=tracer, metrics=metrics
+        )
+    else:
+        report = run_fleet_event(
+            system_by_id("d"),
+            assets,
+            barrier=True,
+            tracer=tracer,
+            metrics=metrics,
+            topology=topology,
+        )
     if topology is not None:
         print("\ngateways:")
         for g in topology.gateways:
@@ -155,23 +174,34 @@ def main(argv: list[str] | None = None) -> None:
         else assets.canary_ids
     )
     print(f"\ncanary subset: nodes {canary_ids}")
-    for stage in report.stages:
-        verdict = (
-            "promoted" if stage.promoted
-            else ("REJECTED" if stage.updated else "no update")
-        )
-        print(
-            f"stage {stage.stage_index}: uploaded "
-            f"{stage.uploaded}/{stage.acquired} imgs "
-            f"(makespan {stage.upload_makespan_s:.1f}s on the shared uplink), "
-            f"trained on {stage.pooled_for_training}, {verdict}, "
-            f"eval accuracy {stage.eval_accuracy:.0%}"
-        )
+    if topology is None:
+        for stage in report.stages:
+            verdict = (
+                "promoted" if stage.promoted
+                else ("REJECTED" if stage.updated else "no update")
+            )
+            print(
+                f"stage {stage.stage_index}: uploaded "
+                f"{stage.uploaded}/{stage.acquired} imgs "
+                f"(makespan {stage.upload_makespan_s:.1f}s on the shared "
+                f"uplink), trained on {stage.pooled_for_training}, "
+                f"{verdict}, eval accuracy {stage.eval_accuracy:.0%}"
+            )
+    else:
+        for update in report.updates:
+            print(
+                f"{update.kind} at {update.trigger_s:.1f}s: trained on "
+                f"{update.pooled_for_training}, "
+                f"{'promoted' if update.promoted else 'REJECTED'}, "
+                f"eval accuracy {update.eval_accuracy:.0%}"
+            )
+        print(f"fleet makespan {report.makespan_s:.1f}s")
     print(
         f"\naggregate: {report.total_uploaded_bytes / 1e6:.0f} MB up + "
         f"{report.total_downloaded_bytes / 1e6:.0f} MB of model pushes = "
         f"{report.total_bytes_moved / 1e6:.0f} MB moved "
-        f"({report.data_reduction_vs_full:.0%} upload reduction); "
+        f"({report.ledger.overall_reduction_vs_full():.0%} upload "
+        "reduction); "
         f"cloud update time {report.total_update_time_s:.1f}s, "
         f"model versions {report.registry.history()}"
     )
@@ -184,7 +214,7 @@ def main(argv: list[str] | None = None) -> None:
             f"({snap.wan_transfer_events} flushes, "
             f"{snap.transfer_overhead_bytes / 1e3:.0f} kB framing); "
             f"second opinion resolved "
-            f"{sum(g.resolved_images for g in report.gateway_stages)} imgs "
+            f"{sum(report.gateway_resolved_images.values())} imgs "
             "at the gateways"
         )
 

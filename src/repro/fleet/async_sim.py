@@ -19,7 +19,9 @@ virtual time:
 Two reference behaviors anchor the model:
 
 * ``barrier=True`` re-inserts the epoch barrier, reproducing the lockstep
-  trajectories on the event kernel (the regression tests compare the two);
+  trajectories on the event kernel (the regression tests compare the two
+  on the flat fleet; hierarchical fleets run only here, so barrier mode
+  *is* their lockstep reference);
 * ``horizon_s`` bounds the run in virtual time instead of epoch count:
   nodes cycle their acquisition schedule until the horizon, so a WiFi
   node completes strictly more epochs than an LTE neighbor — the
@@ -163,11 +165,13 @@ class FleetEventReport:
     makespan_s: float = 0.0
     final_eval_accuracy: float = 0.0
     #: hierarchical runs only: the executed repro.topology.Topology, the
-    #: per-flush WAN records, and any images still parked at gateways
-    #: when the run ended.  Flat runs leave all three at their defaults.
+    #: per-flush WAN records, any images still parked at gateways when
+    #: the run ended, and the images each gateway's second opinion
+    #: settled.  Flat runs leave all four at their defaults.
     topology: object | None = None
     gateway_flushes: list = field(default_factory=list)
     gateway_leftover_images: dict[int, int] = field(default_factory=dict)
+    gateway_resolved_images: dict[int, int] = field(default_factory=dict)
 
     @property
     def total_uploaded_bytes(self) -> int:
@@ -879,7 +883,8 @@ def run_fleet_event(
         the shared backhaul.  The same engine runs, with the topology's
         event tier in place of the direct one.  ``None`` and passthrough
         topologies use the direct tier, so default trajectories are
-        unchanged.
+        unchanged.  This is the only entry point for hierarchical
+        fleets; ``barrier=True`` is their lockstep run.
     """
     if topology is not None:
         topology.validate_for(assets.profiles)

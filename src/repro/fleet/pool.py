@@ -26,7 +26,9 @@ Determinism contract: results are keyed by node index and merged in
 fixed node order by the engines, and diagnosis randomness is reseeded
 per ``(node, stage)`` inside the worker — so any worker count, chunking
 and placement produce bit-identical reports and trace bytes
-(``tests/fleet/test_pool.py``: direct tier, gateway tier).
+(``tests/fleet/test_pool.py``).  The stage loop the pool serves is
+flat-only: hierarchical fleets run on the event engine, which has no
+pool.
 
 Cleanup contract: :meth:`shutdown` (idempotent, also run by
 ``__exit__``) cancels queued futures and joins the workers.  The pool
@@ -54,7 +56,7 @@ class PoolTask:
     """One node's share of a stage dispatch.
 
     ``state`` is a token from :meth:`FleetWorkerPool.publish`.
-    ``trace_t0``/``tier`` are handed to the same
+    ``trace_t0`` is handed to the same
     :func:`~repro.fleet.simulation.node_stage` the serial loop calls, so
     worker-built trace records are byte-identical to serial ones.
     """
@@ -62,7 +64,6 @@ class PoolTask:
     node_index: int
     state: int
     trace_t0: float | None = None
-    tier: str | None = None
 
 
 def _chunked(items: list, chunks: int) -> list[list]:
@@ -193,7 +194,6 @@ def _pool_worker_chunk(
             task.node_index,
             stage_index,
             trace_t0=task.trace_t0,
-            tier=task.tier,
         )
         out.append((task.node_index, node_report, records))
     return out

@@ -175,11 +175,6 @@ class FleetReport:
         default_factory=lambda: DataMovementLedger(image_bytes=JPEG_IMAGE_BYTES)
     )
     registry: ModelRegistry = field(default_factory=ModelRegistry)
-    #: hierarchical runs only: the executed repro.topology.Topology and
-    #: the per-(stage, gateway) aggregation records.  Flat runs leave
-    #: both at their defaults.
-    topology: object | None = None
-    gateway_stages: list = field(default_factory=list)
 
     @property
     def total_uploaded_bytes(self) -> int:
@@ -399,8 +394,9 @@ def build_fleet_runtime(
     """Construct the Cloud, scheduler, and nodes for one system variant.
 
     ``canary_ids`` overrides the asset-derived canary subset; the
-    topology engines pass the canary gateway's children here so rollouts
-    canary regionally instead of on the scenario's scattered sample.
+    gateway event tier passes the canary gateway's children here so
+    rollouts canary regionally instead of on the scenario's scattered
+    sample.
     """
     scenario = assets.scenario
     base = scenario.base
@@ -487,11 +483,12 @@ class CloudStageOutcome:
 def rollback_attrs(outcome: CloudStageOutcome) -> dict:
     """Additive ``cloud/decision`` attrs explaining a canary rollback.
 
-    Every engine (lockstep, event, topology, scenario) emits its
-    decision event through this one helper so the rollback ``cause`` /
-    ``delta`` attrs stay byte-identical across flat and passthrough
-    paths.  Empty for promotions and no-ops, so existing decision
-    events keep their exact attr set.
+    Both engines (the lockstep stage loop and the event engine, with or
+    without gateways or scenario hooks) emit their decision events
+    through this one helper so the rollback ``cause`` / ``delta`` attrs
+    stay byte-identical across flat and passthrough paths.  Empty for
+    promotions and no-ops, so existing decision events keep their exact
+    attr set.
     """
     if not outcome.updated or outcome.promoted or outcome.rollout is None:
         return {}
@@ -663,7 +660,6 @@ def node_stage(
     stage_index: int,
     *,
     trace_t0: float | None,
-    tier: str | None = None,
 ) -> tuple:
     """One node's stage against whatever its deployed net currently holds.
 
@@ -674,9 +670,7 @@ def node_stage(
     identical for every worker count.
 
     ``records`` are the node's trace records stamped at virtual time
-    ``trace_t0`` (``None`` = tracing off, no records).  ``tier`` tags
-    them for hierarchical runs; flat runs pass none and their record
-    bytes carry no such attribute at all.
+    ``trace_t0`` (``None`` = tracing off, no records).
     """
     node = runtime.nodes[node_index]
     profile = assets.profiles[node_index]
@@ -691,7 +685,6 @@ def node_stage(
         node=profile.node_id,
         stage=stage_index,
         system=runtime.config.system_id,
-        **({} if tier is None else {"tier": tier}),
     )
     return node_report, [
         make_span(
@@ -720,7 +713,6 @@ def pooled_node_stage(
     node_items: list[tuple[int, dict[str, np.ndarray]]],
     *,
     trace_t0: float | None = None,
-    tier: str | None = None,
 ) -> dict[int, tuple]:
     """Run one stage's per-node compute on the run's worker pool.
 
@@ -736,12 +728,7 @@ def pooled_node_stage(
     from repro.fleet.pool import PoolTask
 
     tasks = [
-        PoolTask(
-            node_index=i,
-            state=pool.publish(state),
-            trace_t0=trace_t0,
-            tier=tier,
-        )
+        PoolTask(node_index=i, state=pool.publish(state), trace_t0=trace_t0)
         for i, state in node_items
     ]
     return pool.run_stage(stage_index, tasks)
@@ -754,9 +741,8 @@ def run_fleet(
     workers: int = 1,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    topology=None,
 ) -> FleetReport:
-    """Replay the whole fleet schedule for one system variant.
+    """Replay the whole flat fleet schedule for one system variant.
 
     ``workers > 1`` runs the per-node inference/diagnosis epochs on a
     :class:`repro.fleet.pool.FleetWorkerPool`: workers are forked from
@@ -775,24 +761,13 @@ def run_fleet(
     through the runtime and the ambient :func:`repro.obs.metrics.use`
     scope.  Both default to off with zero overhead.
 
-    ``topology`` (a :class:`repro.topology.Topology`) interposes a
-    gateway tier between the nodes and the Cloud: the same stage loop
-    runs, with the topology's uplink tier in place of the direct one.
-    ``None`` and passthrough topologies use the direct tier, so the
-    default trajectories are byte-identical with or without the flag.
+    Hierarchical fleets (a :class:`repro.topology.Topology`) run only on
+    the event engine: ``run_fleet_event(..., barrier=True,
+    topology=...)`` is their lockstep run.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if topology is not None:
-        topology.validate_for(assets.profiles)
-    backhaul = SharedUplink(assets.scenario.backhaul_bps)
-    if topology is not None and not topology.is_passthrough:
-        tier = topology.lockstep_tier(config, assets, backhaul)
-    else:
-        tier = DirectTier(config, assets, backhaul)
-    runtime = build_fleet_runtime(
-        config, assets, metrics=metrics, canary_ids=tier.canary_ids
-    )
+    runtime = build_fleet_runtime(config, assets, metrics=metrics)
     pool = None
     if workers > 1:
         # Imported here: repro.fleet.pool imports this module.
@@ -801,11 +776,9 @@ def run_fleet(
         pool = FleetWorkerPool(runtime, assets, workers)
     try:
         with obs_metrics.use(metrics):
-            report = _run_fleet_schedule(
-                config, assets, runtime, tier, pool, tracer=tracer
+            return _run_fleet_schedule(
+                config, assets, runtime, pool, tracer=tracer
             )
-        report.topology = topology
-        return report
     finally:
         if pool is not None:
             pool.shutdown()
@@ -815,17 +788,15 @@ def _run_fleet_schedule(
     config: SystemConfig,
     assets: FleetAssets,
     runtime: FleetRuntime,
-    tier,
     pool: "FleetWorkerPool | None",
     *,
     tracer: Tracer | None = None,
 ) -> FleetReport:
-    """The one lockstep stage loop.
+    """The one lockstep stage loop, over the flat fleet.
 
-    ``tier`` owns transport ("node upload -> Cloud arrival" and "Cloud
-    push -> node": :class:`~repro.fleet.uplink.DirectTier`, or the
-    gateway tier ``repro.topology`` supplies).  Everything else — node
-    compute, upload selection, the Cloud step, records, ledgers,
+    Transport ("node upload -> Cloud arrival" and "Cloud push -> node")
+    is :class:`~repro.fleet.uplink.DirectTier`'s.  Everything else —
+    node compute, upload selection, the Cloud step, records, ledgers,
     ``fleet.*`` metrics — is here and nowhere else.  Every node takes
     part in every stage: the paper's protocol, with no extension seam.
     """
@@ -837,6 +808,7 @@ def _run_fleet_schedule(
     sys_id = config.system_id
     if tracer is None:
         tracer = Tracer(enabled=False)
+    uplink = DirectTier(config, assets, SharedUplink(scenario.backhaul_bps))
 
     report = FleetReport(config=config, scenario=scenario, registry=registry)
     report.nodes = [NodeTrajectory(profile=p) for p in profiles]
@@ -867,12 +839,7 @@ def _run_fleet_schedule(
                     loaded = node_states[i]
                     runtime.deployed_net.load_state_dict(loaded)
                 by_index[i] = node_stage(
-                    runtime,
-                    assets,
-                    i,
-                    s,
-                    trace_t0=trace_t0,
-                    tier=tier.node_tag,
+                    runtime, assets, i, s, trace_t0=trace_t0
                 )
         else:
             by_index = pooled_node_stage(
@@ -880,7 +847,6 @@ def _run_fleet_schedule(
                 s,
                 [(i, node_states[i]) for i in nodes],
                 trace_t0=trace_t0,
-                tier=tier.node_tag,
             )
         node_reports = {}
         for i in nodes:
@@ -905,7 +871,7 @@ def _run_fleet_schedule(
             for i, r in node_reports.items()
         }
         uploads_start = stage_start + max(compute_times.values(), default=0.0)
-        up = tier.upload(
+        up = uplink.upload(
             s, nodes, uploads, upload_counts, uploads_start, tracer=tracer
         )
         fleet_accuracy = float(
@@ -952,7 +918,6 @@ def _run_fleet_schedule(
                 system=sys_id,
                 pooled=outcome.pooled_for_training,
                 promoted=outcome.promoted,
-                **tier.cloud_attrs,
             )
         tracer.event(
             "cloud",
@@ -963,9 +928,8 @@ def _run_fleet_schedule(
             updated=outcome.updated,
             promoted=outcome.promoted,
             **rollback_attrs(outcome),
-            **tier.cloud_attrs,
         )
-        cursor = update_end + tier.push(
+        cursor = update_end + uplink.push(
             s, nodes, push_bytes, update_end, tracer=tracer
         )
         for i in nodes:
@@ -978,7 +942,7 @@ def _run_fleet_schedule(
         pushed_bytes = 0
         for i in nodes:
             node_report = node_reports[i]
-            link = tier.node_link(i)
+            link = profiles[i].link
             pushed = push_bytes[profiles[i].node_id]
             pushed_bytes += pushed
             trajectory = report.nodes[i]
@@ -1010,7 +974,6 @@ def _run_fleet_schedule(
             )
         if pushed_bytes:
             report.ledger.record_download(s, pushed_bytes)
-        tier.close_stage(s, report, runtime.metrics)
 
         report.stages.append(
             FleetStageRecord(
@@ -1056,7 +1019,6 @@ def run_fleet_all_systems(
     workers: int = 1,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-    topology=None,
 ) -> dict[str, FleetReport]:
     """Run every Fig. 24 variant over the same fleet, data, and weights.
 
@@ -1075,7 +1037,6 @@ def run_fleet_all_systems(
             workers=workers,
             tracer=tracer,
             metrics=metrics,
-            topology=topology,
         )
         for config in SYSTEMS
     }

@@ -22,8 +22,8 @@ not bytes.
 
 :class:`DirectTier` is the lockstep stage loop's view of this backhaul:
 "node upload -> Cloud arrival" and "Cloud push -> node" as two calls.
-``repro.topology`` supplies the other implementation of the same
-surface (a gateway tier between the nodes and the backhaul).
+The loop is flat-only; gateways between the nodes and the backhaul are
+an event-engine tier (``repro.topology.event``).
 """
 
 from __future__ import annotations
@@ -153,39 +153,26 @@ class SharedUplink:
 
 @dataclass
 class StageUplink:
-    """What an uplink tier did with one stage's node uploads.
+    """What :meth:`DirectTier.upload` did with one stage's node uploads.
 
-    Per-node values are keyed by node *index* and denominated at the
-    node's own hop, so flat and hierarchical records stay comparable.
-    ``entries`` is what reached the Cloud this stage (anything with
-    ``stage_index``/``node_id``/``data``), in scheduler offer order.
+    Per-node values are keyed by node *index*.  ``entries`` is what
+    reached the Cloud this stage, in scheduler offer order.
     """
 
     times: dict[int, float]  # under contention
-    solo_times: dict[int, float]  # same bytes, hop to itself
+    solo_times: dict[int, float]  # same bytes, backhaul to itself
     makespan_s: float  # slowest transfer on the shared backhaul
     arrival_s: float  # virtual time the last byte reaches the Cloud
-    entries: list
+    entries: list[PendingUpload]
 
 
 class DirectTier:
     """Every node talks straight to the Cloud over the shared backhaul."""
 
-    #: ``tier`` attribute on node records / attrs on ``cloud/*`` records;
-    #: the flat fleet carries neither.
-    node_tag: str | None = None
-    cloud_attrs: dict = {}
-    #: canary subset override for the runtime (None = the assets' sample)
-    canary_ids: tuple[int, ...] | None = None
-
     def __init__(self, config, assets, backhaul: SharedUplink) -> None:
         self.system_id = config.system_id
         self.profiles = assets.profiles
         self.backhaul = backhaul
-
-    def node_link(self, i: int) -> NetworkLink:
-        """The link node ``i``'s own hop rides (what its radio pays for)."""
-        return self.profiles[i].link
 
     def upload(self, s, nodes, uploads, counts, t0, *, tracer):
         """Ship each node's upload; all flows start at ``t0``."""
@@ -243,6 +230,3 @@ class DirectTier:
                     bytes=down,
                 )
         return tail
-
-    def close_stage(self, s, report, metrics) -> None:
-        """Tier-level bookkeeping for the stage; the direct tier has none."""

@@ -254,7 +254,6 @@ def _render_fleet(
     workers: int = 1,
     tracer=None,
     metrics=None,
-    topology=None,
 ) -> str:
     """Beyond the paper: the four Fig. 24 variants at fleet scale."""
     from repro.fleet import (
@@ -274,7 +273,6 @@ def _render_fleet(
         workers=workers,
         tracer=tracer,
         metrics=metrics,
-        topology=topology,
     )
     mb = 1e6
     aggregate = format_table(
@@ -332,10 +330,7 @@ def _render_fleet(
             for t in d.nodes
         ],
     )
-    out = aggregate + "\n\n" + rollouts + "\n\n" + per_node
-    if topology is not None and not topology.is_passthrough:
-        out += "\n\n" + _render_tier_table(results)
-    return out
+    return aggregate + "\n\n" + rollouts + "\n\n" + per_node
 
 
 def _render_fleet_event(
@@ -344,11 +339,16 @@ def _render_fleet_event(
     seed: int,
     horizon: float | None,
     *,
+    barrier: bool = False,
     tracer=None,
     metrics=None,
     topology=None,
 ) -> str:
-    """Event-driven fleet: asynchronous epochs, dynamic uplink flows."""
+    """Event-driven fleet: asynchronous epochs, dynamic uplink flows.
+
+    ``barrier=True`` is the lockstep run of a hierarchical fleet: the
+    event engine with the fleet-wide epoch barrier re-inserted.
+    """
     from repro.core.systems import SYSTEMS
     from repro.fleet import (
         FleetScenario,
@@ -369,6 +369,7 @@ def _render_fleet_event(
             config,
             assets,
             horizon_s=horizon,
+            barrier=barrier,
             tracer=tracer,
             metrics=metrics,
             topology=topology,
@@ -379,9 +380,10 @@ def _render_fleet_event(
     horizon_label = (
         f"horizon={horizon:g}s" if horizon is not None else "full schedule"
     )
+    barrier_label = ", barrier mode" if barrier else ""
     aggregate = format_table(
-        f"Event-driven fleet ({num_nodes} nodes, policy={policy}, "
-        f"{horizon_label}) — virtual time and movement",
+        f"Event-driven fleet{barrier_label} ({num_nodes} nodes, "
+        f"policy={policy}, {horizon_label}) — virtual time and movement",
         ["system", "makespan s", "epochs min-max", "updates", "promoted",
          "up MB", "down MB", "final acc"],
         [
@@ -487,8 +489,9 @@ def main(argv: list[str] | None = None) -> int:
         default="lockstep",
         help=(
             "fleet simulation mode: 'lockstep' (stage barrier, the "
-            "reference) or 'event' (asynchronous epochs on the "
-            "discrete-event kernel)"
+            "reference; with '--topology fan-out' it runs the event "
+            "engine's barrier mode) or 'event' (asynchronous epochs on "
+            "the discrete-event kernel)"
         ),
     )
     parser.add_argument(
@@ -506,8 +509,8 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         help=(
             "process-pool workers for per-node fleet computation in "
-            "'--mode lockstep' (default: 1 = serial; any value produces "
-            "bit-identical results)"
+            "'--mode lockstep' on a flat fleet (default: 1 = serial; any "
+            "value produces bit-identical results)"
         ),
     )
     parser.add_argument(
@@ -612,6 +615,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--workers must be at least 1")
     if args.workers > 1 and args.mode == "event":
         parser.error("--workers only applies to --mode lockstep")
+    if args.workers > 1 and args.topology != "flat":
+        # Hierarchical fleets run on the event engine; the worker pool
+        # serves only the flat lockstep stage loop.
+        parser.error(
+            "--workers > 1 cannot be combined with --topology "
+            f"{args.topology}: the worker pool runs only flat fleets"
+        )
     for name in selected:
         if name not in valid:
             parser.error(
@@ -663,13 +673,15 @@ def main(argv: list[str] | None = None) -> int:
         metrics = MetricsRegistry()
     for name in selected:
         if name == "fleet":
-            if args.mode == "event":
+            if args.mode == "event" or topology is not None:
+                # A lockstep hierarchy is the event engine's barrier run.
                 print(
                     _render_fleet_event(
                         args.nodes,
                         args.policy,
                         args.fleet_seed,
                         args.horizon,
+                        barrier=args.mode == "lockstep",
                         tracer=tracer,
                         metrics=metrics,
                         topology=topology,
@@ -684,7 +696,6 @@ def main(argv: list[str] | None = None) -> int:
                         workers=args.workers,
                         tracer=tracer,
                         metrics=metrics,
-                        topology=topology,
                     )
                 )
         else:

@@ -2,19 +2,17 @@
 
 The pure shape lives in :mod:`repro.topology.model`; gateway-side state
 and policy (upload buffers, the second-opinion model, when to flush) in
-:mod:`repro.topology.gateway`; the gateway uplink tier that
-``run_fleet``'s one lockstep stage loop drives in
-:mod:`repro.topology.lockstep`; and the gateway tier that
-``run_fleet_event``'s one event engine drives in
-:mod:`repro.topology.event`.  Users pass a :class:`Topology` to
-``run_fleet(..., topology=...)`` or ``run_fleet_event(..., topology=...)``
-rather than importing either directly.
+:mod:`repro.topology.gateway`; and the gateway tier that
+``run_fleet_event``'s event engine drives in :mod:`repro.topology.event`.
+Hierarchical fleets run only on the event engine: users pass a
+:class:`Topology` to ``run_fleet_event(..., topology=...)``, with
+``barrier=True`` for the lockstep reference, rather than importing the
+tier directly.
 """
 
 from repro.topology.gateway import (
     BufferedUpload,
     GatewayBuffer,
-    GatewayStageRecord,
     SecondOpinion,
     SecondOpinionResult,
 )
@@ -25,7 +23,6 @@ __all__ = [
     "BufferedUpload",
     "GatewayBuffer",
     "GatewayProfile",
-    "GatewayStageRecord",
     "SecondOpinion",
     "SecondOpinionResult",
     "Topology",

@@ -16,16 +16,18 @@ transport, with the same surface as the flat
   fan out to the children.
 
 Every decision (second-opinion gate, flush rule, WAN framing) is
-:class:`~repro.topology.gateway.GatewayPolicy`'s, shared with the
-lockstep gateway tier; this module only moves the bytes through time.
+:class:`~repro.topology.gateway.GatewayPolicy`'s; this module only moves
+the bytes through time.
 
-In ``barrier`` mode gateways synchronize on the same round events as
-the nodes and report to the Cloud once per round (flushed or not), so
-the Cloud's round barrier — and therefore the lockstep-equivalence
-guarantee — survives aggregation: buffered rounds simply contribute an
-empty report.  With no horizon, the final round force-flushes, matching
-the lockstep gateway tier's horizon flush; horizon-bounded runs may end with
-images still parked (reported in ``gateway_leftover_images``).
+In ``barrier`` mode — the lockstep reference, and what ``python -m repro
+fleet --topology fan-out`` runs by default — gateways synchronize on the
+same round events as the nodes and report to the Cloud once per round
+(flushed or not), so the Cloud's round barrier survives aggregation:
+buffered rounds simply contribute an empty report.  With no horizon, the
+final round force-flushes so no data is stranded; horizon-bounded runs
+may end with images still parked (reported in
+``gateway_leftover_images``).  ``gateway_resolved_images`` counts what
+each gateway's second opinion settled.
 """
 
 from __future__ import annotations
@@ -77,6 +79,7 @@ class GatewayEventTier:
         self.policy = GatewayPolicy(topology, config, assets)
         self.canary_ids = self.policy.canary_ids
         self.gateway_by_id = {g.gateway_id: g for g in topology.gateways}
+        self.resolved = {gid: 0 for gid in sorted(self.gateway_by_id)}
 
     def node_link(self, i: int) -> NetworkLink:
         return self.policy.node_link(i)
@@ -104,6 +107,7 @@ class GatewayEventTier:
             gateway_id: buffer.buffered_images
             for gateway_id, buffer in sorted(self.policy.buffers.items())
         }
+        report.gateway_resolved_images = dict(self.resolved)
 
     # ------------------------------------------------------------------
     # Node -> gateway -> Cloud
@@ -177,6 +181,7 @@ class GatewayEventTier:
         ]
         so_time = sum(r.time_s for r in results)
         resolved = sum(r.resolved_images for r in results)
+        self.resolved[g.gateway_id] += resolved
         if so_time > 0:
             so_start = engine.sim.now
             yield engine.sim.timeout(so_time)

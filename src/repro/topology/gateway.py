@@ -1,9 +1,9 @@
 """Gateway-side machinery: upload aggregation and the second-opinion model.
 
-Everything here is engine-agnostic: the lockstep gateway tier and the
-event gateway tier drive the same :class:`GatewayBuffer` and
-:class:`SecondOpinion` objects through one :class:`GatewayPolicy`, which
-is what keeps the two modes trajectory-equivalent under ``barrier=True``.
+Everything here decides; nothing moves bytes through time.  The event
+gateway tier (:mod:`repro.topology.event`) drives these
+:class:`GatewayBuffer` and :class:`SecondOpinion` objects through one
+:class:`GatewayPolicy`, in its barrier and its async mode alike.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "BufferedUpload",
     "GatewayBuffer",
     "GatewayPolicy",
-    "GatewayStageRecord",
     "SecondOpinion",
     "SecondOpinionResult",
 ]
@@ -42,8 +41,8 @@ class BufferedUpload:
 class GatewayBuffer:
     """Holds children's uploads until the aggregation policy flushes them.
 
-    Flush order is fixed at ``(stage_index, node_id)`` so both engines
-    offer the same pool to the Cloud scheduler in the same order.
+    Flush order is fixed at ``(stage_index, node_id)`` so the Cloud
+    scheduler is offered the pool in the flat fleet's node order.
     """
 
     policy: AggregationPolicy
@@ -111,8 +110,8 @@ class SecondOpinion:
     A configurable fraction of each flagged upload is resolved locally
     (the gateway's model is confident enough to answer without the
     Cloud); only the remainder escalates upstream.  Which images resolve
-    is a pure function of ``(seed, gateway, node, stage)``, so lockstep,
-    event, and any worker count agree on the escalated subset.
+    is a pure function of ``(seed, gateway, node, stage)``, so the
+    escalated subset never depends on when the upload arrived.
 
     Cost is modeled, not executed: the gateway pays one forward pass per
     *offered* image on its own board, exactly like node-side inference.
@@ -155,12 +154,12 @@ class SecondOpinion:
 
 
 class GatewayPolicy:
-    """Every decision a gateway tier makes, for either engine.
+    """Every decision the gateway tier makes.
 
-    The lockstep and event gateway tiers differ only in how bytes cross
-    time (timeline arithmetic vs flows); who sits under which gateway,
-    when the second opinion runs, when a buffer leaves for the Cloud and
-    what the WAN frame weighs are decided here, once.
+    The event tier only moves bytes through time (timeouts and flows);
+    who sits under which gateway, when the second opinion runs, when a
+    buffer leaves for the Cloud and what the WAN frame weighs are
+    decided here, once.
     """
 
     def __init__(self, topology, config, assets) -> None:
@@ -195,8 +194,8 @@ class GatewayPolicy:
 
         Stage 0 is the initialization upload and systems that upload
         everything have no flagged subset to settle.  Seeded per
-        ``(gateway, node, stage)``, so both engines escalate the same
-        images.
+        ``(gateway, node, stage)``, so barrier and async runs escalate
+        the same images.
         """
         if (
             stage == 0
@@ -232,22 +231,3 @@ class GatewayPolicy:
             images * JPEG_IMAGE_BYTES
             + self.topology.per_transfer_overhead_bytes,
         )
-
-
-@dataclass(frozen=True)
-class GatewayStageRecord:
-    """One gateway's view of one stage (lockstep) or round (event)."""
-
-    stage_index: int
-    gateway_id: int
-    offered_images: int  # arrived from children this stage
-    resolved_images: int  # settled by the second-opinion model
-    flushed_images: int  # left for the Cloud this stage
-    flushed_bytes: int  # image payload + framing overhead
-    overhead_bytes: int
-    buffered_images: int  # still parked after this stage
-    flushed: bool
-    wan_time_s: float = 0.0
-    wan_energy_j: float = 0.0
-    second_opinion_time_s: float = 0.0
-    second_opinion_energy_j: float = 0.0

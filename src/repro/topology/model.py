@@ -7,15 +7,15 @@ a mid-size second-opinion model, and is the natural unit of regional
 canary rollout.  This module is the pure data model for that shape —
 who is under which gateway, which link each hop rides, and how the
 gateway batches uploads.  What executes it lives in
-:mod:`repro.topology.lockstep` (the gateway uplink tier of the one
-lockstep stage loop) and :mod:`repro.topology.event` (the gateway tier of
-the one event engine).
+:mod:`repro.topology.event`, the gateway tier of the event engine —
+hierarchical fleets run only there (``barrier=True`` is the lockstep
+reference).
 
 Degenerate topologies (one node per gateway, passthrough links, no
 aggregation, no second opinion, no framing overhead) are *exactly* the
 flat fleet; :attr:`Topology.is_passthrough` detects that case and the
-fleet entry points run the flat transport (direct tier / flat event
-engine), so the flat trajectories stay byte-identical by construction.
+event engine runs the flat transport (the direct event tier), so the
+flat trajectories stay byte-identical by construction.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ _GATEWAY_DEVICES: dict[str, GPUSpec] = {
 class AggregationPolicy:
     """When a gateway flushes its buffered uploads as one WAN transfer.
 
-    ``max_age_stages`` is denominated in stages (lockstep) / epochs
-    (event mode), not virtual seconds, so the two engines make identical
-    flush decisions and stay trajectory-equivalent under ``barrier=True``.
+    ``max_age_stages`` is denominated in rounds (``barrier=True``) /
+    epochs (async), not virtual seconds, so a flush decision depends on
+    the schedule alone, never on link speeds.
     """
 
     enabled: bool = True
@@ -200,8 +200,8 @@ class Topology:
 
         True only when every gateway is a one-child passthrough relay
         with an inherited uplink, aggregation is off, no second opinion
-        runs, and WAN transfers carry no framing overhead.  The fleet
-        entry points then run the flat transport.
+        runs, and WAN transfers carry no framing overhead.  The event
+        engine then runs the flat transport.
         """
         return (
             not self.aggregation.enabled
@@ -223,17 +223,6 @@ class Topology:
                 f"topology covers nodes {self.node_ids}, "
                 f"fleet has {fleet_ids}"
             )
-
-    def lockstep_tier(self, config, assets, backhaul):
-        """The uplink tier ``run_fleet``'s stage loop drives for this shape.
-
-        Handed over by the topology itself, so ``repro.fleet`` never has
-        to import ``repro.topology``.
-        """
-        # Imported here: repro.topology.lockstep imports this module.
-        from repro.topology.lockstep import GatewayTier
-
-        return GatewayTier(self, config, assets, backhaul)
 
     def event_tier(self, config, assets):
         """The event tier ``run_fleet_event``'s engine drives for this shape."""

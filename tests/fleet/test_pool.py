@@ -1,8 +1,8 @@
 """Forked worker pool: bit-identity, placement invariance, cleanup.
 
 The pool's contract is that parallelism is *invisible* in the results:
-any worker count produces byte-identical reports and traces on every
-lockstep path (flat, topology), because all diagnosis
+any worker count produces byte-identical reports and traces on the
+lockstep stage loop (flat fleets only), because all diagnosis
 randomness is reseeded per (node, stage) and node results merge in
 fixed node order regardless of which worker ran them.  The other half
 of the contract is hygiene: no worker process and no ``/dev/shm`` entry
@@ -34,7 +34,6 @@ from repro.fleet.simulation import (
     run_fleet_all_systems,
 )
 from repro.obs import Tracer
-from repro.topology import Topology
 
 NUM_NODES = 3
 
@@ -74,26 +73,9 @@ def flat_run(assets, workers):
     return fleet_signature(report), tracer.to_jsonl()
 
 
-def topology_run(assets, workers):
-    tracer = Tracer()
-    report = run_fleet(
-        system_by_id("d"),
-        assets,
-        workers=workers,
-        tracer=tracer,
-        topology=Topology.fan_out(NUM_NODES, 2),
-    )
-    return fleet_signature(report), tracer.to_jsonl()
-
-
 @pytest.fixture(scope="module")
 def flat_serial(assets):
     return flat_run(assets, 1)
-
-
-@pytest.fixture(scope="module")
-def topology_serial(assets):
-    return topology_run(assets, 1)
 
 
 class TestBitIdentity:
@@ -102,10 +84,6 @@ class TestBitIdentity:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_flat(self, assets, flat_serial, workers):
         assert flat_run(assets, workers) == flat_serial
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_topology(self, assets, topology_serial, workers):
-        assert topology_run(assets, workers) == topology_serial
 
 
 class TestPlacementInvariance:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.reports.cli import _EXPERIMENTS, main
@@ -70,3 +72,32 @@ class TestFleetModeFlag:
         assert main(["fig15", "--mode", "event", "--horizon", "5"]) == 0
         assert main(["fig15", "--mode", "lockstep"]) == 0
         capsys.readouterr()
+
+
+class TestFleetTopology:
+    def test_workers_with_topology_refused(self, capsys):
+        # The worker pool serves only the flat lockstep stage loop.
+        with pytest.raises(SystemExit):
+            main(
+                ["fleet", "--nodes", "2", "--topology", "fan-out",
+                 "--workers", "2"]
+            )
+        err = capsys.readouterr().err
+        assert re.search(
+            r"error: --workers > 1 cannot be combined with --topology "
+            r"fan-out: the worker pool runs only flat fleets$",
+            err,
+            re.MULTILINE,
+        ), err
+
+    def test_lockstep_topology_is_the_event_barrier_run(self, capsys):
+        assert main(
+            ["fleet", "--nodes", "2", "--topology", "fan-out",
+             "--fan-out", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "=== Event-driven fleet, barrier mode (2 nodes, "
+            "policy=per-stage, full schedule)"
+        ), out[:200]
+        assert "Hierarchical topology — per-tier movement" in out

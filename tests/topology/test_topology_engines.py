@@ -1,14 +1,14 @@
-"""Topology engines: flat byte-identity, mode equivalence, aggregation.
+"""Topology runs: passthrough identity, the barrier hierarchy, aggregation.
 
-Three contracts anchor the hierarchical tier to the flat reference:
+Hierarchical fleets run only on the event engine; ``barrier=True`` is
+their lockstep run.  Three contracts anchor the gateway tier:
 
 * a passthrough topology (fan-out 1, passthrough links, aggregation
   off, zero overhead) delegates to the flat code path, so reports,
   ledgers, and JSONL traces are byte-identical to a run with no
-  topology at all — in both engines;
-* a real hierarchy produces the same learning trajectory in lockstep
-  and event-barrier mode (same accuracies, rollouts, tier bytes), and
-  lockstep results are bit-identical at any worker count;
+  topology at all;
+* a real hierarchy canaries regionally, drains every buffer by the end
+  of a run with no horizon, and stamps every hop with its tier;
 * aggregation trades WAN transfer events (and their framing overhead)
   for buffering delay without touching edge-tier traffic.
 """
@@ -70,51 +70,13 @@ def assets():
 
 
 @pytest.fixture(scope="module")
-def flat_lock(assets):
-    tracer = Tracer()
-    report = run_fleet(system_by_id("d"), assets, tracer=tracer)
-    return report, tracer
-
-
-@pytest.fixture(scope="module")
-def hier_lock(assets):
-    return run_fleet(system_by_id("d"), assets, topology=hier_topology())
-
-
-@pytest.fixture(scope="module")
-def hier_event(assets):
+def hier_barrier(assets):
     return run_fleet_event(
         system_by_id("d"), assets, barrier=True, topology=hier_topology()
     )
 
 
 class TestPassthroughIdentity:
-    def test_lockstep_byte_identical_to_flat(self, assets, flat_lock):
-        flat, flat_tracer = flat_lock
-        tracer = Tracer()
-        report = run_fleet(
-            system_by_id("d"),
-            assets,
-            topology=Topology.single(NUM_NODES),
-            tracer=tracer,
-        )
-        assert report.final_accuracy == flat.final_accuracy
-        assert report.ledger.snapshot() == flat.ledger.snapshot()
-        assert [s.eval_accuracy for s in report.stages] == [
-            s.eval_accuracy for s in flat.stages
-        ]
-        assert tracer.to_jsonl() == flat_tracer.to_jsonl(), (
-            explain_divergence(
-                tracer.to_jsonl(),
-                flat_tracer.to_jsonl(),
-                label_a="passthrough",
-                label_b="flat",
-            )
-        )
-        # the delegated run is a flat run: no gateway artifacts
-        assert report.gateway_stages == []
-        assert report.topology.is_passthrough
-
     def test_event_byte_identical_to_flat(self, assets):
         flat_tracer = Tracer()
         flat = run_fleet_event(
@@ -138,111 +100,88 @@ class TestPassthroughIdentity:
                 label_b="flat",
             )
         )
+        # the delegated run is a flat run: no gateway artifacts
+        assert report.gateway_flushes == []
+        assert report.gateway_resolved_images == {}
+        assert report.topology.is_passthrough
 
-    def test_flat_run_has_zero_tier_fields(self, flat_lock):
-        snap = flat_lock[0].ledger.snapshot()
+    def test_flat_run_has_zero_tier_fields(self, assets):
+        snap = run_fleet(system_by_id("d"), assets).ledger.snapshot()
         assert snap.tiered_bytes_moved == 0
         assert snap.wan_transfer_events == 0
         assert snap.transfer_overhead_bytes == 0
 
     def test_mismatched_topology_rejected(self, assets):
         with pytest.raises(ValueError, match="topology covers"):
-            run_fleet(
-                system_by_id("d"), assets, topology=Topology.single(3)
+            run_fleet_event(
+                system_by_id("d"),
+                assets,
+                barrier=True,
+                topology=Topology.single(3),
             )
 
 
 class TestModeEquivalence:
-    def test_accuracy_trajectories_match(self, hier_lock, hier_event):
-        assert (
-            hier_event.final_eval_accuracy == hier_lock.final_accuracy
-        )
-        for lock_node, event_node in zip(hier_lock.nodes, hier_event.nodes):
-            assert [r.accuracy_on_new for r in lock_node.records] == [
-                r.accuracy_on_new for r in event_node.records
-            ]
+    """A hierarchy's lockstep mode *is* the event engine's barrier run.
 
-    def test_rollouts_match(self, hier_lock, hier_event):
-        assert [
-            (r.stage_index, r.promoted, r.canary_ids)
-            for r in hier_lock.rollouts
-        ] == [
-            (r.stage_index, r.promoted, r.canary_ids)
-            for r in hier_event.rollouts
-        ]
+    ``python -m repro fleet --topology fan-out`` maps ``--mode lockstep``
+    onto ``run_fleet_event(barrier=True)``; these pin what that run does.
+    """
 
-    def test_tier_bytes_match(self, hier_lock, hier_event):
-        lock, event = (
-            hier_lock.ledger.snapshot(),
-            hier_event.ledger.snapshot(),
-        )
-        assert lock.edge_to_gateway_bytes == event.edge_to_gateway_bytes
-        assert lock.gateway_to_cloud_bytes == event.gateway_to_cloud_bytes
-        assert lock.gateway_to_edge_bytes == event.gateway_to_edge_bytes
-        assert lock.cloud_to_gateway_bytes == event.cloud_to_gateway_bytes
-        assert lock.wan_transfer_events == event.wan_transfer_events
-        assert lock.transfer_overhead_bytes == event.transfer_overhead_bytes
-
-    def test_regional_canary(self, hier_lock, hier_event):
+    def test_regional_canary(self, hier_barrier):
         # the canary region is gateway 0's children, not the flat
         # scenario's sampled canary subset
-        for report in (hier_lock, hier_event):
-            assert all(r.canary_ids == (0, 1) for r in report.rollouts)
-        assert hier_lock.rollouts  # the schedule produced updates at all
+        assert hier_barrier.rollouts  # the schedule produced updates at all
+        assert all(r.canary_ids == (0, 1) for r in hier_barrier.rollouts)
 
-    def test_no_leftovers_without_horizon(self, hier_event):
+    def test_no_leftovers_without_horizon(self, hier_barrier):
         # final-round force flush drains every buffer
         assert all(
             images == 0
-            for images in hier_event.gateway_leftover_images.values()
+            for images in hier_barrier.gateway_leftover_images.values()
         )
 
     def test_event_trace_is_tier_attributed_like_lockstep(self, assets):
-        """``obs health`` reads the ``tier`` attribute: the event engine
-        must stamp node compute as edge and Cloud retrains as cloud, and
-        account second-opinion work, exactly as the stage loop does."""
-
-        def observe(run, **kwargs):
-            tracer, metrics = Tracer(), MetricsRegistry()
-            run(
-                system_by_id("d"),
-                assets,
-                topology=hier_topology(second_opinion_fraction=0.5),
-                tracer=tracer,
-                metrics=metrics,
-                **kwargs,
-            )
-            records = [(r.cat, r.name, dict(r.attrs)) for r in tracer.records]
-            return {
-                "tiers": [
-                    row["tier"] for row in health_report(tracer.records)["tiers"]
-                ],
-                "stamped": {
-                    (cat, name): attrs["tier"]
-                    for cat, name, attrs in records
-                    if "tier" in attrs
-                },
-                "opinions": sorted(
-                    (a["gateway"], a["stage"], a["offered"], a["resolved"])
-                    for cat, name, a in records
-                    if (cat, name) == ("gateway", "second_opinion")
-                ),
-                "resolved": metrics.counter(
-                    "topology.images.resolved", system="d", tier="gateway"
-                ).value,
-            }
-
-        event = observe(run_fleet_event, barrier=True)
-        assert event["tiers"] == ["cloud", "edge", "gateway"]
-        assert event["stamped"][("node", "compute")] == "edge"
-        assert event["stamped"][("cloud", "decision")] == "cloud"
-        assert event["resolved"] == sum(o[3] for o in event["opinions"]) > 0
-        lockstep = observe(run_fleet)
-        # the Cloud span is named by what it did; everything else agrees
-        lockstep["stamped"][("cloud", "rollout")] = lockstep["stamped"].pop(
-            ("cloud", "update")
+        """``obs health`` reads the ``tier`` attribute: the barrier run
+        must stamp every hop with its tier, and account second-opinion
+        work in the trace, the metrics and the report alike."""
+        tracer, metrics = Tracer(), MetricsRegistry()
+        report = run_fleet_event(
+            system_by_id("d"),
+            assets,
+            barrier=True,
+            topology=hier_topology(second_opinion_fraction=0.5),
+            tracer=tracer,
+            metrics=metrics,
         )
-        assert event == lockstep
+        records = [(r.cat, r.name, dict(r.attrs)) for r in tracer.records]
+        tiers = [row["tier"] for row in health_report(tracer.records)["tiers"]]
+        assert tiers == ["cloud", "edge", "gateway"]
+        assert {
+            (cat, name, attrs.get("tier")) for cat, name, attrs in records
+        } == {
+            ("node", "compute", "edge"),
+            ("node", "diagnosis", "edge"),
+            ("net", "upload", "edge"),
+            ("gateway", "second_opinion", "gateway"),
+            ("net", "flush", "gateway"),
+            ("net", "push", "gateway"),
+            ("net", "push", "edge"),
+            ("cloud", "init", "cloud"),
+            ("cloud", "rollout", "cloud"),
+            ("cloud", "decision", "cloud"),
+        }
+        opinions = [
+            a["resolved"]
+            for cat, name, a in records
+            if (cat, name) == ("gateway", "second_opinion")
+        ]
+        resolved = metrics.counter(
+            "topology.images.resolved", system="d", tier="gateway"
+        ).value
+        assert resolved == sum(opinions) > 0
+        assert sum(report.gateway_resolved_images.values()) == resolved
+        assert set(report.gateway_resolved_images) == {0, 1}
 
     @pytest.mark.parametrize("hier", [False, True])
     def test_finished_engine_is_freed_without_the_cycle_gc(self, assets, hier):
@@ -274,27 +213,19 @@ class TestModeEquivalence:
         finally:
             gc.enable()
 
-    def test_workers_bit_identical(self, assets, hier_lock):
-        workers = run_fleet(
-            system_by_id("d"), assets, topology=hier_topology(), workers=2
-        )
-        assert workers.final_accuracy == hier_lock.final_accuracy
-        assert workers.ledger.snapshot() == hier_lock.ledger.snapshot()
-        for serial, pooled in zip(hier_lock.nodes, workers.nodes):
-            assert serial.records == pooled.records
-
 
 class TestAggregation:
-    def test_fewer_wan_transfers_than_unaggregated(self, assets, hier_lock):
-        unaggregated = run_fleet(
+    def test_fewer_wan_transfers_than_unaggregated(self, assets, hier_barrier):
+        unaggregated = run_fleet_event(
             system_by_id("d"),
             assets,
+            barrier=True,
             topology=hier_topology(
                 aggregation=AggregationPolicy(enabled=False)
             ),
         )
         agg, noagg = (
-            hier_lock.ledger.snapshot(),
+            hier_barrier.ledger.snapshot(),
             unaggregated.ledger.snapshot(),
         )
         assert agg.wan_transfer_events < noagg.wan_transfer_events
@@ -305,28 +236,20 @@ class TestAggregation:
             == agg.wan_transfer_events * 2_000
         )
 
-    def test_gateway_records_cover_every_stage(self, hier_lock):
-        stages = {g.stage_index for g in hier_lock.gateway_stages}
-        assert stages == set(range(len(hier_lock.stages)))
-        flushed = sum(1 for g in hier_lock.gateway_stages if g.flushed)
-        snap = hier_lock.ledger.snapshot()
-        assert flushed == snap.wan_transfer_events
-
-    def test_second_opinion_cuts_wan_not_edge(self, assets, hier_lock):
-        resolved = run_fleet(
+    def test_second_opinion_cuts_wan_not_edge(self, assets, hier_barrier):
+        resolved = run_fleet_event(
             system_by_id("d"),
             assets,
+            barrier=True,
             topology=hier_topology(second_opinion_fraction=0.5),
         )
         base, so = (
-            hier_lock.ledger.snapshot(),
+            hier_barrier.ledger.snapshot(),
             resolved.ledger.snapshot(),
         )
         assert so.gateway_to_cloud_bytes < base.gateway_to_cloud_bytes
         assert so.edge_to_gateway_bytes == base.edge_to_gateway_bytes
-        assert sum(
-            g.resolved_images for g in resolved.gateway_stages
-        ) > 0
+        assert sum(resolved.gateway_resolved_images.values()) > 0
 
 
 class TestHorizonLeftovers:
