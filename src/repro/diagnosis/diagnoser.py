@@ -20,6 +20,8 @@ with True for unrecognized/valuable samples.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.data.datasets import Dataset
@@ -90,6 +92,11 @@ class JigsawDiagnoser(Diagnoser):
     indicates the trunk's features do not describe the image well — the same
     features the inference network relies on — so the sample is valuable.
 
+    Per ``batch_size`` slice the trunk runs once, on the unshuffled tiles;
+    each trial reorders the nine feature rows into the head
+    (:meth:`~repro.selfsup.context_net.ContextNetwork.puzzle_logits`), which
+    gives the logits of ``trials`` shuffled passes bit for bit.
+
     ``score`` exposes the underlying mean-confidence signal for threshold
     calibration (see :mod:`repro.diagnosis.policy`).
     """
@@ -115,30 +122,26 @@ class JigsawDiagnoser(Diagnoser):
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.batch_size = batch_size
 
-    def _solve_counts(self, images: np.ndarray) -> np.ndarray:
-        """Puzzles solved per image, out of ``self.trials``."""
-        counts = np.zeros(len(images), dtype=np.int64)
-        for _ in range(self.trials):
-            for start in range(0, len(images), self.batch_size):
-                stop = start + self.batch_size
-                tiles, labels = self.sampler.batch(images[start:stop])
-                logits = self.network.predict(tiles)
-                counts[start:stop] += logits.argmax(axis=1) == labels
-        return counts
+    def _puzzles(
+        self, images: np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        return self.network.puzzle_logits(
+            images, self.sampler, trials=self.trials, batch_size=self.batch_size
+        )
 
     def flags(self, data: Dataset) -> np.ndarray:
-        counts = self._solve_counts(data.images)
+        counts = np.zeros(len(data), dtype=np.int64)
+        for start, logits, labels in self._puzzles(data.images):
+            counts[start : start + len(labels)] += logits.argmax(axis=1) == labels
         return counts < self.min_correct
 
     def score(self, data: Dataset) -> np.ndarray:
         """Mean correct-permutation probability per image (high = recognized)."""
         scores = np.zeros(len(data))
-        for _ in range(self.trials):
-            for start in range(0, len(data), self.batch_size):
-                stop = start + self.batch_size
-                tiles, labels = self.sampler.batch(data.images[start:stop])
-                probs = softmax(self.network.predict(tiles), axis=1)
-                scores[start:stop] += probs[np.arange(len(labels)), labels]
+        for start, logits, labels in self._puzzles(data.images):
+            probs = softmax(logits, axis=1)
+            rows = np.arange(len(labels))
+            scores[start : start + len(labels)] += probs[rows, labels]
         return scores / self.trials
 
 

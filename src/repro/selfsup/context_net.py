@@ -8,14 +8,21 @@ vectors are concatenated, and an FCN head predicts the permutation index.
 Weight sharing is implemented by folding the tile axis into the batch axis,
 so one trunk forward/backward serves all 9 tiles and the gradient from every
 tile accumulates into the shared weights automatically.
+
+Inference shares once more: :meth:`ContextNetwork.puzzle_logits` runs the
+trunk once on an image's unshuffled grid and answers each of its puzzles by
+reordering the nine feature rows into the head.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
 from repro.nn import Linear, ReLU, Sequential
 from repro.nn.tensor import Parameter
+from repro.selfsup.jigsaw import JigsawSampler, grid_tiles
 
 __all__ = ["ContextNetwork", "build_context_head"]
 
@@ -55,6 +62,10 @@ class ContextNetwork:
         FCN over the concatenation of all tile features.
     num_tiles:
         Tiles per puzzle (9 for the 3x3 grid).
+
+    Training runs :meth:`forward` on shuffled tiles; inference runs
+    :meth:`puzzle_logits`, one :meth:`tile_features` pass per image slice
+    and one :meth:`head_logits` per trial on the reordered feature rows.
     """
 
     def __init__(self, trunk: Sequential, head: Sequential, num_tiles: int = 9) -> None:
@@ -99,6 +110,48 @@ class ContextNetwork:
         features = self.trunk.forward(folded, training=training)
         concat = features.reshape(batch, self.num_tiles * self.feature_size)
         return self.head.forward(concat, training=training)
+
+    def tile_features(self, tiles: np.ndarray) -> np.ndarray:
+        """Inference trunk features ``(B, T, F)`` of tiles ``(B, T, C, h, w)``."""
+        folded = tiles.reshape((-1,) + tiles.shape[2:])
+        features = self.trunk.forward(folded, training=False)
+        return features.reshape(len(tiles), self.num_tiles, self.feature_size)
+
+    def head_logits(self, features: np.ndarray, orders: np.ndarray) -> np.ndarray:
+        """Logits of puzzles whose slot ``j`` shows tile ``orders[i, j]``."""
+        batch = len(features)
+        concat = features[np.arange(batch)[:, None], orders].reshape(batch, -1)
+        return self.head.forward(concat, training=False)
+
+    def puzzle_logits(
+        self,
+        images: np.ndarray,
+        sampler: JigsawSampler,
+        *,
+        trials: int = 1,
+        batch_size: int = 64,
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """``(start, logits, labels)`` of ``trials`` puzzles per image slice.
+
+        Each ``batch_size`` slice yields once per trial.  Labels are drawn
+        trial-major, slice-minor, as ``trials`` passes of ``sampler.batch``
+        over the slices draw them, and the logits equal ``predict`` of those
+        batches bit for bit: the trunk runs once per slice on the unshuffled
+        tiles, and permuting tiles inside each image's block of a trunk
+        batch leaves every tile's output row unchanged
+        (``tests/selfsup/test_puzzle_logits.py`` pins it).
+        """
+        starts = range(0, len(images), batch_size)
+        labels = [
+            [sampler.draw_labels(len(images[s : s + batch_size])) for s in starts]
+            for _ in range(trials)
+        ]
+        for k, start in enumerate(starts):
+            tiles = grid_tiles(images[start : start + batch_size], sampler.grid)
+            features = self.tile_features(tiles)
+            for trial in labels:
+                orders = sampler.permset.perms[trial[k]]
+                yield start, self.head_logits(features, orders), trial[k]
 
     def backward(self, grad_logits: np.ndarray) -> None:
         grad_concat = self.head.backward(grad_logits)

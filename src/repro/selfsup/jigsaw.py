@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.selfsup.permutations import PermutationSet
 
-__all__ = ["split_tiles", "reassemble_tiles", "JigsawSampler"]
+__all__ = ["split_tiles", "grid_tiles", "reassemble_tiles", "JigsawSampler"]
 
 
 def split_tiles(image: np.ndarray, grid: int = 3) -> np.ndarray:
@@ -17,15 +17,22 @@ def split_tiles(image: np.ndarray, grid: int = 3) -> np.ndarray:
     """
     if image.ndim != 3:
         raise ValueError(f"expected (C, H, W), got shape {image.shape}")
-    channels, height, width = image.shape
+    return grid_tiles(image[None], grid)[0]
+
+
+def grid_tiles(images: np.ndarray, grid: int = 3) -> np.ndarray:
+    """:func:`split_tiles` of every image: ``(B, grid*grid, C, h, w)``."""
+    if images.ndim != 4:
+        raise ValueError(f"expected (B, C, H, W), got {images.shape}")
+    count, channels, height, width = images.shape
     if height % grid or width % grid:
         raise ValueError(
             f"image {height}x{width} not divisible into a {grid}x{grid} grid"
         )
     tile_h, tile_w = height // grid, width // grid
-    tiles = image.reshape(channels, grid, tile_h, grid, tile_w)
-    return tiles.transpose(1, 3, 0, 2, 4).reshape(
-        grid * grid, channels, tile_h, tile_w
+    tiles = images.reshape(count, channels, grid, tile_h, grid, tile_w)
+    return tiles.transpose(0, 2, 4, 1, 3, 5).reshape(
+        count, grid * grid, channels, tile_h, tile_w
     )
 
 
@@ -44,10 +51,9 @@ class JigsawSampler:
     """Assembles jigsaw training batches.
 
     For each image: split into the 3x3 grid, draw a permutation index from
-    the set, reorder the tiles, and emit the index as the label.  Optional
-    per-tile random cropping (``tile_crop``) reproduces the jitter the
-    jigsaw literature uses to stop the network from solving the task with
-    edge-continuity shortcuts.
+    the set, reorder the tiles, and emit the index as the label.  Every
+    label comes from :meth:`draw_labels`, so batch assembly and jigsaw
+    diagnosis consume ``rng`` through one definition.
     """
 
     def __init__(
@@ -55,7 +61,6 @@ class JigsawSampler:
         permset: PermutationSet,
         *,
         grid: int = 3,
-        tile_crop: int | None = None,
         rng: np.random.Generator | None = None,
     ) -> None:
         if grid * grid != permset.num_tiles:
@@ -65,46 +70,23 @@ class JigsawSampler:
             )
         self.permset = permset
         self.grid = grid
-        self.tile_crop = tile_crop
         self.rng = rng if rng is not None else np.random.default_rng(0)
 
     @property
     def num_classes(self) -> int:
         return len(self.permset)
 
-    def tile_shape(self, image_shape: tuple[int, int, int]) -> tuple[int, int, int]:
-        channels, height, width = image_shape
-        tile_h, tile_w = height // self.grid, width // self.grid
-        if self.tile_crop is not None:
-            if self.tile_crop > min(tile_h, tile_w):
-                raise ValueError(
-                    f"tile_crop {self.tile_crop} exceeds tile size "
-                    f"{tile_h}x{tile_w}"
-                )
-            return (channels, self.tile_crop, self.tile_crop)
-        return (channels, tile_h, tile_w)
-
-    def _maybe_crop(self, tiles: np.ndarray) -> np.ndarray:
-        if self.tile_crop is None:
-            return tiles
-        crop = self.tile_crop
-        _, _, tile_h, tile_w = tiles.shape
-        out = np.empty(tiles.shape[:2] + (crop, crop), dtype=tiles.dtype)
-        for i in range(tiles.shape[0]):
-            top = int(self.rng.integers(0, tile_h - crop + 1))
-            left = int(self.rng.integers(0, tile_w - crop + 1))
-            out[i] = tiles[i, :, top : top + crop, left : left + crop]
-        return out
+    def draw_labels(self, count: int) -> np.ndarray:
+        """``count`` permutation indices drawn uniformly from the set."""
+        return self.rng.integers(0, len(self.permset), size=count)
 
     def sample(
         self, image: np.ndarray, perm_index: int | None = None
     ) -> tuple[np.ndarray, int]:
         """One jigsaw puzzle: (shuffled tiles ``(9, C, h, w)``, label)."""
-        if perm_index is None:
-            perm_index = int(self.rng.integers(0, len(self.permset)))
-        tiles = split_tiles(image, self.grid)
-        tiles = self._maybe_crop(tiles)
-        return self.permset.apply(tiles, perm_index), perm_index
+        indices = None if perm_index is None else [perm_index]
+        tiles, labels = self.batch(image[None], indices)
+        return tiles[0], int(labels[0])
 
     def batch(
         self, images: np.ndarray, perm_indices: np.ndarray | None = None
@@ -113,17 +95,13 @@ class JigsawSampler:
 
         Returns ``(B, 9, C, h, w)`` shuffled tiles and ``(B,)`` labels.
         """
-        if images.ndim != 4:
-            raise ValueError(f"expected (B, C, H, W), got {images.shape}")
-        count = images.shape[0]
+        tiles = grid_tiles(images, self.grid)
+        count = len(tiles)
         if perm_indices is None:
-            perm_indices = self.rng.integers(0, len(self.permset), size=count)
-        perm_indices = np.asarray(perm_indices)
+            perm_indices = self.draw_labels(count)
+        perm_indices = np.array(perm_indices, dtype=np.int64)
         if perm_indices.shape != (count,):
             raise ValueError("need one permutation index per image")
-        first_tiles, _ = self.sample(images[0], int(perm_indices[0]))
-        out = np.empty((count,) + first_tiles.shape, dtype=images.dtype)
-        out[0] = first_tiles
-        for i in range(1, count):
-            out[i], _ = self.sample(images[i], int(perm_indices[i]))
-        return out, perm_indices.astype(np.int64)
+        # Position j of puzzle i receives tile perms[label_i][j].
+        order = self.permset.perms[perm_indices]
+        return tiles[np.arange(count)[:, None], order], perm_indices

@@ -47,26 +47,19 @@ def max_hamming_permutations(
             f"cannot draw {num_perms} distinct permutations of {num_tiles} tiles"
         )
     chosen = [rng.permutation(num_tiles)]
-    seen = {tuple(chosen[0])}
     while len(chosen) < num_perms:
         candidates = np.array(
             [rng.permutation(num_tiles) for _ in range(candidate_pool)]
         )
-        chosen_arr = np.array(chosen)
-        best_candidate = None
-        best_score = -1
-        for cand in candidates:
-            if tuple(cand) in seen:
-                continue
-            score = int(_hamming(cand, chosen_arr).min())
-            if score > best_score:
-                best_score = score
-                best_candidate = cand
-        if best_candidate is None:
+        # (pool, chosen) Hamming distances.  A candidate already chosen is
+        # the only kind at distance 0, so score 0 masks it out; argmax keeps
+        # the first of the best.
+        distances = (candidates[:, None, :] != np.array(chosen)).sum(axis=2)
+        scores = distances.min(axis=1)
+        if scores.max() == 0:
             # Extremely unlikely unless the pool collides entirely; retry.
             continue
-        chosen.append(best_candidate)
-        seen.add(tuple(best_candidate))
+        chosen.append(candidates[scores.argmax()])
     return np.array(chosen)
 
 

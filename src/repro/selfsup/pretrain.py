@@ -64,10 +64,9 @@ def permutation_accuracy(
     if len(images) == 0:
         raise ValueError("cannot evaluate on zero images")
     correct = 0
-    for start in range(0, len(images), batch_size):
-        chunk = images[start : start + batch_size]
-        tiles, labels = sampler.batch(chunk)
-        logits = network.predict(tiles)
+    for _, logits, labels in network.puzzle_logits(
+        images, sampler, batch_size=batch_size
+    ):
         correct += int((logits.argmax(axis=1) == labels).sum())
     return correct / len(images)
 

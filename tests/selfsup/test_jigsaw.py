@@ -72,18 +72,6 @@ class TestJigsawSampler:
         tiles, labels = sampler.batch(images, np.array([0, 1, 2]))
         assert labels.tolist() == [0, 1, 2]
 
-    def test_tile_crop(self, rng):
-        permset = PermutationSet.generate(4, rng=rng)
-        sampler = JigsawSampler(permset, tile_crop=12, rng=rng)
-        tiles, _ = sampler.sample(rng.random((3, 48, 48)))
-        assert tiles.shape == (9, 3, 12, 12)
-
-    def test_tile_crop_too_large(self, rng):
-        permset = PermutationSet.generate(4, rng=rng)
-        sampler = JigsawSampler(permset, tile_crop=20, rng=rng)
-        with pytest.raises(ValueError):
-            sampler.tile_shape((3, 48, 48))
-
     def test_grid_permset_mismatch(self, rng):
         permset = PermutationSet.generate(4, num_tiles=4, rng=rng)
         with pytest.raises(ValueError):
