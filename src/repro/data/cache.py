@@ -2,7 +2,7 @@
 
 :func:`repro.core.simulation.prepare_assets` and
 :func:`repro.fleet.simulation.prepare_fleet_assets` are pure functions of
-their scenario: every RNG they consume is constructed locally from scenario
+their arguments: every RNG they consume is constructed locally from scenario
 seeds.  Experiment sweeps (the four system variants over one scenario,
 fleet-size sweeps sharing node seeds, benchmark reruns) therefore regenerate
 literally identical stage streams and eval sets.  This module memoizes those
@@ -11,8 +11,9 @@ generation segments on a process-wide LRU cache.
 Correctness rules for anything stored here:
 
 * the key must cover **every** input the builder reads — scenario fields,
-  seeds, and the framework default dtype (datasets cast to it on
-  construction);
+  seeds, the framework default dtype (datasets cast to it on
+  construction), and any generation schedule (a fleet node stream's key
+  carries its class schedule, ``None`` for a plain fleet);
 * the builder must consume only RNGs it creates itself; if a live generator
   outlives the cached segment, its end-of-segment ``bit_generator.state``
   belongs in the payload so a hit can restore the stream position;

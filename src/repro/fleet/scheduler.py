@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.cloud import CloudUpdateReport, InSituCloud
 from repro.core.registry import GuardDecision, ModelRegistry, UpdateGuard
 from repro.data.datasets import Dataset
@@ -232,7 +230,3 @@ class FleetScheduler:
     @property
     def rejection_count(self) -> int:
         return sum(1 for r in self.history if not r.promoted)
-
-    def deployed_model(self) -> dict[str, np.ndarray]:
-        """State every non-canary node should currently run."""
-        return self.registry.active.state

@@ -229,13 +229,17 @@ class FleetAssets:
 
 
 def _node_stream(
-    profile: NodeProfile, base: Scenario
+    profile: NodeProfile,
+    base: Scenario,
+    class_schedule: tuple[tuple[int, ...], ...] | None,
 ) -> list[AcquisitionStage]:
     """One node's acquisition stages, memoized on the seed-keyed cache.
 
     Keyed per node (not per fleet), so fleet-size sweeps reuse the streams
-    of every node profile they share.  The segment is self-contained: its
-    RNG and generator never escape, so no stream state needs restoring.
+    of every node profile they share.  The class schedule is part of the
+    key: the same profile under a different phase plan is a different
+    stream.  The segment is self-contained: its RNG and generator never
+    escape, so no stream state needs restoring.
     """
     key = (
         "fleet-node-stream",
@@ -245,6 +249,7 @@ def _node_stream(
         base.num_classes,
         base.stream_scale,
         base.schedule_k,
+        class_schedule,
         np.dtype(default_dtype()).str,
     )
 
@@ -257,22 +262,31 @@ def _node_stream(
             schedule_k=base.schedule_k,
             severities=profile.severities,
             rng=rng,
+            class_schedule=class_schedule,
         )
         return stream.stages()
 
     return dataset_cache.get_or_build(key, build)
 
 
-def prepare_fleet_assets(scenario: FleetScenario) -> FleetAssets:
+def prepare_fleet_assets(
+    scenario: FleetScenario,
+    *,
+    class_schedule: tuple[tuple[int, ...], ...] | None = None,
+) -> FleetAssets:
     """Generate per-node streams and the shared warm-start states.
 
     Pre-training and the stage-0 initialization are policy-identical
     across the four system variants, so they are computed once here —
     every variant starts from literally the same weights.
+    ``class_schedule`` (one allowed-class tuple per stage) restricts
+    every node's stream to the classes unlocked at each stage; the eval
+    set keeps the full label space either way, which is what makes
+    forgetting measurable.
     """
     base = scenario.base
     profiles = scenario.profiles()
-    node_stages = [_node_stream(p, base) for p in profiles]
+    node_stages = [_node_stream(p, base, class_schedule) for p in profiles]
     eval_key = (
         "fleet-eval",
         scenario.seed,

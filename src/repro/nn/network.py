@@ -208,13 +208,3 @@ class Sequential:
                 )
             for sp, dp in zip(src_params, dst_params):
                 dp.copy_from(sp)
-
-    def clone_weights_to(self, other: "Sequential") -> None:
-        """Copy every same-named layer's weights into ``other``."""
-        names = [
-            layer.name
-            for layer in self.layers
-            if layer.parameters
-            and any(o.name == layer.name for o in other.layers)
-        ]
-        other.copy_layer_weights(self, names)

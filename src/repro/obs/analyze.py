@@ -68,13 +68,6 @@ _ABSENT = "<absent>"
 _JOIN_CAP = 4096
 
 
-def _attr(record: TraceRecord, key: str):
-    for k, v in record.attrs:
-        if k == key:
-            return v
-    return None
-
-
 def _r9(x: float) -> float:
     return round(float(x), 9)
 
@@ -127,10 +120,10 @@ def _best_feasible(candidates, t0: float) -> _Chain | None:
 
 
 def _lane_of(record: TraceRecord) -> str:
-    node = _attr(record, "node")
+    node = record.attr("node")
     if node is not None:
         return f"node:{node}"
-    gateway = _attr(record, "gateway")
+    gateway = record.attr("gateway")
     if gateway is not None:
         return f"gw:{gateway}"
     return "cloud"
@@ -171,10 +164,10 @@ def critical_path(records, *, top: int = 10) -> dict:
             continue
         n_spans += 1
         lane = _lane_of(r)
-        tier = _attr(r, "tier") or "-"
+        tier = r.attr("tier") or "-"
         key = (str(tier), f"{r.cat}.{r.name}", lane)
-        gateway = _attr(r, "gateway")
-        node = _attr(r, "node")
+        gateway = r.attr("gateway")
+        node = r.attr("node")
 
         preds: list[_Chain | None] = [lanes.get(lane)]
         feeds_key = None
@@ -512,17 +505,17 @@ def health_report(
         t_lo = r.t0 if t_lo is None else min(t_lo, r.t0)
         end = r.t1 if r.t1 is not None else r.t0
         t_hi = end if t_hi is None else max(t_hi, end)
-        tier = _attr(r, "tier")
+        tier = r.attr("tier")
         if tier is not None and r.kind == "span":
             row = tier_stats.setdefault(
                 str(tier), {"spans": 0, "busy_s": 0.0, "bytes": 0}
             )
             row["spans"] += 1
             row["busy_s"] += r.duration_s
-            b = _attr(r, "bytes")
+            b = r.attr("bytes")
             if b:
                 row["bytes"] += int(b)
-        node = _attr(r, "node")
+        node = r.attr("node")
         if r.kind == "span" and node is not None:
             if r.cat == "node":
                 row = node_compute.setdefault(
@@ -536,7 +529,7 @@ def health_report(
                 )
                 row["spans"] += 1
                 row["busy_s"] += r.duration_s
-                b = _attr(r, "bytes")
+                b = r.attr("bytes")
                 if b:
                     row["bytes"] += int(b)
                     total_upload_bytes += int(b)
@@ -544,15 +537,15 @@ def health_report(
             r.kind == "event"
             and r.cat == "cloud"
             and r.name == "decision"
-            and _attr(r, "updated")
-            and not _attr(r, "promoted")
+            and r.attr("updated")
+            and not r.attr("promoted")
         ):
             rollbacks.append(
                 {
-                    "stage": _attr(r, "stage"),
+                    "stage": r.attr("stage"),
                     "t": _r9(r.t0),
-                    "cause": _attr(r, "cause") or "unknown",
-                    "delta": _attr(r, "delta"),
+                    "cause": r.attr("cause") or "unknown",
+                    "delta": r.attr("delta"),
                 }
             )
 

@@ -52,19 +52,11 @@ from repro.obs.analyze import (
 )
 from repro.obs.trace import (
     TraceFormatError,
-    TraceRecord,
     chrome_trace,
     iter_jsonl,
 )
 
 __all__ = ["main", "summarize"]
-
-
-def _attr(record: TraceRecord, key: str):
-    for k, v in record.attrs:
-        if k == key:
-            return v
-    return None
 
 
 def summarize(records, *, limit: int = 12) -> str:
@@ -100,11 +92,11 @@ def summarize(records, *, limit: int = 12) -> str:
         else:
             n_events += 1
             row["events"] += 1
-        node = _attr(r, "node")
+        node = r.attr("node")
         if node is not None and r.kind == "span":
             by_node[int(node)]["spans"] += 1
             by_node[int(node)]["busy"] += r.duration_s
-        tier = _attr(r, "tier")
+        tier = r.attr("tier")
         if tier is not None:
             trow = by_tier[str(tier)]
             if r.kind == "span":
@@ -112,7 +104,7 @@ def summarize(records, *, limit: int = 12) -> str:
                 trow["busy"] += r.duration_s
             else:
                 trow["events"] += 1
-        phase = _attr(r, "phase")
+        phase = r.attr("phase")
         if phase is not None:
             prow = by_phase[str(phase)]
             if r.kind == "span":

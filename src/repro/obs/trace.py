@@ -86,6 +86,13 @@ class TraceRecord:
     def duration_s(self) -> float:
         return 0.0 if self.t1 is None else self.t1 - self.t0
 
+    def attr(self, key: str):
+        """The value of attribute ``key``, or None when it is absent."""
+        for k, v in self.attrs:
+            if k == key:
+                return v
+        return None
+
 
 def _freeze_attrs(attrs: dict[str, object]) -> _Attrs:
     return tuple(sorted(attrs.items()))
@@ -199,10 +206,8 @@ class Tracer:
 
 
 def _tid(record: TraceRecord) -> int:
-    for key, value in record.attrs:
-        if key == "node":
-            return int(value)
-    return 0
+    node = record.attr("node")
+    return 0 if node is None else int(node)
 
 
 def chrome_trace(records) -> dict:

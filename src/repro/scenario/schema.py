@@ -4,6 +4,14 @@ Validation is *line-anchored*: every error names the scenario file and
 the 1-based line of the offending value, so a typo in a 60-line YAML
 points at itself rather than at a stack trace deep in the fleet engine.
 
+Defaults are not written here: only the keys a file sets reach the spec
+dataclasses (:class:`~repro.fleet.profiles.FleetScenario`,
+:class:`ChurnSpec`, :class:`ClassIncrementalSpec`, :class:`HeadSpec`,
+:class:`ReplicatesSpec`), so an absent key takes the dataclass default.
+The ``scenario:`` header is the exception: :class:`ScenarioSpec` has no
+defaults, so ``description`` / ``seed`` / ``engine`` / ``barrier`` keep
+theirs in :func:`load_spec`.
+
 Top-level grammar (see DESIGN.md §11 for the full reference)::
 
     scenario:                # required
@@ -163,29 +171,27 @@ class _Checker:
     def error(self, message: str, line: int) -> ScenarioError:
         return ScenarioError(message, filename=self.filename, line=line)
 
-    def child(self, key: str) -> Node | None:
+    def child(self, key: str, *, required=False, what="key") -> Node | None:
+        """The node under ``key``; None when absent and not required."""
         self.seen.add(key)
-        return self.entries.get(key)
+        node = self.entries.get(key)
+        if node is None and required:
+            raise self.error(
+                f"missing required {what} {self.path}.{key}", self.node.line
+            )
+        return node
 
     def mapping(self, key: str, *, required: bool = False) -> _Checker | None:
-        node = self.child(key)
+        node = self.child(key, required=required, what="section")
         if node is None:
-            if required:
-                raise self.error(
-                    f"missing required section {self.path}.{key}",
-                    self.node.line,
-                )
             return None
         return _Checker(node, f"{self.path}.{key}", self.filename)
 
-    def _scalar(self, key: str, kinds, kind_name, default, required):
-        node = self.child(key)
+    def _scalar(self, key: str, kinds, kind_name, required):
+        """``(value, line)`` for a present key, ``(None, None)`` if absent."""
+        node = self.child(key, required=required)
         if node is None:
-            if required:
-                raise self.error(
-                    f"missing required key {self.path}.{key}", self.node.line
-                )
-            return default
+            return None, None
         value = node.value
         if isinstance(value, bool) and bool not in kinds:
             value = None  # bools must not satisfy int/float slots
@@ -195,45 +201,30 @@ class _Checker:
             )
         return value, node.line
 
-    def str_(self, key: str, default=None, *, required=False, choices=None):
-        got = self._scalar(key, (str,), "a string", default, required)
-        if got is default and not isinstance(got, tuple):
-            return default
-        value, line = got
-        if choices is not None and value not in choices:
+    def str_(self, key: str, *, required=False, choices=None):
+        value, line = self._scalar(key, (str,), "a string", required)
+        if value is not None and choices is not None and value not in choices:
             raise self.error(
                 f"{self.path}.{key} must be one of {', '.join(choices)}",
                 line,
             )
         return value
 
-    def int_(self, key: str, default=None, *, required=False, minimum=None):
-        got = self._scalar(key, (int,), "an integer", default, required)
-        if got is default and not isinstance(got, tuple):
-            return default
-        value, line = got
-        if minimum is not None and value < minimum:
+    def int_(self, key: str, *, required=False, minimum=None):
+        value, line = self._scalar(key, (int,), "an integer", required)
+        if value is not None and minimum is not None and value < minimum:
             raise self.error(
                 f"{self.path}.{key} must be an integer >= {minimum}", line
             )
         return value
 
     def float_(
-        self,
-        key: str,
-        default=None,
-        *,
-        required=False,
-        minimum=None,
-        maximum=None,
+        self, key: str, *, required=False, minimum=None, maximum=None,
         exclusive=False,
     ):
-        got = self._scalar(
-            key, (int, float), "a number", default, required
-        )
-        if got is default and not isinstance(got, tuple):
-            return default
-        value, line = got
+        value, line = self._scalar(key, (int, float), "a number", required)
+        if value is None:
+            return None
         value = float(value)
         low_bad = minimum is not None and (
             value <= minimum if exclusive else value < minimum
@@ -244,25 +235,16 @@ class _Checker:
         if low_bad or high_bad:
             bounds = f"{'(' if exclusive else '['}{minimum}, {maximum}"
             bounds += ")" if exclusive else "]"
-            raise self.error(
-                f"{self.path}.{key} must be in {bounds}", line
-            )
+            raise self.error(f"{self.path}.{key} must be in {bounds}", line)
         return value
 
-    def bool_(self, key: str, default=None):
-        got = self._scalar(key, (bool,), "a boolean", default, False)
-        if got is default and not isinstance(got, tuple):
-            return default
-        return got[0]
+    def bool_(self, key: str):
+        return self._scalar(key, (bool,), "a boolean", False)[0]
 
     def int_list(self, key: str, *, required=False) -> tuple[tuple[int, int], ...] | None:
         """A flat list of ints; returns ((value, line), ...)."""
-        node = self.child(key)
+        node = self.child(key, required=required)
         if node is None:
-            if required:
-                raise self.error(
-                    f"missing required key {self.path}.{key}", self.node.line
-                )
             return None
         if not isinstance(node.value, list):
             raise self.error(
@@ -280,9 +262,16 @@ class _Checker:
     def finish(self) -> None:
         for key, node in self.entries.items():
             if key not in self.seen:
-                raise self.error(
-                    f"unknown key {self.path}.{key}", node.line
-                )
+                raise self.error(f"unknown key {self.path}.{key}", node.line)
+
+
+def _present(**values) -> dict[str, object]:
+    """The keys a file set; an absent one keeps its dataclass default."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _mbps_to_bps(mbps: float | None) -> float | None:
+    return None if mbps is None else mbps * 1e6
 
 
 def _build_base(
@@ -414,12 +403,12 @@ def _build_class_incremental(
     spec = ClassIncrementalSpec(
         groups=tuple(groups),
         phase_stages=tuple(phase_stages),
-        exemplar_capacity=checker.int_(
-            "exemplar_capacity", 64, minimum=1
-        ),
-        distill_weight=checker.float_("distill_weight", 1.0, minimum=0.0),
-        temperature=checker.float_(
-            "temperature", 2.0, minimum=0.0, exclusive=True
+        **_present(
+            exemplar_capacity=checker.int_("exemplar_capacity", minimum=1),
+            distill_weight=checker.float_("distill_weight", minimum=0.0),
+            temperature=checker.float_(
+                "temperature", minimum=0.0, exclusive=True
+            ),
         ),
     )
     checker.finish()
@@ -440,15 +429,22 @@ def load_spec(text: str, *, filename: str = "<scenario>") -> ScenarioSpec:
 
     scn = root.mapping("scenario", required=True)
     name = scn.str_("name", required=True)
-    description = scn.str_("description", "")
-    seed = scn.int_("seed", 0, minimum=0)
-    engine = scn.str_("engine", "lockstep", choices=ENGINES)
-    barrier = scn.bool_("barrier", True)
+    # ScenarioSpec's header fields have no dataclass defaults: these are.
+    header = {
+        "description": "", "seed": 0, "engine": "lockstep", "barrier": True,
+        **_present(
+            description=scn.str_("description"),
+            seed=scn.int_("seed", minimum=0),
+            engine=scn.str_("engine", choices=ENGINES),
+            barrier=scn.bool_("barrier"),
+        ),
+    }
+    seed = header["seed"]
     scn.finish()
 
     flt = root.mapping("fleet", required=True)
     num_nodes = flt.int_("nodes", required=True, minimum=1)
-    num_stages = flt.int_("stages", None, minimum=1)
+    num_stages = flt.int_("stages", minimum=1)
     base = _build_base(
         flt.mapping("base"),
         seed=seed,
@@ -458,25 +454,26 @@ def load_spec(text: str, *, filename: str = "<scenario>") -> ScenarioSpec:
     fleet = FleetScenario(
         base=base,
         num_nodes=num_nodes,
-        lte_fraction=flt.float_("lte_fraction", 0.5, minimum=0.0, maximum=1.0),
-        low_power_fraction=flt.float_(
-            "low_power_fraction", 0.25, minimum=0.0, maximum=1.0
-        ),
-        severity_jitter=flt.float_(
-            "severity_jitter", 0.1, minimum=0.0, maximum=0.9
-        ),
-        backhaul_bps=flt.float_(
-            "backhaul_mbps", 40.0, minimum=0.0, exclusive=True
-        )
-        * 1e6,
-        scheduler_policy=flt.str_("policy", "per-stage", choices=POLICIES),
-        upload_threshold=flt.int_("upload_threshold", 64, minimum=1),
-        accuracy_drop=flt.float_("accuracy_drop", 0.05, minimum=0.0),
-        canary_fraction=flt.float_(
-            "canary_fraction", 0.25, minimum=0.0, maximum=1.0
-        ),
-        max_regression=flt.float_("max_regression", 0.02, minimum=0.0),
         seed=seed,
+        **_present(
+            lte_fraction=flt.float_("lte_fraction", minimum=0.0, maximum=1.0),
+            low_power_fraction=flt.float_(
+                "low_power_fraction", minimum=0.0, maximum=1.0
+            ),
+            severity_jitter=flt.float_(
+                "severity_jitter", minimum=0.0, maximum=0.9
+            ),
+            backhaul_bps=_mbps_to_bps(
+                flt.float_("backhaul_mbps", minimum=0.0, exclusive=True)
+            ),
+            scheduler_policy=flt.str_("policy", choices=POLICIES),
+            upload_threshold=flt.int_("upload_threshold", minimum=1),
+            accuracy_drop=flt.float_("accuracy_drop", minimum=0.0),
+            canary_fraction=flt.float_(
+                "canary_fraction", minimum=0.0, maximum=1.0
+            ),
+            max_regression=flt.float_("max_regression", minimum=0.0),
+        ),
     )
     flt.finish()
 
@@ -492,8 +489,10 @@ def load_spec(text: str, *, filename: str = "<scenario>") -> ScenarioSpec:
                     "rate", required=True, minimum=0.0, maximum=1.0,
                     exclusive=True,
                 ),
-                max_outage_stages=churn_c.int_(
-                    "max_outage_stages", 2, minimum=1
+                **_present(
+                    max_outage_stages=churn_c.int_(
+                        "max_outage_stages", minimum=1
+                    ),
                 ),
             )
             churn_c.finish()
@@ -515,35 +514,35 @@ def load_spec(text: str, *, filename: str = "<scenario>") -> ScenarioSpec:
                 )
             heads = HeadSpec(
                 num_groups=num_groups,
-                epochs=heads_c.int_("epochs", 2, minimum=1),
-                lr=heads_c.float_("lr", 0.02, minimum=0.0, exclusive=True),
-                max_regression=heads_c.float_(
-                    "max_regression", 0.05, minimum=0.0
+                **_present(
+                    epochs=heads_c.int_("epochs", minimum=1),
+                    lr=heads_c.float_("lr", minimum=0.0, exclusive=True),
+                    max_regression=heads_c.float_(
+                        "max_regression", minimum=0.0
+                    ),
                 ),
             )
             heads_c.finish()
         procs.finish()
 
+    replicates = ReplicatesSpec()
     reps_c = root.mapping("replicates")
-    if reps_c is None:
-        replicates = ReplicatesSpec()
-    else:
+    if reps_c is not None:
         replicates = ReplicatesSpec(
-            count=reps_c.int_("count", 1, minimum=1),
-            bootstrap_samples=reps_c.int_("bootstrap_samples", 200, minimum=1),
-            confidence=reps_c.float_(
-                "confidence", 0.9, minimum=0.0, maximum=1.0, exclusive=True
-            ),
+            **_present(
+                count=reps_c.int_("count", minimum=1),
+                bootstrap_samples=reps_c.int_("bootstrap_samples", minimum=1),
+                confidence=reps_c.float_(
+                    "confidence", minimum=0.0, maximum=1.0, exclusive=True
+                ),
+            )
         )
         reps_c.finish()
     root.finish()
 
     return ScenarioSpec(
         name=name,
-        description=description,
-        seed=seed,
-        engine=engine,
-        barrier=barrier,
+        **header,
         fleet=fleet,
         churn=churn,
         class_incremental=class_incremental,

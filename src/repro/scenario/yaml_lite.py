@@ -10,7 +10,9 @@ can raise errors that point at the offending line of the user's file.
 Supported subset:
 
 - block mappings (``key: value`` / ``key:`` followed by an indented block)
-- block sequences (``- item``, including ``- key: value`` inline mappings)
+- block sequences (``- item``, ``- [1, 2]``, or ``-`` followed by an
+  indented block); a ``- key: value`` item is rejected as an ambiguous
+  scalar — no scenario field takes a list of mappings
 - inline sequences of scalars (``[1, 2, 3]``)
 - scalars: ints, floats (incl. scientific notation), ``true``/``false``,
   ``null``/``~``, single/double-quoted strings, bare strings
@@ -224,23 +226,10 @@ class _Parser:
                     items.append(Node(None, line.number))
                 else:
                     items.append(self.parse_block(child.indent))
-            elif ":" in rest and _looks_like_mapping(rest):
-                # "- key: value": a mapping whose first entry shares the
-                # dash's line; continuation keys sit two columns deeper.
-                item_indent = indent + 2
-                self.lines[self.pos] = _Line(line.number, item_indent, rest)
-                items.append(self.parse_mapping(item_indent))
             else:
                 self.pos += 1
                 items.append(Node(_parse_scalar(rest, line.number), line.number))
         return Node(items, first_line)
-
-
-def _looks_like_mapping(rest: str) -> bool:
-    key, _, tail = rest.partition(":")
-    return bool(key) and set(key.strip().lower()) <= _KEY_OK and (
-        not tail or tail.startswith(" ")
-    )
 
 
 def parse(text: str) -> Node:

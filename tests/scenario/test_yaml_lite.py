@@ -48,6 +48,7 @@ class TestLineAnchoredErrors:
             ("a: [1, 2\n", 1, "unterminated inline list"),
             ("a: 1\njust words\n", 2, "key: value"),
             ("a: {b: 1}\n", 1, "flow mappings"),
+            ("a:\n  - [1]\n  - b: 1\n", 3, "ambiguous scalar"),
         ],
     )
     def test_error_points_at_offending_line(self, text, line, fragment):
