@@ -8,22 +8,12 @@ bench quantifies how much it buys on each network's conv stack — conv1's
 
 from __future__ import annotations
 
-import pytest
-
-from repro.reports.figures import engine_search_rows
+from repro.reports.figures import engine_search_rows, engine_search_table
 
 
-@pytest.mark.slow
-def bench_ablation_engine_search(benchmark, tables):
+def bench_ablation_engine_search(benchmark):
     rows = benchmark.pedantic(engine_search_rows, rounds=1, iterations=1)
-    tables(
-        "Ablation — engine shape search vs square engine (conv cycles)",
-        ["network", "PE budget", "tuned TmxTn", "square TmxTn", "speedup"],
-        [
-            [r["net"], r["budget"], r["tuned"], r["naive"], f"{r['gain']:.2f}x"]
-            for r in rows
-        ],
-    )
+    print("\n" + engine_search_table(rows))
     for r in rows:
         # The search never loses to the square engine.
         assert r["gain"] >= 1.0

@@ -7,30 +7,14 @@ creating the latency/efficiency trade-off that motivates the time model.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.reports.figures import fig11_rows
+from repro.reports.figures import fig11_rows, fig11_table
 
 
-@pytest.mark.slow
-def bench_fig11_batch_latency(benchmark, alexnet, tables):
+def bench_fig11_batch_latency(benchmark, alexnet):
     rows = benchmark.pedantic(
         fig11_rows, args=(alexnet,), rounds=1, iterations=1
     )
-    tables(
-        "Fig. 11 — AlexNet latency & perf/W vs batch",
-        ["batch", "GPU ms", "GPU img/s/W", "FPGA ms", "FPGA img/s/W"],
-        [
-            [
-                r["batch"],
-                f"{r['gpu_latency_ms']:.1f}",
-                f"{r['gpu_ppw']:.2f}",
-                f"{r['fpga_latency_ms']:.1f}",
-                f"{r['fpga_ppw']:.2f}",
-            ]
-            for r in rows
-        ],
-    )
+    print("\n" + fig11_table(rows))
     gpu_lat = [r["gpu_latency_ms"] for r in rows]
     fpga_lat = [r["fpga_latency_ms"] for r in rows]
     gpu_ppw = [r["gpu_ppw"] for r in rows]

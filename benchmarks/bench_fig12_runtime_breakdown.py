@@ -7,28 +7,14 @@ the share fades as batching amortizes weight traffic.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.reports.figures import fig12_rows
+from repro.reports.figures import fig12_rows, fig12_table
 
 
-@pytest.mark.slow
-def bench_fig12_runtime_breakdown(benchmark, alexnet, tables):
+def bench_fig12_runtime_breakdown(benchmark, alexnet):
     rows = benchmark.pedantic(
         fig12_rows, args=(alexnet,), rounds=1, iterations=1
     )
-    tables(
-        "Fig. 12 — FCN share of inference runtime",
-        ["batch", "GPU FCN %", "FPGA FCN %"],
-        [
-            [
-                r["batch"],
-                f"{r['gpu_fc_frac']:.1%}",
-                f"{r['fpga_fc_frac']:.1%}",
-            ]
-            for r in rows
-        ],
-    )
+    print("\n" + fig12_table(rows))
     # FCN is a large share (>=40%) at batch 1 on both platforms.
     assert rows[0]["gpu_fc_frac"] > 0.4
     assert rows[0]["fpga_fc_frac"] > 0.4

@@ -9,36 +9,14 @@ Single-running mode lives on the GPU.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.reports.figures import fig14_rows
+from repro.reports.figures import fig14_rows, fig14_table
 
 
-@pytest.mark.slow
-def bench_fig14_batch_efficiency(benchmark, alexnet, tables):
+def bench_fig14_batch_efficiency(benchmark, alexnet):
     rows = benchmark.pedantic(
         fig14_rows, args=(alexnet,), rounds=1, iterations=1
     )
-    tables(
-        "Fig. 13-14 — perf/W (img/s/W) by layer type",
-        [
-            "batch", "GPU conv", "GPU fc", "FPGA conv",
-            "FPGA fc (no opt)", "FPGA fc (batch opt)", "GPU all", "FPGA all",
-        ],
-        [
-            [
-                r["batch"],
-                f"{r['gpu_conv']:.1f}",
-                f"{r['gpu_fc']:.1f}",
-                f"{r['fpga_conv']:.1f}",
-                f"{r['fpga_fc_nobatch']:.1f}",
-                f"{r['fpga_fc_batch']:.1f}",
-                f"{r['gpu_all']:.1f}",
-                f"{r['fpga_all']:.1f}",
-            ]
-            for r in rows
-        ],
-    )
+    print("\n" + fig14_table(rows))
     first, last = rows[0], rows[-1]
     # FPGA conv efficiency flat across batches.
     assert abs(last["fpga_conv"] - first["fpga_conv"]) < 1e-6

@@ -7,29 +7,14 @@ size does not appear in Eq. (4).
 
 from __future__ import annotations
 
-import pytest
-
-from repro.reports.figures import fig15_rows
+from repro.reports.figures import fig15_rows, fig15_table
 
 
-@pytest.mark.slow
-def bench_fig15_utilization(benchmark, alexnet, tables):
+def bench_fig15_utilization(benchmark, alexnet):
     rows = benchmark.pedantic(
         fig15_rows, args=(alexnet,), rounds=1, iterations=1
     )
-    tables(
-        "Fig. 15 — resource utilization vs batch",
-        ["batch", "GPU fc6 util", "GPU conv3 util", "FPGA conv3 util"],
-        [
-            [
-                r["batch"],
-                f"{r['gpu_fc6']:.2f}",
-                f"{r['gpu_conv3']:.2f}",
-                f"{r['fpga_conv3']:.2f}",
-            ]
-            for r in rows
-        ],
-    )
+    print("\n" + fig15_table(rows))
     # GPU fc6 utilization improves with batch (more grid blocks).
     assert rows[-1]["gpu_fc6"] >= rows[0]["gpu_fc6"]
     # FPGA utilization is identical at every batch size.

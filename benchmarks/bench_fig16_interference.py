@@ -7,29 +7,14 @@ spatially partitioned engines.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.reports.figures import fig16_rows
+from repro.reports.figures import fig16_rows, fig16_table
 
 
-@pytest.mark.slow
-def bench_fig16_interference(benchmark, alexnet, tables):
+def bench_fig16_interference(benchmark, alexnet):
     rows = benchmark.pedantic(
         fig16_rows, args=(alexnet,), rounds=1, iterations=1
     )
-    tables(
-        "Fig. 16 — GPU co-running interference",
-        ["diag duty", "inf solo ms", "inf co-run ms", "slowdown"],
-        [
-            [
-                f"{r['duty']:.2f}",
-                f"{r['result'].inference_solo_s * 1e3:.1f}",
-                f"{r['result'].inference_corun_s * 1e3:.1f}",
-                f"{r['result'].inference_slowdown:.2f}x",
-            ]
-            for r in rows
-        ],
-    )
+    print("\n" + fig16_table(rows))
     slowdowns = [r["result"].inference_slowdown for r in rows]
     # Monotone in diagnosis duty; reaches ~3X at full duty.
     assert slowdowns == sorted(slowdowns)

@@ -12,30 +12,12 @@ modeling genuinely disagree.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.reports.figures import fig21_rows
+from repro.reports.figures import fig21_rows, fig21_table
 
 
-@pytest.mark.slow
-def bench_fig21_single_running(benchmark, tables):
+def bench_fig21_single_running(benchmark):
     rows = benchmark.pedantic(fig21_rows, rounds=1, iterations=1)
-    tables(
-        "Fig. 21 — model-guided batch selection (perf/W on measured sim)",
-        ["net", "req ms", "model batch", "best batch",
-         "speedup vs non-batch", "% of best"],
-        [
-            [
-                r["net"],
-                f"{r['req_ms']:.0f}",
-                r["model_batch"],
-                r["best_batch"],
-                f"{r['speedup_vs_nonbatch']:.2f}x",
-                f"{r['fraction_of_best']:.1%}",
-            ]
-            for r in rows
-        ],
-    )
+    print("\n" + fig21_table(rows))
     alex = [r for r in rows if r["net"] == "AlexNet"]
     vgg = [r for r in rows if r["net"] == "VGGNet"]
     alex_speedup = sum(r["speedup_vs_nonbatch"] for r in alex) / len(alex)

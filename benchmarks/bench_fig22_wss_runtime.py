@@ -9,37 +9,17 @@ architectures but not for NWS.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.reports.figures import fig22_rows
-
-PE_BUDGET = 2628
-DEPTHS = (0, 3, 5)
+from repro.reports.figures import fig22_rows, fig22_table
 
 
-@pytest.mark.slow
-def bench_fig22_wss_runtime(benchmark, alexnet, tables):
+def bench_fig22_wss_runtime(benchmark, alexnet):
     rows = benchmark.pedantic(
         fig22_rows, args=(alexnet,), rounds=1, iterations=1
     )
-    tables(
-        f"Fig. 22 — CONV runtime at {PE_BUDGET} PEs",
-        ["arch", "sharing", "compute ms", "access ms", "total ms",
-         "diag idle"],
-        [
-            [
-                r["arch"],
-                f"CONV-{r['depth']}",
-                f"{r['compute_ms']:.2f}",
-                f"{r['access_ms']:.2f}",
-                f"{r['total_ms']:.2f}",
-                f"{r['idle']:.0%}",
-            ]
-            for r in rows
-        ],
-    )
+    print("\n" + fig22_table(rows))
+    depths = sorted({r["depth"] for r in rows})
     by_key = {(r["arch"], r["depth"]): r for r in rows}
-    for depth in DEPTHS:
+    for depth in depths:
         # WSS < NWS < WS on total runtime at every sharing strategy.
         assert (
             by_key[("WSS", depth)]["total_ms"]
@@ -48,9 +28,9 @@ def bench_fig22_wss_runtime(benchmark, alexnet, tables):
         )
     # Weight-access time decreases with sharing depth for WS/WSS only.
     for arch in ("WS", "WSS"):
-        access = [by_key[(arch, d)]["access_ms"] for d in DEPTHS]
+        access = [by_key[(arch, d)]["access_ms"] for d in depths]
         assert access[0] > access[1] > access[2]
-    nws_access = [by_key[("NWS", d)]["access_ms"] for d in DEPTHS]
+    nws_access = [by_key[("NWS", d)]["access_ms"] for d in depths]
     assert len(set(nws_access)) == 1
     # WS diagnosis engines idle ~75% of cycles.
     assert 0.65 < by_key[("WS", 3)]["idle"] < 0.85

@@ -8,37 +8,15 @@ requirement — its 50 ms throughput already beats NWS-batch's 800 ms best.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.hw.pipeline import ARCH_FACTORIES
-from repro.reports.figures import fig23_rows
-
-REQS_MS = (50, 100, 200, 400, 800)
+from repro.reports.figures import fig23_rows, fig23_table
 
 
-@pytest.mark.slow
-def bench_fig23_throughput(benchmark, alexnet, tables):
+def bench_fig23_throughput(benchmark, alexnet):
     rows = benchmark.pedantic(
         fig23_rows, args=(alexnet,), rounds=1, iterations=1
     )
-    tables(
-        "Fig. 23 — max throughput (img/s) vs latency requirement",
-        ["req ms"] + list(ARCH_FACTORIES),
-        [
-            [req]
-            + [
-                next(
-                    "x"
-                    if r["ips"] is None
-                    else f"{r['ips']:.0f} (B{r['batch']})"
-                    for r in rows
-                    if r["req_ms"] == req and r["arch"] == arch
-                )
-                for arch in ARCH_FACTORIES
-            ]
-            for req in REQS_MS
-        ],
-    )
+    print("\n" + fig23_table(rows))
+    reqs = sorted({r["req_ms"] for r in rows})
     get = lambda req, arch: next(
         r for r in rows if r["req_ms"] == req and r["arch"] == arch
     )
@@ -46,14 +24,14 @@ def bench_fig23_throughput(benchmark, alexnet, tables):
     assert get(50, "WS")["ips"] is None
     # WSS-NWS meets it and is best at every requirement level.
     assert get(50, "WSS-NWS")["ips"] is not None
-    for req in REQS_MS:
+    for req in reqs:
         wss = get(req, "WSS-NWS")["ips"]
         for arch in ("NWS", "NWS-batch", "WS"):
             other = get(req, arch)["ips"]
             if other is not None:
                 assert wss >= other
     # WS always produces the lowest throughput where it runs at all.
-    for req in REQS_MS[1:]:
+    for req in reqs[1:]:
         ws = get(req, "WS")["ips"]
         assert all(
             ws <= get(req, a)["ips"] for a in ("NWS", "NWS-batch", "WSS-NWS")

@@ -12,8 +12,6 @@ the same layer costs through discrete-event simulators:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.hw import TX1, VX690T, best_design, simulate_corun, simulate_pipeline
 
 
@@ -59,7 +57,6 @@ def run(alexnet, alexnet_diag):
     return rows
 
 
-@pytest.mark.slow
 def bench_validation_eventsim(benchmark, alexnet, alexnet_diag, tables):
     rows = benchmark.pedantic(
         run, args=(alexnet, alexnet_diag), rounds=1, iterations=1

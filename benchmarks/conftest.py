@@ -13,6 +13,7 @@ import pytest
 from repro.core import Scenario, run_all_systems
 from repro.data import DriftModel, ImageGenerator, make_dataset
 from repro.models import alexnet_spec, diagnosis_spec, vgg16_spec
+from repro.reports import format_table
 from repro.selfsup import (
     JigsawSampler,
     PermutationSet,
@@ -21,21 +22,12 @@ from repro.selfsup import (
 )
 
 
-def print_table(title: str, header: list[str], rows: list[list]) -> None:
-    """Uniform table printer for every bench's paper-style output."""
-    print(f"\n=== {title} ===")
-    widths = [
-        max(len(str(header[i])), max((len(str(r[i])) for r in rows), default=0))
-        for i in range(len(header))
-    ]
-    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-
-
 @pytest.fixture(scope="session")
 def tables():
-    return print_table
+    """Print a paper-style table (:func:`repro.reports.format_table`)."""
+    return lambda title, header, rows: print(
+        "\n" + format_table(title, header, rows)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -3,23 +3,24 @@
 A tour of the hardware substrate for architects: batch-size trade-offs on
 the mobile GPU (Eqs. 2-9), FPGA engine shaping, the NWS/WS/WSS comparison
 at equal PE budget, and how the weight-sharing depth chosen by the learning
-experiments (CONV-3) shows up as off-chip traffic savings.
+experiments (CONV-3) shows up as off-chip traffic savings.  The engine
+shaping and NWS/WS/WSS sections print the sweeps and tables of
+``repro.reports.figures`` (``python -m repro engines fig22``).
 
 Run:  python examples/design_space_exploration.py
 """
 
 from __future__ import annotations
 
-from repro.hw import (
-    TX1,
-    VX690T,
-    NWSArch,
-    TmTnEngine,
-    WSArch,
-    WSSArch,
-)
+from repro.hw import TX1, VX690T, WSSArch
 from repro.hw import gpu as gpu_model
-from repro.models import alexnet_spec, diagnosis_spec, vgg16_spec
+from repro.models import alexnet_spec, diagnosis_spec
+from repro.reports.figures import (
+    engine_search_rows,
+    engine_search_table,
+    fig22_rows,
+    fig22_table,
+)
 
 
 def gpu_batch_tradeoff() -> None:
@@ -40,39 +41,12 @@ def gpu_batch_tradeoff() -> None:
 
 
 def fpga_engine_shaping() -> None:
-    print("== FPGA engine shaping (Tm/Tn search) ==")
-    for spec in (alexnet_spec(), vgg16_spec()):
-        for budget in (512, 2048):
-            tuned = TmTnEngine.best_for(spec.conv_layers, budget)
-            naive = TmTnEngine.from_budget(budget)
-            tuned_c = sum(tuned.conv_cycles(s) for s in spec.conv_layers)
-            naive_c = sum(naive.conv_cycles(s) for s in spec.conv_layers)
-            print(
-                f"  {spec.name:8s} @ {budget:4d} PEs: tuned "
-                f"{tuned.tm}x{tuned.tn} beats square {naive.tm}x{naive.tn} "
-                f"by {naive_c / tuned_c:.2f}x"
-            )
+    print(engine_search_table(engine_search_rows(budgets=(512, 2048))))
     print()
 
 
 def corunning_architectures() -> None:
-    print("== Co-running CONV architectures @ 2628 PEs (Fig. 22) ==")
-    inf = alexnet_spec()
-    diag = diagnosis_spec(inf)
-    archs = (
-        NWSArch(2628, shape_for=inf.conv_layers),
-        WSArch(2628, shape_for=inf.conv_layers),
-        WSSArch(2628),
-    )
-    for arch in archs:
-        for depth in (0, 3, 5):
-            rt = arch.conv_runtime(inf, diag, VX690T, shared_depth=depth)
-            print(
-                f"  {arch.name:4s} CONV-{depth}: compute "
-                f"{rt.compute_s * 1e3:6.2f} ms, weight access "
-                f"{rt.weight_access_s * 1e3:5.2f} ms, diagnosis idle "
-                f"{rt.diagnosis_idle_fraction:4.0%}"
-            )
+    print(fig22_table(fig22_rows()))
     print()
 
 

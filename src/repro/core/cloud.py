@@ -131,6 +131,16 @@ class InSituCloud:
         )
         return seconds, self.cost_model.training_energy_j(seconds)
 
+    def modeled_scan_cost(self, images: int) -> tuple[float, float]:
+        """Titan-X (seconds, joules) for one inference pass over ``images``.
+
+        System b's Cloud-side diagnosis pays this over every uploaded image
+        to find the valuable subset.
+        """
+        ops = images * self.cost_spec.total_ops
+        seconds = ops / self.cost_model.sustained_ops
+        return seconds, self.cost_model.training_energy_j(seconds)
+
     # ------------------------------------------------------------------
     # The three Cloud jobs
     # ------------------------------------------------------------------

@@ -365,13 +365,9 @@ def run_system(
         # Cloud-side diagnosis (system b) pays an inference pass over all
         # uploaded data to find the valuable subset.
         if config.diagnosis_location == "cloud" and not is_initial:
-            scan_s = (
-                len(data)
-                * assets.cost_spec.total_ops
-                / cloud.cost_model.sustained_ops
-            )
+            scan_s, scan_j = cloud.modeled_scan_cost(len(data))
             modeled_s += scan_s
-            modeled_j += cloud.cost_model.training_energy_j(scan_s)
+            modeled_j += scan_j
 
         acc_after = evaluate(cloud.inference_net, assets.eval_data)
         result.stages.append(

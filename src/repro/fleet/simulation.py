@@ -576,15 +576,9 @@ def cloud_try_update(
     if runtime.cloud_diagnoser is not None:
         # System b: the Cloud pays an inference scan over every
         # uploaded image to find the valuable subset.
-        scan_s = (
-            len(pool)
-            * cloud.cost_spec.total_ops
-            / cloud.cost_model.sustained_ops
-        )
+        scan_s, scan_j = cloud.modeled_scan_cost(len(pool))
         outcome.modeled_update_time_s += scan_s
-        outcome.modeled_cloud_energy_j += cloud.cost_model.training_energy_j(
-            scan_s
-        )
+        outcome.modeled_cloud_energy_j += scan_j
         flags = runtime.cloud_diagnoser.diagnose(pool)
         train_data = pool.subset(np.flatnonzero(flags))
     if len(train_data):

@@ -735,16 +735,31 @@ _register(
 # ---------------------------------------------------------------------------
 # RPR008 — pytest-collected benchmarks must be marked slow
 
+#: A bench is analytical — seconds of closed-form models, no training —
+#: when its ``repro`` imports all come from these modules and it asks
+#: conftest only for network specs and the table printer.
+_ANALYTICAL_MODULES = ("repro.hw.", "repro.reports.figures.")
+_ANALYTICAL_FIXTURES = {"benchmark", "tables", "alexnet", "alexnet_diag",
+                        "vggnet"}
+
 
 class _BenchmarkSlowMarker(Rule):
     def applies(self, ctx: "FileContext") -> bool:
         return ctx.kind == "benchmarks" and ctx.path.name.startswith("bench_")
 
     def check(self, ctx: "FileContext") -> Iterator["Finding"]:
+        repro = [p for p in ctx.imports.aliases.values() if p.startswith("repro")]
+        analytical = bool(repro) and all(
+            p.startswith(_ANALYTICAL_MODULES) for p in repro
+        )
         for node in ctx.tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if not node.name.startswith(("bench_", "test_")):
+                continue
+            if analytical and {
+                a.arg for a in node.args.args
+            } <= _ANALYTICAL_FIXTURES:
                 continue
             if not any(self._is_slow_marker(ctx, d) for d in node.decorator_list):
                 yield self.finding(
@@ -753,7 +768,7 @@ class _BenchmarkSlowMarker(Rule):
                     f"pytest-collected benchmark `{node.name}` lacks "
                     "@pytest.mark.slow: unmarked benchmarks leak into the "
                     "PR-blocking fast lane (the perf-smoke --quick script "
-                    "path is the one exemption)",
+                    "path and analytical-model benches are the exemptions)",
                 )
 
     @staticmethod
@@ -768,10 +783,15 @@ _register(
     _BenchmarkSlowMarker(
         code="RPR008",
         name="benchmark-slow-marker",
-        summary="benchmarks/ test functions must carry @pytest.mark.slow",
+        summary=(
+            "benchmarks/ test functions must carry @pytest.mark.slow, "
+            "unless they only evaluate the analytical models"
+        ),
         rationale=(
             "CI's fast lane deselects `slow`; an unmarked bench silently "
-            "adds minutes of training to every PR (or never runs at all)"
+            "adds minutes of training to every PR (or never runs at all). "
+            "Benches over repro.hw / repro.reports.figures alone take "
+            "seconds and CI runs them on every PR"
         ),
         scope="benchmarks/bench_*.py",
     )

@@ -1,9 +1,12 @@
 """Command-line experiment runner: ``python -m repro <experiment>``.
 
 Regenerates the analytical tables/figures directly from the hardware
-models, without pytest.  Training-based experiments (Table I, Figs. 5-7,
-Table II, Fig. 25) run through the benchmark suite instead:
-``pytest benchmarks/ --benchmark-only``.
+models, without pytest.  Each figure's table is defined once, in
+:data:`repro.reports.figures.FIGURES` (rows plus the formatter that
+turns them into text); this module only adds ``specs`` and the ``fleet``
+experiment, and the figure benches print the same text.  Training-based
+experiments (Table I, Figs. 5-7, Table II, Fig. 25) run through the
+benchmark suite instead: ``pytest benchmarks/ --benchmark-only``.
 """
 
 from __future__ import annotations
@@ -15,169 +18,6 @@ from repro.reports import figures
 from repro.reports.tables import format_table
 
 __all__ = ["main"]
-
-
-def _render_fig11() -> str:
-    rows = figures.fig11_rows()
-    return format_table(
-        "Fig. 11 — AlexNet latency & perf/W vs batch",
-        ["batch", "GPU ms", "GPU img/s/W", "FPGA ms", "FPGA img/s/W"],
-        [
-            [
-                r["batch"],
-                f"{r['gpu_latency_ms']:.1f}",
-                f"{r['gpu_ppw']:.2f}",
-                f"{r['fpga_latency_ms']:.1f}",
-                f"{r['fpga_ppw']:.2f}",
-            ]
-            for r in rows
-        ],
-    )
-
-
-def _render_fig12() -> str:
-    rows = figures.fig12_rows()
-    return format_table(
-        "Fig. 12 — FCN share of inference runtime",
-        ["batch", "GPU FCN %", "FPGA FCN %"],
-        [
-            [r["batch"], f"{r['gpu_fc_frac']:.1%}", f"{r['fpga_fc_frac']:.1%}"]
-            for r in rows
-        ],
-    )
-
-
-def _render_fig14() -> str:
-    rows = figures.fig14_rows()
-    return format_table(
-        "Fig. 13-14 — perf/W (img/s/W) by layer type",
-        ["batch", "GPU conv", "GPU fc", "FPGA conv", "FPGA fc (no opt)",
-         "FPGA fc (batch)", "GPU all", "FPGA all"],
-        [
-            [
-                r["batch"],
-                f"{r['gpu_conv']:.1f}",
-                f"{r['gpu_fc']:.1f}",
-                f"{r['fpga_conv']:.1f}",
-                f"{r['fpga_fc_nobatch']:.1f}",
-                f"{r['fpga_fc_batch']:.1f}",
-                f"{r['gpu_all']:.1f}",
-                f"{r['fpga_all']:.1f}",
-            ]
-            for r in rows
-        ],
-    )
-
-
-def _render_fig15() -> str:
-    rows = figures.fig15_rows()
-    return format_table(
-        "Fig. 15 — resource utilization vs batch",
-        ["batch", "GPU fc6 util", "GPU conv3 util", "FPGA conv3 util"],
-        [
-            [
-                r["batch"],
-                f"{r['gpu_fc6']:.2f}",
-                f"{r['gpu_conv3']:.2f}",
-                f"{r['fpga_conv3']:.2f}",
-            ]
-            for r in rows
-        ],
-    )
-
-
-def _render_fig16() -> str:
-    rows = figures.fig16_rows()
-    return format_table(
-        "Fig. 16 — GPU co-running interference",
-        ["diag duty", "inf solo ms", "inf co-run ms", "slowdown"],
-        [
-            [
-                f"{r['duty']:.2f}",
-                f"{r['result'].inference_solo_s * 1e3:.1f}",
-                f"{r['result'].inference_corun_s * 1e3:.1f}",
-                f"{r['result'].inference_slowdown:.2f}x",
-            ]
-            for r in rows
-        ],
-    )
-
-
-def _render_fig21() -> str:
-    rows = figures.fig21_rows()
-    return format_table(
-        "Fig. 21 — model-guided batch selection",
-        ["net", "req ms", "model batch", "best batch",
-         "speedup vs non-batch", "% of best"],
-        [
-            [
-                r["net"],
-                f"{r['req_ms']:.0f}",
-                r["model_batch"],
-                r["best_batch"],
-                f"{r['speedup_vs_nonbatch']:.2f}x",
-                f"{r['fraction_of_best']:.1%}",
-            ]
-            for r in rows
-        ],
-    )
-
-
-def _render_fig22() -> str:
-    rows = figures.fig22_rows()
-    return format_table(
-        "Fig. 22 — CONV runtime at 2628 PEs",
-        ["arch", "sharing", "compute ms", "access ms", "total ms",
-         "diag idle"],
-        [
-            [
-                r["arch"],
-                f"CONV-{r['depth']}",
-                f"{r['compute_ms']:.2f}",
-                f"{r['access_ms']:.2f}",
-                f"{r['total_ms']:.2f}",
-                f"{r['idle']:.0%}",
-            ]
-            for r in rows
-        ],
-    )
-
-
-def _render_fig23() -> str:
-    rows = figures.fig23_rows()
-    reqs = sorted({r["req_ms"] for r in rows})
-    archs = []
-    for r in rows:
-        if r["arch"] not in archs:
-            archs.append(r["arch"])
-    by_key = {(r["req_ms"], r["arch"]): r for r in rows}
-    return format_table(
-        "Fig. 23 — max throughput (img/s) vs latency requirement",
-        ["req ms"] + archs,
-        [
-            [req]
-            + [
-                "x"
-                if by_key[(req, arch)]["ips"] is None
-                else f"{by_key[(req, arch)]['ips']:.0f} "
-                f"(B{by_key[(req, arch)]['batch']})"
-                for arch in archs
-            ]
-            for req in reqs
-        ],
-    )
-
-
-def _render_engines() -> str:
-    rows = figures.engine_search_rows()
-    return format_table(
-        "Ablation — Tm/Tn search vs square engine",
-        ["network", "PE budget", "tuned", "square", "speedup"],
-        [
-            [r["net"], r["budget"], r["tuned"], r["naive"], f"{r['gain']:.2f}x"]
-            for r in rows
-        ],
-    )
 
 
 def _render_specs() -> str:
@@ -431,17 +271,10 @@ def _render_fleet_event(
 
 
 _EXPERIMENTS: dict[str, Callable[[], str]] = {
-    "specs": _render_specs,
-    "fig11": _render_fig11,
-    "fig12": _render_fig12,
-    "fig14": _render_fig14,
-    "fig15": _render_fig15,
-    "fig16": _render_fig16,
-    "fig21": _render_fig21,
-    "fig22": _render_fig22,
-    "fig23": _render_fig23,
-    "engines": _render_engines,
+    name: lambda rows=rows, table=table: table(rows())
+    for name, (rows, table) in figures.FIGURES.items()
 }
+_EXPERIMENTS["specs"] = _render_specs
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,13 +1,19 @@
 """Analytical experiment sweeps behind the paper's figures.
 
-Each ``figNN_rows`` function computes the data series of one figure from
-the hardware models and returns it as a list of dicts; the benchmark suite
-asserts on these rows and the CLI renders them as tables.  Training-based
-experiments (Table I, Figs. 5-7, Table II, Fig. 25) live in the benchmark
-files because they need shared trained-model fixtures.
+Each figure is defined once, here: ``figNN_rows`` computes its data
+series from the hardware models as a list of dicts, and ``figNN_table``
+formats those rows into the figure's text table (title, header, cell
+formats).  :data:`FIGURES` pairs the two per experiment name;
+``python -m repro`` renders every entry from it, and each
+``benchmarks/bench_figNN_*.py`` asserts on the rows and prints the same
+table text.  Training-based experiments (Table I, Figs. 5-7, Table II,
+Fig. 25) live in the benchmark files because they need shared
+trained-model fixtures.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from repro.core import SingleRunningPlanner
 from repro.hw import (
@@ -26,17 +32,28 @@ from repro.hw import gpu as gpu_model
 from repro.hw.pipeline import ARCH_FACTORIES
 from repro.models import alexnet_spec, diagnosis_spec, vgg16_spec
 from repro.models.layer_specs import NetworkSpec
+from repro.reports.tables import format_table
 
 __all__ = [
+    "FIGURES",
     "fig11_rows",
+    "fig11_table",
     "fig12_rows",
+    "fig12_table",
     "fig14_rows",
+    "fig14_table",
     "fig15_rows",
+    "fig15_table",
     "fig16_rows",
+    "fig16_table",
     "fig21_rows",
+    "fig21_table",
     "fig22_rows",
+    "fig22_table",
     "fig23_rows",
+    "fig23_table",
     "engine_search_rows",
+    "engine_search_table",
 ]
 
 _FIG11_BATCHES = (1, 2, 4, 8, 16, 32, 64)
@@ -75,6 +92,23 @@ def fig11_rows(network: NetworkSpec | None = None) -> list[dict]:
     return rows
 
 
+def fig11_table(rows: list[dict]) -> str:
+    return format_table(
+        "Fig. 11 — AlexNet latency & perf/W vs batch",
+        ["batch", "GPU ms", "GPU img/s/W", "FPGA ms", "FPGA img/s/W"],
+        [
+            [
+                r["batch"],
+                f"{r['gpu_latency_ms']:.1f}",
+                f"{r['gpu_ppw']:.2f}",
+                f"{r['fpga_latency_ms']:.1f}",
+                f"{r['fpga_ppw']:.2f}",
+            ]
+            for r in rows
+        ],
+    )
+
+
 def fig12_rows(network: NetworkSpec | None = None) -> list[dict]:
     """FCN share of runtime vs batch (Fig. 12)."""
     net = network if network is not None else alexnet_spec()
@@ -93,6 +127,17 @@ def fig12_rows(network: NetworkSpec | None = None) -> list[dict]:
             }
         )
     return rows
+
+
+def fig12_table(rows: list[dict]) -> str:
+    return format_table(
+        "Fig. 12 — FCN share of inference runtime",
+        ["batch", "GPU FCN %", "FPGA FCN %"],
+        [
+            [r["batch"], f"{r['gpu_fc_frac']:.1%}", f"{r['fpga_fc_frac']:.1%}"]
+            for r in rows
+        ],
+    )
 
 
 def fig14_rows(network: NetworkSpec | None = None) -> list[dict]:
@@ -127,6 +172,17 @@ def fig14_rows(network: NetworkSpec | None = None) -> list[dict]:
     return rows
 
 
+def fig14_table(rows: list[dict]) -> str:
+    columns = ("gpu_conv", "gpu_fc", "fpga_conv", "fpga_fc_nobatch",
+               "fpga_fc_batch", "gpu_all", "fpga_all")
+    return format_table(
+        "Fig. 13-14 — perf/W (img/s/W) by layer type",
+        ["batch", "GPU conv", "GPU fc", "FPGA conv", "FPGA fc (no opt)",
+         "FPGA fc (batch)", "GPU all", "FPGA all"],
+        [[r["batch"]] + [f"{r[c]:.1f}" for c in columns] for r in rows],
+    )
+
+
 def fig15_rows(network: NetworkSpec | None = None) -> list[dict]:
     """GPU (Eq. 3) vs FPGA (Eq. 4) utilization vs batch (Fig. 15)."""
     net = network if network is not None else alexnet_spec()
@@ -144,6 +200,18 @@ def fig15_rows(network: NetworkSpec | None = None) -> list[dict]:
     ]
 
 
+def fig15_table(rows: list[dict]) -> str:
+    return format_table(
+        "Fig. 15 — resource utilization vs batch",
+        ["batch", "GPU fc6 util", "GPU conv3 util", "FPGA conv3 util"],
+        [
+            [r["batch"]]
+            + [f"{r[c]:.2f}" for c in ("gpu_fc6", "gpu_conv3", "fpga_conv3")]
+            for r in rows
+        ],
+    )
+
+
 def fig16_rows(network: NetworkSpec | None = None) -> list[dict]:
     """GPU co-running interference vs diagnosis duty (Fig. 16)."""
     net = network if network is not None else alexnet_spec()
@@ -155,6 +223,22 @@ def fig16_rows(network: NetworkSpec | None = None) -> list[dict]:
         }
         for duty in _FIG16_DUTIES
     ]
+
+
+def fig16_table(rows: list[dict]) -> str:
+    return format_table(
+        "Fig. 16 — GPU co-running interference",
+        ["diag duty", "inf solo ms", "inf co-run ms", "slowdown"],
+        [
+            [
+                f"{r['duty']:.2f}",
+                f"{r['result'].inference_solo_s * 1e3:.1f}",
+                f"{r['result'].inference_corun_s * 1e3:.1f}",
+                f"{r['result'].inference_slowdown:.2f}x",
+            ]
+            for r in rows
+        ],
+    )
 
 
 def fig21_rows() -> list[dict]:
@@ -187,6 +271,25 @@ def fig21_rows() -> list[dict]:
     return rows
 
 
+def fig21_table(rows: list[dict]) -> str:
+    return format_table(
+        "Fig. 21 — model-guided batch selection",
+        ["net", "req ms", "model batch", "best batch",
+         "speedup vs non-batch", "% of best"],
+        [
+            [
+                r["net"],
+                f"{r['req_ms']:.0f}",
+                r["model_batch"],
+                r["best_batch"],
+                f"{r['speedup_vs_nonbatch']:.2f}x",
+                f"{r['fraction_of_best']:.1%}",
+            ]
+            for r in rows
+        ],
+    )
+
+
 def fig22_rows(network: NetworkSpec | None = None) -> list[dict]:
     """NWS / WS / WSS conv runtime at the 2628-PE budget (Fig. 22)."""
     net = network if network is not None else alexnet_spec()
@@ -211,6 +314,25 @@ def fig22_rows(network: NetworkSpec | None = None) -> list[dict]:
                 }
             )
     return rows
+
+
+def fig22_table(rows: list[dict]) -> str:
+    return format_table(
+        f"Fig. 22 — CONV runtime at {_FIG22_PE_BUDGET} PEs",
+        ["arch", "sharing", "compute ms", "access ms", "total ms",
+         "diag idle"],
+        [
+            [
+                r["arch"],
+                f"CONV-{r['depth']}",
+                f"{r['compute_ms']:.2f}",
+                f"{r['access_ms']:.2f}",
+                f"{r['total_ms']:.2f}",
+                f"{r['idle']:.0%}",
+            ]
+            for r in rows
+        ],
+    )
 
 
 def fig23_rows(network: NetworkSpec | None = None) -> list[dict]:
@@ -241,6 +363,21 @@ def fig23_rows(network: NetworkSpec | None = None) -> list[dict]:
     return rows
 
 
+def fig23_table(rows: list[dict]) -> str:
+    reqs = sorted({r["req_ms"] for r in rows})
+    archs = list(dict.fromkeys(r["arch"] for r in rows))
+    by_key = {(r["req_ms"], r["arch"]): r for r in rows}
+
+    def cell(r: dict) -> str:
+        return "x" if r["ips"] is None else f"{r['ips']:.0f} (B{r['batch']})"
+
+    return format_table(
+        "Fig. 23 — max throughput (img/s) vs latency requirement",
+        ["req ms"] + archs,
+        [[req] + [cell(by_key[(req, arch)]) for arch in archs] for req in reqs],
+    )
+
+
 def engine_search_rows(budgets: tuple[int, ...] = (512, 1024, 2628)) -> list[dict]:
     """Tm/Tn design-space search vs naive square engines (ablation)."""
     rows = []
@@ -260,3 +397,29 @@ def engine_search_rows(budgets: tuple[int, ...] = (512, 1024, 2628)) -> list[dic
                 }
             )
     return rows
+
+
+def engine_search_table(rows: list[dict]) -> str:
+    return format_table(
+        "Ablation — Tm/Tn search vs square engine",
+        ["network", "PE budget", "tuned", "square", "speedup"],
+        [
+            [r["net"], r["budget"], r["tuned"], r["naive"], f"{r['gain']:.2f}x"]
+            for r in rows
+        ],
+    )
+
+
+#: Experiment name -> (rows, table): ``table(rows())`` is the figure's
+#: text, printed by ``python -m repro`` and by its benchmark alike.
+FIGURES: dict[str, tuple[Callable[[], list[dict]], Callable[..., str]]] = {
+    "fig11": (fig11_rows, fig11_table),
+    "fig12": (fig12_rows, fig12_table),
+    "fig14": (fig14_rows, fig14_table),
+    "fig15": (fig15_rows, fig15_table),
+    "fig16": (fig16_rows, fig16_table),
+    "fig21": (fig21_rows, fig21_table),
+    "fig22": (fig22_rows, fig22_table),
+    "fig23": (fig23_rows, fig23_table),
+    "engines": (engine_search_rows, engine_search_table),
+}

@@ -103,6 +103,41 @@ def test_qualify_does_not_flag_lookalike_attribute_chains():
     assert lint_source(source, "f.py") == []
 
 
+class TestRpr008AnalyticalExemption:
+    """Benches over the analytical models alone run unmarked in CI."""
+
+    @staticmethod
+    def _codes(imports: str, params: str) -> set[str]:
+        source = f"{imports}\ndef bench_fig(benchmark, {params}):\n    pass\n"
+        return {f.code for f in lint_source(source, "benchmarks/bench_x.py")}
+
+    def test_analytical_bench_needs_no_slow_marker(self):
+        imports = (
+            "from repro.hw import TX1\n"
+            "from repro.reports.figures import fig11_rows, fig11_table\n"
+        )
+        assert "RPR008" not in self._codes(imports, "alexnet, tables")
+
+    @pytest.mark.parametrize(
+        "imports, params",
+        [
+            # a training fixture from conftest
+            ("from repro.reports.figures import fig11_rows\n", "system_results"),
+            # any import beyond the analytical modules
+            (
+                "from repro.reports.figures import fig11_rows\n"
+                "from repro.fleet import run_fleet\n",
+                "alexnet",
+            ),
+            ("import repro.reports.figures\n", "alexnet"),
+            # no repro import at all is no evidence of an analytical bench
+            ("", "alexnet"),
+        ],
+    )
+    def test_anything_else_still_needs_it(self, imports, params):
+        assert "RPR008" in self._codes(imports, params)
+
+
 class TestTopologyScope:
     """The gateway tier is scheduling code: RPR006/RPR011 apply there.
 

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from repro.reports import figures
 from repro.reports.cli import _EXPERIMENTS, main
 from repro.reports.tables import format_table
 
@@ -43,9 +44,17 @@ class TestCLI:
             main(["fig99"])
 
     def test_cheap_experiments_registered(self):
-        for name in ("fig11", "fig12", "fig14", "fig15", "fig16", "fig22",
-                     "engines"):
-            assert name in _EXPERIMENTS
+        # Every figure repro.reports.figures defines, plus the specs table.
+        assert set(_EXPERIMENTS) == set(figures.FIGURES) | {"specs"}
+        assert {"fig21", "fig23", "engines"} <= set(figures.FIGURES)
+
+    def test_figure_titles_are_distinct(self):
+        # A table's title line does not depend on its rows.
+        titles = [
+            table([]).splitlines()[0] for _, table in figures.FIGURES.values()
+        ]
+        assert all(t.startswith("=== ") for t in titles)
+        assert len(set(titles)) == len(titles), titles
 
 
 class TestFleetModeFlag:
