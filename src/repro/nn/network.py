@@ -62,7 +62,7 @@ class Sequential:
     def reusing_prefix(self, depths: Sequence[int]) -> Iterator[None]:
         """Inference forwards inside the block resume from, and feed,
         :mod:`repro.nn.prefix_memo` at the prefix lengths ``depths``: for
-        passes whose batches recur (dataset-order sweeps), not minibatches."""
+        passes whose images recur (dataset-order sweeps), not minibatches."""
         before, self._reuse_depths = self._reuse_depths, tuple(depths)
         try:
             yield

@@ -1,15 +1,22 @@
-"""Process-wide memo of prefix activations: one pass per (weights, batch).
+"""Process-wide memo of conv-prefix activations: one pass per (weights, image).
 
 :func:`infer` maps ``(digest of all that layers[:k] read at inference, digest
-of the batch's dtype + shape + bytes)`` to the inference-mode output of
-``layers[:k]``.  A hit is exact by construction — the same parameter bytes on
-the same batch bytes are the same BLAS calls the miss made; no GEMM is assumed
-batch-invariant, so the unit is the whole batch, not the image (DESIGN §7).
+of one image's dtype + shape + bytes)`` to that image's row of the
+inference-mode output of ``layers[:k]``.  A batch resumes from the deepest
+prefix length at which *every* image has a row: the rows are stacked, with
+the strides the layer produced, and the layers after that depth run on the
+caller's batch unchanged.  If any image misses, the whole batch is computed
+— never a sub-batch — and one row per image is stored.
 
-Stored arrays are read-only and own their data: a view, which might alias a
-:mod:`repro.nn.workspace` buffer or the caller's batch, is copied.  At most
-:data:`MAX_BYTES` are held, oldest entry out first.  Per-process and not
-thread-safe, like the workspace.
+A hit is exact because a row of the conv prefix does not depend on what else
+is in its batch, a BLAS property pinned by name
+(``tests/nn/test_prefix_memo.py::test_conv_prefix_rows_invariant_to_batch_composition``);
+the FC GEMMs, whose rows are not batch-invariant, always see the batch the
+caller passed (DESIGN §7).
+
+Stored rows are read-only and own their data.  At most :data:`MAX_BYTES` are
+held, least recently used row out first.  Per-process and not thread-safe,
+like the workspace.
 """
 
 from __future__ import annotations
@@ -25,68 +32,138 @@ from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["MAX_BYTES", "METRICS", "clear", "infer", "params_digest"]
 
-#: bound on stored bytes; the e2e workloads' working sets are 10-26 MB
+#: bound on stored bytes; the e2e workloads' working sets are 7-12 MB
 MAX_BYTES = 32 << 20
 
-#: ``prefix_memo.hits`` (at the deepest depth asked for), ``.resumes`` (from a
-#: shallower one), ``.misses``, ``.evictions``, ``.bytes``.  Not a run's ambient
-#: registry, which is pinned byte-identical across reruns and worker counts:
-#: what hits depends on what the process ran before.
+#: ``prefix_memo.hits`` (every image at the deepest depth asked for),
+#: ``.resumes`` (every image at a shallower one), ``.misses`` (per batch),
+#: ``.evictions`` (per row), ``.bytes``.  Not a run's ambient registry, which
+#: is pinned byte-identical across reruns and worker counts: what hits
+#: depends on what the process ran before.
 METRICS = MetricsRegistry()
 
-_ENTRIES: OrderedDict[tuple[bytes, bytes], np.ndarray] = OrderedDict()
+_ROWS: OrderedDict[tuple[bytes, bytes], np.ndarray] = OrderedDict()
+
+
+def _hash_layer(digest, layer: Layer) -> None:
+    # hyper-parameters (stride, pad, pool size, slope, eps) shape the output
+    # as much as the arrays do; bools are transient marks
+    config = sorted(
+        kv for kv in vars(layer).items() if type(kv[1]) in (int, float, str)
+    )
+    digest.update(repr((type(layer).__name__, config)).encode())
+    for array in layer.inference_arrays():
+        digest.update(repr((array.dtype.str, array.shape)).encode())
+        digest.update(np.ascontiguousarray(array))
 
 
 def params_digest(layers: Sequence[Layer]) -> bytes:
-    """Digest of all that ``layers`` read at inference besides their input."""
-    digest = hashlib.blake2b(digest_size=16)
+    """Digest of all that ``layers`` read at inference besides their input.
+
+    SHA-256: the fastest cryptographic hash of at least 128 bits in
+    ``hashlib`` on x86 CPUs with SHA extensions (about twice blake2b's rate).
+    """
+    digest = hashlib.sha256()
     for layer in layers:
-        # hyper-parameters (stride, pad, pool size, slope, eps) shape the
-        # output as much as the arrays do; bools are transient marks
-        config = sorted(
-            kv for kv in vars(layer).items() if type(kv[1]) in (int, float, str)
-        )
-        digest.update(repr((type(layer).__name__, config)).encode())
-        for array in layer.inference_arrays():
-            digest.update(repr((array.dtype.str, array.shape)).encode())
-            digest.update(np.ascontiguousarray(array))
+        _hash_layer(digest, layer)
     return digest.digest()
+
+
+def _prefix_digests(
+    layers: Sequence[Layer], depths: Sequence[int]
+) -> dict[int, bytes]:
+    """``params_digest(layers[:d])`` for every ``d`` in ``depths``, in one
+    pass: ``digest()`` reads a copy of the running state."""
+    digest, keys = hashlib.sha256(), {}
+    for depth, layer in enumerate(layers[: max(depths)], 1):
+        _hash_layer(digest, layer)
+        if depth in depths:
+            keys[depth] = digest.digest()
+    return keys
+
+
+def _image_digests(x: np.ndarray) -> list[bytes]:
+    header = hashlib.sha256(repr((x.dtype.str, x.shape[1:])).encode())
+    keys = []
+    for image in x:
+        digest = header.copy()
+        digest.update(np.ascontiguousarray(image))
+        keys.append(digest.digest())
+    return keys
+
+
+def _lookup(params: bytes, images: list[bytes]) -> np.ndarray | None:
+    """The batch of ``images``' rows under ``params``, or ``None`` unless
+    every image has one.  A hit makes its rows the most recently used."""
+    rows = []
+    for image in images:
+        row = _ROWS.get((params, image))
+        if row is None:
+            return None
+        rows.append(row)
+    for image in images:
+        _ROWS.move_to_end((params, image))
+    first = rows[0]
+    out = np.lib.stride_tricks.as_strided(
+        np.empty(len(rows) * first.size, first.dtype),
+        (len(rows), *first.shape),
+        (first.nbytes, *first.strides),
+    )
+    for i, row in enumerate(rows):
+        out[i] = row
+    out.flags.writeable = False
+    return out
+
+
+def _store(params: bytes, images: list[bytes], out: np.ndarray) -> None:
+    """One owning, read-only row of ``out`` per image, unless ``out`` is over
+    the bound or its rows would not stack back to its strides."""
+    if out.nbytes > MAX_BYTES:
+        return
+    first = out[0].copy(order="K")
+    if out.strides != (first.nbytes, *first.strides):  # batch axis not outermost
+        return
+    held = METRICS.gauge("prefix_memo.bytes")
+    for image, row in zip(images, out):
+        key = (params, image)
+        if key in _ROWS:  # the same bytes: batch composition moves no row
+            _ROWS.move_to_end(key)
+            continue
+        row = row.copy(order="K")
+        row.flags.writeable = False
+        _ROWS[key] = row
+        held.inc(row.nbytes)
+    while held.value > MAX_BYTES:
+        held.dec(_ROWS.popitem(last=False)[1].nbytes)
+        METRICS.counter("prefix_memo.evictions").inc()
 
 
 def infer(layers: Sequence[Layer], depths: Sequence[int], x: np.ndarray) -> np.ndarray:
     """Inference-mode output of ``layers`` on ``x``: resumed from the deepest
-    of the prefix lengths ``depths`` held, stored (read-only) at the rest."""
-    start, out, pending = 0, x, {}
-    if depths:
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(repr((x.dtype.str, x.shape)).encode())
-        digest.update(np.ascontiguousarray(x))
-        batch_key = digest.digest()
-    for depth in sorted(depths, reverse=True):
-        key = (params_digest(layers[:depth]), batch_key)
-        if key in _ENTRIES:
-            start, out = depth, _ENTRIES[key]
-            break
-        pending[depth] = key
-    if depths:
-        outcome = "misses" if not start else "resumes" if pending else "hits"
+    of the prefix lengths ``depths`` at which every image has a row, rows
+    stored (read-only) at the deeper ones."""
+    start, out, keys, images = 0, x, {}, []
+    if depths and len(x):
+        keys, images = _prefix_digests(layers, depths), _image_digests(x)
+        for depth in sorted(depths, reverse=True):
+            stacked = _lookup(keys[depth], images)
+            if stacked is not None:
+                start, out = depth, stacked
+                break
+        outcome = (
+            "misses" if not start else "hits" if start == max(depths) else "resumes"
+        )
         METRICS.counter(f"prefix_memo.{outcome}").inc()
-    held = METRICS.gauge("prefix_memo.bytes")
     for depth, layer in enumerate(layers[start:], start + 1):
         out = layer.forward(out, training=False)
-        if depth in pending and out.nbytes <= MAX_BYTES:
-            if not out.flags.owndata or out is x:
-                out = out.copy(order="K")
-            out.flags.writeable = False
-            _ENTRIES[pending[depth]] = out
-            held.inc(out.nbytes)
-            while held.value > MAX_BYTES:
-                held.dec(_ENTRIES.popitem(last=False)[1].nbytes)
-                METRICS.counter("prefix_memo.evictions").inc()
+        if depth in keys:
+            _store(keys[depth], images, out)
+            if out is not x:
+                out.flags.writeable = False
     return out
 
 
 def clear() -> None:
-    """Forget every entry (tests; benches that time training)."""
-    _ENTRIES.clear()
+    """Forget every row (tests; benches that time training)."""
+    _ROWS.clear()
     METRICS.gauge("prefix_memo.bytes").set(0)

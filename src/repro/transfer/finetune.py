@@ -142,7 +142,8 @@ def train_classifier(
     started = perf_counter()
     result = TrainResult(network=net)
     boundary = split_at_frozen_prefix(net) if cache_frozen_features else 0
-    # One pass over the frozen prefix, or none if a sweep already made it.
+    # One pass over the frozen prefix, or none if sweeps already made every
+    # image's rows.
     prefix = net.layers[:boundary]
     depths = [d for d in reuse_depths(net) if d <= boundary]
     inputs = prefix_memo.infer(prefix, depths, train_data.images)

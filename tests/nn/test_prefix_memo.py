@@ -1,9 +1,12 @@
-"""One frozen-prefix pass per (weights, batch): the memo is exact or absent.
+"""One conv-prefix pass per (weights, image): the memo is exact or absent.
 
 A memoised sweep (``predict_logits``) must be ``tobytes()``-equal to the same
 slices pushed through the layers one by one with no memo in sight, whatever
-was swept, loaded, frozen or trained before; a changed byte anywhere a prefix
-reads must miss; stored arrays are read-only and alias nothing.
+was swept, loaded, frozen or trained before, and however the images were
+grouped into batches; a changed byte anywhere a prefix reads must miss;
+stored rows are read-only and alias nothing.  The BLAS property the row store
+rests on is pinned by name:
+:func:`test_conv_prefix_rows_invariant_to_batch_composition`.
 """
 
 from __future__ import annotations
@@ -21,10 +24,17 @@ from repro.nn import (
     Linear,
     ReLU,
     Sequential,
+    accuracy,
     prefix_memo,
     workspace,
 )
-from repro.transfer import FreezePlan, evaluate, predict_logits, train_classifier
+from repro.transfer import (
+    FreezePlan,
+    evaluate,
+    evaluate_on_classes,
+    predict_logits,
+    train_classifier,
+)
 from repro.transfer.finetune import reuse_depths
 
 
@@ -80,6 +90,69 @@ def variants(pool: Dataset, count: int) -> dict[str, Dataset]:
         "strided_pixels": Dataset(wide, labels),
         "subset": pool.subset(np.arange(count)),
     }
+
+
+@pytest.fixture
+def conv_calls(monkeypatch) -> list[tuple[str, int]]:
+    """``(layer name, batch rows)`` of every ``Conv2D.forward`` from here on."""
+    calls: list[tuple[str, int]] = []
+    conv_forward = Conv2D.forward
+
+    def counting(self, x, *, training=False):
+        calls.append((self.name, len(x)))
+        return conv_forward(self, x, training=training)
+
+    monkeypatch.setattr(Conv2D, "forward", counting)
+    return calls
+
+
+def test_conv_prefix_rows_invariant_to_batch_composition(pool):
+    """The BLAS property the row store rests on: an image's conv-prefix rows
+    at both reuse depths do not depend on the batch it was computed in.
+
+    Holds on this repo's BLAS unpinned and at one thread; if a BLAS build
+    breaks it, per-image reuse is no longer exact and this test says so by
+    name.  FC outputs are *not* batch-invariant, so the memo never stacks
+    anything past the conv trunk's flatten.
+    """
+    net = build_classifier(4, np.random.default_rng(4))
+    depths = reuse_depths(net)
+    checked = 200  # pool images past these only mix into batches
+
+    def rows(batch: np.ndarray) -> list[np.ndarray]:
+        out, kept = batch, []
+        for depth, layer in enumerate(net.layers[: max(depths)], 1):
+            out = layer.forward(out, training=False)
+            if depth in depths:
+                kept.append(out.copy(order="K"))
+        return kept
+
+    def check(groups: list[np.ndarray], label) -> None:
+        """One batch of pool images per index array in ``groups``."""
+        for group in groups:
+            for at, reference in zip(rows(pool.images[group]), alone):
+                for row, image in zip(at, group):
+                    if image < checked:
+                        assert row.tobytes() == reference[image].tobytes(), (
+                            label,
+                            image,
+                        )
+
+    try:
+        per_image = [rows(pool.images[i : i + 1]) for i in range(checked)]
+        alone = [np.concatenate(at) for at in zip(*per_image)]
+        order = np.arange(checked)
+        for size in (2, 5, 31, 32, 64, 128, 200):
+            check(np.array_split(order, range(size, checked, size)), size)
+        shuffled = np.random.default_rng(0).permutation(order)
+        check([shuffled], "permuted")
+        check(np.array_split(shuffled, [64, 128]), "permuted slices")
+        mixed = np.random.default_rng(1).permutation(
+            np.r_[order[:100], checked : len(pool)]
+        )
+        check(np.array_split(mixed, [7, 71, 199]), "mixed with other images")
+    finally:
+        workspace.reset()  # batch 200's conv1 columns: 0.3 GB
 
 
 class TestExactness:
@@ -152,7 +225,88 @@ class TestExactness:
         before = counts()
         net.predict(pool.images[:8])
         net.forward(pool.images[:8], training=True)
-        assert moved(before) == {} and not prefix_memo._ENTRIES
+        assert moved(before) == {} and not prefix_memo._ROWS
+
+
+class TestRowReuse:
+    """The same images grouped differently: no conv prefix runs again."""
+
+    def test_class_subsets_after_a_full_sweep_run_no_conv(
+        self, pool, conv_calls
+    ):
+        net = build_classifier(4, np.random.default_rng(4))
+        data = pool.take(200)
+        evaluate(net, data)
+        conv_calls.clear()
+        before = counts()
+        groups = ((0,), (1, 3), (0, 1, 2))
+        scores = [evaluate_on_classes(net, data, classes) for classes in groups]
+        assert conv_calls == []
+        assert set(moved(before)) == {"hits"}
+        for classes, score in zip(groups, scores):
+            subset = data.subset(np.flatnonzero(np.isin(data.labels, classes)))
+            logits = memo_free_logits(net, subset)
+            assert score == accuracy(logits, subset.labels), classes
+
+    def test_concatenated_swept_batches_hit(self, pool):
+        net = build_classifier(4, np.random.default_rng(4))
+        first, second = pool.take(40), pool.subset(np.arange(40, 100))
+        predict_logits(net, first)
+        predict_logits(net, second)
+        both = Dataset.concat([second, first])
+        before = counts()
+        swept = predict_logits(net, both)
+        assert moved(before) == {"hits": 1}
+        assert swept.tobytes() == memo_free_logits(net, both).tobytes()
+
+    def test_one_unseen_image_computes_the_whole_batch(self, pool, conv_calls):
+        net = build_classifier(4, np.random.default_rng(4))
+        seen = pool.take(40)
+        predict_logits(net, seen)
+        batch = pool.subset(np.r_[np.arange(39), 250])
+        conv_calls.clear()
+        before = counts()
+        swept = predict_logits(net, batch)
+        assert moved(before) == {"misses": 1}
+        assert conv_calls == [(f"conv{i}", 40) for i in range(1, 6)]
+        assert swept.tobytes() == memo_free_logits(net, batch).tobytes()
+
+    def test_frozen_prefix_trainer_pass_hits_after_node_sweeps(
+        self, pool, conv_calls
+    ):
+        """System d's shape: nodes sweep their stage data with the deployed
+        copy, the Cloud retrains ``FreezePlan(3)`` on uploads + archive."""
+        stages = [pool.subset(np.arange(s, s + 30)) for s in (0, 30, 60)]
+        archive = pool.subset(np.arange(90, 130))
+        uploads = Dataset.concat([s.subset(np.arange(0, 30, 3)) for s in stages])
+        train_data = Dataset.concat([uploads, archive])
+
+        def retrain(sweep: bool):
+            cloud = build_classifier(4, np.random.default_rng(4))
+            deployed = build_classifier(4, np.random.default_rng(4))
+            if sweep:
+                for data in (*stages, archive):
+                    predict_logits(deployed, data)
+            conv_calls.clear()
+            before = counts()
+            result = train_classifier(
+                cloud,
+                train_data,
+                epochs=2,
+                rng=np.random.default_rng(9),
+                freeze_plan=FreezePlan(3),
+            )
+            prefix = [n for n, _ in conv_calls if n in ("conv1", "conv2", "conv3")]
+            return result.losses, cloud.state_dict(), prefix, moved(before)
+
+        losses, state, prefix, outcome = retrain(sweep=True)
+        assert prefix == [] and outcome == {"hits": 1}
+        prefix_memo.clear()
+        cold_losses, cold_state, cold_prefix, cold = retrain(sweep=False)
+        assert cold_prefix == ["conv1", "conv2", "conv3"] and cold == {"misses": 1}
+        assert losses == cold_losses
+        for name, value in state.items():
+            assert value.tobytes() == cold_state[name].tobytes(), name
 
 
 class TestStaleness:
@@ -254,9 +408,37 @@ class TestBoundAndHygiene:
                 assert swept.tobytes() == memo_free_logits(net, data).tobytes()
                 assert held.value <= prefix_memo.MAX_BYTES
                 assert held.value == sum(
-                    a.nbytes for a in prefix_memo._ENTRIES.values()
+                    a.nbytes for a in prefix_memo._ROWS.values()
                 )
         assert moved(before)["evictions"] >= 4
+
+    def test_a_repeatedly_hit_eval_set_outlives_one_off_batches(
+        self, pool, monkeypatch
+    ):
+        """Least recently used out first: a stream of node batches that never
+        recur cannot push out the eval set every decision re-scores."""
+        net = build_classifier(4, np.random.default_rng(4))
+        eval_data = pool.take(20)
+        stream = [pool.subset(np.arange(s, s + 20)) for s in range(20, 300, 20)]
+        predict_logits(net, eval_data)
+        one_set = prefix_memo.METRICS.gauge("prefix_memo.bytes").value
+        prefix_memo.clear()
+        monkeypatch.setattr(prefix_memo, "MAX_BYTES", int(2.5 * one_set))
+        held = prefix_memo.METRICS.gauge("prefix_memo.bytes")
+        predict_logits(net, eval_data)
+        before = counts()
+        for batch in stream:
+            assert predict_logits(net, batch).tobytes() == (
+                memo_free_logits(net, batch).tobytes()
+            )
+            hit = counts()
+            swept = predict_logits(net, eval_data)
+            assert moved(hit) == {"hits": 1}
+            assert swept.tobytes() == memo_free_logits(net, eval_data).tobytes()
+            assert held.value <= prefix_memo.MAX_BYTES
+            assert held.value == sum(a.nbytes for a in prefix_memo._ROWS.values())
+        # at least half of the stream's rows were pushed out, none of eval's
+        assert moved(before)["evictions"] >= 20 * len(stream)
 
     def test_an_output_over_the_bound_is_not_stored(self, pool, monkeypatch):
         net = build_classifier(4, np.random.default_rng(4))
@@ -265,7 +447,7 @@ class TestBoundAndHygiene:
         before = counts()
         swept = predict_logits(net, data)
         assert swept.tobytes() == memo_free_logits(net, data).tobytes()
-        assert not prefix_memo._ENTRIES and moved(before) == {"misses": 1}
+        assert not prefix_memo._ROWS and moved(before) == {"misses": 1}
 
     def test_stored_arrays_are_read_only_and_alias_nothing(self, pool):
         net = build_classifier(4, np.random.default_rng(4))
@@ -274,8 +456,9 @@ class TestBoundAndHygiene:
             net, pool.take(16), epochs=1, rng=np.random.default_rng(0)
         )
         predict_logits(net, data)
-        assert len(prefix_memo._ENTRIES) == 4  # two batches, two depths
-        for entry in prefix_memo._ENTRIES.values():
+        # one row per image at each of the two depths, from two batches
+        assert len(prefix_memo._ROWS) == 2 * len(data)
+        for entry in prefix_memo._ROWS.values():
             assert entry.flags.owndata and not entry.flags.writeable
             assert not np.shares_memory(entry, data.images)
             for block in workspace._BUFFERS.values():
@@ -304,7 +487,7 @@ class TestBoundAndHygiene:
         predict_logits(net, pool.take(8))
         assert prefix_memo.METRICS.gauge("prefix_memo.bytes").value > 0
         prefix_memo.clear()
-        assert not prefix_memo._ENTRIES
+        assert not prefix_memo._ROWS
         assert prefix_memo.METRICS.gauge("prefix_memo.bytes").value == 0
         before = counts()
         predict_logits(net, pool.take(8))
@@ -312,18 +495,11 @@ class TestBoundAndHygiene:
 
 
 class TestTrainerPrefixPass:
-    def test_head_update_reuses_the_sweep_before_it(self, pool, monkeypatch):
+    def test_head_update_reuses_the_sweep_before_it(self, pool, conv_calls):
         """evaluate -> FreezePlan(5) train -> evaluate on one small set: the
         trunk runs once (scenario.heads' shape)."""
         group = pool.take(48)
-        calls: list[str] = []
-        conv_forward = Conv2D.forward
-
-        def counting(self, x, *, training=False):
-            calls.append(self.name)
-            return conv_forward(self, x, training=training)
-
-        monkeypatch.setattr(Conv2D, "forward", counting)
+        trunk = [(f"conv{i}", len(group)) for i in range(1, 6)]
 
         def head_update(net, between=lambda: None):
             between()
@@ -341,14 +517,14 @@ class TestTrainerPrefixPass:
 
         before = counts()
         reused = head_update(build_classifier(4, np.random.default_rng(4)))
-        assert calls == [f"conv{i}" for i in range(1, 6)]
+        assert conv_calls == trunk
         assert moved(before) == {"misses": 1, "hits": 2}
 
-        calls.clear()
+        conv_calls.clear()
         recomputed = head_update(
             build_classifier(4, np.random.default_rng(4)), prefix_memo.clear
         )
-        assert calls == [f"conv{i}" for i in range(1, 6)] * 3
+        assert conv_calls == trunk * 3
         assert reused[:3] == recomputed[:3]
         for name, value in reused[3].items():
             assert np.array_equal(value, recomputed[3][name]), name
@@ -365,4 +541,4 @@ class TestTrainerPrefixPass:
                 rng=np.random.default_rng(0),
                 freeze_plan=FreezePlan(depth),
             )
-            assert len(prefix_memo._ENTRIES) == stored, depth
+            assert len(prefix_memo._ROWS) == stored * len(data), depth
