@@ -20,15 +20,21 @@ names mid-step, a dangling training forward) the layer allocates instead, so
 a live cache is never aliased.
 
 Column matrices sit in memory in the paper's Dm layout ``(N*K*K, B*R*C)``
-(Fig. 8) and the GEMMs see them through transpose views: forward and
-weight-gradient products are written exactly as for a row-major column
-matrix, and the gradient columns are computed straight into Dm layout as
+(Fig. 8) and the GEMMs see them through transpose views.  ``forward`` runs
+im2col + GEMM per block of at most :data:`BLOCK_BYTES` of columns (whole
+images, groups as the inner loop), each block's product landing in its rows
+of the ``(B*R*C, M)`` output: inference reuses one block-sized
+``cols_infer`` buffer, training fills its whole-batch slot one column block
+at a time, because backward's weight gradient sums over every row.  That is
+exact because a conv GEMM row does not depend on the rest of its batch
+(``tests/nn/test_prefix_memo.py::
+test_conv_prefix_rows_invariant_to_batch_composition`` pins it on this BLAS;
+below its 1e6-MAC small-matrix cutoff it holds in float32 only).  Backward
+computes the gradient columns straight into Dm layout as
 ``Fm^T @ grad_rows^T``, whose planes :func:`~repro.nn.im2col.col2im` adds
-from in place.  All of this is pure data movement — every GEMM keeps its
-logical operands, shapes and accumulation order — so results stay
-bit-identical to the reference formulation
-(``tests/nn/test_hotpath_properties.py`` pins that, and says where BLAS's
-small-matrix kernels stop it holding).
+from in place.  Results are bit-identical to the whole-batch reference
+formulation (``tests/nn/test_hotpath_properties.py`` pins that, and says
+where BLAS's small-matrix kernels stop it holding).
 """
 
 from __future__ import annotations
@@ -44,7 +50,13 @@ from repro.nn.init import he_normal
 from repro.nn.tensor import Parameter
 from repro.obs.profile import profiled
 
-__all__ = ["Conv2D"]
+__all__ = ["BLOCK_BYTES", "Conv2D"]
+
+#: Dm bytes one block of images fills before its GEMM runs: the block's
+#: columns are multiplied while still in cache, and inference never faults
+#: in or streams a batch-sized column matrix.  1-4 MB measured alike on the
+#: 48x48 classifier; 8 MB and up ran its batch-128 inference slower.
+BLOCK_BYTES = 4 << 20
 
 
 class Conv2D(Layer):
@@ -136,9 +148,58 @@ class Conv2D(Layer):
 
     @profiled("conv.forward")
     def forward(self, x: np.ndarray, *, training: bool = False) -> np.ndarray:
-        if self.groups == 1:
-            return self._forward_dense(x, training=training)
-        return self._forward_grouped(x, training=training)
+        batch = x.shape[0]
+        _, out_h, out_w = self.output_shape(x.shape[1:])
+        pixels = out_h * out_w
+        in_per = self.in_channels // self.groups
+        out_per = self.out_channels // self.groups
+        taps = in_per * self.kernel * self.kernel
+        per_image = self.groups * taps * pixels * x.dtype.itemsize
+        block = max(1, BLOCK_BYTES // per_image)
+        if training:
+            # Backward's weight gradient sums over every row, so training
+            # fills the whole-batch Dm, one column block at a time; it lives
+            # in this layer's slot unless another live layer holds that.
+            shape = (self.groups, taps, batch * pixels)
+            dm = workspace.checkout(self._train_slot, self, shape, x.dtype)
+            if dm is None:
+                dm = np.empty(shape, x.dtype)
+        weights = self.weight.data.reshape(self.groups, out_per, taps)
+        out = np.empty((batch * pixels, self.out_channels), dtype=x.dtype)
+        for start in range(0, batch, block):
+            images = x[start : start + block]
+            rows = slice(start * pixels, (start + len(images)) * pixels)
+            block_dm = (
+                dm[:, :, rows]
+                if training
+                else workspace.take(
+                    "cols_infer",
+                    (self.groups, taps, len(images) * pixels),
+                    x.dtype,
+                )
+            )
+            for g in range(self.groups):
+                cols = im2col(
+                    images[:, g * in_per : (g + 1) * in_per],
+                    self.kernel,
+                    self.stride,
+                    self.pad,
+                    out=block_dm[g],
+                )
+                # Fm (M x NK^2) @ Dm, written as Dm^T @ Fm^T so the result
+                # lands in this block's (B*R*C, M) rows; cols is the Dm^T view.
+                np.matmul(
+                    cols,
+                    weights[g].T,
+                    out=out[rows, g * out_per : (g + 1) * out_per],
+                )
+        out += self.bias.data
+        if training:
+            self._cache = (dm, x.shape)
+        return (
+            out.reshape(batch, out_h, out_w, self.out_channels)
+            .transpose(0, 3, 1, 2)
+        )
 
     @profiled("conv.backward")
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -156,18 +217,6 @@ class Conv2D(Layer):
     @property
     def _train_slot(self) -> str:
         return f"cols_train/{self.name}"
-
-    def _cols_buffer(
-        self, shape: tuple[int, ...], dtype: np.dtype, *, training: bool
-    ) -> np.ndarray | None:
-        """Workspace view for the Dm-layout columns, or ``None`` to allocate.
-
-        Training columns live until ``backward``, so they need this layer's
-        slot; when another live layer holds it the caller allocates.
-        """
-        if training:
-            return workspace.checkout(self._train_slot, self, shape, dtype)
-        return workspace.take("cols_infer", shape, dtype)
 
     def _take_cache(self) -> tuple:
         """Hand the training cache to ``backward`` and free the slot.
@@ -208,34 +257,9 @@ class Conv2D(Layer):
     # ------------------------------------------------------------------
     # groups == 1 (the common path)
     # ------------------------------------------------------------------
-    def _forward_dense(self, x: np.ndarray, *, training: bool) -> np.ndarray:
-        batch = x.shape[0]
-        _, out_h, out_w = self.output_shape(x.shape[1:])
-        dm_shape = (
-            self.in_channels * self.kernel * self.kernel,
-            batch * out_h * out_w,
-        )
-        cols = im2col(
-            x,
-            self.kernel,
-            self.stride,
-            self.pad,
-            out=self._cols_buffer(dm_shape, x.dtype, training=training),
-        )
-        # Fm (M x NK^2) @ Dm, written as Dm^T @ Fm^T so the result comes out
-        # in (B*R*C, M) rows; cols is the Dm^T view.
-        flat_w = self.weight.data.reshape(self.out_channels, -1)
-        out = cols @ flat_w.T
-        out += self.bias.data
-        if training:
-            self._cache = (cols, x.shape)
-        return (
-            out.reshape(batch, out_h, out_w, self.out_channels)
-            .transpose(0, 3, 1, 2)
-        )
-
     def _backward_dense(self, grad_out: np.ndarray) -> np.ndarray:
-        cols, x_shape = self._take_cache()
+        dm, x_shape = self._take_cache()
+        cols = dm[0].T
         grad_rows = self._grad_rows(grad_out)
         flat_w = self.weight.data.reshape(self.out_channels, -1)
         # Frozen parameters discard their gradient; don't compute it.
@@ -263,42 +287,8 @@ class Conv2D(Layer):
     # ------------------------------------------------------------------
     # groups > 1 (AlexNet's two-tower convolutions)
     # ------------------------------------------------------------------
-    def _forward_grouped(self, x: np.ndarray, *, training: bool) -> np.ndarray:
-        batch = x.shape[0]
-        _, out_h, out_w = self.output_shape(x.shape[1:])
-        in_per = self.in_channels // self.groups
-        out_per = self.out_channels // self.groups
-        rows = batch * out_h * out_w
-        col_buf = self._cols_buffer(
-            (self.groups, in_per * self.kernel * self.kernel, rows),
-            x.dtype,
-            training=training,
-        )
-        group_cols = []
-        out = np.empty((rows, self.out_channels), dtype=x.dtype)
-        for g in range(self.groups):
-            cols = im2col(
-                x[:, g * in_per : (g + 1) * in_per],
-                self.kernel,
-                self.stride,
-                self.pad,
-                out=None if col_buf is None else col_buf[g],
-            )
-            group_cols.append(cols)
-            w_g = self.weight.data[g * out_per : (g + 1) * out_per].reshape(
-                out_per, -1
-            )
-            out[:, g * out_per : (g + 1) * out_per] = cols @ w_g.T
-        out += self.bias.data
-        if training:
-            self._cache = (group_cols, x.shape)
-        return (
-            out.reshape(batch, out_h, out_w, self.out_channels)
-            .transpose(0, 3, 1, 2)
-        )
-
     def _backward_grouped(self, grad_out: np.ndarray) -> np.ndarray:
-        group_cols, x_shape = self._take_cache()
+        dm, x_shape = self._take_cache()
         in_per = self.in_channels // self.groups
         out_per = self.out_channels // self.groups
         grad_rows = self._grad_rows(grad_out)
@@ -318,7 +308,7 @@ class Conv2D(Layer):
         )
         for g in range(self.groups):
             rows_g = grad_rows[:, g * out_per : (g + 1) * out_per]
-            cols = group_cols[g]
+            cols = dm[g].T
             if grad_w_full is not None:
                 grad_w_full[g * out_per : (g + 1) * out_per] = (
                     rows_g.T @ cols

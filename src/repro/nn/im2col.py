@@ -13,11 +13,12 @@ transpose the *small* tensor instead of the large one:
 
 * ``im2col`` makes one zero-padded **channel-major** ``(N, B, H+2p, W+2p)``
   copy of the input (whatever the input's strides) and then fills the
-  C-contiguous ``Dm`` array ``(N*K*K, B*R*C)`` with ``K*K`` slice copies,
-  one per kernel tap, whose inner runs are whole output rows.  Callers get
-  the transpose **view** — logically the ``(B*R*C, N*K*K)`` matrix of
-  receptive-field rows, same values as ever — and BLAS, which packs its
-  operands anyway, absorbs the transpose.
+  ``Dm`` array ``(N*K*K, B*R*C)`` — or a column block of a larger one, as
+  :class:`~repro.nn.conv.Conv2D` fills per block of images — with ``K*K``
+  slice copies, one per kernel tap, whose inner runs are whole output
+  rows.  Callers get the transpose **view** — logically the
+  ``(B*R*C, N*K*K)`` matrix of receptive-field rows, same values as ever —
+  and BLAS, which packs its operands anyway, absorbs the transpose.
 * ``col2im`` overlap-adds straight out of the ``K*K`` contiguous planes of
   a Dm-layout gradient (what :class:`~repro.nn.conv.Conv2D` hands it) into
   a channel-major padded buffer, tap by tap in ``(ky, kx)`` order, and
@@ -112,10 +113,11 @@ def im2col(
     kernel, stride, pad:
         Square-kernel convolution geometry.
     out:
-        Optional preallocated C-contiguous buffer in the paper's Dm layout,
-        shape ``(N * kernel * kernel, B * R * C)`` (a workspace view in the
-        training hot loop); a fresh array is allocated when omitted.  The
-        result is its transpose view.
+        Optional preallocated buffer in the paper's Dm layout, shape
+        ``(N * kernel * kernel, B * R * C)``: a C-contiguous array or a
+        column block of a larger Dm (any row stride, contiguous rows), as
+        :class:`~repro.nn.conv.Conv2D` passes per block of images.  A fresh
+        array is allocated when omitted.  The result is its transpose view.
 
     Returns
     -------
@@ -123,8 +125,8 @@ def im2col(
         Shape ``(B * R * C, N * kernel * kernel)`` where ``R``/``C`` are the
         output spatial dims.  Row ``b*R*C + r*C + c`` holds the receptive
         field of output pixel ``(r, c)`` of sample ``b``.  It is the
-        transpose *view* of the Dm array, so ``result.T`` is C-contiguous
-        and ``result`` itself is not.
+        transpose *view* of the Dm array, so the rows of ``result.T`` are
+        contiguous and ``result`` itself is not.
     """
     batch, channels, height, width = images.shape
     out_h = conv_output_size(height, kernel, stride, pad)
@@ -135,9 +137,10 @@ def im2col(
         out = np.empty(shape, dtype=images.dtype)
     else:
         _check_buffer(out, shape, images.dtype, "im2col out")
-        if not out.flags.c_contiguous:
-            raise ValueError("im2col out buffer must be C-contiguous")
-    dm6 = out.reshape(channels, kernel, kernel, batch, out_h, out_w)
+        if not out[0].flags.c_contiguous:
+            raise ValueError("im2col out buffer rows must be C-contiguous")
+    dm6 = out.view()
+    dm6.shape = (channels, kernel, kernel, batch, out_h, out_w)  # never a copy
 
     padded = _channel_major_padded(images, pad)
     for ky in range(kernel):

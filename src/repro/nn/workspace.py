@@ -2,8 +2,9 @@
 
 Every large temporary of :mod:`repro.nn.im2col` and
 :class:`~repro.nn.conv.Conv2D` is a *view* carved from one flat byte buffer
-per **role**: ``cols_infer`` and ``grad_cols`` (column matrices in the
-paper's Dm layout ``(N*K*K, B*R*C)``), ``grad_rows``, ``grad_w``,
+per **role**: column matrices in the paper's Dm layout, ``cols_infer``
+(one block of images, ``(N*K*K, b*R*C)``, at most ``conv.BLOCK_BYTES``) and
+``grad_cols`` (a whole batch, ``(N*K*K, B*R*C)``); ``grad_rows``, ``grad_w``,
 ``grouped_grad_in``, the channel-major ``(N, B, H+2p, W+2p)`` images
 ``im2col_pad`` and ``col2im_padded``, and ``col2im_scratch`` (touched only
 when ``col2im`` is handed C-ordered columns).  A role's buffer is as large

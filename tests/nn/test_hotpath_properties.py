@@ -7,7 +7,8 @@ across the whole kernel/stride/pad grid, for both float32 and float64, and
 it must preserve the adjoint identity the conv backward pass relies on.
 :class:`TestConvMatchesReferenceFormulation` extends that through the three
 GEMMs of :class:`~repro.nn.conv.Conv2D`, which see the column matrix through
-a transpose view.
+a transpose view, and ``test_blocked_conv_forward_matches_whole_batch_gemm``
+through its forward's blocks of images.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Conv2D, col2im, im2col, workspace
+from repro.nn import Conv2D, col2im, conv, im2col, workspace
 from repro.nn.reference import col2im_reference, im2col_reference
 
 GEOMETRY = st.tuples(
@@ -111,6 +112,30 @@ class TestMatchesReference:
                 assert np.shares_memory(got, padded)
                 assert np.array_equal(got, want_image)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        geometry=GEOMETRY,
+        dtype=st.sampled_from([np.float32, np.float64]),
+        per_block=st.integers(1, 3),
+    )
+    def test_im2col_into_column_blocks(self, geometry, dtype, per_block):
+        """Column blocks of one larger Dm (what a training ``Conv2D.forward``
+        fills, one block of images at a time) add up to the whole-batch
+        columns, byte for byte."""
+        batch, channels, size, kernel, stride, pad = geometry
+        rng = np.random.default_rng(hash(geometry) % 2**32)
+        x = rng.normal(size=(batch, channels, size, size)).astype(dtype)
+        want = im2col_reference(x, kernel, stride, pad)
+        dm = np.full(want.shape[::-1], np.nan, dtype=dtype)
+        pixels = len(want) // batch
+        for start in range(0, batch, per_block):
+            images = x[start : start + per_block]
+            block = dm[:, start * pixels : (start + len(images)) * pixels]
+            assert np.shares_memory(
+                im2col(images, kernel, stride, pad, out=block), dm
+            )
+        assert np.array_equal(dm.T, want)
+
     def test_reused_buffers_exact(self):
         """Pooled out=/scratch= buffers change nothing numerically."""
         rng = np.random.default_rng(0)
@@ -135,6 +160,8 @@ class TestMatchesReference:
             im2col(x, 3, 2, 1, out=np.empty((50, 27), dtype=np.float32))
         with pytest.raises(ValueError, match="C-contiguous"):
             im2col(x, 3, 2, 1, out=np.empty((50, 27), dtype=np.float32).T)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            im2col(x, 3, 2, 1, out=np.empty((27, 100), np.float32)[:, ::2])
         cols = np.zeros((50, 27), dtype=np.float32)
         with pytest.raises(ValueError, match="col2im padded"):
             col2im(
@@ -298,6 +325,76 @@ class TestConvMatchesReferenceFormulation:
                         assert not got["grad_in"].any(), case
                     else:
                         assert same(got["grad_in"], want["grad_in"]), case
+
+
+#: (in_channels, out_channels, kernel, stride, pad, input size, groups);
+#: every per-group GEMM of one image is above BLAS's 1e6 small-matrix cutoff
+BLOCKED_GEOMETRIES = {
+    "dense": (48, 48, 3, 1, 1, 12, 1),
+    "grouped": (32, 64, 3, 1, 1, 24, 2),
+}
+
+
+@pytest.mark.parametrize("per_block", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("name", BLOCKED_GEOMETRIES)
+@settings(max_examples=6, deadline=None)
+@given(batch=st.integers(1, 7), nhwc=st.booleans())
+def test_blocked_conv_forward_matches_whole_batch_gemm(
+    name, training, dtype, per_block, batch, nhwc
+):
+    """``Conv2D.forward`` runs im2col + GEMM one block of images at a time;
+    the result is the whole-batch ``Fm @ Dm`` byte for byte, because a conv
+    GEMM row ignores the other rows of its batch.  A small ``BLOCK_BYTES``
+    forces ``per_block``-image blocks (a ragged tail whenever ``batch`` is
+    not a multiple).  In training the whole-batch Dm the cache holds, and
+    so every gradient, is what one block (the unblocked forward) gives."""
+    cin, cout, kernel, stride, pad, size, groups = BLOCKED_GEOMETRIES[name]
+    rng = np.random.default_rng([cin, batch, per_block])
+    layer = Conv2D(cin, cout, kernel, stride, pad, groups=groups, rng=rng)
+    for p in layer.parameters:
+        p.data = rng.normal(size=p.shape).astype(dtype)
+    x = rng.normal(size=(batch, cin, size, size)).astype(dtype)
+    if nhwc:  # what a previous conv hands on
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    _, out_h, out_w = layer.output_shape(x.shape[1:])
+    in_per, out_per = cin // groups, cout // groups
+    image_bytes = cin * kernel**2 * out_h * out_w * np.dtype(dtype).itemsize
+
+    def run(block_bytes: int) -> dict[str, np.ndarray]:
+        for p in layer.parameters:
+            p.grad = np.zeros_like(p.data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conv, "BLOCK_BYTES", block_bytes)
+            got = {"out": layer.forward(x, training=training).copy()}
+        if training:
+            got["dm"] = layer._cache[0].copy()
+            got["grad_in"] = layer.backward(np.cos(got["out"])).copy()
+            got["grad_w"] = layer.weight.grad.copy()
+            got["grad_b"] = layer.bias.grad.copy()
+        return got
+
+    blocked = run(per_block * image_bytes + image_bytes // 2)
+    want = np.empty((batch * out_h * out_w, cout), dtype=dtype)
+    for g in range(groups):
+        cols = im2col_reference(
+            x[:, g * in_per : (g + 1) * in_per], kernel, stride, pad
+        )
+        if training:
+            assert np.array_equal(blocked["dm"][g].T, cols), g
+        w_g = layer.weight.data[g * out_per : (g + 1) * out_per]
+        want[:, g * out_per : (g + 1) * out_per] = cols @ w_g.reshape(
+            out_per, -1
+        ).T
+    want += layer.bias.data
+    want = want.reshape(batch, out_h, out_w, cout).transpose(0, 3, 1, 2)
+    assert blocked["out"].dtype == dtype
+    assert np.array_equal(blocked["out"], want)
+    whole = run(batch * image_bytes)
+    assert whole.keys() == blocked.keys()
+    for key, value in whole.items():
+        assert np.array_equal(blocked[key], value), key
 
 
 class TestNoFloat64Promotion:

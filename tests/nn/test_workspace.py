@@ -24,6 +24,8 @@ from repro.nn import (
     Sequential,
     workspace,
 )
+from repro.models import build_classifier
+from repro.nn.conv import BLOCK_BYTES
 from repro.nn.im2col import col2im, im2col
 from repro.nn.reference import col2im_reference, im2col_reference
 
@@ -239,6 +241,16 @@ class TestGrowOnly:
         assert np.shares_memory(big, small)
         assert workspace.sizes() == {"role": 4 * 6 * 8}
         assert workspace.take("role", (0, 7), np.float32).size == 0
+
+
+def test_inference_columns_stay_within_block_budget():
+    """Inference fills one block of images' columns at a time: a batch-128
+    sweep of the 48x48 classifier reserves at most ``BLOCK_BYTES`` of them,
+    where conv1's whole-batch Dm alone would be 88 MB."""
+    net = build_classifier(4, np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(128, 3, 48, 48))
+    net.predict(x.astype(np.float32))
+    assert 0 < workspace.sizes()["cols_infer"] <= BLOCK_BYTES
 
 
 class TestPadBuffer:
