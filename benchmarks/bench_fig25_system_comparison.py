@@ -16,17 +16,23 @@ import pytest
 def collect(system_results):
     rows = []
     for sid in ("a", "b", "c", "d"):
-        result = system_results[sid]
+        report = system_results[sid]
+        node = report.nodes[0]
         rows.append(
             {
                 "system": sid,
-                "name": result.config.name,
-                "update_time_s": result.total_update_time_s,
-                "cloud_energy_kj": result.total_cloud_energy_j / 1e3,
-                "transfer_energy_j": result.total_transfer_energy_j,
-                "final_accuracy": result.final_accuracy,
+                "name": report.config.name,
+                "update_time_s": report.total_update_time_s,
+                "cloud_energy_kj": report.total_cloud_energy_j / 1e3,
+                "transfer_energy_j": node.total_upload_energy_j,
+                "final_accuracy": report.final_eval_accuracy,
                 "per_stage_time": [
-                    s.modeled_update_time_s for s in result.stages
+                    sum(
+                        u.modeled_time_s
+                        for u in report.updates
+                        if u.stage_index == r.stage_index
+                    )
+                    for r in node.records
                 ],
             }
         )

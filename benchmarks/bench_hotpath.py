@@ -281,17 +281,17 @@ def measure_obs_overhead(quick: bool, rounds: int) -> dict:
 # Stage 3: dataset cache
 # ----------------------------------------------------------------------
 def measure_dataset_cache(quick: bool) -> dict:
-    from repro.core.simulation import Scenario, prepare_assets
+    from repro.core.simulation import Scenario, scenario_data
 
     scenario = Scenario(
         stream_scale=0.05, pretrain_images=32, eval_images=32, seed=12345
     )
     dataset_cache.clear()
     t0 = time.perf_counter()
-    prepare_assets(scenario)
+    scenario_data(scenario)
     miss_ms = (time.perf_counter() - t0) * 1e3
     t0 = time.perf_counter()
-    prepare_assets(scenario)
+    scenario_data(scenario)
     hit_ms = (time.perf_counter() - t0) * 1e3
     dataset_cache.clear()
     return {

@@ -7,13 +7,16 @@ of each new batch.  Systems a/b upload everything (all-1 rows).
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import pytest
 
 
 def collect(system_results):
+    """Per-stage upload fraction of each system's one node."""
     return {
-        sid: result.normalized_movement
-        for sid, result in system_results.items()
+        sid: [r.uploaded / r.acquired for r in report.nodes[0].records]
+        for sid, report in system_results.items()
     }
 
 
@@ -22,10 +25,11 @@ def bench_table2_data_movement(benchmark, system_results, tables):
     movement = benchmark.pedantic(
         collect, args=(system_results,), rounds=1, iterations=1
     )
-    stages = system_results["a"].stages
+    records = system_results["a"].nodes[0].records
+    archive = accumulate(r.acquired for r in records)  # images so far
     tables(
         "Table II — normalized data movement per stage",
-        ["system"] + [f"{s.cumulative_count}img" for s in stages],
+        ["system"] + [f"{n}img" for n in archive],
         [
             [sid] + [f"{m:.2f}" for m in movement[sid]]
             for sid in ("a", "b", "c", "d")

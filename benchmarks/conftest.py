@@ -10,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Scenario, run_all_systems
+from repro.core import Scenario
 from repro.data import DriftModel, ImageGenerator, make_dataset
+from repro.fleet import run_all_systems
 from repro.models import alexnet_spec, diagnosis_spec, vgg16_spec
 from repro.reports import format_table
 from repro.selfsup import (
@@ -108,7 +109,11 @@ def pretrained_context():
 
 @pytest.fixture(scope="session")
 def system_results():
-    """The four-system end-to-end run shared by Table II and Fig. 25."""
+    """The four-system end-to-end run shared by Table II and Fig. 25.
+
+    One barrier event run per system over a one-node fleet, oracle
+    diagnoser: ``{system_id: FleetEventReport}``.
+    """
     scenario = Scenario(
         num_classes=4,
         stream_scale=1.0,

@@ -19,15 +19,7 @@ from repro.core.registry import (
     ModelVersion,
     UpdateGuard,
 )
-from repro.core.simulation import (
-    Scenario,
-    ScenarioAssets,
-    StageRecord,
-    SystemRunResult,
-    prepare_assets,
-    run_all_systems,
-    run_system,
-)
+from repro.core.simulation import Scenario
 from repro.core.systems import SYSTEMS, SystemConfig, system_by_id
 
 __all__ = [
@@ -45,15 +37,9 @@ __all__ = [
     "UpdateGuard",
     "SYSTEMS",
     "Scenario",
-    "ScenarioAssets",
     "SingleRunningConfig",
     "SingleRunningPlanner",
-    "StageRecord",
     "SystemConfig",
-    "SystemRunResult",
-    "prepare_assets",
-    "run_all_systems",
-    "run_system",
     "select_mode",
     "system_by_id",
 ]

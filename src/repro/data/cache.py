@@ -1,11 +1,13 @@
 """Seed-keyed cache for procedurally generated datasets.
 
-:func:`repro.core.simulation.prepare_assets` and
-:func:`repro.fleet.simulation.prepare_fleet_assets` are pure functions of
-their arguments: every RNG they consume is constructed locally from scenario
-seeds.  Experiment sweeps (the four system variants over one scenario,
-fleet-size sweeps sharing node seeds, benchmark reruns) therefore regenerate
-literally identical stage streams and eval sets.  This module memoizes those
+The data of :func:`repro.fleet.simulation.prepare_assets` (one scenario
+stream, :func:`repro.core.simulation.scenario_data`) and of
+:func:`repro.fleet.simulation.prepare_fleet_assets` (one stream per node,
+plus an eval set) is a pure function of its arguments: every RNG it
+consumes is constructed locally from scenario seeds.  Experiment sweeps
+(the four system variants over one scenario, fleet-size sweeps sharing
+node seeds, benchmark reruns) therefore regenerate literally identical
+stage streams and eval sets.  This module memoizes those
 generation segments on a process-wide LRU cache.
 
 Correctness rules for anything stored here:

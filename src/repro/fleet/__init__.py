@@ -7,6 +7,7 @@ from repro.fleet.async_sim import (
     LockstepTimeline,
     NodeEventTrajectory,
     lockstep_timeline,
+    run_all_systems,
     run_fleet_event,
 )
 from repro.fleet.profiles import LOW_POWER_TX1, FleetScenario, NodeProfile
@@ -25,6 +26,7 @@ from repro.fleet.simulation import (
     NodeTrajectory,
     build_fleet_runtime,
     fleet_base_scenario,
+    prepare_assets,
     prepare_fleet_assets,
     run_fleet,
     run_fleet_all_systems,
@@ -56,7 +58,9 @@ __all__ = [
     "fleet_base_scenario",
     "lockstep_timeline",
     "model_state_bytes",
+    "prepare_assets",
     "prepare_fleet_assets",
+    "run_all_systems",
     "run_fleet",
     "run_fleet_event",
     "run_fleet_all_systems",

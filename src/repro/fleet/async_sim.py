@@ -45,7 +45,8 @@ import numpy as np
 from repro.comm.link import JPEG_IMAGE_BYTES, NetworkLink
 from repro.comm.movement import DataMovementLedger
 from repro.core.registry import ModelRegistry
-from repro.core.systems import SystemConfig
+from repro.core.simulation import Scenario
+from repro.core.systems import SYSTEMS, SystemConfig
 from repro.data.datasets import Dataset
 from repro.events import Simulator, Store
 from repro.fleet.profiles import FleetScenario, NodeProfile
@@ -58,6 +59,7 @@ from repro.fleet.simulation import (
     build_fleet_runtime,
     cloud_initialize,
     cloud_try_update,
+    prepare_assets,
     reseed_diagnoser,
     rollback_attrs,
 )
@@ -75,6 +77,7 @@ __all__ = [
     "FleetEventReport",
     "LockstepTimeline",
     "lockstep_timeline",
+    "run_all_systems",
     "run_fleet_event",
 ]
 
@@ -135,9 +138,15 @@ class NodeEventTrajectory:
 
 @dataclass(frozen=True)
 class CloudUpdateRecord:
-    """One Cloud-side update (initialization or guarded rollout)."""
+    """One Cloud-side update (initialization or guarded rollout).
 
-    kind: str  # "init" | "rollout"
+    ``kind="scan"`` is a round in which system b's Cloud scanned the pool
+    and flagged nothing: it trained nothing, but the scan's time and
+    energy are spent all the same.
+    """
+
+    kind: str  # "init" | "rollout" | "scan"
+    stage_index: int
     trigger_s: float
     complete_s: float
     pooled_for_training: int
@@ -567,6 +576,11 @@ class _EventFleet:
         *,
         stage: int,
     ) -> None:
+        """Record a Cloud step that trained, as ``kind``, or only scanned."""
+        if not outcome.updated:
+            if outcome.modeled_update_time_s == 0:
+                return
+            kind = "scan"
         if self.sim.now > trigger_s:
             self.tracer.span(
                 "cloud",
@@ -593,6 +607,7 @@ class _EventFleet:
         self.report.updates.append(
             CloudUpdateRecord(
                 kind=kind,
+                stage_index=stage,
                 trigger_s=trigger_s,
                 complete_s=self.sim.now,
                 pooled_for_training=outcome.pooled_for_training,
@@ -659,11 +674,11 @@ class _EventFleet:
                 )
                 if outcome.modeled_update_time_s > 0:
                     yield self.sim.timeout(outcome.modeled_update_time_s)
-                if not outcome.updated:
-                    break
                 self._record_update(
                     "rollout", trigger, outcome, stage=latest_epoch
                 )
+                if not outcome.updated:
+                    break
                 yield from self._deliver_outcome(
                     outcome, stage_hint=latest_epoch
                 )
@@ -717,13 +732,12 @@ class _EventFleet:
                 )
             if outcome.modeled_update_time_s > 0:
                 yield self.sim.timeout(outcome.modeled_update_time_s)
-            if outcome.updated:
-                self._record_update(
-                    "init" if round_index == 0 else "rollout",
-                    trigger,
-                    outcome,
-                    stage=round_index,
-                )
+            self._record_update(
+                "init" if round_index == 0 else "rollout",
+                trigger,
+                outcome,
+                stage=round_index,
+            )
             yield from self._deliver_outcome(outcome, stage_hint=round_index)
             yield from self.hooks.after_deliver(
                 self, round_index, alive_ids, outcome
@@ -906,6 +920,22 @@ def run_fleet_event(
     ).run()
     report.topology = topology
     return report
+
+
+def run_all_systems(scenario: Scenario) -> dict[str, FleetEventReport]:
+    """Table II / Fig. 25: every Fig. 24 variant on one node's stream.
+
+    Four barrier runs over the one-node fleet :func:`~repro.fleet
+    .simulation.prepare_assets` builds, on identical data and initial
+    weights.  Per stage ``s``, ``nodes[0].records[s]`` holds the movement
+    and upload energy, and the ``updates`` with ``stage_index == s`` the
+    Cloud's modeled time, energy and eval accuracy.
+    """
+    assets = prepare_assets(scenario)
+    return {
+        config.system_id: run_fleet_event(config, assets, barrier=True)
+        for config in SYSTEMS
+    }
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """End-to-end fleet simulation: N heterogeneous nodes, one Cloud.
 
-This is ``core.simulation`` lifted to deployment scale.  The single-node
-run answers "what does each Fig. 24 policy cost *per node*?"; the fleet
-run answers the question production actually asks: what happens when N
-nodes with different environments, boards, and radios share one backhaul
-and one Cloud-side training budget?
+The paper compares its Fig. 24 systems on one node's stream (Table II,
+Fig. 25); here that node is a fleet of one (:func:`prepare_assets`).  A
+fleet of N answers the question production actually asks: what happens
+when N nodes with different environments, boards, and radios share one
+backhaul and one Cloud-side training budget?
 
 The protocol per stage:
 
@@ -16,8 +16,8 @@ The protocol per stage:
    model push-downs travel (and are charged) over the same backhaul.
 
 All four system variants run on identical per-node data and identical
-initial weights, so fleet-level differences are pure policy — the same
-discipline ``core.simulation.run_all_systems`` applies per node.
+initial weights (one warm start per set of assets), so the differences
+between them are pure policy.
 """
 
 from __future__ import annotations
@@ -35,7 +35,12 @@ from repro.comm.movement import DataMovementLedger
 from repro.core.cloud import InSituCloud
 from repro.core.node import InSituNode
 from repro.core.registry import ModelRegistry, UpdateGuard
-from repro.core.simulation import Scenario, build_cloud, make_diagnoser
+from repro.core.simulation import (
+    Scenario,
+    build_cloud,
+    make_diagnoser,
+    scenario_data,
+)
 from repro.core.systems import SYSTEMS, SystemConfig
 from repro.data.cache import dataset_cache
 from repro.data.datasets import Dataset, make_dataset
@@ -71,6 +76,7 @@ __all__ = [
     "cloud_try_update",
     "node_stage",
     "pooled_node_stage",
+    "prepare_assets",
     "prepare_fleet_assets",
     "reseed_diagnoser",
     "run_fleet",
@@ -269,6 +275,77 @@ def _node_stream(
     return dataset_cache.get_or_build(key, build)
 
 
+def _warm_start(
+    base: Scenario,
+    permset: PermutationSet,
+    pretrain_data: Dataset,
+    node_stages: list[list[AcquisitionStage]],
+) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """``(trunk_state, initial_state)`` every system variant starts from.
+
+    Unsupervised pre-training of the context trunk, then the stage-0
+    initialization on every node's first stage, pooled.  Both are
+    policy-identical across the four variants, so a set of assets runs
+    them once.
+    """
+    seed_cloud = build_cloud(base, permset, alexnet_spec())
+    seed_cloud.unsupervised_pretrain(
+        pretrain_data, epochs=base.pretrain_epochs, batch_size=base.batch_size
+    )
+    trunk_state = seed_cloud.context_net.state_dict()
+    seed_cloud.initialize_inference(
+        Dataset.concat([stages[0].new_data for stages in node_stages]),
+        epochs=base.init_epochs,
+        batch_size=base.batch_size,
+        lr=base.init_lr,
+    )
+    return trunk_state, seed_cloud.model_state()
+
+
+def prepare_assets(scenario: Scenario) -> FleetAssets:
+    """The paper's single-node protocol as the assets of a one-node fleet.
+
+    The node's stages, pre-training sample, eval set and permutations are
+    the scenario's one stream (:func:`~repro.core.simulation
+    .scenario_data`).  Its profile is neutral — WiFi, a full-clock TX1,
+    the stream's own severities — and it is its own canary.  The guard
+    tolerates any regression (``max_regression=1.0``): the paper's
+    protocol deploys every update, with no canary veto.
+    """
+    data = scenario_data(scenario)
+    stages = data["stages"]
+    pretrain_data = data["pretrain_data"].as_unlabeled()
+    profile = NodeProfile(
+        node_id=0,
+        device_kind="tx1",
+        link_kind="wifi",
+        severities=tuple(s.drift_severity for s in stages),
+        seed=scenario.seed,
+    )
+    trunk_state, initial_state = _warm_start(
+        scenario, data["permset"], pretrain_data, [stages]
+    )
+    return FleetAssets(
+        scenario=FleetScenario(
+            base=scenario,
+            num_nodes=1,
+            lte_fraction=0.0,
+            low_power_fraction=0.0,
+            severity_jitter=0.0,
+            max_regression=1.0,
+            seed=scenario.seed,
+        ),
+        profiles=[profile],
+        node_stages=[stages],
+        eval_data=data["eval_data"],
+        pretrain_data=pretrain_data,
+        permset=data["permset"],
+        trunk_state=trunk_state,
+        initial_state=initial_state,
+        canary_ids=(0,),
+    )
+
+
 def prepare_fleet_assets(
     scenario: FleetScenario,
     *,
@@ -323,19 +400,9 @@ def prepare_fleet_assets(
         .take(base.pretrain_images)
         .as_unlabeled()
     )
-    seed_cloud = build_cloud(base, permset, alexnet_spec())
-    seed_cloud.unsupervised_pretrain(
-        pretrain_data, epochs=base.pretrain_epochs, batch_size=base.batch_size
+    trunk_state, initial_state = _warm_start(
+        base, permset, pretrain_data, node_stages
     )
-    trunk_state = seed_cloud.context_net.state_dict()
-    stage0_pool = Dataset.concat([stages[0].new_data for stages in node_stages])
-    seed_cloud.initialize_inference(
-        stage0_pool,
-        epochs=base.init_epochs,
-        batch_size=base.batch_size,
-        lr=base.init_lr,
-    )
-    initial_state = seed_cloud.model_state()
     canary_rng = np.random.default_rng(scenario.seed + 17)
     num_canary = max(1, int(round(scenario.canary_fraction * scenario.num_nodes)))
     canary_ids = tuple(

@@ -232,7 +232,7 @@ def _render_fleet_event(
                 f"{r.makespan_s:.1f}",
                 f"{min(r.epochs_by_node.values())}-"
                 f"{max(r.epochs_by_node.values())}",
-                len(r.updates),
+                sum(1 for u in r.updates if u.kind != "scan"),
                 sum(1 for u in r.updates if u.promoted),
                 f"{r.total_uploaded_bytes / mb:.0f}",
                 f"{r.total_downloaded_bytes / mb:.0f}",

@@ -1,16 +1,20 @@
-"""Network-link choice affects transfer energy accounting."""
+"""Network-link choice affects transfer energy accounting.
+
+One node, system c, the same seed: a WiFi fleet of one against an LTE
+fleet of one.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.comm import LTE, WIFI
-from repro.core import Scenario, prepare_assets, run_system, system_by_id
+from repro.core import Scenario, system_by_id
+from repro.fleet import FleetScenario, prepare_fleet_assets, run_fleet_event
 
 
 @pytest.fixture(scope="module")
-def assets():
-    scenario = Scenario(
+def runs():
+    base = Scenario(
         num_classes=4,
         stream_scale=0.15,
         pretrain_images=40,
@@ -20,22 +24,29 @@ def assets():
         eval_images=40,
         seed=9,
     )
-    return prepare_assets(scenario)
+
+    def run(lte_fraction: float):
+        assets = prepare_fleet_assets(
+            FleetScenario(
+                base=base, num_nodes=1, lte_fraction=lte_fraction, seed=9
+            )
+        )
+        return run_fleet_event(system_by_id("c"), assets, barrier=True)
+
+    return {"wifi": run(0.0), "lte": run(1.0)}
 
 
 class TestLinkChoice:
-    def test_lte_costs_more_transfer_energy(self, assets):
-        wifi_run = run_system(system_by_id("c"), assets, link=WIFI)
-        lte_run = run_system(system_by_id("c"), assets, link=LTE)
+    def test_lte_costs_more_transfer_energy(self, runs):
+        assert runs["lte"].nodes[0].profile.link_kind == "lte"
+        assert runs["wifi"].nodes[0].profile.link_kind == "wifi"
         assert (
-            lte_run.total_transfer_energy_j
-            > wifi_run.total_transfer_energy_j
+            runs["lte"].nodes[0].total_upload_energy_j
+            > runs["wifi"].nodes[0].total_upload_energy_j
         )
 
-    def test_link_does_not_change_movement(self, assets):
-        wifi_run = run_system(system_by_id("c"), assets, link=WIFI)
-        lte_run = run_system(system_by_id("c"), assets, link=LTE)
+    def test_link_does_not_change_movement(self, runs):
         assert (
-            wifi_run.ledger.total_uploaded_images
-            == lte_run.ledger.total_uploaded_images
+            runs["wifi"].ledger.total_uploaded_images
+            == runs["lte"].ledger.total_uploaded_images
         )

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Scenario, prepare_assets, run_system, system_by_id
+from repro.core import Scenario, system_by_id
+from repro.fleet import prepare_assets, run_fleet_event
 
 
 def tiny(**overrides):
@@ -22,31 +23,34 @@ def tiny(**overrides):
     return Scenario(**base)
 
 
+def run_one(system_id: str, scenario: Scenario):
+    """One system's barrier run over the scenario's one-node fleet."""
+    assets = prepare_assets(scenario)
+    return run_fleet_event(system_by_id(system_id), assets, barrier=True)
+
+
 class TestDiagnoserVariants:
     @pytest.mark.parametrize("kind", ["oracle", "confidence", "jigsaw"])
     def test_each_diagnoser_completes(self, kind):
-        scenario = tiny(diagnoser_kind=kind)
-        assets = prepare_assets(scenario)
-        result = run_system(system_by_id("d"), assets)
-        assert len(result.stages) == 5
+        report = run_one("d", tiny(diagnoser_kind=kind))
+        records = report.nodes[0].records
+        assert len(records) == 5
         # Movement bookkeeping is always internally consistent.
-        for stage in result.stages:
+        for stage in records:
             assert 0 <= stage.uploaded <= stage.acquired
 
 
 class TestScheduleVariants:
     def test_custom_schedule_length(self):
-        scenario = tiny(schedule_k=(100, 200, 400))
-        assets = prepare_assets(scenario)
-        result = run_system(system_by_id("c"), assets)
-        assert len(result.stages) == 3
+        report = run_one("c", tiny(schedule_k=(100, 200, 400)))
+        assert len(report.nodes[0].records) == 3
 
     def test_custom_severities_respected(self):
-        scenario = tiny(severities=(0.1, 0.2, 0.3, 0.4, 0.5))
-        assets = prepare_assets(scenario)
-        assert [s.drift_severity for s in assets.stages] == [
-            0.1, 0.2, 0.3, 0.4, 0.5,
-        ]
+        severities = (0.1, 0.2, 0.3, 0.4, 0.5)
+        assets = prepare_assets(tiny(severities=severities))
+        stages = assets.node_stages[0]
+        assert tuple(s.drift_severity for s in stages) == severities
+        assert assets.profiles[0].severities == severities
 
     def test_severity_count_must_match(self):
         scenario = tiny(
@@ -58,15 +62,12 @@ class TestScheduleVariants:
 
 class TestSystemAccounting:
     def test_system_a_never_skips_training(self):
-        scenario = tiny()
-        assets = prepare_assets(scenario)
-        result = run_system(system_by_id("a"), assets)
-        for stage in result.stages:
-            assert stage.trained_on == stage.acquired
+        report = run_one("a", tiny())
+        assert [u.pooled_for_training for u in report.updates] == [
+            r.acquired for r in report.nodes[0].records
+        ]
 
     def test_transfer_energy_positive_when_uploading(self):
-        scenario = tiny()
-        assets = prepare_assets(scenario)
-        result = run_system(system_by_id("a"), assets)
-        for stage in result.stages:
-            assert stage.transfer_energy_j > 0
+        report = run_one("a", tiny())
+        for stage in report.nodes[0].records:
+            assert stage.upload_energy_j > 0

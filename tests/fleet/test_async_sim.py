@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import system_by_id
+from repro.diagnosis import Diagnoser
 from repro.fleet import (
     FleetScenario,
     fleet_base_scenario,
@@ -132,6 +133,21 @@ class TestLockstepEquivalence:
         event_updates = [(True, u.promoted) for u in barrier_d.updates]
         assert lock_updates == event_updates
         assert lockstep_d.registry.history() == barrier_d.registry.history()
+
+    def test_cloud_scan_that_flags_nothing_is_still_paid(
+        self, homogeneous_assets, monkeypatch
+    ):
+        """System b scans every pooled upload even when it trains on none."""
+        monkeypatch.setattr(
+            Diagnoser, "diagnose", lambda self, data: np.zeros(len(data), bool)
+        )
+        lock = run_fleet(system_by_id("b"), homogeneous_assets)
+        event = run_fleet_event(
+            system_by_id("b"), homogeneous_assets, barrier=True
+        )
+        assert [u.kind for u in event.updates] == ["init"] + ["scan"] * 4
+        assert event.total_update_time_s == lock.total_update_time_s
+        assert event.total_cloud_energy_j == lock.total_cloud_energy_j
 
     def test_equivalence_holds_for_upload_everything_system(
         self, homogeneous_assets

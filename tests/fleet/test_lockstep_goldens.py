@@ -86,6 +86,9 @@ NUM_NODES = 4
 # * event_flat_barrier_horizon/nodes, event_topology_async_horizon/nodes —
 #   nodes the horizon froze mid-epoch now report ``finish_s = makespan_s``
 #   instead of 0.0; with ``finish_s`` zeroed both hash to the parent value.
+# * event_*/updates — ``CloudUpdateRecord`` carries the ``stage_index`` the
+#   engine already stamped on its ``cloud/*`` trace records; with that
+#   field dropped every one hashes to the parent value.
 GOLDENS: dict[str, dict[str, str]] = {
     "flat": {
         "trace": (
@@ -127,7 +130,7 @@ GOLDENS: dict[str, dict[str, str]] = {
             "dbac97cadd75f90846061e901734ef6e187188411a78b97751d8aff2c8623a34"
         ),
         "updates": (
-            "750854f62f01a0f9969e0be9eb039b689b786d9bc98efa8a1051ae9747b02fcd"
+            "1a070fad90f09d0bbdf2940eecd985bd3ed81d6d93d40d0c4aca838c233de778"
         ),
         "gateway_flushes": (
             "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
@@ -159,7 +162,7 @@ GOLDENS: dict[str, dict[str, str]] = {
             "28b2c37c291ebd78f0e076c639b8f434d1bcc66b539e902a416276b599ea67b1"
         ),
         "updates": (
-            "3294fa74ba860cd78d14605c631b58e0f78eba59c96c1f553b2ede42eb3b8b06"
+            "b7163d71a14890d4fb7627940e7b3e8346cbe0d75d920146264d9ec0e5deb85a"
         ),
         "gateway_flushes": (
             "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
@@ -191,7 +194,7 @@ GOLDENS: dict[str, dict[str, str]] = {
             "75e23d76fef6a770a391a8ae8967682a2694eed63cdef857ef99bf0782db9991"
         ),
         "updates": (
-            "841d955b373089251ce62ae2ea258e22db8ff0ede8a84a39560a395d3576f604"
+            "2455f1a11abb8a9285a2da297dc06a7fdd9f8a1dafd93e0450da65cd0f902027"
         ),
         "gateway_flushes": (
             "0d2500a94957fd2c5ebb995e4ab23cdb4d9ba6cc56f4ce07af43afe6eb1e6b83"
@@ -223,7 +226,7 @@ GOLDENS: dict[str, dict[str, str]] = {
             "812a46688a4b0341d2f6db087245033b36fc61f9013c51e2c067e466e104888e"
         ),
         "updates": (
-            "618f4f31586dd5cb17605713fbad5e716af9e51c6af9ae57f15bd16ea5dd9745"
+            "2e583dfae86d08022437bec92a3f7065719abf7b5854cec0cffef3b55b9891dd"
         ),
         "gateway_flushes": (
             "aa8f9cff36fb73084e9b874fcc09ab0ae964e3ed58bf3c3f8c54a5a293dbd6d5"
@@ -255,7 +258,7 @@ GOLDENS: dict[str, dict[str, str]] = {
             "e23aa33dd2ceaaf2981ea58cdf88424eebf52bf1342c67452391fda9a0cffbe5"
         ),
         "updates": (
-            "f039407d1f5a3d1662b8f48958d1b174d4c438d2503daf955d00f25c1534df60"
+            "4ac91b065baf9986c747ababe139ebed80b0cd6921357ba7a0203f7b0c304197"
         ),
         "gateway_flushes": (
             "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
@@ -293,7 +296,7 @@ GOLDENS: dict[str, dict[str, str]] = {
             "13bf7b7f65c0f1c569db982ec9ee1857c2971cdc0b7d14dddb12f145be551a0a"
         ),
         "updates": (
-            "6a8e92b6c5b633ad3c2f07ee3ffd784c85cf89946c57bf6d3cb30b5887960756"
+            "87eae96a242f87db96d9e5e80f0e63601e08804ec147a0c12921d0764c80670f"
         ),
         "gateway_flushes": (
             "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
