@@ -1,4 +1,10 @@
-"""One run's forked workers for the lockstep stage loop.
+"""Forked workers: one run's lockstep stage loop, and independent jobs.
+
+Two users share this module.  :class:`FleetWorkerPool` serves the
+lockstep stage loop (below).  :func:`fork_map` runs independent jobs —
+a scenario's replicates — one per worker, results in input order, with
+:func:`fork_workers` choosing how many workers the host's free cores
+hold (DESIGN §12).
 
 :class:`FleetWorkerPool` is built once per run, after
 :func:`~repro.fleet.simulation.build_fleet_runtime`, and shut down when
@@ -42,13 +48,75 @@ This module is the only place in ``src/repro`` allowed to construct a
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 import numpy as np
 
-__all__ = ["FleetWorkerPool", "PoolTask"]
+__all__ = ["FleetWorkerPool", "PoolTask", "fork_map", "fork_workers"]
+
+#: the variables OpenBLAS reads its thread count from, in its own order
+_BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS",
+    "GOTO_NUM_THREADS",
+    "OMP_NUM_THREADS",
+)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_threads(cores: int) -> int:
+    """Threads one process's BLAS runs: the first positive pin, else all."""
+    for name in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return cores
+
+
+def fork_workers(jobs: int) -> int:
+    """Workers for ``jobs`` independent jobs: ``min(jobs, cores // BLAS threads)``.
+
+    Unpinned BLAS already spreads one process over every core, so
+    forking more processes would only oversubscribe them: the count is 1.
+    """
+    cores = _usable_cores()
+    return max(1, min(jobs, cores // _blas_threads(cores)))
+
+
+def fork_map(fn: Callable, items: Iterable, workers: int) -> list:
+    """``[fn(item) for item in items]``, on up to ``workers`` forked workers.
+
+    Results come back in input order.  ``fn`` must be a module-level
+    function; items and results are pickled, everything else is
+    inherited.  With one worker, one item, or no ``fork`` on this
+    platform it is the in-process comprehension.  An exception in ``fn``
+    reaches the caller with its own type; a worker that dies raises
+    :class:`BrokenProcessPool`.  Either way queued items are dropped and
+    every worker is joined before the call returns.
+    """
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(item) for item in items]
+    executor = ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("fork")
+    )
+    try:
+        return list(executor.map(fn, items))
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ single-replicate summary matches a direct engine run), and the bootstrap
 confidence intervals resample with their own salted ``SeedSequence``.
 Two invocations of the same spec must produce byte-identical summary
 text; the CI job diffs exactly that.
+
+Replicates run side by side: :func:`build_summary` hands them to
+:func:`~repro.fleet.pool.fork_map`, one forked worker per free core
+(:func:`~repro.fleet.pool.fork_workers`), and merges rows and trace
+records in replicate order — the same bytes as running them one after
+another, which is what a single free core does.
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import TraceRecord, Tracer
 from repro.scenario.event import run_scenario_event
 from repro.scenario.report import ScenarioReport
 from repro.scenario.schema import ENGINES, ScenarioSpec
@@ -60,7 +65,6 @@ def run_replicate(
     *,
     engine: str | None = None,
     tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
 ) -> ScenarioReport:
     """Run one replicate on the spec's engine (or an override).
 
@@ -68,7 +72,7 @@ def run_replicate(
     ``event`` runs with the spec's ``barrier`` flag.
     """
     return run_scenario_event(
-        spec, barrier=_barrier(spec, engine), tracer=tracer, metrics=metrics
+        spec, barrier=_barrier(spec, engine), tracer=tracer
     )
 
 
@@ -136,25 +140,50 @@ def _round(x: float) -> float:
     return round(float(x), 10)
 
 
+def _replicate_row(job: tuple) -> tuple[dict, list[TraceRecord]]:
+    """One replicate's summary row and trace records (a forked worker's job)."""
+    spec, index, engine, traced, wall_clock = job
+    rep = replicate_spec(spec, index)
+    tracer = Tracer(enabled=traced, wall_clock=wall_clock)
+    report = run_replicate(rep, engine=engine, tracer=tracer)
+    row = {"replicate": index, "seed": rep.seed}
+    row.update({k: _round(v) for k, v in replicate_metrics(report).items()})
+    return row, tracer.records
+
+
 def build_summary(
     spec: ScenarioSpec,
     *,
     engine: str | None = None,
     tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
 ) -> dict:
-    """Run every replicate and aggregate the deterministic summary dict."""
-    per_replicate: list[dict] = []
-    for r in range(spec.replicates.count):
-        rep = replicate_spec(spec, r)
-        report = run_replicate(
-            rep, engine=engine, tracer=tracer, metrics=metrics
-        )
-        row = {"replicate": r, "seed": rep.seed}
-        row.update(
-            {k: _round(v) for k, v in replicate_metrics(report).items()}
-        )
-        per_replicate.append(row)
+    """Run every replicate and aggregate the deterministic summary dict.
+
+    Replicates run on forked workers; rows and trace records are merged
+    in replicate order, so the summary and ``tracer`` hold the bytes a
+    one-after-another run gives.
+    """
+    # Imported here: multiprocessing is paid by a run, not by importing
+    # the scenario CLI.
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro.fleet.pool import fork_map, fork_workers
+
+    count = spec.replicates.count
+    traced = tracer is not None and tracer.enabled
+    wall_clock = traced and tracer.wall_clock
+    jobs = [(spec, r, engine, traced, wall_clock) for r in range(count)]
+    try:
+        results = fork_map(_replicate_row, jobs, fork_workers(count))
+    except BrokenProcessPool as exc:
+        raise RuntimeError(
+            f"scenario replicate worker died (replicates "
+            f"{list(range(count))}); results discarded"
+        ) from exc
+    per_replicate = [row for row, _ in results]
+    if traced:
+        for _, records in results:
+            tracer.extend(records)
     metric_names = sorted(
         {k for row in per_replicate for k in row if k not in ("replicate", "seed")}
     )
