@@ -1,11 +1,7 @@
 """In-situ AI core: node, cloud, working-mode planners, system variants."""
 
 from repro.core.cloud import CloudUpdateReport, InSituCloud
-from repro.core.costing import (
-    FPGACoRunningCost,
-    GPUSingleRunningCost,
-    TaskCost,
-)
+from repro.core.costing import GPUSingleRunningCost, TaskCost
 from repro.core.modes import (
     CoRunningPlanner,
     SingleRunningConfig,
@@ -25,7 +21,6 @@ from repro.core.systems import SYSTEMS, SystemConfig, system_by_id
 __all__ = [
     "CloudUpdateReport",
     "CoRunningPlanner",
-    "FPGACoRunningCost",
     "GPUSingleRunningCost",
     "GuardDecision",
     "InSituCloud",

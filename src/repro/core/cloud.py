@@ -299,35 +299,6 @@ class InSituCloud:
             train_result=result,
         )
 
-    def guarded_update(
-        self,
-        uploaded: Dataset,
-        guard,
-        *,
-        weight_shared: bool,
-        registry=None,
-        **kwargs,
-    ) -> tuple[CloudUpdateReport, "GuardDecision"]:
-        """Incremental update with an acceptance test and optional registry.
-
-        Runs :meth:`incremental_update`, then asks the
-        :class:`~repro.core.registry.UpdateGuard` whether the new model may
-        ship.  On rejection the weights roll back to the pre-update state;
-        on acceptance the new state is published to ``registry`` (when
-        given) and becomes what :meth:`model_state` returns.
-        """
-        previous = self.inference_net.state_dict()
-        report = self.incremental_update(
-            uploaded, weight_shared=weight_shared, **kwargs
-        )
-        decision = guard.check(self.inference_net, previous)
-        if decision.accepted and registry is not None:
-            registry.publish(
-                self.inference_net.state_dict(),
-                {"images": report.images_used, "epochs": report.epochs},
-            )
-        return report, decision
-
     def model_state(self) -> dict[str, np.ndarray]:
         """State dict to push down to the node."""
         return self.inference_net.state_dict()

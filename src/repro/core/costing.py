@@ -1,15 +1,11 @@
-"""Node cost models for the two working modes.
+"""Node cost model for Single-running mode.
 
 The :class:`~repro.core.node.InSituNode` separates *decisions* (made by the
 trainable IoT-scale networks) from *costs* (time and energy of running the
-full-size networks on the node device).  A costing object maps image counts
-to modeled (seconds, joules) pairs for each task:
-
-* :class:`GPUSingleRunningCost` — the TX1 in Single-running mode: tasks
-  time-share the device at their planner-chosen batch sizes.
-* :class:`FPGACoRunningCost` — the VX690T running a WSS-NWS pipeline
-  design: both tasks advance together at the pipeline's throughput, at flat
-  board power.
+full-size networks on the node device).  :class:`GPUSingleRunningCost` maps
+image counts to modeled (seconds, joules) pairs for each task on the TX1 in
+Single-running mode: tasks time-share the device at their planner-chosen
+batch sizes.
 """
 
 from __future__ import annotations
@@ -17,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hw.gpu import network_time
-from repro.hw.pipeline import PipelineTiming
-from repro.hw.specs import FPGASpec, GPUSpec
+from repro.hw.specs import GPUSpec
 from repro.models.layer_specs import NetworkSpec
 
-__all__ = ["TaskCost", "GPUSingleRunningCost", "FPGACoRunningCost"]
+__all__ = ["TaskCost", "GPUSingleRunningCost"]
 
 
 @dataclass(frozen=True)
@@ -71,29 +66,3 @@ class GPUSingleRunningCost:
         ) / self.diagnosis_batch
         busy = per_image * images
         return TaskCost(busy, busy * self.gpu.power(timing.mean_utilization))
-
-
-class FPGACoRunningCost:
-    """Co-running mode costing on the FPGA pipeline.
-
-    The pipeline processes inference and diagnosis for every image in the
-    same rounds, so both tasks' per-image time is the pipeline's inverse
-    throughput; the board draws flat power while busy.  Diagnosis is
-    reported at zero marginal cost — its engines are dedicated silicon that
-    runs concurrently inside the same rounds.
-    """
-
-    def __init__(self, timing: PipelineTiming, fpga: FPGASpec) -> None:
-        self.timing = timing
-        self.fpga = fpga
-
-    def inference_cost(self, images: int) -> TaskCost:
-        if images < 0:
-            raise ValueError("images must be >= 0")
-        busy = images / self.timing.throughput_ips
-        return TaskCost(busy, busy * self.fpga.power_w)
-
-    def diagnosis_cost(self, images: int) -> TaskCost:
-        if images < 0:
-            raise ValueError("images must be >= 0")
-        return TaskCost(0.0, 0.0)

@@ -68,11 +68,6 @@ class InSituNode:
         The node device (Single-running mode costing).
     inference_batch / diagnosis_batch:
         Batch sizes chosen by the mode planner.
-    costing:
-        Optional cost model overriding the default
-        :class:`GPUSingleRunningCost` — pass
-        :class:`~repro.core.costing.FPGACoRunningCost` for Co-running
-        deployments.
     """
 
     def __init__(
@@ -86,29 +81,18 @@ class InSituNode:
         inference_batch: int = 4,
         diagnosis_batch: int = 32,
         num_patches: int = 9,
-        costing=None,
         image_bytes: int = JPEG_IMAGE_BYTES,
     ) -> None:
         self.inference_net = inference_net
         self.diagnoser = diagnoser
-        self.inference_spec = inference_spec
-        self.diagnosis_spec = diagnosis_spec
-        self.gpu = gpu
-        self.inference_batch = inference_batch
-        self.diagnosis_batch = diagnosis_batch
-        self.num_patches = num_patches
         self.image_bytes = image_bytes
-        self.costing = (
-            costing
-            if costing is not None
-            else GPUSingleRunningCost(
-                inference_spec,
-                diagnosis_spec,
-                gpu,
-                inference_batch=inference_batch,
-                diagnosis_batch=diagnosis_batch,
-                num_patches=num_patches,
-            )
+        self.costing = GPUSingleRunningCost(
+            inference_spec,
+            diagnosis_spec,
+            gpu,
+            inference_batch=inference_batch,
+            diagnosis_batch=diagnosis_batch,
+            num_patches=num_patches,
         )
 
     def deploy(self, state: dict[str, np.ndarray]) -> None:

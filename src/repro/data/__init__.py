@@ -11,7 +11,6 @@ from repro.data.drift import (
     sensor_noise,
 )
 from repro.data.images import NUM_SHAPE_CLASSES, ImageGenerator, ShapeParams
-from repro.data.io import load_dataset, save_dataset
 from repro.data.stream import PAPER_SCHEDULE_K, AcquisitionStage, IoTStream
 
 __all__ = [
@@ -24,10 +23,8 @@ __all__ = [
     "PAPER_SCHEDULE_K",
     "ShapeParams",
     "close_up",
-    "load_dataset",
     "low_illumination",
     "make_dataset",
-    "save_dataset",
     "motion_blur",
     "occlude",
     "random_pose",

@@ -8,14 +8,12 @@ from repro.diagnosis.diagnoser import (
     RandomDiagnoser,
 )
 from repro.diagnosis.policy import (
-    BudgetedDiagnoser,
     DiagnosisReport,
     calibrate_threshold,
     evaluate_diagnoser,
 )
 
 __all__ = [
-    "BudgetedDiagnoser",
     "DiagnosisReport",
     "Diagnoser",
     "InferenceConfidenceDiagnoser",

@@ -1,4 +1,4 @@
-"""Diagnosis calibration and upload policies."""
+"""Diagnosis threshold calibration and evaluation against the oracle."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.diagnosis.diagnoser import Diagnoser
 
 __all__ = [
     "calibrate_threshold",
-    "BudgetedDiagnoser",
     "DiagnosisReport",
     "evaluate_diagnoser",
 ]
@@ -33,46 +32,6 @@ def calibrate_threshold(scores: np.ndarray, target_fraction: float) -> float:
     if target_fraction == 1.0:
         return float(scores.max()) + 1e-9
     return float(np.quantile(scores, target_fraction))
-
-
-class BudgetedDiagnoser(Diagnoser):
-    """Cap another diagnoser's upload fraction at a hard budget.
-
-    Battery- or bandwidth-limited nodes cannot always afford to upload
-    everything a diagnoser flags.  When the base diagnoser exposes a
-    ``score`` method (low score = more valuable), the budget keeps the
-    lowest-scoring flagged samples; otherwise a uniform random subset of
-    the flags is kept.
-    """
-
-    def __init__(
-        self,
-        base: Diagnoser,
-        budget_fraction: float,
-        *,
-        rng: np.random.Generator | None = None,
-    ) -> None:
-        if not 0.0 <= budget_fraction <= 1.0:
-            raise ValueError("budget_fraction must be in [0, 1]")
-        self.base = base
-        self.budget_fraction = budget_fraction
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-    def flags(self, data: Dataset) -> np.ndarray:
-        flags = self.base.flags(data)
-        limit = int(np.floor(self.budget_fraction * len(data)))
-        flagged = int(flags.sum())
-        if flagged <= limit:
-            return flags
-        indices = np.flatnonzero(flags)
-        if hasattr(self.base, "score"):
-            scores = self.base.score(data)[indices]
-            keep = indices[np.argsort(scores)[:limit]]
-        else:
-            keep = self.rng.choice(indices, size=limit, replace=False)
-        capped = np.zeros_like(flags)
-        capped[keep] = True
-        return capped
 
 
 @dataclass(frozen=True)

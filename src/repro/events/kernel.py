@@ -33,7 +33,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Generator
 
-__all__ = ["Event", "Process", "Resource", "Simulator", "Store"]
+__all__ = ["Event", "Process", "Simulator", "Store"]
 
 _PENDING = 0  # not yet triggered
 _TRIGGERED = 1  # in the event queue, callbacks not yet run
@@ -172,43 +172,6 @@ class Simulator:
         if until is not None and until > self.now:
             self.now = until
         return self.now
-
-
-class Resource:
-    """Capacity-limited resource with FIFO handover.
-
-    ``yield resource.request()`` acquires a slot (waiting if none is
-    free); ``resource.release()`` hands the slot to the longest waiter.
-    """
-
-    def __init__(self, sim: Simulator, capacity: int = 1) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.sim = sim
-        self.capacity = capacity
-        self.users = 0
-        self._waiters: deque[Event] = deque()
-
-    def request(self) -> Event:
-        ev = Event(self.sim)
-        if self.users < self.capacity:
-            self.users += 1
-            ev.succeed()
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self.users <= 0:
-            raise RuntimeError("release without a matching request")
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self.users -= 1
-
-    @property
-    def queued(self) -> int:
-        return len(self._waiters)
 
 
 class Store:

@@ -9,7 +9,7 @@ from repro.hw.archs import (
     WSArch,
     WSSArch,
 )
-from repro.hw.energy import TrainingCostModel, fpga_energy_j, gpu_energy_j
+from repro.hw.energy import TrainingCostModel
 from repro.hw.engines import PEArrayEngine, TmTnEngine, square_factors
 from repro.hw.eventsim import ImageTrace, PipelineSimResult, simulate_pipeline
 from repro.hw.gpusim import CoRunSimResult, simulate_corun
@@ -49,8 +49,6 @@ __all__ = [
     "WSSArch",
     "best_design",
     "co_running_latency",
-    "fpga_energy_j",
-    "gpu_energy_j",
     "pipeline_timing",
     "simulate_corun",
     "simulate_pipeline",

@@ -1,36 +1,17 @@
-"""Energy accounting for node compute, Cloud training, and data transfer.
+"""Cloud training time and energy from op counts.
 
-Three energy sinks matter to the paper's end-to-end claims (Fig. 25,
-Table II): Cloud training energy (Titan X device-seconds), node compute
-energy (TX1 / FPGA device-seconds), and network transfer energy for the
-images uploaded to the Cloud.
+The paper's end-to-end claims (Fig. 25, Table II) charge the Cloud for its
+training energy in Titan X device-seconds; node compute is costed in
+:mod:`repro.core.costing` and transfer energy in :mod:`repro.comm`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.specs import FPGASpec, GPUSpec
+from repro.hw.specs import GPUSpec
 
-__all__ = [
-    "gpu_energy_j",
-    "fpga_energy_j",
-    "TrainingCostModel",
-]
-
-
-def gpu_energy_j(gpu: GPUSpec, busy_s: float, utilization: float) -> float:
-    """Joules spent by a GPU running for ``busy_s`` at the given utilization."""
-    if busy_s < 0:
-        raise ValueError("busy time must be >= 0")
-    return gpu.power(utilization) * busy_s
-
-
-def fpga_energy_j(fpga: FPGASpec, busy_s: float) -> float:
-    """Joules spent by the FPGA (flat board power)."""
-    if busy_s < 0:
-        raise ValueError("busy time must be >= 0")
-    return fpga.power_w * busy_s
+__all__ = ["TrainingCostModel"]
 
 
 @dataclass(frozen=True)

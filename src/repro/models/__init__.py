@@ -12,8 +12,6 @@ from repro.models.layer_specs import (
     NetworkSpec,
     alexnet_spec,
     diagnosis_spec,
-    googlenet_proxy_spec,
-    network_by_name,
     vgg16_spec,
 )
 from repro.models.registry import MODEL_CONFIGS, ModelConfig, build_model
@@ -30,8 +28,6 @@ __all__ = [
     "build_model",
     "conv_trunk_layers",
     "diagnosis_spec",
-    "googlenet_proxy_spec",
-    "network_by_name",
     "trunk_feature_size",
     "vgg16_spec",
 ]

@@ -3,8 +3,7 @@
 The analytical hardware models (Eqs. 1-14) need only layer *shapes* — the
 number of filters ``M``, input feature maps ``N``, kernel side ``K``, and
 output feature-map dims ``R x C`` — not trained weights.  This module records
-the standard AlexNet and VGG-16 shapes (227x227 / 224x224 ImageNet inputs)
-and a sequential proxy for GoogleNet used only for capacity comparisons.
+the standard AlexNet and VGG-16 shapes (227x227 / 224x224 ImageNet inputs).
 
 It also derives the *diagnosis-network* shapes.  The diagnosis task runs the
 shared trunk on each of the 9 jigsaw patches; the paper states its per-patch
@@ -22,9 +21,7 @@ __all__ = [
     "NetworkSpec",
     "alexnet_spec",
     "vgg16_spec",
-    "googlenet_proxy_spec",
     "diagnosis_spec",
-    "network_by_name",
 ]
 
 BYTES_PER_VALUE = 4  # fp32 on both TX1 and the FPGA design
@@ -184,28 +181,6 @@ def vgg16_spec() -> NetworkSpec:
     )
 
 
-def googlenet_proxy_spec() -> NetworkSpec:
-    """Sequential proxy for GoogleNet's compute profile.
-
-    GoogleNet's inception modules are not sequential, but the only place the
-    paper uses GoogleNet is the Table I accuracy comparison.  This proxy
-    matches its overall op count (~3.2 GFLOPs/image) and layer depth trend
-    with a sequential stack so the same tooling applies.  Documented as a
-    substitution in DESIGN.md.
-    """
-    return NetworkSpec(
-        name="googlenet",
-        layers=(
-            LayerSpec("conv1", "conv", 64, 3, 7, 112, 112, stride=2),
-            LayerSpec("conv2", "conv", 192, 64, 3, 56, 56),
-            LayerSpec("inc3", "conv", 256, 192, 3, 28, 28),
-            LayerSpec("inc4", "conv", 512, 256, 3, 14, 14),
-            LayerSpec("inc5", "conv", 832, 512, 3, 7, 7),
-            LayerSpec("fc", "fc", 1000, 1024, 1, 1, 1),
-        ),
-    )
-
-
 def diagnosis_spec(inference: NetworkSpec, num_perm_classes: int = 100) -> NetworkSpec:
     """Per-patch diagnosis-network shapes derived from an inference network.
 
@@ -232,20 +207,3 @@ def diagnosis_spec(inference: NetworkSpec, num_perm_classes: int = 100) -> Netwo
         last = fc_layers[-1]
         layers.append(replace(last, name=last.name, out_maps=num_perm_classes))
     return NetworkSpec(name=f"{inference.name}-diagnosis", layers=tuple(layers))
-
-
-_REGISTRY = {
-    "alexnet": alexnet_spec,
-    "vgg16": vgg16_spec,
-    "vggnet": vgg16_spec,
-    "googlenet": googlenet_proxy_spec,
-}
-
-
-def network_by_name(name: str) -> NetworkSpec:
-    try:
-        return _REGISTRY[name.lower()]()
-    except KeyError:
-        raise KeyError(
-            f"unknown network {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None

@@ -42,10 +42,6 @@ class Layer:
         """Trainable parameters (empty for stateless layers)."""
         return ()
 
-    def inference_arrays(self) -> Sequence[np.ndarray]:
-        """Every array an inference forward reads besides its input."""
-        return [p.data for p in self.parameters]
-
     def output_shape(self, input_shape: Shape) -> Shape:
         """Shape of the output for a single sample (no batch dimension)."""
         raise NotImplementedError

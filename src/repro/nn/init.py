@@ -1,6 +1,6 @@
-"""Weight initialization schemes.
+"""He-normal weight initialization for the ReLU networks.
 
-All initializers take an explicit :class:`numpy.random.Generator` so every
+The initializer takes an explicit :class:`numpy.random.Generator` so every
 experiment in the repo is reproducible from a seed.
 """
 
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["he_normal", "xavier_uniform", "gaussian", "zeros"]
+__all__ = ["he_normal"]
 
 
 def he_normal(
@@ -19,24 +19,3 @@ def he_normal(
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     std = np.sqrt(2.0 / fan_in)
     return rng.normal(0.0, std, size=shape)
-
-
-def xavier_uniform(
-    shape: tuple[int, ...], fan_in: int, fan_out: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Glorot/Xavier uniform initialization for tanh/sigmoid layers."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError("fan_in and fan_out must be positive")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def gaussian(
-    shape: tuple[int, ...], std: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Plain Gaussian init (Caffe's historical default)."""
-    return rng.normal(0.0, std, size=shape)
-
-
-def zeros(shape: tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape)

@@ -1,4 +1,4 @@
-"""Loss functions and classification metrics."""
+"""The softmax cross-entropy loss and top-1 accuracy."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.activations import softmax
 
-__all__ = ["CrossEntropyLoss", "MSELoss", "accuracy", "top_k_accuracy"]
+__all__ = ["CrossEntropyLoss", "accuracy"]
 
 
 class CrossEntropyLoss:
@@ -48,44 +48,9 @@ class CrossEntropyLoss:
         return self.forward(logits, labels)
 
 
-class MSELoss:
-    """Mean squared error over arbitrary-shaped targets."""
-
-    def __init__(self) -> None:
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        if pred.shape != target.shape:
-            raise ValueError(
-                f"prediction shape {pred.shape} != target shape {target.shape}"
-            )
-        self._cache = (pred, target)
-        return float(np.mean((pred - target) ** 2))
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        pred, target = self._cache
-        self._cache = None
-        return 2.0 * (pred - target) / pred.size
-
-    def __call__(self, pred: np.ndarray, target: np.ndarray) -> float:
-        return self.forward(pred, target)
-
-
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Top-1 accuracy in [0, 1]."""
     labels = np.asarray(labels)
     if len(labels) == 0:
         raise ValueError("cannot compute accuracy of an empty batch")
     return float((logits.argmax(axis=1) == labels).mean())
-
-
-def top_k_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 5) -> float:
-    """Top-k accuracy in [0, 1]."""
-    labels = np.asarray(labels)
-    if len(labels) == 0:
-        raise ValueError("cannot compute accuracy of an empty batch")
-    k = min(k, logits.shape[1])
-    top = np.argpartition(-logits, k - 1, axis=1)[:, :k]
-    return float((top == labels[:, None]).any(axis=1).mean())

@@ -4,8 +4,7 @@ Beyond forward/backward, the container supports the operations the paper's
 framework needs constantly: naming and addressing layers ("conv1"..."conv5",
 "fc6"...), freezing prefixes of convolutional layers (CONV-i locking, Fig. 6),
 copying the first *n* layers' weights from a donor network (Fig. 4 transfer),
-and saving/loading weights as ``.npz`` files so cloud and node can exchange
-models.
+and exchanging weights as state dicts so cloud and node can share models.
 """
 
 from __future__ import annotations
@@ -181,13 +180,6 @@ class Sequential:
                     f"{state[p.name].shape} vs {p.data.shape}"
                 )
             p.data[...] = state[p.name]
-
-    def save(self, path: str) -> None:
-        np.savez(path, **self.state_dict())
-
-    def load(self, path: str) -> None:
-        with np.load(path) as data:
-            self.load_state_dict({k: data[k] for k in data.files})
 
     def copy_layer_weights(self, donor: "Sequential", names: Sequence[str]) -> None:
         """Copy the named layers' parameters from ``donor``.

@@ -1,4 +1,4 @@
-"""Optimizers and learning-rate schedules.
+"""The SGD optimizer.
 
 SGD with momentum and weight decay covers everything the paper trains (it
 uses Caffe's standard solver).  Frozen parameters are skipped entirely, which
@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn.tensor import Parameter
 
-__all__ = ["SGD", "StepLR", "ConstantLR"]
+__all__ = ["SGD"]
 
 
 class SGD:
@@ -67,32 +67,3 @@ class SGD:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-
-class ConstantLR:
-    """Trivial schedule: the learning rate never changes."""
-
-    def __init__(self, optimizer: SGD) -> None:
-        self.optimizer = optimizer
-
-    def step(self) -> None:
-        return None
-
-
-class StepLR:
-    """Decay the learning rate by ``gamma`` every ``step_size`` calls."""
-
-    def __init__(self, optimizer: SGD, step_size: int, gamma: float = 0.1) -> None:
-        if step_size < 1:
-            raise ValueError("step_size must be >= 1")
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError("gamma must be in (0, 1]")
-        self.optimizer = optimizer
-        self.step_size = step_size
-        self.gamma = gamma
-        self._count = 0
-
-    def step(self) -> None:
-        self._count += 1
-        if self._count % self.step_size == 0:
-            self.optimizer.lr *= self.gamma

@@ -1,4 +1,4 @@
-"""Spatial pooling layers (max / average / global average)."""
+"""Spatial max pooling."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import numpy as np
 from repro.nn.base import Layer, Shape
 from repro.nn.im2col import conv_output_size
 
-__all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
+__all__ = ["MaxPool2D"]
 
 
 def _windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -126,68 +126,3 @@ class MaxPool2D(Layer):
         for tap, mask in zip(self._taps(grad_in), masks):
             np.multiply(share, mask, out=tap)
         return grad_in
-
-
-class AvgPool2D(Layer):
-    def __init__(self, kernel: int, stride: int | None = None, name: str = "avgpool") -> None:
-        if kernel < 1:
-            raise ValueError("kernel must be >= 1")
-        self.kernel = kernel
-        self.stride = stride if stride is not None else kernel
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        self.name = name
-        self._in_shape: tuple[int, ...] | None = None
-
-    def output_shape(self, input_shape: Shape) -> Shape:
-        channels, height, width = input_shape
-        return (
-            channels,
-            conv_output_size(height, self.kernel, self.stride, 0),
-            conv_output_size(width, self.kernel, self.stride, 0),
-        )
-
-    def forward(self, x: np.ndarray, *, training: bool = False) -> np.ndarray:
-        windows = _windows(x, self.kernel, self.stride)
-        if training:
-            self._in_shape = x.shape
-        return windows.mean(axis=(4, 5))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._in_shape is None:
-            raise RuntimeError(f"{self.name}: backward before forward")
-        shape, self._in_shape = self._in_shape, None
-        grad_in = np.zeros(shape, dtype=grad_out.dtype)
-        k, s = self.kernel, self.stride
-        share = grad_out / (k * k)
-        for r in range(grad_out.shape[2]):
-            for c in range(grad_out.shape[3]):
-                grad_in[:, :, r * s : r * s + k, c * s : c * s + k] += share[
-                    :, :, r : r + 1, c : c + 1
-                ]
-        return grad_in
-
-
-class GlobalAvgPool2D(Layer):
-    """Average each feature map down to a single value (GoogleNet-style head)."""
-
-    def __init__(self, name: str = "gap") -> None:
-        self.name = name
-        self._in_shape: tuple[int, ...] | None = None
-
-    def output_shape(self, input_shape: Shape) -> Shape:
-        channels = input_shape[0]
-        return (channels,)
-
-    def forward(self, x: np.ndarray, *, training: bool = False) -> np.ndarray:
-        if training:
-            self._in_shape = x.shape
-        return x.mean(axis=(2, 3))
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._in_shape is None:
-            raise RuntimeError(f"{self.name}: backward before forward")
-        shape, self._in_shape = self._in_shape, None
-        _, _, height, width = shape
-        grad = grad_out[:, :, None, None] / (height * width)
-        return np.broadcast_to(grad, shape).copy()

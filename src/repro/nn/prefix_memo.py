@@ -46,15 +46,15 @@ _ROWS: OrderedDict[tuple[bytes, bytes], np.ndarray] = OrderedDict()
 
 
 def _hash_layer(digest, layer: Layer) -> None:
-    # hyper-parameters (stride, pad, pool size, slope, eps) shape the output
-    # as much as the arrays do; bools are transient marks
+    # hyper-parameters (stride, pad, pool size) shape the output as much as
+    # the weights do; bools are transient marks
     config = sorted(
         kv for kv in vars(layer).items() if type(kv[1]) in (int, float, str)
     )
     digest.update(repr((type(layer).__name__, config)).encode())
-    for array in layer.inference_arrays():
-        digest.update(repr((array.dtype.str, array.shape)).encode())
-        digest.update(np.ascontiguousarray(array))
+    for param in layer.parameters:
+        digest.update(repr((param.data.dtype.str, param.data.shape)).encode())
+        digest.update(np.ascontiguousarray(param.data))
 
 
 def params_digest(layers: Sequence[Layer]) -> bytes:

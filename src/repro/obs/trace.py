@@ -259,13 +259,26 @@ def _parse_line(path, line_no: int, line: str) -> TraceRecord:
             f"{path}:{line_no}: trace line lacks required "
             f"key(s) {', '.join(missing)}"
         )
+    for key in ("t0", "t1"):
+        value = obj[key]
+        if value is None and key == "t1":
+            continue  # an instant event
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TraceFormatError(
+                f"{path}:{line_no}: {key} is not a number ({value!r})"
+            )
+    attrs = obj.get("attrs", {})
+    if not isinstance(attrs, dict):
+        raise TraceFormatError(
+            f"{path}:{line_no}: attrs is not a JSON object"
+        )
     return TraceRecord(
         kind=obj["kind"],
         cat=obj["cat"],
         name=obj["name"],
         t0=obj["t0"],
         t1=obj["t1"],
-        attrs=_freeze_attrs(obj.get("attrs", {})),
+        attrs=_freeze_attrs(attrs),
         wall=obj.get("wall"),
     )
 
@@ -275,7 +288,8 @@ def iter_jsonl(path):
 
     Constant memory: never materializes the record list, so analyses
     built on it scale to arbitrarily long traces.  Malformed lines
-    (bad JSON, wrong schema version, missing keys) raise
+    (bad JSON, wrong schema version, missing keys, a non-numeric ``t0`` or
+    ``t1`` (``t1`` is null on an instant event), non-object ``attrs``) raise
     :class:`TraceFormatError` anchored as ``path:line_no: message``.
     """
     with open(path, "r", encoding="utf-8") as fh:

@@ -49,14 +49,9 @@ class ChurnPlan:
             np.random.SeedSequence((seed, _CHURN_SALT))
         )
         down = [[False] * num_stages for _ in range(num_nodes)]
-        remaining = [0] * num_nodes
         # Stage 0 always runs the full fleet: initialization needs every
         # node's first uploads, matching cloud_initialize's contract.
         for stage in range(1, num_stages):
-            for node in range(num_nodes):
-                if remaining[node] > 0:
-                    down[node][stage] = True
-                    remaining[node] -= 1
             for node in range(num_nodes):
                 if down[node][stage]:
                     continue
@@ -79,7 +74,6 @@ class ChurnPlan:
                     continue
                 for s in window:
                     down[node][s] = True
-                remaining[node] = 0  # consumed by the explicit loop above
         return cls(down=tuple(tuple(row) for row in down))
 
     @property

@@ -19,7 +19,7 @@ Top-level grammar (see DESIGN.md §11 for the full reference)::
       description: <str>
       seed: <int >= 0>
       engine: lockstep | event
-      barrier: <bool>        # engine: event only (lockstep always holds it)
+      barrier: <bool>        # false needs engine: event (lockstep always holds it)
     fleet:                   # required
       nodes: <int >= 1>      # required
       stages: <int >= 1>
@@ -439,6 +439,12 @@ def load_spec(text: str, *, filename: str = "<scenario>") -> ScenarioSpec:
             barrier=scn.bool_("barrier"),
         ),
     }
+    if header["engine"] == "lockstep" and not header["barrier"]:
+        raise scn.error(
+            "scenario.barrier: false needs engine: event "
+            "(lockstep always holds the barrier)",
+            scn.entries["barrier"].line,
+        )
     seed = header["seed"]
     scn.finish()
 

@@ -1,11 +1,11 @@
-"""Node cost models for the two working modes."""
+"""Node cost model for Single-running mode."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core import CoRunningPlanner, FPGACoRunningCost, GPUSingleRunningCost
-from repro.hw import TX1, VX690T
+from repro.core import GPUSingleRunningCost
+from repro.hw import TX1
 from repro.models import alexnet_spec, diagnosis_spec
 
 
@@ -43,45 +43,3 @@ class TestGPUSingleRunningCost:
             costing.inference_cost(-1)
         with pytest.raises(ValueError):
             costing.diagnosis_cost(-1)
-
-
-class TestFPGACoRunningCost:
-    @pytest.fixture
-    def costing(self, specs):
-        inf, diag = specs
-        timing = CoRunningPlanner(VX690T).plan(
-            inf, diag, latency_requirement_s=0.2
-        )
-        return FPGACoRunningCost(timing, VX690T)
-
-    def test_inference_cost_from_throughput(self, costing):
-        cost = costing.inference_cost(100)
-        expected = 100 / costing.timing.throughput_ips
-        assert cost.seconds == pytest.approx(expected)
-        assert cost.joules == pytest.approx(expected * VX690T.power_w)
-
-    def test_diagnosis_is_free_marginal(self, costing):
-        assert costing.diagnosis_cost(1000).seconds == 0.0
-
-    def test_node_accepts_fpga_costing(self, specs, rng):
-        from repro.core import InSituNode
-        from repro.data import ImageGenerator, IoTStream
-        from repro.models import build_classifier
-
-        inf, diag = specs
-        timing = CoRunningPlanner(VX690T).plan(
-            inf, diag, latency_requirement_s=0.2
-        )
-        node = InSituNode(
-            build_classifier(4, rng),
-            None,
-            inference_spec=inf,
-            diagnosis_spec=diag,
-            gpu=TX1,
-            costing=FPGACoRunningCost(timing, VX690T),
-        )
-        generator = ImageGenerator(48, 4, rng=rng)
-        stage = IoTStream(generator, scale=0.1, rng=rng).stages()[0]
-        report = node.process_stage(stage)
-        assert report.inference_time_s > 0
-        assert report.diagnosis_time_s == 0.0

@@ -5,14 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import (
-    InSituCloud,
-    ModelRegistry,
-    UpdateGuard,
-)
+from repro.core import ModelRegistry, UpdateGuard
 from repro.data import make_dataset
-from repro.models import alexnet_spec, build_classifier
-from repro.selfsup import PermutationSet
+from repro.models import build_classifier
 
 
 @pytest.fixture
@@ -118,28 +113,3 @@ class TestUpdateGuard:
         data = make_dataset(4, generator=generator, rng=rng)
         with pytest.raises(ValueError):
             UpdateGuard(data, max_regression=-0.1)
-
-
-class TestGuardedCloudUpdate:
-    def test_guarded_update_publishes_on_accept(self, rng, generator):
-        permset = PermutationSet.generate(4, rng=rng)
-        cloud = InSituCloud(
-            4, permset, cost_spec=alexnet_spec(),
-            rng=np.random.default_rng(5),
-        )
-        labeled = make_dataset(80, generator=generator, rng=rng)
-        cloud.initialize_inference(labeled, epochs=4)
-        guard = UpdateGuard(
-            make_dataset(60, generator=generator, rng=rng),
-            max_regression=0.2,
-        )
-        registry = ModelRegistry()
-        new = make_dataset(40, generator=generator, rng=rng)
-        report, decision = cloud.guarded_update(
-            new, guard, weight_shared=True, registry=registry, epochs=2
-        )
-        assert report.images_used == 40
-        if decision.accepted:
-            assert len(registry) == 1
-        else:
-            assert len(registry) == 0

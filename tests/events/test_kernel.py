@@ -1,4 +1,4 @@
-"""The discrete-event kernel: clock, queue, processes, resources.
+"""The discrete-event kernel: clock, queue, processes, stores.
 
 Everything virtual-time in the repo (hw pipeline sim, uplink flows, the
 asynchronous fleet) runs on this kernel, so its determinism contract —
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.events import Resource, Simulator, Store
+from repro.events import Simulator, Store
 
 
 class TestClockAndTimeouts:
@@ -191,57 +191,6 @@ class TestRunUntil:
     def test_empty_queue_returns_current_clock(self):
         sim = Simulator()
         assert sim.run() == 0.0
-
-
-class TestResource:
-    def test_fifo_handover(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=1)
-        order = []
-
-        def worker(name, hold):
-            yield res.request()
-            order.append(("start", name, sim.now))
-            yield sim.timeout(hold)
-            order.append(("end", name, sim.now))
-            res.release()
-
-        sim.process(worker("a", 2.0))
-        sim.process(worker("b", 1.0))
-        sim.process(worker("c", 1.0))
-        sim.run()
-        assert [o[1] for o in order if o[0] == "start"] == ["a", "b", "c"]
-        assert order[-1] == ("end", "c", 4.0)
-
-    def test_capacity_bounds_concurrency(self):
-        sim = Simulator()
-        res = Resource(sim, capacity=2)
-        active = []
-        peak = []
-
-        def worker():
-            yield res.request()
-            active.append(1)
-            peak.append(len(active))
-            yield sim.timeout(1.0)
-            active.pop()
-            res.release()
-
-        for _ in range(5):
-            sim.process(worker())
-        sim.run()
-        assert max(peak) == 2
-        assert res.queued == 0
-
-    def test_release_without_request_raises(self):
-        sim = Simulator()
-        res = Resource(sim)
-        with pytest.raises(RuntimeError):
-            res.release()
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            Resource(Simulator(), capacity=0)
 
 
 class TestStore:

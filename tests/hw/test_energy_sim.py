@@ -1,4 +1,4 @@
-"""Energy accounting and the 'measured' GPU simulator."""
+"""Cloud training cost model and the 'measured' GPU simulator."""
 
 from __future__ import annotations
 
@@ -7,29 +7,10 @@ import pytest
 from repro.hw import (
     TITAN_X,
     TX1,
-    VX690T,
     MeasuredGPU,
     TrainingCostModel,
-    fpga_energy_j,
-    gpu_energy_j,
 )
 from repro.models import alexnet_spec
-
-
-class TestEnergyAccounting:
-    def test_gpu_energy(self):
-        assert gpu_energy_j(TX1, 10.0, 1.0) == pytest.approx(
-            TX1.peak_power_w * 10.0
-        )
-
-    def test_fpga_energy(self):
-        assert fpga_energy_j(VX690T, 2.0) == pytest.approx(50.0)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            gpu_energy_j(TX1, -1.0, 0.5)
-        with pytest.raises(ValueError):
-            fpga_energy_j(VX690T, -1.0)
 
 
 class TestTrainingCostModel:

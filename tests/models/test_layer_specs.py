@@ -4,13 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.models import (
-    alexnet_spec,
-    diagnosis_spec,
-    googlenet_proxy_spec,
-    network_by_name,
-    vgg16_spec,
-)
+from repro.models import alexnet_spec, diagnosis_spec, vgg16_spec
 from repro.models.layer_specs import LayerSpec
 
 
@@ -96,21 +90,3 @@ class TestDiagnosisSpec:
     def test_head_predicts_permutations(self):
         diag = diagnosis_spec(alexnet_spec(), num_perm_classes=100)
         assert diag.fc_layers[-1].out_maps == 100
-
-
-class TestRegistryLookup:
-    def test_by_name(self):
-        assert network_by_name("alexnet").name == "alexnet"
-        assert network_by_name("VGGNet").name == "vgg16"
-        assert network_by_name("googlenet").name == "googlenet"
-
-    def test_unknown(self):
-        with pytest.raises(KeyError):
-            network_by_name("resnet")
-
-    def test_googlenet_ops_between(self):
-        """Capacity ordering used by Table I: alex < googlenet < vgg."""
-        a = alexnet_spec().total_ops
-        g = googlenet_proxy_spec().total_ops
-        v = vgg16_spec().total_ops
-        assert a < g < v

@@ -1,4 +1,4 @@
-"""Activation layers: values, gradients, softmax properties."""
+"""The ReLU layer (values, gradients) and softmax properties."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.nn import LeakyReLU, ReLU, Sigmoid, Softmax, Tanh, softmax
+from repro.nn import ReLU, softmax
 
 
 def relu_where(x, grad_out):
@@ -65,33 +65,6 @@ class TestReLU:
             ReLU().backward(np.zeros(3))
 
 
-class TestLeakyReLU:
-    def test_negative_slope(self):
-        layer = LeakyReLU(slope=0.1)
-        out = layer.forward(np.array([-10.0, 10.0]))
-        assert np.allclose(out, [-1.0, 10.0])
-
-    def test_invalid_slope(self):
-        with pytest.raises(ValueError):
-            LeakyReLU(slope=-0.5)
-
-
-class TestTanhSigmoid:
-    @pytest.mark.usefixtures("float64_mode")
-    def test_tanh_gradcheck(self, gradcheck, rng):
-        gradcheck(Tanh(), rng.normal(size=(2, 5)))
-
-    @pytest.mark.usefixtures("float64_mode")
-    def test_sigmoid_gradcheck(self, gradcheck, rng):
-        gradcheck(Sigmoid(), rng.normal(size=(2, 5)))
-
-    def test_sigmoid_saturation_is_finite(self):
-        out = Sigmoid().forward(np.array([1000.0, -1000.0]))
-        assert np.all(np.isfinite(out))
-        assert out[0] == pytest.approx(1.0)
-        assert out[1] == pytest.approx(0.0)
-
-
 class TestSoftmax:
     def test_rows_sum_to_one(self, rng):
         probs = softmax(rng.normal(size=(4, 7)))
@@ -100,10 +73,6 @@ class TestSoftmax:
     def test_shift_invariance(self, rng):
         logits = rng.normal(size=(3, 5))
         assert np.allclose(softmax(logits), softmax(logits + 100.0))
-
-    @pytest.mark.usefixtures("float64_mode")
-    def test_softmax_layer_gradcheck(self, gradcheck, rng):
-        gradcheck(Softmax(), rng.normal(size=(3, 4)))
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -1,11 +1,11 @@
-"""Loss functions and metrics."""
+"""Cross-entropy loss and top-1 accuracy."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn import CrossEntropyLoss, MSELoss, accuracy, top_k_accuracy
+from repro.nn import CrossEntropyLoss, accuracy
 from tests_helpers_losses import numeric_loss_gradient
 
 
@@ -40,34 +40,10 @@ class TestCrossEntropy:
             CrossEntropyLoss().backward()
 
 
-class TestMSE:
-    def test_value(self):
-        loss = MSELoss()
-        assert loss(np.array([1.0, 3.0]), np.array([1.0, 1.0])) == 2.0
-
-    def test_gradient(self, rng):
-        loss = MSELoss()
-        pred = rng.normal(size=(3, 4))
-        target = rng.normal(size=(3, 4))
-        loss(pred, target)
-        grad = loss.backward()
-        num = numeric_loss_gradient(lambda p: MSELoss()(p, target), pred)
-        assert np.allclose(grad, num, atol=1e-6)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            MSELoss()(np.zeros(3), np.zeros(4))
-
-
 class TestMetrics:
     def test_accuracy(self):
         logits = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         assert accuracy(logits, np.array([0, 1, 1])) == pytest.approx(2 / 3)
-
-    def test_top_k(self):
-        logits = np.array([[3.0, 2.0, 1.0, 0.0]])
-        assert top_k_accuracy(logits, np.array([2]), k=3) == 1.0
-        assert top_k_accuracy(logits, np.array([3]), k=3) == 0.0
 
     def test_empty_batch_raises(self):
         with pytest.raises(ValueError):

@@ -94,15 +94,6 @@ class TestWeights:
         x = rng.normal(size=(1, 3, 8, 8))
         assert np.allclose(net_a.predict(x), net_b.predict(x))
 
-    def test_save_load_file(self, rng, tmp_path):
-        net_a = tiny_net(rng)
-        path = str(tmp_path / "weights.npz")
-        net_a.save(path)
-        net_b = tiny_net(np.random.default_rng(1))
-        net_b.load(path)
-        x = rng.normal(size=(1, 3, 8, 8))
-        assert np.allclose(net_a.predict(x), net_b.predict(x))
-
     def test_load_missing_key_raises(self, rng):
         net = tiny_net(rng)
         state = net.state_dict()

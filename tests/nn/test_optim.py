@@ -1,11 +1,11 @@
-"""SGD optimizer and LR schedules."""
+"""The SGD optimizer."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.nn import SGD, ConstantLR, StepLR
+from repro.nn import SGD
 from repro.nn.tensor import Parameter
 
 
@@ -62,25 +62,3 @@ class TestSGD:
             p.accumulate(2.0 * (p.data - 3.0))
             opt.step()
         assert p.data[0] == pytest.approx(3.0, abs=1e-4)
-
-
-class TestSchedules:
-    def test_step_lr_decays(self):
-        opt = SGD([make_param()], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        sched.step()
-        assert opt.lr == 1.0
-        sched.step()
-        assert opt.lr == pytest.approx(0.1)
-
-    def test_constant_lr(self):
-        opt = SGD([make_param()], lr=0.5)
-        ConstantLR(opt).step()
-        assert opt.lr == 0.5
-
-    def test_invalid_schedule_params(self):
-        opt = SGD([make_param()])
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=1, gamma=0.0)

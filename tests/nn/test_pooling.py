@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import AvgPool2D, GlobalAvgPool2D, MaxPool2D
+from repro.nn import MaxPool2D
 
 
 def maxpool_tiled_reference(x, grad_out, k):
@@ -113,33 +113,3 @@ class TestMaxPool:
         grad_out = rng.normal(size=out.shape)
         grad_in = pool.backward(grad_out)
         assert np.isclose(grad_in.sum(), grad_out.sum())
-
-
-class TestAvgPool:
-    def test_values(self):
-        x = np.arange(4, dtype=float).reshape(1, 1, 2, 2)
-        assert AvgPool2D(2).forward(x).item() == pytest.approx(1.5)
-
-    @pytest.mark.usefixtures("float64_mode")
-    def test_gradcheck(self, gradcheck, rng):
-        gradcheck(AvgPool2D(2), rng.normal(size=(2, 2, 6, 6)))
-
-    @pytest.mark.usefixtures("float64_mode")
-    def test_gradcheck_overlapping(self, gradcheck, rng):
-        gradcheck(AvgPool2D(3, stride=2), rng.normal(size=(1, 2, 7, 7)))
-
-
-class TestGlobalAvgPool:
-    def test_values(self):
-        x = np.stack(
-            [np.full((4, 4), 2.0), np.full((4, 4), 6.0)]
-        ).reshape(1, 2, 4, 4)
-        out = GlobalAvgPool2D().forward(x)
-        assert out.tolist() == [[2.0, 6.0]]
-
-    def test_output_shape(self):
-        assert GlobalAvgPool2D().output_shape((32, 6, 6)) == (32,)
-
-    @pytest.mark.usefixtures("float64_mode")
-    def test_gradcheck(self, gradcheck, rng):
-        gradcheck(GlobalAvgPool2D(), rng.normal(size=(2, 3, 4, 4)))

@@ -137,12 +137,21 @@ class TestAnalysisCommands:
         assert capsys.readouterr().out == first
 
     def test_malformed_trace_is_line_anchored(self, tmp_path, capsys):
+        span = '"v":1,"kind":"span","cat":"node","name":"compute"'
+        bad_lines = [
+            '{"v":1,"kind":"span","cat":"c","na',
+            "{" + span + ',"t0":0.0,"t1":1.5,"attrs":[]}',
+            "{" + span + ',"t0":"0","t1":1.5}',
+            "{" + span + ',"t0":null,"t1":1.5}',
+            "{" + span + ',"t0":0.0,"t1":true}',
+        ]
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"v":1,"kind":"span","cat":"c","na\n')
-        for command in ("summarize", "critical-path", "health"):
-            assert main([command, str(path)]) == 1
-            out = capsys.readouterr().out
-            assert "error:" in out and "bad.jsonl:1:" in out
+        for line in bad_lines:
+            path.write_text(line + "\n")
+            for command in ("summarize", "critical-path", "health"):
+                assert main([command, str(path)]) == 1, (command, line)
+                out = capsys.readouterr().out
+                assert "error:" in out and "bad.jsonl:1:" in out, line
 
 
 class TestPhaseTable:

@@ -102,6 +102,14 @@ class TestAnchoredErrors:
         )
         self.check(text, 11, "strictly increasing")
 
+    def test_barrier_false_contradicts_lockstep(self):
+        header = "scenario:\n  name: x\n  engine: lockstep\n"
+        fleet = "fleet:\n  nodes: 2\n  stages: 2\n"
+        self.check(header + "  barrier: false\n" + fleet, 4, "engine: event")
+        default_engine = "scenario:\n  name: x\n  barrier: false\n" + fleet
+        self.check(default_engine, 3, "engine: event")
+        assert load_spec(header + "  barrier: true\n" + fleet).barrier is True
+
     def test_yaml_error_is_wrapped_with_filename(self):
         self.check("scenario: [\n", 1, "unterminated", filename="broken.yaml")
 
