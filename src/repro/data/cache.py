@@ -19,16 +19,21 @@ Correctness rules for anything stored here:
 * the builder must consume only RNGs it creates itself; if a live generator
   outlives the cached segment, its end-of-segment ``bit_generator.state``
   belongs in the payload so a hit can restore the stream position;
-* hits return a deep copy of the payload, so downstream in-place mutation
-  can never corrupt the cache or couple two runs.
+* the payload is immutable and shared: every ndarray reachable through
+  its containers and attributes is marked read-only when it is stored, and
+  a miss and every later hit return that one stored object, with no copy.
+  An in-place write into a payload array raises instead of corrupting
+  later hits or coupling two runs; a consumer that needs to write takes
+  its own copy, and none may rebind a payload object's attributes.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
+
+import numpy as np
 
 __all__ = ["DatasetCache", "dataset_cache"]
 
@@ -48,7 +53,7 @@ class DatasetCache:
     def get_or_build(
         self, key: Hashable, builder: Callable[[], Any]
     ) -> Any:
-        """Return a deep copy of the cached payload, building on a miss.
+        """Return the cached payload, building and freezing it on a miss.
 
         The builder runs outside the lock; if two threads race on the same
         missing key the second build simply overwrites the first with an
@@ -58,14 +63,15 @@ class DatasetCache:
             if key in self._entries:
                 self.hits += 1
                 self._entries.move_to_end(key)
-                return copy.deepcopy(self._entries[key])
+                return self._entries[key]
         value = builder()
+        _freeze(value)
         with self._lock:
             self.misses += 1
             self._entries[key] = value
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-        return copy.deepcopy(value)
+        return value
 
     def __len__(self) -> int:
         with self._lock:
@@ -76,6 +82,21 @@ class DatasetCache:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
+
+
+def _freeze(value: Any) -> None:
+    """Mark every ndarray reachable through ``value``'s dicts, lists,
+    tuples and instance attributes read-only."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, dict):
+        for item in value.values():
+            _freeze(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _freeze(item)
+    elif hasattr(value, "__dict__"):
+        _freeze(vars(value))
 
 
 #: shared cache used by the core and fleet asset-preparation paths

@@ -922,6 +922,12 @@ def run_fleet_event(
     return report
 
 
+def _run_system(job: tuple[SystemConfig, FleetAssets]) -> FleetEventReport:
+    """One variant's barrier run (a forked worker's job)."""
+    config, assets = job
+    return run_fleet_event(config, assets, barrier=True)
+
+
 def run_all_systems(scenario: Scenario) -> dict[str, FleetEventReport]:
     """Table II / Fig. 25: every Fig. 24 variant on one node's stream.
 
@@ -930,12 +936,23 @@ def run_all_systems(scenario: Scenario) -> dict[str, FleetEventReport]:
     weights.  Per stage ``s``, ``nodes[0].records[s]`` holds the movement
     and upload energy, and the ``updates`` with ``stage_index == s`` the
     Cloud's modeled time, energy and eval accuracy.
+
+    The assets are prepared once; the four runs are independent and go to
+    :func:`~repro.fleet.pool.fork_map`, one forked worker per free core
+    (:func:`~repro.fleet.pool.fork_workers`), so the reports equal a
+    one-after-another run's.
     """
+    # Imported here: multiprocessing is paid by a run, not by importing
+    # the fleet package.
+    from repro.fleet.pool import fork_map, fork_workers
+
     assets = prepare_assets(scenario)
-    return {
-        config.system_id: run_fleet_event(config, assets, barrier=True)
-        for config in SYSTEMS
-    }
+    reports = fork_map(
+        _run_system,
+        [(config, assets) for config in SYSTEMS],
+        fork_workers(len(SYSTEMS)),
+    )
+    return {config.system_id: report for config, report in zip(SYSTEMS, reports)}
 
 
 # ----------------------------------------------------------------------

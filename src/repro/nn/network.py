@@ -69,11 +69,15 @@ class Sequential:
             self._reuse_depths = before
 
     def forward(self, x: np.ndarray, *, training: bool = False) -> np.ndarray:
-        if self._reuse_depths and not training:
+        """Training: every layer on the whole batch, caches kept for
+        :meth:`backward`.  Inference: :func:`repro.nn.prefix_memo.infer`,
+        which runs the conv trunk per block of images and the FC layers on
+        the whole batch."""
+        if not training:
             return prefix_memo.infer(self.layers, self._reuse_depths, x)
         out = x
         for layer in self.layers:
-            out = layer.forward(out, training=training)
+            out = layer.forward(out, training=True)
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

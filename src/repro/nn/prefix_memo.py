@@ -1,15 +1,27 @@
-"""Process-wide memo of conv-prefix activations: one pass per (weights, image).
+"""Inference-mode forward of a layer stack, with a process-wide memo of
+conv-prefix activations: one pass per (weights, image).
 
-:func:`infer` maps ``(digest of all that layers[:k] read at inference, digest
-of one image's dtype + shape + bytes)`` to that image's row of the
+:func:`infer` is the one inference loop: ``Sequential.forward(training=False)``
+calls it with the prefix lengths its ``reusing_prefix`` block names (none
+outside one), and the frozen-prefix trainer calls it on the prefix.  The
+*trunk* — the layers before the first :class:`~repro.nn.linear.Linear` (conv,
+ReLU, max-pool, flatten) — runs one block of consecutive images at a time,
+each block as large as fits :data:`repro.nn.conv.BLOCK_BYTES` of the trunk's
+largest per-image output, so an inference pass holds block-sized layer
+outputs whatever the batch size.  The layers from the first ``Linear`` on
+run on the caller's whole batch.
+
+The memo maps ``(digest of all that layers[:k] read at inference, digest of
+one image's dtype + shape + bytes)`` to that image's row of the
 inference-mode output of ``layers[:k]``.  A batch resumes from the deepest
 prefix length at which *every* image has a row: the rows are stacked, with
 the strides the layer produced, and the layers after that depth run on the
-caller's batch unchanged.  If any image misses, the whole batch is computed
-— never a sub-batch — and one row per image is stored.
+caller's batch.  If any image misses, every image of the batch is computed,
+in the trunk's in-order blocks of the caller's batch — never a sub-batch of
+only the missed images — and each block stores one row per image.
 
-A hit is exact because a row of the conv prefix does not depend on what else
-is in its batch, a BLAS property pinned by name
+Blocking and hits are exact because a row of the conv trunk does not depend
+on what else is in its batch, a BLAS property pinned by name
 (``tests/nn/test_prefix_memo.py::test_conv_prefix_rows_invariant_to_batch_composition``);
 the FC GEMMs, whose rows are not batch-invariant, always see the batch the
 caller passed (DESIGN §7).
@@ -22,12 +34,15 @@ like the workspace.
 from __future__ import annotations
 
 import hashlib
+import math
 from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
 
+from repro.nn import conv
 from repro.nn.base import Layer
+from repro.nn.linear import Linear
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["MAX_BYTES", "METRICS", "clear", "infer", "params_digest"]
@@ -138,10 +153,46 @@ def _store(params: bytes, images: list[bytes], out: np.ndarray) -> None:
         METRICS.counter("prefix_memo.evictions").inc()
 
 
+def _block_images(layers: Sequence[Layer], x: np.ndarray) -> int:
+    """Images per trunk block: as many as fit :data:`conv.BLOCK_BYTES` of
+    the largest per-image output of ``layers`` on ``x``."""
+    shape, peak = x.shape[1:], 1
+    for layer in layers:
+        shape = layer.output_shape(shape)
+        peak = max(peak, math.prod(shape))
+    return max(1, conv.BLOCK_BYTES // (peak * x.dtype.itemsize))
+
+
+def _run_trunk(
+    layers: Sequence[Layer],
+    start: int,
+    x: np.ndarray,
+    keys: dict[int, bytes],
+    images: list[bytes],
+) -> np.ndarray:
+    """Inference-mode ``layers[start:]`` on ``x``, one block of consecutive
+    images at a time, rows stored per block at the depths in ``keys``; the
+    blocks' outputs stacked in the layout the last layer gave them."""
+    block = _block_images(layers[start:], x)
+    out = None
+    for lo in range(0, max(len(x), 1), block):  # an empty batch runs once
+        part = x[lo : lo + block]
+        for depth, layer in enumerate(layers[start:], start + 1):
+            part = layer.forward(part, training=False)
+            if depth in keys:
+                _store(keys[depth], images[lo : lo + block], part)
+        if len(part) == len(x):
+            return part
+        if out is None:
+            out = np.empty_like(part, shape=(len(x), *part.shape[1:]))
+        out[lo : lo + len(part)] = part
+    return out
+
+
 def infer(layers: Sequence[Layer], depths: Sequence[int], x: np.ndarray) -> np.ndarray:
     """Inference-mode output of ``layers`` on ``x``: resumed from the deepest
     of the prefix lengths ``depths`` at which every image has a row, rows
-    stored (read-only) at the deeper ones."""
+    stored (read-only) at the deeper ones; the trunk runs per block."""
     start, out, keys, images = 0, x, {}, []
     if depths and len(x):
         keys, images = _prefix_digests(layers, depths), _image_digests(x)
@@ -154,12 +205,19 @@ def infer(layers: Sequence[Layer], depths: Sequence[int], x: np.ndarray) -> np.n
             "misses" if not start else "hits" if start == max(depths) else "resumes"
         )
         METRICS.counter(f"prefix_memo.{outcome}").inc()
-    for depth, layer in enumerate(layers[start:], start + 1):
+    trunk_end = next(
+        (i for i, layer in enumerate(layers) if isinstance(layer, Linear)),
+        len(layers),
+    )
+    if start < trunk_end:
+        out = _run_trunk(layers[:trunk_end], start, out, keys, images)
+    tail = max(start, trunk_end)
+    for depth, layer in enumerate(layers[tail:], tail + 1):
         out = layer.forward(out, training=False)
         if depth in keys:
             _store(keys[depth], images, out)
-            if out is not x:
-                out.flags.writeable = False
+    if len(layers) in keys and out is not x:
+        out.flags.writeable = False
     return out
 
 

@@ -272,6 +272,11 @@ def _parse_line(path, line_no: int, line: str) -> TraceRecord:
         raise TraceFormatError(
             f"{path}:{line_no}: attrs is not a JSON object"
         )
+    for key, value in attrs.items():
+        if isinstance(value, (dict, list)):
+            raise TraceFormatError(
+                f"{path}:{line_no}: attr {key!r} is not a scalar ({value!r})"
+            )
     return TraceRecord(
         kind=obj["kind"],
         cat=obj["cat"],
@@ -289,7 +294,8 @@ def iter_jsonl(path):
     Constant memory: never materializes the record list, so analyses
     built on it scale to arbitrarily long traces.  Malformed lines
     (bad JSON, wrong schema version, missing keys, a non-numeric ``t0`` or
-    ``t1`` (``t1`` is null on an instant event), non-object ``attrs``) raise
+    ``t1`` (``t1`` is null on an instant event), non-object ``attrs`` or an
+    attr value that is an array or object) raise
     :class:`TraceFormatError` anchored as ``path:line_no: message``.
     """
     with open(path, "r", encoding="utf-8") as fh:

@@ -5,8 +5,10 @@ slices pushed through the layers one by one with no memo in sight, whatever
 was swept, loaded, frozen or trained before, and however the images were
 grouped into batches; a changed byte anywhere a prefix reads must miss;
 stored rows are read-only and alias nothing.  The BLAS property the row store
-rests on is pinned by name:
-:func:`test_conv_prefix_rows_invariant_to_batch_composition`.
+and the per-block trunk rest on is pinned by name:
+:func:`test_conv_prefix_rows_invariant_to_batch_composition`; the blocked
+inference pass itself by
+:func:`test_blocked_trunk_inference_matches_whole_batch_forward`.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import pytest
 
 from repro.data import ImageGenerator, make_dataset
 from repro.data.datasets import Dataset
-from repro.models import build_classifier
-from repro.nn import Conv2D, ReLU, accuracy, prefix_memo, workspace
+from repro.models import build_classifier, build_jigsaw_trunk
+from repro.nn import Conv2D, Linear, ReLU, accuracy, prefix_memo, workspace
+from repro.selfsup.jigsaw import grid_tiles
 from repro.transfer import (
     FreezePlan,
     evaluate,
@@ -96,6 +99,34 @@ def conv_calls(monkeypatch) -> list[tuple[str, int]]:
     return calls
 
 
+@pytest.fixture
+def fc_calls(monkeypatch) -> list[tuple[str, int]]:
+    """``(layer name, batch rows)`` of every ``Linear.forward`` from here on."""
+    calls: list[tuple[str, int]] = []
+    linear_forward = Linear.forward
+
+    def counting(self, x, *, training=False):
+        calls.append((self.name, len(x)))
+        return linear_forward(self, x, training=training)
+
+    monkeypatch.setattr(Linear, "forward", counting)
+    return calls
+
+
+CONVS = tuple(f"conv{i}" for i in range(1, 6))
+
+
+def trunk_pass(net, images: np.ndarray, convs=CONVS) -> list[tuple[str, int]]:
+    """The conv calls of one inference pass over ``images``: in-order blocks
+    of consecutive images covering the whole batch, each through ``convs``."""
+    block = prefix_memo._block_images(net.layers[: net._index_of("fc6")], images)
+    return [
+        (name, len(images[start : start + block]))
+        for start in range(0, len(images), block)
+        for name in convs
+    ]
+
+
 def test_conv_prefix_rows_invariant_to_batch_composition(pool):
     """The BLAS property the row store rests on: an image's conv-prefix rows
     at both reuse depths do not depend on the batch it was computed in.
@@ -143,6 +174,36 @@ def test_conv_prefix_rows_invariant_to_batch_composition(pool):
         check(np.array_split(mixed, [7, 71, 199]), "mixed with other images")
     finally:
         workspace.reset()  # batch 200's conv1 columns: 0.3 GB
+
+
+def test_blocked_trunk_inference_matches_whole_batch_forward(pool):
+    """Inference runs the conv trunk one block of ``b`` images at a time and
+    the FC layers on the whole batch; at batch sizes on both sides of ``b``
+    and over several blocks with a ragged tail, every value equals the whole
+    batch pushed through the layers one by one, memo on or off, and so does
+    the jigsaw trunk's on folded tiles."""
+    net = build_classifier(4, np.random.default_rng(4))
+    trunk = net.layers[: net._index_of("fc6")]
+    b = prefix_memo._block_images(trunk, pool.images[:1])
+    assert 1 < b < len(pool) // 3
+    data = pool.take(3 * b + 5)
+    for size in (1, b - 1, b, b + 1, 3 * b + 5):
+        reference = memo_free_logits(net, data, size)
+        prefix_memo.clear()  # the memo on, computing: no sweep before it
+        on = predict_logits(net, data, batch_size=size)
+        assert on.tobytes() == reference.tobytes(), size
+        off = np.concatenate([net.predict(x) for x, _ in data.batches(size)])
+        assert off.tobytes() == reference.tobytes(), size
+
+    tile_trunk = build_jigsaw_trunk(np.random.default_rng(5))
+    tiles = grid_tiles(pool.images[:100]).reshape(-1, 3, 16, 16)
+    b = prefix_memo._block_images(tile_trunk.layers, tiles)
+    assert 1 < b < len(tiles) // 3
+    for size in (1, b - 1, b, b + 1, 3 * b + 5):
+        reference = tiles[:size]
+        for layer in tile_trunk.layers:
+            reference = layer.forward(reference, training=False)
+        assert tile_trunk.predict(tiles[:size]).tobytes() == reference.tobytes()
 
 
 class TestExactness:
@@ -249,16 +310,24 @@ class TestRowReuse:
         assert moved(before) == {"hits": 1}
         assert swept.tobytes() == memo_free_logits(net, both).tobytes()
 
-    def test_one_unseen_image_computes_the_whole_batch(self, pool, conv_calls):
+    def test_one_unseen_image_computes_the_whole_batch(
+        self, pool, conv_calls, fc_calls
+    ):
         net = build_classifier(4, np.random.default_rng(4))
         seen = pool.take(40)
         predict_logits(net, seen)
         batch = pool.subset(np.r_[np.arange(39), 250])
         conv_calls.clear()
+        fc_calls.clear()
         before = counts()
         swept = predict_logits(net, batch)
         assert moved(before) == {"misses": 1}
-        assert conv_calls == [(f"conv{i}", 40) for i in range(1, 6)]
+        # every image in in-order blocks, never a sub-batch of only the one
+        # missed image; the FC layers see the batch at once
+        trunk = trunk_pass(net, batch.images)
+        assert len(trunk) > len(CONVS)  # more than one block
+        assert conv_calls == trunk
+        assert fc_calls == [("fc6", 40), ("fc7", 40), ("fc8", 40)]
         assert swept.tobytes() == memo_free_logits(net, batch).tobytes()
 
     def test_frozen_prefix_trainer_pass_hits_after_node_sweeps(
@@ -286,14 +355,16 @@ class TestRowReuse:
                 rng=np.random.default_rng(9),
                 freeze_plan=FreezePlan(3),
             )
-            prefix = [n for n, _ in conv_calls if n in ("conv1", "conv2", "conv3")]
+            prefix = [c for c in conv_calls if c[0] in CONVS[:3]]
             return result.losses, cloud.state_dict(), prefix, moved(before)
 
         losses, state, prefix, outcome = retrain(sweep=True)
         assert prefix == [] and outcome == {"hits": 1}
         prefix_memo.clear()
         cold_losses, cold_state, cold_prefix, cold = retrain(sweep=False)
-        assert cold_prefix == ["conv1", "conv2", "conv3"] and cold == {"misses": 1}
+        cloud = build_classifier(4, np.random.default_rng(4))
+        assert cold_prefix == trunk_pass(cloud, train_data.images, CONVS[:3])
+        assert len(cold_prefix) > 3 and cold == {"misses": 1}
         assert losses == cold_losses
         for name, value in state.items():
             assert value.tobytes() == cold_state[name].tobytes(), name
@@ -460,7 +531,8 @@ class TestTrainerPrefixPass:
         """evaluate -> FreezePlan(5) train -> evaluate on one small set: the
         trunk runs once (scenario.heads' shape)."""
         group = pool.take(48)
-        trunk = [(f"conv{i}", len(group)) for i in range(1, 6)]
+        trunk = trunk_pass(build_classifier(4, np.random.default_rng(4)), group.images)
+        assert len(trunk) > len(CONVS)  # more than one block
 
         def head_update(net, between=lambda: None):
             between()

@@ -144,6 +144,7 @@ class TestAnalysisCommands:
             "{" + span + ',"t0":"0","t1":1.5}',
             "{" + span + ',"t0":null,"t1":1.5}',
             "{" + span + ',"t0":0.0,"t1":true}',
+            "{" + span + ',"t0":0.0,"t1":1.5,"attrs":{"node":[1]}}',
         ]
         path = tmp_path / "bad.jsonl"
         for line in bad_lines:
