@@ -344,8 +344,8 @@ def measure_fleet(
         t0 = time.perf_counter()
         parallel = run_fleet(config, assets, workers=workers)
         parallel_ms = (time.perf_counter() - t0) * 1e3
-        identical = [s.eval_accuracy for s in serial.stages] == [
-            s.eval_accuracy for s in parallel.stages
+        identical = [u.eval_accuracy for u in serial.updates] == [
+            u.eval_accuracy for u in parallel.updates
         ]
         results[f"fleet_epoch_n{n}"] = {
             "nodes": n,

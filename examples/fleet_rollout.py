@@ -16,11 +16,10 @@ Run:  python examples/fleet_rollout.py [--topology]
 With ``--topology`` the eight traps report through two site gateways
 (four traps each) that batch flagged uploads into amortized WAN
 transfers, resolve a quarter of flags with a gateway-side second
-opinion, and scope the canary to gateway 0's region.  Hierarchical
-fleets run on the event engine, so this run is
-``run_fleet_event(..., barrier=True, topology=...)`` — the lockstep
-schedule with the stage barrier kept; the default stays the flat paper
-wiring on the lockstep ``run_fleet``, byte-for-byte.  With ``--trace``
+opinion, and scope the canary to gateway 0's region.  Both runs keep
+the paper's stage barrier on the one event engine: the default is the
+flat paper wiring (``run_fleet``), the hierarchy is
+``run_fleet_event(..., barrier=True, topology=...)``.  With ``--trace``
 the run also emits a deterministic JSONL trace of the fleet timeline
 (convert with ``python -m repro obs convert``); with ``--metrics`` it
 dumps the fleet/cloud/training counters; ``--summary-json`` writes a
@@ -56,16 +55,11 @@ def build_summary(report, *, mode: str) -> dict:
     The key set and value types are schema-pinned by
     ``tests/integration/test_fleet_rollout_summary.py`` — extend rather
     than rename, and keep every value JSON-serializable.  ``report`` is
-    the flat run's lockstep ``FleetReport`` or the hierarchy's
-    ``FleetEventReport``; only the latter has gateways to count.
+    a ``FleetEventReport``; a flat run's has no gateways to count.
     """
-    hierarchical = hasattr(report, "gateway_flushes")
     return {
         "mode": mode,
-        "final_accuracy": (
-            report.final_eval_accuracy if hierarchical
-            else report.final_accuracy
-        ),
+        "final_accuracy": report.final_eval_accuracy,
         "ledger": dataclasses.asdict(report.ledger.snapshot()),
         "rollouts": [
             {
@@ -75,13 +69,8 @@ def build_summary(report, *, mode: str) -> dict:
             }
             for r in report.rollouts
         ],
-        "gateway_flushes": (
-            len(report.gateway_flushes) if hierarchical else 0
-        ),
-        "second_opinion_images": (
-            sum(report.gateway_resolved_images.values()) if hierarchical
-            else 0
-        ),
+        "gateway_flushes": len(report.gateway_flushes),
+        "second_opinion_images": sum(report.gateway_resolved_images.values()),
     }
 
 
@@ -174,28 +163,15 @@ def main(argv: list[str] | None = None) -> None:
         else assets.canary_ids
     )
     print(f"\ncanary subset: nodes {canary_ids}")
-    if topology is None:
-        for stage in report.stages:
-            verdict = (
-                "promoted" if stage.promoted
-                else ("REJECTED" if stage.updated else "no update")
-            )
-            print(
-                f"stage {stage.stage_index}: uploaded "
-                f"{stage.uploaded}/{stage.acquired} imgs "
-                f"(makespan {stage.upload_makespan_s:.1f}s on the shared "
-                f"uplink), trained on {stage.pooled_for_training}, "
-                f"{verdict}, eval accuracy {stage.eval_accuracy:.0%}"
-            )
-    else:
-        for update in report.updates:
-            print(
-                f"{update.kind} at {update.trigger_s:.1f}s: trained on "
-                f"{update.pooled_for_training}, "
-                f"{'promoted' if update.promoted else 'REJECTED'}, "
-                f"eval accuracy {update.eval_accuracy:.0%}"
-            )
-        print(f"fleet makespan {report.makespan_s:.1f}s")
+    for update in report.updates:
+        print(
+            f"stage {update.stage_index} {update.kind} at "
+            f"{update.trigger_s:.1f}s: trained on "
+            f"{update.pooled_for_training}, "
+            f"{'promoted' if update.promoted else 'REJECTED'}, "
+            f"eval accuracy {update.eval_accuracy:.0%}"
+        )
+    print(f"fleet makespan {report.makespan_s:.1f}s")
     print(
         f"\naggregate: {report.total_uploaded_bytes / 1e6:.0f} MB up + "
         f"{report.total_downloaded_bytes / 1e6:.0f} MB of model pushes = "

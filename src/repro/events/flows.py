@@ -1,17 +1,17 @@
 """Dynamic fluid flows over a shared bottleneck link.
 
-The fleet's lockstep uplink model starts every stage's transfers at the
-same instant and advances completion-to-completion.  Real fleets are not
-that polite: flows *join and leave mid-transfer* as nodes finish epochs at
+A static uplink model starts a batch of transfers at the same instant
+and advances completion-to-completion.  Real fleets are not that
+polite: flows *join and leave mid-transfer* as nodes finish epochs at
 their own pace.  :class:`FlowLink` models exactly that on the event
 kernel — at every flow arrival and completion the max-min fair rate
 allocation is recomputed over the flows currently on the link, each flow
 additionally capped by its own access-link rate.
 
 The rate allocator (:func:`max_min_rates`, progressive filling) is the
-single implementation shared by this dynamic model and the lockstep
-:class:`~repro.fleet.uplink.SharedUplink`, so the two agree whenever all
-flows happen to start simultaneously.
+single implementation shared by this dynamic model and the static view,
+:meth:`~repro.fleet.uplink.SharedUplink.transfer_times`, so the two agree
+whenever all flows happen to start simultaneously.
 
 Every reallocation is recorded in :attr:`FlowLink.rate_history`, which is
 what the property tests interrogate: at no instant may the allocated
@@ -152,7 +152,7 @@ class FlowLink:
 
         ``cap_bps`` is the flow's own access-link rate; the flow gets
         ``min`` of its fair share and that cap.  ``latency_s`` is charged
-        once, after the last bit drains (matching the lockstep model).
+        once, after the last bit drains (matching the static model).
         Zero-byte transfers complete immediately and never touch the link.
         """
         if num_bytes < 0:

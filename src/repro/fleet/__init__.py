@@ -4,9 +4,7 @@ from repro.fleet.async_sim import (
     CloudUpdateRecord,
     EpochRecord,
     FleetEventReport,
-    LockstepTimeline,
     NodeEventTrajectory,
-    lockstep_timeline,
     run_all_systems,
     run_fleet_event,
 )
@@ -19,11 +17,7 @@ from repro.fleet.scheduler import (
 )
 from repro.fleet.simulation import (
     FleetAssets,
-    FleetReport,
     FleetRuntime,
-    FleetStageRecord,
-    NodeStageRecord,
-    NodeTrajectory,
     build_fleet_runtime,
     fleet_base_scenario,
     prepare_assets,
@@ -39,24 +33,18 @@ __all__ = [
     "EpochRecord",
     "FleetAssets",
     "FleetEventReport",
-    "FleetReport",
     "FleetRuntime",
     "FleetScenario",
     "FleetScheduler",
-    "FleetStageRecord",
     "LOW_POWER_TX1",
-    "LockstepTimeline",
     "NodeEventTrajectory",
     "NodeProfile",
-    "NodeStageRecord",
-    "NodeTrajectory",
     "PendingUpload",
     "RolloutResult",
     "SharedUplink",
     "Transfer",
     "build_fleet_runtime",
     "fleet_base_scenario",
-    "lockstep_timeline",
     "model_state_bytes",
     "prepare_assets",
     "prepare_fleet_assets",

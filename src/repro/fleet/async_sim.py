@@ -1,11 +1,8 @@
-"""Asynchronous, event-driven fleet simulation on the ``repro.events`` kernel.
+"""The fleet engine: node and Cloud processes on the ``repro.events`` kernel.
 
-The lockstep :func:`~repro.fleet.simulation.run_fleet` advances all nodes
-in stages: every node waits at a barrier until the slowest upload lands
-and the Cloud finishes retraining.  The paper's system is not like that —
-each node flags and uploads on its own schedule while the Cloud retrains
-and pushes updates concurrently.  This module simulates exactly that in
-virtual time:
+The paper's system is asynchronous — each node flags and uploads on its
+own schedule while the Cloud retrains and pushes updates concurrently.
+This module simulates exactly that in virtual time:
 
 * every node is a kernel **process** looping acquisition epochs (sense ->
   infer/diagnose -> upload) at its own pace;
@@ -18,18 +15,22 @@ virtual time:
 
 Two reference behaviors anchor the model:
 
-* ``barrier=True`` re-inserts the epoch barrier, reproducing the lockstep
-  trajectories on the event kernel (the regression tests compare the two
-  on the flat fleet; hierarchical fleets run only here, so barrier mode
-  *is* their lockstep reference);
+* ``barrier=True`` re-inserts the epoch barrier: every node waits until
+  the Cloud has closed the round, which is the paper's stage-by-stage
+  protocol.  :func:`~repro.fleet.simulation.run_fleet` is this mode over
+  the flat fleet, Table II / Fig. 25 (:func:`run_all_systems`) are this
+  mode over a one-node fleet, and it is the lockstep run of every
+  hierarchy and scenario;
 * ``horizon_s`` bounds the run in virtual time instead of epoch count:
   nodes cycle their acquisition schedule until the horizon, so a WiFi
   node completes strictly more epochs than an LTE neighbor — the
-  behavior the lockstep barrier structurally hides.
+  behavior the barrier structurally hides.
 
 There is one engine, :class:`_EventFleet`; what a topology or a
 scenario changes is its *tier* (transport) or *hooks* (per-round
-behaviour) argument, never the node or Cloud processes.
+behaviour) argument, never the node or Cloud processes.  ``run_fleet``
+may also hand it a worker pool, which runs each barrier round's node
+work in forked processes; the engine emits every record itself.
 
 Determinism: everything runs on the deterministic kernel and all
 randomness derives from the scenario seed, so a given (assets, config,
@@ -54,14 +55,12 @@ from repro.fleet.scheduler import RolloutResult
 from repro.fleet.simulation import (
     CloudStageOutcome,
     FleetAssets,
-    FleetReport,
     FleetRuntime,
     build_fleet_runtime,
     cloud_initialize,
     cloud_try_update,
+    node_stage,
     prepare_assets,
-    reseed_diagnoser,
-    rollback_attrs,
 )
 from repro.fleet.uplink import SharedUplink
 from repro.obs import metrics as obs_metrics
@@ -75,8 +74,6 @@ __all__ = [
     "NodeEventTrajectory",
     "CloudUpdateRecord",
     "FleetEventReport",
-    "LockstepTimeline",
-    "lockstep_timeline",
     "run_all_systems",
     "run_fleet_event",
 ]
@@ -338,6 +335,23 @@ class DirectEventTier:
             yield proc
 
 
+def _rollback_attrs(outcome: CloudStageOutcome) -> dict:
+    """Additive ``cloud/decision`` attrs explaining a canary rollback.
+
+    Empty for promotions and no-ops, so those decision events keep their
+    exact attr set.
+    """
+    if not outcome.updated or outcome.promoted or outcome.rollout is None:
+        return {}
+    decision = outcome.rollout.decision
+    if decision.accepted:
+        return {}
+    return {
+        "cause": "canary-regression",
+        "delta": round(decision.delta, 6),
+    }
+
+
 class _EventFleet:
     """The one event engine: node and Cloud kernel processes of a fleet run.
 
@@ -361,6 +375,7 @@ class _EventFleet:
         barrier: bool,
         tracer: Tracer | None = None,
         hooks: EventHooks | None = None,
+        pool=None,
     ) -> None:
         if horizon_s is not None and horizon_s <= 0:
             raise ValueError("horizon_s must be positive")
@@ -375,6 +390,13 @@ class _EventFleet:
         self.round_based = barrier or self.hooks.round_based
         self.horizon_s = horizon_s
         self.barrier = barrier
+        #: a :class:`~repro.fleet.pool.FleetWorkerPool` for the node work
+        #: of each round (``run_fleet`` only), and the pooled reports of
+        #: the round its nodes are taking
+        self.pool = pool
+        self._pooled: dict[int, dict] = {}
+        #: the state dict the shared deployed net holds (serial runs)
+        self._loaded = None
         self.profiles = assets.profiles
         self.all_node_ids = tuple(p.node_id for p in self.profiles)
         self.index_of = {p.node_id: i for i, p in enumerate(self.profiles)}
@@ -480,15 +502,7 @@ class _EventFleet:
         """
         profile = self.profiles[i]
         start = self.sim.now
-        # Inference + diagnosis against the node's *current* version.
-        self.runtime.deployed_net.load_state_dict(self.node_states[i])
-        reseed_diagnoser(
-            self.runtime.nodes[i].diagnoser,
-            self.base.seed,
-            profile.node_id,
-            stage.index,
-        )
-        node_report = self.runtime.nodes[i].process_stage(stage)
+        node_report = self._node_report(i, stage.index, epoch)
         compute_s = (
             node_report.inference_time_s + node_report.diagnosis_time_s
         )
@@ -557,6 +571,29 @@ class _EventFleet:
         self.last_data[profile.node_id] = stage.new_data
         return start, node_report, compute_s, count, upload_start, upload_done
 
+    def _node_report(self, i: int, stage_index: int, epoch: int):
+        """Node ``i``'s inference + diagnosis against its current version."""
+        if self.pool is None:
+            # State dicts are never written after they are built, so the
+            # net already holding this one skips the load.
+            if self.node_states[i] is not self._loaded:
+                self._loaded = self.node_states[i]
+                self.runtime.deployed_net.load_state_dict(self._loaded)
+            return node_stage(self.runtime, self.assets, i, stage_index)
+        # Pooled runs are flat barrier runs: a round starts once every push
+        # has landed, so the first node to enter it runs the whole round.
+        if epoch not in self._pooled:
+            from repro.fleet.pool import PoolTask
+
+            self._pooled[epoch] = self.pool.run_stage(
+                stage_index,
+                [
+                    PoolTask(j, self.pool.publish(state))
+                    for j, state in enumerate(self.node_states)
+                ],
+            )
+        return self._pooled[epoch].pop(i)
+
     def round_event(self, round_index: int):
         """The event that fires (with "keep going?") as a round closes."""
         ev = self._round_events.get(round_index)
@@ -601,7 +638,7 @@ class _EventFleet:
             system=self.config.system_id,
             updated=outcome.updated,
             promoted=outcome.promoted,
-            **rollback_attrs(outcome),
+            **_rollback_attrs(outcome),
             **self.tier.cloud_attrs,
         )
         self.report.updates.append(
@@ -687,7 +724,7 @@ class _EventFleet:
         """Round-based Cloud: one pooled update per fleet-wide round.
 
         Sees each round's alive subset as the whole fleet.  With the node
-        barrier this is the lockstep reference; with a horizon the rounds
+        barrier this is the paper's protocol; with a horizon the rounds
         cycle the acquisition schedule until the clock runs out.
         """
         num_stages = len(self.assets.node_stages[0])
@@ -876,17 +913,17 @@ def run_fleet_event(
     Parameters
     ----------
     config, assets:
-        Same inputs as :func:`~repro.fleet.simulation.run_fleet`, so the
-        two modes run on identical data and initial weights.
+        The system variant and the fleet's pre-generated inputs; every
+        mode runs on identical data and initial weights.
     horizon_s:
         Virtual-time budget.  When set, nodes cycle their acquisition
         schedule until the horizon (fast nodes complete more epochs);
         when ``None``, every node runs its schedule exactly once and the
         run ends when the last event drains.
     barrier:
-        Re-insert the fleet-wide epoch barrier.  This is the lockstep
-        reference mode: with it, the event-driven run reproduces
-        :func:`run_fleet`'s accuracy and byte trajectories.
+        Re-insert the fleet-wide epoch barrier: the paper's
+        stage-by-stage protocol.  Over the flat fleet this is the run
+        :func:`~repro.fleet.simulation.run_fleet` drives.
     tracer, metrics:
         Optional observability sinks.  Spans are stamped with the kernel
         clock (``Simulator.now``), so a given (assets, config, mode)
@@ -953,62 +990,3 @@ def run_all_systems(scenario: Scenario) -> dict[str, FleetEventReport]:
         fork_workers(len(SYSTEMS)),
     )
     return {config.system_id: report for config, report in zip(SYSTEMS, reports)}
-
-
-# ----------------------------------------------------------------------
-# Lockstep timeline reconstruction (for mode comparisons)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LockstepTimeline:
-    """Virtual-time account of a lockstep run, for mode comparisons."""
-
-    makespan_s: float
-    node_busy_s: dict[int, float]
-    node_stall_s: dict[int, float]  # time spent waiting at stage barriers
-
-    @property
-    def max_stall_s(self) -> float:
-        return max(self.node_stall_s.values(), default=0.0)
-
-
-def lockstep_timeline(report: FleetReport) -> LockstepTimeline:
-    """Reconstruct the barrier timeline a lockstep :class:`FleetReport` implies.
-
-    Each stage spans: slowest node compute, then the contended upload
-    makespan, then the Cloud's modeled update time, then the slowest
-    model push-down (solo downlink rate — the lockstep run does not model
-    downlink contention).  A node's *stall* is the part of each span it
-    spent idle at the barrier rather than computing, uploading, or
-    receiving its own push — exactly the time the event-driven mode
-    reclaims.
-    """
-    makespan = 0.0
-    busy = {t.profile.node_id: 0.0 for t in report.nodes}
-    stall = {t.profile.node_id: 0.0 for t in report.nodes}
-    for stage in report.stages:
-        s = stage.stage_index
-        records = {
-            t.profile.node_id: t.records[s]
-            for t in report.nodes
-        }
-        links = {t.profile.node_id: t.profile.link for t in report.nodes}
-        compute = {n: r.node_compute_time_s for n, r in records.items()}
-        upload = {n: r.upload_time_s for n, r in records.items()}
-        download = {
-            n: links[n].model_push_time_s(r.download_bytes)
-            for n, r in records.items()
-        }
-        span = (
-            max(compute.values())
-            + stage.upload_makespan_s
-            + stage.modeled_update_time_s
-            + max(download.values())
-        )
-        makespan += span
-        for n in records:
-            own = compute[n] + upload[n] + download[n]
-            busy[n] += own
-            stall[n] += span - own
-    return LockstepTimeline(
-        makespan_s=makespan, node_busy_s=busy, node_stall_s=stall
-    )

@@ -1,10 +1,11 @@
-"""Forked workers: one run's lockstep stage loop, and independent jobs.
+"""Forked workers: one flat fleet run's barrier rounds, and independent jobs.
 
-Two users share this module.  :class:`FleetWorkerPool` serves the
-lockstep stage loop (below).  :func:`fork_map` runs independent jobs —
-a scenario's replicates — one per worker, results in input order, with
-:func:`fork_workers` choosing how many workers the host's free cores
-hold (DESIGN §12).
+Two users share this module.  :class:`FleetWorkerPool` serves the node
+work of :func:`~repro.fleet.simulation.run_fleet`'s barrier rounds
+(below).  :func:`fork_map` runs independent jobs — a scenario's
+replicates, Table II / Fig. 25's four systems — one per worker, results
+in input order, with :func:`fork_workers` choosing how many workers the
+host's free cores hold (DESIGN §12).
 
 :class:`FleetWorkerPool` is built once per run, after
 :func:`~repro.fleet.simulation.build_fleet_runtime`, and shut down when
@@ -14,8 +15,8 @@ snapshot of the warm parent: ``repro`` imported, ``nn.workspace``'s
 small-pages switch applied, the run's own ``FleetRuntime`` and
 ``FleetAssets`` already in memory.  A worker never boots an interpreter,
 re-imports a module, unpickles the assets or rebuilds a runtime: it
-calls :func:`~repro.fleet.simulation.node_stage` on the very objects the
-serial loop would have used (DESIGN §12, *Why fork is safe here*).
+calls :func:`~repro.fleet.simulation.node_stage` on the very objects a
+serial run would have used (DESIGN §12, *Why fork is safe here*).
 ``fork`` is POSIX-only: where it does not exist the constructor raises,
 and ``workers=1`` is the way to run.
 
@@ -25,16 +26,16 @@ and ``workers=1`` is the way to run.
   sends each chunk the ``{token: state}`` of the distinct tokens it
   references (0.9 MB, 0.3 ms to pickle and unpickle), and a worker whose
   net already holds a token skips the load.
-* **Chunked dispatch** — one contiguous chunk of a stage's node items
-  per worker: O(workers) executor round trips per stage, not O(nodes).
+* **Chunked dispatch** — one contiguous chunk of a round's node items
+  per worker: O(workers) executor round trips per round, not O(nodes).
 
-Determinism contract: results are keyed by node index and merged in
-fixed node order by the engines, and diagnosis randomness is reseeded
-per ``(node, stage)`` inside the worker — so any worker count, chunking
-and placement produce bit-identical reports and trace bytes
-(``tests/fleet/test_pool.py``).  The stage loop the pool serves is
-flat-only: hierarchical fleets run on the event engine, which has no
-pool.
+Determinism contract: a worker returns only the node's ``NodeReport``;
+the event engine emits every record and metric in the parent, and
+diagnosis randomness is reseeded per ``(node, stage)`` inside the
+worker — so any worker count, chunking and placement produce
+bit-identical reports, trace bytes and metrics
+(``tests/fleet/test_pool.py``).  Only ``run_fleet`` builds a pool, so
+the pool never meets a gateway tier or scenario hooks.
 
 Cleanup contract: :meth:`shutdown` (idempotent, also run by
 ``__exit__``) cancels queued futures and joins the workers.  The pool
@@ -52,9 +53,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
+    from repro.core.node import NodeReport
 
 __all__ = ["FleetWorkerPool", "PoolTask", "fork_map", "fork_workers"]
 
@@ -121,17 +125,13 @@ def fork_map(fn: Callable, items: Iterable, workers: int) -> list:
 
 @dataclass(frozen=True)
 class PoolTask:
-    """One node's share of a stage dispatch.
+    """One node's share of a round.
 
     ``state`` is a token from :meth:`FleetWorkerPool.publish`.
-    ``trace_t0`` is handed to the same
-    :func:`~repro.fleet.simulation.node_stage` the serial loop calls, so
-    worker-built trace records are byte-identical to serial ones.
     """
 
     node_index: int
     state: int
-    trace_t0: float | None = None
 
 
 def _chunked(items: list, chunks: int) -> list[list]:
@@ -147,11 +147,12 @@ def _chunked(items: list, chunks: int) -> list[list]:
 
 
 class FleetWorkerPool:
-    """The forked worker processes of one lockstep run.
+    """The forked worker processes of one flat barrier run.
 
     :func:`~repro.fleet.simulation.run_fleet` — the only caller — builds
     one over the run's runtime when handed ``workers > 1`` and shuts it
-    down in ``finally``.
+    down in ``finally``; the engine calls :meth:`run_stage` once per
+    barrier round.
     """
 
     def __init__(self, runtime, assets, workers: int) -> None:
@@ -186,12 +187,12 @@ class FleetWorkerPool:
 
     def run_stage(
         self, stage_index: int, tasks: list[PoolTask]
-    ) -> dict[int, tuple]:
-        """Run one stage's node tasks; results keyed by node index.
+    ) -> dict[int, NodeReport]:
+        """Run one round's node tasks; ``NodeReport``s keyed by node index.
 
         Each contiguous per-worker chunk is submitted with the states
-        its tokens name.  The caller iterates node indices in fixed
-        order, so merge order never depends on completion order.
+        its tokens name.  Each node takes its own report, so merge order
+        never depends on completion order.
         """
         if not tasks:
             return {}
@@ -204,11 +205,10 @@ class FleetWorkerPool:
             )
             for chunk in _chunked(tasks, self.workers)
         ]
-        merged: dict[int, tuple] = {}
+        merged: dict[int, NodeReport] = {}
         try:
             for future in futures:
-                for node_index, node_report, records in future.result():
-                    merged[node_index] = (node_report, records)
+                merged.update(future.result())
         except BrokenProcessPool as exc:
             nodes = sorted(task.node_index for task in tasks)
             raise RuntimeError(
@@ -244,8 +244,8 @@ def _pool_worker_init(runtime, assets) -> None:
 
 def _pool_worker_chunk(
     stage_index: int, tasks: list[PoolTask], states: dict[int, dict]
-) -> list[tuple]:
-    """Run a contiguous chunk of one stage's node tasks in this worker."""
+) -> list[tuple[int, NodeReport]]:
+    """Run a contiguous chunk of one round's node tasks in this worker."""
     from repro.fleet.simulation import node_stage
 
     runtime, assets = _WORKER["runtime"], _WORKER["assets"]
@@ -256,12 +256,10 @@ def _pool_worker_chunk(
         if _WORKER["loaded"] != task.state:
             runtime.deployed_net.load_state_dict(states[task.state])
             _WORKER["loaded"] = task.state
-        node_report, records = node_stage(
-            runtime,
-            assets,
-            task.node_index,
-            stage_index,
-            trace_t0=task.trace_t0,
+        out.append(
+            (
+                task.node_index,
+                node_stage(runtime, assets, task.node_index, stage_index),
+            )
         )
-        out.append((task.node_index, node_report, records))
     return out

@@ -109,6 +109,9 @@ class FleetScenario:
             raise ValueError("severity_jitter must be >= 0")
         if self.backhaul_bps <= 0:
             raise ValueError("backhaul capacity must be positive")
+        if self.seed < 0:
+            # numpy's SeedSequence would refuse it later, deep in a run
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
 
     def profiles(self) -> list[NodeProfile]:
         """Deterministically expand the seed into N node profiles.

@@ -6,11 +6,16 @@ fleet of N answers the question production actually asks: what happens
 when N nodes with different environments, boards, and radios share one
 backhaul and one Cloud-side training budget?
 
-The protocol per stage:
+This module holds what every fleet run shares: the assets, the runtime
+(Cloud, scheduler, nodes), the per-node stage body, and the two Cloud
+steps.  The run itself is :mod:`repro.fleet.async_sim`'s event engine;
+:func:`run_fleet` is its barrier mode over the flat fleet, the paper's
+protocol per stage:
 
 1. every node processes its own acquisition stage (inference + diagnosis,
-   on its own device) against the currently deployed model version;
-2. uploads contend for the shared backhaul (max-min fair, virtual time);
+   on its own device) against the model version it currently holds;
+2. uploads contend for the shared backhaul (max-min fair flows, virtual
+   time);
 3. the Cloud pools uploads and the :class:`~repro.fleet.scheduler
    .FleetScheduler` decides whether to retrain, canary, and roll out —
    model push-downs travel (and are charged) over the same backhaul.
@@ -28,12 +33,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
-    from repro.fleet.pool import FleetWorkerPool
+    from repro.fleet.async_sim import FleetEventReport
 
-from repro.comm.link import JPEG_IMAGE_BYTES
-from repro.comm.movement import DataMovementLedger
 from repro.core.cloud import InSituCloud
-from repro.core.node import InSituNode
+from repro.core.node import InSituNode, NodeReport
 from repro.core.registry import ModelRegistry, UpdateGuard
 from repro.core.simulation import (
     Scenario,
@@ -53,10 +56,9 @@ from repro.nn import Sequential
 from repro.nn.config import default_dtype
 from repro.nn.prefix_memo import params_digest
 from repro.fleet.scheduler import FleetScheduler, RolloutResult
-from repro.fleet.uplink import DirectTier, SharedUplink, model_state_bytes
-from repro.obs import metrics as obs_metrics
+from repro.fleet.uplink import model_state_bytes
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer, make_event, make_span
+from repro.obs.trace import Tracer
 from repro.models.layer_specs import alexnet_spec, diagnosis_spec
 from repro.models.iot_models import build_classifier
 from repro.selfsup.permutations import PermutationSet
@@ -64,10 +66,6 @@ from repro.transfer.finetune import evaluate
 
 __all__ = [
     "fleet_base_scenario",
-    "NodeStageRecord",
-    "NodeTrajectory",
-    "FleetStageRecord",
-    "FleetReport",
     "FleetAssets",
     "FleetRuntime",
     "CloudStageOutcome",
@@ -75,7 +73,6 @@ __all__ = [
     "cloud_initialize",
     "cloud_try_update",
     "node_stage",
-    "pooled_node_stage",
     "prepare_assets",
     "prepare_fleet_assets",
     "reseed_diagnoser",
@@ -103,120 +100,6 @@ def fleet_base_scenario(**overrides) -> Scenario:
     )
     defaults.update(overrides)
     return Scenario(**defaults)
-
-
-@dataclass(frozen=True)
-class NodeStageRecord:
-    """One node's view of one stage (deterministic fields only)."""
-
-    stage_index: int
-    node_id: int
-    acquired: int
-    uploaded: int
-    accuracy_on_new: float
-    upload_time_s: float  # under backhaul contention
-    upload_solo_time_s: float  # same bytes, uncontended backhaul
-    upload_energy_j: float
-    node_compute_time_s: float
-    node_compute_energy_j: float
-    download_bytes: int
-    download_energy_j: float
-
-
-@dataclass
-class NodeTrajectory:
-    """Everything one node experienced over the whole run."""
-
-    profile: NodeProfile
-    records: list[NodeStageRecord] = field(default_factory=list)
-    ledger: DataMovementLedger = field(
-        default_factory=lambda: DataMovementLedger(image_bytes=JPEG_IMAGE_BYTES)
-    )
-
-    @property
-    def total_upload_energy_j(self) -> float:
-        return sum(r.upload_energy_j for r in self.records)
-
-    @property
-    def accuracy_trajectory(self) -> list[float]:
-        return [r.accuracy_on_new for r in self.records]
-
-    @property
-    def contention_stretch(self) -> float:
-        """Total contended upload time over total uncontended time."""
-        solo = sum(r.upload_solo_time_s for r in self.records)
-        if solo == 0:
-            return 1.0
-        return sum(r.upload_time_s for r in self.records) / solo
-
-
-@dataclass(frozen=True)
-class FleetStageRecord:
-    """Aggregate bookkeeping for one stage across the fleet."""
-
-    stage_index: int
-    acquired: int
-    uploaded: int
-    pooled_for_training: int
-    updated: bool
-    promoted: bool
-    fleet_accuracy_on_new: float  # mean node accuracy on fresh data
-    eval_accuracy: float  # active model on the shared held-out set
-    modeled_update_time_s: float
-    modeled_cloud_energy_j: float
-    upload_makespan_s: float
-    download_bytes: int
-
-
-@dataclass
-class FleetReport:
-    """Full outcome of one system variant's fleet run."""
-
-    config: SystemConfig
-    scenario: FleetScenario
-    nodes: list[NodeTrajectory] = field(default_factory=list)
-    stages: list[FleetStageRecord] = field(default_factory=list)
-    rollouts: list[RolloutResult] = field(default_factory=list)
-    ledger: DataMovementLedger = field(
-        default_factory=lambda: DataMovementLedger(image_bytes=JPEG_IMAGE_BYTES)
-    )
-    registry: ModelRegistry = field(default_factory=ModelRegistry)
-
-    @property
-    def total_uploaded_bytes(self) -> int:
-        return self.ledger.total_uploaded_bytes
-
-    @property
-    def total_downloaded_bytes(self) -> int:
-        return self.ledger.total_downloaded_bytes
-
-    @property
-    def total_bytes_moved(self) -> int:
-        return self.ledger.total_bytes_moved
-
-    @property
-    def total_update_time_s(self) -> float:
-        return sum(s.modeled_update_time_s for s in self.stages)
-
-    @property
-    def total_cloud_energy_j(self) -> float:
-        return sum(s.modeled_cloud_energy_j for s in self.stages)
-
-    @property
-    def total_transfer_energy_j(self) -> float:
-        return sum(
-            r.upload_energy_j + r.download_energy_j
-            for t in self.nodes
-            for r in t.records
-        )
-
-    @property
-    def final_accuracy(self) -> float:
-        return self.stages[-1].eval_accuracy if self.stages else 0.0
-
-    @property
-    def data_reduction_vs_full(self) -> float:
-        return self.ledger.overall_reduction_vs_full()
 
 
 @dataclass
@@ -428,9 +311,9 @@ def prepare_fleet_assets(
 class FleetRuntime:
     """Live simulation objects one fleet run operates on.
 
-    Shared by the lockstep :func:`run_fleet` and the event-driven
-    :func:`repro.fleet.async_sim.run_fleet_event`, so both modes exercise
-    literally the same Cloud, scheduler, and node machinery.
+    The event engine (:mod:`repro.fleet.async_sim`) drives one per run,
+    whatever its mode, tier or hooks, so every run exercises literally
+    the same Cloud, scheduler, and node machinery.
     """
 
     config: SystemConfig
@@ -440,7 +323,7 @@ class FleetRuntime:
     deployed_net: Sequential  # shared node-side classifier
     nodes: list[InSituNode]
     cloud_diagnoser: Diagnoser | None
-    #: observability sink threaded through both fleet modes; ``None``
+    #: observability sink threaded through the run; ``None``
     #: keeps every instrumentation site a cheap no-op.
     metrics: MetricsRegistry | None = None
     _eval_memo: dict[tuple[int, bytes], float] = field(
@@ -450,10 +333,10 @@ class FleetRuntime:
     def eval_accuracy(self, eval_data: Dataset) -> float:
         """Accuracy of the Cloud model as it stands now on ``eval_data``.
 
-        Both engines score the Cloud after every stage / decision and at
-        the end, mostly on weights that have not moved since the last
-        score.  The memo is keyed on the parameter *bytes*, so however
-        the weights got there (retrain, rollback, reconcile, head load)
+        The engine scores the Cloud after every decision and at the
+        end, mostly on weights that have not moved since the last score.
+        The memo is keyed on the parameter *bytes*, so however the
+        weights got there (retrain, rollback, reconcile, head load)
         equal content is one forward sweep and different content never
         reads a stale score.  ``eval_data`` must outlive the runtime (a
         run's assets do): it is told apart by identity.
@@ -559,27 +442,6 @@ class CloudStageOutcome:
     push_bytes_per_node: dict[int, int] = field(default_factory=dict)
     push_unit_bytes: int = 0  # wire size of one model push
     rollout: RolloutResult | None = None
-
-
-def rollback_attrs(outcome: CloudStageOutcome) -> dict:
-    """Additive ``cloud/decision`` attrs explaining a canary rollback.
-
-    Both engines (the lockstep stage loop and the event engine, with or
-    without gateways or scenario hooks) emit their decision events
-    through this one helper so the rollback ``cause`` / ``delta`` attrs
-    stay byte-identical across flat and passthrough paths.  Empty for
-    promotions and no-ops, so existing decision events keep their exact
-    attr set.
-    """
-    if not outcome.updated or outcome.promoted or outcome.rollout is None:
-        return {}
-    decision = outcome.rollout.decision
-    if decision.accepted:
-        return {}
-    return {
-        "cause": "canary-regression",
-        "delta": round(decision.delta, 6),
-    }
 
 
 def cloud_initialize(
@@ -709,8 +571,8 @@ def reseed_diagnoser(
     Stochastic diagnosers (jigsaw sampling) historically consumed one RNG
     stream in whatever order nodes were processed, which couples results to
     scheduling.  Reseeding per (node, stage) makes every node's diagnosis a
-    pure function of its identity — so the lockstep, event-driven, and
-    process-pool paths all see identical flags.  Deterministic diagnosers
+    pure function of its identity — so serial, event-driven, and
+    process-pool runs all see identical flags.  Deterministic diagnosers
     carry no ``rng`` attributes and are left untouched.
     """
     if diagnoser is None:
@@ -728,85 +590,28 @@ def reseed_diagnoser(
         sampler.rng = np.random.default_rng(children[1])
 
 
+
+
 def node_stage(
     runtime: FleetRuntime,
     assets: FleetAssets,
     node_index: int,
     stage_index: int,
-    *,
-    trace_t0: float | None,
-) -> tuple:
+) -> NodeReport:
     """One node's stage against whatever its deployed net currently holds.
 
-    The single per-node body of every lockstep run: the serial loop and
-    the pool workers both call it, so ``(NodeReport, records)`` cannot
-    depend on where a node ran — the parent merges the per-(node, stage)
-    results in fixed node order, making reports and trace bytes
-    identical for every worker count.
-
-    ``records`` are the node's trace records stamped at virtual time
-    ``trace_t0`` (``None`` = tracing off, no records).
+    The single per-node body of every fleet run: the event engine calls
+    it inline and the pool workers call it on their forked copy of the
+    runtime, so the ``NodeReport`` cannot depend on where a node ran.
     """
     node = runtime.nodes[node_index]
-    profile = assets.profiles[node_index]
     reseed_diagnoser(
-        node.diagnoser, assets.scenario.base.seed, profile.node_id, stage_index
+        node.diagnoser,
+        assets.scenario.base.seed,
+        assets.profiles[node_index].node_id,
+        stage_index,
     )
-    node_report = node.process_stage(assets.node_stages[node_index][stage_index])
-    if trace_t0 is None:
-        return node_report, None
-    compute_s = node_report.inference_time_s + node_report.diagnosis_time_s
-    attrs = dict(
-        node=profile.node_id,
-        stage=stage_index,
-        system=runtime.config.system_id,
-    )
-    return node_report, [
-        make_span(
-            "node",
-            "compute",
-            trace_t0,
-            trace_t0 + compute_s,
-            inference_s=node_report.inference_time_s,
-            diagnosis_s=node_report.diagnosis_time_s,
-            **attrs,
-        ),
-        make_event(
-            "node",
-            "diagnosis",
-            trace_t0 + compute_s,
-            acquired=node_report.acquired_images,
-            flagged=node_report.flagged_images,
-            **attrs,
-        ),
-    ]
-
-
-def pooled_node_stage(
-    pool: "FleetWorkerPool",
-    stage_index: int,
-    node_items: list[tuple[int, dict[str, np.ndarray]]],
-    *,
-    trace_t0: float | None = None,
-) -> dict[int, tuple]:
-    """Run one stage's per-node compute on the run's worker pool.
-
-    ``node_items`` pairs each node index with the model state it should
-    run under.  States are published to the pool (interned —
-    republishing the same dict object returns the same token), so tasks
-    carry ``(node_index, token)`` plus the trace stamps and each chunk
-    carries the states its tokens name.  Returns
-    ``{node_index: (NodeReport, records)}``; the stage loop iterates
-    node indices in fixed order, which keeps reports and trace bytes
-    identical to the serial path at any worker count.
-    """
-    from repro.fleet.pool import PoolTask
-
-    tasks = [
-        PoolTask(node_index=i, state=pool.publish(state), trace_t0=trace_t0)
-        for i, state in node_items
-    ]
-    return pool.run_stage(stage_index, tasks)
+    return node.process_stage(assets.node_stages[node_index][stage_index])
 
 
 def run_fleet(
@@ -816,276 +621,47 @@ def run_fleet(
     workers: int = 1,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-) -> FleetReport:
-    """Replay the whole flat fleet schedule for one system variant.
+) -> FleetEventReport:
+    """The paper's stage-by-stage protocol over the flat fleet.
 
-    ``workers > 1`` runs the per-node inference/diagnosis epochs on a
-    :class:`repro.fleet.pool.FleetWorkerPool`: workers are forked from
-    this process with the run's runtime and ``assets`` already in
-    memory, and each stage ships per-worker chunks of small (node,
-    token) work items together with the model weights they name.
-    Results are keyed by node index and merged in fixed node order, and
-    all diagnosis randomness is seeded per (node, stage), so every
-    worker count produces bit-identical reports.  The pool is shut down
-    — its workers joined — before returning, whether the run completes
-    or raises.
+    The event engine's barrier mode
+    (:func:`~repro.fleet.async_sim.run_fleet_event` with
+    ``barrier=True``): every node runs every stage, and a stage closes
+    once the Cloud has updated and its pushes have landed.
 
-    ``tracer`` collects virtual-time spans for the whole run (stage spans
-    are stamped from the reconstructed lockstep timeline, so the stream is
-    byte-identical across worker counts); ``metrics`` threads a registry
-    through the runtime and the ambient :func:`repro.obs.metrics.use`
-    scope.  Both default to off with zero overhead.
-
-    Hierarchical fleets (a :class:`repro.topology.Topology`) run only on
-    the event engine: ``run_fleet_event(..., barrier=True,
-    topology=...)`` is their lockstep run.
+    ``workers > 1`` runs each barrier round's node work on a
+    :class:`repro.fleet.pool.FleetWorkerPool`, forked from this process
+    with the run's runtime and ``assets`` already in memory.  Diagnosis
+    randomness is seeded per (node, stage) and the engine emits every
+    record in the parent, so any worker count gives the same report,
+    trace and metrics.  The pool's workers are joined before this
+    returns, whether the run completes or raises.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    # Imported here: both modules import this one.
+    from repro.fleet.async_sim import DirectEventTier, _EventFleet
+
     runtime = build_fleet_runtime(config, assets, metrics=metrics)
     pool = None
     if workers > 1:
-        # Imported here: repro.fleet.pool imports this module.
         from repro.fleet.pool import FleetWorkerPool
 
         pool = FleetWorkerPool(runtime, assets, workers)
     try:
-        with obs_metrics.use(metrics):
-            return _run_fleet_schedule(
-                config, assets, runtime, pool, tracer=tracer
-            )
+        return _EventFleet(
+            config,
+            assets,
+            runtime,
+            DirectEventTier(assets),
+            horizon_s=None,
+            barrier=True,
+            tracer=tracer,
+            pool=pool,
+        ).run()
     finally:
         if pool is not None:
             pool.shutdown()
-
-
-def _run_fleet_schedule(
-    config: SystemConfig,
-    assets: FleetAssets,
-    runtime: FleetRuntime,
-    pool: "FleetWorkerPool | None",
-    *,
-    tracer: Tracer | None = None,
-) -> FleetReport:
-    """The one lockstep stage loop, over the flat fleet.
-
-    Transport ("node upload -> Cloud arrival" and "Cloud push -> node")
-    is :class:`~repro.fleet.uplink.DirectTier`'s.  Everything else —
-    node compute, upload selection, the Cloud step, records, ledgers,
-    ``fleet.*`` metrics — is here and nowhere else.  Every node takes
-    part in every stage: the paper's protocol, with no extension seam.
-    """
-    scenario = assets.scenario
-    base = scenario.base
-    profiles = assets.profiles
-    registry = runtime.registry
-    scheduler = runtime.scheduler
-    sys_id = config.system_id
-    if tracer is None:
-        tracer = Tracer(enabled=False)
-    uplink = DirectTier(config, assets, SharedUplink(scenario.backhaul_bps))
-
-    report = FleetReport(config=config, scenario=scenario, registry=registry)
-    report.nodes = [NodeTrajectory(profile=p) for p in profiles]
-    index_of = {p.node_id: i for i, p in enumerate(profiles)}
-    num_stages = len(assets.node_stages[0])
-    nodes = tuple(range(len(profiles)))
-    node_ids = tuple(p.node_id for p in profiles)
-    # The model state each node runs.  A landed push moves a node to the
-    # registry's active state, and a canary rollout reaches only some
-    # nodes, so versions can diverge across the fleet.
-    node_states = [assets.initial_state] * len(profiles)
-    # Virtual stage cursor: spans are stamped from the same barrier
-    # timeline lockstep_timeline() reconstructs, so the trace stream is a
-    # pure function of the report — identical for any worker count.
-    cursor = 0.0
-
-    for s in range(num_stages):
-        is_initial = s == 0
-        stage_start = cursor
-
-        # --- node compute ---------------------------------------------
-        trace_t0 = stage_start if tracer.enabled else None
-        if pool is None:
-            by_index = {}
-            loaded = None
-            for i in nodes:
-                if node_states[i] is not loaded:
-                    loaded = node_states[i]
-                    runtime.deployed_net.load_state_dict(loaded)
-                by_index[i] = node_stage(
-                    runtime, assets, i, s, trace_t0=trace_t0
-                )
-        else:
-            by_index = pooled_node_stage(
-                pool,
-                s,
-                [(i, node_states[i]) for i in nodes],
-                trace_t0=trace_t0,
-            )
-        node_reports = {}
-        for i in nodes:
-            node_reports[i], records = by_index[i]
-            if records is not None:
-                tracer.extend(records)
-
-        # --- uploads --------------------------------------------------
-        # Systems without node-side diagnosis ship the raw stage data, not
-        # the flagged subset; stage 0 is the initialization upload for all.
-        uploads: dict[int, Dataset] = {}
-        upload_counts: dict[int, int] = {}
-        for i in nodes:
-            if is_initial or config.uploads_everything:
-                uploads[i] = assets.node_stages[i][s].new_data
-                upload_counts[i] = node_reports[i].acquired_images
-            else:
-                uploads[i] = node_reports[i].upload_data
-                upload_counts[i] = len(uploads[i])
-        compute_times = {
-            i: r.inference_time_s + r.diagnosis_time_s
-            for i, r in node_reports.items()
-        }
-        uploads_start = stage_start + max(compute_times.values(), default=0.0)
-        up = uplink.upload(
-            s, nodes, uploads, upload_counts, uploads_start, tracer=tracer
-        )
-        fleet_accuracy = float(
-            np.mean([node_reports[i].accuracy_before_update for i in nodes])
-        )
-
-        # --- cloud side ----------------------------------------------
-        if is_initial:
-            outcome = cloud_initialize(
-                s,
-                [e.data for e in up.entries],
-                runtime=runtime,
-                base=base,
-                all_node_ids=node_ids,
-            )
-        else:
-            for entry in up.entries:
-                scheduler.offer(entry.stage_index, entry.node_id, entry.data)
-            canaries = scheduler.canaries_among(node_ids)
-            outcome = cloud_try_update(
-                s,
-                fleet_accuracy,
-                lambda: Dataset.concat(
-                    [
-                        assets.node_stages[index_of[c]][s].new_data
-                        for c in canaries
-                    ]
-                ),
-                runtime=runtime,
-                base=base,
-                all_node_ids=node_ids,
-            )
-        push_bytes = outcome.push_bytes_per_node
-
-        # --- stage timeline tail: cloud update, then model push-down ---
-        update_end = up.arrival_s + outcome.modeled_update_time_s
-        if outcome.modeled_update_time_s > 0:
-            tracer.span(
-                "cloud",
-                "init" if is_initial else "update",
-                up.arrival_s,
-                update_end,
-                stage=s,
-                system=sys_id,
-                pooled=outcome.pooled_for_training,
-                promoted=outcome.promoted,
-            )
-        tracer.event(
-            "cloud",
-            "decision",
-            update_end,
-            stage=s,
-            system=sys_id,
-            updated=outcome.updated,
-            promoted=outcome.promoted,
-            **rollback_attrs(outcome),
-        )
-        cursor = update_end + uplink.push(
-            s, nodes, push_bytes, update_end, tracer=tracer
-        )
-        for i in nodes:
-            if push_bytes[profiles[i].node_id]:
-                node_states[i] = registry.active.state
-
-        # --- per-node records -----------------------------------------
-        acquired = sum(r.acquired_images for r in node_reports.values())
-        uploaded = sum(upload_counts.values())
-        pushed_bytes = 0
-        for i in nodes:
-            node_report = node_reports[i]
-            link = profiles[i].link
-            pushed = push_bytes[profiles[i].node_id]
-            pushed_bytes += pushed
-            trajectory = report.nodes[i]
-            trajectory.records.append(
-                NodeStageRecord(
-                    stage_index=s,
-                    node_id=profiles[i].node_id,
-                    acquired=node_report.acquired_images,
-                    uploaded=upload_counts[i],
-                    accuracy_on_new=node_report.accuracy_before_update,
-                    upload_time_s=up.times[i],
-                    upload_solo_time_s=up.solo_times[i],
-                    upload_energy_j=link.image_upload_energy_j(
-                        upload_counts[i]
-                    ),
-                    node_compute_time_s=compute_times[i],
-                    node_compute_energy_j=node_report.node_energy_j,
-                    download_bytes=pushed,
-                    download_energy_j=link.model_push_energy_j(pushed),
-                )
-            )
-            trajectory.ledger.record(
-                s, node_report.acquired_images, upload_counts[i]
-            )
-            if pushed:
-                trajectory.ledger.record_download(s, pushed)
-            report.ledger.record(
-                s, node_report.acquired_images, upload_counts[i]
-            )
-        if pushed_bytes:
-            report.ledger.record_download(s, pushed_bytes)
-
-        report.stages.append(
-            FleetStageRecord(
-                stage_index=s,
-                acquired=acquired,
-                uploaded=uploaded,
-                pooled_for_training=outcome.pooled_for_training,
-                updated=outcome.updated,
-                promoted=outcome.promoted,
-                fleet_accuracy_on_new=fleet_accuracy,
-                eval_accuracy=runtime.eval_accuracy(assets.eval_data),
-                modeled_update_time_s=outcome.modeled_update_time_s,
-                modeled_cloud_energy_j=outcome.modeled_cloud_energy_j,
-                upload_makespan_s=up.makespan_s,
-                download_bytes=pushed_bytes,
-            )
-        )
-        m = runtime.metrics
-        if m is not None:
-            m.counter("fleet.stages", system=sys_id).inc()
-            m.counter("fleet.images.acquired", system=sys_id).inc(acquired)
-            m.counter("fleet.images.flagged", system=sys_id).inc(
-                sum(r.flagged_images for r in node_reports.values())
-            )
-            m.counter("fleet.images.uploaded", system=sys_id).inc(uploaded)
-            hist = m.histogram("fleet.upload_time_s", system=sys_id)
-            for i in nodes:
-                hist.observe(up.times[i])
-            snap = report.ledger.snapshot()
-            m.gauge("fleet.bytes.uploaded", system=sys_id).set(
-                snap.uploaded_bytes
-            )
-            m.gauge("fleet.bytes.downloaded", system=sys_id).set(
-                snap.downloaded_bytes
-            )
-    report.rollouts = list(scheduler.history)
-    return report
 
 
 def run_fleet_all_systems(
@@ -1094,7 +670,7 @@ def run_fleet_all_systems(
     workers: int = 1,
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
-) -> dict[str, FleetReport]:
+) -> dict[str, FleetEventReport]:
     """Run every Fig. 24 variant over the same fleet, data, and weights.
 
     A shared ``tracer``/``metrics`` collects all four variants into one

@@ -5,11 +5,10 @@ Schema v1 (one JSON object per line, keys sorted):
 ``{"attrs": {...}, "cat": "...", "kind": "span"|"event", "name": "...",
 "t0": <virtual s>, "t1": <virtual s>|null, "v": 1}``
 
-Timestamps are **virtual** seconds: lockstep spans are stamped from the
-reconstructed stage timeline, event-mode spans from the kernel clock
-(``Simulator.now``).  Two runs at the same seed therefore produce
-byte-identical JSONL — that is a tested invariant, across lockstep,
-event mode, and any ``workers=N``.
+Timestamps are **virtual** seconds, stamped from the fleet engine's
+kernel clock (``Simulator.now``).  Two runs at the same seed therefore
+produce byte-identical JSONL — that is a tested invariant, across
+reruns, modes, and any ``workers=N``.
 
 Wall-clock stamps are the one legal nondeterminism: a tracer built with
 ``wall_clock=True`` stamps each record's emission with

@@ -87,50 +87,76 @@ def _render_tier_table(results) -> str:
 
 
 def _render_fleet(
-    num_nodes: int,
-    policy: str,
-    seed: int,
+    scenario,
+    horizon: float | None,
     *,
+    barrier: bool,
     workers: int = 1,
     tracer=None,
     metrics=None,
+    topology=None,
 ) -> str:
-    """Beyond the paper: the four Fig. 24 variants at fleet scale."""
+    """Beyond the paper: the four Fig. 24 variants at fleet scale.
+
+    ``barrier=True`` is the paper's stage-by-stage protocol (the event
+    engine's barrier mode, over the flat fleet or a hierarchy);
+    ``barrier=False`` runs asynchronous epochs, up to ``horizon`` if set.
+    """
+    from repro.core.systems import SYSTEMS
     from repro.fleet import (
-        FleetScenario,
-        fleet_base_scenario,
+        prepare_fleet_assets,
         run_fleet_all_systems,
+        run_fleet_event,
     )
 
-    scenario = FleetScenario(
-        base=fleet_base_scenario(),
-        num_nodes=num_nodes,
-        scheduler_policy=policy,
-        seed=seed,
-    )
-    results = run_fleet_all_systems(
-        scenario,
-        workers=workers,
-        tracer=tracer,
-        metrics=metrics,
-    )
+    if barrier and topology is None:
+        results = run_fleet_all_systems(
+            scenario, workers=workers, tracer=tracer, metrics=metrics
+        )
+    else:
+        assets = prepare_fleet_assets(scenario)
+        results = {
+            config.system_id: run_fleet_event(
+                config,
+                assets,
+                horizon_s=horizon,
+                barrier=barrier,
+                tracer=tracer,
+                metrics=metrics,
+                topology=topology,
+            )
+            for config in SYSTEMS
+        }
     mb = 1e6
+    horizon_label = (
+        f"horizon={horizon:g}s" if horizon is not None else "full schedule"
+    )
+    barrier_label = ", barrier mode" if barrier else ""
     aggregate = format_table(
-        f"Fleet ({num_nodes} nodes, policy={policy}) — aggregate movement "
-        "and Cloud update cost",
-        ["system", "up MB", "down MB", "total MB", "reduction",
-         "cloud s", "cloud kJ", "radio J", "final acc"],
+        f"Event-driven fleet{barrier_label} ({scenario.num_nodes} nodes, "
+        f"policy={scenario.scheduler_policy}, {horizon_label}) — movement, "
+        "Cloud update cost and virtual time",
+        ["system", "up MB", "down MB", "total MB", "reduction", "cloud s",
+         "cloud kJ", "radio J", "final acc", "makespan s", "epochs min-max"],
         [
             [
                 sid,
                 f"{r.total_uploaded_bytes / mb:.0f}",
                 f"{r.total_downloaded_bytes / mb:.0f}",
                 f"{r.total_bytes_moved / mb:.0f}",
-                f"{r.data_reduction_vs_full:.0%}",
+                f"{r.ledger.overall_reduction_vs_full():.0%}",
                 f"{r.total_update_time_s:.1f}",
                 f"{r.total_cloud_energy_j / 1e3:.2f}",
-                f"{r.total_transfer_energy_j:.1f}",
-                f"{r.final_accuracy:.0%}",
+                "{:.1f}".format(
+                    sum(
+                        t.total_upload_energy_j + t.download_energy_j
+                        for t in r.nodes
+                    )
+                ),
+                f"{r.final_eval_accuracy:.0%}",
+                f"{r.makespan_s:.1f}",
+                f"{min(r.epochs_by_node.values())}-"
+                f"{max(r.epochs_by_node.values())}",
             ]
             for sid, r in results.items()
         ],
@@ -154,107 +180,18 @@ def _render_fleet(
     d = results["d"]
     per_node = format_table(
         "In-situ AI (d) — per-node trajectory",
-        ["node", "device", "link", "uploaded imgs", "up MB", "down MB",
-         "contention stretch", "mean acc on new"],
-        [
-            [
-                t.profile.node_id,
-                t.profile.device_kind,
-                t.profile.link_kind,
-                t.ledger.total_uploaded_images,
-                f"{t.ledger.total_uploaded_bytes / mb:.0f}",
-                f"{t.ledger.total_downloaded_bytes / mb:.0f}",
-                f"{t.contention_stretch:.2f}x",
-                f"{sum(t.accuracy_trajectory) / len(t.accuracy_trajectory):.0%}",
-            ]
-            for t in d.nodes
-        ],
-    )
-    return aggregate + "\n\n" + rollouts + "\n\n" + per_node
-
-
-def _render_fleet_event(
-    num_nodes: int,
-    policy: str,
-    seed: int,
-    horizon: float | None,
-    *,
-    barrier: bool = False,
-    tracer=None,
-    metrics=None,
-    topology=None,
-) -> str:
-    """Event-driven fleet: asynchronous epochs, dynamic uplink flows.
-
-    ``barrier=True`` is the lockstep run of a hierarchical fleet: the
-    event engine with the fleet-wide epoch barrier re-inserted.
-    """
-    from repro.core.systems import SYSTEMS
-    from repro.fleet import (
-        FleetScenario,
-        fleet_base_scenario,
-        prepare_fleet_assets,
-        run_fleet_event,
-    )
-
-    scenario = FleetScenario(
-        base=fleet_base_scenario(),
-        num_nodes=num_nodes,
-        scheduler_policy=policy,
-        seed=seed,
-    )
-    assets = prepare_fleet_assets(scenario)
-    results = {
-        config.system_id: run_fleet_event(
-            config,
-            assets,
-            horizon_s=horizon,
-            barrier=barrier,
-            tracer=tracer,
-            metrics=metrics,
-            topology=topology,
-        )
-        for config in SYSTEMS
-    }
-    mb = 1e6
-    horizon_label = (
-        f"horizon={horizon:g}s" if horizon is not None else "full schedule"
-    )
-    barrier_label = ", barrier mode" if barrier else ""
-    aggregate = format_table(
-        f"Event-driven fleet{barrier_label} ({num_nodes} nodes, "
-        f"policy={policy}, {horizon_label}) — virtual time and movement",
-        ["system", "makespan s", "epochs min-max", "updates", "promoted",
-         "up MB", "down MB", "final acc"],
-        [
-            [
-                sid,
-                f"{r.makespan_s:.1f}",
-                f"{min(r.epochs_by_node.values())}-"
-                f"{max(r.epochs_by_node.values())}",
-                sum(1 for u in r.updates if u.kind != "scan"),
-                sum(1 for u in r.updates if u.promoted),
-                f"{r.total_uploaded_bytes / mb:.0f}",
-                f"{r.total_downloaded_bytes / mb:.0f}",
-                f"{r.final_eval_accuracy:.0%}",
-            ]
-            for sid, r in results.items()
-        ],
-    )
-    d = results["d"]
-    per_node = format_table(
-        "In-situ AI (d) — per-node event trajectory",
-        ["node", "device", "link", "epochs", "blocked on uplink s",
-         "up MB", "down MB", "mean acc on new"],
+        ["node", "device", "link", "epochs", "uploaded imgs", "up MB",
+         "down MB", "blocked on uplink s", "mean acc on new"],
         [
             [
                 t.profile.node_id,
                 t.profile.device_kind,
                 t.profile.link_kind,
                 t.epochs_completed,
-                f"{t.blocked_on_uplink_s:.2f}",
+                t.ledger.total_uploaded_images,
                 f"{t.ledger.total_uploaded_bytes / mb:.0f}",
                 f"{t.ledger.total_downloaded_bytes / mb:.0f}",
+                f"{t.blocked_on_uplink_s:.2f}",
                 (
                     f"{sum(t.accuracy_trajectory) / len(t.accuracy_trajectory):.0%}"
                     if t.records
@@ -264,7 +201,7 @@ def _render_fleet_event(
             for t in d.nodes
         ],
     )
-    out = aggregate + "\n\n" + per_node
+    out = aggregate + "\n\n" + rollouts + "\n\n" + per_node
     if topology is not None and not topology.is_passthrough:
         out += "\n\n" + _render_tier_table(results)
     return out
@@ -321,10 +258,9 @@ def main(argv: list[str] | None = None) -> int:
         "--mode",
         default="lockstep",
         help=(
-            "fleet simulation mode: 'lockstep' (stage barrier, the "
-            "reference; with '--topology fan-out' it runs the event "
-            "engine's barrier mode) or 'event' (asynchronous epochs on "
-            "the discrete-event kernel)"
+            "fleet simulation mode: 'lockstep' (the paper's stage "
+            "barrier: the event engine's barrier mode) or 'event' "
+            "(asynchronous epochs on the discrete-event kernel)"
         ),
     )
     parser.add_argument(
@@ -449,8 +385,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers > 1 and args.mode == "event":
         parser.error("--workers only applies to --mode lockstep")
     if args.workers > 1 and args.topology != "flat":
-        # Hierarchical fleets run on the event engine; the worker pool
-        # serves only the flat lockstep stage loop.
+        # The worker pool serves only flat barrier runs.
         parser.error(
             "--workers > 1 cannot be combined with --topology "
             f"{args.topology}: the worker pool runs only flat fleets"
@@ -492,6 +427,18 @@ def main(argv: list[str] | None = None) -> int:
             second_opinion_fraction=args.second_opinion,
             per_transfer_overhead_bytes=args.overhead_bytes,
         )
+    if "fleet" in selected:
+        from repro.fleet import FleetScenario, fleet_base_scenario
+
+        try:
+            scenario = FleetScenario(
+                base=fleet_base_scenario(),
+                num_nodes=args.nodes,
+                scheduler_policy=args.policy,
+                seed=args.fleet_seed,
+            )
+        except ValueError as exc:
+            parser.error(f"invalid fleet scenario: {exc}")
     if "all" in selected:
         selected = sorted(_EXPERIMENTS)
     tracer = None
@@ -506,31 +453,17 @@ def main(argv: list[str] | None = None) -> int:
         metrics = MetricsRegistry()
     for name in selected:
         if name == "fleet":
-            if args.mode == "event" or topology is not None:
-                # A lockstep hierarchy is the event engine's barrier run.
-                print(
-                    _render_fleet_event(
-                        args.nodes,
-                        args.policy,
-                        args.fleet_seed,
-                        args.horizon,
-                        barrier=args.mode == "lockstep",
-                        tracer=tracer,
-                        metrics=metrics,
-                        topology=topology,
-                    )
+            print(
+                _render_fleet(
+                    scenario,
+                    args.horizon,
+                    barrier=args.mode == "lockstep",
+                    workers=args.workers,
+                    tracer=tracer,
+                    metrics=metrics,
+                    topology=topology,
                 )
-            else:
-                print(
-                    _render_fleet(
-                        args.nodes,
-                        args.policy,
-                        args.fleet_seed,
-                        workers=args.workers,
-                        tracer=tracer,
-                        metrics=metrics,
-                    )
-                )
+            )
         else:
             print(_EXPERIMENTS[name]())
         print()

@@ -1,9 +1,8 @@
-"""Event-driven fleet simulation: equivalence, asynchrony, determinism.
+"""Event-driven fleet simulation: asynchrony, horizons, determinism.
 
-Three anchors hold the asynchronous model to the lockstep reference:
+Two anchors hold the asynchronous model to the barrier reference (the
+paper's protocol, which ``run_fleet`` drives over the flat fleet):
 
-* barrier mode on the event kernel reproduces ``run_fleet``'s accuracy
-  and byte trajectories exactly (same assets, same seed);
 * async mode finishes the same schedule no later than barrier mode —
   overlapping Cloud retraining with node compute only removes waiting;
 * under a heterogeneous WiFi/LTE mix and a fixed virtual-time horizon,
@@ -22,12 +21,12 @@ from repro.diagnosis import Diagnoser
 from repro.fleet import (
     FleetScenario,
     fleet_base_scenario,
-    lockstep_timeline,
     prepare_fleet_assets,
     run_fleet,
     run_fleet_event,
 )
 from repro.fleet import simulation as fleet_simulation
+from repro.fleet.simulation import build_fleet_runtime
 from repro.transfer import evaluate
 
 
@@ -82,11 +81,6 @@ def mixed_assets():
 
 
 @pytest.fixture(scope="module")
-def lockstep_d(homogeneous_assets):
-    return run_fleet(system_by_id("d"), homogeneous_assets)
-
-
-@pytest.fixture(scope="module")
 def barrier_d(homogeneous_assets):
     return run_fleet_event(
         system_by_id("d"), homogeneous_assets, barrier=True
@@ -98,42 +92,7 @@ def async_d(homogeneous_assets):
     return run_fleet_event(system_by_id("d"), homogeneous_assets)
 
 
-class TestLockstepEquivalence:
-    """Homogeneous fleet, synchronized epochs: barrier mode == run_fleet."""
-
-    def test_accuracy_trajectories_match(self, lockstep_d, barrier_d):
-        for lock_node, event_node in zip(lockstep_d.nodes, barrier_d.nodes):
-            assert lock_node.profile == event_node.profile
-            assert np.allclose(
-                lock_node.accuracy_trajectory,
-                event_node.accuracy_trajectory,
-            )
-
-    def test_byte_trajectories_match(self, lockstep_d, barrier_d):
-        assert (
-            lockstep_d.total_uploaded_bytes == barrier_d.total_uploaded_bytes
-        )
-        assert (
-            lockstep_d.total_downloaded_bytes
-            == barrier_d.total_downloaded_bytes
-        )
-        for lock_node, event_node in zip(lockstep_d.nodes, barrier_d.nodes):
-            assert [r.uploaded for r in lock_node.records] == [
-                r.uploaded for r in event_node.records
-            ]
-            assert (
-                lock_node.ledger.total_downloaded_bytes
-                == event_node.ledger.total_downloaded_bytes
-            )
-
-    def test_same_updates_promoted(self, lockstep_d, barrier_d):
-        lock_updates = [
-            (s.updated, s.promoted) for s in lockstep_d.stages if s.updated
-        ]
-        event_updates = [(True, u.promoted) for u in barrier_d.updates]
-        assert lock_updates == event_updates
-        assert lockstep_d.registry.history() == barrier_d.registry.history()
-
+class TestCloudScan:
     def test_cloud_scan_that_flags_nothing_is_still_paid(
         self, homogeneous_assets, monkeypatch
     ):
@@ -141,27 +100,18 @@ class TestLockstepEquivalence:
         monkeypatch.setattr(
             Diagnoser, "diagnose", lambda self, data: np.zeros(len(data), bool)
         )
-        lock = run_fleet(system_by_id("b"), homogeneous_assets)
-        event = run_fleet_event(
-            system_by_id("b"), homogeneous_assets, barrier=True
-        )
-        assert [u.kind for u in event.updates] == ["init"] + ["scan"] * 4
-        assert event.total_update_time_s == lock.total_update_time_s
-        assert event.total_cloud_energy_j == lock.total_cloud_energy_j
-
-    def test_equivalence_holds_for_upload_everything_system(
-        self, homogeneous_assets
-    ):
-        lock = run_fleet(system_by_id("a"), homogeneous_assets)
-        event = run_fleet_event(
-            system_by_id("a"), homogeneous_assets, barrier=True
-        )
-        for lock_node, event_node in zip(lock.nodes, event.nodes):
-            assert np.allclose(
-                lock_node.accuracy_trajectory,
-                event_node.accuracy_trajectory,
+        report = run_fleet(system_by_id("b"), homogeneous_assets)
+        assert [u.kind for u in report.updates] == ["init"] + ["scan"] * 4
+        cloud = build_fleet_runtime(system_by_id("b"), homogeneous_assets).cloud
+        for update in report.updates[1:]:
+            pooled = sum(
+                n.records[update.stage_index].uploaded for n in report.nodes
             )
-        assert lock.total_uploaded_bytes == event.total_uploaded_bytes
+            assert (
+                update.modeled_time_s,
+                update.modeled_energy_j,
+            ) == cloud.modeled_scan_cost(pooled)
+            assert not update.promoted and update.pooled_for_training == 0
 
 
 class TestAsyncMode:
@@ -293,35 +243,10 @@ class TestCloudEvalMemo:
         assert len(swept) == 1 and swept[0] is mixed_assets.eval_data
         assert report.final_eval_accuracy == report.updates[0].eval_accuracy
 
-    def test_final_eval_is_the_last_records(
-        self, lockstep_d, barrier_d, async_d
-    ):
-        assert barrier_d.final_eval_accuracy == lockstep_d.final_accuracy
+    def test_final_eval_is_the_last_records(self, barrier_d, async_d):
         for report in (barrier_d, async_d):
             assert any(u.promoted for u in report.updates[1:])
             assert report.final_eval_accuracy == report.updates[-1].eval_accuracy
-
-
-class TestLockstepTimeline:
-    def test_stall_accounts_for_barrier_waits(self, lockstep_d):
-        timeline = lockstep_timeline(lockstep_d)
-        assert timeline.makespan_s > 0
-        # busy + stall == makespan per node, by construction
-        for node_id in timeline.node_busy_s:
-            assert timeline.node_stall_s[node_id] >= 0.0
-            assert timeline.node_busy_s[node_id] + timeline.node_stall_s[
-                node_id
-            ] == pytest.approx(timeline.makespan_s)
-
-    def test_mixed_fleet_slow_link_stalls_fast_node(self, mixed_assets):
-        report = run_fleet(system_by_id("d"), mixed_assets)
-        timeline = lockstep_timeline(report)
-        by_link = {
-            p.link_kind: timeline.node_stall_s[p.node_id]
-            for p in mixed_assets.profiles
-        }
-        # The WiFi node waits for the LTE node at every barrier.
-        assert by_link["wifi"] > by_link["lte"]
 
 
 class TestValidation:

@@ -5,11 +5,12 @@ reseeded all diagnosis randomness per ``(node, stage)``.  These tests pin
 the contract that bought us:
 
 * ``workers=1`` and ``workers=4`` produce *bit-identical* reports;
-* ``run_fleet_event(barrier=True)`` still reproduces the lockstep
-  accuracy trajectory;
+* ``run_fleet`` (the event engine's barrier mode over the flat fleet)
+  still reproduces the seed revision's lockstep trajectory;
 * the whole trajectory matches the values recorded from the seed
   revision (pre-parallelism, pre-cache), so none of the rewrites —
-  batched rendering, dataset cache, buffer-pooled conv — moved a single
+  batched rendering, dataset cache, buffer-pooled conv, the move from
+  the lockstep stage loop onto the event engine — moved a single
   prediction.
 """
 
@@ -49,13 +50,28 @@ def assets():
     return prepare_fleet_assets(FleetScenario(base=base, num_nodes=3, seed=7))
 
 
+def _per_stage(report, value) -> list:
+    """``value(record)`` summed over the fleet, per stage."""
+    stages = len(report.nodes[0].records)
+    return [sum(value(n.records[s]) for n in report.nodes) for s in range(stages)]
+
+
+def _stage_downloads(report) -> list[int]:
+    """Model-push bytes per stage, from the fleet ledger's rows."""
+    out = [0] * len(report.nodes[0].records)
+    for row in report.ledger.stages:
+        out[row.stage_index] += row.downloaded_bytes
+    return out
+
+
 def _signature(report):
     """Every float/int the simulation produced, exactly."""
     return (
-        [s.eval_accuracy for s in report.stages],
-        [s.fleet_accuracy_on_new for s in report.stages],
-        [s.uploaded for s in report.stages],
-        [s.download_bytes for s in report.stages],
+        [u.eval_accuracy for u in report.updates],
+        report.final_eval_accuracy,
+        report.makespan_s,
+        _per_stage(report, lambda r: r.uploaded),
+        _stage_downloads(report),
         [[r.accuracy_on_new for r in n.records] for n in report.nodes],
         [[r.uploaded for r in n.records] for n in report.nodes],
         report.total_uploaded_bytes,
@@ -70,9 +86,11 @@ class TestWorkerDeterminism:
         pooled = run_fleet(config, assets, workers=4)
         assert _signature(serial) == _signature(pooled)
 
-        assert [s.eval_accuracy for s in serial.stages] == GOLDEN_EVAL_ACCURACY
-        assert [s.uploaded for s in serial.stages] == GOLDEN_UPLOADED
-        assert [s.download_bytes for s in serial.stages] == GOLDEN_DOWNLOAD_BYTES
+        # system d retrains every stage: one Cloud record per stage
+        assert [u.stage_index for u in serial.updates] == [0, 1, 2, 3, 4]
+        assert [u.eval_accuracy for u in serial.updates] == GOLDEN_EVAL_ACCURACY
+        assert _per_stage(serial, lambda r: r.uploaded) == GOLDEN_UPLOADED
+        assert _stage_downloads(serial) == GOLDEN_DOWNLOAD_BYTES
         assert serial.total_uploaded_bytes == GOLDEN_TOTAL_UP
         assert serial.total_downloaded_bytes == GOLDEN_TOTAL_DOWN
 

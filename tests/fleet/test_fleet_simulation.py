@@ -59,7 +59,7 @@ class TestDeterminism:
             assert t1.records == t2.records
             assert t1.ledger.stages == t2.ledger.stages
         assert first.ledger.stages == second.ledger.stages
-        assert [s for s in first.stages] == [s for s in second.stages]
+        assert first.updates == second.updates
 
     def test_different_seed_different_fleet(self):
         a = prepare_fleet_assets(tiny_fleet(seed=0))
@@ -70,8 +70,9 @@ class TestDeterminism:
 class TestMovement:
     def test_stage0_uploads_everything(self, report_a, report_d):
         for report in (report_a, report_d):
-            stage0 = report.stages[0]
-            assert stage0.uploaded == stage0.acquired
+            for trajectory in report.nodes:
+                stage0 = trajectory.records[0]
+                assert stage0.uploaded == stage0.acquired
 
     def test_diagnosis_moves_fewer_bytes(self, report_a, report_d):
         assert (
@@ -82,7 +83,8 @@ class TestMovement:
     def test_downlink_charged_to_every_node(self, report_d):
         # Stage 0 publishes v1 and pushes it to the whole fleet.
         for trajectory in report_d.nodes:
-            assert trajectory.records[0].download_bytes > 0
+            stage0 = trajectory.ledger.stages[0]
+            assert stage0.stage_index == 0 and stage0.downloaded_bytes > 0
         assert report_d.total_downloaded_bytes > 0
 
     def test_ledger_totals_match_node_sum(self, report_d):
@@ -93,9 +95,15 @@ class TestMovement:
             t.ledger.total_downloaded_bytes for t in report_d.nodes
         )
 
-    def test_contention_stretches_uploads(self, report_a):
+    def test_contention_stretches_uploads(self, report_a, assets):
+        # No upload beats having the backhaul to itself.
+        capacity = assets.scenario.backhaul_bps
         for trajectory in report_a.nodes:
-            assert trajectory.contention_stretch >= 1.0
+            link = trajectory.profile.link
+            rate = min(link.bandwidth_bps, capacity)
+            for r in trajectory.records:
+                solo = link.latency_s + r.upload_bytes * 8.0 / rate
+                assert r.upload_wait_s >= solo * (1 - 1e-12)
 
 
 class TestRollouts:
@@ -129,20 +137,23 @@ class TestRollouts:
         # it trained at all.
         if report_d.total_update_time_s > 0:
             per_img_d = report_d.total_update_time_s / max(
-                1, sum(s.pooled_for_training for s in report_d.stages)
+                1, sum(u.pooled_for_training for u in report_d.updates)
             )
             per_img_c = report_c.total_update_time_s / max(
-                1, sum(s.pooled_for_training for s in report_c.stages)
+                1, sum(u.pooled_for_training for u in report_c.updates)
             )
             assert per_img_d < per_img_c
 
 
 class TestAccuracy:
     def test_eval_trajectory_recorded(self, report_d):
-        assert len(report_d.stages) == 5
-        for stage in report_d.stages:
-            assert 0.0 <= stage.eval_accuracy <= 1.0
-            assert 0.0 <= stage.fleet_accuracy_on_new <= 1.0
+        assert report_d.updates[0].kind == "init"
+        for update in report_d.updates:
+            assert 0 <= update.stage_index < 5
+            assert 0.0 <= update.eval_accuracy <= 1.0
+        for trajectory in report_d.nodes:
+            for acc in trajectory.accuracy_trajectory:
+                assert 0.0 <= acc <= 1.0
 
     def test_per_node_trajectories_full_length(self, report_d):
         for trajectory in report_d.nodes:
@@ -187,15 +198,14 @@ class TestCloudEvalMemo:
             tiny_fleet(scheduler_policy="threshold", upload_threshold=10**9)
         )
         report = run_fleet(system_by_id("d"), assets)
-        assert len(report.stages) == 5
-        assert not any(s.updated for s in report.stages[1:])
+        assert [u.kind for u in report.updates] == ["init"]
         assert len(eval_sweeps) == 1 and eval_sweeps[0] is assets.eval_data
-        # ... and every stage reports what a sweep of its own would have
+        # ... and both scores are what a sweep of its own would have said
         net = build_fleet_runtime(system_by_id("d"), assets).cloud.inference_net
         net.load_state_dict(report.registry.active.state)
         direct = evaluate(net, assets.eval_data)
-        assert [s.eval_accuracy for s in report.stages] == [direct] * 5
-        assert report.final_accuracy == direct
+        assert report.updates[0].eval_accuracy == direct
+        assert report.final_eval_accuracy == direct
 
     def test_rollback_hits_and_promotion_misses(
         self, runtime, assets, eval_sweeps

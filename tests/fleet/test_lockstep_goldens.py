@@ -1,13 +1,14 @@
-"""Cross-commit pins for the lockstep and event fleet consumers.
+"""Cross-commit pins for the fleet engine's consumers.
 
 ``test_determinism_guard.py`` pins a handful of flat-path numbers across
 commits.  This module records, per consumer, hashes of everything a run
 emits — the JSONL trace (in emission order and order-free), the metrics
-dump, and every report field — so a refactor of either engine shows up
-as a named diff instead of passing silently.
+dump, and every report field — so a refactor of the engine shows up as a
+named diff instead of passing silently.
 
-The one lockstep consumer, ``flat`` (``run_fleet`` system ``d``), runs
-at ``workers=1`` and ``workers=2`` against the same golden.
+The lockstep consumer, ``flat`` (``run_fleet`` system ``d``: the event
+engine's barrier mode over the flat fleet), runs at ``workers=1`` and
+``workers=2`` against the same golden.
 
 The six event consumers (``EVENT_CONSUMERS``) pin the event engine the
 same way, through ``run_fleet_event`` / ``run_scenario_event``: flat
@@ -70,9 +71,14 @@ from repro.topology import AggregationPolicy, Topology
 
 NUM_NODES = 4
 
-# Recorded at commit 589884d (PR 12), before the stage loops were folded.
-# The ``flat`` consumer's per-gateway stage-record pin (the digest of an empty
-# list) went with the lockstep gateway tier; no other value moved.
+# ``flat/registry`` and ``flat/rollouts`` were recorded at commit 589884d
+# (PR 12) on the lockstep stage loop.  When ``run_fleet`` became the event
+# engine's barrier mode the rest of ``flat`` was re-recorded: its report
+# shape is the event engine's (``nodes``, ``updates``, ``gateway_*``), its
+# fleet ledger logs 25 rows instead of 20 with equal totals (a push that
+# lands before the node commits its round gets a download-only row), and
+# its trace and metrics are the event engine's records.  Every new value equals what the
+# parent commit's ``run_fleet_event(barrier=True)`` gives on these assets.
 #
 # The ``event_*`` consumers were recorded at commit 7dac000 (PR 13), before
 # the event engines were composed into one; the composition moved nothing.
@@ -92,22 +98,28 @@ NUM_NODES = 4
 GOLDENS: dict[str, dict[str, str]] = {
     "flat": {
         "trace": (
-            "2585c724594c54b3bc975b7868165e953fad5a371df437d8cd6775d9b930ee6f"
+            "4a3c0fab84e6bb4a12274ebd1636f5be2c630295e934aaeb7ae163dd40a01f1c"
         ),
         "trace_sorted": (
-            "32e916fdf1d29b10721b44735030bc79014c836b0e8aa04f08e89f17ba4271f3"
+            "d24bd425f3346ac20519e2cb7a8862bd4f55fdebae800884459c9f5e1fedddc0"
         ),
         "metrics": (
-            "7f13684d90f029561d4838b74d248ec6ce7c810977f97c51d13254a9c794df6d"
+            "3ff51402ce4fdc2d90d5c3f1b80a8d7dedeb68eec63f29cef383517f953aa8a9"
         ),
-        "node_records": (
-            "4c7e269ee778db158e3e95c16f72a17d267f74df55d9d80ceaaa0b03458b1cec"
+        "nodes": (
+            "d322a0c6836070255b0feac3b2263e474e14ef8160ed9b3efc1a244f5af62c14"
         ),
-        "stages": (
-            "d4299b7313c5e0c114b503303ac625d7af51e5235a7058f792f898aba788b3e6"
+        "updates": (
+            "87bad255be2ae63044ef5bad0a75b82d4773217b070706f5ab0f39c85f6818aa"
+        ),
+        "gateway_flushes": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
+        ),
+        "gateway_leftover_images": (
+            "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
         ),
         "ledgers": (
-            "25e06cd1a99a7bf159adb38a12c39597dac737d8b55a4c35530b8cca852272fa"
+            "03409983c26b39dc3d02f3f66e9d562af8e87f37d2e3b45c8253eb730473cd96"
         ),
         "registry": (
             "539e86e50ed2564f37ffe22341333e37c804fc553240f7710748705981946c98"
@@ -355,19 +367,8 @@ def _state_sha(state: dict[str, np.ndarray]) -> str:
     return h.hexdigest()
 
 
-def _fleet_parts(report) -> dict[str, str]:
-    """One digest per report component, so a diff names what moved."""
-    return {
-        "node_records": _digest(
-            [[asdict(r) for r in n.records] for n in report.nodes]
-        ),
-        "stages": _digest([asdict(s) for s in report.stages]),
-        **_shared_parts(report),
-    }
-
-
 def _event_parts(report) -> dict[str, str]:
-    """``_fleet_parts`` for a ``FleetEventReport``."""
+    """One digest per report component, so a diff names what moved."""
     return {
         "nodes": _digest(
             [
@@ -391,12 +392,12 @@ def _event_parts(report) -> dict[str, str]:
         "gateway_leftover_images": _digest(
             sorted(report.gateway_leftover_images.items())
         ),
-        **_shared_parts(report),
+        **_ledger_parts(report),
     }
 
 
-def _shared_parts(report) -> dict[str, str]:
-    """The components lockstep and event reports have in common."""
+def _ledger_parts(report) -> dict[str, str]:
+    """The ledgers, the registry, and the rollouts."""
     registry = report.registry
     return {
         "ledgers": _digest(
@@ -496,7 +497,7 @@ def observe_flat(assets, workers: int) -> dict[str, str]:
     report = run_fleet(
         system_by_id("d"), assets, workers=workers, tracer=tracer, metrics=metrics
     )
-    return _observed(_fleet_parts(report), tracer, metrics)
+    return _observed(_event_parts(report), tracer, metrics)
 
 
 #: name -> ("fleet" | "scenario", engine kwargs); the fleet ones run

@@ -2,7 +2,8 @@
 
 The contract under test: a tracer/metrics pair attached to a seeded
 fleet run is a *pure function of the seed* — rerunning produces the
-same bytes, the worker pool produces the same bytes as the serial path,
+same bytes, ``run_fleet`` on the worker pool produces the same bytes as
+its serial run (the engine emits every record in the parent),
 and turning observability off changes neither the records collected
 (none) nor the simulation's own trajectory.
 """
@@ -37,9 +38,10 @@ def assets():
 
 def _signature(report):
     return (
-        [s.eval_accuracy for s in report.stages],
-        [s.uploaded for s in report.stages],
-        [s.download_bytes for s in report.stages],
+        [u.eval_accuracy for u in report.updates],
+        [[r.uploaded for r in n.records] for n in report.nodes],
+        [n.download_bytes for n in report.nodes],
+        report.makespan_s,
         report.total_uploaded_bytes,
         report.total_downloaded_bytes,
     )

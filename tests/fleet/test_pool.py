@@ -1,10 +1,11 @@
 """Forked worker pool: bit-identity, placement invariance, cleanup.
 
 The pool's contract is that parallelism is *invisible* in the results:
-any worker count produces byte-identical reports and traces on the
-lockstep stage loop (flat fleets only), because all diagnosis
-randomness is reseeded per (node, stage) and node results merge in
-fixed node order regardless of which worker ran them.  The other half
+any worker count produces byte-identical reports and traces on
+``run_fleet``'s barrier rounds (flat fleets only), because all
+diagnosis randomness is reseeded per (node, stage), each node takes its
+own report whichever worker ran it, and the engine emits every record
+in the parent.  The other half
 of the contract is hygiene: no worker process and no ``/dev/shm`` entry
 outlives the run, whether it exits normally, raises mid-stage, or loses
 a worker.
@@ -56,10 +57,11 @@ def assets():
 
 def fleet_signature(report):
     return (
-        [s.eval_accuracy for s in report.stages],
-        [s.uploaded for s in report.stages],
-        [s.download_bytes for s in report.stages],
+        [u.eval_accuracy for u in report.updates],
+        [[r.uploaded for r in n.records] for n in report.nodes],
+        [n.download_bytes for n in report.nodes],
         [n.accuracy_trajectory for n in report.nodes],
+        report.makespan_s,
         report.total_uploaded_bytes,
         report.total_downloaded_bytes,
     )
@@ -122,10 +124,12 @@ def no_residue():
 
 
 class _ExplodingTracer(Tracer):
-    """Raises from the merge loop after worker results arrive."""
+    """Raises from the engine once a round's worker results arrive."""
 
-    def extend(self, records) -> None:
-        raise RuntimeError("tracer exploded mid-stage")
+    def span(self, cat, name, t0, t1, **attrs):
+        if cat == "node":
+            raise RuntimeError("tracer exploded mid-stage")
+        return super().span(cat, name, t0, t1, **attrs)
 
 
 def _normal_exit(assets):
@@ -178,10 +182,10 @@ class TestNoResidue:
     def test_killed_worker_names_the_stage_and_nodes(
         self, assets, no_residue, monkeypatch
     ):
-        def dying_node_stage(runtime, assets, node_index, stage_index, **kw):
+        def dying_node_stage(runtime, assets, node_index, stage_index):
             if (node_index, stage_index) == (2, 1):
                 os._exit(9)
-            return node_stage(runtime, assets, node_index, stage_index, **kw)
+            return node_stage(runtime, assets, node_index, stage_index)
 
         # Patched before the first dispatch: the forked workers inherit it.
         monkeypatch.setattr(
@@ -216,11 +220,10 @@ class _UnpicklableAssets(FleetAssets):
     __reduce__ = _inherited_not_pickled
 
 
-def _report_fields(result):
-    node_report, records = result
+def _report_fields(node_report):
     fields = dict(vars(node_report))
     upload = fields.pop("upload_data")
-    return fields, upload.images.tobytes(), upload.labels.tobytes(), records
+    return fields, upload.images.tobytes(), upload.labels.tobytes()
 
 
 class TestForkHygiene:
@@ -246,7 +249,7 @@ class TestForkHygiene:
         def serial_stage(node_index, state):
             runtime.deployed_net.load_state_dict(state)
             return _report_fields(
-                node_stage(runtime, assets, node_index, stage, trace_t0=0.5)
+                node_stage(runtime, assets, node_index, stage)
             )
 
         serial = {i: serial_stage(i, state) for i, state in enumerate(states)}
@@ -259,7 +262,7 @@ class TestForkHygiene:
             tokens = [pool.publish(state) for state in states]
             assert tokens == [pool.publish(state) for state in states]
             assert len(set(tokens)) == 3
-            tasks = [PoolTask(i, t, trace_t0=0.5) for i, t in enumerate(tokens)]
+            tasks = [PoolTask(i, t) for i, t in enumerate(tokens)]
             pooled = pool.run_stage(stage, tasks)
         assert {i: _report_fields(r) for i, r in pooled.items()} == serial
 

@@ -69,3 +69,10 @@ class TestFleetScenario:
             FleetScenario(lte_fraction=1.5)
         with pytest.raises(ValueError):
             FleetScenario(backhaul_bps=0)
+
+    def test_negative_seed_rejected_up_front(self):
+        # numpy's SeedSequence would only refuse it deep inside a run
+        with pytest.raises(
+            ValueError, match=r"^seed must be an integer >= 0, got -1$"
+        ):
+            FleetScenario(seed=-1)

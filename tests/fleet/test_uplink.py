@@ -27,7 +27,7 @@ class TestFairRates:
         uplink = SharedUplink(WIFI.bandwidth_bps / 2)
         flows = [Transfer(i, WIFI, mb(10)) for i in range(2)]
         times = uplink.transfer_times(flows)
-        solo = uplink.solo_time(flows[0])
+        (solo,) = uplink.transfer_times(flows[:1])
         expected = WIFI.latency_s + mb(10) * 8.0 / (WIFI.bandwidth_bps / 4)
         assert times[0] == pytest.approx(times[1])
         assert times[0] == pytest.approx(expected)
@@ -51,7 +51,7 @@ class TestFairRates:
         forever_shared = WIFI.latency_s + mb(10) * 8.0 / 10e6
         assert t_large < forever_shared
         # ... but it cannot beat having the link alone.
-        assert t_large > uplink.solo_time(large)
+        assert t_large > uplink.transfer_times([large])[0]
 
     def test_zero_byte_transfers_are_free(self):
         uplink = SharedUplink(20e6)
@@ -80,7 +80,7 @@ class TestFairRates:
         uplink = SharedUplink(20e6)
         times = uplink.push_times([WIFI, WIFI, LTE], mb(2))
         assert len(times) == 3
-        assert max(times) > uplink.solo_time(Transfer(0, WIFI, mb(2)))
+        assert max(times) > uplink.transfer_times([Transfer(0, WIFI, mb(2))])[0]
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -114,10 +114,6 @@ class TestEdgeCases:
             [Transfer(0, WIFI, mb(5)), Transfer(1, WIFI, 0)]
         )
         assert with_ghost[0] == pytest.approx(alone[0])
-
-    def test_solo_time_zero_bytes(self):
-        uplink = SharedUplink(20e6)
-        assert uplink.solo_time(Transfer(0, WIFI, 0)) == 0.0
 
     def test_push_times_zero_model_bytes(self):
         uplink = SharedUplink(20e6)

@@ -52,13 +52,11 @@ def stub_report() -> SimpleNamespace:
 
 
 def flat_stub_report() -> SimpleNamespace:
-    """The flat run's report, in the lockstep ``FleetReport``'s shape."""
+    """A flat run's report: the same shape, with no gateway to count."""
     stub = stub_report()
-    return SimpleNamespace(
-        final_accuracy=stub.final_eval_accuracy,
-        ledger=stub.ledger,
-        rollouts=stub.rollouts,
-    )
+    stub.gateway_flushes = []
+    stub.gateway_resolved_images = {}
+    return stub
 
 
 TOP_LEVEL_SCHEMA = {

@@ -9,7 +9,8 @@ Contracts under test:
   reruns and worker counts (they are pure functions of trace bytes);
 * a deliberately divergent trace pair is localized by ``obs diff`` to
   exactly the first flipped record, with the correct enclosing span
-  stack, on both lockstep and event traces.
+  stack, on both lockstep traces (``run_fleet``: the event engine's
+  barrier mode) and async event traces.
 """
 
 from __future__ import annotations

@@ -83,6 +83,20 @@ class TestFleetModeFlag:
         capsys.readouterr()
 
 
+class TestFleetSeed:
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(["fleet", "--nodes", "2", "--fleet-seed", "-1"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(
+            r"error: invalid fleet scenario: seed must be an integer >= 0, "
+            r"got -1$",
+            err,
+            re.MULTILINE,
+        ), err
+
+
 class TestFleetTopology:
     def test_workers_with_topology_refused(self, capsys):
         # The worker pool serves only the flat lockstep stage loop.
