@@ -5,7 +5,6 @@ from repro.comm.link import (
     JPEG_IMAGE_BYTES,
     LAN,
     LTE,
-    PASSTHROUGH,
     WIFI,
     NetworkLink,
 )
@@ -19,7 +18,6 @@ __all__ = [
     "LTE",
     "LedgerTotals",
     "NetworkLink",
-    "PASSTHROUGH",
     "StageMovement",
     "WIFI",
 ]

@@ -16,7 +16,6 @@ __all__ = [
     "LTE",
     "LAN",
     "FIBER",
-    "PASSTHROUGH",
     "JPEG_IMAGE_BYTES",
 ]
 
@@ -116,14 +115,4 @@ LAN = NetworkLink(
 #: gateway->cloud backhaul: fibre-class WAN uplink
 FIBER = NetworkLink(
     name="Fiber", bandwidth_bps=200e6, latency_s=0.01, energy_per_byte_j=20e-9
-)
-
-#: degenerate link for passthrough topologies: zero latency, zero energy,
-#: effectively infinite bandwidth — a gateway hop over this link adds
-#: nothing, which is what makes single-child topologies collapse to flat.
-PASSTHROUGH = NetworkLink(
-    name="Passthrough",
-    bandwidth_bps=1e18,
-    latency_s=0.0,
-    energy_per_byte_j=0.0,
 )

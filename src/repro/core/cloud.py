@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.data.datasets import Dataset
 from repro.hw.energy import TrainingCostModel
-from repro.hw.specs import GPUSpec, TITAN_X
+from repro.hw.specs import TITAN_X
 from repro.models.iot_models import CONV_LAYER_NAMES, build_classifier
 from repro.models.layer_specs import NetworkSpec
 from repro.nn import Sequential
@@ -65,8 +65,8 @@ class InSituCloud:
     shared_depth:
         How many conv layers are weight-shared between the unsupervised and
         inference networks (the paper settles on 3).
-    training_device:
-        Cloud GPU spec (Titan X by default).
+
+    Update cost is modeled on the Cloud's Titan X.
     """
 
     def __init__(
@@ -78,7 +78,6 @@ class InSituCloud:
         shared_depth: int = 3,
         width: float = 1.0,
         hidden: int = 128,
-        training_device: GPUSpec = TITAN_X,
         rng: np.random.Generator | None = None,
     ) -> None:
         if num_classes < 2:
@@ -103,7 +102,7 @@ class InSituCloud:
         self.inference_net: Sequential = build_classifier(
             num_classes, self.rng, width=width, hidden=hidden
         )
-        self.cost_model = TrainingCostModel(training_device)
+        self.cost_model = TrainingCostModel(TITAN_X)
         self.archive: Dataset | None = None
 
     # ------------------------------------------------------------------
@@ -177,17 +176,16 @@ class InSituCloud:
         batch_size: int = 32,
         lr: float = 0.01,
         eval_data: Dataset | None = None,
-        use_transfer: bool = True,
     ) -> TrainResult:
         """Transfer-learn the initial inference model on limited labels.
 
-        The labeled data is retained in the Cloud archive — it seeds the
-        replay pool later incremental updates draw from.
+        The first ``shared_depth`` conv layers come from the pre-trained
+        context network.  The labeled data is retained in the Cloud archive —
+        it seeds the replay pool later incremental updates draw from.
         """
-        if use_transfer:
-            transfer_conv_weights(
-                self.context_net.trunk, self.inference_net, self.shared_depth
-            )
+        transfer_conv_weights(
+            self.context_net.trunk, self.inference_net, self.shared_depth
+        )
         result = train_classifier(
             self.inference_net,
             labeled,
@@ -213,7 +211,6 @@ class InSituCloud:
         batch_size: int = 32,
         lr: float = 0.01,
         eval_data: Dataset | None = None,
-        replay_fraction: float = 1.0,
     ) -> CloudUpdateReport:
         """Fine-tune the inference model on newly uploaded data.
 
@@ -221,27 +218,24 @@ class InSituCloud:
         conv layers so only the last conv layers and the FCN head retrain.
 
         The Cloud mixes a replay sample from its archive of previously
-        uploaded images (``replay_fraction`` of the new batch's size) into
-        each update — the archive already lives in the Cloud, so replay
-        costs no extra data movement, only training compute (which the
-        modeled cost includes).
+        uploaded images (as many as the new batch holds, or the whole archive
+        if smaller) into each update — the archive already lives in the
+        Cloud, so replay costs no extra data movement, only training compute
+        (which the modeled cost includes).
         """
         if len(uploaded) == 0:
             raise ValueError("incremental update needs uploaded data")
-        if replay_fraction < 0:
-            raise ValueError("replay_fraction must be >= 0")
         freeze_depth = self.shared_depth if weight_shared else 0
         plan = FreezePlan(freeze_depth)
         train_set = uploaded
-        if self.archive is not None and replay_fraction > 0:
-            count = min(
-                len(self.archive), int(round(replay_fraction * len(uploaded)))
-            )
-            if count:
-                idx = self.rng.choice(len(self.archive), size=count, replace=False)
-                train_set = Dataset.concat(
-                    [uploaded, self.archive.subset(idx)]
-                )
+        count = (
+            0
+            if self.archive is None
+            else min(len(self.archive), len(uploaded))
+        )
+        if count:
+            idx = self.rng.choice(len(self.archive), size=count, replace=False)
+            train_set = Dataset.concat([uploaded, self.archive.subset(idx)])
         self.archive = (
             uploaded
             if self.archive is None

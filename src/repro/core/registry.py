@@ -5,12 +5,13 @@ an incremental update trained on a skewed upload batch can regress the
 deployed model, and nobody is watching.  This module provides
 
 * :class:`ModelRegistry` — versioned storage of model state dicts with an
-  *active* pointer, supporting publish and rollback; the node always
-  deploys the active version.
+  *active* pointer that only ever moves forward, to the latest ``main``
+  publish; the node always deploys the active version.
 * :class:`UpdateGuard` — an acceptance test for updates: the candidate
   model must not lose more than ``max_regression`` accuracy on a held-out
   validation set relative to the active model, otherwise the update is
-  rejected and the weights roll back.
+  rejected and the weights are restored, so nothing is ever published
+  that a registry would have to take back.
 """
 
 from __future__ import annotations
@@ -43,11 +44,15 @@ class ModelVersion:
 
 
 class ModelRegistry:
-    """Versioned model store with an active pointer."""
+    """Versioned model store with an active pointer.
+
+    The active version is the latest ``main`` publish; side-track
+    versions are recorded without moving it.
+    """
 
     def __init__(self) -> None:
         self._versions: list[ModelVersion] = []
-        self._active_index: int | None = None
+        self._active: ModelVersion | None = None
 
     def __len__(self) -> int:
         return len(self._versions)
@@ -58,14 +63,8 @@ class ModelRegistry:
         metadata: dict | None = None,
         *,
         track: str = "main",
-        activate: bool | None = None,
     ) -> ModelVersion:
-        """Store a new version; by default only ``main`` becomes active.
-
-        ``activate=None`` keeps the historical contract for the main
-        track (publish-and-activate) while side-track versions are
-        recorded without moving the active pointer.
-        """
+        """Store a new version; a ``main`` one becomes active."""
         entry = ModelVersion(
             version=len(self._versions) + 1,
             state={k: v.copy() for k, v in state.items()},
@@ -73,48 +72,15 @@ class ModelRegistry:
             track=track,
         )
         self._versions.append(entry)
-        if activate is None:
-            activate = track == "main"
-        if activate:
-            self._active_index = len(self._versions) - 1
+        if track == "main":
+            self._active = entry
         return entry
 
     @property
     def active(self) -> ModelVersion:
-        if self._active_index is None:
+        if self._active is None:
             raise LookupError("registry is empty")
-        return self._versions[self._active_index]
-
-    def get(self, version: int) -> ModelVersion:
-        for entry in self._versions:
-            if entry.version == version:
-                return entry
-        raise KeyError(f"no version {version}")
-
-    def rollback(self) -> ModelVersion:
-        """Point 'active' at the previous version *of the same track*.
-
-        Side-track versions interleaved with main publishes are skipped:
-        rolling back the fleet-wide model must never activate a
-        node-group head.  History is kept either way.
-        """
-        if self._active_index is None or self._active_index == 0:
-            raise LookupError("nothing to roll back to")
-        track = self._versions[self._active_index].track
-        idx = self._active_index - 1
-        while idx >= 0 and self._versions[idx].track != track:
-            idx -= 1
-        if idx < 0:
-            raise LookupError("nothing to roll back to")
-        self._active_index = idx
-        return self.active
-
-    def activate(self, version: int) -> ModelVersion:
-        for i, entry in enumerate(self._versions):
-            if entry.version == version:
-                self._active_index = i
-                return entry
-        raise KeyError(f"no version {version}")
+        return self._active
 
     def history(self) -> list[int]:
         return [entry.version for entry in self._versions]

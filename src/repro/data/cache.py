@@ -37,14 +37,14 @@ import numpy as np
 
 __all__ = ["DatasetCache", "dataset_cache"]
 
+#: segments kept before the least recently used one is dropped
+MAXSIZE = 16
+
 
 class DatasetCache:
     """Process-wide LRU memoization for dataset-generation segments."""
 
-    def __init__(self, maxsize: int = 16) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
@@ -69,7 +69,7 @@ class DatasetCache:
         with self._lock:
             self.misses += 1
             self._entries[key] = value
-            while len(self._entries) > self.maxsize:
+            while len(self._entries) > MAXSIZE:
                 self._entries.popitem(last=False)
         return value
 

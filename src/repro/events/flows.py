@@ -2,11 +2,13 @@
 
 A static uplink model starts a batch of transfers at the same instant
 and advances completion-to-completion.  Real fleets are not that
-polite: flows *join and leave mid-transfer* as nodes finish epochs at
-their own pace.  :class:`FlowLink` models exactly that on the event
-kernel — at every flow arrival and completion the max-min fair rate
-allocation is recomputed over the flows currently on the link, each flow
-additionally capped by its own access-link rate.
+polite: flows *join while others are mid-transfer* as nodes finish
+epochs at their own pace.  :class:`FlowLink` models exactly that on the
+event kernel — at every flow arrival and completion the max-min fair
+rate allocation is recomputed over the flows currently on the link, each
+flow additionally capped by its own access-link rate.  A flow leaves the
+link only by draining: every started transfer completes and delivers all
+its bytes.
 
 The rate allocator (:func:`max_min_rates`, progressive filling) is the
 single implementation shared by this dynamic model and the static view,
@@ -56,32 +58,17 @@ def max_min_rates(caps: list[float], capacity: float) -> list[float]:
 
 @dataclass(frozen=True)
 class FlowRecord:
-    """Completed-transfer receipt delivered as the flow event's value.
-
-    A cancelled flow (node crash mid-upload) still delivers a record so
-    the waiting process wakes, but with ``cancelled=True`` and
-    ``bytes_transferred`` holding only what actually crossed the link
-    before the cut — ``num_bytes`` keeps the intended size.
-    """
+    """Completed-transfer receipt delivered as the flow event's value."""
 
     tag: object
     num_bytes: int
     start_s: float  # when the flow joined the link
     drain_s: float  # when its last bit left the link
     done_s: float  # drain + access-link latency
-    cancelled: bool = False
-    bytes_transferred: int | None = None
 
     @property
     def duration_s(self) -> float:
         return self.done_s - self.start_s
-
-    @property
-    def delivered_bytes(self) -> int:
-        """Bytes that actually crossed the link (== num_bytes unless cancelled)."""
-        if self.bytes_transferred is not None:
-            return self.bytes_transferred
-        return self.num_bytes
 
 
 class _Flow:
@@ -175,50 +162,6 @@ class FlowLink:
             )
         self._reallocate()
         return done
-
-    def cancel(self, done: Event) -> FlowRecord | None:
-        """Tear down the in-flight flow whose completion event is ``done``.
-
-        Models a node crashing mid-upload: the flow leaves the link
-        immediately (remaining flows re-share its bandwidth), and the
-        completion event fires *now* with a ``cancelled=True`` record
-        whose ``bytes_transferred`` counts only the bits already drained.
-        Cancelled flows never increment the ``flows.completed`` /
-        ``flows.bytes`` metrics, so ledger accounting that keys off
-        completions cannot double-count them.
-
-        Returns the cancellation record, or ``None`` when the flow is no
-        longer on the link (already drained — its completion event fired
-        or is in its latency delay).
-        """
-        self._apply_progress()
-        flow = None
-        for candidate in self._flows:
-            if candidate.done is done:
-                flow = candidate
-                break
-        if flow is None:
-            return None
-        self._flows = [f for f in self._flows if f is not flow]
-        now = self.sim.now
-        transferred = int(max(0.0, flow.num_bytes * 8.0 - flow.bits) // 8)
-        record = FlowRecord(
-            tag=flow.tag,
-            num_bytes=flow.num_bytes,
-            start_s=flow.start,
-            drain_s=now,
-            done_s=now,
-            cancelled=True,
-            bytes_transferred=min(transferred, flow.num_bytes),
-        )
-        if self.metrics is not None:
-            self.metrics.counter("flows.cancelled", link=self.name).inc()
-            self.metrics.gauge("flows.active", link=self.name).set(
-                len(self._flows)
-            )
-        flow.done.succeed(record)
-        self._reallocate()
-        return record
 
     # ------------------------------------------------------------------
     # Fluid bookkeeping

@@ -932,14 +932,12 @@ def run_fleet_event(
         A :class:`repro.topology.Topology` interposing gateway processes
         between the nodes and the Cloud; gateway flushes become flows on
         the shared backhaul.  The same engine runs, with the topology's
-        event tier in place of the direct one.  ``None`` and passthrough
-        topologies use the direct tier, so default trajectories are
-        unchanged.  This is the only entry point for hierarchical
-        fleets; ``barrier=True`` is their lockstep run.
+        event tier in place of the direct one; ``None`` runs the direct
+        tier.  This is the only entry point for hierarchical fleets;
+        ``barrier=True`` is their lockstep run.
     """
     if topology is not None:
         topology.validate_for(assets.profiles)
-    if topology is not None and not topology.is_passthrough:
         tier = topology.event_tier(config, assets)
     else:
         tier = DirectEventTier(assets)

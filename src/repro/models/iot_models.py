@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.nn import (
     Conv2D,
-    Dropout,
     Flatten,
     Linear,
     MaxPool2D,
@@ -93,7 +92,6 @@ def build_classifier(
     width: float = 1.0,
     input_size: int = 48,
     hidden: int = 128,
-    dropout: float = 0.0,
 ) -> Sequential:
     """Inference network: shared trunk + FCN head (fc6/fc7/fc8)."""
     if num_classes < 2:
@@ -103,8 +101,6 @@ def build_classifier(
     layers.append(Flatten(name="flatten"))
     layers.append(Linear(feat, hidden, rng=rng, name="fc6"))
     layers.append(ReLU(name="relu6"))
-    if dropout > 0:
-        layers.append(Dropout(dropout, rng=rng, name="drop6"))
     layers.append(Linear(hidden, hidden, rng=rng, name="fc7"))
     layers.append(ReLU(name="relu7"))
     layers.append(Linear(hidden, num_classes, rng=rng, name="fc8"))

@@ -33,8 +33,6 @@ class LayerSpec:
 
     ``kind`` is ``"conv"`` or ``"fc"``.  For FCN layers the paper's
     convention ``K = R = C = 1`` applies, so the same op/byte formulas hold.
-    ``groups`` models AlexNet's two-tower convolutions: each filter sees
-    only ``N/groups`` input maps.
     """
 
     name: str
@@ -45,28 +43,23 @@ class LayerSpec:
     out_rows: int  # R
     out_cols: int  # C
     stride: int = 1
-    groups: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in ("conv", "fc"):
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if min(self.out_maps, self.in_maps, self.kernel, self.out_rows,
-               self.out_cols, self.stride, self.groups) < 1:
+               self.out_cols, self.stride) < 1:
             raise ValueError(f"non-positive dimension in {self.name}")
         if self.kind == "fc" and (self.kernel, self.out_rows, self.out_cols) != (1, 1, 1):
             raise ValueError(f"FCN layer {self.name} must have K=R=C=1")
-        if self.in_maps % self.groups or self.out_maps % self.groups:
-            raise ValueError(
-                f"{self.name}: channels must divide into {self.groups} groups"
-            )
 
     @property
     def ops(self) -> int:
-        """Eq. (1): 2*M*(N/groups)*K^2*R*C multiply-accumulate ops/image."""
+        """Eq. (1): 2*M*N*K^2*R*C multiply-accumulate ops/image."""
         return (
             2
             * self.out_maps
-            * (self.in_maps // self.groups)
+            * self.in_maps
             * self.kernel**2
             * self.out_rows
             * self.out_cols
@@ -74,7 +67,7 @@ class LayerSpec:
 
     @property
     def weight_count(self) -> int:
-        return self.out_maps * (self.in_maps // self.groups) * self.kernel**2
+        return self.out_maps * self.in_maps * self.kernel**2
 
     @property
     def weight_bytes(self) -> int:
@@ -132,23 +125,20 @@ class NetworkSpec:
         raise KeyError(f"{self.name} has no layer {name!r}")
 
 
-def alexnet_spec(*, grouped: bool = False) -> NetworkSpec:
+def alexnet_spec() -> NetworkSpec:
     """AlexNet on 227x227 inputs.
 
-    ``grouped=False`` (default) is the single-tower CaffeNet variant the
-    repo's hardware experiments use; ``grouped=True`` restores the original
-    two-tower convolutions (groups=2 in conv2/4/5), which halves those
-    layers' ops and weights.
+    The single-tower CaffeNet variant: every conv sees all its input maps,
+    as the repo's hardware experiments and node network assume.
     """
-    g = 2 if grouped else 1
     return NetworkSpec(
-        name="alexnet-grouped" if grouped else "alexnet",
+        name="alexnet",
         layers=(
             LayerSpec("conv1", "conv", 96, 3, 11, 55, 55, stride=4),
-            LayerSpec("conv2", "conv", 256, 96, 5, 27, 27, groups=g),
+            LayerSpec("conv2", "conv", 256, 96, 5, 27, 27),
             LayerSpec("conv3", "conv", 384, 256, 3, 13, 13),
-            LayerSpec("conv4", "conv", 384, 384, 3, 13, 13, groups=g),
-            LayerSpec("conv5", "conv", 256, 384, 3, 13, 13, groups=g),
+            LayerSpec("conv4", "conv", 384, 384, 3, 13, 13),
+            LayerSpec("conv5", "conv", 256, 384, 3, 13, 13),
             LayerSpec("fc6", "fc", 4096, 9216, 1, 1, 1),
             LayerSpec("fc7", "fc", 4096, 4096, 1, 1, 1),
             LayerSpec("fc8", "fc", 1000, 4096, 1, 1, 1),

@@ -11,8 +11,7 @@ of the process-wide grow-only :mod:`repro.nn.workspace`, shared by all layers
 of all networks, so the steady-state training loop allocates — and
 page-faults — nothing, whatever batch sizes come through.  Transient
 temporaries use :func:`~repro.nn.workspace.take` roles (``cols_infer``,
-``grad_rows``, ``grad_w``, ``grad_cols``, ``col2im_padded``,
-``grouped_grad_in``).  The training column matrix must survive from
+``grad_rows``, ``grad_w``, ``grad_cols``, ``col2im_padded``).  The training column matrix must survive from
 ``forward(training=True)`` to ``backward``, so it lives in a slot named after
 the layer that is checked out in ``forward`` and released in ``backward``;
 when another live layer holds that slot (a second network with the same layer
@@ -22,7 +21,7 @@ a live cache is never aliased.
 Column matrices sit in memory in the paper's Dm layout ``(N*K*K, B*R*C)``
 (Fig. 8) and the GEMMs see them through transpose views.  ``forward`` runs
 im2col + GEMM per block of at most :data:`BLOCK_BYTES` of columns (whole
-images, groups as the inner loop), each block's product landing in its rows
+images), each block's product landing in its rows
 of the ``(B*R*C, M)`` output: inference reuses one block-sized
 ``cols_infer`` buffer, training fills its whole-batch slot one column block
 at a time, because backward's weight gradient sums over every row.  That is
@@ -72,9 +71,6 @@ class Conv2D(Layer):
         ``K`` — square kernel side.
     stride, pad:
         Convolution geometry.
-    groups:
-        Channel groups (AlexNet's two-tower convs use 2): input and output
-        channels are split into ``groups`` independent convolutions.
     rng:
         Generator for He-normal weight init; required so model builds are
         reproducible.
@@ -95,34 +91,23 @@ class Conv2D(Layer):
         stride: int = 1,
         pad: int = 0,
         *,
-        groups: int = 1,
         rng: np.random.Generator | None = None,
         name: str = "conv",
     ) -> None:
-        if min(in_channels, out_channels, kernel, stride, groups) < 1:
+        if min(in_channels, out_channels, kernel, stride) < 1:
             raise ValueError("conv dimensions must be >= 1")
         if pad < 0:
             raise ValueError("pad must be >= 0")
-        if in_channels % groups or out_channels % groups:
-            raise ValueError(
-                f"channels ({in_channels} -> {out_channels}) must divide "
-                f"evenly into {groups} groups"
-            )
         rng = rng if rng is not None else np.random.default_rng(0)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel = kernel
         self.stride = stride
         self.pad = pad
-        self.groups = groups
         self.name = name
-        fan_in = (in_channels // groups) * kernel * kernel
+        fan_in = in_channels * kernel * kernel
         self.weight = Parameter(
-            he_normal(
-                (out_channels, in_channels // groups, kernel, kernel),
-                fan_in,
-                rng,
-            ),
+            he_normal((out_channels, in_channels, kernel, kernel), fan_in, rng),
             name=f"{name}.weight",
         )
         self.bias = Parameter(np.zeros(out_channels), name=f"{name}.bias")
@@ -151,48 +136,35 @@ class Conv2D(Layer):
         batch = x.shape[0]
         _, out_h, out_w = self.output_shape(x.shape[1:])
         pixels = out_h * out_w
-        in_per = self.in_channels // self.groups
-        out_per = self.out_channels // self.groups
-        taps = in_per * self.kernel * self.kernel
-        per_image = self.groups * taps * pixels * x.dtype.itemsize
+        taps = self.in_channels * self.kernel * self.kernel
+        per_image = taps * pixels * x.dtype.itemsize
         block = max(1, BLOCK_BYTES // per_image)
         if training:
             # Backward's weight gradient sums over every row, so training
             # fills the whole-batch Dm, one column block at a time; it lives
             # in this layer's slot unless another live layer holds that.
-            shape = (self.groups, taps, batch * pixels)
+            shape = (taps, batch * pixels)
             dm = workspace.checkout(self._train_slot, self, shape, x.dtype)
             if dm is None:
                 dm = np.empty(shape, x.dtype)
-        weights = self.weight.data.reshape(self.groups, out_per, taps)
+        weights = self.weight.data.reshape(self.out_channels, taps)
         out = np.empty((batch * pixels, self.out_channels), dtype=x.dtype)
         for start in range(0, batch, block):
             images = x[start : start + block]
             rows = slice(start * pixels, (start + len(images)) * pixels)
             block_dm = (
-                dm[:, :, rows]
+                dm[:, rows]
                 if training
                 else workspace.take(
-                    "cols_infer",
-                    (self.groups, taps, len(images) * pixels),
-                    x.dtype,
+                    "cols_infer", (taps, len(images) * pixels), x.dtype
                 )
             )
-            for g in range(self.groups):
-                cols = im2col(
-                    images[:, g * in_per : (g + 1) * in_per],
-                    self.kernel,
-                    self.stride,
-                    self.pad,
-                    out=block_dm[g],
-                )
-                # Fm (M x NK^2) @ Dm, written as Dm^T @ Fm^T so the result
-                # lands in this block's (B*R*C, M) rows; cols is the Dm^T view.
-                np.matmul(
-                    cols,
-                    weights[g].T,
-                    out=out[rows, g * out_per : (g + 1) * out_per],
-                )
+            cols = im2col(
+                images, self.kernel, self.stride, self.pad, out=block_dm
+            )
+            # Fm (M x NK^2) @ Dm, written as Dm^T @ Fm^T so the result lands
+            # in this block's (B*R*C, M) rows; cols is the Dm^T view.
+            np.matmul(cols, weights.T, out=out[rows])
         out += self.bias.data
         if training:
             self._cache = (dm, x.shape)
@@ -207,9 +179,39 @@ class Conv2D(Layer):
             raise RuntimeError(
                 f"{self.name}: backward called without a training forward"
             )
-        if self.groups == 1:
-            return self._backward_dense(grad_out)
-        return self._backward_grouped(grad_out)
+        dm, x_shape = self._take_cache()
+        cols = dm.T
+        grad_rows = self._grad_rows(grad_out)
+        flat_w = self.weight.data.reshape(self.out_channels, -1)
+        # Frozen parameters discard their gradient; don't compute it.
+        if not self.weight.frozen:
+            grad_w = workspace.take("grad_w", flat_w.shape, grad_rows.dtype)
+            np.matmul(grad_rows.T, cols, out=grad_w)
+            self.weight.accumulate(grad_w.reshape(self.weight.data.shape))
+        if not self.bias.frozen:
+            self.bias.accumulate(grad_rows.sum(axis=0))
+        if self.skip_input_grad:
+            return np.zeros(x_shape, dtype=grad_out.dtype)
+        grad_dm = workspace.take("grad_cols", cols.T.shape, grad_rows.dtype)
+        np.matmul(flat_w.T, grad_rows.T, out=grad_dm)
+        padded = workspace.take(
+            "col2im_padded",
+            (
+                self.in_channels,
+                x_shape[0],
+                x_shape[2] + 2 * self.pad,
+                x_shape[3] + 2 * self.pad,
+            ),
+            grad_rows.dtype,
+        )
+        return col2im(
+            grad_dm.T,
+            x_shape,
+            self.kernel,
+            self.stride,
+            self.pad,
+            padded_out=padded,
+        )
 
     # ------------------------------------------------------------------
     # workspace plumbing
@@ -240,102 +242,3 @@ class Conv2D(Layer):
             grad_out.transpose(0, 2, 3, 1),
         )
         return grad_rows
-
-    def _padded_grad(self, x_shape: Shape, channels: int, dtype) -> np.ndarray:
-        """Channel-major col2im accumulator for ``channels`` input maps."""
-        return workspace.take(
-            "col2im_padded",
-            (
-                channels,
-                x_shape[0],
-                x_shape[2] + 2 * self.pad,
-                x_shape[3] + 2 * self.pad,
-            ),
-            dtype,
-        )
-
-    # ------------------------------------------------------------------
-    # groups == 1 (the common path)
-    # ------------------------------------------------------------------
-    def _backward_dense(self, grad_out: np.ndarray) -> np.ndarray:
-        dm, x_shape = self._take_cache()
-        cols = dm[0].T
-        grad_rows = self._grad_rows(grad_out)
-        flat_w = self.weight.data.reshape(self.out_channels, -1)
-        # Frozen parameters discard their gradient; don't compute it.
-        if not self.weight.frozen:
-            grad_w = workspace.take("grad_w", flat_w.shape, grad_rows.dtype)
-            np.matmul(grad_rows.T, cols, out=grad_w)
-            self.weight.accumulate(grad_w.reshape(self.weight.data.shape))
-        if not self.bias.frozen:
-            self.bias.accumulate(grad_rows.sum(axis=0))
-        if self.skip_input_grad:
-            return np.zeros(x_shape, dtype=grad_out.dtype)
-        grad_dm = workspace.take("grad_cols", cols.T.shape, grad_rows.dtype)
-        np.matmul(flat_w.T, grad_rows.T, out=grad_dm)
-        return col2im(
-            grad_dm.T,
-            x_shape,
-            self.kernel,
-            self.stride,
-            self.pad,
-            padded_out=self._padded_grad(
-                x_shape, self.in_channels, grad_rows.dtype
-            ),
-        )
-
-    # ------------------------------------------------------------------
-    # groups > 1 (AlexNet's two-tower convolutions)
-    # ------------------------------------------------------------------
-    def _backward_grouped(self, grad_out: np.ndarray) -> np.ndarray:
-        dm, x_shape = self._take_cache()
-        in_per = self.in_channels // self.groups
-        out_per = self.out_channels // self.groups
-        grad_rows = self._grad_rows(grad_out)
-        if not self.bias.frozen:
-            self.bias.accumulate(grad_rows.sum(axis=0))
-        grad_in = (
-            None
-            if self.skip_input_grad
-            else workspace.take("grouped_grad_in", x_shape, grad_out.dtype)
-        )
-        grad_w_full = (
-            None
-            if self.weight.frozen
-            else workspace.take(
-                "grad_w", self.weight.data.shape, self.weight.data.dtype
-            )
-        )
-        for g in range(self.groups):
-            rows_g = grad_rows[:, g * out_per : (g + 1) * out_per]
-            cols = dm[g].T
-            if grad_w_full is not None:
-                grad_w_full[g * out_per : (g + 1) * out_per] = (
-                    rows_g.T @ cols
-                ).reshape(out_per, in_per, self.kernel, self.kernel)
-            if grad_in is not None:
-                w_g = self.weight.data[
-                    g * out_per : (g + 1) * out_per
-                ].reshape(out_per, -1)
-                grad_dm = workspace.take(
-                    "grad_cols", cols.T.shape, grad_rows.dtype
-                )
-                np.matmul(w_g.T, rows_g.T, out=grad_dm)
-                group_shape = (x_shape[0], in_per, x_shape[2], x_shape[3])
-                grad_in[:, g * in_per : (g + 1) * in_per] = col2im(
-                    grad_dm.T,
-                    group_shape,
-                    self.kernel,
-                    self.stride,
-                    self.pad,
-                    padded_out=self._padded_grad(
-                        x_shape, in_per, grad_rows.dtype
-                    ),
-                )
-        # Routed through accumulate (not a direct self.weight.grad poke) so
-        # frozen-parameter semantics match the dense path.
-        if grad_w_full is not None:
-            self.weight.accumulate(grad_w_full)
-        if grad_in is None:
-            return np.zeros(x_shape, dtype=grad_out.dtype)
-        return grad_in

@@ -64,9 +64,8 @@ def _channel_major_padded(images: np.ndarray, pad: int) -> np.ndarray:
     A workspace view.  The buffer is shared by every geometry, so the border
     is re-zeroed on each call (four thin strips) and the interior
     overwritten; this copy is also where an input with unusual strides (the
-    NHWC-physical output of the previous convolution, a channel slice of a
-    grouped one) is brought into row-contiguous order, once, on the small
-    tensor.
+    NHWC-physical output of the previous convolution) is brought into
+    row-contiguous order, once, on the small tensor.
     """
     batch, channels, height, width = images.shape
     padded = workspace.take(

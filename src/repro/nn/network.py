@@ -87,7 +87,7 @@ class Sequential:
         return grad
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Inference-mode forward pass (no caches, dropout off)."""
+        """Inference-mode forward pass (no caches)."""
         return self.forward(x, training=False)
 
     def __call__(self, x: np.ndarray, *, training: bool = False) -> np.ndarray:

@@ -5,9 +5,9 @@ Every large temporary of :mod:`repro.nn.im2col` and
 per **role**: column matrices in the paper's Dm layout, ``cols_infer``
 (one block of images, ``(N*K*K, b*R*C)``, at most ``conv.BLOCK_BYTES``) and
 ``grad_cols`` (a whole batch, ``(N*K*K, B*R*C)``); ``grad_rows``, ``grad_w``,
-``grouped_grad_in``, the channel-major ``(N, B, H+2p, W+2p)`` images
-``im2col_pad`` and ``col2im_padded``, and ``col2im_scratch`` (touched only
-when ``col2im`` is handed C-ordered columns).  A role's buffer is as large
+the channel-major ``(N, B, H+2p, W+2p)`` images ``im2col_pad`` and
+``col2im_padded``, and ``col2im_scratch`` (touched only when ``col2im`` is
+handed C-ordered columns).  A role's buffer is as large
 as the largest request it has ever served and is never shrunk, so once a
 process has seen its biggest batch the hot loop touches only memory it has
 touched before, whatever shapes follow.

@@ -31,7 +31,9 @@ Subcommands:
 Every analysis consumes the trace through the streaming reader
 (:func:`repro.obs.trace.iter_jsonl`): memory stays constant in the
 trace length, and malformed lines surface as ``path:line:``-anchored
-errors instead of stack traces.
+errors instead of stack traces.  So do a missing or unreadable input file
+and a ``--metrics`` file that is not a schema-v1 metrics dump: each
+prints one ``error: <path>: ...`` line and exits 1.
 """
 
 from __future__ import annotations
@@ -65,54 +67,30 @@ def summarize(records, *, limit: int = 12) -> str:
     ``records`` is any iterable of :class:`TraceRecord` — a list or the
     streaming reader — consumed in a single pass.
     """
-    n_spans = 0
-    n_events = 0
     t_lo = None
     t_hi = None
 
-    by_cat: dict[str, dict] = defaultdict(
-        lambda: {"spans": 0, "events": 0, "busy": 0.0}
-    )
-    by_node: dict[int, dict] = defaultdict(lambda: {"spans": 0, "busy": 0.0})
-    by_tier: dict[str, dict] = defaultdict(
-        lambda: {"spans": 0, "events": 0, "busy": 0.0}
-    )
-    by_phase: dict[str, dict] = defaultdict(
-        lambda: {"spans": 0, "events": 0, "busy": 0.0}
-    )
+    by_cat: dict[str, dict] = defaultdict(_new_row)
+    by_node: dict[int, dict] = defaultdict(_new_row)
+    # Tier tags appear only on hierarchical-topology traces and phase tags
+    # (class-incremental phases) only on scenario-engine traces; other
+    # traces get neither table.
+    by_tag = {"tier": defaultdict(_new_row), "phase": defaultdict(_new_row)}
     for r in records:
         t_lo = r.t0 if t_lo is None else min(t_lo, r.t0)
         end = r.t1 if r.t1 is not None else r.t0
         t_hi = end if t_hi is None else max(t_hi, end)
-        row = by_cat[f"{r.cat}.{r.name}"]
-        if r.kind == "span":
-            n_spans += 1
-            row["spans"] += 1
-            row["busy"] += r.duration_s
-        else:
-            n_events += 1
-            row["events"] += 1
+        _tally(by_cat[f"{r.cat}.{r.name}"], r)
         node = r.attr("node")
         if node is not None and r.kind == "span":
-            by_node[int(node)]["spans"] += 1
-            by_node[int(node)]["busy"] += r.duration_s
-        tier = r.attr("tier")
-        if tier is not None:
-            trow = by_tier[str(tier)]
-            if r.kind == "span":
-                trow["spans"] += 1
-                trow["busy"] += r.duration_s
-            else:
-                trow["events"] += 1
-        phase = r.attr("phase")
-        if phase is not None:
-            prow = by_phase[str(phase)]
-            if r.kind == "span":
-                prow["spans"] += 1
-                prow["busy"] += r.duration_s
-            else:
-                prow["events"] += 1
+            _tally(by_node[int(node)], r)
+        for tag, rows in by_tag.items():
+            value = r.attr(tag)
+            if value is not None:
+                _tally(rows[str(value)], r)
 
+    n_spans = sum(row["spans"] for row in by_cat.values())
+    n_events = sum(row["events"] for row in by_cat.values())
     total = n_spans + n_events
     if total == 0:
         return "empty trace (0 records)\n"
@@ -134,35 +112,11 @@ def summarize(records, *, limit: int = 12) -> str:
         )
     if len(ranked) > limit:
         lines.append(f"... {len(ranked) - limit} more categories")
-    if by_tier:
-        # Tier tags appear only on hierarchical-topology traces; flat
-        # traces keep the flat summary layout untouched.
-        lines += [
-            "",
-            f"{'tier':<10} {'spans':>6} {'events':>7} {'busy s':>10}",
-        ]
-        tier_order = {"edge": 0, "gateway": 1, "cloud": 2}
-        for tier in sorted(
-            by_tier, key=lambda t: (tier_order.get(t, 99), t)
-        ):
-            row = by_tier[tier]
-            lines.append(
-                f"{tier:<10} {row['spans']:>6} {row['events']:>7} "
-                f"{row['busy']:>10.3f}"
-            )
-    if by_phase:
-        # Phase tags appear only on scenario-engine traces (class-
-        # incremental phases); other traces keep the layout untouched.
-        lines += [
-            "",
-            f"{'phase':<10} {'spans':>6} {'events':>7} {'busy s':>10}",
-        ]
-        for phase in sorted(by_phase):
-            row = by_phase[phase]
-            lines.append(
-                f"{phase:<10} {row['spans']:>6} {row['events']:>7} "
-                f"{row['busy']:>10.3f}"
-            )
+    tier_order = {"edge": 0, "gateway": 1, "cloud": 2}
+    lines += _tag_table(
+        "tier", by_tag["tier"], key=lambda t: (tier_order.get(t, 99), t)
+    )
+    lines += _tag_table("phase", by_tag["phase"], key=None)
     if by_node:
         lines += ["", f"{'node':<6} {'spans':>6} {'busy s':>10} {'busy %':>8}"]
         window = max(t_hi - t_lo, 1e-12)
@@ -173,6 +127,59 @@ def summarize(records, *, limit: int = 12) -> str:
                 f"{100.0 * row['busy'] / window:>7.1f}%"
             )
     return "\n".join(lines) + "\n"
+
+
+def _new_row() -> dict:
+    return {"spans": 0, "events": 0, "busy": 0.0}
+
+
+def _tally(row: dict, record) -> None:
+    """Count ``record`` into a spans / events / busy-seconds row."""
+    if record.kind == "span":
+        row["spans"] += 1
+        row["busy"] += record.duration_s
+    else:
+        row["events"] += 1
+
+
+def _tag_table(tag: str, rows: dict[str, dict], *, key) -> list[str]:
+    """The summary block for one record tag, or nothing if none carried it."""
+    if not rows:
+        return []
+    lines = ["", f"{tag:<10} {'spans':>6} {'events':>7} {'busy s':>10}"]
+    for value in sorted(rows, key=key):
+        row = rows[value]
+        lines.append(
+            f"{value:<10} {row['spans']:>6} {row['events']:>7} "
+            f"{row['busy']:>10.3f}"
+        )
+    return lines
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise TraceFormatError(
+                f"{path}: not a JSON document ({err})"
+            ) from None
+
+
+def _load_metrics(path: str) -> dict:
+    """A schema-v1 metrics dump, as :meth:`MetricsRegistry.to_json` writes."""
+    doc = _load_json(path)
+    entries = doc.get("metrics") if isinstance(doc, dict) else None
+    if (
+        not isinstance(entries, list)
+        or doc.get("v") != 1
+        or not all(
+            isinstance(e, dict) and isinstance(e.get("name", ""), str)
+            for e in entries
+        )
+    ):
+        raise TraceFormatError(f"{path}: not a schema-v1 metrics dump")
+    return doc
 
 
 def _looks_like_json_doc(path: str) -> bool:
@@ -196,11 +203,7 @@ def _looks_like_json_doc(path: str) -> bool:
 
 def _run_diff(path_a: str, path_b: str) -> int:
     if _looks_like_json_doc(path_a) and _looks_like_json_doc(path_b):
-        with open(path_a, "r", encoding="utf-8") as fh:
-            obj_a = json.load(fh)
-        with open(path_b, "r", encoding="utf-8") as fh:
-            obj_b = json.load(fh)
-        found = diff_json_docs(obj_a, obj_b)
+        found = diff_json_docs(_load_json(path_a), _load_json(path_b))
         if found is None:
             print(f"identical: {path_a} == {path_b}")
             return 0
@@ -291,9 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    if args.command == "diff":
-        return _run_diff(args.a, args.b)
     try:
+        if args.command == "diff":
+            return _run_diff(args.a, args.b)
         if args.command == "summarize":
             if args.limit < 1:
                 parser.error("--limit must be at least 1")
@@ -312,10 +315,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(render_critical_path(result), end="")
             return 0
         if args.command == "health":
-            metrics = None
-            if args.metrics:
-                with open(args.metrics, "r", encoding="utf-8") as fh:
-                    metrics = json.load(fh)
+            metrics = _load_metrics(args.metrics) if args.metrics else None
             report = health_report(
                 iter_jsonl(args.trace),
                 z_threshold=args.z_threshold,
@@ -347,4 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except TraceFormatError as err:
         print(f"error: {err}")
+        return 1
+    except OSError as err:
+        print(f"error: {err.filename}: {err.strerror}")
         return 1

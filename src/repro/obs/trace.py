@@ -41,7 +41,8 @@ __all__ = [
 
 
 class TraceFormatError(ValueError):
-    """A trace file violates schema v1; message is ``path:line:``-anchored."""
+    """A trace file (or, for ``obs health --metrics``, a metrics dump)
+    violates schema v1; the message is anchored at its path (and line)."""
 
 _Attrs = tuple[tuple[str, object], ...]
 

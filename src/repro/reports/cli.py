@@ -12,6 +12,7 @@ benchmark suite instead: ``pytest benchmarks/ --benchmark-only``.
 from __future__ import annotations
 
 import argparse
+import os
 from typing import Callable
 
 from repro.reports import figures
@@ -202,7 +203,7 @@ def _render_fleet(
         ],
     )
     out = aggregate + "\n\n" + rollouts + "\n\n" + per_node
-    if topology is not None and not topology.is_passthrough:
+    if topology is not None:
         out += "\n\n" + _render_tier_table(results)
     return out
 
@@ -398,6 +399,10 @@ def main(argv: list[str] | None = None) -> int:
             )
     if (args.trace or args.metrics) and "fleet" not in selected:
         parser.error("--trace/--metrics only apply to the 'fleet' experiment")
+    # Refuse an unwritable output before the fleet trains, not after.
+    for flag, path in (("--trace", args.trace), ("--metrics", args.metrics)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            parser.error(f"{flag} {path}: no such directory")
     topology = None
     if args.topology == "fan-out":
         from repro.topology import AggregationPolicy, Topology

@@ -28,12 +28,28 @@ from repro.scenario.summary import build_summary, summary_json
 __all__ = ["main"]
 
 
-def _run(args) -> int:
+def _load(path: str):
+    """The validated spec at ``path``, or ``None`` after printing why not."""
     try:
-        spec = load_spec_file(args.file)
+        return load_spec_file(path)
     except ScenarioError as err:
         print(f"error: {err}")
+    except OSError as err:
+        print(f"error: {path}: {err.strerror}")
+    return None
+
+
+def _run(args) -> int:
+    spec = _load(args.file)
+    if spec is None:
         return 1
+    # Refuse an unwritable output before the replicates run, not after.
+    for path in (args.out, args.trace):
+        if path is not None and not os.path.isdir(
+            os.path.dirname(path) or "."
+        ):
+            print(f"error: {path}: no such directory")
+            return 1
     tracer = Tracer(enabled=args.trace is not None)
     summary = build_summary(spec, engine=args.engine, tracer=tracer)
     scenario = summary["scenario"]
@@ -67,10 +83,8 @@ def _run(args) -> int:
 
 
 def _validate(args) -> int:
-    try:
-        spec = load_spec_file(args.file)
-    except ScenarioError as err:
-        print(f"error: {err}")
+    spec = _load(args.file)
+    if spec is None:
         return 1
     print(
         f"ok: {spec.name!r} (engine={spec.engine}, "

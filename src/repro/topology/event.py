@@ -212,7 +212,7 @@ class GatewayEventTier:
         """One framed WAN transfer carrying a flushed buffer upstream."""
         images, payload = self.policy.wan_payload(entries)
         overhead = self.topology.per_transfer_overhead_bytes
-        wan = g.wan_link(engine.profiles)
+        wan = g.wan_link
         start = engine.sim.now
         yield engine.uplink.transfer(
             payload,
@@ -324,7 +324,7 @@ class GatewayEventTier:
 
     def _gateway_push_proc(self, engine, gateway_id, items, state, stage_hint):
         g = self.gateway_by_id[gateway_id]
-        wan = g.wan_link(engine.profiles)
+        wan = g.wan_link
         unit = max(num_bytes for _, num_bytes in items)
         start = engine.sim.now
         yield engine.downlink.transfer(

@@ -9,20 +9,15 @@ who is under which gateway, which link each hop rides, and how the
 gateway batches uploads.  What executes it lives in
 :mod:`repro.topology.event`, the gateway tier of the event engine —
 hierarchical fleets run only there (``barrier=True`` is the lockstep
-reference).
-
-Degenerate topologies (one node per gateway, passthrough links, no
-aggregation, no second opinion, no framing overhead) are *exactly* the
-flat fleet; :attr:`Topology.is_passthrough` detects that case and the
-event engine runs the flat transport (the direct event tier), so the
-flat trajectories stay byte-identical by construction.
+reference).  A flat fleet is the absence of a topology: the event engine
+then runs its direct tier, nodes talking straight to the Cloud.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.comm.link import FIBER, LAN, LTE, PASSTHROUGH, WIFI, NetworkLink
+from repro.comm.link import FIBER, LAN, LTE, WIFI, NetworkLink
 from repro.hw.specs import TX1, GPUSpec
 
 __all__ = ["AggregationPolicy", "GatewayProfile", "Topology"]
@@ -31,7 +26,6 @@ __all__ = ["AggregationPolicy", "GatewayProfile", "Topology"]
 _TIER_LINKS: dict[str, NetworkLink] = {
     "lan": LAN,
     "fiber": FIBER,
-    "passthrough": PASSTHROUGH,
     "wifi": WIFI,
     "lte": LTE,
 }
@@ -65,17 +59,12 @@ class AggregationPolicy:
 
 @dataclass(frozen=True)
 class GatewayProfile:
-    """One gateway: its children and the links on both of its hops.
-
-    ``uplink_kind="inherit"`` (single-child gateways only) reuses the
-    child's own radio for the WAN hop — the degenerate wiring that makes
-    a passthrough topology collapse to the flat fleet.
-    """
+    """One gateway: its children and the links on both of its hops."""
 
     gateway_id: int
     child_ids: tuple[int, ...]
     local_link_kind: str = "lan"  # edge -> gateway hop
-    uplink_kind: str = "fiber"  # gateway -> cloud hop, or "inherit"
+    uplink_kind: str = "fiber"  # gateway -> cloud hop
     device_kind: str = "tx1"  # board running the second-opinion model
 
     def __post_init__(self) -> None:
@@ -90,18 +79,10 @@ class GatewayProfile:
                 f"unknown local link {self.local_link_kind!r}; "
                 f"available: {sorted(_TIER_LINKS)}"
             )
-        if (
-            self.uplink_kind not in _TIER_LINKS
-            and self.uplink_kind != "inherit"
-        ):
+        if self.uplink_kind not in _TIER_LINKS:
             raise ValueError(
                 f"unknown uplink {self.uplink_kind!r}; "
-                f"available: {sorted(_TIER_LINKS)} or 'inherit'"
-            )
-        if self.uplink_kind == "inherit" and len(self.child_ids) != 1:
-            raise ValueError(
-                f"gateway {self.gateway_id}: 'inherit' uplink requires "
-                "exactly one child"
+                f"available: {sorted(_TIER_LINKS)}"
             )
         if self.device_kind not in _GATEWAY_DEVICES:
             raise ValueError(
@@ -117,11 +98,9 @@ class GatewayProfile:
     def device(self) -> GPUSpec:
         return _GATEWAY_DEVICES[self.device_kind]
 
-    def wan_link(self, profiles) -> NetworkLink:
-        """The gateway->cloud link; ``inherit`` rides the child's radio."""
-        if self.uplink_kind == "inherit":
-            (child,) = self.child_ids
-            return profiles[child].link
+    @property
+    def wan_link(self) -> NetworkLink:
+        """The gateway->cloud link."""
         return _TIER_LINKS[self.uplink_kind]
 
 
@@ -194,27 +173,6 @@ class Topology:
     def canary_node_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.canary_gateway.child_ids))
 
-    @property
-    def is_passthrough(self) -> bool:
-        """Does this topology change *nothing* relative to the flat fleet?
-
-        True only when every gateway is a one-child passthrough relay
-        with an inherited uplink, aggregation is off, no second opinion
-        runs, and WAN transfers carry no framing overhead.  The event
-        engine then runs the flat transport.
-        """
-        return (
-            not self.aggregation.enabled
-            and self.second_opinion_fraction == 0.0
-            and self.per_transfer_overhead_bytes == 0
-            and all(
-                len(g.child_ids) == 1
-                and g.local_link_kind == "passthrough"
-                and g.uplink_kind == "inherit"
-                for g in self.gateways
-            )
-        )
-
     def validate_for(self, profiles) -> None:
         """Check the topology covers exactly the fleet's node ids."""
         fleet_ids = tuple(sorted(p.node_id for p in profiles))
@@ -234,24 +192,6 @@ class Topology:
     # ------------------------------------------------------------------
     # Builders
     # ------------------------------------------------------------------
-    @classmethod
-    def single(cls, num_nodes: int) -> "Topology":
-        """One passthrough gateway per node: structurally the flat fleet."""
-        return cls(
-            gateways=tuple(
-                GatewayProfile(
-                    gateway_id=i,
-                    child_ids=(i,),
-                    local_link_kind="passthrough",
-                    uplink_kind="inherit",
-                )
-                for i in range(num_nodes)
-            ),
-            aggregation=AggregationPolicy(enabled=False),
-            second_opinion_fraction=0.0,
-            per_transfer_overhead_bytes=0,
-        )
-
     @classmethod
     def fan_out(
         cls,

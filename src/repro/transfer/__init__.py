@@ -1,4 +1,4 @@
-"""Transfer learning and incremental model updates."""
+"""Transfer learning, fine-tuning, distillation and the exemplar buffer."""
 
 from repro.transfer.distill import DistillationLoss, distill_classifier
 from repro.transfer.finetune import (
@@ -9,11 +9,7 @@ from repro.transfer.finetune import (
     split_at_frozen_prefix,
     train_classifier,
 )
-from repro.transfer.incremental import (
-    ReplayBuffer,
-    UpdateOutcome,
-    incremental_update,
-)
+from repro.transfer.incremental import ReplayBuffer
 from repro.transfer.surgery import (
     FreezePlan,
     reinitialize_above,
@@ -25,11 +21,9 @@ __all__ = [
     "FreezePlan",
     "ReplayBuffer",
     "TrainResult",
-    "UpdateOutcome",
     "distill_classifier",
     "evaluate",
     "evaluate_on_classes",
-    "incremental_update",
     "predict_logits",
     "reinitialize_above",
     "split_at_frozen_prefix",

@@ -1,24 +1,20 @@
-"""Incremental model updates on newly acquired IoT data.
+"""The exemplar buffer of class-incremental updates.
 
-Reproduces the paper's incremental training protocol (Fig. 7 and the
-end-to-end evaluation): the deployed model is *fine-tuned* on new data —
-optionally only the data the diagnosis task flagged as unrecognized — rather
-than retrained from scratch.  A small replay buffer of earlier data guards
-against catastrophic forgetting, mirroring how the Cloud archive retains
-previously uploaded samples.
+The Cloud's incremental update (:meth:`repro.core.cloud.InSituCloud
+.incremental_update`) fine-tunes the deployed model on newly uploaded data
+and mixes in a replay sample from its archive.  A scenario with a
+class-incremental stream also keeps a capacity-bounded reservoir of earlier
+uploads here, and distills against the pre-update model on all of it, so
+the classes an update no longer sees are not forgotten.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.transfer.finetune import TrainResult, train_classifier
-from repro.transfer.surgery import FreezePlan
 
-__all__ = ["UpdateOutcome", "incremental_update", "ReplayBuffer"]
+__all__ = ["ReplayBuffer"]
 
 
 class ReplayBuffer:
@@ -36,7 +32,7 @@ class ReplayBuffer:
 
     @property
     def data(self) -> Dataset | None:
-        """The whole buffer, without consuming the sampling RNG.
+        """The whole buffer.
 
         Exemplar-replay distillation mixes *every* retained exemplar into
         the update (the buffer is already capacity-bounded), so drawing a
@@ -45,6 +41,7 @@ class ReplayBuffer:
         return self._data
 
     def add(self, data: Dataset) -> None:
+        """Keep ``data``; over capacity, keep a uniform random subset."""
         if self.capacity == 0 or len(data) == 0:
             return
         merged = (
@@ -54,69 +51,3 @@ class ReplayBuffer:
             keep = self.rng.choice(len(merged), size=self.capacity, replace=False)
             merged = merged.subset(np.sort(keep))
         self._data = merged
-
-    def sample(self, count: int) -> Dataset | None:
-        if self._data is None or count <= 0:
-            return None
-        count = min(count, len(self._data))
-        idx = self.rng.choice(len(self._data), size=count, replace=False)
-        return self._data.subset(idx)
-
-
-@dataclass
-class UpdateOutcome:
-    """Result of one incremental update."""
-
-    train_result: TrainResult
-    update_images: int
-    replay_images: int
-
-
-def incremental_update(
-    net,
-    new_data: Dataset,
-    *,
-    freeze_plan: FreezePlan | None = None,
-    replay: ReplayBuffer | None = None,
-    replay_fraction: float = 0.5,
-    epochs: int = 3,
-    batch_size: int = 32,
-    lr: float = 0.01,
-    rng: np.random.Generator | None = None,
-    eval_data: Dataset | None = None,
-) -> UpdateOutcome:
-    """Fine-tune ``net`` on newly uploaded data.
-
-    ``freeze_plan`` is the weight-sharing strategy: In-situ AI (system *d*
-    in Fig. 24) locks the shared conv layers so the update touches only the
-    upper layers, which is where its model-update speedup comes from.
-    """
-    if len(new_data) == 0:
-        raise ValueError("incremental update needs at least one new sample")
-    if not 0.0 <= replay_fraction <= 1.0:
-        raise ValueError("replay_fraction must be in [0, 1]")
-    rng = rng if rng is not None else np.random.default_rng(0)
-
-    replayed = None
-    if replay is not None:
-        replayed = replay.sample(int(round(replay_fraction * len(new_data))))
-    train_set = (
-        Dataset.concat([new_data, replayed]) if replayed is not None else new_data
-    )
-    result = train_classifier(
-        net,
-        train_set,
-        epochs=epochs,
-        batch_size=batch_size,
-        lr=lr,
-        rng=rng,
-        eval_data=eval_data,
-        freeze_plan=freeze_plan,
-    )
-    if replay is not None:
-        replay.add(new_data)
-    return UpdateOutcome(
-        train_result=result,
-        update_images=len(new_data),
-        replay_images=0 if replayed is None else len(replayed),
-    )

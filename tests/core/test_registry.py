@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ModelRegistry, UpdateGuard
 from repro.data import make_dataset
@@ -37,39 +39,41 @@ class TestModelRegistry:
         stored = registry.active.state["fc8.weight"]
         assert not np.all(stored == 0.0)
 
-    def test_rollback(self, nets):
-        a, b = nets
-        registry = ModelRegistry()
-        registry.publish(a.state_dict())
-        registry.publish(b.state_dict())
-        assert registry.rollback().version == 1
-        assert registry.active.version == 1
-
-    def test_rollback_empty_raises(self):
-        with pytest.raises(LookupError):
-            ModelRegistry().rollback()
-        registry = ModelRegistry()
-        registry.publish({})
-        with pytest.raises(LookupError):
-            registry.rollback()
-
-    def test_activate_specific_version(self, nets):
-        a, b = nets
-        registry = ModelRegistry()
-        registry.publish(a.state_dict())
-        registry.publish(b.state_dict())
-        registry.activate(1)
-        assert registry.active.version == 1
-        with pytest.raises(KeyError):
-            registry.activate(9)
-
-    def test_get_unknown(self):
-        with pytest.raises(KeyError):
-            ModelRegistry().get(1)
-
     def test_active_empty_raises(self):
         with pytest.raises(LookupError):
             ModelRegistry().active
+
+
+#: a publish sequence: ``None`` is a ``main`` publish, ``g`` one on ``head-g``
+publishes = st.lists(st.none() | st.integers(0, 3), min_size=1, max_size=30)
+
+
+class TestRegistryMonotonicity:
+    @settings(max_examples=200, deadline=None)
+    @given(tracks=publishes)
+    def test_active_is_always_the_latest_main_publish(self, tracks):
+        """Over any interleaving of ``main`` and ``head-<g>`` publishes the
+        active version never decreases, always equals the latest ``main``
+        publish, and a side-track publish never moves it."""
+        registry = ModelRegistry()
+        latest_main = None
+        for group in tracks:
+            before = latest_main
+            track = "main" if group is None else f"head-{group}"
+            entry = registry.publish({}, track=track)
+            if group is None:
+                latest_main = entry.version
+            if latest_main is None:
+                with pytest.raises(LookupError):
+                    registry.active
+                continue
+            active = registry.active
+            assert active.version == latest_main
+            assert active.track == "main"
+            assert before is None or active.version >= before
+            if group is not None:
+                assert active.version == before
+        assert registry.history() == list(range(1, len(tracks) + 1))
 
 
 class TestUpdateGuard:

@@ -183,86 +183,3 @@ class TestRateInvariants:
         total_bits = sum(n * 8.0 for n in sizes)
         assert last_drain >= total_bits / capacity * (1 - 1e-9)
 
-
-class TestFlowCancel:
-    """Node-crash-mid-upload semantics: cancellation is loss, not delivery.
-
-    The scenario engine's churn process crashes nodes between stages, but
-    the kernel-level guarantee it leans on lives here: a cancelled flow
-    wakes its waiter immediately with a ``cancelled=True`` record, counts
-    only the bits that actually crossed the link, and never reaches the
-    ``flows.completed`` / ``flows.bytes`` counters — so byte ledgers that
-    account at completion time cannot double-count a crashed upload.
-    """
-
-    def test_cancel_mid_transfer_reports_partial_bytes(self):
-        sim = Simulator()
-        link = FlowLink(sim, capacity_bps=10.0)
-        ev = link.transfer(10, 100.0)  # 80 bits at 10 bps -> drain t=8
-
-        records = []
-
-        def crash():
-            yield sim.timeout(4.0)  # halfway: 40 bits = 5 bytes drained
-            records.append(link.cancel(ev))
-
-        sim.process(crash())
-        sim.run()
-        rec = ev.value
-        assert rec.cancelled
-        assert rec.bytes_transferred == 5
-        assert rec.delivered_bytes == 5
-        assert rec.num_bytes == 10  # the intent is preserved alongside
-        assert rec.done_s == pytest.approx(4.0)  # waiter wakes at crash time
-        assert records[0] is rec
-
-    def test_cancelled_flow_never_counts_as_completed(self):
-        from repro.obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        sim = Simulator()
-        link = FlowLink(sim, capacity_bps=10.0, metrics=metrics, name="up")
-        doomed = link.transfer(10, 100.0)
-        survivor = link.transfer(10, 100.0)
-
-        def crash():
-            yield sim.timeout(4.0)
-            link.cancel(doomed)
-
-        sim.process(crash())
-        sim.run()
-        assert metrics.counter("flows.started", link="up").value == 2
-        assert metrics.counter("flows.cancelled", link="up").value == 1
-        # Only the survivor completes and only its bytes are ledgered:
-        # the doomed flow's 5 delivered bytes stay out of flows.bytes, so
-        # a retry upload of the full payload cannot double-count.
-        assert metrics.counter("flows.completed", link="up").value == 1
-        assert metrics.counter("flows.bytes", link="up").value == 10
-
-    def test_cancel_releases_bandwidth_to_survivors(self):
-        sim = Simulator()
-        link = FlowLink(sim, capacity_bps=10.0)
-        doomed = link.transfer(10, 100.0)
-        survivor = link.transfer(10, 100.0)
-
-        def crash():
-            yield sim.timeout(4.0)
-            link.cancel(doomed)
-
-        sim.process(crash())
-        sim.run()
-        # Fair share 5 bps until t=4 (60 bits left on the survivor), then
-        # the full 10 bps: 60/10 = 6 more seconds -> drain at t=10, not
-        # the t=16 a fair split to the end would give.
-        assert survivor.value.drain_s == pytest.approx(10.0)
-        assert not survivor.value.cancelled
-
-    def test_cancel_after_drain_is_a_noop(self):
-        sim = Simulator()
-        link = FlowLink(sim, capacity_bps=10.0)
-        ev = link.transfer(10, 100.0)
-        sim.run()
-        assert ev.value.cancelled is False
-        assert link.cancel(ev) is None
-        # The completed record is untouched by the late cancel.
-        assert ev.value.delivered_bytes == 10

@@ -83,7 +83,7 @@ class TestCanaryRollout:
             rng=np.random.default_rng(7),
         )
         train = _dataset(64, generator, rng)
-        cloud.initialize_inference(train, epochs=4, use_transfer=False)
+        cloud.initialize_inference(train, epochs=4)
         registry = ModelRegistry()
         registry.publish(cloud.model_state(), {"stage": 0})
         holdout = _dataset(64, generator, rng)

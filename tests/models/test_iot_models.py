@@ -39,10 +39,6 @@ class TestClassifier:
         with pytest.raises(ValueError):
             build_classifier(1, rng)
 
-    def test_dropout_inserted_when_requested(self, rng):
-        net = build_classifier(4, rng, dropout=0.5)
-        assert any(layer.name == "drop6" for layer in net)
-
 
 class TestJigsawTrunk:
     def test_flat_output(self, rng):

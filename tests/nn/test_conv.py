@@ -72,11 +72,11 @@ class TestConvGradients:
         assert np.all(conv.weight.grad == 0.0)
         assert np.all(conv.bias.grad == 0.0)
 
-    @pytest.mark.parametrize("groups", [1, 2])
-    def test_frozen_layer_still_propagates_exact_input_grad(self, groups):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_frozen_layer_still_propagates_exact_input_grad(self, stride):
         """Freezing skips the dead weight/bias GEMMs, nothing else."""
         layers = [
-            Conv2D(4, 4, 3, pad=1, groups=groups, rng=np.random.default_rng(3))
+            Conv2D(4, 4, 3, stride, pad=1, rng=np.random.default_rng(3))
             for _ in range(2)
         ]
         layers[1].freeze()

@@ -327,11 +327,11 @@ class TestConvMatchesReferenceFormulation:
                         assert same(got["grad_in"], want["grad_in"]), case
 
 
-#: (in_channels, out_channels, kernel, stride, pad, input size, groups);
-#: every per-group GEMM of one image is above BLAS's 1e6 small-matrix cutoff
+#: (in_channels, out_channels, kernel, stride, pad, input size); every
+#: GEMM of one image is above BLAS's 1e6 small-matrix cutoff
 BLOCKED_GEOMETRIES = {
-    "dense": (48, 48, 3, 1, 1, 12, 1),
-    "grouped": (32, 64, 3, 1, 1, 24, 2),
+    "dense": (48, 48, 3, 1, 1, 12),
+    "strided": (32, 64, 5, 2, 2, 24),
 }
 
 
@@ -350,16 +350,15 @@ def test_blocked_conv_forward_matches_whole_batch_gemm(
     forces ``per_block``-image blocks (a ragged tail whenever ``batch`` is
     not a multiple).  In training the whole-batch Dm the cache holds, and
     so every gradient, is what one block (the unblocked forward) gives."""
-    cin, cout, kernel, stride, pad, size, groups = BLOCKED_GEOMETRIES[name]
+    cin, cout, kernel, stride, pad, size = BLOCKED_GEOMETRIES[name]
     rng = np.random.default_rng([cin, batch, per_block])
-    layer = Conv2D(cin, cout, kernel, stride, pad, groups=groups, rng=rng)
+    layer = Conv2D(cin, cout, kernel, stride, pad, rng=rng)
     for p in layer.parameters:
         p.data = rng.normal(size=p.shape).astype(dtype)
     x = rng.normal(size=(batch, cin, size, size)).astype(dtype)
     if nhwc:  # what a previous conv hands on
         x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     _, out_h, out_w = layer.output_shape(x.shape[1:])
-    in_per, out_per = cin // groups, cout // groups
     image_bytes = cin * kernel**2 * out_h * out_w * np.dtype(dtype).itemsize
 
     def run(block_bytes: int) -> dict[str, np.ndarray]:
@@ -376,17 +375,10 @@ def test_blocked_conv_forward_matches_whole_batch_gemm(
         return got
 
     blocked = run(per_block * image_bytes + image_bytes // 2)
-    want = np.empty((batch * out_h * out_w, cout), dtype=dtype)
-    for g in range(groups):
-        cols = im2col_reference(
-            x[:, g * in_per : (g + 1) * in_per], kernel, stride, pad
-        )
-        if training:
-            assert np.array_equal(blocked["dm"][g].T, cols), g
-        w_g = layer.weight.data[g * out_per : (g + 1) * out_per]
-        want[:, g * out_per : (g + 1) * out_per] = cols @ w_g.reshape(
-            out_per, -1
-        ).T
+    cols = im2col_reference(x, kernel, stride, pad)
+    if training:
+        assert np.array_equal(blocked["dm"].T, cols)
+    want = cols @ layer.weight.data.reshape(cout, -1).T
     want += layer.bias.data
     want = want.reshape(batch, out_h, out_w, cout).transpose(0, 3, 1, 2)
     assert blocked["out"].dtype == dtype
@@ -400,11 +392,10 @@ def test_blocked_conv_forward_matches_whole_batch_gemm(
 class TestNoFloat64Promotion:
     """float32 activations must stay float32 through forward AND backward."""
 
-    @pytest.mark.parametrize("groups", [1, 2])
-    def test_conv_fwd_bwd_dtype(self, groups):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_fwd_bwd_dtype(self, stride):
         layer = Conv2D(
-            4, 6, 3, stride=1, pad=1, groups=groups,
-            rng=np.random.default_rng(0),
+            4, 6, 3, stride=stride, pad=1, rng=np.random.default_rng(0)
         )
         x = np.random.default_rng(1).normal(size=(2, 4, 8, 8))
         x = x.astype(np.float32)

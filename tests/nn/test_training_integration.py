@@ -1,7 +1,7 @@
 """Whole-framework training integration tests.
 
 These exercise layer combinations the unit tests cover only in isolation:
-a conv / pool / dropout network training end to end, resuming mid-training
+a conv / pool network training end to end, resuming mid-training
 from a state dict, and dtype consistency through a full step.
 """
 
@@ -13,7 +13,6 @@ from repro.nn import (
     SGD,
     Conv2D,
     CrossEntropyLoss,
-    Dropout,
     Flatten,
     Linear,
     MaxPool2D,
@@ -34,7 +33,6 @@ def make_net(rng):
             ReLU(name="relu2"),
             MaxPool2D(3, name="pool2"),
             Flatten(name="flat"),
-            Dropout(0.2, rng=rng, name="drop"),
             Linear(12 * 2 * 2, 3, rng=rng, name="fc"),
         ],
         input_shape=(3, 12, 12),
@@ -54,7 +52,7 @@ def train_steps(net, x, y, steps, lr=0.03):
     return losses
 
 
-class TestDropoutTraining:
+class TestEndToEndTraining:
     def test_learns_fixed_batch(self, rng):
         net = make_net(rng)
         x = rng.normal(size=(12, 3, 12, 12)).astype(np.float32)
@@ -74,16 +72,13 @@ class TestDropoutTraining:
 class TestCheckpointResume:
     def test_resume_matches_continuous_run(self):
         """Training 10+10 steps with a state-dict handover in the middle
-        must match training 20 steps straight (modulo dropout, disabled
-        here)."""
+        must match training 20 steps straight."""
         rng_data = np.random.default_rng(0)
         x = rng_data.normal(size=(8, 3, 12, 12)).astype(np.float32)
         y = np.arange(8) % 3
 
         def build():
-            net = make_net(np.random.default_rng(5))
-            net["drop"].rate = 0.0  # determinism
-            return net
+            return make_net(np.random.default_rng(5))
 
         straight = build()
         train_steps(straight, x, y, steps=20)

@@ -55,7 +55,7 @@ def small_net(seed: int = 7) -> Sequential:
             Conv2D(3, 4, 3, pad=1, rng=rng, name="conv1"),
             ReLU(name="relu1"),
             MaxPool2D(2, name="pool1"),
-            Conv2D(4, 6, 3, pad=1, groups=2, rng=rng, name="conv2"),
+            Conv2D(4, 6, 3, pad=1, rng=rng, name="conv2"),
             ReLU(name="relu2"),
             Conv2D(6, 6, 5, stride=2, pad=2, rng=rng, name="conv3"),
             Flatten(name="flatten"),

@@ -155,6 +155,60 @@ class TestAnalysisCommands:
                 assert "error:" in out and "bad.jsonl:1:" in out, line
 
 
+
+class TestBadInputs:
+    """A bad input file is one ``error: <path>: ...`` line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "command",
+        ["summarize", "critical-path", "health", "convert", "diff"],
+    )
+    def test_missing_file(self, command, trace_path, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        argv = [command, str(missing)]
+        if command == "convert":
+            argv += ["-o", str(tmp_path / "out.json")]
+        if command == "diff":
+            argv.append(str(trace_path))
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out == f"error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,  # the trace itself: JSONL, not one JSON document
+            "[1, 2]\n",
+            '{"v": 1, "metrics": [3]}\n',
+            '{"v": 2, "metrics": []}\n',
+        ],
+    )
+    def test_health_metrics_must_be_a_metrics_dump(
+        self, content, trace_path, tmp_path, capsys
+    ):
+        metrics = trace_path
+        if content is not None:
+            metrics = tmp_path / "metrics.json"
+            metrics.write_text(content)
+        argv = ["health", str(trace_path), "--metrics", str(metrics)]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: {metrics}: "), out
+        assert out.count("\n") == 1, out
+
+    def test_health_accepts_a_metrics_dump(self, trace_path, tmp_path):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        registry.counter("fleet.bytes.uploaded", system="d").inc(5)
+        metrics = tmp_path / "metrics.json"
+        registry.write_json(metrics)
+        out = tmp_path / "health.json"
+        argv = ["health", str(trace_path), "--metrics", str(metrics)]
+        assert main(argv + ["-o", str(out)]) == 0
+        ledger = json.loads(out.read_text())["ledger"]
+        assert [entry["value"] for entry in ledger] == [5]
+
 class TestPhaseTable:
     def test_phase_table_renders_for_scenario_traces(self):
         tracer = Tracer()

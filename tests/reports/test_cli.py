@@ -97,6 +97,23 @@ class TestFleetSeed:
         ), err
 
 
+class TestFleetOutputPaths:
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+    def test_missing_directory_refused_before_the_fleet_runs(
+        self, flag, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the fleet ran before the path check")
+
+        monkeypatch.setattr("repro.reports.cli._render_fleet", never)
+        target = tmp_path / "absent" / "out"
+        with pytest.raises(SystemExit) as caught:
+            main(["fleet", "--nodes", "2", flag, str(target)])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} {target}: no such directory" in err, err
+
+
 class TestFleetTopology:
     def test_workers_with_topology_refused(self, capsys):
         # The worker pool serves only the flat lockstep stage loop.

@@ -158,6 +158,29 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert "final_eval_accuracy" in stdout
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_missing_file_is_an_error_line(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing.yaml"
+        assert scenario_main([command, str(missing)]) == 1
+        out = capsys.readouterr().out
+        assert out == f"error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_run_refuses_a_missing_output_directory_up_front(
+        self, flag, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the scenario ran before the path check")
+
+        monkeypatch.setattr("repro.scenario.cli.build_summary", never)
+        path = tmp_path / "run.yaml"
+        path.write_text(SMALL_YAML)
+        target = tmp_path / "absent" / "file"
+        assert scenario_main(["run", str(path), flag, str(target)]) == 1
+        assert capsys.readouterr().out == (
+            f"error: {target}: no such directory\n"
+        )
+
     def test_run_rejects_bad_engine(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text(SMALL_YAML)

@@ -1,4 +1,4 @@
-"""Topology data model: validation, builders, passthrough detection."""
+"""Topology data model: validation and builders."""
 
 from __future__ import annotations
 
@@ -12,16 +12,7 @@ class TestGatewayProfile:
     def test_links_resolve(self):
         g = GatewayProfile(gateway_id=0, child_ids=(0, 1))
         assert g.local_link is LAN
-        assert g.wan_link(profiles=None) is FIBER
-
-    def test_inherit_uses_child_link(self):
-        class P:
-            link = "sentinel"
-
-        g = GatewayProfile(
-            gateway_id=0, child_ids=(3,), uplink_kind="inherit"
-        )
-        assert g.wan_link({3: P()}) == "sentinel"
+        assert g.wan_link is FIBER
 
     def test_no_children_rejected(self):
         with pytest.raises(ValueError, match="no children"):
@@ -39,12 +30,6 @@ class TestGatewayProfile:
         with pytest.raises(ValueError, match="unknown uplink"):
             GatewayProfile(
                 gateway_id=0, child_ids=(0,), uplink_kind="carrier-pigeon"
-            )
-
-    def test_inherit_requires_single_child(self):
-        with pytest.raises(ValueError, match="exactly one child"):
-            GatewayProfile(
-                gateway_id=0, child_ids=(0, 1), uplink_kind="inherit"
             )
 
     def test_unknown_device_rejected(self):
@@ -116,32 +101,3 @@ class TestTopology:
         with pytest.raises(ValueError, match="topology covers"):
             top.validate_for([P(i) for i in range(3)])
 
-
-class TestPassthrough:
-    def test_single_is_passthrough(self):
-        assert Topology.single(3).is_passthrough
-
-    def test_fan_out_is_not(self):
-        assert not Topology.fan_out(4, 2).is_passthrough
-        # even with fan-out 1: real links and aggregation still interpose
-        assert not Topology.fan_out(4, 1).is_passthrough
-
-    def test_any_active_feature_defeats_passthrough(self):
-        base = Topology.single(2)
-        gateways = base.gateways
-        assert not Topology(
-            gateways=gateways,
-            aggregation=AggregationPolicy(),  # aggregation on
-            per_transfer_overhead_bytes=0,
-        ).is_passthrough
-        assert not Topology(
-            gateways=gateways,
-            aggregation=AggregationPolicy(enabled=False),
-            per_transfer_overhead_bytes=1,  # framing overhead
-        ).is_passthrough
-        assert not Topology(
-            gateways=gateways,
-            aggregation=AggregationPolicy(enabled=False),
-            per_transfer_overhead_bytes=0,
-            second_opinion_fraction=0.1,  # gateway model
-        ).is_passthrough

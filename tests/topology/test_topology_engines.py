@@ -1,13 +1,11 @@
-"""Topology runs: passthrough identity, the barrier hierarchy, aggregation.
+"""Topology runs: the flat boundary, the barrier hierarchy, aggregation.
 
 Hierarchical fleets run only on the event engine; ``barrier=True`` is
 their lockstep run.  Three contracts anchor the gateway tier:
 
-* a passthrough topology (fan-out 1, passthrough links, aggregation
-  off, zero overhead) delegates to the flat code path, so reports,
-  ledgers, and JSONL traces are byte-identical to a run with no
-  topology at all;
-* a real hierarchy canaries regionally, drains every buffer by the end
+* a run with no topology moves no tier bytes, and a topology that does
+  not cover the fleet's nodes is refused;
+* a hierarchy canaries regionally, drains every buffer by the end
   of a run with no horizon, and stamps every hop with its tier;
 * aggregation trades WAN transfer events (and their framing overhead)
   for buffering delay without touching edge-tier traffic.
@@ -30,7 +28,7 @@ from repro.fleet import (
 )
 from repro.fleet.async_sim import DirectEventTier, _EventFleet
 from repro.fleet.simulation import build_fleet_runtime
-from repro.obs import MetricsRegistry, Tracer, explain_divergence
+from repro.obs import MetricsRegistry, Tracer
 from repro.obs.analyze import health_report
 from repro.topology import AggregationPolicy, Topology
 
@@ -76,35 +74,7 @@ def hier_barrier(assets):
     )
 
 
-class TestPassthroughIdentity:
-    def test_event_byte_identical_to_flat(self, assets):
-        flat_tracer = Tracer()
-        flat = run_fleet_event(
-            system_by_id("d"), assets, barrier=True, tracer=flat_tracer
-        )
-        tracer = Tracer()
-        report = run_fleet_event(
-            system_by_id("d"),
-            assets,
-            barrier=True,
-            topology=Topology.single(NUM_NODES),
-            tracer=tracer,
-        )
-        assert report.final_eval_accuracy == flat.final_eval_accuracy
-        assert report.ledger.snapshot() == flat.ledger.snapshot()
-        assert tracer.to_jsonl() == flat_tracer.to_jsonl(), (
-            explain_divergence(
-                tracer.to_jsonl(),
-                flat_tracer.to_jsonl(),
-                label_a="passthrough",
-                label_b="flat",
-            )
-        )
-        # the delegated run is a flat run: no gateway artifacts
-        assert report.gateway_flushes == []
-        assert report.gateway_resolved_images == {}
-        assert report.topology.is_passthrough
-
+class TestTopologyBoundary:
     def test_flat_run_has_zero_tier_fields(self, assets):
         snap = run_fleet(system_by_id("d"), assets).ledger.snapshot()
         assert snap.tiered_bytes_moved == 0
@@ -117,7 +87,7 @@ class TestPassthroughIdentity:
                 system_by_id("d"),
                 assets,
                 barrier=True,
-                topology=Topology.single(3),
+                topology=Topology.fan_out(NUM_NODES - 1, 2),
             )
 
 

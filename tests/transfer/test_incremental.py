@@ -1,13 +1,11 @@
-"""Incremental updates and replay buffer."""
+"""The exemplar replay buffer."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.data import Dataset
-from repro.models import build_classifier
-from repro.transfer import FreezePlan, ReplayBuffer, incremental_update
+from repro.transfer import ReplayBuffer
 
 
 def toy_dataset(n, seed=0):
@@ -16,79 +14,23 @@ def toy_dataset(n, seed=0):
 
 
 class TestReplayBuffer:
-    def test_add_and_sample(self, rng):
+    def test_add_keeps_everything_under_capacity(self, rng):
         buf = ReplayBuffer(capacity=10, rng=rng)
-        buf.add(toy_dataset(6))
-        assert len(buf) == 6
-        sample = buf.sample(4)
-        assert len(sample) == 4
+        assert buf.data is None
+        first, second = toy_dataset(6), toy_dataset(3, seed=1)
+        buf.add(first)
+        buf.add(second)
+        assert len(buf) == 9
+        assert np.array_equal(
+            buf.data.labels, np.concatenate([first.labels, second.labels])
+        )
 
     def test_capacity_enforced(self, rng):
         buf = ReplayBuffer(capacity=5, rng=rng)
         buf.add(toy_dataset(20))
         assert len(buf) == 5
 
-    def test_sample_more_than_stored(self, rng):
-        buf = ReplayBuffer(capacity=10, rng=rng)
-        buf.add(toy_dataset(3))
-        assert len(buf.sample(10)) == 3
-
-    def test_empty_sample_is_none(self, rng):
-        buf = ReplayBuffer(capacity=10, rng=rng)
-        assert buf.sample(5) is None
-        assert buf.sample(0) is None
-
     def test_zero_capacity_stores_nothing(self, rng):
         buf = ReplayBuffer(capacity=0, rng=rng)
         buf.add(toy_dataset(5))
         assert len(buf) == 0
-
-
-class TestIncrementalUpdate:
-    def test_updates_model(self, rng, generator):
-        from repro.data import make_dataset
-
-        net = build_classifier(4, rng)
-        data = make_dataset(32, generator=generator, rng=rng)
-        before = net["fc8"].weight.data.copy()
-        outcome = incremental_update(net, data, epochs=1, rng=rng)
-        assert outcome.update_images == 32
-        assert not np.array_equal(net["fc8"].weight.data, before)
-
-    def test_freeze_plan_respected(self, rng, generator):
-        from repro.data import make_dataset
-
-        net = build_classifier(4, rng)
-        data = make_dataset(16, generator=generator, rng=rng)
-        before = net["conv1"].weight.data.copy()
-        incremental_update(
-            net, data, epochs=1, freeze_plan=FreezePlan(3), rng=rng
-        )
-        assert np.array_equal(net["conv1"].weight.data, before)
-
-    def test_replay_mixed_in(self, rng, generator):
-        from repro.data import make_dataset
-
-        net = build_classifier(4, rng)
-        buf = ReplayBuffer(capacity=64, rng=rng)
-        buf.add(make_dataset(32, generator=generator, rng=rng))
-        data = make_dataset(16, generator=generator, rng=rng)
-        outcome = incremental_update(
-            net, data, replay=buf, replay_fraction=0.5, epochs=1, rng=rng
-        )
-        assert outcome.replay_images == 8
-        # New data joined the buffer afterwards.
-        assert len(buf) == 48
-
-    def test_empty_update_rejected(self, rng):
-        net = build_classifier(4, rng)
-        with pytest.raises(ValueError):
-            incremental_update(net, toy_dataset(0), rng=rng)
-
-    def test_bad_replay_fraction(self, rng, generator):
-        from repro.data import make_dataset
-
-        net = build_classifier(4, rng)
-        data = make_dataset(4, generator=generator, rng=rng)
-        with pytest.raises(ValueError):
-            incremental_update(net, data, replay_fraction=1.5, rng=rng)
