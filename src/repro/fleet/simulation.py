@@ -52,7 +52,7 @@ from repro.data.images import ImageGenerator
 from repro.data.stream import AcquisitionStage, IoTStream
 from repro.diagnosis.diagnoser import Diagnoser
 from repro.fleet.profiles import FleetScenario, NodeProfile
-from repro.nn import Sequential
+from repro.nn import Sequential, workspace
 from repro.nn.config import default_dtype
 from repro.nn.prefix_memo import params_digest
 from repro.fleet.scheduler import FleetScheduler, RolloutResult
@@ -170,6 +170,12 @@ def _warm_start(
     initialization on every node's first stage, pooled.  Both are
     policy-identical across the four variants, so a set of assets runs
     them once.
+
+    The seed Cloud is discarded here, and with it the last user of its
+    whole-batch training scratch, so the conv workspace is emptied before
+    returning: the run after it (and every worker forked from it) grows
+    only the buffers its own shapes ask for.  The prefix memo stays — its
+    rows for the warm-started weights are what the first sweeps hit.
     """
     seed_cloud = build_cloud(base, permset, alexnet_spec())
     seed_cloud.unsupervised_pretrain(
@@ -182,7 +188,9 @@ def _warm_start(
         batch_size=base.batch_size,
         lr=base.init_lr,
     )
-    return trunk_state, seed_cloud.model_state()
+    initial_state = seed_cloud.model_state()
+    workspace.reset()
+    return trunk_state, initial_state
 
 
 def prepare_assets(scenario: Scenario) -> FleetAssets:

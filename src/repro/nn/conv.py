@@ -232,13 +232,20 @@ class Conv2D(Layer):
         return cache
 
     def _grad_rows(self, grad_out: np.ndarray) -> np.ndarray:
-        """``grad_out`` as a contiguous ``(B*R*C, M)`` matrix."""
+        """``grad_out`` as a contiguous ``(B*R*C, M)`` matrix.
+
+        A gradient that already sits in ``(B, R, C, M)`` memory order — the
+        layout this layer's output has, kept by the ReLU and pooling
+        backward of a conv followed by a pool — is that matrix as it
+        stands and is reshaped without a copy; any other layout is copied
+        into the ``grad_rows`` role.
+        """
         batch, channels, out_h, out_w = grad_out.shape
+        rows_major = grad_out.transpose(0, 2, 3, 1)
+        if rows_major.flags.c_contiguous:
+            return rows_major.reshape(batch * out_h * out_w, channels)
         grad_rows = workspace.take(
             "grad_rows", (batch * out_h * out_w, channels), grad_out.dtype
         )
-        np.copyto(
-            grad_rows.reshape(batch, out_h, out_w, channels),
-            grad_out.transpose(0, 2, 3, 1),
-        )
+        np.copyto(grad_rows.reshape(batch, out_h, out_w, channels), rows_major)
         return grad_rows

@@ -1,16 +1,26 @@
-"""Process-wide, grow-only scratch workspace for the convolution hot path.
+"""Process-wide scratch for the convolution hot path, grow-only within a phase.
 
 Every large temporary of :mod:`repro.nn.im2col` and
 :class:`~repro.nn.conv.Conv2D` is a *view* carved from one flat byte buffer
 per **role**: column matrices in the paper's Dm layout, ``cols_infer``
 (one block of images, ``(N*K*K, b*R*C)``, at most ``conv.BLOCK_BYTES``) and
-``grad_cols`` (a whole batch, ``(N*K*K, B*R*C)``); ``grad_rows``, ``grad_w``,
+``grad_cols`` (a whole batch, ``(N*K*K, B*R*C)``); ``grad_rows`` (output
+gradients that do not already sit in row order), ``grad_w``,
 the channel-major ``(N, B, H+2p, W+2p)`` images ``im2col_pad`` and
 ``col2im_padded``, and ``col2im_scratch`` (touched only when ``col2im`` is
-handed C-ordered columns).  A role's buffer is as large
-as the largest request it has ever served and is never shrunk, so once a
-process has seen its biggest batch the hot loop touches only memory it has
-touched before, whatever shapes follow.
+handed C-ordered columns).  Within a phase a role's buffer is as large
+as the largest request it has served and is never shrunk, so once a phase
+has seen its biggest batch the hot loop touches only memory it has touched
+before, whatever shapes follow.
+
+A phase ends only where the scratch's last user is discarded: the fleet
+set-up (:func:`repro.fleet.simulation._warm_start`) pre-trains and
+initializes on a throwaway seed Cloud, then calls :func:`reset`, so the
+run after it — and every worker forked from it — grows only the buffers
+its own shapes ask for (the set-up's whole-batch training scratch is
+~70 MB, which a run whose nodes never train would otherwise carry to its
+end).  A run's own retrains do not reset: emptying the buffers after each
+one would make the next fault every page of them in again.
 
 Why not exact-shape buffers owned by each layer (what this replaced): every
 ``Conv2D`` instance of every network kept one array per distinct shape, and

@@ -17,8 +17,10 @@ Subcommands:
 ``diff A B``
     First-divergence localization between two traces (record index,
     field-level attr diff, enclosing span stack) or two JSON documents
-    (metrics dumps, summaries — first divergent path).  Exits 1 when
-    the inputs diverge, 0 when identical.
+    (metrics dumps, summaries — first divergent path).  Exits 0 when
+    the inputs are identical, 1 when they diverge, and 2 when an input
+    is missing, unreadable or malformed, so a script can tell a
+    divergence from a bad input.
 
 ``health TRACE [--z-threshold Z] [--metrics METRICS] [-o OUT] [--json]``
     Fleet health report: per-node straggler z-scores, upload
@@ -33,7 +35,7 @@ Every analysis consumes the trace through the streaming reader
 trace length, and malformed lines surface as ``path:line:``-anchored
 errors instead of stack traces.  So do a missing or unreadable input file
 and a ``--metrics`` file that is not a schema-v1 metrics dump: each
-prints one ``error: <path>: ...`` line and exits 1.
+prints one ``error: <path>: ...`` line and exits 1 (``diff``: 2).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 from collections import defaultdict
+from contextlib import closing
 
 from repro.obs.analyze import (
     critical_path,
@@ -54,6 +57,7 @@ from repro.obs.analyze import (
 )
 from repro.obs.trace import (
     TraceFormatError,
+    _text_lines,
     chrome_trace,
     iter_jsonl,
 )
@@ -157,13 +161,12 @@ def _tag_table(tag: str, rows: dict[str, dict], *, key) -> list[str]:
 
 
 def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as err:
-            raise TraceFormatError(
-                f"{path}: not a JSON document ({err})"
-            ) from None
+    try:
+        return json.loads("".join(_text_lines(path)))
+    except json.JSONDecodeError as err:
+        raise TraceFormatError(
+            f"{path}: not a JSON document ({err})"
+        ) from None
 
 
 def _load_metrics(path: str) -> dict:
@@ -189,9 +192,9 @@ def _looks_like_json_doc(path: str) -> bool:
     compact object per line while metrics dumps and summaries are
     indented multi-line documents — the second line disambiguates.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline().strip()
-        second = fh.readline()
+    with closing(_text_lines(path)) as lines:
+        first = next(lines, "").strip()
+        second = next(lines, "")
     if not first.startswith(("{", "[")):
         return False
     try:
@@ -212,9 +215,9 @@ def _run_diff(path_a: str, path_b: str) -> int:
         print(f"  {path_a}: {json.dumps(va, sort_keys=True)}")
         print(f"  {path_b}: {json.dumps(vb, sort_keys=True)}")
         return 1
-    with open(path_a, "r", encoding="utf-8") as fh_a:
-        with open(path_b, "r", encoding="utf-8") as fh_b:
-            div = first_divergence(fh_a, fh_b)
+    with closing(_text_lines(path_a)) as lines_a:
+        with closing(_text_lines(path_b)) as lines_b:
+            div = first_divergence(lines_a, lines_b)
     if div is None:
         print(f"identical: {path_a} == {path_b}")
         return 0
@@ -294,6 +297,8 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    # diff's 1 means "the inputs diverge"; a bad input needs its own code.
+    bad_input = 2 if args.command == "diff" else 1
     try:
         if args.command == "diff":
             return _run_diff(args.a, args.b)
@@ -347,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except TraceFormatError as err:
         print(f"error: {err}")
-        return 1
+        return bad_input
     except OSError as err:
         print(f"error: {err.filename}: {err.strerror}")
-        return 1
+        return bad_input

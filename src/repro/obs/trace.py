@@ -288,6 +288,17 @@ def _parse_line(path, line_no: int, line: str) -> TraceRecord:
     )
 
 
+def _text_lines(path):
+    """``path``'s lines; bytes that are not UTF-8 are a format error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as err:
+            raise TraceFormatError(
+                f"{path}: not UTF-8 text ({err.reason})"
+            ) from None
+
+
 def iter_jsonl(path):
     """Stream a schema-v1 JSONL trace one record at a time.
 
@@ -296,14 +307,14 @@ def iter_jsonl(path):
     (bad JSON, wrong schema version, missing keys, a non-numeric ``t0`` or
     ``t1`` (``t1`` is null on an instant event), non-object ``attrs`` or an
     attr value that is an array or object) raise
-    :class:`TraceFormatError` anchored as ``path:line_no: message``.
+    :class:`TraceFormatError` anchored as ``path:line_no: message``, and
+    bytes that are not UTF-8 as ``path: message``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            yield _parse_line(path, line_no, line)
+    for line_no, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        yield _parse_line(path, line_no, line)
 
 
 def read_jsonl(path) -> list[TraceRecord]:

@@ -401,6 +401,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--trace/--metrics only apply to the 'fleet' experiment")
     # Refuse an unwritable output before the fleet trains, not after.
     for flag, path in (("--trace", args.trace), ("--metrics", args.metrics)):
+        if path and os.path.isdir(path):
+            parser.error(f"{flag} {path}: is a directory")
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             parser.error(f"{flag} {path}: no such directory")
     topology = None

@@ -45,9 +45,12 @@ def _run(args) -> int:
         return 1
     # Refuse an unwritable output before the replicates run, not after.
     for path in (args.out, args.trace):
-        if path is not None and not os.path.isdir(
-            os.path.dirname(path) or "."
-        ):
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            print(f"error: {path}: is a directory")
+            return 1
+        if not os.path.isdir(os.path.dirname(path) or "."):
             print(f"error: {path}: no such directory")
             return 1
     tracer = Tracer(enabled=args.trace is not None)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.comm import DataMovementLedger
 
@@ -166,3 +168,87 @@ class TestTierOverlay:
             ledger.record_tier(0, edge_up_bytes=-1)
         with pytest.raises(ValueError):
             ledger.record_tier(0, overhead_bytes=-5)
+
+
+_STAGES = st.integers(min_value=0, max_value=5)
+_COUNTS = st.integers(min_value=0, max_value=10**6)
+_TIER_FIELDS = (
+    "edge_up_bytes",
+    "wan_up_bytes",
+    "edge_down_bytes",
+    "wan_down_bytes",
+    "edge_up_transfers",
+    "wan_up_transfers",
+    "overhead_bytes",
+)
+_OPS = st.one_of(
+    st.tuples(
+        st.just("record"),
+        _STAGES,
+        st.integers(min_value=0, max_value=500).flatmap(
+            lambda acquired: st.tuples(
+                st.just(acquired), st.integers(0, acquired), _COUNTS
+            )
+        ),
+    ),
+    st.tuples(st.just("record_download"), _STAGES, _COUNTS),
+    st.tuples(
+        st.just("record_tier"),
+        _STAGES,
+        st.fixed_dictionaries({name: _COUNTS for name in _TIER_FIELDS}),
+    ),
+)
+_FLAT_FIELDS = (
+    "stages_recorded",
+    "acquired_images",
+    "uploaded_images",
+    "uploaded_bytes",
+    "downloaded_bytes",
+)
+
+
+class TestConservation:
+    """Whatever order stages, push-downs and tier traffic arrive in, the
+    running totals are the stage list re-summed, and the tier overlay is
+    the sum of what was attributed to it — never a flat byte more."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(_OPS, max_size=30))
+    def test_random_interleavings_conserve_totals(self, ops):
+        ledger = DataMovementLedger(image_bytes=1000)
+        tier = dict.fromkeys(_TIER_FIELDS, 0)
+        for op, stage, args in ops:
+            if op == "record":
+                acquired, uploaded, downloaded = args
+                ledger.record(
+                    stage, acquired, uploaded, downloaded_bytes=downloaded
+                )
+            elif op == "record_download":
+                ledger.record_download(stage, args)
+            else:
+                before = ledger.snapshot()
+                ledger.record_tier(stage, **args)
+                after = ledger.snapshot()
+                for name in _FLAT_FIELDS:
+                    assert getattr(after, name) == getattr(before, name)
+                for name, value in args.items():
+                    tier[name] += value
+        snap = ledger.snapshot()
+        stages = ledger.stages
+        assert snap.stages_recorded == len(stages)
+        assert snap.acquired_images == sum(s.acquired_images for s in stages)
+        assert snap.uploaded_images == sum(s.uploaded_images for s in stages)
+        assert snap.uploaded_bytes == sum(s.uploaded_bytes for s in stages)
+        assert snap.downloaded_bytes == sum(
+            s.downloaded_bytes for s in stages
+        )
+        assert snap.total_bytes_moved == sum(s.total_bytes for s in stages)
+        assert (
+            snap.edge_to_gateway_bytes,
+            snap.gateway_to_cloud_bytes,
+            snap.gateway_to_edge_bytes,
+            snap.cloud_to_gateway_bytes,
+            snap.edge_transfer_events,
+            snap.wan_transfer_events,
+            snap.transfer_overhead_bytes,
+        ) == tuple(tier[name] for name in _TIER_FIELDS)

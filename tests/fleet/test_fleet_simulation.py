@@ -4,15 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import system_by_id
+from repro.core import Scenario, system_by_id
 from repro.fleet import (
     FleetScenario,
     fleet_base_scenario,
+    prepare_assets,
     prepare_fleet_assets,
     run_fleet,
 )
 from repro.fleet import simulation as fleet_simulation
 from repro.fleet.simulation import build_fleet_runtime
+from repro.nn import workspace
 from repro.transfer import evaluate
 
 
@@ -65,6 +67,31 @@ class TestDeterminism:
         a = prepare_fleet_assets(tiny_fleet(seed=0))
         b = prepare_fleet_assets(tiny_fleet(seed=1))
         assert a.profiles != b.profiles
+
+
+class TestWarmStartScratch:
+    """The warm start's trainer is discarded with its whole-batch scratch:
+    both asset preparers hand back an empty conv workspace, so the run
+    after them (and every worker forked from it) grows only what its own
+    shapes ask for."""
+
+    def test_prepare_fleet_assets_leaves_workspace_empty(self):
+        prepare_fleet_assets(tiny_fleet(seed=2))
+        assert workspace.sizes() == {}
+
+    def test_prepare_assets_leaves_workspace_empty(self):
+        prepare_assets(
+            Scenario(
+                num_classes=4,
+                stream_scale=0.05,
+                pretrain_images=16,
+                pretrain_epochs=1,
+                init_epochs=1,
+                eval_images=16,
+                seed=5,
+            )
+        )
+        assert workspace.sizes() == {}
 
 
 class TestMovement:

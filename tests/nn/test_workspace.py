@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from repro.nn import (
+    SGD,
     Conv2D,
+    CrossEntropyLoss,
     Flatten,
     Linear,
     MaxPool2D,
@@ -251,6 +253,47 @@ def test_inference_columns_stay_within_block_budget():
     x = np.random.default_rng(1).normal(size=(128, 3, 48, 48))
     net.predict(x.astype(np.float32))
     assert 0 < workspace.sizes()["cols_infer"] <= BLOCK_BYTES
+
+
+class TestGradRowsZeroCopy:
+    """A conv followed by a pool gets its output gradient back in its own
+    ``(B, R, C, M)`` memory order, so backward reads it in place; only
+    gradients arriving channel-major from a col2im are copied."""
+
+    @staticmethod
+    def five_steps(net: Sequential) -> dict[str, np.ndarray]:
+        """Weights after five batch-32 SGD steps of the 48x48 classifier."""
+        rng = np.random.default_rng(3)
+        loss, opt = CrossEntropyLoss(), SGD(net.parameters, lr=0.01)
+        for _ in range(5):
+            x = rng.normal(size=(32, 3, 48, 48)).astype(np.float32)
+            loss(net.forward(x, training=True), rng.integers(0, 4, 32))
+            opt.zero_grad()
+            net.backward(loss.backward())
+            opt.step()
+        return {p.name: p.data.copy() for p in net.parameters}
+
+    def test_weights_match_copying_oracle(self, request, monkeypatch):
+        got = self.five_steps(build_classifier(4, np.random.default_rng(0)))
+        request.getfixturevalue("unpooled")
+        monkeypatch.setattr(
+            Conv2D,
+            "_grad_rows",
+            lambda self, g: np.ascontiguousarray(
+                g.transpose(0, 2, 3, 1)
+            ).reshape(-1, g.shape[1]),
+        )
+        want = self.five_steps(build_classifier(4, np.random.default_rng(0)))
+        assert_same(got, want)
+
+    def test_role_is_sized_by_conv4_not_conv1(self):
+        net = build_classifier(4, np.random.default_rng(0))
+        x = np.random.default_rng(4).normal(size=(32, 3, 48, 48))
+        train_step(net, x.astype(np.float32))
+        conv1, conv4 = net["conv1"], net["conv4"]
+        conv1_rows = 32 * 48 * 48 * conv1.out_channels * 4
+        conv4_rows = 32 * 12 * 12 * conv4.out_channels * 4
+        assert workspace.sizes()["grad_rows"] == conv4_rows < conv1_rows
 
 
 class TestPadBuffer:

@@ -157,7 +157,8 @@ class TestAnalysisCommands:
 
 
 class TestBadInputs:
-    """A bad input file is one ``error: <path>: ...`` line and exit 1."""
+    """A bad input file is one ``error: <path>: ...`` line and exit 1 —
+    exit 2 for ``diff``, whose 1 means the inputs diverge."""
 
     @pytest.mark.parametrize(
         "command",
@@ -170,9 +171,33 @@ class TestBadInputs:
             argv += ["-o", str(tmp_path / "out.json")]
         if command == "diff":
             argv.append(str(trace_path))
-        assert main(argv) == 1
+        assert main(argv) == (2 if command == "diff" else 1)
         out = capsys.readouterr().out
         assert out == f"error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "command",
+        ["summarize", "critical-path", "health", "convert", "diff"],
+    )
+    def test_undecodable_file(self, command, trace_path, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(trace_path.read_bytes() + b"\x00\xff\xfe\n")
+        argv = [command, str(bad)]
+        if command == "convert":
+            argv += ["-o", str(tmp_path / "out.json")]
+        if command == "diff":
+            argv.insert(1, str(trace_path))
+        assert main(argv) == (2 if command == "diff" else 1)
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: {bad}: not UTF-8 text"), out
+        assert out.count("\n") == 1, out
+
+    def test_diff_malformed_json_document_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"v": 1,\n"metrics": [\n')
+        assert main(["diff", str(bad), str(bad)]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"error: {bad}: not a JSON document"), out
 
     @pytest.mark.parametrize(
         "content",

@@ -113,6 +113,20 @@ class TestFleetOutputPaths:
         err = capsys.readouterr().err
         assert f"error: {flag} {target}: no such directory" in err, err
 
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+    def test_existing_directory_refused_before_the_fleet_runs(
+        self, flag, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the fleet ran before the path check")
+
+        monkeypatch.setattr("repro.reports.cli._render_fleet", never)
+        with pytest.raises(SystemExit) as caught:
+            main(["fleet", "--nodes", "2", flag, str(tmp_path)])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {flag} {tmp_path}: is a directory" in err, err
+
 
 class TestFleetTopology:
     def test_workers_with_topology_refused(self, capsys):

@@ -181,6 +181,21 @@ class TestCli:
             f"error: {target}: no such directory\n"
         )
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_run_refuses_an_existing_directory_up_front(
+        self, flag, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the scenario ran before the path check")
+
+        monkeypatch.setattr("repro.scenario.cli.build_summary", never)
+        path = tmp_path / "run.yaml"
+        path.write_text(SMALL_YAML)
+        assert scenario_main(["run", str(path), flag, str(tmp_path)]) == 1
+        assert capsys.readouterr().out == (
+            f"error: {tmp_path}: is a directory\n"
+        )
+
     def test_run_rejects_bad_engine(self, tmp_path):
         path = tmp_path / "run.yaml"
         path.write_text(SMALL_YAML)

@@ -18,6 +18,7 @@ import weakref
 
 import pytest
 
+from repro.comm.link import JPEG_IMAGE_BYTES
 from repro.core import system_by_id
 from repro.fleet import (
     FleetScenario,
@@ -220,6 +221,55 @@ class TestAggregation:
         assert so.gateway_to_cloud_bytes < base.gateway_to_cloud_bytes
         assert so.edge_to_gateway_bytes == base.edge_to_gateway_bytes
         assert sum(resolved.gateway_resolved_images.values()) > 0
+
+
+class TestLedgerConservation:
+    """The fleet ledger is the sum of the node ledgers, the edge hop
+    carries exactly the fleet's uploads and push-downs, and a drained
+    hierarchy accounts for every image that reached a gateway: settled
+    there, flushed over the WAN, or still buffered."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, assets):
+        config = system_by_id("d")
+        opinion = hier_topology(second_opinion_fraction=0.5)
+        return {
+            "flat-barrier": run_fleet(config, assets),
+            "fan-out-barrier": run_fleet_event(
+                config, assets, barrier=True, topology=opinion
+            ),
+            "fan-out-async": run_fleet_event(
+                config, assets, topology=opinion
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "mode", ["flat-barrier", "fan-out-barrier", "fan-out-async"]
+    )
+    def test_fleet_totals_are_node_sums(self, runs, mode):
+        report = runs[mode]
+        fleet = report.ledger.snapshot()
+        nodes = [t.ledger.snapshot() for t in report.nodes]
+        for name in ("acquired_images", "uploaded_images", "downloaded_bytes"):
+            assert getattr(fleet, name) == sum(getattr(n, name) for n in nodes)
+        assert fleet.acquired_images > fleet.uploaded_images > 0
+
+    @pytest.mark.parametrize("mode", ["fan-out-barrier", "fan-out-async"])
+    def test_edge_hop_carries_the_fleet_traffic(self, runs, mode):
+        snap = runs[mode].ledger.snapshot()
+        assert snap.edge_to_gateway_bytes == snap.uploaded_bytes > 0
+        assert snap.gateway_to_edge_bytes == snap.downloaded_bytes > 0
+
+    def test_drained_hierarchy_accounts_for_every_image(self, runs):
+        report = runs["fan-out-barrier"]
+        snap = report.ledger.snapshot()
+        resolved = sum(report.gateway_resolved_images.values())
+        flushed = snap.gateway_to_cloud_bytes - snap.transfer_overhead_bytes
+        leftover = sum(report.gateway_leftover_images.values())
+        assert resolved > 0 and flushed % JPEG_IMAGE_BYTES == 0
+        assert snap.edge_to_gateway_bytes // JPEG_IMAGE_BYTES == (
+            resolved + flushed // JPEG_IMAGE_BYTES + leftover
+        )
 
 
 class TestHorizonLeftovers:
