@@ -2,90 +2,23 @@
 
 Three pillars, one contract:
 
-* :class:`Tracer` — typed span/event records stamped with *virtual*
-  time, exported as JSONL (schema v1) or Chrome ``trace_event``.  Same
-  seed -> byte-identical trace bytes, across fleet modes and worker
-  counts.
-* :class:`MetricsRegistry` — process-local counters/gauges/fixed-bucket
-  histograms; the serialized dump is equally deterministic.
-* :func:`profiled` / :func:`profile_section` — opt-in wall-time hooks on
-  the hot paths, a guaranteed near-no-op while disabled.
+* :class:`Tracer` (:mod:`repro.obs.trace`) — typed span/event records
+  stamped with *virtual* time, exported as JSONL (schema v1) or Chrome
+  ``trace_event``.  Same seed -> byte-identical trace bytes, across
+  fleet modes and worker counts.
+* :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — process-local
+  counters/gauges/fixed-bucket histograms; the serialized dump is
+  equally deterministic.
+* :func:`repro.obs.profile.profiled` — opt-in wall-time hooks on the
+  hot paths, a guaranteed near-no-op while disabled.
 
-Wall-clock access is confined to :mod:`repro.obs.clock` (lint rule
-RPR011 enforces this), keeping host time out of every simulated code
-path.
+:mod:`repro.obs.analyze` and :mod:`repro.obs.cli` read traces back
+(``python -m repro obs``).  Wall-clock access is confined to
+:mod:`repro.obs.clock` (lint rule RPR011 enforces this), keeping host
+time out of every simulated code path.
 """
 
-from repro.obs.analyze import (
-    Divergence,
-    critical_path,
-    diff_json_docs,
-    explain_divergence,
-    first_divergence,
-    health_report,
-    render_critical_path,
-    render_divergence,
-    render_health,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.metrics import active as active_metrics
-from repro.obs.metrics import use as use_metrics
-from repro.obs.profile import (
-    disable_profiling,
-    enable_profiling,
-    profile_section,
-    profile_stats,
-    profiled,
-    profiling_enabled,
-    reset_profiling,
-)
-from repro.obs.trace import (
-    TraceFormatError,
-    TraceRecord,
-    Tracer,
-    chrome_trace,
-    iter_jsonl,
-    make_event,
-    make_span,
-    read_jsonl,
-)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Divergence",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "TraceFormatError",
-    "TraceRecord",
-    "Tracer",
-    "active_metrics",
-    "chrome_trace",
-    "critical_path",
-    "diff_json_docs",
-    "disable_profiling",
-    "enable_profiling",
-    "explain_divergence",
-    "first_divergence",
-    "health_report",
-    "iter_jsonl",
-    "make_event",
-    "make_span",
-    "profile_section",
-    "profile_stats",
-    "profiled",
-    "profiling_enabled",
-    "read_jsonl",
-    "render_critical_path",
-    "render_divergence",
-    "render_health",
-    "reset_profiling",
-    "use_metrics",
-]
+__all__ = ["MetricsRegistry", "Tracer"]

@@ -50,13 +50,11 @@ __all__ = [
     "Divergence",
     "critical_path",
     "diff_json_docs",
-    "explain_divergence",
     "first_divergence",
     "health_report",
     "render_critical_path",
     "render_divergence",
     "render_health",
-    "render_json",
 ]
 
 _ABSENT = "<absent>"
@@ -72,9 +70,19 @@ def _r9(x: float) -> float:
     return round(float(x), 9)
 
 
-def render_json(obj: dict) -> str:
-    """The one byte-stable JSON rendering used by every analysis."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+class _Window:
+    """Record count and virtual-time extent of the records tallied so far."""
+
+    def __init__(self) -> None:
+        self.records = 0
+        self.t0 = None
+        self.t1 = None
+
+    def add(self, r: TraceRecord) -> None:
+        self.records += 1
+        end = r.t1 if r.t1 is not None else r.t0
+        self.t0 = r.t0 if self.t0 is None else min(self.t0, r.t0)
+        self.t1 = end if self.t1 is None else max(self.t1, end)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +151,7 @@ def critical_path(records, *, top: int = 10) -> dict:
     """
     lanes: dict[str, _Chain] = {}
     joins: dict[str, list[_Chain]] = {}
-    t_lo = None
-    t_hi = None
-    n_records = 0
+    window = _Window()
     n_spans = 0
 
     def feed(join_key: str, chain: _Chain) -> None:
@@ -156,10 +162,7 @@ def critical_path(records, *, top: int = 10) -> dict:
             del entries[_JOIN_CAP // 2:]
 
     for seq, r in enumerate(records):
-        n_records += 1
-        t_lo = r.t0 if t_lo is None else min(t_lo, r.t0)
-        end = r.t1 if r.t1 is not None else r.t0
-        t_hi = end if t_hi is None else max(t_hi, end)
+        window.add(r)
         if r.kind != "span":
             continue
         n_spans += 1
@@ -203,7 +206,7 @@ def critical_path(records, *, top: int = 10) -> dict:
         if prev is None or chain.rank() > prev.rank():
             lanes[lane] = chain
 
-    if n_records == 0:
+    if window.records == 0:
         return {
             "v": 1,
             "records": 0,
@@ -222,7 +225,7 @@ def critical_path(records, *, top: int = 10) -> dict:
         chain = lanes[lane]
         if winner is None or chain.rank() > winner.rank():
             winner = chain
-    makespan = t_hi - t_lo
+    makespan = window.t1 - window.t0
     busy = winner.busy if winner is not None else 0.0
     entries = []
     if winner is not None:
@@ -241,11 +244,11 @@ def critical_path(records, *, top: int = 10) -> dict:
             )
     return {
         "v": 1,
-        "records": n_records,
+        "records": window.records,
         "spans": n_spans,
         "window": {
-            "t0": _r9(t_lo),
-            "t1": _r9(t_hi),
+            "t0": _r9(window.t0),
+            "t1": _r9(window.t1),
             "makespan_s": _r9(makespan),
         },
         "critical": {
@@ -461,22 +464,6 @@ def render_divergence(
     return "\n".join(lines) + "\n"
 
 
-def explain_divergence(
-    text_a: str, text_b: str, *, label_a: str = "a", label_b: str = "b"
-) -> str | None:
-    """Rendered first-divergence report for two traces, or ``None``.
-
-    The assertion-friendly wrapper: test suites compare trace bytes and,
-    on mismatch, fail with this report instead of a bare ``a != b``.
-    """
-    if text_a == text_b:
-        return None
-    div = first_divergence(text_a.splitlines(), text_b.splitlines())
-    if div is None:
-        return None
-    return render_divergence(div, label_a=label_a, label_b=label_b)
-
-
 # ---------------------------------------------------------------------------
 # Fleet health
 
@@ -495,16 +482,11 @@ def health_report(
     node_upload: dict = {}
     tier_stats: dict = {}
     rollbacks: list = []
-    t_lo = None
-    t_hi = None
-    n_records = 0
+    seen = _Window()
     total_upload_bytes = 0
 
     for r in records:
-        n_records += 1
-        t_lo = r.t0 if t_lo is None else min(t_lo, r.t0)
-        end = r.t1 if r.t1 is not None else r.t0
-        t_hi = end if t_hi is None else max(t_hi, end)
+        seen.add(r)
         tier = r.attr("tier")
         if tier is not None and r.kind == "span":
             row = tier_stats.setdefault(
@@ -549,7 +531,7 @@ def health_report(
                 }
             )
 
-    window = (t_hi - t_lo) if n_records else 0.0
+    window = (seen.t1 - seen.t0) if seen.records else 0.0
     means = {
         n: row["busy_s"] / row["spans"] for n, row in node_compute.items()
     }
@@ -618,10 +600,10 @@ def health_report(
 
     return {
         "v": 1,
-        "records": n_records,
+        "records": seen.records,
         "window": {
-            "t0": _r9(t_lo if n_records else 0.0),
-            "t1": _r9(t_hi if n_records else 0.0),
+            "t0": _r9(seen.t0 if seen.records else 0.0),
+            "t1": _r9(seen.t1 if seen.records else 0.0),
             "span_s": _r9(window),
         },
         "fleet": {

@@ -46,6 +46,7 @@ from collections import defaultdict
 from contextlib import closing
 
 from repro.obs.analyze import (
+    _Window,
     critical_path,
     diff_json_docs,
     first_divergence,
@@ -53,14 +54,9 @@ from repro.obs.analyze import (
     render_critical_path,
     render_divergence,
     render_health,
-    render_json,
 )
-from repro.obs.trace import (
-    TraceFormatError,
-    _text_lines,
-    chrome_trace,
-    iter_jsonl,
-)
+from repro.obs.metrics import render_json
+from repro.obs.trace import TraceFormatError, Tracer, _text_lines, iter_jsonl
 
 __all__ = ["main", "summarize"]
 
@@ -71,9 +67,7 @@ def summarize(records, *, limit: int = 12) -> str:
     ``records`` is any iterable of :class:`TraceRecord` — a list or the
     streaming reader — consumed in a single pass.
     """
-    t_lo = None
-    t_hi = None
-
+    window = _Window()
     by_cat: dict[str, dict] = defaultdict(_new_row)
     by_node: dict[int, dict] = defaultdict(_new_row)
     # Tier tags appear only on hierarchical-topology traces and phase tags
@@ -81,9 +75,7 @@ def summarize(records, *, limit: int = 12) -> str:
     # traces get neither table.
     by_tag = {"tier": defaultdict(_new_row), "phase": defaultdict(_new_row)}
     for r in records:
-        t_lo = r.t0 if t_lo is None else min(t_lo, r.t0)
-        end = r.t1 if r.t1 is not None else r.t0
-        t_hi = end if t_hi is None else max(t_hi, end)
+        window.add(r)
         _tally(by_cat[f"{r.cat}.{r.name}"], r)
         node = r.attr("node")
         if node is not None and r.kind == "span":
@@ -93,14 +85,13 @@ def summarize(records, *, limit: int = 12) -> str:
             if value is not None:
                 _tally(rows[str(value)], r)
 
-    n_spans = sum(row["spans"] for row in by_cat.values())
-    n_events = sum(row["events"] for row in by_cat.values())
-    total = n_spans + n_events
-    if total == 0:
+    if window.records == 0:
         return "empty trace (0 records)\n"
-
+    t_lo, t_hi = window.t0, window.t1
+    n_spans = sum(row["spans"] for row in by_cat.values())
     lines = [
-        f"records: {total} ({n_spans} spans, {n_events} events)",
+        f"records: {window.records} ({n_spans} spans, "
+        f"{window.records - n_spans} events)",
         f"virtual window: {t_lo:.3f} .. {t_hi:.3f} s "
         f"({t_hi - t_lo:.3f} s)",
         "",
@@ -123,12 +114,12 @@ def summarize(records, *, limit: int = 12) -> str:
     lines += _tag_table("phase", by_tag["phase"], key=None)
     if by_node:
         lines += ["", f"{'node':<6} {'spans':>6} {'busy s':>10} {'busy %':>8}"]
-        window = max(t_hi - t_lo, 1e-12)
+        span_s = max(t_hi - t_lo, 1e-12)
         for node in sorted(by_node):
             row = by_node[node]
             lines.append(
                 f"{node:<6} {row['spans']:>6} {row['busy']:>10.3f} "
-                f"{100.0 * row['busy'] / window:>7.1f}%"
+                f"{100.0 * row['busy'] / span_s:>7.1f}%"
             )
     return "\n".join(lines) + "\n"
 
@@ -337,11 +328,9 @@ def main(argv: list[str] | None = None) -> int:
         # convert: the chrome exporter needs the full record list; the
         # jsonl re-export streams.
         if args.format == "chrome":
-            records = list(iter_jsonl(args.trace))
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(chrome_trace(records), fh, sort_keys=True)
-                fh.write("\n")
-            count = len(records)
+            tracer = Tracer(records=list(iter_jsonl(args.trace)))
+            tracer.write_chrome(args.out)
+            count = len(tracer.records)
         else:
             count = 0
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -17,17 +17,12 @@ from __future__ import annotations
 
 import time as _time
 
-__all__ = ["perf_counter", "perf_counter_ns", "wall_time"]
+__all__ = ["perf_counter", "wall_time"]
 
 
 def perf_counter() -> float:
     """Monotonic high-resolution timer for durations (seconds)."""
     return _time.perf_counter()
-
-
-def perf_counter_ns() -> int:
-    """Monotonic high-resolution timer for durations (nanoseconds)."""
-    return _time.perf_counter_ns()
 
 
 def wall_time() -> float:

@@ -27,12 +27,14 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "active",
+    "render_json",
     "use",
 ]
 
-#: Geometric 1-2.5-5 ladder spanning sub-millisecond timings to large
-#: byte counts; a fixed default so identical observations always land in
-#: identical buckets regardless of what else was recorded.
+#: Every histogram's upper-inclusive bucket edges: a geometric 1-2.5-5
+#: ladder spanning sub-millisecond timings to large byte counts, fixed so
+#: identical observations always land in identical buckets regardless of
+#: what else was recorded.
 DEFAULT_BUCKETS: tuple[float, ...] = tuple(
     base * 10.0**exp for exp in range(-4, 10) for base in (1.0, 2.5, 5.0)
 )
@@ -85,28 +87,17 @@ class Gauge:
 class Histogram:
     """Fixed-bucket histogram of observed values.
 
-    Bucket boundaries are fixed at construction (upper-inclusive edges,
-    plus a final implicit +inf bucket), so bucket membership is a pure
-    function of the observed value — never of arrival order, wall time,
-    or other observations.
+    Bucket edges are :data:`DEFAULT_BUCKETS` plus a final implicit +inf
+    bucket, so bucket membership is a pure function of the observed value
+    — never of arrival order, wall time, or other observations.
     """
 
-    __slots__ = (
-        "name", "labels", "buckets", "counts", "count", "sum", "min", "max",
-    )
+    __slots__ = ("name", "labels", "counts", "count", "sum", "min", "max")
 
-    def __init__(
-        self,
-        name: str,
-        labels: _LabelKey,
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    ):
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ValueError("buckets must be a non-empty ascending sequence")
+    def __init__(self, name: str, labels: _LabelKey):
         self.name = name
         self.labels = labels
-        self.buckets = tuple(float(b) for b in buckets)
-        self.counts = [0] * (len(self.buckets) + 1)
+        self.counts = [0] * (len(DEFAULT_BUCKETS) + 1)
         self.count = 0
         self.sum = 0.0
         self.min: float | None = None
@@ -114,7 +105,7 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         value = float(value)
-        self.counts[bisect_left(self.buckets, value)] += 1
+        self.counts[bisect_left(DEFAULT_BUCKETS, value)] += 1
         self.count += 1
         self.sum += value
         self.min = value if self.min is None else min(self.min, value)
@@ -122,7 +113,7 @@ class Histogram:
 
     def payload(self) -> dict:
         return {
-            "buckets": list(self.buckets),
+            "buckets": list(DEFAULT_BUCKETS),
             "counts": list(self.counts),
             "count": self.count,
             "sum": self.sum,
@@ -139,8 +130,7 @@ class MetricsRegistry:
 
     Instruments are identified by ``(kind, name, sorted labels)``;
     repeated lookups return the same object.  Asking for an existing
-    name with a different kind (or a histogram with different buckets)
-    is a programming error and raises.
+    name with a different kind is a programming error and raises.
     """
 
     def __init__(self) -> None:
@@ -153,7 +143,7 @@ class MetricsRegistry:
     def _key(name: str, labels: dict[str, object]) -> tuple[str, _LabelKey]:
         return name, tuple(sorted((k, str(v)) for k, v in labels.items()))
 
-    def _get(self, kind: str, name: str, labels: dict[str, object], **extra):
+    def _get(self, kind: str, name: str, labels: dict[str, object]):
         name_key, label_key = self._key(name, labels)
         key = (kind, name_key, label_key)
         instrument = self._instruments.get(key)
@@ -165,17 +155,8 @@ class MetricsRegistry:
                     raise ValueError(
                         f"metric {name!r} already registered as {other_kind}"
                     )
-            instrument = _KINDS[kind](name, label_key, **extra)
+            instrument = _KINDS[kind](name, label_key)
             self._instruments[key] = instrument
-        elif kind == "histogram" and extra:
-            buckets = extra.get("buckets")
-            if buckets is not None and tuple(
-                float(b) for b in buckets
-            ) != instrument.buckets:
-                raise ValueError(
-                    f"histogram {name!r} already registered with different "
-                    "buckets"
-                )
         return instrument
 
     def counter(self, name: str, **labels) -> Counter:
@@ -184,13 +165,8 @@ class MetricsRegistry:
     def gauge(self, name: str, **labels) -> Gauge:
         return self._get("gauge", name, labels)
 
-    def histogram(
-        self,
-        name: str,
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-        **labels,
-    ) -> Histogram:
-        return self._get("histogram", name, labels, buckets=buckets)
+    def histogram(self, name: str, **labels) -> Histogram:
+        return self._get("histogram", name, labels)
 
     # ------------------------------------------------------------------
     # Serialization (schema v1, deterministic byte-for-byte)
@@ -211,11 +187,16 @@ class MetricsRegistry:
         return {"v": 1, "metrics": entries}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return render_json(self.to_dict())
 
     def write_json(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_json())
+
+
+def render_json(obj) -> str:
+    """Byte-stable JSON text: the metrics dump and every ``obs`` report."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,12 @@ never serialized into the deterministic trace/metrics channels.
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
 
 from repro.obs.clock import perf_counter
 
 __all__ = [
-    "SectionStats",
     "disable_profiling",
     "enable_profiling",
-    "profile_section",
     "profile_stats",
     "profiled",
     "profiling_enabled",
@@ -31,7 +28,7 @@ __all__ = [
 ]
 
 
-class SectionStats:
+class _SectionStats:
     """Aggregate wall-time stats for one named section."""
 
     __slots__ = ("calls", "total_s", "min_s", "max_s")
@@ -65,12 +62,12 @@ class _Profiler:
 
     def __init__(self) -> None:
         self.enabled = False
-        self.stats: dict[str, SectionStats] = {}
+        self.stats: dict[str, _SectionStats] = {}
 
     def record(self, name: str, elapsed: float) -> None:
         stats = self.stats.get(name)
         if stats is None:
-            stats = self.stats[name] = SectionStats()
+            stats = self.stats[name] = _SectionStats()
         stats.add(elapsed)
 
 
@@ -123,15 +120,3 @@ def profiled(name: str):
 
     return decorate
 
-
-@contextmanager
-def profile_section(name: str):
-    """Context-manager form of :func:`profiled` for inline blocks."""
-    if not _PROFILER.enabled:
-        yield
-        return
-    start = perf_counter()
-    try:
-        yield
-    finally:
-        _PROFILER.record(name, perf_counter() - start)

@@ -28,16 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.clock import wall_time
 
-__all__ = [
-    "TraceFormatError",
-    "TraceRecord",
-    "Tracer",
-    "chrome_trace",
-    "iter_jsonl",
-    "make_event",
-    "make_span",
-    "read_jsonl",
-]
+__all__ = ["TraceFormatError", "TraceRecord", "Tracer", "iter_jsonl"]
 
 
 class TraceFormatError(ValueError):
@@ -52,7 +43,8 @@ class TraceRecord:
     """One span (``t1`` set) or instant event (``t1`` None).
 
     Frozen and tuple-keyed so records pickle cleanly back from the
-    fleet's worker pool and merge deterministically in the parent.
+    scenario engine's replicate workers and merge deterministically in
+    the parent.
     """
 
     kind: str  # "span" | "event"
@@ -98,34 +90,6 @@ def _freeze_attrs(attrs: dict[str, object]) -> _Attrs:
     return tuple(sorted(attrs.items()))
 
 
-def make_span(
-    cat: str, name: str, t0: float, t1: float, **attrs
-) -> TraceRecord:
-    """Build a span record without a :class:`Tracer` (worker processes)."""
-    if t1 < t0:
-        raise ValueError(f"span {cat}/{name}: t1 {t1} precedes t0 {t0}")
-    return TraceRecord(
-        kind="span",
-        cat=cat,
-        name=name,
-        t0=float(t0),
-        t1=float(t1),
-        attrs=_freeze_attrs(attrs),
-    )
-
-
-def make_event(cat: str, name: str, t: float, **attrs) -> TraceRecord:
-    """Build an instant-event record without a :class:`Tracer`."""
-    return TraceRecord(
-        kind="event",
-        cat=cat,
-        name=name,
-        t0=float(t),
-        t1=None,
-        attrs=_freeze_attrs(attrs),
-    )
-
-
 @dataclass
 class Tracer:
     """Collects :class:`TraceRecord` objects for one run.
@@ -144,46 +108,37 @@ class Tracer:
     ) -> TraceRecord | None:
         if not self.enabled:
             return None
-        record = make_span(cat, name, t0, t1, **attrs)
-        if self.wall_clock:
-            record = TraceRecord(
-                kind=record.kind,
-                cat=record.cat,
-                name=record.name,
-                t0=record.t0,
-                t1=record.t1,
-                attrs=record.attrs,
-                wall=wall_time(),
-            )
-        self.records.append(record)
-        return record
+        if t1 < t0:
+            raise ValueError(f"span {cat}/{name}: t1 {t1} precedes t0 {t0}")
+        return self._emit("span", cat, name, t0, float(t1), attrs)
 
     def event(
         self, cat: str, name: str, t: float, **attrs
     ) -> TraceRecord | None:
         if not self.enabled:
             return None
-        record = make_event(cat, name, t, **attrs)
-        if self.wall_clock:
-            record = TraceRecord(
-                kind=record.kind,
-                cat=record.cat,
-                name=record.name,
-                t0=record.t0,
-                t1=None,
-                attrs=record.attrs,
-                wall=wall_time(),
-            )
+        return self._emit("event", cat, name, t, None, attrs)
+
+    def _emit(
+        self, kind: str, cat: str, name: str, t0: float, t1: float | None,
+        attrs: dict[str, object],
+    ) -> TraceRecord:
+        record = TraceRecord(
+            kind=kind,
+            cat=cat,
+            name=name,
+            t0=float(t0),
+            t1=t1,
+            attrs=_freeze_attrs(attrs),
+            wall=wall_time() if self.wall_clock else None,
+        )
         self.records.append(record)
         return record
 
     def extend(self, records) -> None:
-        """Merge records emitted elsewhere (worker-process buffers)."""
+        """Merge records emitted elsewhere (replicate-worker buffers)."""
         if self.enabled:
             self.records.extend(records)
-
-    def clear(self) -> None:
-        self.records.clear()
 
     # ------------------------------------------------------------------
     # Export
@@ -200,37 +155,33 @@ class Tracer:
             fh.write(self.to_jsonl(channel=channel))
 
     def write_chrome(self, path) -> None:
+        """Chrome ``trace_event`` JSON (times in microseconds).
+
+        Rows (tids) map to node ids where a record carries a ``node``
+        attr; cloud/link records land on tid 0.
+        """
+        events = []
+        for r in self.records:
+            node = r.attr("node")
+            base = {
+                "name": r.name,
+                "cat": r.cat,
+                "ts": r.t0 * 1e6,
+                "pid": 0,
+                "tid": 0 if node is None else int(node),
+                "args": dict(r.attrs),
+            }
+            if r.kind == "span":
+                events.append({**base, "ph": "X", "dur": (r.t1 - r.t0) * 1e6})
+            else:
+                events.append({**base, "ph": "i", "s": "t"})
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(chrome_trace(self.records), fh, sort_keys=True)
+            json.dump(
+                {"traceEvents": events, "displayTimeUnit": "ms"},
+                fh,
+                sort_keys=True,
+            )
             fh.write("\n")
-
-
-def _tid(record: TraceRecord) -> int:
-    node = record.attr("node")
-    return 0 if node is None else int(node)
-
-
-def chrome_trace(records) -> dict:
-    """Records -> Chrome ``trace_event`` object (times in microseconds).
-
-    Rows (tids) map to node ids where a record carries a ``node`` attr;
-    cloud/link records land on tid 0.
-    """
-    events = []
-    for r in records:
-        base = {
-            "name": r.name,
-            "cat": r.cat,
-            "ts": r.t0 * 1e6,
-            "pid": 0,
-            "tid": _tid(r),
-            "args": dict(r.attrs),
-        }
-        if r.kind == "span":
-            events.append({**base, "ph": "X", "dur": (r.t1 - r.t0) * 1e6})
-        else:
-            events.append({**base, "ph": "i", "s": "t"})
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 _REQUIRED_KEYS = ("kind", "cat", "name", "t0", "t1")
@@ -315,8 +266,3 @@ def iter_jsonl(path):
         if not line:
             continue
         yield _parse_line(path, line_no, line)
-
-
-def read_jsonl(path) -> list[TraceRecord]:
-    """Load a schema-v1 JSONL trace back into records."""
-    return list(iter_jsonl(path))

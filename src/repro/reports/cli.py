@@ -15,6 +15,7 @@ import argparse
 import os
 from typing import Callable
 
+from repro.obs import MetricsRegistry, Tracer
 from repro.reports import figures
 from repro.reports.tables import format_table
 
@@ -448,16 +449,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"invalid fleet scenario: {exc}")
     if "all" in selected:
         selected = sorted(_EXPERIMENTS)
-    tracer = None
-    metrics = None
-    if args.trace:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-    if args.metrics:
-        from repro.obs import MetricsRegistry
-
-        metrics = MetricsRegistry()
+    tracer = Tracer() if args.trace else None
+    metrics = MetricsRegistry() if args.metrics else None
     for name in selected:
         if name == "fleet":
             print(

@@ -562,4 +562,11 @@ def load_spec_file(path) -> ScenarioSpec:
     from pathlib import Path
 
     p = Path(path)
-    return load_spec(p.read_text(), filename=str(p))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        line = err.object.count(b"\n", 0, err.start) + 1
+        raise ScenarioError(
+            f"not UTF-8 text ({err.reason})", filename=str(p), line=line
+        ) from None
+    return load_spec(text, filename=str(p))

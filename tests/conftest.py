@@ -111,3 +111,22 @@ def gradcheck():
             )
 
     return check
+
+
+@pytest.fixture
+def explain_divergence():
+    """``explain(text_a, text_b, label_a=, label_b=)``: the rendered
+    first-divergence report for two JSONL traces, or ``None`` when they
+    are equal — a byte-identity assertion's failure message, in place of
+    a bare ``a != b``."""
+    from repro.obs.analyze import first_divergence, render_divergence
+
+    def explain(text_a, text_b, *, label_a="a", label_b="b"):
+        if text_a == text_b:
+            return None
+        div = first_divergence(text_a.splitlines(), text_b.splitlines())
+        if div is None:
+            return None
+        return render_divergence(div, label_a=label_a, label_b=label_b)
+
+    return explain

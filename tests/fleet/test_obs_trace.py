@@ -20,7 +20,7 @@ from repro.fleet.simulation import (
     prepare_fleet_assets,
     run_fleet,
 )
-from repro.obs import MetricsRegistry, Tracer, explain_divergence
+from repro.obs import MetricsRegistry, Tracer
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,9 @@ def traced_serial(assets):
 
 
 class TestLockstepTraceDeterminism:
-    def test_rerun_is_byte_identical(self, assets, traced_serial):
+    def test_rerun_is_byte_identical(
+        self, assets, traced_serial, explain_divergence
+    ):
         _, trace_a, metrics_a = traced_serial
         _, trace_b, metrics_b = _traced_lockstep(assets)
         assert trace_a == trace_b, explain_divergence(
@@ -73,7 +75,9 @@ class TestLockstepTraceDeterminism:
         )
         assert metrics_a == metrics_b
 
-    def test_worker_pool_produces_identical_bytes(self, assets, traced_serial):
+    def test_worker_pool_produces_identical_bytes(
+        self, assets, traced_serial, explain_divergence
+    ):
         serial_report, serial_trace, serial_metrics = traced_serial
         pooled_report, pooled_trace, pooled_metrics = _traced_lockstep(
             assets, workers=2
@@ -117,7 +121,7 @@ class TestDisabledObservability:
 
 
 class TestEventTraceDeterminism:
-    def test_rerun_is_byte_identical(self, assets):
+    def test_rerun_is_byte_identical(self, assets, explain_divergence):
         def run():
             tracer, metrics = Tracer(), MetricsRegistry()
             report = run_fleet_event(

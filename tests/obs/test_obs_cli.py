@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.obs.cli import main, summarize
-from repro.obs.trace import Tracer, read_jsonl
+from repro.obs.trace import Tracer, iter_jsonl
 
 
 @pytest.fixture
@@ -27,14 +27,14 @@ class TestSummarize:
         assert summarize([]) == "empty trace (0 records)\n"
 
     def test_counts_window_and_node_rows(self, trace_path):
-        text = summarize(read_jsonl(trace_path))
+        text = summarize(iter_jsonl(trace_path))
         assert "records: 4 (3 spans, 1 events)" in text
         assert "virtual window: 0.000 .. 3.500 s" in text
         assert "node.compute" in text
         assert "cloud.decision" in text
 
     def test_limit_truncates_category_table(self, trace_path):
-        text = summarize(read_jsonl(trace_path), limit=1)
+        text = summarize(iter_jsonl(trace_path), limit=1)
         assert "more categories" in text
 
 
@@ -247,7 +247,7 @@ class TestPhaseTable:
         assert any(line.startswith("p1") for line in lines)
 
     def test_phaseless_traces_keep_the_old_layout(self, trace_path):
-        text = summarize(read_jsonl(trace_path))
+        text = summarize(iter_jsonl(trace_path))
         assert not any(
             line.startswith("phase") for line in text.splitlines()
         )

@@ -7,7 +7,6 @@ import pytest
 from repro.obs.profile import (
     disable_profiling,
     enable_profiling,
-    profile_section,
     profile_stats,
     profiled,
     profiling_enabled,
@@ -57,26 +56,12 @@ class TestProfiledDecorator:
         assert square.__name__ == "square"
 
 
-class TestProfileSection:
-    def test_disabled_is_transparent(self):
-        with profile_section("test.block"):
-            pass
-        assert profile_stats() == {}
-
-    def test_enabled_times_the_block(self):
-        enable_profiling()
-        with profile_section("test.block"):
-            sum(range(100))
-        assert profile_stats()["test.block"]["calls"] == 1
-
-
 class TestDeterministicOrdering:
     def test_stats_sorted_by_section_name(self):
         """profile_stats() order is sorted, not insertion order."""
         enable_profiling()
         for name in ("zeta.section", "alpha.section", "mid.section"):
-            with profile_section(name):
-                pass
+            profiled(name)(int)()
         assert list(profile_stats()) == [
             "alpha.section",
             "mid.section",
@@ -85,16 +70,12 @@ class TestDeterministicOrdering:
 
     def test_order_is_insertion_independent(self):
         enable_profiling()
-        with profile_section("b.section"):
-            pass
-        with profile_section("a.section"):
-            pass
+        profiled("b.section")(int)()
+        profiled("a.section")(int)()
         first = list(profile_stats())
         reset_profiling()
-        with profile_section("a.section"):
-            pass
-        with profile_section("b.section"):
-            pass
+        profiled("a.section")(int)()
+        profiled("b.section")(int)()
         assert list(profile_stats()) == first == ["a.section", "b.section"]
 
 

@@ -6,26 +6,20 @@ import json
 
 import pytest
 
-from repro.obs.trace import (
-    Tracer,
-    chrome_trace,
-    make_event,
-    make_span,
-    read_jsonl,
-)
+from repro.obs.trace import Tracer, iter_jsonl
 
 
 class TestRecords:
     def test_span_rejects_negative_duration(self):
         with pytest.raises(ValueError):
-            make_span("c", "n", 2.0, 1.0)
+            Tracer().span("c", "n", 2.0, 1.0)
 
     def test_attrs_are_sorted_and_frozen(self):
-        r = make_span("c", "n", 0.0, 1.0, zeta=1, alpha=2)
+        r = Tracer().span("c", "n", 0.0, 1.0, zeta=1, alpha=2)
         assert r.attrs == (("alpha", 2), ("zeta", 1))
 
     def test_json_is_compact_and_key_sorted(self):
-        r = make_event("cloud", "decision", 1.5, stage=3)
+        r = Tracer().event("cloud", "decision", 1.5, stage=3)
         line = r.to_json()
         assert line == json.dumps(
             json.loads(line), sort_keys=True, separators=(",", ":")
@@ -53,14 +47,16 @@ class TestTracer:
         tracer = Tracer(enabled=False)
         assert tracer.span("c", "n", 0.0, 1.0) is None
         assert tracer.event("c", "n", 0.0) is None
-        tracer.extend([make_event("c", "n", 0.0)])
+        tracer.extend([Tracer().event("c", "n", 0.0)])
         assert tracer.records == []
         assert tracer.to_jsonl() == ""
 
     def test_extend_merges_worker_records_in_order(self):
+        worker = Tracer()
+        worker.event("c", "a", 0.0)
+        worker.event("c", "b", 1.0)
         tracer = Tracer()
-        batch = [make_event("c", "a", 0.0), make_event("c", "b", 1.0)]
-        tracer.extend(batch)
+        tracer.extend(worker.records)
         assert [r.name for r in tracer.records] == ["a", "b"]
 
     def test_jsonl_round_trips_through_read(self, tmp_path):
@@ -69,21 +65,23 @@ class TestTracer:
         tracer.event("cloud", "decision", 1.5, updated=True)
         path = tmp_path / "trace.jsonl"
         tracer.write_jsonl(path)
-        assert read_jsonl(path) == tracer.records
+        assert list(iter_jsonl(path)) == tracer.records
 
     def test_read_rejects_unknown_schema_version(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"v":2,"kind":"event"}\n')
         with pytest.raises(ValueError):
-            read_jsonl(path)
+            list(iter_jsonl(path))
 
 
 class TestChromeExport:
-    def test_spans_and_events_map_to_trace_event_phases(self):
+    def test_spans_and_events_map_to_trace_event_phases(self, tmp_path):
         tracer = Tracer()
         tracer.span("node", "compute", 1.0, 3.0, node=7)
         tracer.event("cloud", "decision", 3.0)
-        obj = chrome_trace(tracer.records)
+        path = tmp_path / "trace.json"
+        tracer.write_chrome(path)
+        obj = json.loads(path.read_text())
         span, event = obj["traceEvents"]
         assert span["ph"] == "X"
         assert span["ts"] == pytest.approx(1e6)

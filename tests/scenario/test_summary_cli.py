@@ -130,10 +130,16 @@ class TestCli:
     def test_list_flags_invalid_files(self, tmp_path, capsys):
         (tmp_path / "ok.yaml").write_text(SMALL_YAML)
         (tmp_path / "bad.yaml").write_text("nonsense\n")
+        binary = tmp_path / "binary.yaml"
+        binary.write_bytes(b"scenario:\n  name: \xc0\xff\n")
         assert scenario_main(["list", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "summary-small" in out
-        assert "INVALID" in out
+        bad, undecodable, ok = capsys.readouterr().out.splitlines()
+        assert bad.startswith("bad.yaml") and "INVALID: " in bad
+        assert undecodable == (
+            f"{'binary.yaml':<28} INVALID: {binary}:2: "
+            "not UTF-8 text (invalid start byte)"
+        )
+        assert "summary-small" in ok
 
     def test_run_writes_summary_and_trace(self, tmp_path, capsys):
         path = tmp_path / "run.yaml"
@@ -164,6 +170,18 @@ class TestCli:
         assert scenario_main([command, str(missing)]) == 1
         out = capsys.readouterr().out
         assert out == f"error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_undecodable_file_is_an_error_line(
+        self, command, tmp_path, capsys
+    ):
+        path = tmp_path / "binary.yaml"
+        path.write_bytes(b"\xc0\xff")
+        assert scenario_main([command, str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out == (
+            f"error: {path}:1: not UTF-8 text (invalid start byte)\n"
+        )
 
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     def test_run_refuses_a_missing_output_directory_up_front(
