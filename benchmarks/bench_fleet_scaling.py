@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import system_by_id
+from repro.core import SYSTEMS, system_by_id
 from repro.fleet import (
     FleetScenario,
     fleet_base_scenario,
     prepare_fleet_assets,
     run_fleet,
-    run_fleet_all_systems,
     run_fleet_event,
 )
 
@@ -46,8 +45,14 @@ def _scenario(num_nodes: int, **overrides) -> FleetScenario:
     return FleetScenario(**kwargs)
 
 
+def _all_systems(scenario: FleetScenario) -> dict:
+    """Every Fig. 24 variant's barrier run over one set of fleet assets."""
+    assets = prepare_fleet_assets(scenario)
+    return {config.system_id: run_fleet(config, assets) for config in SYSTEMS}
+
+
 def sweep():
-    return {n: run_fleet_all_systems(_scenario(n)) for n in FLEET_SIZES}
+    return {n: _all_systems(_scenario(n)) for n in FLEET_SIZES}
 
 
 def final_upload_s(report) -> float:

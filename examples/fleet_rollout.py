@@ -155,7 +155,7 @@ def main(argv: list[str] | None = None) -> None:
             print(
                 f"  gateway {g.gateway_id}: nodes "
                 f"{','.join(str(c) for c in g.child_ids)} over "
-                f"{g.local_link_kind}, WAN {g.uplink_kind}"
+                f"{g.local_link.name.lower()}, WAN {g.wan_link.name.lower()}"
             )
         print(f"canary region: gateway {topology.canary_gateway.gateway_id}")
     canary_ids = (
@@ -221,7 +221,7 @@ def main(argv: list[str] | None = None) -> None:
 
     base = scenario.base
     rng = np.random.default_rng(99)
-    generator = ImageGenerator(base.image_size, base.num_classes, rng=rng)
+    generator = ImageGenerator(num_classes=base.num_classes, rng=rng)
     poison = make_dataset(48, generator=generator, rng=rng)
     poison.labels = (poison.labels + 1) % base.num_classes  # all labels wrong
     holdout = make_dataset(64, generator=generator, rng=rng)
@@ -231,9 +231,6 @@ def main(argv: list[str] | None = None) -> None:
         base.num_classes,
         assets.permset,
         cost_spec=alexnet_spec(),
-        shared_depth=base.shared_depth,
-        width=base.width,
-        hidden=base.hidden,
         rng=np.random.default_rng(base.seed + 1),
     )
     cloud.context_net.load_state_dict(assets.trunk_state)

@@ -35,25 +35,12 @@ class NetworkLink:
     bandwidth_bps: float
     latency_s: float
     energy_per_byte_j: float
-    #: downlink rate when the radio is asymmetric; None means symmetric.
-    #: Consumer radios (LTE especially) usually download much faster than
-    #: they upload, so model pushes may ride a faster lane than uploads.
-    down_bandwidth_bps: float | None = None
 
     def __post_init__(self) -> None:
         if self.bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.down_bandwidth_bps is not None and self.down_bandwidth_bps <= 0:
-            raise ValueError("downlink bandwidth must be positive")
         if self.latency_s < 0 or self.energy_per_byte_j < 0:
             raise ValueError("latency and energy must be >= 0")
-
-    @property
-    def downlink_bps(self) -> float:
-        """Cloud->node rate: the asymmetric rate if set, else symmetric."""
-        if self.down_bandwidth_bps is not None:
-            return self.down_bandwidth_bps
-        return self.bandwidth_bps
 
     def transfer_time_s(self, num_bytes: int) -> float:
         """Seconds to push ``num_bytes`` upstream (one logical transfer)."""
@@ -68,29 +55,24 @@ class NetworkLink:
             raise ValueError("num_bytes must be >= 0")
         return num_bytes * self.energy_per_byte_j
 
-    def image_upload_time_s(
-        self, images: int, image_bytes: int = JPEG_IMAGE_BYTES
-    ) -> float:
-        return self.transfer_time_s(images * image_bytes)
+    def image_upload_time_s(self, images: int) -> float:
+        return self.transfer_time_s(images * JPEG_IMAGE_BYTES)
 
-    def image_upload_energy_j(
-        self, images: int, image_bytes: int = JPEG_IMAGE_BYTES
-    ) -> float:
-        return self.transfer_energy_j(images * image_bytes)
+    def image_upload_energy_j(self, images: int) -> float:
+        return self.transfer_energy_j(images * JPEG_IMAGE_BYTES)
 
     def model_push_time_s(self, model_bytes: int) -> float:
         """Seconds to push an updated model *down* to the node.
 
         Fig. 25-style comparisons that only count uploads silently ignore
-        deployment traffic; every model push-down travels the same radio.
-        Downlink rate is ``downlink_bps`` — the uplink bandwidth unless an
-        asymmetric ``down_bandwidth_bps`` is configured.
+        deployment traffic; every model push-down travels the same radio,
+        at the same rate as the uplink.
         """
         if model_bytes < 0:
             raise ValueError("num_bytes must be >= 0")
         if model_bytes == 0:
             return 0.0
-        return self.latency_s + model_bytes * 8.0 / self.downlink_bps
+        return self.latency_s + model_bytes * 8.0 / self.bandwidth_bps
 
     def model_push_energy_j(self, model_bytes: int) -> float:
         """Node-side radio energy to receive a pushed-down model."""

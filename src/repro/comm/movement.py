@@ -128,30 +128,27 @@ class DataMovementLedger:
     )
 
     def record(
-        self,
-        stage_index: int,
-        acquired: int,
-        uploaded: int,
-        *,
-        downloaded_bytes: int = 0,
+        self, stage_index: int, acquired: int, uploaded: int
     ) -> StageMovement:
+        """Account one stage's acquired and uploaded images.
+
+        Model pushes are :meth:`record_download`'s.
+        """
         if uploaded > acquired:
             raise ValueError(
                 f"stage {stage_index}: uploaded {uploaded} exceeds acquired {acquired}"
             )
-        if acquired < 0 or uploaded < 0 or downloaded_bytes < 0:
+        if acquired < 0 or uploaded < 0:
             raise ValueError("counts must be >= 0")
         movement = StageMovement(
             stage_index=stage_index,
             acquired_images=acquired,
             uploaded_images=uploaded,
             image_bytes=self.image_bytes,
-            downloaded_bytes=downloaded_bytes,
         )
         self.stages.append(movement)
         self._acquired_images += acquired
         self._uploaded_images += uploaded
-        self._downloaded_bytes += downloaded_bytes
         return movement
 
     def record_download(self, stage_index: int, num_bytes: int) -> StageMovement:

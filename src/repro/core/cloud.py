@@ -36,7 +36,14 @@ from repro.transfer.distill import distill_classifier
 from repro.transfer.finetune import TrainResult, train_classifier
 from repro.transfer.surgery import FreezePlan, transfer_conv_weights
 
-__all__ = ["CloudUpdateReport", "InSituCloud"]
+__all__ = ["CloudUpdateReport", "InSituCloud", "BATCH_SIZE", "SHARED_DEPTH"]
+
+#: minibatch of every Cloud-side training run
+BATCH_SIZE = 32
+
+#: conv layers weight-shared between the context and inference networks
+#: (the paper settles on 3)
+SHARED_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -62,11 +69,10 @@ class InSituCloud:
         Permutation set shared with the node's diagnosis task.
     cost_spec:
         Full-size network spec used to model update cost.
-    shared_depth:
-        How many conv layers are weight-shared between the unsupervised and
-        inference networks (the paper settles on 3).
 
-    Update cost is modeled on the Cloud's Titan X.
+    The first :data:`SHARED_DEPTH` conv layers are weight-shared between
+    the unsupervised and inference networks.  Update cost is modeled on
+    the Cloud's Titan X.
     """
 
     def __init__(
@@ -75,9 +81,6 @@ class InSituCloud:
         permset: PermutationSet,
         *,
         cost_spec: NetworkSpec,
-        shared_depth: int = 3,
-        width: float = 1.0,
-        hidden: int = 128,
         rng: np.random.Generator | None = None,
     ) -> None:
         if num_classes < 2:
@@ -86,9 +89,6 @@ class InSituCloud:
         self.num_classes = num_classes
         self.permset = permset
         self.cost_spec = cost_spec
-        self.shared_depth = shared_depth
-        self.width = width
-        self.hidden = hidden
         # Class-incremental knobs (scenario engine): a distill_weight > 0
         # plus a non-empty exemplar buffer switches incremental updates to
         # exemplar-replay distillation against the pre-update teacher.
@@ -97,11 +97,9 @@ class InSituCloud:
         self.exemplar_buffer = None
         self._teacher: Sequential | None = None
         self.context_net: ContextNetwork = build_context_network(
-            permset, width=width, rng=self.rng
+            permset, rng=self.rng
         )
-        self.inference_net: Sequential = build_classifier(
-            num_classes, self.rng, width=width, hidden=hidden
-        )
+        self.inference_net: Sequential = build_classifier(num_classes, self.rng)
         self.cost_model = TrainingCostModel(TITAN_X)
         self.archive: Dataset | None = None
 
@@ -148,8 +146,6 @@ class InSituCloud:
         raw: Dataset,
         *,
         epochs: int = 4,
-        batch_size: int = 32,
-        lr: float = 0.01,
     ) -> float:
         """Pre-train the context network on unlabeled data.
 
@@ -162,8 +158,8 @@ class InSituCloud:
             raw.images,
             sampler,
             epochs=epochs,
-            batch_size=batch_size,
-            lr=lr,
+            batch_size=BATCH_SIZE,
+            lr=0.01,
             rng=self.rng,
         )
         return result.final_accuracy
@@ -173,27 +169,23 @@ class InSituCloud:
         labeled: Dataset,
         *,
         epochs: int = 8,
-        batch_size: int = 32,
-        lr: float = 0.01,
-        eval_data: Dataset | None = None,
     ) -> TrainResult:
         """Transfer-learn the initial inference model on limited labels.
 
-        The first ``shared_depth`` conv layers come from the pre-trained
+        The first :data:`SHARED_DEPTH` conv layers come from the pre-trained
         context network.  The labeled data is retained in the Cloud archive —
         it seeds the replay pool later incremental updates draw from.
         """
         transfer_conv_weights(
-            self.context_net.trunk, self.inference_net, self.shared_depth
+            self.context_net.trunk, self.inference_net, SHARED_DEPTH
         )
         result = train_classifier(
             self.inference_net,
             labeled,
             epochs=epochs,
-            batch_size=batch_size,
-            lr=lr,
+            batch_size=BATCH_SIZE,
+            lr=0.01,
             rng=self.rng,
-            eval_data=eval_data,
         )
         self.archive = (
             labeled
@@ -208,9 +200,7 @@ class InSituCloud:
         *,
         weight_shared: bool,
         epochs: int = 3,
-        batch_size: int = 32,
         lr: float = 0.01,
-        eval_data: Dataset | None = None,
     ) -> CloudUpdateReport:
         """Fine-tune the inference model on newly uploaded data.
 
@@ -225,7 +215,7 @@ class InSituCloud:
         """
         if len(uploaded) == 0:
             raise ValueError("incremental update needs uploaded data")
-        freeze_depth = self.shared_depth if weight_shared else 0
+        freeze_depth = SHARED_DEPTH if weight_shared else 0
         plan = FreezePlan(freeze_depth)
         train_set = uploaded
         count = (
@@ -262,10 +252,9 @@ class InSituCloud:
                 distill_weight=self.distill_weight,
                 temperature=self.distill_temperature,
                 epochs=epochs,
-                batch_size=batch_size,
+                batch_size=BATCH_SIZE,
                 lr=lr,
                 rng=self.rng,
-                eval_data=eval_data,
                 freeze_plan=plan,
             )
         else:
@@ -273,10 +262,9 @@ class InSituCloud:
                 self.inference_net,
                 train_set,
                 epochs=epochs,
-                batch_size=batch_size,
+                batch_size=BATCH_SIZE,
                 lr=lr,
                 rng=self.rng,
-                eval_data=eval_data,
                 freeze_plan=plan,
             )
         if self.exemplar_buffer is not None:
@@ -306,9 +294,6 @@ class InSituCloud:
         """
         if self._teacher is None:
             self._teacher = build_classifier(
-                self.num_classes,
-                np.random.default_rng(0),
-                width=self.width,
-                hidden=self.hidden,
+                self.num_classes, np.random.default_rng(0)
             )
         return self._teacher

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.gpu import network_time
+from repro.hw.gpu import NUM_PATCHES, network_time
 from repro.hw.specs import GPUSpec
 from repro.models.layer_specs import NetworkSpec
 
@@ -38,14 +38,12 @@ class GPUSingleRunningCost:
         *,
         inference_batch: int = 4,
         diagnosis_batch: int = 32,
-        num_patches: int = 9,
     ) -> None:
         self.inference_spec = inference_spec
         self.diagnosis_spec = diagnosis_spec
         self.gpu = gpu
         self.inference_batch = inference_batch
         self.diagnosis_batch = diagnosis_batch
-        self.num_patches = num_patches
 
     def inference_cost(self, images: int) -> TaskCost:
         if images < 0:
@@ -62,7 +60,7 @@ class GPUSingleRunningCost:
             return TaskCost(0.0, 0.0)
         timing = network_time(self.diagnosis_spec, self.gpu, self.diagnosis_batch)
         per_image = (
-            timing.conv_s * self.num_patches + timing.fc_s
+            timing.conv_s * NUM_PATCHES + timing.fc_s
         ) / self.diagnosis_batch
         busy = per_image * images
         return TaskCost(busy, busy * self.gpu.power(timing.mean_utilization))

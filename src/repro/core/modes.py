@@ -61,17 +61,17 @@ class SingleRunningPlanner:
         network: NetworkSpec,
         *,
         latency_requirement_s: float,
-        max_batch: int = 256,
     ) -> int:
         """Largest batch whose modeled latency meets the requirement.
 
         Energy efficiency improves monotonically with batch size in the
-        model (Fig. 11), so the optimum is the largest feasible batch.
+        model (Fig. 11), so the optimum is the largest feasible batch, up
+        to 256.
         """
         if latency_requirement_s <= 0:
             raise ValueError("latency requirement must be positive")
         best = 0
-        for batch in range(1, max_batch + 1):
+        for batch in range(1, 257):
             if network_time(network, self.gpu, batch).total_s > latency_requirement_s:
                 break
             best = batch
@@ -82,9 +82,9 @@ class SingleRunningPlanner:
             )
         return best
 
-    def diagnosis_batch(self, network: NetworkSpec, *, max_batch: int = 4096) -> int:
+    def diagnosis_batch(self, network: NetworkSpec) -> int:
         """Largest diagnosis batch that fits in device memory (Eq. 9)."""
-        return max_batch_under_memory(network, self.gpu, limit=max_batch)
+        return max_batch_under_memory(network, self.gpu)
 
     def plan(
         self,
@@ -119,7 +119,6 @@ class CoRunningPlanner:
         diagnosis: NetworkSpec,
         *,
         latency_requirement_s: float,
-        shared_depth: int = 3,
     ) -> PipelineTiming:
         """Best pipeline design under the user latency requirement (Eq. 14)."""
         timing = best_design(
@@ -128,7 +127,6 @@ class CoRunningPlanner:
             diagnosis,
             self.fpga,
             latency_requirement_s=latency_requirement_s,
-            shared_depth=shared_depth,
         )
         if timing is None:
             raise ValueError(

@@ -38,7 +38,6 @@ class NodeReport:
     diagnosis_time_s: float
     node_energy_j: float
     upload_data: Dataset
-    image_bytes: int = JPEG_IMAGE_BYTES
 
     @property
     def flagged_fraction(self) -> float:
@@ -49,7 +48,7 @@ class NodeReport:
     @property
     def upload_bytes(self) -> int:
         """Bytes the upload set puts on the uplink."""
-        return len(self.upload_data) * self.image_bytes
+        return len(self.upload_data) * JPEG_IMAGE_BYTES
 
 
 class InSituNode:
@@ -80,19 +79,15 @@ class InSituNode:
         gpu: GPUSpec,
         inference_batch: int = 4,
         diagnosis_batch: int = 32,
-        num_patches: int = 9,
-        image_bytes: int = JPEG_IMAGE_BYTES,
     ) -> None:
         self.inference_net = inference_net
         self.diagnoser = diagnoser
-        self.image_bytes = image_bytes
         self.costing = GPUSingleRunningCost(
             inference_spec,
             diagnosis_spec,
             gpu,
             inference_batch=inference_batch,
             diagnosis_batch=diagnosis_batch,
-            num_patches=num_patches,
         )
 
     def deploy(self, state: dict[str, np.ndarray]) -> None:
@@ -132,5 +127,4 @@ class InSituNode:
             diagnosis_time_s=diagnosis.seconds,
             node_energy_j=inference.joules + diagnosis.joules,
             upload_data=upload,
-            image_bytes=self.image_bytes,
         )

@@ -40,7 +40,11 @@ __all__ = [
     "scenario_data",
     "build_cloud",
     "make_diagnoser",
+    "NUM_PERMS",
 ]
+
+#: jigsaw permutation classes every scenario's context network solves
+NUM_PERMS = 12
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,6 @@ class Scenario:
     """Everything needed to reproduce one end-to-end experiment."""
 
     num_classes: int = 6
-    image_size: int = 48
-    width: float = 1.0
-    hidden: int = 128
     stream_scale: float = 0.4
     schedule_k: tuple[int, ...] = PAPER_SCHEDULE_K
     severities: tuple[float, ...] | None = None
@@ -58,13 +59,8 @@ class Scenario:
     pretrain_epochs: int = 4
     init_epochs: int = 8
     update_epochs: int = 3
-    batch_size: int = 32
-    init_lr: float = 0.01
-    update_lr: float = 0.008
     eval_images: int = 200
     eval_severity: float = 0.45
-    num_perms: int = 12
-    shared_depth: int = 3
     diagnoser_kind: str = "oracle"  # "oracle" | "confidence" | "jigsaw"
     confidence_threshold: float = 0.6
     seed: int = 0
@@ -83,14 +79,13 @@ def scenario_data(scenario: Scenario) -> dict:
     The segment consumes only the RNG it builds from ``scenario.seed`` and
     nothing reads that stream afterwards, so no end state rides along.
     The key holds every field the segment reads; training knobs (epochs,
-    lrs, widths, diagnoser settings) are deliberately absent, so
+    diagnoser settings) are deliberately absent, so
     scenarios differing only in those share one entry.  The framework
     default dtype is in it because datasets cast to it on construction.
     """
     key = (
         "core-assets",
         scenario.seed,
-        scenario.image_size,
         scenario.num_classes,
         scenario.stream_scale,
         scenario.schedule_k,
@@ -98,15 +93,12 @@ def scenario_data(scenario: Scenario) -> dict:
         scenario.pretrain_images,
         scenario.eval_images,
         scenario.eval_severity,
-        scenario.num_perms,
         np.dtype(default_dtype()).str,
     )
 
     def build() -> dict:
         rng = np.random.default_rng(scenario.seed)
-        generator = ImageGenerator(
-            scenario.image_size, scenario.num_classes, rng=rng
-        )
+        generator = ImageGenerator(num_classes=scenario.num_classes, rng=rng)
         stream = IoTStream(
             generator,
             scale=scenario.stream_scale,
@@ -124,7 +116,7 @@ def scenario_data(scenario: Scenario) -> dict:
             drift=DriftModel(scenario.eval_severity, rng=rng),
             rng=rng,
         )
-        permset = PermutationSet.generate(scenario.num_perms, rng=rng)
+        permset = PermutationSet.generate(NUM_PERMS, rng=rng)
         return {
             "stages": stages,
             "pretrain_data": pretrain_data,
@@ -143,9 +135,6 @@ def build_cloud(
         base.num_classes,
         permset,
         cost_spec=cost_spec,
-        shared_depth=base.shared_depth,
-        width=base.width,
-        hidden=base.hidden,
         rng=np.random.default_rng(base.seed + 1),
     )
 

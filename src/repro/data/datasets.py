@@ -83,24 +83,20 @@ class Dataset:
         return Dataset(self.images, self.labels, labeled=False, meta=dict(self.meta))
 
     def batches(
-        self,
-        batch_size: int,
-        *,
-        rng: np.random.Generator | None = None,
+        self, batch_size: int
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Iterate (images, labels) minibatches; shuffles when rng given.
+        """Iterate (images, labels) minibatches in dataset order.
 
-        Unshuffled batches are views of the dataset's arrays (an
-        evaluation sweep reads them in place); shuffled ones are copies.
+        The batches are views of the dataset's arrays (an evaluation sweep
+        reads them in place).
         """
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        order = rng.permutation(len(self)) if rng is not None else None
         for start in range(0, len(self), batch_size):
-            idx = slice(start, start + batch_size)
-            if order is not None:
-                idx = order[idx]
-            yield self.images[idx], self.labels[idx]
+            yield (
+                self.images[start : start + batch_size],
+                self.labels[start : start + batch_size],
+            )
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.num_classes)

@@ -23,7 +23,6 @@ from repro.fleet.simulation import (
     prepare_assets,
     prepare_fleet_assets,
     run_fleet,
-    run_fleet_all_systems,
 )
 from repro.fleet.uplink import SharedUplink, Transfer, model_state_bytes
 
@@ -51,5 +50,4 @@ __all__ = [
     "run_all_systems",
     "run_fleet",
     "run_fleet_event",
-    "run_fleet_all_systems",
 ]

@@ -62,7 +62,7 @@ from repro.fleet.simulation import (
     node_stage,
     prepare_assets,
 )
-from repro.fleet.uplink import SharedUplink
+from repro.fleet.uplink import BACKHAUL_BPS, SharedUplink
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -407,7 +407,7 @@ class _EventFleet:
         self.metrics = runtime.metrics
 
         self.sim = Simulator()
-        backhaul = SharedUplink(self.scenario.backhaul_bps)
+        backhaul = SharedUplink(BACKHAUL_BPS)
         self.uplink = backhaul.open(self.sim, metrics=self.metrics)
         self.downlink = backhaul.open(
             self.sim, downlink=True, metrics=self.metrics
@@ -834,7 +834,7 @@ class _EventFleet:
         start = self.sim.now
         yield self.downlink.transfer(
             num_bytes,
-            profile.link.downlink_bps,
+            profile.link.bandwidth_bps,
             latency_s=profile.link.latency_s,
             tag=profile.node_id,
         )

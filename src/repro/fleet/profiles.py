@@ -81,8 +81,7 @@ class FleetScenario:
 
     The base scenario fixes everything node-independent (schedule, model
     sizes, training hyper-parameters); the fleet knobs control how much the
-    N nodes differ from each other and how the shared uplink and the update
-    scheduler behave.
+    N nodes differ from each other and how the update scheduler behaves.
     """
 
     base: Scenario = field(default_factory=Scenario)
@@ -90,10 +89,8 @@ class FleetScenario:
     lte_fraction: float = 0.5  # fraction of nodes on LTE instead of WiFi
     low_power_fraction: float = 0.25  # fraction on the throttled TX1
     severity_jitter: float = 0.1  # per-node drift-severity spread
-    backhaul_bps: float = 40e6  # aggregate uplink capacity all nodes share
     scheduler_policy: str = "per-stage"  # see fleet.scheduler
     upload_threshold: int = 64  # images pooled before a threshold update
-    accuracy_drop: float = 0.05  # drop vs. best seen that forces an update
     canary_fraction: float = 0.25  # fraction of nodes updated first
     max_regression: float = 0.02  # guard tolerance for canary promotion
     seed: int = 0
@@ -107,8 +104,6 @@ class FleetScenario:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.severity_jitter < 0:
             raise ValueError("severity_jitter must be >= 0")
-        if self.backhaul_bps <= 0:
-            raise ValueError("backhaul capacity must be positive")
         if self.seed < 0:
             # numpy's SeedSequence would refuse it later, deep in a run
             raise ValueError(f"seed must be an integer >= 0, got {self.seed}")

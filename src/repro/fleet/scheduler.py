@@ -8,7 +8,7 @@ sharing one Cloud the scheduler becomes a real policy surface:
 * **threshold** — retrain once the pooled upload count crosses
   ``upload_threshold`` images; small dribbles from individual nodes wait.
 * **accuracy-drop** — retrain only when the fleet's mean accuracy on fresh
-  data has fallen ``accuracy_drop`` below the best it has seen.
+  data has fallen :data:`ACCURACY_DROP` below the best it has seen.
 
 Every triggered update goes through a **canary rollout** instead of a blind
 fleet-wide push: the candidate model is deployed to a canary subset first,
@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 _POLICIES = ("per-stage", "threshold", "accuracy-drop")
+
+#: drop below the best fleet accuracy seen that fires an accuracy-drop update
+ACCURACY_DROP = 0.05
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,6 @@ class FleetScheduler:
     policy: str = "per-stage"
     canary_ids: tuple[int, ...] = ()
     upload_threshold: int = 64
-    accuracy_drop: float = 0.05
     pool: list[PendingUpload] = field(default_factory=list)
     history: list[RolloutResult] = field(default_factory=list)
     _best_accuracy: float = float("-inf")
@@ -105,8 +107,6 @@ class FleetScheduler:
             )
         if self.upload_threshold < 1:
             raise ValueError("upload_threshold must be >= 1")
-        if self.accuracy_drop < 0:
-            raise ValueError("accuracy_drop must be >= 0")
 
     # ------------------------------------------------------------------
     # Pooling and trigger logic
@@ -133,7 +133,7 @@ class FleetScheduler:
         if self.policy == "threshold":
             return self.pooled_images >= self.upload_threshold
         self._best_accuracy = max(self._best_accuracy, fleet_accuracy)
-        return fleet_accuracy <= self._best_accuracy - self.accuracy_drop
+        return fleet_accuracy <= self._best_accuracy - ACCURACY_DROP
 
     def drain(self) -> tuple[Dataset, int]:
         """Pop the pooled uploads as one training set."""
@@ -165,7 +165,6 @@ class FleetScheduler:
         *,
         weight_shared: bool,
         epochs: int = 3,
-        batch_size: int = 32,
         lr: float = 0.01,
         pooled_images: int | None = None,
     ) -> RolloutResult:
@@ -181,7 +180,6 @@ class FleetScheduler:
             train_data,
             weight_shared=weight_shared,
             epochs=epochs,
-            batch_size=batch_size,
             lr=lr,
         )
         canaries = self.canaries_among(all_node_ids)

@@ -39,12 +39,13 @@ from repro.core.cloud import InSituCloud
 from repro.core.node import InSituNode, NodeReport
 from repro.core.registry import ModelRegistry, UpdateGuard
 from repro.core.simulation import (
+    NUM_PERMS,
     Scenario,
     build_cloud,
     make_diagnoser,
     scenario_data,
 )
-from repro.core.systems import SYSTEMS, SystemConfig
+from repro.core.systems import SystemConfig
 from repro.data.cache import dataset_cache
 from repro.data.datasets import Dataset, make_dataset
 from repro.data.drift import DriftModel
@@ -77,8 +78,10 @@ __all__ = [
     "prepare_fleet_assets",
     "reseed_diagnoser",
     "run_fleet",
-    "run_fleet_all_systems",
 ]
+
+#: learning rate of every Cloud retrain a fleet's scheduler fires
+UPDATE_LR = 0.008
 
 
 def fleet_base_scenario(**overrides) -> Scenario:
@@ -134,7 +137,6 @@ def _node_stream(
         "fleet-node-stream",
         profile.seed,
         profile.severities,
-        base.image_size,
         base.num_classes,
         base.stream_scale,
         base.schedule_k,
@@ -144,7 +146,7 @@ def _node_stream(
 
     def build() -> list[AcquisitionStage]:
         rng = np.random.default_rng(profile.seed)
-        generator = ImageGenerator(base.image_size, base.num_classes, rng=rng)
+        generator = ImageGenerator(num_classes=base.num_classes, rng=rng)
         stream = IoTStream(
             generator,
             scale=base.stream_scale,
@@ -178,15 +180,11 @@ def _warm_start(
     rows for the warm-started weights are what the first sweeps hit.
     """
     seed_cloud = build_cloud(base, permset, alexnet_spec())
-    seed_cloud.unsupervised_pretrain(
-        pretrain_data, epochs=base.pretrain_epochs, batch_size=base.batch_size
-    )
+    seed_cloud.unsupervised_pretrain(pretrain_data, epochs=base.pretrain_epochs)
     trunk_state = seed_cloud.context_net.state_dict()
     seed_cloud.initialize_inference(
         Dataset.concat([stages[0].new_data for stages in node_stages]),
         epochs=base.init_epochs,
-        batch_size=base.batch_size,
-        lr=base.init_lr,
     )
     initial_state = seed_cloud.model_state()
     workspace.reset()
@@ -258,11 +256,9 @@ def prepare_fleet_assets(
     eval_key = (
         "fleet-eval",
         scenario.seed,
-        base.image_size,
         base.num_classes,
         base.eval_images,
         base.eval_severity,
-        base.num_perms,
         np.dtype(default_dtype()).str,
     )
 
@@ -271,16 +267,14 @@ def prepare_fleet_assets(
         # cached as a bundle; nothing downstream reads that stream after
         # the permutation set, so no end state needs to ride along.
         rng = np.random.default_rng(scenario.seed + 11)
-        eval_generator = ImageGenerator(
-            base.image_size, base.num_classes, rng=rng
-        )
+        eval_generator = ImageGenerator(num_classes=base.num_classes, rng=rng)
         eval_data = make_dataset(
             base.eval_images,
             generator=eval_generator,
             drift=DriftModel(base.eval_severity, rng=rng),
             rng=rng,
         )
-        permset = PermutationSet.generate(base.num_perms, rng=rng)
+        permset = PermutationSet.generate(NUM_PERMS, rng=rng)
         return {"eval_data": eval_data, "permset": permset}
 
     eval_bundle = dataset_cache.get_or_build(eval_key, build_eval)
@@ -394,17 +388,13 @@ def build_fleet_runtime(
             canary_ids if canary_ids is not None else assets.canary_ids
         ),
         upload_threshold=scenario.upload_threshold,
-        accuracy_drop=scenario.accuracy_drop,
     )
 
     # One deployed network shared by every node: loading a node's current
     # version right before it runs keeps memory flat at fleet scale while
     # still letting the event mode hold different versions per node.
     deployed_net = build_classifier(
-        base.num_classes,
-        np.random.default_rng(base.seed + 5),
-        width=base.width,
-        hidden=base.hidden,
+        base.num_classes, np.random.default_rng(base.seed + 5)
     )
     node_diagnoser = (
         make_diagnoser(base.diagnoser_kind, deployed_net, cloud, base)
@@ -526,8 +516,7 @@ def cloud_try_update(
             all_node_ids,
             weight_shared=runtime.config.weight_shared,
             epochs=base.update_epochs,
-            batch_size=base.batch_size,
-            lr=base.update_lr,
+            lr=UPDATE_LR,
             pooled_images=pooled_count,
         )
         outcome.updated = True
@@ -671,31 +660,3 @@ def run_fleet(
         if pool is not None:
             pool.shutdown()
 
-
-def run_fleet_all_systems(
-    scenario: FleetScenario,
-    *,
-    workers: int = 1,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> dict[str, FleetEventReport]:
-    """Run every Fig. 24 variant over the same fleet, data, and weights.
-
-    A shared ``tracer``/``metrics`` collects all four variants into one
-    stream; every record carries a ``system`` attribute or label, so the
-    variants stay separable downstream.
-
-    ``workers > 1`` forks each variant its own workers (~10 ms per
-    variant against runs of seconds); see :func:`run_fleet`.
-    """
-    assets = prepare_fleet_assets(scenario)
-    return {
-        config.system_id: run_fleet(
-            config,
-            assets,
-            workers=workers,
-            tracer=tracer,
-            metrics=metrics,
-        )
-        for config in SYSTEMS
-    }

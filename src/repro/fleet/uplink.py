@@ -31,6 +31,7 @@ from repro.comm.link import NetworkLink
 from repro.events import FlowLink, Simulator
 
 __all__ = [
+    "BACKHAUL_BPS",
     "SharedUplink",
     "Transfer",
     "model_state_bytes",
@@ -53,6 +54,10 @@ class Transfer:
     def __post_init__(self) -> None:
         if self.num_bytes < 0:
             raise ValueError("num_bytes must be >= 0")
+
+
+#: aggregate backhaul capacity every node of a fleet shares
+BACKHAUL_BPS = 40e6
 
 
 class SharedUplink:
@@ -79,7 +84,7 @@ class SharedUplink:
         The asynchronous fleet opens one :class:`FlowLink` per direction
         (the backhaul is modeled symmetric, each direction at full
         capacity); per-flow caps come from each node's access link —
-        ``bandwidth_bps`` upstream, ``downlink_bps`` for model pushes.
+        ``bandwidth_bps`` in both directions.
         ``metrics`` threads an optional registry into the link so flow
         counts, queue depth, and throughput are recorded per direction.
         """

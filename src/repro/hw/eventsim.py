@@ -20,18 +20,18 @@ from repro.events import Simulator, Store
 from repro.hw.pipeline import PipelineDesign, pipeline_timing
 from repro.hw.specs import FPGASpec
 from repro.models.layer_specs import NetworkSpec
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
 
 __all__ = ["ImageTrace", "PipelineSimResult", "simulate_pipeline"]
 
 
 @dataclass(frozen=True)
 class ImageTrace:
-    """Lifecycle timestamps of one image through the pipeline."""
+    """Lifecycle timestamps of one image through the pipeline.
+
+    Every image arrives at t = 0 (a backlogged source).
+    """
 
     index: int
-    arrival_s: float
     conv_start_s: float
     conv_done_s: float
     fcn_done_s: float
@@ -39,7 +39,7 @@ class ImageTrace:
     @property
     def latency_s(self) -> float:
         """Sojourn time: arrival to FCN completion (includes queueing)."""
-        return self.fcn_done_s - self.arrival_s
+        return self.fcn_done_s
 
     @property
     def service_latency_s(self) -> float:
@@ -93,31 +93,21 @@ def simulate_pipeline(
     fpga: FPGASpec,
     *,
     num_images: int = 64,
-    arrival_interval_s: float = 0.0,
-    tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
 ) -> PipelineSimResult:
     """Run ``num_images`` through the two-stage pipeline.
 
-    ``arrival_interval_s = 0`` models a backlogged source (the conv stage
-    is never starved), which is the regime Eq. (13) describes.  Per-image
+    All images arrive at t = 0: a backlogged source (the conv stage is
+    never starved), which is the regime Eq. (13) describes.  Per-image
     conv time and per-batch FCN time come from the same layer models the
     analytical pipeline uses, so any disagreement is purely about stage
     overlap, not about layer costs.
-
-    ``tracer`` records per-image conv spans and per-batch FCN spans at
-    kernel virtual time; ``metrics`` accumulates image counts and the
-    per-image latency distribution.  Both default to off.
     """
     if num_images < 1:
         raise ValueError("num_images must be >= 1")
-    if arrival_interval_s < 0:
-        raise ValueError("arrival_interval_s must be >= 0")
     timing = pipeline_timing(design, inference, diagnosis, fpga)
     conv_per_image = timing.conv_stage_s / design.batch_size
     fcn_per_batch = timing.fcn_stage_s
     batch = design.batch_size
-    trace = tracer if tracer is not None else Tracer(enabled=False)
 
     sim = Simulator()
     handoff: Store = Store(sim)
@@ -125,17 +115,11 @@ def simulate_pipeline(
     num_batches = (num_images + batch - 1) // batch
 
     def conv_stage():
-        pending: list[tuple[int, float, float, float]] = []
+        pending: list[tuple[int, float, float]] = []
         for index in range(num_images):
-            arrival = index * arrival_interval_s
-            if arrival > sim.now:
-                yield sim.timeout(arrival - sim.now)
-            conv_start = max(sim.now, arrival)
+            conv_start = sim.now
             yield sim.timeout(conv_per_image)
-            trace.span(
-                "hw", "conv", conv_start, sim.now, image=index
-            )
-            pending.append((index, arrival, conv_start, sim.now))
+            pending.append((index, conv_start, sim.now))
             if len(pending) == batch or index == num_images - 1:
                 # Whole batch hands off to the FCN stage together; the
                 # unbounded Store lets conv race ahead while FCN drains.
@@ -143,24 +127,14 @@ def simulate_pipeline(
                 pending = []
 
     def fcn_stage():
-        for batch_index in range(num_batches):
+        for _ in range(num_batches):
             batch_images = yield handoff.get()
-            fcn_start = sim.now
             yield sim.timeout(fcn_per_batch)
             fcn_done = sim.now
-            trace.span(
-                "hw",
-                "fcn",
-                fcn_start,
-                fcn_done,
-                batch=batch_index,
-                images=len(batch_images),
-            )
-            for img_index, img_arrival, img_cstart, img_cdone in batch_images:
+            for img_index, img_cstart, img_cdone in batch_images:
                 traces.append(
                     ImageTrace(
                         index=img_index,
-                        arrival_s=img_arrival,
                         conv_start_s=img_cstart,
                         conv_done_s=img_cdone,
                         fcn_done_s=fcn_done,
@@ -170,11 +144,4 @@ def simulate_pipeline(
     sim.process(conv_stage())
     sim.process(fcn_stage())
     makespan = sim.run()
-    result = PipelineSimResult(traces=traces, makespan_s=makespan)
-    if metrics is not None:
-        metrics.counter("pipeline.images").inc(result.images)
-        metrics.counter("pipeline.batches").inc(num_batches)
-        hist = metrics.histogram("pipeline.latency_s")
-        for t in result.traces:
-            hist.observe(t.latency_s)
-    return result
+    return PipelineSimResult(traces=traces, makespan_s=makespan)

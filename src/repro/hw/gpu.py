@@ -34,6 +34,7 @@ __all__ = [
     "memory_required",
     "max_batch_under_memory",
     "perf_per_watt",
+    "NUM_PATCHES",
 ]
 
 
@@ -161,12 +162,16 @@ def memory_required(network: NetworkSpec, batch: int = 1) -> int:
     return weights + peak_act
 
 
-def max_batch_under_memory(
-    network: NetworkSpec, gpu: GPUSpec, *, limit: int = 4096
-) -> int:
-    """Largest batch size satisfying the Eq. (9) memory constraint."""
+#: jigsaw patches per diagnosis image: its conv trunk runs once per tile
+#: of the 3x3 grid, its FCN head once per image
+NUM_PATCHES = 9
+
+
+def max_batch_under_memory(network: NetworkSpec, gpu: GPUSpec) -> int:
+    """Largest batch size, up to 4096, satisfying the Eq. (9) memory
+    constraint."""
     best = 0
-    for batch in range(1, limit + 1):
+    for batch in range(1, 4097):
         if memory_required(network, batch) > gpu.mem_capacity_bytes:
             break
         best = batch

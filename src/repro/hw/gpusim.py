@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.gpu import layer_time
+from repro.hw.gpu import NUM_PATCHES, layer_time
 from repro.hw.specs import GPUSpec
 from repro.models.layer_specs import NetworkSpec
 
@@ -45,24 +45,23 @@ def simulate_corun(
     diagnosis: NetworkSpec,
     gpu: GPUSpec,
     *,
-    inference_batch: int = 1,
     diagnosis_batch: int = 1,
-    num_patches: int = 9,
     num_images: int = 20,
 ) -> CoRunSimResult:
     """Interleave inference and diagnosis kernels round-robin.
 
     Both tasks are backlogged (always have the next kernel ready), matching
-    the diagnosis_duty=1 worst case of the analytical model.  Returns mean
-    inference-image latency with and without the co-runner.
+    the diagnosis_duty=1 worst case of the analytical model.  Inference
+    runs one image per batch.  Returns mean inference-image latency with
+    and without the co-runner.
     """
     if num_images < 1:
         raise ValueError("num_images must be >= 1")
-    inf_kernels = _kernel_times(inference, gpu, inference_batch)
+    inf_kernels = _kernel_times(inference, gpu, 1)
     # One diagnosis image = conv trunk once per patch + the FCN head once.
     diag_kernels = [
         t
-        for _ in range(num_patches)
+        for _ in range(NUM_PATCHES)
         for t in _kernel_times(
             NetworkSpec(diagnosis.name, diagnosis.conv_layers),
             gpu,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.gpu import network_time
+from repro.hw.gpu import NUM_PATCHES, network_time
 from repro.hw.specs import GPUSpec
 from repro.models.layer_specs import NetworkSpec
 
@@ -48,26 +48,25 @@ def co_running_latency(
     diagnosis: NetworkSpec,
     gpu: GPUSpec,
     *,
-    inference_batch: int = 1,
     diagnosis_batch: int = 1,
-    num_patches: int = 9,
     diagnosis_duty: float = 1.0,
 ) -> CoRunResult:
     """Latency of each task when both run on one GPU.
 
     ``diagnosis_duty`` in [0, 1] scales how continuously the diagnosis task
     keeps the device busy (1 = always has work queued, the worst case shown
-    in Fig. 16).  Each diagnosis *image* costs ``num_patches`` trunk passes
-    plus one head pass.
+    in Fig. 16).  Inference runs one image per batch.  Each diagnosis
+    *image* costs :data:`~repro.hw.gpu.NUM_PATCHES` trunk
+    passes plus one head pass.
     """
     if not 0.0 <= diagnosis_duty <= 1.0:
         raise ValueError("diagnosis_duty must be in [0, 1]")
-    inf_solo = network_time(inference, gpu, inference_batch).total_s
+    inf_solo = network_time(inference, gpu, 1).total_s
     diag_timing = network_time(diagnosis, gpu, diagnosis_batch)
     # Conv trunk runs once per patch; the FCN head once per image.
-    diag_solo = diag_timing.conv_s * num_patches + diag_timing.fc_s
+    diag_solo = diag_timing.conv_s * NUM_PATCHES + diag_timing.fc_s
 
-    inf_demand = inf_solo / inference_batch
+    inf_demand = inf_solo
     diag_demand = diagnosis_duty * diag_solo / diagnosis_batch
     if inf_demand <= 0:
         raise ValueError("inference demand must be positive")

@@ -61,7 +61,6 @@ class PipelineDesign:
     fcn_engine: TmTnEngine
     batch_size: int
     fcn_batch_optimized: bool
-    shared_depth: int = 3
     include_diagnosis_fcn: bool = False
 
     @property
@@ -132,9 +131,7 @@ def pipeline_timing(
     stage serves both tasks' FCN layers for the whole batch (the NWS unit
     of Fig. 19 chooses inputs from the inference and diagnosis buffers).
     """
-    conv_rt = design.conv_arch.conv_runtime(
-        inference, diagnosis, fpga, shared_depth=design.shared_depth
-    )
+    conv_rt = design.conv_arch.conv_runtime(inference, diagnosis, fpga)
     conv_stage = conv_rt.total_s * design.batch_size
     fcn_specs = inference.fc_layers
     if design.include_diagnosis_fcn:
@@ -158,7 +155,6 @@ def _designs_for(
     inference: NetworkSpec,
     fpga: FPGASpec,
     batch_size: int,
-    shared_depth: int,
 ):
     """Yield candidate designs across DSP splits for one architecture."""
     factory, batch_opt = ARCH_FACTORIES[arch_name]
@@ -176,7 +172,6 @@ def _designs_for(
             fcn_engine=fcn_engine,
             batch_size=batch_size,
             fcn_batch_optimized=batch_opt,
-            shared_depth=shared_depth,
         )
         if design.dsp_used <= fpga.dsp_slices:
             yield design
@@ -190,7 +185,6 @@ def best_design(
     *,
     latency_requirement_s: float,
     max_batch: int = 128,
-    shared_depth: int = 3,
 ) -> PipelineTiming | None:
     """Maximum-throughput design meeting Eq. (14), or None if impossible.
 
@@ -214,9 +208,7 @@ def best_design(
     )
     best: PipelineTiming | None = None
     for batch_size in candidates:
-        for design in _designs_for(
-            arch_name, inference, fpga, batch_size, shared_depth
-        ):
+        for design in _designs_for(arch_name, inference, fpga, batch_size):
             timing = pipeline_timing(design, inference, diagnosis, fpga)
             if timing.latency_s > latency_requirement_s:
                 continue

@@ -22,38 +22,35 @@ from repro.models.layer_specs import NetworkSpec
 
 __all__ = ["MeasuredGPU"]
 
+#: fixed cost per kernel launch (one kernel per layer per batch)
+LAUNCH_OVERHEAD_S = 80e-6
+
+#: relative slowdown per doubling of batch beyond 8 (activations spill out
+#: of cache on embedded parts)
+CACHE_PRESSURE = 0.03
+
+#: amplitude of a deterministic per-batch utilization ripple (DVFS and
+#: scheduler artifacts)
+RIPPLE = 0.05
+
 
 @dataclass(frozen=True)
 class MeasuredGPU:
     """Deterministic pseudo-hardware built on top of a :class:`GPUSpec`.
 
-    Parameters
-    ----------
-    gpu:
-        The underlying device the analytical model also uses.
-    launch_overhead_s:
-        Fixed cost per kernel launch (one kernel per layer per batch).
-    cache_pressure:
-        Relative slowdown per doubling of batch beyond 8 (activations spill
-        out of cache on embedded parts).
-    ripple:
-        Amplitude of a deterministic per-batch utilization ripple (DVFS and
-        scheduler artifacts).
+    ``gpu`` is the underlying device the analytical model also uses.
     """
 
     gpu: GPUSpec
-    launch_overhead_s: float = 80e-6
-    cache_pressure: float = 0.03
-    ripple: float = 0.05
 
     def measure_latency_s(self, network: NetworkSpec, batch: int = 1) -> float:
         """'Profile' one batch: analytical time plus second-order effects."""
         if batch < 1:
             raise ValueError("batch must be >= 1")
         base = network_time(network, self.gpu, batch).total_s
-        launches = len(network.layers) * self.launch_overhead_s
-        pressure = 1.0 + self.cache_pressure * max(0.0, math.log2(batch / 8))
-        wiggle = 1.0 + self.ripple * math.sin(batch * 2.39996)  # golden angle
+        launches = len(network.layers) * LAUNCH_OVERHEAD_S
+        pressure = 1.0 + CACHE_PRESSURE * max(0.0, math.log2(batch / 8))
+        wiggle = 1.0 + RIPPLE * math.sin(batch * 2.39996)  # golden angle
         return base * pressure * wiggle + launches
 
     def measure_throughput_ips(self, network: NetworkSpec, batch: int = 1) -> float:

@@ -1,7 +1,7 @@
 """Static enforcement of the repo's determinism & performance contract.
 
 The reproduction's correctness rests on invariants that no runtime test
-can fully pin down: bit-identical RNG streams at any ``--workers`` count,
+can fully pin down: bit-identical RNG streams at any worker count,
 no silent float64 promotion on hot paths, and strict isolation of the
 ``*.reference`` oracle modules.  ``repro.lint`` makes those invariants
 machine-checked: a zero-dependency (stdlib ``ast``) analysis pass with a

@@ -297,13 +297,11 @@ def lint_source(
     path: Path | str,
     *,
     rules: Sequence[Rule] | None = None,
-    module: str | None = None,
-    kind: str | None = None,
 ) -> list[Finding]:
     """Lint one in-memory source blob.
 
-    ``module``/``kind`` override scoping context (pragmas in the source
-    override these in turn, mirroring CLI behavior on fixture files).
+    The ``module=`` / ``scope=`` pragmas in the source override the
+    scoping context its path implies, as the CLI does on fixture files.
     """
     run = RULES if rules is None else tuple(rules)
     run_codes = {r.code for r in run}
@@ -331,8 +329,8 @@ def lint_source(
         display=display,
         source=source,
         tree=tree,
-        module=pragmas.module or module or _module_from_path(parts),
-        kind=pragmas.kind or kind or _kind_from_path(parts),
+        module=pragmas.module or _module_from_path(parts),
+        kind=pragmas.kind or _kind_from_path(parts),
         imports=_ImportMap(tree),
     )
 
@@ -389,13 +387,11 @@ def lint_file(
     path: Path | str,
     *,
     rules: Sequence[Rule] | None = None,
-    module: str | None = None,
-    kind: str | None = None,
 ) -> list[Finding]:
     """Lint one file on disk (:func:`lint_source` on its contents)."""
     path = Path(path)
     source = path.read_text(encoding="utf-8")
-    return lint_source(source, path, rules=rules, module=module, kind=kind)
+    return lint_source(source, path, rules=rules)
 
 
 def iter_python_files(paths: Iterable[Path | str]) -> Iterator[Path]:

@@ -22,7 +22,7 @@ entries so CI annotators can surface them; exit status is governed by
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.lint.engine import Finding
 from repro.lint.rules import RULES
@@ -81,10 +81,10 @@ def render_json(findings: Sequence[Finding]) -> str:
     return json.dumps(payload, indent=2)
 
 
-def render_list_rules(rules: Iterable = RULES) -> str:
+def render_list_rules() -> str:
     """``--list-rules`` output: code, scope, and summary per registry entry."""
     out = []
-    for rule in rules:
+    for rule in RULES:
         kind = "meta" if rule.meta else "ast"
         out.append(f"{rule.code}  {rule.name}  [{kind}; scope: {rule.scope}]")
         out.append(f"    {rule.summary}")

@@ -37,6 +37,9 @@ __all__ = [
 #: the five conv layers every model in this repo shares, in order
 CONV_LAYER_NAMES = ("conv1", "conv2", "conv3", "conv4", "conv5")
 
+#: sides of a classifier's square input image and of one jigsaw tile (3x3)
+INPUT_SIZE, TILE_SIZE = 48, 16
+
 #: base channel widths for the five conv layers at width multiplier 1.0
 _BASE_WIDTHS = (16, 32, 48, 48, 32)
 
@@ -90,31 +93,28 @@ def build_classifier(
     rng: np.random.Generator,
     *,
     width: float = 1.0,
-    input_size: int = 48,
     hidden: int = 128,
 ) -> Sequential:
     """Inference network: shared trunk + FCN head (fc6/fc7/fc8)."""
     if num_classes < 2:
         raise ValueError("need at least 2 classes")
-    feat = trunk_feature_size(width=width, input_size=input_size)
-    layers = conv_trunk_layers(rng, width=width, input_size=input_size)
+    feat = trunk_feature_size(width=width, input_size=INPUT_SIZE)
+    layers = conv_trunk_layers(rng, width=width, input_size=INPUT_SIZE)
     layers.append(Flatten(name="flatten"))
     layers.append(Linear(feat, hidden, rng=rng, name="fc6"))
     layers.append(ReLU(name="relu6"))
     layers.append(Linear(hidden, hidden, rng=rng, name="fc7"))
     layers.append(ReLU(name="relu7"))
     layers.append(Linear(hidden, num_classes, rng=rng, name="fc8"))
-    return Sequential(layers, input_shape=(3, input_size, input_size))
+    return Sequential(layers, input_shape=(3, INPUT_SIZE, INPUT_SIZE))
 
 
-def build_jigsaw_trunk(
-    rng: np.random.Generator, *, width: float = 1.0, tile_size: int = 16
-) -> Sequential:
+def build_jigsaw_trunk(rng: np.random.Generator) -> Sequential:
     """Per-tile trunk for the unsupervised context network.
 
     Output is the flattened conv5 feature vector of one tile; the context
     network concatenates 9 of these before its permutation-prediction head.
     """
-    layers = conv_trunk_layers(rng, width=width, input_size=tile_size)
+    layers = conv_trunk_layers(rng, input_size=TILE_SIZE)
     layers.append(Flatten(name="flatten"))
-    return Sequential(layers, input_shape=(3, tile_size, tile_size))
+    return Sequential(layers, input_shape=(3, TILE_SIZE, TILE_SIZE))

@@ -171,13 +171,13 @@ def vgg16_spec() -> NetworkSpec:
     )
 
 
-def diagnosis_spec(inference: NetworkSpec, num_perm_classes: int = 100) -> NetworkSpec:
+def diagnosis_spec(inference: NetworkSpec) -> NetworkSpec:
     """Per-patch diagnosis-network shapes derived from an inference network.
 
     Each of the 9 jigsaw patches runs the shared conv trunk with output
     feature maps halved in each spatial dimension (quarter load per patch,
-    Section IV-B2), and the FCN head predicts the permutation index instead
-    of the object class.
+    Section IV-B2), and the FCN head predicts one of 100 permutation
+    indices instead of the object class.
     """
     layers: list[LayerSpec] = []
     for spec in inference.conv_layers:
@@ -195,5 +195,5 @@ def diagnosis_spec(inference: NetworkSpec, num_perm_classes: int = 100) -> Netwo
         for spec in fc_layers[:-1]:
             layers.append(spec)
         last = fc_layers[-1]
-        layers.append(replace(last, name=last.name, out_maps=num_perm_classes))
+        layers.append(replace(last, name=last.name, out_maps=100))
     return NetworkSpec(name=f"{inference.name}-diagnosis", layers=tuple(layers))

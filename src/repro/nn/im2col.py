@@ -158,7 +158,6 @@ def col2im(
     stride: int = 1,
     pad: int = 0,
     *,
-    scratch: np.ndarray | None = None,
     padded_out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Scatter columns back into an image batch (adjoint of :func:`im2col`).
@@ -169,8 +168,8 @@ def col2im(
     ``cols`` is the logical ``(B*R*C, N*K*K)`` matrix.  When it is a
     Dm-layout view (``cols.T`` C-contiguous, as :func:`im2col` returns and
     :class:`~repro.nn.conv.Conv2D` computes its gradient columns) its
-    ``K*K`` planes are read in place.  Otherwise ``scratch`` (shape
-    ``(N, K, K, B, R, C)``, a workspace view by default) receives a
+    ``K*K`` planes are read in place.  Otherwise the workspace role
+    ``col2im_scratch`` (shape ``(N, K, K, B, R, C)``) receives a
     contiguity copy first.  ``padded_out`` (channel-major, shape
     ``(N, B, H+2p, W+2p)``) receives the accumulation and defaults to a
     fresh array, because the call returns a view into it: logical
@@ -184,10 +183,7 @@ def col2im(
     if cols.T.flags.c_contiguous:
         planes = cols.T.reshape(six_shape)
     else:
-        if scratch is None:
-            scratch = workspace.take("col2im_scratch", six_shape, cols.dtype)
-        else:
-            _check_buffer(scratch, six_shape, cols.dtype, "col2im scratch")
+        scratch = workspace.take("col2im_scratch", six_shape, cols.dtype)
         # One blocked copy into (N, K, K, B, R, C): the K*K overlap-adds
         # below then stream over contiguous planes, which measures 1.5-2x
         # faster than adding straight from strided ones.

@@ -90,8 +90,8 @@ class Sequential:
         """Inference-mode forward pass (no caches)."""
         return self.forward(x, training=False)
 
-    def __call__(self, x: np.ndarray, *, training: bool = False) -> np.ndarray:
-        return self.forward(x, training=training)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.forward(x)
 
     # ------------------------------------------------------------------
     # Introspection

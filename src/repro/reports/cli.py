@@ -93,7 +93,6 @@ def _render_fleet(
     horizon: float | None,
     *,
     barrier: bool,
-    workers: int = 1,
     tracer=None,
     metrics=None,
     topology=None,
@@ -105,30 +104,21 @@ def _render_fleet(
     ``barrier=False`` runs asynchronous epochs, up to ``horizon`` if set.
     """
     from repro.core.systems import SYSTEMS
-    from repro.fleet import (
-        prepare_fleet_assets,
-        run_fleet_all_systems,
-        run_fleet_event,
-    )
+    from repro.fleet import prepare_fleet_assets, run_fleet_event
 
-    if barrier and topology is None:
-        results = run_fleet_all_systems(
-            scenario, workers=workers, tracer=tracer, metrics=metrics
+    assets = prepare_fleet_assets(scenario)
+    results = {
+        config.system_id: run_fleet_event(
+            config,
+            assets,
+            horizon_s=horizon,
+            barrier=barrier,
+            tracer=tracer,
+            metrics=metrics,
+            topology=topology,
         )
-    else:
-        assets = prepare_fleet_assets(scenario)
-        results = {
-            config.system_id: run_fleet_event(
-                config,
-                assets,
-                horizon_s=horizon,
-                barrier=barrier,
-                tracer=tracer,
-                metrics=metrics,
-                topology=topology,
-            )
-            for config in SYSTEMS
-        }
+        for config in SYSTEMS
+    }
     mb = 1e6
     horizon_label = (
         f"horizon={horizon:g}s" if horizon is not None else "full schedule"
@@ -275,16 +265,6 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "process-pool workers for per-node fleet computation in "
-            "'--mode lockstep' on a flat fleet (default: 1 = serial; any "
-            "value produces bit-identical results)"
-        ),
-    )
-    parser.add_argument(
         "--topology",
         choices=("flat", "fan-out"),
         default="flat",
@@ -345,17 +325,8 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help=(
             "write a virtual-time trace of the 'fleet' experiment to PATH "
-            "(schema-v1 JSONL; see --trace-format)"
-        ),
-    )
-    parser.add_argument(
-        "--trace-format",
-        choices=("jsonl", "chrome"),
-        default="jsonl",
-        help=(
-            "trace format for --trace: 'jsonl' (byte-deterministic schema "
-            "v1) or 'chrome' (trace_event JSON for chrome://tracing / "
-            "Perfetto)"
+            "(schema-v1 JSONL; 'python -m repro obs convert --format chrome' "
+            "turns it into a chrome://tracing / Perfetto file)"
         ),
     )
     parser.add_argument(
@@ -382,16 +353,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--horizon only applies to --mode event")
         if args.horizon <= 0:
             parser.error("--horizon must be positive")
-    if args.workers < 1:
-        parser.error("--workers must be at least 1")
-    if args.workers > 1 and args.mode == "event":
-        parser.error("--workers only applies to --mode lockstep")
-    if args.workers > 1 and args.topology != "flat":
-        # The worker pool serves only flat barrier runs.
-        parser.error(
-            "--workers > 1 cannot be combined with --topology "
-            f"{args.topology}: the worker pool runs only flat fleets"
-        )
     for name in selected:
         if name not in valid:
             parser.error(
@@ -458,7 +419,6 @@ def main(argv: list[str] | None = None) -> int:
                     scenario,
                     args.horizon,
                     barrier=args.mode == "lockstep",
-                    workers=args.workers,
                     tracer=tracer,
                     metrics=metrics,
                     topology=topology,
@@ -468,10 +428,7 @@ def main(argv: list[str] | None = None) -> int:
             print(_EXPERIMENTS[name]())
         print()
     if tracer is not None:
-        if args.trace_format == "chrome":
-            tracer.write_chrome(args.trace)
-        else:
-            tracer.write_jsonl(args.trace)
+        tracer.write_jsonl(args.trace)
     if metrics is not None:
         metrics.write_json(args.metrics)
     return 0

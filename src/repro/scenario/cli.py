@@ -2,11 +2,11 @@
 
 Subcommands:
 
-``run FILE [--out PATH] [--trace PATH] [--engine E]``
-    Run every replicate of the scenario and print a metric table.
-    ``--out`` writes the canonical summary JSON (byte-stable across
-    invocations); ``--trace`` writes the JSONL trace of all replicates;
-    ``--engine`` overrides the spec's engine.
+``run FILE [--out PATH] [--trace PATH]``
+    Run every replicate of the scenario on the spec's engine and print a
+    metric table.  ``--out`` writes the canonical summary JSON
+    (byte-stable across invocations); ``--trace`` writes the JSONL trace
+    of all replicates.
 
 ``validate FILE``
     Parse and validate only.  Exit 0 on success; on failure, print the
@@ -54,7 +54,7 @@ def _run(args) -> int:
             print(f"error: {path}: no such directory")
             return 1
     tracer = Tracer(enabled=args.trace is not None)
-    summary = build_summary(spec, engine=args.engine, tracer=tracer)
+    summary = build_summary(spec, tracer=tracer)
     scenario = summary["scenario"]
     print(
         f"scenario {scenario['name']!r}: engine={scenario['engine']} "
@@ -116,6 +116,11 @@ def _list(args) -> int:
         except ScenarioError as err:
             print(f"{os.path.basename(path):<28} INVALID: {err}")
             continue
+        except OSError as err:
+            print(
+                f"{os.path.basename(path):<28} INVALID: {path}: {err.strerror}"
+            )
+            continue
         processes = ",".join(spec.processes) or "-"
         print(
             f"{os.path.basename(path):<28} {spec.engine:<9} "
@@ -135,11 +140,6 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("file", help="scenario YAML file")
     p_run.add_argument("--out", help="write summary JSON here")
     p_run.add_argument("--trace", help="write JSONL trace here")
-    p_run.add_argument(
-        "--engine",
-        choices=("lockstep", "event"),
-        help="override the spec's engine",
-    )
     p_run.set_defaults(func=_run)
 
     p_val = sub.add_parser("validate", help="parse and validate only")

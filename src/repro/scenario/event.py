@@ -31,7 +31,6 @@ from __future__ import annotations
 from repro.fleet.async_sim import DirectEventTier, EventHooks, _EventFleet
 from repro.fleet.simulation import FleetAssets
 from repro.fleet.uplink import model_state_bytes
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.scenario.report import (
     ScenarioReport,
@@ -96,10 +95,8 @@ def run_scenario_event(
     assets: FleetAssets | None = None,
     barrier: bool = False,
     tracer: Tracer | None = None,
-    metrics: MetricsRegistry | None = None,
-    system_id: str = "d",
 ) -> ScenarioReport:
-    """Run one scenario replicate on the event engine.
+    """Run one scenario replicate of system d on the event engine.
 
     ``barrier=True`` is the stage-synchronous mode ``engine: lockstep``
     specs run in.
@@ -108,9 +105,7 @@ def run_scenario_event(
         spec,
         assets,
         mode="event-barrier" if barrier else "event",
-        system_id=system_id,
         tracer=tracer,
-        metrics=metrics,
     )
     state.report.fleet = _EventFleet(
         state.runtime.config,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.cloud import BATCH_SIZE
 from repro.core.registry import ModelRegistry
 from repro.data.datasets import Dataset
 from repro.fleet.simulation import FleetAssets
@@ -32,6 +33,13 @@ from repro.transfer.finetune import evaluate, train_classifier
 from repro.transfer.surgery import FreezePlan
 
 __all__ = ["HeadUpdate", "build_head_net", "run_head_updates"]
+
+#: learning rate of a head specialization
+HEAD_LR = 0.02
+
+#: how far below the shared model a specialized head may score on its
+#: group's data and still be accepted
+HEAD_MAX_REGRESSION = 0.05
 
 #: seed-sequence salt separating head-training RNG from every other stream
 _HEAD_SALT = 271
@@ -57,10 +65,7 @@ def build_head_net(spec: ScenarioSpec) -> Sequential:
     """The scratch network head training runs on (weights always loaded)."""
     base = spec.fleet.base
     return build_classifier(
-        base.num_classes,
-        np.random.default_rng(base.seed + 29),
-        width=base.width,
-        hidden=base.hidden,
+        base.num_classes, np.random.default_rng(base.seed + 29)
     )
 
 
@@ -107,13 +112,13 @@ def run_head_updates(
             scratch_net,
             group_data,
             epochs=head_spec.epochs,
-            batch_size=spec.fleet.base.batch_size,
-            lr=head_spec.lr,
+            batch_size=BATCH_SIZE,
+            lr=HEAD_LR,
             rng=rng,
             freeze_plan=FreezePlan(5),
         )
         accuracy_head = evaluate(scratch_net, group_data)
-        accepted = accuracy_head >= accuracy_shared - head_spec.max_regression
+        accepted = accuracy_head >= accuracy_shared - HEAD_MAX_REGRESSION
         version = None
         push_bytes = 0
         merged = None

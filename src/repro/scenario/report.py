@@ -137,9 +137,7 @@ class ScenarioState:
         self.head_versions: list[int] = []
 
     @classmethod
-    def open(
-        cls, spec, assets, *, mode: str, system_id: str, tracer, metrics
-    ) -> "ScenarioState":
+    def open(cls, spec, assets, *, mode: str, tracer) -> "ScenarioState":
         """Everything a run builds before the engine starts, in one order.
 
         Plans, runtime, :func:`configure_cloud` (right after the runtime:
@@ -148,9 +146,7 @@ class ScenarioState:
         if assets is None:
             assets = prepare_scenario_assets(spec)
         plans = build_plans(spec, assets.profiles)
-        runtime = build_fleet_runtime(
-            system_by_id(system_id), assets, metrics=metrics
-        )
+        runtime = build_fleet_runtime(system_by_id("d"), assets)
         configure_cloud(runtime, spec)
         report = ScenarioReport(
             spec=spec, mode=mode, fleet=None, registry=runtime.registry
@@ -227,7 +223,7 @@ class ScenarioState:
         return accepted
 
     def close_stage(self, s: int, alive_ids: tuple[int, ...], at_s: float) -> None:
-        """Stage info, the ``scenario/stage`` event, ``scenario.*`` counters."""
+        """Stage info and the ``scenario/stage`` event."""
         caught_up = dict(sorted(self.caught_up.pop(s, {}).items()))
         attrs = self.phase_attrs(s)
         reconcile_bytes = sum(caught_up.values())
@@ -251,20 +247,6 @@ class ScenarioState:
             reconciled=len(caught_up),
             **attrs,
         )
-        m = self.runtime.metrics
-        if m is not None:
-            # A counter exists once its process fired.
-            if caught_up:
-                m.counter(
-                    "scenario.reconciliations", system=self.system_id
-                ).inc(len(caught_up))
-                m.counter(
-                    "scenario.reconcile_bytes", system=self.system_id
-                ).inc(reconcile_bytes)
-            if self.head_versions:
-                m.counter("scenario.head_updates", system=self.system_id).inc(
-                    len(self.head_versions)
-                )
 
 
 def finalize_report(

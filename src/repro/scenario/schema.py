@@ -24,10 +24,9 @@ Top-level grammar (see DESIGN.md §11 for the full reference)::
       nodes: <int >= 1>      # required
       stages: <int >= 1>
       lte_fraction / low_power_fraction / severity_jitter: <float>
-      canary_fraction / max_regression / accuracy_drop: <float>
+      canary_fraction / max_regression: <float>
       policy: per-stage | threshold | accuracy-drop
       upload_threshold: <int>
-      backhaul_mbps: <float>
       base:                  # overrides for core.simulation.Scenario
         <field>: <value>
     processes:               # all optional, freely composable
@@ -43,12 +42,9 @@ Top-level grammar (see DESIGN.md §11 for the full reference)::
       per_node_heads:
         groups: <int >= 1>
         epochs: <int >= 1>
-        lr: <float > 0>
-        max_regression: <float >= 0>
     replicates:
       count: <int >= 1>
       bootstrap_samples: <int >= 1>
-      confidence: <float in (0, 1)>
 """
 
 from __future__ import annotations
@@ -110,8 +106,6 @@ class HeadSpec:
 
     num_groups: int
     epochs: int = 2
-    lr: float = 0.02
-    max_regression: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,6 @@ class ReplicatesSpec:
 
     count: int = 1
     bootstrap_samples: int = 200
-    confidence: float = 0.9
 
 
 @dataclass(frozen=True)
@@ -268,10 +261,6 @@ class _Checker:
 def _present(**values) -> dict[str, object]:
     """The keys a file set; an absent one keeps its dataclass default."""
     return {k: v for k, v in values.items() if v is not None}
-
-
-def _mbps_to_bps(mbps: float | None) -> float | None:
-    return None if mbps is None else mbps * 1e6
 
 
 def _build_base(
@@ -469,12 +458,8 @@ def load_spec(text: str, *, filename: str = "<scenario>") -> ScenarioSpec:
             severity_jitter=flt.float_(
                 "severity_jitter", minimum=0.0, maximum=0.9
             ),
-            backhaul_bps=_mbps_to_bps(
-                flt.float_("backhaul_mbps", minimum=0.0, exclusive=True)
-            ),
             scheduler_policy=flt.str_("policy", choices=POLICIES),
             upload_threshold=flt.int_("upload_threshold", minimum=1),
-            accuracy_drop=flt.float_("accuracy_drop", minimum=0.0),
             canary_fraction=flt.float_(
                 "canary_fraction", minimum=0.0, maximum=1.0
             ),
@@ -520,13 +505,7 @@ def load_spec(text: str, *, filename: str = "<scenario>") -> ScenarioSpec:
                 )
             heads = HeadSpec(
                 num_groups=num_groups,
-                **_present(
-                    epochs=heads_c.int_("epochs", minimum=1),
-                    lr=heads_c.float_("lr", minimum=0.0, exclusive=True),
-                    max_regression=heads_c.float_(
-                        "max_regression", minimum=0.0
-                    ),
-                ),
+                **_present(epochs=heads_c.int_("epochs", minimum=1)),
             )
             heads_c.finish()
         procs.finish()
@@ -538,9 +517,6 @@ def load_spec(text: str, *, filename: str = "<scenario>") -> ScenarioSpec:
             **_present(
                 count=reps_c.int_("count", minimum=1),
                 bootstrap_samples=reps_c.int_("bootstrap_samples", minimum=1),
-                confidence=reps_c.float_(
-                    "confidence", minimum=0.0, maximum=1.0, exclusive=True
-                ),
             )
         )
         reps_c.finish()

@@ -25,7 +25,7 @@ import numpy as np
 from repro.obs.trace import TraceRecord, Tracer
 from repro.scenario.event import run_scenario_event
 from repro.scenario.report import ScenarioReport
-from repro.scenario.schema import ENGINES, ScenarioSpec
+from repro.scenario.schema import ScenarioSpec
 
 __all__ = [
     "replicate_seed",
@@ -44,6 +44,9 @@ _REPLICATE_STRIDE = 9973
 #: seed-sequence salt for the bootstrap resampling RNG
 _BOOTSTRAP_SALT = 424243
 
+#: coverage of every bootstrap confidence interval in a summary
+CONFIDENCE = 0.9
+
 
 def replicate_seed(spec: ScenarioSpec, index: int) -> int:
     return spec.seed + _REPLICATE_STRIDE * index
@@ -61,27 +64,19 @@ def replicate_spec(spec: ScenarioSpec, index: int) -> ScenarioSpec:
 
 
 def run_replicate(
-    spec: ScenarioSpec,
-    *,
-    engine: str | None = None,
-    tracer: Tracer | None = None,
+    spec: ScenarioSpec, *, tracer: Tracer | None = None
 ) -> ScenarioReport:
-    """Run one replicate on the spec's engine (or an override).
+    """Run one replicate on the spec's engine.
 
     Both engines are the event engine: ``lockstep`` is its barrier mode,
     ``event`` runs with the spec's ``barrier`` flag.
     """
-    return run_scenario_event(
-        spec, barrier=_barrier(spec, engine), tracer=tracer
-    )
+    return run_scenario_event(spec, barrier=_barrier(spec), tracer=tracer)
 
 
-def _barrier(spec: ScenarioSpec, engine: str | None) -> bool:
-    """Whether a run of ``spec`` on ``engine`` holds the round barrier."""
-    engine = engine if engine is not None else spec.engine
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    return engine == "lockstep" or spec.barrier
+def _barrier(spec: ScenarioSpec) -> bool:
+    """Whether a run of ``spec`` holds the round barrier."""
+    return spec.engine == "lockstep" or spec.barrier
 
 
 def replicate_metrics(report: ScenarioReport) -> dict[str, float]:
@@ -142,21 +137,16 @@ def _round(x: float) -> float:
 
 def _replicate_row(job: tuple) -> tuple[dict, list[TraceRecord]]:
     """One replicate's summary row and trace records (a forked worker's job)."""
-    spec, index, engine, traced, wall_clock = job
+    spec, index, traced, wall_clock = job
     rep = replicate_spec(spec, index)
     tracer = Tracer(enabled=traced, wall_clock=wall_clock)
-    report = run_replicate(rep, engine=engine, tracer=tracer)
+    report = run_replicate(rep, tracer=tracer)
     row = {"replicate": index, "seed": rep.seed}
     row.update({k: _round(v) for k, v in replicate_metrics(report).items()})
     return row, tracer.records
 
 
-def build_summary(
-    spec: ScenarioSpec,
-    *,
-    engine: str | None = None,
-    tracer: Tracer | None = None,
-) -> dict:
+def build_summary(spec: ScenarioSpec, *, tracer: Tracer | None = None) -> dict:
     """Run every replicate and aggregate the deterministic summary dict.
 
     Replicates run on forked workers; rows and trace records are merged
@@ -172,7 +162,7 @@ def build_summary(
     count = spec.replicates.count
     traced = tracer is not None and tracer.enabled
     wall_clock = traced and tracer.wall_clock
-    jobs = [(spec, r, engine, traced, wall_clock) for r in range(count)]
+    jobs = [(spec, r, traced, wall_clock) for r in range(count)]
     try:
         results = fork_map(_replicate_row, jobs, fork_workers(count))
     except BrokenProcessPool as exc:
@@ -196,7 +186,7 @@ def build_summary(
         lo, hi = bootstrap_ci(
             values,
             samples=spec.replicates.bootstrap_samples,
-            confidence=spec.replicates.confidence,
+            confidence=CONFIDENCE,
             rng=rng,
         )
         aggregated[name] = {
@@ -210,8 +200,8 @@ def build_summary(
         "scenario": {
             "name": spec.name,
             "description": spec.description,
-            "engine": engine if engine is not None else spec.engine,
-            "barrier": _barrier(spec, engine),
+            "engine": spec.engine,
+            "barrier": _barrier(spec),
             "seed": spec.seed,
             "nodes": spec.fleet.num_nodes,
             "stages": spec.num_stages,
@@ -220,7 +210,7 @@ def build_summary(
         "replicates": {
             "count": spec.replicates.count,
             "bootstrap_samples": spec.replicates.bootstrap_samples,
-            "confidence": spec.replicates.confidence,
+            "confidence": CONFIDENCE,
         },
         "metrics": aggregated,
         "per_replicate": per_replicate,

@@ -32,11 +32,11 @@ def build_context_head(
     num_tiles: int,
     num_classes: int,
     *,
-    hidden: int = 128,
     rng: np.random.Generator | None = None,
 ) -> Sequential:
     """FCN head mapping concatenated tile features to permutation logits."""
     rng = rng if rng is not None else np.random.default_rng(0)
+    hidden = 128
     return Sequential(
         [
             Linear(feature_size * num_tiles, hidden, rng=rng, name="fc6"),
@@ -164,8 +164,8 @@ class ContextNetwork:
     def predict(self, tiles: np.ndarray) -> np.ndarray:
         return self.forward(tiles, training=False)
 
-    def __call__(self, tiles: np.ndarray, *, training: bool = False) -> np.ndarray:
-        return self.forward(tiles, training=training)
+    def __call__(self, tiles: np.ndarray) -> np.ndarray:
+        return self.forward(tiles)
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -27,12 +27,12 @@ def max_hamming_permutations(
     num_tiles: int = 9,
     *,
     rng: np.random.Generator,
-    candidate_pool: int = 300,
 ) -> np.ndarray:
     """Greedy maximin-Hamming permutation selection.
 
-    Starts from a random permutation, then repeatedly adds the candidate
-    whose minimum Hamming distance to the already-chosen set is largest.
+    Starts from a random permutation, then repeatedly draws 300 random
+    candidates and adds the one whose minimum Hamming distance to the
+    already-chosen set is largest.
 
     Returns an array of shape ``(num_perms, num_tiles)`` whose rows are
     distinct permutations of ``0..num_tiles-1``.
@@ -49,7 +49,7 @@ def max_hamming_permutations(
     chosen = [rng.permutation(num_tiles)]
     while len(chosen) < num_perms:
         candidates = np.array(
-            [rng.permutation(num_tiles) for _ in range(candidate_pool)]
+            [rng.permutation(num_tiles) for _ in range(300)]
         )
         # (pool, chosen) Hamming distances.  A candidate already chosen is
         # the only kind at distance 0, so score 0 masks it out; argmax keeps

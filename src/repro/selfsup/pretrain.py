@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.models import build_jigsaw_trunk, trunk_feature_size
+from repro.models import build_jigsaw_trunk
 from repro.nn import SGD, CrossEntropyLoss
 from repro.obs import metrics as obs_metrics
 from repro.selfsup.context_net import ContextNetwork, build_context_head
@@ -36,19 +36,13 @@ class PretrainResult:
 
 
 def build_context_network(
-    permset: PermutationSet,
-    *,
-    width: float = 1.0,
-    tile_size: int = 16,
-    hidden: int = 128,
-    rng: np.random.Generator | None = None,
+    permset: PermutationSet, *, rng: np.random.Generator | None = None
 ) -> ContextNetwork:
     """Fresh jigsaw network sized for the given permutation set."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    trunk = build_jigsaw_trunk(rng, width=width, tile_size=tile_size)
-    feature = trunk_feature_size(width=width, input_size=tile_size)
+    trunk = build_jigsaw_trunk(rng)
     head = build_context_head(
-        feature, permset.num_tiles, len(permset), hidden=hidden, rng=rng
+        trunk.output_shape[0], permset.num_tiles, len(permset), rng=rng
     )
     return ContextNetwork(trunk, head, num_tiles=permset.num_tiles)
 
@@ -57,16 +51,12 @@ def permutation_accuracy(
     network: ContextNetwork,
     images: np.ndarray,
     sampler: JigsawSampler,
-    *,
-    batch_size: int = 64,
 ) -> float:
     """Fraction of puzzles whose permutation the network identifies."""
     if len(images) == 0:
         raise ValueError("cannot evaluate on zero images")
     correct = 0
-    for _, logits, labels in network.puzzle_logits(
-        images, sampler, batch_size=batch_size
-    ):
+    for _, logits, labels in network.puzzle_logits(images, sampler, batch_size=64):
         correct += int((logits.argmax(axis=1) == labels).sum())
     return correct / len(images)
 
@@ -79,20 +69,19 @@ def pretrain(
     epochs: int = 5,
     batch_size: int = 32,
     lr: float = 0.02,
-    momentum: float = 0.9,
     rng: np.random.Generator | None = None,
-    eval_images: np.ndarray | None = None,
 ) -> PretrainResult:
     """Train the context network on unlabeled images.
 
     ``images`` is a raw (B, C, H, W) array — labels are never consulted,
     which is the whole point: the supervisory signal is spatial context.
+    Each epoch ends with the permutation accuracy on those same images.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
     loss_fn = CrossEntropyLoss()
-    optimizer = SGD(network.parameters, lr=lr, momentum=momentum)
+    optimizer = SGD(network.parameters, lr=lr, momentum=0.9)
     result = PretrainResult(network=network)
     for _ in range(epochs):
         order = rng.permutation(len(images))
@@ -109,10 +98,7 @@ def pretrain(
             optimizer.step()
             result.sample_steps += len(idx)
         result.losses.append(epoch_loss / max(1, batches))
-        held_out = eval_images if eval_images is not None else images
-        result.accuracies.append(
-            permutation_accuracy(network, held_out, sampler)
-        )
+        result.accuracies.append(permutation_accuracy(network, images, sampler))
     registry = obs_metrics.active()
     if registry is not None:
         registry.counter("pretrain.runs").inc()

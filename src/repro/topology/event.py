@@ -329,7 +329,7 @@ class GatewayEventTier:
         start = engine.sim.now
         yield engine.downlink.transfer(
             unit,
-            wan.downlink_bps,
+            wan.bandwidth_bps,
             latency_s=wan.latency_s,
             tag=gateway_id,
         )

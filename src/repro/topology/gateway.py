@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.comm.link import JPEG_IMAGE_BYTES, NetworkLink
 from repro.data.datasets import Dataset
-from repro.hw.specs import GPUSpec
+from repro.hw.specs import TX1
 from repro.models.layer_specs import alexnet_spec
 from repro.topology.model import AggregationPolicy
 
@@ -110,21 +110,18 @@ class SecondOpinion:
     A configurable fraction of each flagged upload is resolved locally
     (the gateway's model is confident enough to answer without the
     Cloud); only the remainder escalates upstream.  Which images resolve
-    is a pure function of ``(seed, gateway, node, stage)``, so the
+    is a pure function of ``(gateway, node, stage)``, so the
     escalated subset never depends on when the upload arrived.
 
     Cost is modeled, not executed: the gateway pays one forward pass per
-    *offered* image on its own board, exactly like node-side inference.
+    *offered* image on its own board (a full-clock TX1), exactly like
+    node-side inference.
     """
 
-    def __init__(
-        self, fraction: float, seed: int, device: GPUSpec
-    ) -> None:
+    def __init__(self, fraction: float) -> None:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
         self.fraction = fraction
-        self.seed = seed
-        self.device = device
         self.spec = alexnet_spec()
 
     def resolve(
@@ -133,15 +130,13 @@ class SecondOpinion:
         n = len(data)
         if n == 0 or self.fraction == 0.0:
             return SecondOpinionResult(data, 0, 0.0, 0.0)
-        time_s = n * self.spec.total_ops / self.device.max_ops
-        energy_j = time_s * self.device.peak_power_w
+        time_s = n * self.spec.total_ops / TX1.max_ops
+        energy_j = time_s * TX1.peak_power_w
         k = int(self.fraction * n)
         if k == 0:
             return SecondOpinionResult(data, 0, time_s, energy_j)
         rng = np.random.default_rng(
-            np.random.SeedSequence(
-                (self.seed, gateway_id, node_id, stage_index)
-            )
+            np.random.SeedSequence((0, gateway_id, node_id, stage_index))
         )
         resolved = rng.choice(n, size=k, replace=False)
         keep = np.setdiff1d(np.arange(n), resolved)
@@ -177,9 +172,7 @@ class GatewayPolicy:
             for g in self.gateways
         }
         self.opinions = {
-            g.gateway_id: SecondOpinion(
-                topology.second_opinion_fraction, topology.seed, g.device
-            )
+            g.gateway_id: SecondOpinion(topology.second_opinion_fraction)
             for g in self.gateways
         }
 

@@ -17,24 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.comm.link import FIBER, LAN, LTE, WIFI, NetworkLink
-from repro.hw.specs import TX1, GPUSpec
+from repro.comm.link import FIBER, LAN, NetworkLink
 
 __all__ = ["AggregationPolicy", "GatewayProfile", "Topology"]
-
-#: link classes a gateway hop may draw from
-_TIER_LINKS: dict[str, NetworkLink] = {
-    "lan": LAN,
-    "fiber": FIBER,
-    "wifi": WIFI,
-    "lte": LTE,
-}
-
-#: boards a gateway's second-opinion model may run on; a gateway is a
-#: powered site box, so the full-clock TX1 is the only class for now
-_GATEWAY_DEVICES: dict[str, GPUSpec] = {
-    "tx1": TX1,
-}
 
 
 @dataclass(frozen=True)
@@ -59,13 +44,15 @@ class AggregationPolicy:
 
 @dataclass(frozen=True)
 class GatewayProfile:
-    """One gateway: its children and the links on both of its hops."""
+    """One gateway and its children.
+
+    Every gateway is a powered site box: its children reach it over
+    :data:`~repro.comm.link.LAN` and it reaches the Cloud over
+    :data:`~repro.comm.link.FIBER`.
+    """
 
     gateway_id: int
     child_ids: tuple[int, ...]
-    local_link_kind: str = "lan"  # edge -> gateway hop
-    uplink_kind: str = "fiber"  # gateway -> cloud hop
-    device_kind: str = "tx1"  # board running the second-opinion model
 
     def __post_init__(self) -> None:
         if not self.child_ids:
@@ -74,34 +61,16 @@ class GatewayProfile:
             raise ValueError(
                 f"gateway {self.gateway_id} lists a child twice"
             )
-        if self.local_link_kind not in _TIER_LINKS:
-            raise ValueError(
-                f"unknown local link {self.local_link_kind!r}; "
-                f"available: {sorted(_TIER_LINKS)}"
-            )
-        if self.uplink_kind not in _TIER_LINKS:
-            raise ValueError(
-                f"unknown uplink {self.uplink_kind!r}; "
-                f"available: {sorted(_TIER_LINKS)}"
-            )
-        if self.device_kind not in _GATEWAY_DEVICES:
-            raise ValueError(
-                f"unknown gateway device {self.device_kind!r}; "
-                f"available: {sorted(_GATEWAY_DEVICES)}"
-            )
 
     @property
     def local_link(self) -> NetworkLink:
-        return _TIER_LINKS[self.local_link_kind]
-
-    @property
-    def device(self) -> GPUSpec:
-        return _GATEWAY_DEVICES[self.device_kind]
+        """The edge->gateway link."""
+        return LAN
 
     @property
     def wan_link(self) -> NetworkLink:
         """The gateway->cloud link."""
-        return _TIER_LINKS[self.uplink_kind]
+        return FIBER
 
 
 @dataclass(frozen=True)
@@ -119,7 +88,6 @@ class Topology:
     second_opinion_fraction: float = 0.0
     per_transfer_overhead_bytes: int = 2_000
     canary_gateway_id: int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.gateways:
@@ -202,9 +170,6 @@ class Topology:
         second_opinion_fraction: float = 0.0,
         per_transfer_overhead_bytes: int = 2_000,
         canary_gateway_id: int | None = None,
-        local_link_kind: str = "lan",
-        uplink_kind: str = "fiber",
-        seed: int = 0,
     ) -> "Topology":
         """Group consecutive node-id blocks of size ``fan_out`` per gateway."""
         if num_nodes < 1:
@@ -217,8 +182,6 @@ class Topology:
                 child_ids=tuple(
                     range(g * fan_out, min((g + 1) * fan_out, num_nodes))
                 ),
-                local_link_kind=local_link_kind,
-                uplink_kind=uplink_kind,
             )
             for g in range((num_nodes + fan_out - 1) // fan_out)
         )
@@ -230,5 +193,4 @@ class Topology:
             second_opinion_fraction=second_opinion_fraction,
             per_transfer_overhead_bytes=per_transfer_overhead_bytes,
             canary_gateway_id=canary_gateway_id,
-            seed=seed,
         )

@@ -28,7 +28,6 @@ from repro.nn.prefix_memo import params_digest
 from repro.obs.clock import perf_counter
 from repro.transfer.finetune import (
     TrainResult,
-    evaluate,
     split_at_frozen_prefix,
     trainable_tail,
 )
@@ -110,10 +109,7 @@ def distill_classifier(
     epochs: int = 3,
     batch_size: int = 32,
     lr: float = 0.01,
-    momentum: float = 0.9,
-    weight_decay: float = 0.0,
     rng: np.random.Generator | None = None,
-    eval_data: Dataset | None = None,
     freeze_plan: FreezePlan | None = None,
 ) -> TrainResult:
     """Fine-tune ``net`` under the combined hard + distillation loss.
@@ -143,9 +139,7 @@ def distill_classifier(
     with trainable_tail(net, boundary) as student, trainable_tail(
         teacher, boundary
     ) as teacher_tail:
-        optimizer = SGD(
-            student.parameters, lr=lr, momentum=momentum, weight_decay=weight_decay
-        )
+        optimizer = SGD(student.parameters, lr=lr, momentum=0.9)
         for _ in range(epochs):
             order = rng.permutation(len(labels))
             epoch_loss = 0.0
@@ -164,7 +158,5 @@ def distill_classifier(
                 optimizer.step()
                 result.sample_steps += len(idx)
             result.losses.append(epoch_loss / max(1, batches))
-            if eval_data is not None:
-                result.eval_accuracies.append(evaluate(net, eval_data))
     result.wall_time_s = perf_counter() - started
     return result

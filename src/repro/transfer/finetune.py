@@ -116,18 +116,15 @@ def train_classifier(
     epochs: int = 5,
     batch_size: int = 32,
     lr: float = 0.02,
-    momentum: float = 0.9,
-    weight_decay: float = 0.0,
     rng: np.random.Generator | None = None,
     eval_data: Dataset | None = None,
     freeze_plan: FreezePlan | None = None,
-    cache_frozen_features: bool = True,
 ) -> TrainResult:
     """Train or fine-tune an inference network.
 
-    If ``freeze_plan`` locks a prefix of conv layers and
-    ``cache_frozen_features`` is on, the prefix runs exactly once over the
-    dataset and the optimization loop touches only the tail.
+    If ``freeze_plan`` locks a prefix of conv layers, the prefix runs
+    exactly once over the dataset and the optimization loop touches only
+    the tail.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -141,7 +138,7 @@ def train_classifier(
     # simulated time always comes from the cost models.
     started = perf_counter()
     result = TrainResult(network=net)
-    boundary = split_at_frozen_prefix(net) if cache_frozen_features else 0
+    boundary = split_at_frozen_prefix(net)
     # One pass over the frozen prefix, or none if sweeps already made every
     # image's rows.
     prefix = net.layers[:boundary]
@@ -153,9 +150,7 @@ def train_classifier(
 
     loss_fn = CrossEntropyLoss()
     with trainable_tail(net, boundary) as trainable:
-        optimizer = SGD(
-            trainable.parameters, lr=lr, momentum=momentum, weight_decay=weight_decay
-        )
+        optimizer = SGD(trainable.parameters, lr=lr, momentum=0.9)
         for _ in range(epochs):
             order = rng.permutation(len(labels))
             epoch_loss = 0.0
@@ -188,10 +183,9 @@ def train_classifier(
     return result
 
 
-def predict_logits(
-    net: Sequential, data: Dataset, *, batch_size: int = 128
-) -> np.ndarray:
-    """Inference-mode logits of every sample, in dataset order.
+def predict_logits(net: Sequential, data: Dataset) -> np.ndarray:
+    """Inference-mode logits of every sample, in dataset order, swept in
+    128-image slices.
 
     The one forward sweep :func:`evaluate` and the logit-reading
     diagnosers are built on: a caller that needs both the accuracy and
@@ -202,25 +196,19 @@ def predict_logits(
         return np.zeros((0, *net.output_shape), dtype=data.images.dtype)
     with net.reusing_prefix(reuse_depths(net)):
         return np.concatenate(
-            [net.predict(x) for x, _ in data.batches(batch_size)]
+            [net.predict(x) for x, _ in data.batches(128)]
         )
 
 
-def evaluate(net: Sequential, data: Dataset, *, batch_size: int = 128) -> float:
+def evaluate(net: Sequential, data: Dataset) -> float:
     """Top-1 accuracy of the network on a dataset."""
     if len(data) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    logits = predict_logits(net, data, batch_size=batch_size)
+    logits = predict_logits(net, data)
     return accuracy(logits, data.labels)
 
 
-def evaluate_on_classes(
-    net: Sequential,
-    data: Dataset,
-    classes,
-    *,
-    batch_size: int = 128,
-) -> float:
+def evaluate_on_classes(net: Sequential, data: Dataset, classes) -> float:
     """Top-1 accuracy restricted to samples whose label is in ``classes``.
 
     The class-incremental scenarios report per-phase accuracy this way:
@@ -231,4 +219,4 @@ def evaluate_on_classes(
     if not mask.any():
         raise ValueError(f"eval data contains no samples of classes {classes}")
     subset = data.subset(np.flatnonzero(mask))
-    return evaluate(net, subset, batch_size=batch_size)
+    return evaluate(net, subset)

@@ -186,9 +186,7 @@ _OPS = st.one_of(
         st.just("record"),
         _STAGES,
         st.integers(min_value=0, max_value=500).flatmap(
-            lambda acquired: st.tuples(
-                st.just(acquired), st.integers(0, acquired), _COUNTS
-            )
+            lambda acquired: st.tuples(st.just(acquired), st.integers(0, acquired))
         ),
     ),
     st.tuples(st.just("record_download"), _STAGES, _COUNTS),
@@ -219,10 +217,8 @@ class TestConservation:
         tier = dict.fromkeys(_TIER_FIELDS, 0)
         for op, stage, args in ops:
             if op == "record":
-                acquired, uploaded, downloaded = args
-                ledger.record(
-                    stage, acquired, uploaded, downloaded_bytes=downloaded
-                )
+                acquired, uploaded = args
+                ledger.record(stage, acquired, uploaded)
             elif op == "record_download":
                 ledger.record_download(stage, args)
             else:

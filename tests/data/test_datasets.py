@@ -91,16 +91,6 @@ class TestDataset:
         )
         assert all(np.shares_memory(xs, data.images) for xs, _ in batches)
 
-    def test_shuffled_batches_preserve_pairs(self, rng):
-        data = toy_dataset(16)
-        pair_map = {
-            float(img.sum()): int(label)
-            for img, label in zip(data.images, data.labels)
-        }
-        for xs, ys in data.batches(4, rng=rng):
-            for img, label in zip(xs, ys):
-                assert pair_map[float(img.sum())] == int(label)
-
 
 class TestMakeDataset:
     def test_make_ideal(self, generator, rng):

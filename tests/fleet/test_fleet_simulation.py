@@ -14,6 +14,7 @@ from repro.fleet import (
 )
 from repro.fleet import simulation as fleet_simulation
 from repro.fleet.simulation import build_fleet_runtime
+from repro.fleet.uplink import BACKHAUL_BPS
 from repro.nn import workspace
 from repro.transfer import evaluate
 
@@ -124,7 +125,7 @@ class TestMovement:
 
     def test_contention_stretches_uploads(self, report_a, assets):
         # No upload beats having the backhaul to itself.
-        capacity = assets.scenario.backhaul_bps
+        capacity = BACKHAUL_BPS
         for trajectory in report_a.nodes:
             link = trajectory.profile.link
             rate = min(link.bandwidth_bps, capacity)

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core.systems import system_by_id
+from repro.core.systems import SYSTEMS, system_by_id
 from repro.fleet.pool import FleetWorkerPool, PoolTask
 from repro.fleet.profiles import FleetScenario
 from repro.fleet.simulation import (
@@ -32,7 +32,6 @@ from repro.fleet.simulation import (
     node_stage,
     prepare_fleet_assets,
     run_fleet,
-    run_fleet_all_systems,
 )
 from repro.obs import Tracer
 
@@ -97,16 +96,12 @@ class TestPlacementInvariance:
 
 
 class TestPoolReuse:
-    def test_one_pool_serves_all_system_variants(self):
+    def test_one_pool_serves_all_system_variants(self, assets):
         # Every variant forks its own workers; each is pooled == serial.
-        scenario = tiny_fleet()
-        serial = run_fleet_all_systems(scenario)
-        pooled = run_fleet_all_systems(scenario, workers=2)
-        assert serial.keys() == pooled.keys()
-        for system_id in serial:
-            assert fleet_signature(serial[system_id]) == fleet_signature(
-                pooled[system_id]
-            )
+        for config in SYSTEMS:
+            serial = run_fleet(config, assets)
+            pooled = run_fleet(config, assets, workers=2)
+            assert fleet_signature(serial) == fleet_signature(pooled)
 
 
 def _residue() -> tuple[list, list[str]]:
@@ -269,22 +264,38 @@ class TestForkHygiene:
     def test_cli_with_piped_stdout_matches_serial(self, tmp_path, no_residue):
         # Piped stdout is block-buffered: bytes sitting in the parent's
         # buffer at fork time would be written once more by each worker.
-        # One BLAS thread per process: two workers on a 2-core runner.
+        # The script prints before the pool forks, then the run's report
+        # and trace.  One BLAS thread per process: two workers on a
+        # 2-core runner.
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        script = (
+            "import sys\n"
+            "from repro.core.systems import system_by_id\n"
+            "from repro.fleet.profiles import FleetScenario\n"
+            "from repro.fleet.simulation import (\n"
+            "    fleet_base_scenario, prepare_fleet_assets, run_fleet)\n"
+            "from repro.obs import Tracer\n"
+            "assets = prepare_fleet_assets(FleetScenario(\n"
+            "    base=fleet_base_scenario(stream_scale=0.02, pretrain_images=32,\n"
+            "        pretrain_epochs=1, init_epochs=2, update_epochs=1,\n"
+            "        eval_images=32),\n"
+            "    num_nodes=2, scheduler_policy='threshold', seed=7))\n"
+            "print('before the fork')\n"
+            "tracer = Tracer()\n"
+            "report = run_fleet(system_by_id('d'), assets,\n"
+            "    workers=int(sys.argv[1]), tracer=tracer)\n"
+            "print(report.makespan_s, report.total_uploaded_bytes)\n"
+            "print(tracer.to_jsonl(), end='')\n"
+        )
         runs = {}
         for workers in (1, 2):
-            trace = tmp_path / f"trace_w{workers}.jsonl"
             done = subprocess.run(
-                [
-                    sys.executable, "-m", "repro", "fleet", "--nodes", "2",
-                    "--policy", "threshold",  # fewest Cloud retrains
-                    "--workers", str(workers), "--trace", str(trace),
-                ],
+                [sys.executable, "-c", script, str(workers)],
                 stdout=subprocess.PIPE,
                 env=env,
                 check=True,
                 timeout=300,
             )
-            runs[workers] = (done.stdout, trace.read_bytes())
-        assert runs[1][0] and runs[1][1]
+            runs[workers] = done.stdout
+        assert runs[1].startswith(b"before the fork\n")
         assert runs[2] == runs[1]

@@ -67,8 +67,6 @@ class TestFleetScenario:
             FleetScenario(num_nodes=0)
         with pytest.raises(ValueError):
             FleetScenario(lte_fraction=1.5)
-        with pytest.raises(ValueError):
-            FleetScenario(backhaul_bps=0)
 
     def test_negative_seed_rejected_up_front(self):
         # numpy's SeedSequence would only refuse it deep inside a run

@@ -55,11 +55,12 @@ class TestTriggerPolicies:
         assert scheduler.should_update(0.9)
 
     def test_accuracy_drop_fires_only_on_regression(self, generator, rng):
-        scheduler = make_trigger_scheduler("accuracy-drop", accuracy_drop=0.1)
+        # ACCURACY_DROP is 0.05
+        scheduler = make_trigger_scheduler("accuracy-drop")
         scheduler.offer(1, 0, _dataset(4, generator, rng))
         assert not scheduler.should_update(0.8)  # establishes the best
-        assert not scheduler.should_update(0.75)  # within tolerance
-        assert scheduler.should_update(0.65)  # 0.15 below best
+        assert not scheduler.should_update(0.77)  # within tolerance
+        assert scheduler.should_update(0.7)  # 0.1 below best
 
     def test_drain_pools_and_clears(self, generator, rng):
         scheduler = make_trigger_scheduler("per-stage")

@@ -41,8 +41,11 @@ def test_missing_reason_still_suppresses_but_flags_rpr009():
 
 
 def test_unused_suppression_flags_rpr010():
-    source = "x = 1  # repro-lint: ignore[RPR004] nothing here widens dtypes\n"
-    findings = lint_source(source, "x.py", module="repro.models.fake")
+    source = (
+        "# repro-lint: module=repro.models.fake\n"
+        "x = 1  # repro-lint: ignore[RPR004] nothing here widens dtypes\n"
+    )
+    findings = lint_source(source, "x.py")
     assert [f.code for f in findings] == ["RPR010"]
 
 

@@ -42,7 +42,7 @@ class TestClassifier:
 
 class TestJigsawTrunk:
     def test_flat_output(self, rng):
-        trunk = build_jigsaw_trunk(rng, tile_size=16)
+        trunk = build_jigsaw_trunk(rng)
         assert trunk.output_shape == (
             trunk_feature_size(input_size=16),
         )
@@ -50,7 +50,7 @@ class TestJigsawTrunk:
     def test_conv_weights_compatible_with_classifier(self, rng):
         """The same conv weights must fit both the 16x16 trunk and the
         48x48 classifier — the foundation of the paper's weight sharing."""
-        trunk = build_jigsaw_trunk(rng, tile_size=16)
+        trunk = build_jigsaw_trunk(rng)
         net = build_classifier(5, np.random.default_rng(1))
         net.copy_layer_weights(trunk, list(CONV_LAYER_NAMES))
         for name in CONV_LAYER_NAMES:

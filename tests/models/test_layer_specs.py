@@ -88,5 +88,5 @@ class TestDiagnosisSpec:
             )
 
     def test_head_predicts_permutations(self):
-        diag = diagnosis_spec(alexnet_spec(), num_perm_classes=100)
+        diag = diagnosis_spec(alexnet_spec())
         assert diag.fc_layers[-1].out_maps == 100

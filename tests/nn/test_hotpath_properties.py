@@ -137,7 +137,7 @@ class TestMatchesReference:
         assert np.array_equal(dm.T, want)
 
     def test_reused_buffers_exact(self):
-        """Pooled out=/scratch= buffers change nothing numerically."""
+        """Pooled out=/padded_out= buffers change nothing numerically."""
         rng = np.random.default_rng(0)
         x = rng.normal(size=(2, 3, 9, 9)).astype(np.float32)
         cols_ref = im2col_reference(x, 3, 2, 1)
@@ -147,11 +147,12 @@ class TestMatchesReference:
 
         grad = rng.normal(size=cols_ref.shape).astype(np.float32)
         want = col2im_reference(grad, x.shape, 3, 2, 1)
-        # C-ordered columns take the contiguity copy: (N, K, K, B, R, C).
-        scratch = np.empty((3, 3, 3, 2, 5, 5), dtype=np.float32)
+        # C-ordered columns take the contiguity copy into the workspace's
+        # (N, K, K, B, R, C) scratch.
         padded = np.empty((3, 2, 11, 11), dtype=np.float32)  # channel-major
-        got = col2im(grad, x.shape, 3, 2, 1, scratch=scratch, padded_out=padded)
+        got = col2im(grad, x.shape, 3, 2, 1, padded_out=padded)
         assert np.array_equal(got, want)
+        scratch = workspace.take("col2im_scratch", (3, 3, 3, 2, 5, 5), np.float32)
         assert np.array_equal(scratch.reshape(27, 50), grad.T)
 
     def test_buffers_in_the_old_layout_are_refused(self):

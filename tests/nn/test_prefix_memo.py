@@ -70,6 +70,13 @@ def memo_free_logits(net, data: Dataset, batch_size: int = 128) -> np.ndarray:
     return np.concatenate(rows)
 
 
+def swept_logits(net, data: Dataset, batch_size: int) -> np.ndarray:
+    """``predict_logits``'s sweep (memo on) at any slice size: it runs
+    128-image slices, these tests run the sizes on both sides of a block."""
+    with net.reusing_prefix(reuse_depths(net)):
+        return np.concatenate([net.predict(x) for x, _ in data.batches(batch_size)])
+
+
 def variants(pool: Dataset, count: int) -> dict[str, Dataset]:
     """The same ``count`` images as differently held arrays."""
     images, labels = pool.images[:count], pool.labels[:count]
@@ -190,7 +197,7 @@ def test_blocked_trunk_inference_matches_whole_batch_forward(pool):
     for size in (1, b - 1, b, b + 1, 3 * b + 5):
         reference = memo_free_logits(net, data, size)
         prefix_memo.clear()  # the memo on, computing: no sweep before it
-        on = predict_logits(net, data, batch_size=size)
+        on = swept_logits(net, data, size)
         assert on.tobytes() == reference.tobytes(), size
         off = np.concatenate([net.predict(x) for x, _ in data.batches(size)])
         assert off.tobytes() == reference.tobytes(), size
@@ -218,7 +225,7 @@ class TestExactness:
         for name, data in variants(pool, count).items():
             reference = memo_free_logits(net, data, batch_size)
             kept = reference.tobytes()
-            swept = predict_logits(net, data, batch_size=batch_size)
+            swept = swept_logits(net, data, batch_size)
             assert swept.tobytes() == kept, name
             assert reference.tobytes() == kept, name  # nothing written back
         # same bytes however they are held: only the first variant computed

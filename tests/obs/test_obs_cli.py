@@ -6,6 +6,13 @@ import json
 
 import pytest
 
+from repro.core.systems import system_by_id
+from repro.fleet.profiles import FleetScenario
+from repro.fleet.simulation import (
+    fleet_base_scenario,
+    prepare_fleet_assets,
+    run_fleet,
+)
 from repro.obs.cli import main, summarize
 from repro.obs.trace import Tracer, iter_jsonl
 
@@ -20,6 +27,24 @@ def trace_path(tmp_path):
     path = tmp_path / "trace.jsonl"
     tracer.write_jsonl(path)
     return path
+
+
+@pytest.fixture(scope="module")
+def fleet_tracer():
+    """A small flat fleet run's tracer (system d, three stages)."""
+    base = fleet_base_scenario(
+        stream_scale=0.02,
+        schedule_k=(100, 200, 400),
+        pretrain_images=32,
+        pretrain_epochs=1,
+        init_epochs=2,
+        update_epochs=1,
+        eval_images=32,
+    )
+    assets = prepare_fleet_assets(FleetScenario(base=base, num_nodes=2, seed=7))
+    tracer = Tracer()
+    run_fleet(system_by_id("d"), assets, tracer=tracer)
+    return tracer
 
 
 class TestSummarize:
@@ -44,11 +69,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "records: 4" in out
 
-    def test_convert_to_chrome(self, trace_path, tmp_path, capsys):
+    def test_convert_to_chrome(self, trace_path, tmp_path, capsys, fleet_tracer):
         out_path = tmp_path / "chrome.json"
         assert main(["convert", str(trace_path), "-o", str(out_path)]) == 0
         obj = json.loads(out_path.read_text())
         assert len(obj["traceEvents"]) == 4
+        # The fleet CLI writes JSONL only; converting a fleet run's trace
+        # gives the bytes the run's own tracer writes as Chrome JSON.
+        jsonl = tmp_path / "fleet.jsonl"
+        fleet_tracer.write_jsonl(jsonl)
+        converted = tmp_path / "fleet_converted.json"
+        assert main(["convert", str(jsonl), "-o", str(converted)]) == 0
+        direct = tmp_path / "fleet_direct.json"
+        fleet_tracer.write_chrome(direct)
+        assert converted.read_bytes() == direct.read_bytes()
+        assert len(json.loads(direct.read_text())["traceEvents"]) == len(
+            fleet_tracer.records
+        )
 
     def test_convert_to_jsonl_is_byte_identical(self, trace_path, tmp_path):
         out_path = tmp_path / "copy.jsonl"

@@ -129,21 +129,6 @@ class TestFleetOutputPaths:
 
 
 class TestFleetTopology:
-    def test_workers_with_topology_refused(self, capsys):
-        # The worker pool serves only the flat lockstep stage loop.
-        with pytest.raises(SystemExit):
-            main(
-                ["fleet", "--nodes", "2", "--topology", "fan-out",
-                 "--workers", "2"]
-            )
-        err = capsys.readouterr().err
-        assert re.search(
-            r"error: --workers > 1 cannot be combined with --topology "
-            r"fan-out: the worker pool runs only flat fleets$",
-            err,
-            re.MULTILINE,
-        ), err
-
     def test_lockstep_topology_is_the_event_barrier_run(self, capsys):
         assert main(
             ["fleet", "--nodes", "2", "--topology", "fan-out",

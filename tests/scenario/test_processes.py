@@ -96,7 +96,7 @@ class TestClassPhasePlan:
 class TestHeadGroupPlan:
     def test_groups_partition_the_fleet(self, tiny_spec, tiny_assets):
         plan = HeadGroupPlan.build(
-            HeadSpec(num_groups=2, epochs=1, lr=0.05, max_regression=0.05),
+            HeadSpec(num_groups=2, epochs=1),
             tiny_assets.profiles,
         )
         members = [plan.members(g) for g in range(2)]

@@ -91,9 +91,9 @@ class TestRequiredOnlySpec:
 
     def test_set_keys_override_defaults(self):
         text = REQUIRED_ONLY.replace(
-            "  nodes: 3\n", "  nodes: 3\n  backhaul_mbps: 8\n  policy: threshold\n"
+            "  nodes: 3\n", "  nodes: 3\n  canary_fraction: 0.5\n  policy: threshold\n"
         )
         fleet = load_spec(text).fleet
-        assert fleet.backhaul_bps == 8e6
+        assert fleet.canary_fraction == 0.5
         assert fleet.scheduler_policy == "threshold"
         assert fleet.lte_fraction == FleetScenario().lte_fraction

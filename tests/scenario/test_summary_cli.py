@@ -81,20 +81,6 @@ class TestSummaryDeterminism:
             "b6c57ee35fda0d1a28e427ccf15137f2884634aaaa2ad9f39247e1d55c77f4d8"
         )
 
-    def test_lockstep_override_reports_the_barrier_it_ran(self, summary):
-        # An event spec that opts out of the barrier, forced onto the
-        # lockstep engine: the run is stage-synchronous, and says so.
-        spec = load_spec(
-            SMALL_YAML.replace(
-                "engine: lockstep", "engine: event\n  barrier: false"
-            ),
-            filename="small.yaml",
-        )
-        assert spec.barrier is False
-        forced = build_summary(spec, engine="lockstep")
-        assert forced["scenario"]["barrier"] is True
-        assert forced == summary
-
     def test_shape(self, small_spec, summary):
         assert summary["schema"] == 1
         assert summary["scenario"]["name"] == "summary-small"
@@ -140,6 +126,16 @@ class TestCli:
             "not UTF-8 text (invalid start byte)"
         )
         assert "summary-small" in ok
+
+    def test_list_flags_unreadable_entries(self, tmp_path, capsys):
+        (tmp_path / "ok.yaml").write_text(SMALL_YAML)
+        (tmp_path / "sub.yaml").mkdir()
+        assert scenario_main(["list", str(tmp_path)]) == 0
+        ok, sub = capsys.readouterr().out.splitlines()
+        assert "summary-small" in ok
+        assert sub == (
+            f"{'sub.yaml':<28} INVALID: {tmp_path / 'sub.yaml'}: Is a directory"
+        )
 
     def test_run_writes_summary_and_trace(self, tmp_path, capsys):
         path = tmp_path / "run.yaml"
@@ -214,8 +210,14 @@ class TestCli:
             f"error: {tmp_path}: is a directory\n"
         )
 
-    def test_run_rejects_bad_engine(self, tmp_path):
+    def test_run_rejects_bad_engine(self, tmp_path, capsys):
+        # The engine comes from the spec alone; an unknown one is refused
+        # with a line-anchored error before anything runs.
         path = tmp_path / "run.yaml"
-        path.write_text(SMALL_YAML)
-        with pytest.raises(SystemExit):
-            scenario_main(["run", str(path), "--engine", "warp"])
+        path.write_text(SMALL_YAML.replace("engine: lockstep", "engine: warp"))
+        assert scenario_main(["run", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out == (
+            f"error: {path}:4: top-level.scenario.engine must be one of "
+            "lockstep, event\n"
+        )

@@ -47,14 +47,6 @@ class TestPretrain:
         result = pretrain(net, images, sampler, epochs=1, rng=rng)
         assert result.network is net
 
-    def test_eval_images_used_when_given(self, setup, rng):
-        net, images, sampler = setup
-        held_out = images[:8]
-        result = pretrain(
-            net, images, sampler, epochs=1, rng=rng, eval_images=held_out
-        )
-        assert len(result.accuracies) == 1
-
     def test_zero_epochs_rejected(self, setup, rng):
         net, images, sampler = setup
         with pytest.raises(ValueError):

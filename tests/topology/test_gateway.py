@@ -84,7 +84,7 @@ class TestGatewayBuffer:
 
 class TestSecondOpinion:
     def test_zero_fraction_is_free_passthrough(self, generator):
-        so = SecondOpinion(0.0, 0, TX1)
+        so = SecondOpinion(0.0)
         d = dataset(6, generator)
         res = so.resolve(0, 0, 1, d)
         assert res.resolved_images == 0
@@ -93,7 +93,7 @@ class TestSecondOpinion:
         assert len(res.escalated) == 6
 
     def test_partition_and_cost(self, generator):
-        so = SecondOpinion(0.5, 0, TX1)
+        so = SecondOpinion(0.5)
         d = dataset(8, generator)
         res = so.resolve(0, 3, 2, d)
         assert res.resolved_images == 4
@@ -105,13 +105,13 @@ class TestSecondOpinion:
 
     def test_deterministic_per_key(self, generator):
         d = dataset(10, generator)
-        a = SecondOpinion(0.3, 7, TX1).resolve(1, 2, 3, d)
-        b = SecondOpinion(0.3, 7, TX1).resolve(1, 2, 3, d)
+        a = SecondOpinion(0.3).resolve(1, 2, 3, d)
+        b = SecondOpinion(0.3).resolve(1, 2, 3, d)
         assert np.array_equal(a.escalated.labels, b.escalated.labels)
 
     def test_key_changes_selection(self, generator):
         d = dataset(32, generator)
-        so = SecondOpinion(0.5, 7, TX1)
+        so = SecondOpinion(0.5)
         by_stage = [
             so.resolve(0, 0, stage, d).escalated.labels for stage in (1, 2, 3)
         ]
@@ -120,7 +120,7 @@ class TestSecondOpinion:
         )
 
     def test_empty_dataset_costs_nothing(self, generator):
-        so = SecondOpinion(0.5, 0, TX1)
+        so = SecondOpinion(0.5)
         d = dataset(4, generator).subset(np.array([], dtype=int))
         res = so.resolve(0, 0, 1, d)
         assert res.time_s == 0.0

@@ -22,20 +22,6 @@ class TestGatewayProfile:
         with pytest.raises(ValueError, match="twice"):
             GatewayProfile(gateway_id=0, child_ids=(1, 1))
 
-    def test_unknown_links_rejected(self):
-        with pytest.raises(ValueError, match="unknown local link"):
-            GatewayProfile(
-                gateway_id=0, child_ids=(0,), local_link_kind="carrier-pigeon"
-            )
-        with pytest.raises(ValueError, match="unknown uplink"):
-            GatewayProfile(
-                gateway_id=0, child_ids=(0,), uplink_kind="carrier-pigeon"
-            )
-
-    def test_unknown_device_rejected(self):
-        with pytest.raises(ValueError, match="unknown gateway device"):
-            GatewayProfile(gateway_id=0, child_ids=(0,), device_kind="abacus")
-
 
 class TestAggregationPolicy:
     def test_bounds(self):
