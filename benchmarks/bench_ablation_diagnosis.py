@@ -14,88 +14,17 @@ errors.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.data import Dataset, DriftModel, make_dataset
-from repro.diagnosis import (
-    InferenceConfidenceDiagnoser,
-    JigsawDiagnoser,
-    OracleDiagnoser,
-    RandomDiagnoser,
-    evaluate_diagnoser,
-)
-from repro.models import build_classifier
-from repro.selfsup import JigsawSampler, PermutationSet, pretrain
-from repro.selfsup.pretrain import build_context_network
-from repro.transfer import train_classifier
-
-
-def run(bench_generator):
-    rng = np.random.default_rng(600)
-    train = make_dataset(220, generator=bench_generator, rng=rng)
-
-    net = build_classifier(4, np.random.default_rng(601))
-    train_classifier(
-        net, train, epochs=8, batch_size=32, lr=0.01,
-        rng=np.random.default_rng(602),
-    )
-
-    permset = PermutationSet.generate(8, rng=rng)
-    sampler = JigsawSampler(permset, rng=rng)
-    context = build_context_network(permset, rng=np.random.default_rng(603))
-    pretrain(
-        context, train.images, sampler, epochs=5, lr=0.01,
-        rng=np.random.default_rng(604),
-    )
-
-    ideal_test = make_dataset(120, generator=bench_generator, rng=rng)
-    drift_test = make_dataset(
-        120,
-        generator=bench_generator,
-        drift=DriftModel(0.7, rng=rng),
-        rng=rng,
-    )
-    test = Dataset.concat([ideal_test, drift_test])
-
-    oracle = OracleDiagnoser(net)
-    confidence = InferenceConfidenceDiagnoser(net, threshold=0.75)
-    jigsaw = JigsawDiagnoser(
-        context, sampler, trials=2, rng=np.random.default_rng(605)
-    )
-    budget = float(confidence.flags(test).mean())
-    random = RandomDiagnoser(budget, rng=np.random.default_rng(606))
-
-    return {
-        name: evaluate_diagnoser(diag, oracle, test)
-        for name, diag in (
-            ("oracle", oracle),
-            ("confidence", confidence),
-            ("jigsaw", jigsaw),
-            ("random", random),
-        )
-    }
+from repro.reports.claims import diagnosis_rows, diagnosis_table
 
 
 @pytest.mark.slow
-def bench_ablation_diagnosis(benchmark, bench_generator, tables):
+def bench_ablation_diagnosis(benchmark):
     reports = benchmark.pedantic(
-        run, args=(bench_generator,), rounds=1, iterations=1
+        diagnosis_rows, args=(0,), rounds=1, iterations=1
     )
-    tables(
-        "Ablation — diagnosis signal quality vs misclassification oracle",
-        ["diagnoser", "upload frac", "precision", "recall", "enrichment"],
-        [
-            [
-                name,
-                f"{r.upload_fraction:.1%}",
-                f"{r.precision:.2f}",
-                f"{r.recall:.2f}",
-                f"{r.recall / max(r.upload_fraction, 1e-9):.2f}",
-            ]
-            for name, r in reports.items()
-        ],
-    )
+    print("\n" + diagnosis_table(reports))
     # Oracle is perfect by construction.
     assert reports["oracle"].recall == 1.0
     # Confidence-based diagnosis concentrates the budget on errors far

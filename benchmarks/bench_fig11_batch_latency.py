@@ -10,10 +10,8 @@ from __future__ import annotations
 from repro.reports.figures import fig11_rows, fig11_table
 
 
-def bench_fig11_batch_latency(benchmark, alexnet):
-    rows = benchmark.pedantic(
-        fig11_rows, args=(alexnet,), rounds=1, iterations=1
-    )
+def bench_fig11_batch_latency(benchmark):
+    rows = benchmark.pedantic(fig11_rows, rounds=1, iterations=1)
     print("\n" + fig11_table(rows))
     gpu_lat = [r["gpu_latency_ms"] for r in rows]
     fpga_lat = [r["fpga_latency_ms"] for r in rows]

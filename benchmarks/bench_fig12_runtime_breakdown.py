@@ -10,10 +10,8 @@ from __future__ import annotations
 from repro.reports.figures import fig12_rows, fig12_table
 
 
-def bench_fig12_runtime_breakdown(benchmark, alexnet):
-    rows = benchmark.pedantic(
-        fig12_rows, args=(alexnet,), rounds=1, iterations=1
-    )
+def bench_fig12_runtime_breakdown(benchmark):
+    rows = benchmark.pedantic(fig12_rows, rounds=1, iterations=1)
     print("\n" + fig12_table(rows))
     # FCN is a large share (>=40%) at batch 1 on both platforms.
     assert rows[0]["gpu_fc_frac"] > 0.4

@@ -12,10 +12,8 @@ from __future__ import annotations
 from repro.reports.figures import fig14_rows, fig14_table
 
 
-def bench_fig14_batch_efficiency(benchmark, alexnet):
-    rows = benchmark.pedantic(
-        fig14_rows, args=(alexnet,), rounds=1, iterations=1
-    )
+def bench_fig14_batch_efficiency(benchmark):
+    rows = benchmark.pedantic(fig14_rows, rounds=1, iterations=1)
     print("\n" + fig14_table(rows))
     first, last = rows[0], rows[-1]
     # FPGA conv efficiency flat across batches.

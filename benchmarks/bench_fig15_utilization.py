@@ -10,10 +10,8 @@ from __future__ import annotations
 from repro.reports.figures import fig15_rows, fig15_table
 
 
-def bench_fig15_utilization(benchmark, alexnet):
-    rows = benchmark.pedantic(
-        fig15_rows, args=(alexnet,), rounds=1, iterations=1
-    )
+def bench_fig15_utilization(benchmark):
+    rows = benchmark.pedantic(fig15_rows, rounds=1, iterations=1)
     print("\n" + fig15_table(rows))
     # GPU fc6 utilization improves with batch (more grid blocks).
     assert rows[-1]["gpu_fc6"] >= rows[0]["gpu_fc6"]

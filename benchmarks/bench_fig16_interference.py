@@ -10,10 +10,8 @@ from __future__ import annotations
 from repro.reports.figures import fig16_rows, fig16_table
 
 
-def bench_fig16_interference(benchmark, alexnet):
-    rows = benchmark.pedantic(
-        fig16_rows, args=(alexnet,), rounds=1, iterations=1
-    )
+def bench_fig16_interference(benchmark):
+    rows = benchmark.pedantic(fig16_rows, rounds=1, iterations=1)
     print("\n" + fig16_table(rows))
     slowdowns = [r["result"].inference_slowdown for r in rows]
     # Monotone in diagnosis duty; reaches ~3X at full duty.

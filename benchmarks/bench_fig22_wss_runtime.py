@@ -12,10 +12,8 @@ from __future__ import annotations
 from repro.reports.figures import fig22_rows, fig22_table
 
 
-def bench_fig22_wss_runtime(benchmark, alexnet):
-    rows = benchmark.pedantic(
-        fig22_rows, args=(alexnet,), rounds=1, iterations=1
-    )
+def bench_fig22_wss_runtime(benchmark):
+    rows = benchmark.pedantic(fig22_rows, rounds=1, iterations=1)
     print("\n" + fig22_table(rows))
     depths = sorted({r["depth"] for r in rows})
     by_key = {(r["arch"], r["depth"]): r for r in rows}

@@ -11,10 +11,8 @@ from __future__ import annotations
 from repro.reports.figures import fig23_rows, fig23_table
 
 
-def bench_fig23_throughput(benchmark, alexnet):
-    rows = benchmark.pedantic(
-        fig23_rows, args=(alexnet,), rounds=1, iterations=1
-    )
+def bench_fig23_throughput(benchmark):
+    rows = benchmark.pedantic(fig23_rows, rounds=1, iterations=1)
     print("\n" + fig23_table(rows))
     reqs = sorted({r["req_ms"] for r in rows})
     get = lambda req, arch: next(

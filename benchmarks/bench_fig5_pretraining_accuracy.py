@@ -8,76 +8,16 @@ a better inference network.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.data import DriftModel, make_dataset
-from repro.models import build_classifier
-from repro.transfer import train_classifier, transfer_conv_weights
-
-EPOCHS = 6
-
-
-def run(pretrained_context, bench_generator):
-    rng = np.random.default_rng(300)
-    labeled = make_dataset(
-        140,
-        generator=bench_generator,
-        drift=DriftModel(0.3, rng=rng),
-        rng=rng,
-    )
-    test = make_dataset(
-        160,
-        generator=bench_generator,
-        drift=DriftModel(0.3, rng=rng),
-        rng=rng,
-    )
-
-    curves = {}
-    variants = {
-        "scratch": None,
-        "transfer-weak": pretrained_context["weak"],
-        "transfer-strong": pretrained_context["strong"],
-    }
-    for label, context in variants.items():
-        net = build_classifier(4, np.random.default_rng(301))
-        if context is not None:
-            transfer_conv_weights(context.trunk, net, 3)
-        result = train_classifier(
-            net,
-            labeled,
-            epochs=EPOCHS,
-            batch_size=32,
-            lr=0.01,
-            rng=np.random.default_rng(302),
-            eval_data=test,
-        )
-        curves[label] = result.eval_accuracies
-    return curves
+from repro.reports.claims import fig5_rows, fig5_table
 
 
 @pytest.mark.slow
-def bench_fig5_pretraining_accuracy(
-    benchmark, pretrained_context, bench_generator, tables
-):
-    curves = benchmark.pedantic(
-        run, args=(pretrained_context, bench_generator), rounds=1, iterations=1
-    )
-    tables(
-        f"Fig. 5 — accuracy vs epoch (pretrain acc: weak="
-        f"{pretrained_context['weak_acc']:.0%}, "
-        f"strong={pretrained_context['strong_acc']:.0%})",
-        ["epoch", "scratch", "transfer-weak", "transfer-strong"],
-        [
-            [
-                e + 1,
-                f"{curves['scratch'][e]:.1%}",
-                f"{curves['transfer-weak'][e]:.1%}",
-                f"{curves['transfer-strong'][e]:.1%}",
-            ]
-            for e in range(EPOCHS)
-        ],
-    )
+def bench_fig5_pretraining_accuracy(benchmark):
+    rows = benchmark.pedantic(fig5_rows, args=(0,), rounds=1, iterations=1)
+    print("\n" + fig5_table(rows))
+    curves = rows["curves"]
     # The strong pre-trained network clearly beats training from scratch.
     assert curves["transfer-strong"][-1] > curves["scratch"][-1] + 0.1
     # The stronger unsupervised network transfers at least as well as the

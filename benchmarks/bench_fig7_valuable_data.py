@@ -9,70 +9,15 @@ moving the least data and training the fastest.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.data import Dataset, DriftModel, make_dataset
-from repro.diagnosis import OracleDiagnoser
-from repro.models import build_classifier
-from repro.transfer import evaluate, train_classifier
-
-
-def run(bench_generator):
-    rng = np.random.default_rng(500)
-    drift = DriftModel(0.35, rng=rng)
-    first = make_dataset(120, generator=bench_generator, drift=drift, rng=rng)
-    rest = make_dataset(360, generator=bench_generator, drift=drift, rng=rng)
-    test = make_dataset(200, generator=bench_generator, drift=drift, rng=rng)
-
-    base = build_classifier(4, np.random.default_rng(501))
-    train_classifier(
-        base, first, epochs=8, batch_size=32, lr=0.01,
-        rng=np.random.default_rng(502),
-    )
-    base_state = base.state_dict()
-    base_acc = evaluate(base, test)
-
-    errors = rest.subset(np.flatnonzero(OracleDiagnoser(base).flags(rest)))
-
-    def finetune(data: Dataset, moved: int):
-        net = build_classifier(4, np.random.default_rng(501))
-        net.load_state_dict(base_state)
-        result = train_classifier(
-            net, data, epochs=4, batch_size=32, lr=0.008,
-            rng=np.random.default_rng(503),
-        )
-        return evaluate(net, test), result.wall_time_s, moved
-
-    # Net-Err fine-tunes on the error images plus the retained first-chunk
-    # data the Cloud already holds (error-only batches are a degenerate
-    # distribution — they contain no examples the model handles correctly
-    # — and collapse the classifier; the Cloud mixes its archive in for
-    # free).  Only the error images cross the network.
-    rows = [("Net-50k", base_acc, 0.0, 0)]
-    for label, data, moved in (
-        ("Net-Err", Dataset.concat([errors, first]), len(errors)),
-        ("Net-50k-150k", rest, len(rest)),
-        ("Net-50k-200k", Dataset.concat([first, rest]), len(rest) + 0),
-    ):
-        acc, seconds, count = finetune(data, moved)
-        rows.append((label, acc, seconds, count))
-    return rows
+from repro.reports.claims import fig7_rows, fig7_table
 
 
 @pytest.mark.slow
-def bench_fig7_valuable_data(benchmark, bench_generator, tables):
-    rows = benchmark.pedantic(
-        run, args=(bench_generator,), rounds=1, iterations=1
-    )
-    tables(
-        "Fig. 7 — incremental training on valuable data only",
-        ["network", "accuracy", "fine-tune s", "images moved"],
-        [
-            [label, f"{acc:.1%}", f"{sec:.2f}", images]
-            for label, acc, sec, images in rows
-        ],
-    )
+def bench_fig7_valuable_data(benchmark):
+    rows = benchmark.pedantic(fig7_rows, args=(0,), rounds=1, iterations=1)
+    print("\n" + fig7_table(rows))
     by_label = {label: (acc, sec, images) for label, acc, sec, images in rows}
     base_acc = by_label["Net-50k"][0]
     err_acc, err_time, err_images = by_label["Net-Err"]

@@ -21,6 +21,7 @@ from repro.fleet import (
     run_fleet,
     run_fleet_event,
 )
+from repro.reports import format_table
 
 FLEET_SIZES = (1, 4, 16, 64)
 
@@ -74,10 +75,10 @@ def max_barrier_idle_s(report) -> float:
 
 
 @pytest.mark.slow
-def bench_fleet_scaling(benchmark, tables):
+def bench_fleet_scaling(benchmark):
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     mb = 1e6
-    tables(
+    table = format_table(
         "Fleet scaling — aggregate bytes moved (MB) and Cloud update time (s)",
         ["nodes"]
         + [f"{sid} MB" for sid in "abcd"]
@@ -89,7 +90,8 @@ def bench_fleet_scaling(benchmark, tables):
             for n in FLEET_SIZES
         ],
     )
-    tables(
+    print("\n" + table)
+    table = format_table(
         "Fleet scaling — slowest upload of the final stage (s, contended)",
         ["nodes", "a", "b", "c", "d"],
         [
@@ -97,6 +99,7 @@ def bench_fleet_scaling(benchmark, tables):
             for n in FLEET_SIZES
         ],
     )
+    print("\n" + table)
     for n in FLEET_SIZES:
         by_id = results[n]
         # Diagnosis-based variants (Fig. 24 c/d) must move strictly fewer
@@ -136,7 +139,7 @@ def run_horizon_leg():
 
 
 @pytest.mark.slow
-def bench_fleet_modes(benchmark, tables):
+def bench_fleet_modes(benchmark):
     """Lockstep barrier vs event-driven asynchrony, system d.
 
     The lockstep stage barrier (``run_fleet``: the event engine's barrier
@@ -172,12 +175,13 @@ def bench_fleet_modes(benchmark, tables):
         # The barrier idles somebody at every fleet size, if only while
         # the Cloud retrains.
         assert stall_s > 0.0
-    tables(
+    table = format_table(
         "Fleet modes (system d) — virtual-time makespan and barrier stall",
         ["nodes", "lockstep s", "event s", "lockstep idle max s",
          "event uplink-blocked max s"],
         rows,
     )
+    print("\n" + table)
 
     assets, lockstep, event = horizon_leg
     by_link: dict[str, list[int]] = {"wifi": [], "lte": []}
@@ -185,7 +189,7 @@ def bench_fleet_modes(benchmark, tables):
         by_link[profile.link_kind].append(
             event.epochs_by_node[profile.node_id]
         )
-    tables(
+    table = format_table(
         f"Heterogeneous horizon ({HORIZON_S:.0f}s, system d) — epochs "
         "completed per node",
         ["node", "link", "event epochs", "lockstep epochs",
@@ -201,6 +205,7 @@ def bench_fleet_modes(benchmark, tables):
             for p in assets.profiles
         ],
     )
+    print("\n" + table)
     # Event-driven: every WiFi node strictly outpaces every LTE node in
     # the same virtual-time horizon; lockstep keeps all counts equal.
     assert min(by_link["wifi"]) > max(by_link["lte"])

@@ -33,6 +33,7 @@ import pytest
 
 from repro.core import system_by_id
 from repro.fleet import run_fleet_event
+from repro.reports import format_table
 from repro.scenario import (
     load_spec,
     prepare_scenario_assets,
@@ -153,10 +154,10 @@ def _baseline_ratio() -> float | None:
 
 
 @pytest.mark.slow
-def bench_scenario(benchmark, tables):
+def bench_scenario(benchmark):
     result = benchmark.pedantic(measure, rounds=1, iterations=1)
     baseline = _baseline_ratio()
-    tables(
+    table = format_table(
         "Scenario engine overhead — process-free control vs bare event fleet",
         ["run", "best s", "vs bare"],
         [
@@ -173,6 +174,7 @@ def bench_scenario(benchmark, tables):
             ],
         ],
     )
+    print("\n" + table)
 
     # The control is the *same computation*: equal trajectories and an
     # equal byte ledger, so any time gap is pure engine bookkeeping.

@@ -10,56 +10,15 @@ ordering is preserved on both distributions.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.models import MODEL_CONFIGS, build_model
-from repro.transfer import evaluate, train_classifier
-
-
-def run(bench_datasets):
-    train, test_ideal, test_drift = bench_datasets
-    rows = []
-    for name, config in MODEL_CONFIGS.items():
-        net = build_model(name, 4, np.random.default_rng(10))
-        train_classifier(
-            net,
-            train,
-            epochs=10,
-            batch_size=32,
-            lr=0.01,
-            rng=np.random.default_rng(11),
-        )
-        rows.append(
-            {
-                "model": name,
-                "paper_counterpart": config.paper_counterpart,
-                "ideal": evaluate(net, test_ideal),
-                "drifted": evaluate(net, test_drift),
-            }
-        )
-    return rows
+from repro.reports.claims import table1_rows, table1_table
 
 
 @pytest.mark.slow
-def bench_table1_static_accuracy(benchmark, bench_datasets, tables):
-    rows = benchmark.pedantic(
-        run, args=(bench_datasets,), rounds=1, iterations=1
-    )
-    tables(
-        "Table I — static-model accuracy, ideal vs in-situ data",
-        ["model", "paper net", "ideal acc", "in-situ acc", "drop"],
-        [
-            [
-                r["model"],
-                r["paper_counterpart"],
-                f"{r['ideal']:.1%}",
-                f"{r['drifted']:.1%}",
-                f"{r['ideal'] - r['drifted']:+.1%}",
-            ]
-            for r in rows
-        ],
-    )
+def bench_table1_static_accuracy(benchmark):
+    rows = benchmark.pedantic(table1_rows, args=(0,), rounds=1, iterations=1)
+    print("\n" + table1_table(rows))
     for r in rows:
         # Models learn the ideal distribution well...
         assert r["ideal"] > 0.65

@@ -31,6 +31,7 @@ from repro.fleet import (
     prepare_fleet_assets,
     run_fleet_event,
 )
+from repro.reports import format_table
 from repro.topology import AggregationPolicy, Topology
 
 NUM_NODES = 8
@@ -86,11 +87,11 @@ def sweep():
 
 
 @pytest.mark.slow
-def bench_topology(benchmark, tables):
+def bench_topology(benchmark):
     flat, flat_uploads, rows = benchmark.pedantic(
         sweep, rounds=1, iterations=1
     )
-    tables(
+    table = format_table(
         "Gateway aggregation — WAN transfers and framing overhead vs flat",
         ["wiring", "WAN xfers", "overhead kB", "WAN up MB", "final acc"],
         [
@@ -114,6 +115,7 @@ def bench_topology(benchmark, tables):
             for s in (r.ledger.snapshot(),)
         ],
     )
+    print("\n" + table)
 
     # Fan-out 8 + flush-every-stage is learning-equivalent to flat: the
     # single gateway forwards each stage's pool verbatim to the same

@@ -108,7 +108,6 @@ def main(argv: list[str] | None = None) -> None:
             4,
             aggregation=AggregationPolicy(flush_images=24, max_age_stages=2),
             second_opinion_fraction=0.25,
-            canary_gateway_id=0,
         )
     scenario = FleetScenario(
         base=fleet_base_scenario(

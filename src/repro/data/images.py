@@ -100,54 +100,19 @@ class ImageGenerator:
             bg_level=0.12 + (0.3 - 0.12) * d[7],
         )
 
-    def _params_rng(self, p: ShapeParams) -> np.random.Generator:
-        """RNG derived purely from the parameter values.
-
-        Used for the sensor-noise term when explicit params are passed to
-        :meth:`generate`, so re-rendering the same params gives the same
-        pixels without consuming (or depending on) ``self.rng``'s stream.
-        """
-        fields = np.array(
-            [
-                p.center_y,
-                p.center_x,
-                p.scale,
-                p.angle,
-                *p.fg_color,
-                p.bg_level,
-            ],
-            dtype=np.float64,  # repro-lint: ignore[RPR004] f64 bit patterns of the params are the SeedSequence entropy; narrowing changes derived streams
-        )
-        # SeedSequence entropy must be non-negative ints < 2**64; drop the
-        # low bit of each float's pattern to stay in range.
-        entropy = (fields.view(np.uint64) >> np.uint64(1)).tolist()
-        return np.random.default_rng(np.random.SeedSequence(entropy))
-
-    def generate(
-        self, class_id: int, params: ShapeParams | None = None
-    ) -> np.ndarray:
-        """Render one image of the given class, shape (3, S, S) in [0, 1].
-
-        With explicit ``params`` the render is a pure function of
-        ``(class_id, params)``: the sensor noise comes from a
-        params-derived stream and ``self.rng`` is left untouched.
-        """
+    def generate(self, class_id: int) -> np.ndarray:
+        """Render one image of the given class, shape (3, S, S) in [0, 1]."""
         if not 0 <= class_id < self.num_classes:
             raise ValueError(
                 f"class_id {class_id} out of range [0, {self.num_classes})"
             )
-        if params is None:
-            p = self.sample_params()
-            noise_rng = self.rng
-        else:
-            p = params
-            noise_rng = self._params_rng(params)
+        p = self.sample_params()
         mask = self._shape_mask(class_id, p)
         background = self._background(p)
         img = np.empty((3, self.image_size, self.image_size))
         for ch in range(3):
             img[ch] = background * (1.0 - mask) + p.fg_color[ch] * mask
-        img += noise_rng.normal(0.0, 0.015, size=img.shape)
+        img += self.rng.normal(0.0, 0.015, size=img.shape)
         return np.clip(img, 0.0, 1.0)
 
     @profiled("images.batch")

@@ -736,11 +736,11 @@ _register(
 # RPR008 — pytest-collected benchmarks must be marked slow
 
 #: A bench is analytical — seconds of closed-form models, no training —
-#: when its ``repro`` imports all come from these modules and it asks
-#: conftest only for network specs and the table printer.
-_ANALYTICAL_MODULES = ("repro.hw.", "repro.reports.figures.")
-_ANALYTICAL_FIXTURES = {"benchmark", "tables", "alexnet", "alexnet_diag",
-                        "vggnet"}
+#: when its ``repro`` imports all come from ``repro.reports.figures`` and
+#: it takes no fixture but ``benchmark``.  The training claims live in
+#: ``repro.reports.claims``, outside that module, so they stay marked.
+_ANALYTICAL_MODULES = ("repro.reports.figures.",)
+_ANALYTICAL_FIXTURES = {"benchmark"}
 
 
 class _BenchmarkSlowMarker(Rule):
@@ -790,8 +790,8 @@ _register(
         rationale=(
             "CI's fast lane deselects `slow`; an unmarked bench silently "
             "adds minutes of training to every PR (or never runs at all). "
-            "Benches over repro.hw / repro.reports.figures alone take "
-            "seconds and CI runs them on every PR"
+            "Benches over repro.reports.figures alone, with no fixture but "
+            "`benchmark`, take seconds and CI runs them on every PR"
         ),
         scope="benchmarks/bench_*.py",
     )

@@ -1,6 +1,6 @@
 """The SGD optimizer.
 
-SGD with momentum and weight decay covers everything the paper trains (it
+SGD with momentum covers everything the paper trains (it
 uses Caffe's standard solver).  Frozen parameters are skipped entirely, which
 is both correct for CONV-i locking and the source of the locked-layer
 training speedup measured in Fig. 6.
@@ -29,8 +29,6 @@ class SGD:
         Learning rate.
     momentum:
         Classical momentum coefficient in [0, 1).
-    weight_decay:
-        L2 penalty added to the gradient.
     """
 
     def __init__(
@@ -38,18 +36,14 @@ class SGD:
         params: Iterable[Parameter],
         lr: float = 0.01,
         momentum: float = 0.9,
-        weight_decay: float = 0.0,
     ) -> None:
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
-        if weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
-        self.weight_decay = weight_decay
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
@@ -57,11 +51,8 @@ class SGD:
         for p, vel in zip(self.params, self._velocity):
             if p.frozen:
                 continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             vel *= self.momentum
-            vel -= self.lr * grad
+            vel -= self.lr * p.grad
             p.data += vel
 
     def zero_grad(self) -> None:

@@ -1,12 +1,12 @@
 """Command-line experiment runner: ``python -m repro <experiment>``.
 
-Regenerates the analytical tables/figures directly from the hardware
-models, without pytest.  Each figure's table is defined once, in
-:data:`repro.reports.figures.FIGURES` (rows plus the formatter that
-turns them into text); this module only adds ``specs`` and the ``fleet``
-experiment, and the figure benches print the same text.  Training-based
-experiments (Table I, Figs. 5-7, Table II, Fig. 25) run through the
-benchmark suite instead: ``pytest benchmarks/ --benchmark-only``.
+Regenerates the paper's tables and figures without pytest.  Each
+analytical figure's table is defined once, in
+:data:`repro.reports.figures.FIGURES`, and each training claim once, in
+:data:`repro.reports.claims.CLAIMS` (rows plus the formatter that turns
+them into text); this module only adds ``specs`` and the ``fleet``
+experiment, and the benches print the same text.  Like ``fleet``, a
+training claim runs only when named, at ``--seed``.
 """
 
 from __future__ import annotations
@@ -210,9 +210,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description=(
-            "Regenerate the paper's analytical tables and figures, or run "
-            "the beyond-the-paper fleet simulation ('fleet'). Training-based "
-            "paper experiments run via 'pytest benchmarks/ --benchmark-only'. "
+            "Regenerate the paper's tables and figures, or run the "
+            "beyond-the-paper fleet simulation ('fleet'). "
             "YAML-driven scenario runs (churn, class-incremental phases, "
             "per-node heads) live under 'python -m repro scenario'."
         ),
@@ -223,9 +222,11 @@ def main(argv: list[str] | None = None) -> int:
         metavar="experiment",
         default=None,
         help=(
-            "which experiments to run (default: all analytical tables; "
-            "'fleet' is the multi-node simulation and must be asked for "
-            "explicitly)"
+            "which experiments to run (default: all analytical tables). "
+            "'fleet' (the multi-node simulation) and the training claims "
+            "'table1', 'fig5', 'fig6', 'fig7', 'diagnosis' (the diagnosis "
+            "ablation) and 'systems' (Table II + Fig. 25) train networks "
+            "and run only when named"
         ),
     )
     parser.add_argument(
@@ -241,10 +242,10 @@ def main(argv: list[str] | None = None) -> int:
         help="cloud-side update scheduler policy for 'fleet'",
     )
     parser.add_argument(
-        "--fleet-seed",
+        "--seed",
         type=int,
         default=0,
-        help="fleet scenario seed for 'fleet'",
+        help="seed for 'fleet' and the training claims (default: 0)",
     )
     parser.add_argument(
         "--mode",
@@ -338,8 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # choices= with nargs="*" rejects the no-argument case on some
     # CPython patch releases (gh-73484), so validation happens here.
-    valid = set(_EXPERIMENTS) | {"all", "fleet"}
     selected = args.experiments or ["all"]
+    if args.seed < 0:
+        parser.error(f"--seed must be an integer >= 0, got {args.seed}")
     if args.nodes < 1:
         parser.error("--nodes must be at least 1")
     # --mode is validated manually for the same reason as experiment
@@ -353,6 +355,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--horizon only applies to --mode event")
         if args.horizon <= 0:
             parser.error("--horizon must be positive")
+    claims = {}
+    if set(selected) - set(_EXPERIMENTS) - {"all", "fleet"}:
+        from repro.reports.claims import CLAIMS as claims
+    valid = set(_EXPERIMENTS) | set(claims) | {"all", "fleet"}
     for name in selected:
         if name not in valid:
             parser.error(
@@ -404,7 +410,7 @@ def main(argv: list[str] | None = None) -> int:
                 base=fleet_base_scenario(),
                 num_nodes=args.nodes,
                 scheduler_policy=args.policy,
-                seed=args.fleet_seed,
+                seed=args.seed,
             )
         except ValueError as exc:
             parser.error(f"invalid fleet scenario: {exc}")
@@ -424,6 +430,9 @@ def main(argv: list[str] | None = None) -> int:
                     topology=topology,
                 )
             )
+        elif name in claims:
+            rows, table = claims[name]
+            print(table(rows(args.seed)))
         else:
             print(_EXPERIMENTS[name]())
         print()

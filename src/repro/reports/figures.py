@@ -6,9 +6,8 @@ formats those rows into the figure's text table (title, header, cell
 formats).  :data:`FIGURES` pairs the two per experiment name;
 ``python -m repro`` renders every entry from it, and each
 ``benchmarks/bench_figNN_*.py`` asserts on the rows and prints the same
-table text.  Training-based experiments (Table I, Figs. 5-7, Table II,
-Fig. 25) live in the benchmark files because they need shared
-trained-model fixtures.
+table text.  The training experiments (Table I, Figs. 5-7, Table II,
+Fig. 25) are seeded claims in :mod:`repro.reports.claims`.
 """
 
 from __future__ import annotations
@@ -26,6 +25,8 @@ from repro.hw import (
     WSSArch,
     best_design,
     co_running_latency,
+    simulate_corun,
+    simulate_pipeline,
 )
 from repro.hw import fpga as fpga_model
 from repro.hw import gpu as gpu_model
@@ -54,6 +55,8 @@ __all__ = [
     "fig23_table",
     "engine_search_rows",
     "engine_search_table",
+    "eventsim_rows",
+    "eventsim_table",
 ]
 
 _FIG11_BATCHES = (1, 2, 4, 8, 16, 32, 64)
@@ -70,9 +73,9 @@ _FIG22_PE_BUDGET = 2628
 _FIG23_REQS_MS = (50, 100, 200, 400, 800)
 
 
-def fig11_rows(network: NetworkSpec | None = None) -> list[dict]:
+def fig11_rows() -> list[dict]:
     """Latency and perf/W vs batch on TX1 and VX690T (Fig. 11)."""
-    net = network if network is not None else alexnet_spec()
+    net = alexnet_spec()
     engine = TmTnEngine.best_for(net.conv_layers, 2048)
     rows = []
     for batch in _FIG11_BATCHES:
@@ -109,9 +112,9 @@ def fig11_table(rows: list[dict]) -> str:
     )
 
 
-def fig12_rows(network: NetworkSpec | None = None) -> list[dict]:
+def fig12_rows() -> list[dict]:
     """FCN share of runtime vs batch (Fig. 12)."""
-    net = network if network is not None else alexnet_spec()
+    net = alexnet_spec()
     engine = TmTnEngine.best_for(net.conv_layers, 2048)
     rows = []
     for batch in _FIG12_BATCHES:
@@ -140,10 +143,10 @@ def fig12_table(rows: list[dict]) -> str:
     )
 
 
-def fig14_rows(network: NetworkSpec | None = None) -> list[dict]:
+def fig14_rows() -> list[dict]:
     """Per-layer-type perf/W, with and without the FCN batch loop
     (Figs. 13-14)."""
-    net = network if network is not None else alexnet_spec()
+    net = alexnet_spec()
     conv_only = NetworkSpec(f"{net.name}-conv", net.conv_layers)
     fc_only = NetworkSpec(f"{net.name}-fc", net.fc_layers)
     engine = TmTnEngine.best_for(net.conv_layers, 2048)
@@ -183,9 +186,9 @@ def fig14_table(rows: list[dict]) -> str:
     )
 
 
-def fig15_rows(network: NetworkSpec | None = None) -> list[dict]:
+def fig15_rows() -> list[dict]:
     """GPU (Eq. 3) vs FPGA (Eq. 4) utilization vs batch (Fig. 15)."""
-    net = network if network is not None else alexnet_spec()
+    net = alexnet_spec()
     engine = TmTnEngine.best_for(net.conv_layers, 2048)
     fc6 = net.layer("fc6")
     conv3 = net.layer("conv3")
@@ -212,9 +215,9 @@ def fig15_table(rows: list[dict]) -> str:
     )
 
 
-def fig16_rows(network: NetworkSpec | None = None) -> list[dict]:
+def fig16_rows() -> list[dict]:
     """GPU co-running interference vs diagnosis duty (Fig. 16)."""
-    net = network if network is not None else alexnet_spec()
+    net = alexnet_spec()
     diag = diagnosis_spec(net)
     return [
         {
@@ -290,9 +293,9 @@ def fig21_table(rows: list[dict]) -> str:
     )
 
 
-def fig22_rows(network: NetworkSpec | None = None) -> list[dict]:
+def fig22_rows() -> list[dict]:
     """NWS / WS / WSS conv runtime at the 2628-PE budget (Fig. 22)."""
-    net = network if network is not None else alexnet_spec()
+    net = alexnet_spec()
     diag = diagnosis_spec(net)
     archs = {
         "NWS": NWSArch(_FIG22_PE_BUDGET, shape_for=net.conv_layers),
@@ -335,9 +338,9 @@ def fig22_table(rows: list[dict]) -> str:
     )
 
 
-def fig23_rows(network: NetworkSpec | None = None) -> list[dict]:
+def fig23_rows() -> list[dict]:
     """Pipeline throughput under latency requirements (Fig. 23)."""
-    net = network if network is not None else alexnet_spec()
+    net = alexnet_spec()
     diag = diagnosis_spec(net)
     rows = []
     for req_ms in _FIG23_REQS_MS:
@@ -410,6 +413,67 @@ def engine_search_table(rows: list[dict]) -> str:
     )
 
 
+def eventsim_rows() -> list[dict]:
+    """Closed-form models vs their discrete-event replay (validation).
+
+    The WSS-NWS pipeline simulator must hit Eq. (13)'s throughput and
+    bound its service latency; the GPU kernel-interleaving simulator must
+    land in the paper's "up to 3X" interference band.
+    """
+    net = alexnet_spec()
+    diag = diagnosis_spec(net)
+    rows = []
+    for req in (0.1, 0.4):
+        timing = best_design(
+            "WSS-NWS", net, diag, VX690T, latency_requirement_s=req,
+            max_batch=32,
+        )
+        sim = simulate_pipeline(
+            timing.design, net, diag, VX690T, num_images=64
+        )
+        rows.append(
+            {
+                "kind": "pipeline",
+                "point": f"{req * 1e3:.0f}ms",
+                "analytical": timing.throughput_ips,
+                "simulated": sim.steady_state_throughput_ips(
+                    2, timing.design.batch_size
+                ),
+                "latency_bound_ok": sim.max_service_latency_s
+                <= timing.latency_s * 1.05,
+            }
+        )
+    for batch in (8, 16):
+        sim = simulate_corun(net, diag, TX1, diagnosis_batch=batch)
+        rows.append(
+            {
+                "kind": "corun",
+                "point": f"diagB{batch}",
+                "analytical": None,
+                "simulated": sim.inference_slowdown,
+                "latency_bound_ok": True,
+            }
+        )
+    return rows
+
+
+def eventsim_table(rows: list[dict]) -> str:
+    return format_table(
+        "Validation — analytical models vs event-driven simulation",
+        ["model", "point", "analytical", "simulated", "latency bound"],
+        [
+            [
+                r["kind"],
+                r["point"],
+                "-" if r["analytical"] is None else f"{r['analytical']:.1f}",
+                f"{r['simulated']:.2f}",
+                "ok" if r["latency_bound_ok"] else "VIOLATED",
+            ]
+            for r in rows
+        ],
+    )
+
+
 #: Experiment name -> (rows, table): ``table(rows())`` is the figure's
 #: text, printed by ``python -m repro`` and by its benchmark alike.
 FIGURES: dict[str, tuple[Callable[[], list[dict]], Callable[..., str]]] = {
@@ -422,4 +486,5 @@ FIGURES: dict[str, tuple[Callable[[], list[dict]], Callable[..., str]]] = {
     "fig22": (fig22_rows, fig22_table),
     "fig23": (fig23_rows, fig23_table),
     "engines": (engine_search_rows, engine_search_table),
+    "eventsim": (eventsim_rows, eventsim_table),
 }

@@ -77,9 +77,9 @@ class GatewayProfile:
 class Topology:
     """A two-tier fleet shape: gateways partition the node id space.
 
-    ``canary_gateway_id`` scopes the canary rollout to one gateway's
-    children (regional canary; regression rolls back regionally before
-    any fleet-wide push).  ``per_transfer_overhead_bytes`` is the fixed
+    The first gateway's children canary every candidate model (regional
+    canary; regression rolls back regionally before any fleet-wide
+    push).  ``per_transfer_overhead_bytes`` is the fixed
     per-WAN-transfer framing cost aggregation amortizes away.
     """
 
@@ -87,7 +87,6 @@ class Topology:
     aggregation: AggregationPolicy = field(default_factory=AggregationPolicy)
     second_opinion_fraction: float = 0.0
     per_transfer_overhead_bytes: int = 2_000
-    canary_gateway_id: int | None = None
 
     def __post_init__(self) -> None:
         if not self.gateways:
@@ -104,13 +103,6 @@ class Topology:
             raise ValueError("second_opinion_fraction must be in [0, 1]")
         if self.per_transfer_overhead_bytes < 0:
             raise ValueError("per_transfer_overhead_bytes must be >= 0")
-        if (
-            self.canary_gateway_id is not None
-            and self.canary_gateway_id not in set(gw_ids)
-        ):
-            raise ValueError(
-                f"canary gateway {self.canary_gateway_id} not in topology"
-            )
 
     # ------------------------------------------------------------------
     # Lookups
@@ -130,12 +122,7 @@ class Topology:
     @property
     def canary_gateway(self) -> GatewayProfile:
         """The gateway whose children canary candidate models first."""
-        if self.canary_gateway_id is None:
-            return self.gateways[0]
-        for g in self.gateways:
-            if g.gateway_id == self.canary_gateway_id:
-                return g
-        raise KeyError(self.canary_gateway_id)  # unreachable post-init
+        return self.gateways[0]
 
     @property
     def canary_node_ids(self) -> tuple[int, ...]:
@@ -169,7 +156,6 @@ class Topology:
         aggregation: AggregationPolicy | None = None,
         second_opinion_fraction: float = 0.0,
         per_transfer_overhead_bytes: int = 2_000,
-        canary_gateway_id: int | None = None,
     ) -> "Topology":
         """Group consecutive node-id blocks of size ``fan_out`` per gateway."""
         if num_nodes < 1:
@@ -192,5 +178,4 @@ class Topology:
             ),
             second_opinion_fraction=second_opinion_fraction,
             per_transfer_overhead_bytes=per_transfer_overhead_bytes,
-            canary_gateway_id=canary_gateway_id,
         )

@@ -41,16 +41,6 @@ class TestBatchRenderEquivalence:
         # Next scalar draw sees the same stream in both generators.
         assert np.array_equal(ref.generate(1), gen.generate(1))
 
-    def test_params_render_is_pure(self):
-        """generate(class_id, params=...) reproduces without touching rng."""
-        gen = ImageGenerator(48, 4, rng=np.random.default_rng(11))
-        params = gen.sample_params()
-        state = gen.rng.bit_generator.state
-        a = gen.generate(2, params=params)
-        b = gen.generate(2, params=params)
-        assert np.array_equal(a, b)
-        assert gen.rng.bit_generator.state == state
-
 
 class TestDriftBatchEquivalence:
     @settings(max_examples=10, deadline=None)

@@ -108,21 +108,21 @@ class TestRpr008AnalyticalExemption:
 
     @staticmethod
     def _codes(imports: str, params: str) -> set[str]:
-        source = f"{imports}\ndef bench_fig(benchmark, {params}):\n    pass\n"
+        args = ", ".join(a for a in ("benchmark", params) if a)
+        source = f"{imports}\ndef bench_fig({args}):\n    pass\n"
         return {f.code for f in lint_source(source, "benchmarks/bench_x.py")}
 
     def test_analytical_bench_needs_no_slow_marker(self):
-        imports = (
-            "from repro.hw import TX1\n"
-            "from repro.reports.figures import fig11_rows, fig11_table\n"
-        )
-        assert "RPR008" not in self._codes(imports, "alexnet, tables")
+        imports = "from repro.reports.figures import fig11_rows, fig11_table\n"
+        assert "RPR008" not in self._codes(imports, "")
 
     @pytest.mark.parametrize(
         "imports, params",
         [
-            # a training fixture from conftest
+            # any fixture beyond `benchmark`
             ("from repro.reports.figures import fig11_rows\n", "system_results"),
+            # the training claims are not analytical
+            ("from repro.reports.claims import table1_rows\n", ""),
             # any import beyond the analytical modules
             (
                 "from repro.reports.figures import fig11_rows\n"

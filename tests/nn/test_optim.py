@@ -29,11 +29,6 @@ class TestSGD:
         opt.step()  # v = -1.5, x = -2.5
         assert p.data[0] == pytest.approx(-2.5)
 
-    def test_weight_decay(self):
-        p = make_param(10.0, grad=0.0)
-        SGD([p], lr=0.1, momentum=0.0, weight_decay=0.1).step()
-        assert p.data[0] == pytest.approx(10.0 - 0.1 * 0.1 * 10.0)
-
     def test_frozen_parameter_untouched(self):
         p = make_param(5.0, grad=100.0)
         p.frozen = True
@@ -50,8 +45,6 @@ class TestSGD:
             SGD([], lr=0.0)
         with pytest.raises(ValueError):
             SGD([], momentum=1.0)
-        with pytest.raises(ValueError):
-            SGD([], weight_decay=-1.0)
 
     def test_converges_on_quadratic(self):
         """Minimize (x - 3)^2 — sanity of the whole update rule."""

@@ -7,8 +7,19 @@ import re
 import pytest
 
 from repro.reports import figures
+from repro.reports.claims import CLAIMS
 from repro.reports.cli import _EXPERIMENTS, main
 from repro.reports.tables import format_table
+
+
+def _forbid_training(monkeypatch):
+    """Make every claim's rows raise, so a test sees any training start."""
+
+    def never(seed):
+        raise AssertionError("a training claim ran")
+
+    for name, (_, table) in CLAIMS.items():
+        monkeypatch.setitem(CLAIMS, name, (never, table))
 
 
 class TestFormatTable:
@@ -47,6 +58,35 @@ class TestCLI:
         # Every figure repro.reports.figures defines, plus the specs table.
         assert set(_EXPERIMENTS) == set(figures.FIGURES) | {"specs"}
         assert {"fig21", "fig23", "engines"} <= set(figures.FIGURES)
+        # The training claims are a separate, named-only registry.
+        assert not set(CLAIMS) & set(_EXPERIMENTS)
+
+    @pytest.mark.parametrize("argv", [[], ["all"]])
+    def test_default_run_trains_nothing(self, argv, capsys, monkeypatch):
+        _forbid_training(monkeypatch)
+        for name in _EXPERIMENTS:  # the tables themselves are tested above
+            monkeypatch.setitem(_EXPERIMENTS, name, lambda name=name: name)
+        assert main(argv) == 0
+        assert capsys.readouterr().out.split() == sorted(_EXPERIMENTS)
+
+    def test_help_names_every_claim(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        for name in CLAIMS:
+            assert f"'{name}'" in out, name
+
+    def test_import_repro_loads_no_claim(self):
+        # Every e2e workload pays for `import repro`; the claims' training
+        # stack is loaded only when a claim runs.
+        import subprocess
+        import sys
+
+        code = (
+            "import sys, repro, repro.reports.cli; "
+            "sys.exit('repro.reports.claims' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     def test_figure_titles_are_distinct(self):
         # A table's title line does not depend on its rows.
@@ -86,15 +126,25 @@ class TestFleetModeFlag:
 class TestFleetSeed:
     def test_negative_seed_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as caught:
-            main(["fleet", "--nodes", "2", "--fleet-seed", "-1"])
+            main(["fleet", "--nodes", "2", "--seed", "-1"])
         assert caught.value.code == 2
         err = capsys.readouterr().err
         assert re.search(
-            r"error: invalid fleet scenario: seed must be an integer >= 0, "
-            r"got -1$",
+            r"error: --seed must be an integer >= 0, got -1$",
             err,
             re.MULTILINE,
         ), err
+
+    @pytest.mark.parametrize("claim", sorted(CLAIMS))
+    def test_negative_seed_refused_before_a_claim_trains(
+        self, claim, capsys, monkeypatch
+    ):
+        _forbid_training(monkeypatch)
+        with pytest.raises(SystemExit) as caught:
+            main([claim, "--seed", "-1"])
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --seed must be an integer >= 0" in err, err
 
 
 class TestFleetOutputPaths:

@@ -34,12 +34,6 @@ class TestFig11Rows:
             expected = network_time(net, TX1, row["batch"]).total_s * 1e3
             assert row["gpu_latency_ms"] == pytest.approx(expected)
 
-    def test_custom_network(self):
-        from repro.models import vgg16_spec
-
-        rows = fig11_rows(vgg16_spec())
-        assert rows[0]["gpu_latency_ms"] > fig11_rows()[0]["gpu_latency_ms"]
-
 
 class TestFig12Rows:
     def test_fractions_in_unit_interval(self):

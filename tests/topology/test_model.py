@@ -65,17 +65,9 @@ class TestTopology:
         with pytest.raises(ValueError, match="second_opinion_fraction"):
             Topology.fan_out(2, 2, second_opinion_fraction=1.5)
 
-    def test_unknown_canary_gateway_rejected(self):
-        with pytest.raises(ValueError, match="canary gateway"):
-            Topology.fan_out(4, 2, canary_gateway_id=7)
-
     def test_canary_defaults_to_first_gateway(self):
         top = Topology.fan_out(4, 2)
         assert top.canary_node_ids == (0, 1)
-
-    def test_canary_gateway_selects_region(self):
-        top = Topology.fan_out(4, 2, canary_gateway_id=1)
-        assert top.canary_node_ids == (2, 3)
 
     def test_validate_for_checks_node_cover(self):
         class P:

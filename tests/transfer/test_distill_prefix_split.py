@@ -23,7 +23,7 @@ def unsplit_distill(net, train_data, *, teacher, freeze_plan, epochs, batch_size
     """``distill_classifier`` as it was before the split, defaults included."""
     freeze_plan.apply(net)
     loss_fn = DistillationLoss(1.0, 2.0)
-    optimizer = SGD(net.parameters, lr=0.01, momentum=0.9, weight_decay=0.0)
+    optimizer = SGD(net.parameters, lr=0.01, momentum=0.9)
     inputs, labels = train_data.images, train_data.labels
     losses = []
     for _ in range(epochs):
