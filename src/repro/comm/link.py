@@ -55,9 +55,6 @@ class NetworkLink:
             raise ValueError("num_bytes must be >= 0")
         return num_bytes * self.energy_per_byte_j
 
-    def image_upload_time_s(self, images: int) -> float:
-        return self.transfer_time_s(images * JPEG_IMAGE_BYTES)
-
     def image_upload_energy_j(self, images: int) -> float:
         return self.transfer_energy_j(images * JPEG_IMAGE_BYTES)
 

@@ -22,14 +22,6 @@ class StageMovement:
     downloaded_bytes: int = 0
 
     @property
-    def uploaded_bytes(self) -> int:
-        return self.uploaded_images * self.image_bytes
-
-    @property
-    def total_bytes(self) -> int:
-        return self.uploaded_bytes + self.downloaded_bytes
-
-    @property
     def upload_fraction(self) -> float:
         if self.acquired_images == 0:
             return 0.0
@@ -59,26 +51,6 @@ class LedgerTotals:
     edge_transfer_events: int = 0
     wan_transfer_events: int = 0
     transfer_overhead_bytes: int = 0
-
-    @property
-    def total_bytes_moved(self) -> int:
-        return self.uploaded_bytes + self.downloaded_bytes
-
-    @property
-    def tiered_bytes_moved(self) -> int:
-        """All per-tier traffic: both hops, both directions."""
-        return (
-            self.edge_to_gateway_bytes
-            + self.gateway_to_cloud_bytes
-            + self.gateway_to_edge_bytes
-            + self.cloud_to_gateway_bytes
-        )
-
-    @property
-    def upload_fraction(self) -> float:
-        if self.acquired_images == 0:
-            return 0.0
-        return self.uploaded_images / self.acquired_images
 
 
 @dataclass

@@ -109,9 +109,11 @@ class SingleRunningPlanner:
 class CoRunningPlanner:
     """Analytical-model-guided configuration for the FPGA node."""
 
-    def __init__(self, fpga: FPGASpec, *, arch_name: str = "WSS-NWS") -> None:
+    #: the paper's co-running architecture (WSS conv, non-weight-shared FCN)
+    ARCH_NAME = "WSS-NWS"
+
+    def __init__(self, fpga: FPGASpec) -> None:
         self.fpga = fpga
-        self.arch_name = arch_name
 
     def plan(
         self,
@@ -122,7 +124,7 @@ class CoRunningPlanner:
     ) -> PipelineTiming:
         """Best pipeline design under the user latency requirement (Eq. 14)."""
         timing = best_design(
-            self.arch_name,
+            self.ARCH_NAME,
             inference,
             diagnosis,
             self.fpga,
@@ -130,7 +132,7 @@ class CoRunningPlanner:
         )
         if timing is None:
             raise ValueError(
-                f"{self.arch_name} cannot meet "
+                f"{self.ARCH_NAME} cannot meet "
                 f"{latency_requirement_s * 1e3:.1f} ms on {self.fpga.name}"
             )
         return timing

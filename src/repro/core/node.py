@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.comm.link import JPEG_IMAGE_BYTES
 from repro.core.costing import GPUSingleRunningCost, TaskCost
 from repro.data.datasets import Dataset
 from repro.data.stream import AcquisitionStage
@@ -44,11 +43,6 @@ class NodeReport:
         if self.acquired_images == 0:
             return 0.0
         return self.flagged_images / self.acquired_images
-
-    @property
-    def upload_bytes(self) -> int:
-        """Bytes the upload set puts on the uplink."""
-        return len(self.upload_data) * JPEG_IMAGE_BYTES
 
 
 class InSituNode:

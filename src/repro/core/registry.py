@@ -96,10 +96,6 @@ class ModelRegistry:
         entries = self.versions(track)
         return entries[-1] if entries else None
 
-    def tracks(self) -> list[str]:
-        """Sorted distinct track names with at least one version."""
-        return sorted({entry.track for entry in self._versions})
-
 
 @dataclass(frozen=True)
 class GuardDecision:
@@ -153,7 +149,3 @@ class UpdateGuard:
         )
         self.decisions.append(decision)
         return decision
-
-    @property
-    def rejection_count(self) -> int:
-        return sum(1 for d in self.decisions if not d.accepted)

@@ -45,10 +45,6 @@ class SystemConfig:
         """Systems without node diagnosis must ship all raw data up."""
         return self.diagnosis_location != "node"
 
-    @property
-    def trains_on_valuable_only(self) -> bool:
-        return self.diagnosis_location != "none"
-
 
 SYSTEMS: tuple[SystemConfig, ...] = (
     SystemConfig("a", "traditional", "none", weight_shared=False),

@@ -73,10 +73,6 @@ class DatasetCache:
                 self._entries.popitem(last=False)
         return value
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()

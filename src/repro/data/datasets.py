@@ -42,14 +42,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.images.shape[0]
 
-    @property
-    def image_shape(self) -> tuple[int, int, int]:
-        return self.images.shape[1:]
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1 if len(self) else 0
-
     def subset(self, indices: Sequence[int] | np.ndarray) -> "Dataset":
         indices = np.asarray(indices)
         return Dataset(
@@ -64,19 +56,6 @@ class Dataset:
         if count < 0:
             raise ValueError("count must be >= 0")
         return self.subset(np.arange(min(count, len(self))))
-
-    def split(
-        self, fraction: float, rng: np.random.Generator
-    ) -> tuple["Dataset", "Dataset"]:
-        """Random split into (first, second) with ``fraction`` in the first."""
-        if not 0.0 < fraction < 1.0:
-            raise ValueError("fraction must be in (0, 1)")
-        perm = rng.permutation(len(self))
-        cut = int(round(fraction * len(self)))
-        return self.subset(perm[:cut]), self.subset(perm[cut:])
-
-    def shuffled(self, rng: np.random.Generator) -> "Dataset":
-        return self.subset(rng.permutation(len(self)))
 
     def as_unlabeled(self) -> "Dataset":
         """A view that consumers must treat as unlabeled raw IoT data."""
@@ -97,9 +76,6 @@ class Dataset:
                 self.images[start : start + batch_size],
                 self.labels[start : start + batch_size],
             )
-
-    def class_counts(self) -> np.ndarray:
-        return np.bincount(self.labels, minlength=self.num_classes)
 
     @staticmethod
     def concat(parts: Sequence["Dataset"]) -> "Dataset":

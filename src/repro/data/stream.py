@@ -39,10 +39,6 @@ class AcquisitionStage:
     cumulative_count: int
     drift_severity: float
 
-    @property
-    def new_count(self) -> int:
-        return len(self.new_data)
-
 
 class IoTStream:
     """Generates the staged acquisition schedule.

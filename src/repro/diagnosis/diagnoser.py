@@ -76,12 +76,6 @@ class Diagnoser:
             )
         return mask
 
-    def upload_fraction(self, data: Dataset) -> float:
-        """Fraction of the dataset that would be uploaded."""
-        if len(data) == 0:
-            raise ValueError("cannot diagnose an empty dataset")
-        return float(self.flags(data).mean())
-
 
 class JigsawDiagnoser(Diagnoser):
     """Diagnosis through the unsupervised context network.

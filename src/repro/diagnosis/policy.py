@@ -43,12 +43,6 @@ class DiagnosisReport:
     recall: float  # misclassified samples that were flagged
     error_rate: float  # overall misclassification rate of the model
 
-    @property
-    def f1(self) -> float:
-        if self.precision + self.recall == 0:
-            return 0.0
-        return 2 * self.precision * self.recall / (self.precision + self.recall)
-
 
 def evaluate_diagnoser(
     diagnoser: Diagnoser, oracle: Diagnoser, data: Dataset

@@ -66,10 +66,6 @@ class FlowRecord:
     drain_s: float  # when its last bit left the link
     done_s: float  # drain + access-link latency
 
-    @property
-    def duration_s(self) -> float:
-        return self.done_s - self.start_s
-
 
 class _Flow:
     __slots__ = ("tag", "num_bytes", "bits", "cap", "latency", "start", "done")
@@ -122,10 +118,6 @@ class FlowLink:
         self._token = 0  # invalidates stale completion ticks
         #: (time, rates, caps) at every reallocation instant
         self.rate_history: list[tuple[float, tuple[float, ...], tuple[float, ...]]] = []
-
-    @property
-    def active_flows(self) -> int:
-        return len(self._flows)
 
     def transfer(
         self,

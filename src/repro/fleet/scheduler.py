@@ -224,7 +224,3 @@ class FleetScheduler:
         )
         self.history.append(result)
         return result
-
-    @property
-    def rejection_count(self) -> int:
-        return sum(1 for r in self.history if not r.promoted)

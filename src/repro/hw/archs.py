@@ -51,6 +51,10 @@ __all__ = [
 #: one engine per jigsaw patch
 NUM_DIAGNOSIS_ENGINES = 9
 
+#: side of the WSS inference engine's square PE array (even: each
+#: diagnosis engine is half of it on a side)
+INFERENCE_TILE = 14
+
 #: inference engine PE share vs one diagnosis engine (4:1 load ratio)
 _INFERENCE_SHARE = 4
 
@@ -230,14 +234,12 @@ class WSSArch(CoRunningArch):
         self,
         pe_budget: int,
         *,
-        inference_tile: int = 14,
         shape_for: tuple[LayerSpec, ...] | None = None,
     ) -> None:
         del shape_for  # PE-array geometry is load-proportional, not layer-tuned
-        if inference_tile % 2:
-            raise ValueError("inference_tile must be even (diagnosis uses half)")
-        self.inference_engine = PEArrayEngine(inference_tile, inference_tile)
-        half = inference_tile // 2
+        self.inference_engine = PEArrayEngine(INFERENCE_TILE, INFERENCE_TILE)
+        # Each diagnosis engine is half the inference tile on a side.
+        half = INFERENCE_TILE // 2
         self.diagnosis_engine = PEArrayEngine(half, half)
         unit = (
             self.inference_engine.pe_count

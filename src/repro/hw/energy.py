@@ -13,6 +13,10 @@ from repro.hw.specs import GPUSpec
 
 __all__ = ["TrainingCostModel"]
 
+#: sustained fraction of the training GPU's peak (training kernels on
+#: Maxwell-class hardware typically reach ~50%)
+TRAINING_EFFICIENCY = 0.5
+
 
 @dataclass(frozen=True)
 class TrainingCostModel:
@@ -23,21 +27,15 @@ class TrainingCostModel:
     frozen prefix cost only the forward pass, and with feature caching the
     prefix runs once per image instead of once per epoch.
 
-    ``efficiency`` is the sustained fraction of the training GPU's peak the
-    workload achieves (training kernels on Maxwell-class hardware typically
-    reach ~50%).
+    The workload sustains :data:`TRAINING_EFFICIENCY` of the training
+    GPU's peak.
     """
 
     device: GPUSpec
-    efficiency: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.efficiency <= 1.0:
-            raise ValueError("efficiency must be in (0, 1]")
 
     @property
     def sustained_ops(self) -> float:
-        return self.device.max_ops * self.efficiency
+        return self.device.max_ops * TRAINING_EFFICIENCY
 
     def training_time_s(
         self,
@@ -70,4 +68,4 @@ class TrainingCostModel:
     def training_energy_j(self, training_time_s: float) -> float:
         if training_time_s < 0:
             raise ValueError("training time must be >= 0")
-        return self.device.power(self.efficiency) * training_time_s
+        return self.device.power(TRAINING_EFFICIENCY) * training_time_s

@@ -81,10 +81,7 @@ class TmTnEngine:
         best_engine = cls(1, 1)
         best_cycles = float("inf")
         for tm in range(1, budget + 1):
-            tn = budget // tm
-            if tn < 1:
-                break
-            engine = cls(tm, tn)
+            engine = cls(tm, budget // tm)  # tm <= budget, so tn >= 1
             cycles = sum(
                 engine.conv_cycles(spec)
                 if spec.kind == "conv"
@@ -167,13 +164,3 @@ class PEArrayEngine:
         return math.ceil(layer.out_maps / parallel_maps) * self.conv_cycles_per_map(
             layer
         )
-
-    def utilization(self, layer: LayerSpec) -> float:
-        """Fraction of PE-cycles doing useful work (edge-tile waste only)."""
-        useful = layer.out_rows * layer.out_cols
-        padded = (
-            self.pe_count
-            * math.ceil(layer.out_rows / self.tr)
-            * math.ceil(layer.out_cols / self.tc)
-        )
-        return useful / padded

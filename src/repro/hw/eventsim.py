@@ -23,6 +23,9 @@ from repro.models.layer_specs import NetworkSpec
 
 __all__ = ["ImageTrace", "PipelineSimResult", "simulate_pipeline"]
 
+#: images per simulated run: several batches past the fill transient
+NUM_IMAGES = 64
+
 
 @dataclass(frozen=True)
 class ImageTrace:
@@ -35,11 +38,6 @@ class ImageTrace:
     conv_start_s: float
     conv_done_s: float
     fcn_done_s: float
-
-    @property
-    def latency_s(self) -> float:
-        """Sojourn time: arrival to FCN completion (includes queueing)."""
-        return self.fcn_done_s
 
     @property
     def service_latency_s(self) -> float:
@@ -59,12 +57,6 @@ class PipelineSimResult:
     def images(self) -> int:
         return len(self.traces)
 
-    @property
-    def throughput_ips(self) -> float:
-        if self.makespan_s <= 0:
-            return 0.0
-        return self.images / self.makespan_s
-
     def steady_state_throughput_ips(self, skip_batches: int, batch: int) -> float:
         """Throughput excluding the first ``skip_batches`` (fill transient)."""
         skip = skip_batches * batch
@@ -72,14 +64,6 @@ class PipelineSimResult:
             raise ValueError("not enough images to skip the transient")
         first = self.traces[skip].conv_start_s
         return (self.images - skip) / (self.makespan_s - first)
-
-    @property
-    def max_latency_s(self) -> float:
-        return max(t.latency_s for t in self.traces)
-
-    @property
-    def mean_latency_s(self) -> float:
-        return sum(t.latency_s for t in self.traces) / self.images
 
     @property
     def max_service_latency_s(self) -> float:
@@ -91,10 +75,8 @@ def simulate_pipeline(
     inference: NetworkSpec,
     diagnosis: NetworkSpec,
     fpga: FPGASpec,
-    *,
-    num_images: int = 64,
 ) -> PipelineSimResult:
-    """Run ``num_images`` through the two-stage pipeline.
+    """Run :data:`NUM_IMAGES` images through the two-stage pipeline.
 
     All images arrive at t = 0: a backlogged source (the conv stage is
     never starved), which is the regime Eq. (13) describes.  Per-image
@@ -102,8 +84,6 @@ def simulate_pipeline(
     analytical pipeline uses, so any disagreement is purely about stage
     overlap, not about layer costs.
     """
-    if num_images < 1:
-        raise ValueError("num_images must be >= 1")
     timing = pipeline_timing(design, inference, diagnosis, fpga)
     conv_per_image = timing.conv_stage_s / design.batch_size
     fcn_per_batch = timing.fcn_stage_s
@@ -112,15 +92,15 @@ def simulate_pipeline(
     sim = Simulator()
     handoff: Store = Store(sim)
     traces: list[ImageTrace] = []
-    num_batches = (num_images + batch - 1) // batch
+    num_batches = (NUM_IMAGES + batch - 1) // batch
 
     def conv_stage():
         pending: list[tuple[int, float, float]] = []
-        for index in range(num_images):
+        for index in range(NUM_IMAGES):
             conv_start = sim.now
             yield sim.timeout(conv_per_image)
             pending.append((index, conv_start, sim.now))
-            if len(pending) == batch or index == num_images - 1:
+            if len(pending) == batch or index == NUM_IMAGES - 1:
                 # Whole batch hands off to the FCN stage together; the
                 # unbounded Store lets conv race ahead while FCN drains.
                 handoff.put(pending)

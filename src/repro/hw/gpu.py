@@ -120,11 +120,6 @@ class NetworkTiming:
         return sum(t.time_s for t in self.layers if t.layer.kind == "fc")
 
     @property
-    def latency_s(self) -> float:
-        """Time to produce results for the whole batch."""
-        return self.total_s
-
-    @property
     def throughput_ips(self) -> float:
         """Images per second at this batch size."""
         return self.batch / self.total_s

@@ -20,6 +20,9 @@ from repro.models.layer_specs import NetworkSpec
 
 __all__ = ["CoRunSimResult", "simulate_corun"]
 
+#: inference images whose latency a co-run averages
+NUM_IMAGES = 20
+
 
 @dataclass(frozen=True)
 class CoRunSimResult:
@@ -45,8 +48,7 @@ def simulate_corun(
     diagnosis: NetworkSpec,
     gpu: GPUSpec,
     *,
-    diagnosis_batch: int = 1,
-    num_images: int = 20,
+    diagnosis_batch: int,
 ) -> CoRunSimResult:
     """Interleave inference and diagnosis kernels round-robin.
 
@@ -55,8 +57,6 @@ def simulate_corun(
     runs one image per batch.  Returns mean inference-image latency with
     and without the co-runner.
     """
-    if num_images < 1:
-        raise ValueError("num_images must be >= 1")
     inf_kernels = _kernel_times(inference, gpu, 1)
     # One diagnosis image = conv trunk once per patch + the FCN head once.
     diag_kernels = [
@@ -79,7 +79,7 @@ def simulate_corun(
     image_start = 0.0
     latencies: list[float] = []
     turn_inference = True
-    while len(latencies) < num_images:
+    while len(latencies) < NUM_IMAGES:
         if turn_inference:
             if inf_idx == 0:
                 image_start = clock

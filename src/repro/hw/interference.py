@@ -38,36 +38,31 @@ class CoRunResult:
     def inference_slowdown(self) -> float:
         return self.inference_corun_s / self.inference_solo_s
 
-    @property
-    def diagnosis_slowdown(self) -> float:
-        return self.diagnosis_corun_s / self.diagnosis_solo_s
-
 
 def co_running_latency(
     inference: NetworkSpec,
     diagnosis: NetworkSpec,
     gpu: GPUSpec,
     *,
-    diagnosis_batch: int = 1,
     diagnosis_duty: float = 1.0,
 ) -> CoRunResult:
     """Latency of each task when both run on one GPU.
 
     ``diagnosis_duty`` in [0, 1] scales how continuously the diagnosis task
     keeps the device busy (1 = always has work queued, the worst case shown
-    in Fig. 16).  Inference runs one image per batch.  Each diagnosis
+    in Fig. 16).  Both tasks run one image per batch.  Each diagnosis
     *image* costs :data:`~repro.hw.gpu.NUM_PATCHES` trunk
     passes plus one head pass.
     """
     if not 0.0 <= diagnosis_duty <= 1.0:
         raise ValueError("diagnosis_duty must be in [0, 1]")
     inf_solo = network_time(inference, gpu, 1).total_s
-    diag_timing = network_time(diagnosis, gpu, diagnosis_batch)
+    diag_timing = network_time(diagnosis, gpu, 1)
     # Conv trunk runs once per patch; the FCN head once per image.
     diag_solo = diag_timing.conv_s * NUM_PATCHES + diag_timing.fc_s
 
     inf_demand = inf_solo
-    diag_demand = diagnosis_duty * diag_solo / diagnosis_batch
+    diag_demand = diagnosis_duty * diag_solo
     if inf_demand <= 0:
         raise ValueError("inference demand must be positive")
     inf_slow = (inf_demand + diag_demand) / inf_demand

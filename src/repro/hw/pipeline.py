@@ -49,11 +49,9 @@ ARCH_FACTORIES = {
 class PipelineDesign:
     """A concrete two-stage design: conv architecture + FCN engine + batch.
 
-    ``include_diagnosis_fcn`` controls whether the diagnosis head occupies
-    the FCN stage on the critical path.  The diagnosis task is
-    latency-insensitive (Section III-C2), so by default its head is
-    scheduled into pipeline slack and only the inference FCN layers gate
-    the latency/throughput of the design.
+    The diagnosis task is latency-insensitive (Section III-C2), so its
+    head is scheduled into pipeline slack and only the inference FCN
+    layers gate the latency/throughput of the design.
     """
 
     arch_name: str
@@ -61,7 +59,6 @@ class PipelineDesign:
     fcn_engine: TmTnEngine
     batch_size: int
     fcn_batch_optimized: bool
-    include_diagnosis_fcn: bool = False
 
     @property
     def dsp_used(self) -> int:
@@ -98,13 +95,11 @@ class PipelineTiming:
     ) -> bool:
         """Whether the deferred diagnosis head fits in pipeline slack.
 
-        When the diagnosis FCN is kept off the critical path, it runs in
+        The diagnosis FCN is kept off the critical path: it runs in
         the FCN stage's idle time (``period - fcn_stage``).  Returns True
         when one round's slack covers the batch's diagnosis-head work, so
         diagnosis keeps up with acquisition indefinitely.
         """
-        if self.design.include_diagnosis_fcn:
-            return True
         slack = self.period_s - self.fcn_stage_s
         diag_fcn = sum(
             fc_layer_time(
@@ -133,11 +128,8 @@ def pipeline_timing(
     """
     conv_rt = design.conv_arch.conv_runtime(inference, diagnosis, fpga)
     conv_stage = conv_rt.total_s * design.batch_size
-    fcn_specs = inference.fc_layers
-    if design.include_diagnosis_fcn:
-        fcn_specs = fcn_specs + diagnosis.fc_layers
     fcn_stage = 0.0
-    for spec in fcn_specs:
+    for spec in inference.fc_layers:
         fcn_stage += fc_layer_time(
             spec,
             design.fcn_engine,

@@ -28,14 +28,13 @@ from repro.lint.engine import (
     lint_source,
 )
 from repro.lint.report import render_json, render_text
-from repro.lint.rules import RULES, Rule, all_codes, get_rule, select_rules
+from repro.lint.rules import RULES, Rule, all_codes, select_rules
 
 __all__ = [
     "Finding",
     "RULES",
     "Rule",
     "all_codes",
-    "get_rule",
     "iter_python_files",
     "lint_file",
     "lint_paths",

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import FileContext, Finding
 
-__all__ = ["RULES", "Rule", "all_codes", "get_rule", "select_rules"]
+__all__ = ["RULES", "Rule", "all_codes", "select_rules"]
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,6 @@ class Rule:
 
     def applies(self, ctx: "FileContext") -> bool:
         return True
-
-    def check(self, ctx: "FileContext") -> Iterator["Finding"]:
-        return iter(())
 
     def finding(
         self, ctx: "FileContext", node: ast.AST, message: str
@@ -71,10 +68,6 @@ def _register(rule: Rule) -> Rule:
 
 def all_codes() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
-
-
-def get_rule(code: str) -> Rule:
-    return _REGISTRY[code]
 
 
 def select_rules(

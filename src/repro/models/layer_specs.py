@@ -107,14 +107,6 @@ class NetworkSpec:
         return sum(s.ops for s in self.layers)
 
     @property
-    def conv_ops(self) -> int:
-        return sum(s.ops for s in self.conv_layers)
-
-    @property
-    def fc_ops(self) -> int:
-        return sum(s.ops for s in self.fc_layers)
-
-    @property
     def weight_bytes(self) -> int:
         return sum(s.weight_bytes for s in self.layers)
 

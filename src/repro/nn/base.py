@@ -64,6 +64,3 @@ class Layer:
     @property
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"{type(self).__name__}({self.name})"

@@ -22,19 +22,15 @@ transpose the *small* tensor instead of the large one:
 * ``col2im`` overlap-adds straight out of the ``K*K`` contiguous planes of
   a Dm-layout gradient (what :class:`~repro.nn.conv.Conv2D` hands it) into
   a channel-major padded buffer, tap by tap in ``(ky, kx)`` order, and
-  returns the logical NCHW view.  Columns in any other layout (a
-  C-ordered ``(B*R*C, N*K*K)`` array from another caller) are first copied
-  into that plane layout: adding from strided planes was measured 1.5-2x
-  slower than copy-then-contiguous-adds.
+  returns the logical NCHW view.
 
-Every internal temporary — the channel-major padded input, the fallback
-contiguity copy — is a view of the process-wide grow-only
-:mod:`repro.nn.workspace` (roles ``im2col_pad``, ``col2im_scratch``), because
-first-touch page faults on fresh temporaries once cost more than the copies
-themselves.  Only what is *returned* is freshly allocated: ``im2col``'s
-result unless ``out=`` is given, ``col2im``'s result unless ``padded_out=``
-is given.  :class:`~repro.nn.conv.Conv2D` passes workspace views for those
-too, so the steady-state training loop allocates no large array at all.
+The one internal temporary, the channel-major padded input, is a view of
+the process-wide grow-only :mod:`repro.nn.workspace` (role ``im2col_pad``),
+because first-touch page faults on fresh temporaries once cost more than
+the copies themselves.  What is *returned* lands in the caller's buffers,
+``out=`` and ``padded_out=``: :class:`~repro.nn.conv.Conv2D` passes
+workspace views, so the steady-state training loop allocates no large
+array at all.
 """
 
 from __future__ import annotations
@@ -101,7 +97,7 @@ def im2col(
     stride: int = 1,
     pad: int = 0,
     *,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Rearrange image patches into columns.
 
@@ -112,11 +108,11 @@ def im2col(
     kernel, stride, pad:
         Square-kernel convolution geometry.
     out:
-        Optional preallocated buffer in the paper's Dm layout, shape
+        The buffer in the paper's Dm layout, shape
         ``(N * kernel * kernel, B * R * C)``: a C-contiguous array or a
         column block of a larger Dm (any row stride, contiguous rows), as
-        :class:`~repro.nn.conv.Conv2D` passes per block of images.  A fresh
-        array is allocated when omitted.  The result is its transpose view.
+        :class:`~repro.nn.conv.Conv2D` passes per block of images.  The
+        result is its transpose view.
 
     Returns
     -------
@@ -132,12 +128,9 @@ def im2col(
     out_w = conv_output_size(width, kernel, stride, pad)
 
     shape = (channels * kernel * kernel, batch * out_h * out_w)
-    if out is None:
-        out = np.empty(shape, dtype=images.dtype)
-    else:
-        _check_buffer(out, shape, images.dtype, "im2col out")
-        if not out[0].flags.c_contiguous:
-            raise ValueError("im2col out buffer rows must be C-contiguous")
+    _check_buffer(out, shape, images.dtype, "im2col out")
+    if not out[0].flags.c_contiguous:
+        raise ValueError("im2col out buffer rows must be C-contiguous")
     dm6 = out.view()
     dm6.shape = (channels, kernel, kernel, batch, out_h, out_w)  # never a copy
 
@@ -158,57 +151,37 @@ def col2im(
     stride: int = 1,
     pad: int = 0,
     *,
-    padded_out: np.ndarray | None = None,
+    padded_out: np.ndarray,
 ) -> np.ndarray:
     """Scatter columns back into an image batch (adjoint of :func:`im2col`).
 
     Overlapping patches are *summed*, which is exactly the gradient
     accumulation the convolution backward pass needs.
 
-    ``cols`` is the logical ``(B*R*C, N*K*K)`` matrix.  When it is a
-    Dm-layout view (``cols.T`` C-contiguous, as :func:`im2col` returns and
-    :class:`~repro.nn.conv.Conv2D` computes its gradient columns) its
-    ``K*K`` planes are read in place.  Otherwise the workspace role
-    ``col2im_scratch`` (shape ``(N, K, K, B, R, C)``) receives a
-    contiguity copy first.  ``padded_out`` (channel-major, shape
-    ``(N, B, H+2p, W+2p)``) receives the accumulation and defaults to a
-    fresh array, because the call returns a view into it: logical
-    ``(B, N, H, W)``, cropped when ``pad > 0``.
+    ``cols`` is the logical ``(B*R*C, N*K*K)`` matrix as a Dm-layout view
+    (``cols.T`` C-contiguous, as :func:`im2col` returns and
+    :class:`~repro.nn.conv.Conv2D` computes its gradient columns); its
+    ``K*K`` planes are read in place.  ``padded_out`` (channel-major, shape
+    ``(N, B, H+2p, W+2p)``) receives the accumulation; the call returns a
+    view into it: logical ``(B, N, H, W)``, cropped when ``pad > 0``.
     """
     batch, channels, height, width = image_shape
     out_h = conv_output_size(height, kernel, stride, pad)
     out_w = conv_output_size(width, kernel, stride, pad)
 
-    six_shape = (channels, kernel, kernel, batch, out_h, out_w)
-    if cols.T.flags.c_contiguous:
-        planes = cols.T.reshape(six_shape)
-    else:
-        scratch = workspace.take("col2im_scratch", six_shape, cols.dtype)
-        # One blocked copy into (N, K, K, B, R, C): the K*K overlap-adds
-        # below then stream over contiguous planes, which measures 1.5-2x
-        # faster than adding straight from strided ones.
-        np.copyto(
-            scratch,
-            cols.reshape(
-                batch, out_h, out_w, channels, kernel, kernel
-            ).transpose(3, 4, 5, 0, 1, 2),
-        )
-        planes = scratch
-
+    if not cols.T.flags.c_contiguous:
+        raise ValueError("col2im cols must be a Dm-layout (transposed) view")
+    planes = cols.T.reshape(channels, kernel, kernel, batch, out_h, out_w)
     padded_shape = (channels, batch, height + 2 * pad, width + 2 * pad)
-    if padded_out is None:
-        padded = np.zeros(padded_shape, dtype=cols.dtype)
-    else:
-        _check_buffer(padded_out, padded_shape, cols.dtype, "col2im padded")
-        padded = padded_out
-        padded.fill(0.0)
+    _check_buffer(padded_out, padded_shape, cols.dtype, "col2im padded")
+    padded_out.fill(0.0)
     for ky in range(kernel):
         y_max = ky + stride * out_h
         for kx in range(kernel):
             x_max = kx + stride * out_w
-            padded[:, :, ky:y_max:stride, kx:x_max:stride] += planes[
+            padded_out[:, :, ky:y_max:stride, kx:x_max:stride] += planes[
                 :, ky, kx
             ]
-    return padded[:, :, pad : pad + height, pad : pad + width].transpose(
+    return padded_out[:, :, pad : pad + height, pad : pad + width].transpose(
         1, 0, 2, 3
     )

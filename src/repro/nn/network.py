@@ -90,9 +90,6 @@ class Sequential:
         """Inference-mode forward pass (no caches)."""
         return self.forward(x, training=False)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -100,26 +97,17 @@ class Sequential:
     def output_shape(self) -> Shape:
         return self._shapes[-1]
 
-    def layer_output_shape(self, name: str) -> Shape:
-        return self._shapes[self._index_of(name) + 1]
-
     def shape_at(self, index: int) -> Shape:
-        """Input shape seen by layer ``index`` (``len(self)`` = output shape)."""
+        """Input shape seen by layer ``index`` (the layer count gives the
+        output shape)."""
         return self._shapes[index]
 
     @property
     def parameters(self) -> list[Parameter]:
         return [p for layer in self.layers for p in layer.parameters]
 
-    @property
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters)
-
     def __iter__(self) -> Iterator[Layer]:
         return iter(self.layers)
-
-    def __len__(self) -> int:
-        return len(self.layers)
 
     def __getitem__(self, name: str) -> Layer:
         return self.layers[self._index_of(name)]
@@ -129,24 +117,6 @@ class Sequential:
             if layer.name == name:
                 return i
         raise KeyError(f"no layer named {name!r}")
-
-    def conv_layers(self) -> list[Conv2D]:
-        """Convolutional layers in order (the paper's conv1..convN)."""
-        return [layer for layer in self.layers if isinstance(layer, Conv2D)]
-
-    def summary(self) -> str:
-        """Human-readable table of layers, shapes, and parameter counts."""
-        lines = [f"{'layer':<14}{'type':<18}{'output shape':<18}{'params':>10}"]
-        shape = self.input_shape
-        for layer in self.layers:
-            shape = layer.output_shape(shape)
-            flag = " (frozen)" if layer.frozen else ""
-            lines.append(
-                f"{layer.name:<14}{type(layer).__name__:<18}"
-                f"{str(shape):<18}{layer.num_parameters:>10}{flag}"
-            )
-        lines.append(f"total parameters: {self.num_parameters}")
-        return "\n".join(lines)
 
     # ------------------------------------------------------------------
     # Training-state management
@@ -163,9 +133,6 @@ class Sequential:
     def unfreeze_all(self) -> None:
         for layer in self.layers:
             layer.unfreeze()
-
-    def frozen_layer_names(self) -> list[str]:
-        return [layer.name for layer in self.layers if layer.frozen]
 
     # ------------------------------------------------------------------
     # Weight exchange (cloud <-> node model deployment)

@@ -16,6 +16,9 @@ from repro.nn.tensor import Parameter
 
 __all__ = ["SGD"]
 
+#: classical momentum coefficient of every training run
+MOMENTUM = 0.9
+
 
 class SGD:
     """Stochastic gradient descent with classical momentum.
@@ -27,23 +30,15 @@ class SGD:
         after construction works).
     lr:
         Learning rate.
-    momentum:
-        Classical momentum coefficient in [0, 1).
+
+    The momentum coefficient is :data:`MOMENTUM`, Caffe's usual 0.9.
     """
 
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.9,
-    ) -> None:
+    def __init__(self, params: Iterable[Parameter], lr: float = 0.01) -> None:
         if lr <= 0:
             raise ValueError(f"lr must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.params = list(params)
         self.lr = lr
-        self.momentum = momentum
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
@@ -51,10 +46,6 @@ class SGD:
         for p, vel in zip(self.params, self._velocity):
             if p.frozen:
                 continue
-            vel *= self.momentum
+            vel *= MOMENTUM
             vel -= self.lr * p.grad
             p.data += vel
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()

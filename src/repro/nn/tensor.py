@@ -67,7 +67,3 @@ class Parameter:
                 f"into {self.name} {self.data.shape}"
             )
         self.data[...] = other.data
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "frozen" if self.frozen else "trainable"
-        return f"Parameter({self.name}, shape={self.data.shape}, {state})"

@@ -5,10 +5,9 @@ Every large temporary of :mod:`repro.nn.im2col` and
 per **role**: column matrices in the paper's Dm layout, ``cols_infer``
 (one block of images, ``(N*K*K, b*R*C)``, at most ``conv.BLOCK_BYTES``) and
 ``grad_cols`` (a whole batch, ``(N*K*K, B*R*C)``); ``grad_rows`` (output
-gradients that do not already sit in row order), ``grad_w``,
+gradients that do not already sit in row order), ``grad_w``, and
 the channel-major ``(N, B, H+2p, W+2p)`` images ``im2col_pad`` and
-``col2im_padded``, and ``col2im_scratch`` (touched only when ``col2im`` is
-handed C-ordered columns).  Within a phase a role's buffer is as large
+``col2im_padded``.  Within a phase a role's buffer is as large
 as the largest request it has served and is never shrunk, so once a phase
 has seen its biggest batch the hot loop touches only memory it has touched
 before, whatever shapes follow.
@@ -62,7 +61,7 @@ import weakref
 
 import numpy as np
 
-__all__ = ["checkout", "release", "reset", "sizes", "take"]
+__all__ = ["checkout", "release", "reset", "take"]
 
 
 def _keep_arrays_on_small_pages() -> None:
@@ -134,11 +133,6 @@ def release(slot: str, owner: object) -> None:
     holder = _HOLDERS.get(slot)
     if holder is not None and holder() is owner:
         del _HOLDERS[slot]
-
-
-def sizes() -> dict[str, int]:
-    """Bytes currently reserved, per role and slot."""
-    return {role: buf.nbytes for role, buf in _BUFFERS.items()}
 
 
 def reset() -> None:

@@ -136,9 +136,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: dict[tuple, object] = {}
 
-    def __len__(self) -> int:
-        return len(self._instruments)
-
     @staticmethod
     def _key(name: str, labels: dict[str, object]) -> tuple[str, _LabelKey]:
         return name, tuple(sorted((k, str(v)) for k, v in labels.items()))

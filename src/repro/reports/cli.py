@@ -414,8 +414,9 @@ def main(argv: list[str] | None = None) -> int:
             )
         except ValueError as exc:
             parser.error(f"invalid fleet scenario: {exc}")
-    if "all" in selected:
-        selected = sorted(_EXPERIMENTS)
+    if "all" in selected:  # the analytical list, then any other name
+        rest = [n for n in selected if n not in _EXPERIMENTS and n != "all"]
+        selected = sorted(_EXPERIMENTS) + rest
     tracer = Tracer() if args.trace else None
     metrics = MetricsRegistry() if args.metrics else None
     for name in selected:

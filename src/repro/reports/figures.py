@@ -428,9 +428,7 @@ def eventsim_rows() -> list[dict]:
             "WSS-NWS", net, diag, VX690T, latency_requirement_s=req,
             max_batch=32,
         )
-        sim = simulate_pipeline(
-            timing.design, net, diag, VX690T, num_images=64
-        )
+        sim = simulate_pipeline(timing.design, net, diag, VX690T)
         rows.append(
             {
                 "kind": "pipeline",

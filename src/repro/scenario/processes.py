@@ -76,28 +76,8 @@ class ChurnPlan:
                     down[node][s] = True
         return cls(down=tuple(tuple(row) for row in down))
 
-    @property
-    def num_stages(self) -> int:
-        return len(self.down[0]) if self.down else 0
-
     def alive(self, node: int, stage: int) -> bool:
         return not self.down[node][stage]
-
-    def alive_indices(self, stage: int) -> tuple[int, ...]:
-        return tuple(
-            i for i in range(len(self.down)) if not self.down[i][stage]
-        )
-
-    def rejoined(self, node: int, stage: int) -> bool:
-        """True when ``node`` comes back up at ``stage`` after an outage."""
-        return (
-            stage > 0
-            and not self.down[node][stage]
-            and self.down[node][stage - 1]
-        )
-
-    def downed_node_stages(self) -> int:
-        return sum(sum(1 for d in row if d) for row in self.down)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Node", "YamlError", "load", "parse"]
+__all__ = ["Node", "YamlError", "parse"]
 
 
 class YamlError(ValueError):
@@ -245,8 +245,3 @@ def parse(text: str) -> Node:
             f"unparsed content {leftover.content!r}", leftover.number
         )
     return root
-
-
-def load(text: str) -> object:
-    """Parse ``text`` and return plain data (no line anchors)."""
-    return parse(text).strip()

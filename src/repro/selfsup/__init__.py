@@ -1,7 +1,7 @@
 """Unsupervised pre-training via spatial-context (jigsaw) prediction."""
 
 from repro.selfsup.context_net import ContextNetwork, build_context_head
-from repro.selfsup.jigsaw import JigsawSampler, reassemble_tiles, split_tiles
+from repro.selfsup.jigsaw import JigsawSampler
 from repro.selfsup.permutations import PermutationSet, max_hamming_permutations
 from repro.selfsup.pretrain import (
     PretrainResult,
@@ -20,6 +20,4 @@ __all__ = [
     "max_hamming_permutations",
     "permutation_accuracy",
     "pretrain",
-    "reassemble_tiles",
-    "split_tiles",
 ]

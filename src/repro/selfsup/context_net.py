@@ -90,10 +90,6 @@ class ContextNetwork:
     def parameters(self) -> list[Parameter]:
         return self.trunk.parameters + self.head.parameters
 
-    @property
-    def num_classes(self) -> int:
-        return self.head.output_shape[0]
-
     def zero_grad(self) -> None:
         for p in self.parameters:
             p.zero_grad()
@@ -147,7 +143,7 @@ class ContextNetwork:
             for _ in range(trials)
         ]
         for k, start in enumerate(starts):
-            tiles = grid_tiles(images[start : start + batch_size], sampler.grid)
+            tiles = grid_tiles(images[start : start + batch_size])
             features = self.tile_features(tiles)
             for trial in labels:
                 orders = sampler.permset.perms[trial[k]]
@@ -160,12 +156,6 @@ class ContextNetwork:
             batch * self.num_tiles, self.feature_size
         )
         self.trunk.backward(grad_features)
-
-    def predict(self, tiles: np.ndarray) -> np.ndarray:
-        return self.forward(tiles, training=False)
-
-    def __call__(self, tiles: np.ndarray) -> np.ndarray:
-        return self.forward(tiles)
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict[str, np.ndarray]:

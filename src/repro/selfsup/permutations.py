@@ -17,16 +17,12 @@ import numpy as np
 __all__ = ["PermutationSet", "max_hamming_permutations"]
 
 
-def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise Hamming distance between one permutation and many."""
-    return (a[None, :] != b).sum(axis=1)
+#: tiles per jigsaw puzzle (the paper's 3x3 grid)
+NUM_TILES = 9
 
 
 def max_hamming_permutations(
-    num_perms: int,
-    num_tiles: int = 9,
-    *,
-    rng: np.random.Generator,
+    num_perms: int, *, rng: np.random.Generator
 ) -> np.ndarray:
     """Greedy maximin-Hamming permutation selection.
 
@@ -34,22 +30,19 @@ def max_hamming_permutations(
     candidates and adds the one whose minimum Hamming distance to the
     already-chosen set is largest.
 
-    Returns an array of shape ``(num_perms, num_tiles)`` whose rows are
-    distinct permutations of ``0..num_tiles-1``.
+    Returns an array of shape ``(num_perms, 9)`` whose rows are distinct
+    permutations of ``0..8``.
     """
     if num_perms < 1:
         raise ValueError("num_perms must be >= 1")
-    if num_tiles < 2:
-        raise ValueError("num_tiles must be >= 2")
-    max_distinct = math.factorial(num_tiles) if num_tiles <= 12 else None
-    if max_distinct is not None and num_perms > max_distinct:
+    if num_perms > math.factorial(NUM_TILES):
         raise ValueError(
-            f"cannot draw {num_perms} distinct permutations of {num_tiles} tiles"
+            f"cannot draw {num_perms} distinct permutations of {NUM_TILES} tiles"
         )
-    chosen = [rng.permutation(num_tiles)]
+    chosen = [rng.permutation(NUM_TILES)]
     while len(chosen) < num_perms:
         candidates = np.array(
-            [rng.permutation(num_tiles) for _ in range(300)]
+            [rng.permutation(NUM_TILES) for _ in range(300)]
         )
         # (pool, chosen) Hamming distances.  A candidate already chosen is
         # the only kind at distance 0, so score 0 masks it out; argmax keeps
@@ -87,12 +80,11 @@ class PermutationSet:
     def generate(
         cls,
         num_perms: int = 100,
-        num_tiles: int = 9,
         *,
         rng: np.random.Generator | None = None,
     ) -> "PermutationSet":
         rng = rng if rng is not None else np.random.default_rng(0)
-        return cls(max_hamming_permutations(num_perms, num_tiles, rng=rng))
+        return cls(max_hamming_permutations(num_perms, rng=rng))
 
     def __len__(self) -> int:
         return len(self.perms)
@@ -100,29 +92,3 @@ class PermutationSet:
     @property
     def num_tiles(self) -> int:
         return self.perms.shape[1]
-
-    def __getitem__(self, index: int) -> np.ndarray:
-        return self.perms[index]
-
-    def apply(self, tiles: np.ndarray, index: int) -> np.ndarray:
-        """Reorder a stack of tiles by permutation ``index``.
-
-        ``tiles`` has the tile axis first (e.g. ``(9, 3, h, w)``).  Position
-        ``j`` of the result receives ``tiles[perm[j]]`` — the layout the
-        network sees, as in Fig. 3's reordered grid.
-        """
-        if tiles.shape[0] != self.num_tiles:
-            raise ValueError(
-                f"expected {self.num_tiles} tiles, got {tiles.shape[0]}"
-            )
-        return tiles[self.perms[index]]
-
-    def min_pairwise_hamming(self) -> int:
-        """Smallest Hamming distance between any two permutations in the set."""
-        if len(self) < 2:
-            return self.num_tiles
-        best = self.num_tiles
-        for i in range(len(self) - 1):
-            dist = _hamming(self.perms[i], self.perms[i + 1 :]).min()
-            best = min(best, int(dist))
-        return best

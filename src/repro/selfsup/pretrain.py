@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.models import build_jigsaw_trunk
 from repro.nn import SGD, CrossEntropyLoss
-from repro.obs import metrics as obs_metrics
 from repro.selfsup.context_net import ContextNetwork, build_context_head
 from repro.selfsup.jigsaw import JigsawSampler
 from repro.selfsup.permutations import PermutationSet
@@ -28,7 +27,6 @@ class PretrainResult:
     network: ContextNetwork
     losses: list[float] = field(default_factory=list)
     accuracies: list[float] = field(default_factory=list)
-    sample_steps: int = 0
 
     @property
     def final_accuracy(self) -> float:
@@ -81,7 +79,7 @@ def pretrain(
         raise ValueError("epochs must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
     loss_fn = CrossEntropyLoss()
-    optimizer = SGD(network.parameters, lr=lr, momentum=0.9)
+    optimizer = SGD(network.parameters, lr=lr)
     result = PretrainResult(network=network)
     for _ in range(epochs):
         order = rng.permutation(len(images))
@@ -96,15 +94,6 @@ def pretrain(
             network.zero_grad()
             network.backward(loss_fn.backward())
             optimizer.step()
-            result.sample_steps += len(idx)
         result.losses.append(epoch_loss / max(1, batches))
         result.accuracies.append(permutation_accuracy(network, images, sampler))
-    registry = obs_metrics.active()
-    if registry is not None:
-        registry.counter("pretrain.runs").inc()
-        registry.counter("pretrain.epochs").inc(epochs)
-        registry.counter("pretrain.samples").inc(result.sample_steps)
-        loss_hist = registry.histogram("pretrain.epoch_loss")
-        for loss in result.losses:
-            loss_hist.observe(loss)
     return result

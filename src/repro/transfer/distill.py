@@ -139,7 +139,7 @@ def distill_classifier(
     with trainable_tail(net, boundary) as student, trainable_tail(
         teacher, boundary
     ) as teacher_tail:
-        optimizer = SGD(student.parameters, lr=lr, momentum=0.9)
+        optimizer = SGD(student.parameters, lr=lr)
         for _ in range(epochs):
             order = rng.permutation(len(labels))
             epoch_loss = 0.0

@@ -45,10 +45,6 @@ class TrainResult:
     #: forward passes counted once, not once per epoch)
     compute_units: float = 0.0
 
-    @property
-    def final_accuracy(self) -> float:
-        return self.eval_accuracies[-1] if self.eval_accuracies else 0.0
-
 
 def split_at_frozen_prefix(net: Sequential) -> int:
     """Index of the first layer that must run during training.
@@ -150,7 +146,7 @@ def train_classifier(
 
     loss_fn = CrossEntropyLoss()
     with trainable_tail(net, boundary) as trainable:
-        optimizer = SGD(trainable.parameters, lr=lr, momentum=0.9)
+        optimizer = SGD(trainable.parameters, lr=lr)
         for _ in range(epochs):
             order = rng.permutation(len(labels))
             epoch_loss = 0.0

@@ -42,25 +42,9 @@ class FreezePlan:
                 f"got {self.shared_depth}"
             )
 
-    @classmethod
-    def from_conv_i(cls, label: str) -> "FreezePlan":
-        """Parse the paper's "CONV-3" style labels."""
-        prefix = "CONV-"
-        if not label.upper().startswith(prefix):
-            raise ValueError(f"expected 'CONV-i' label, got {label!r}")
-        return cls(int(label[len(prefix) :]))
-
-    @property
-    def label(self) -> str:
-        return f"CONV-{self.shared_depth}"
-
     @property
     def frozen_conv_names(self) -> tuple[str, ...]:
         return CONV_LAYER_NAMES[: self.shared_depth]
-
-    @property
-    def trainable_conv_names(self) -> tuple[str, ...]:
-        return CONV_LAYER_NAMES[self.shared_depth :]
 
     def apply(self, net: Sequential) -> None:
         """Freeze the locked conv layers; unfreeze everything else."""

@@ -24,9 +24,7 @@ class TestNetworkLink:
         )
 
     def test_image_upload_helpers(self):
-        t = WIFI.image_upload_time_s(10)
         e = WIFI.image_upload_energy_j(10)
-        assert t == pytest.approx(WIFI.transfer_time_s(10 * JPEG_IMAGE_BYTES))
         assert e == pytest.approx(
             WIFI.transfer_energy_j(10 * JPEG_IMAGE_BYTES)
         )

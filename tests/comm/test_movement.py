@@ -51,7 +51,7 @@ class TestLedger:
     def test_stage_movement_fields(self, ledger):
         movement = ledger.record(2, acquired=50, uploaded=25)
         assert movement.upload_fraction == 0.5
-        assert movement.uploaded_bytes == 25_000
+        assert movement.uploaded_images * movement.image_bytes == 25_000
         assert movement.stage_index == 2
 
 
@@ -72,8 +72,6 @@ class TestRunningTotals:
         assert second.uploaded_images == 50
         assert second.uploaded_bytes == 50_000
         assert second.downloaded_bytes == 5_000
-        assert second.total_bytes_moved == 55_000
-        assert second.upload_fraction == 0.25
 
     def test_snapshot_matches_resummed_stage_list(self, ledger):
         for i in range(5):
@@ -84,7 +82,7 @@ class TestRunningTotals:
             s.acquired_images for s in ledger.stages
         )
         assert snap.uploaded_bytes == sum(
-            s.uploaded_bytes for s in ledger.stages
+            s.uploaded_images * s.image_bytes for s in ledger.stages
         )
         assert snap.downloaded_bytes == sum(
             s.downloaded_bytes for s in ledger.stages
@@ -98,8 +96,7 @@ class TestRunningTotals:
     def test_empty_snapshot(self, ledger):
         snap = ledger.snapshot()
         assert snap.stages_recorded == 0
-        assert snap.total_bytes_moved == 0
-        assert snap.upload_fraction == 0.0
+        assert snap.uploaded_bytes == snap.downloaded_bytes == 0
 
 
 class TestTierOverlay:
@@ -122,7 +119,6 @@ class TestTierOverlay:
         assert snap.edge_transfer_events == 0
         assert snap.wan_transfer_events == 0
         assert snap.transfer_overhead_bytes == 0
-        assert snap.tiered_bytes_moved == 0
 
     def test_record_tier_does_not_touch_flat_totals(self, ledger):
         ledger.record(0, acquired=100, uploaded=40)
@@ -161,7 +157,6 @@ class TestTierOverlay:
         assert snap.edge_transfer_events == 2
         assert snap.wan_transfer_events == 1
         assert snap.transfer_overhead_bytes == 2
-        assert snap.tiered_bytes_moved == 15 + 12 + 7 + 3
 
     def test_record_tier_rejects_negative(self, ledger):
         with pytest.raises(ValueError):
@@ -234,11 +229,12 @@ class TestConservation:
         assert snap.stages_recorded == len(stages)
         assert snap.acquired_images == sum(s.acquired_images for s in stages)
         assert snap.uploaded_images == sum(s.uploaded_images for s in stages)
-        assert snap.uploaded_bytes == sum(s.uploaded_bytes for s in stages)
+        assert snap.uploaded_bytes == sum(
+            s.uploaded_images * s.image_bytes for s in stages
+        )
         assert snap.downloaded_bytes == sum(
             s.downloaded_bytes for s in stages
         )
-        assert snap.total_bytes_moved == sum(s.total_bytes for s in stages)
         assert (
             snap.edge_to_gateway_bytes,
             snap.gateway_to_cloud_bytes,

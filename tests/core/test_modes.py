@@ -75,9 +75,3 @@ class TestCoRunningPlanner:
         planner = CoRunningPlanner(VX690T)
         with pytest.raises(ValueError):
             planner.plan(inf, diag, latency_requirement_s=1e-6)
-
-    def test_alternate_arch(self, nets):
-        inf, diag = nets
-        planner = CoRunningPlanner(VX690T, arch_name="NWS-batch")
-        timing = planner.plan(inf, diag, latency_requirement_s=0.4)
-        assert timing.design.arch_name == "NWS-batch"

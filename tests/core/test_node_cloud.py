@@ -56,7 +56,7 @@ class TestInSituNode:
         node = self.make_node(rng)
         report = node.process_stage(stage)
         assert report.flagged_images == report.acquired_images
-        assert len(report.upload_data) == stage.new_count
+        assert len(report.upload_data) == len(stage.new_data)
 
     def test_oracle_diagnoser_uploads_errors_only(self, rng, stage):
         net = build_classifier(4, rng)

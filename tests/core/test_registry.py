@@ -106,7 +106,7 @@ class TestUpdateGuard:
         assert np.allclose(
             net["fc8"].weight.data, good_state["fc8.weight"]
         )
-        assert guard.rejection_count == 1
+        assert [d.accepted for d in guard.decisions].count(False) == 1
 
     def test_empty_validation_rejected(self, rng, generator):
         data = make_dataset(4, generator=generator, rng=rng)

@@ -14,24 +14,20 @@ class TestSystems:
     def test_system_a_traditional(self):
         a = system_by_id("a")
         assert a.uploads_everything
-        assert not a.trains_on_valuable_only
         assert not a.weight_shared
 
     def test_system_b_cloud_diagnosis(self):
         b = system_by_id("b")
         assert b.uploads_everything
-        assert b.trains_on_valuable_only
 
     def test_system_c_node_diagnosis(self):
         c = system_by_id("c")
         assert not c.uploads_everything
-        assert c.trains_on_valuable_only
         assert not c.weight_shared
 
     def test_system_d_is_in_situ_ai(self):
         d = system_by_id("d")
         assert not d.uploads_everything
-        assert d.trains_on_valuable_only
         assert d.weight_shared
         assert d.name == "in-situ-ai"
 

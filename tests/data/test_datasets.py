@@ -1,4 +1,4 @@
-"""Dataset container: splits, batching, invariants."""
+"""Dataset container: subsets, batching, invariants."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ class TestDataset:
     def test_len_and_shapes(self):
         data = toy_dataset(12)
         assert len(data) == 12
-        assert data.image_shape == (3, 6, 6)
+        assert data.images.shape[1:] == (3, 6, 6)
 
     def test_label_shape_validated(self, rng):
         with pytest.raises(ValueError):
@@ -42,16 +42,6 @@ class TestDataset:
         assert len(data.take(4)) == 4
         assert len(data.take(100)) == 10
 
-    def test_split_partitions(self, rng):
-        data = toy_dataset(20)
-        first, second = data.split(0.7, rng)
-        assert len(first) == 14
-        assert len(second) == 6
-
-    def test_split_invalid_fraction(self, rng):
-        with pytest.raises(ValueError):
-            toy_dataset().split(1.0, rng)
-
     def test_concat(self):
         merged = Dataset.concat([toy_dataset(4), toy_dataset(6)])
         assert len(merged) == 10
@@ -65,12 +55,6 @@ class TestDataset:
         raw = data.as_unlabeled()
         assert not raw.labeled
         assert np.array_equal(raw.labels, data.labels)
-
-    def test_class_counts(self):
-        data = Dataset(
-            np.zeros((4, 3, 2, 2)), np.array([0, 0, 1, 2])
-        )
-        assert data.class_counts().tolist() == [2, 1, 1]
 
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 30), batch=st.integers(1, 8))

@@ -29,7 +29,7 @@ def _per_trial_reference(network, sampler, images, trials):
         for start in range(0, len(images), BATCH):
             stop = start + BATCH
             tiles, labels = sampler.batch(images[start:stop])
-            logits = network.predict(tiles)
+            logits = network.forward(tiles)
             counts[start:stop] += logits.argmax(axis=1) == labels
             probs = softmax(logits, axis=1)
             scores[start:stop] += probs[np.arange(len(labels)), labels]

@@ -7,7 +7,6 @@ import pytest
 
 from repro.data import Dataset
 from repro.diagnosis import (
-    DiagnosisReport,
     OracleDiagnoser,
     RandomDiagnoser,
     calibrate_threshold,
@@ -34,18 +33,6 @@ class TestCalibrateThreshold:
     def test_bad_fraction(self, rng):
         with pytest.raises(ValueError):
             calibrate_threshold(rng.random(5), 1.5)
-
-
-class TestDiagnosisReport:
-    def test_f1(self):
-        report = DiagnosisReport(
-            upload_fraction=0.5, precision=0.5, recall=1.0, error_rate=0.3
-        )
-        assert report.f1 == pytest.approx(2 / 3)
-
-    def test_f1_zero_division(self):
-        report = DiagnosisReport(0.0, 0.0, 0.0, 0.3)
-        assert report.f1 == 0.0
 
 
 class TestEvaluateDiagnoser:

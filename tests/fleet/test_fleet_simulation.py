@@ -78,7 +78,7 @@ class TestWarmStartScratch:
 
     def test_prepare_fleet_assets_leaves_workspace_empty(self):
         prepare_fleet_assets(tiny_fleet(seed=2))
-        assert workspace.sizes() == {}
+        assert workspace._BUFFERS == {}
 
     def test_prepare_assets_leaves_workspace_empty(self):
         prepare_assets(
@@ -92,7 +92,7 @@ class TestWarmStartScratch:
                 seed=5,
             )
         )
-        assert workspace.sizes() == {}
+        assert workspace._BUFFERS == {}
 
 
 class TestMovement:

@@ -134,7 +134,7 @@ class TestCanaryRollout:
         assert registry.active.version == 1
         for name, value in cloud.model_state().items():
             assert np.array_equal(value, v1_state[name])
-        assert scheduler.rejection_count == 1
+        assert [r.promoted for r in scheduler.history].count(False) == 1
 
     def test_good_update_promotes_fleet_wide(self, setup, generator, rng):
         cloud, registry, scheduler, holdout = setup

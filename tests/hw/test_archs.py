@@ -43,10 +43,6 @@ class TestBudgets:
         with pytest.raises(ValueError):
             WSArch(5)
 
-    def test_wss_odd_tile_rejected(self):
-        with pytest.raises(ValueError):
-            WSSArch(BUDGET, inference_tile=13)
-
 
 class TestFig22Ordering:
     def test_compute_ordering_wss_best_ws_worst(self, nets, archs):

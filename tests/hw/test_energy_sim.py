@@ -52,10 +52,6 @@ class TestTrainingCostModel:
             2 * model.training_energy_j(5.0)
         )
 
-    def test_invalid_efficiency(self):
-        with pytest.raises(ValueError):
-            TrainingCostModel(TITAN_X, efficiency=0.0)
-
 
 class TestMeasuredGPU:
     @pytest.fixture

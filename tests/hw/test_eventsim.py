@@ -32,9 +32,7 @@ def wss_timing(nets):
 class TestPipelineSim:
     def test_steady_throughput_matches_eq13(self, nets, wss_timing):
         inf, diag = nets
-        result = simulate_pipeline(
-            wss_timing.design, inf, diag, VX690T, num_images=64
-        )
+        result = simulate_pipeline(wss_timing.design, inf, diag, VX690T)
         steady = result.steady_state_throughput_ips(
             2, wss_timing.design.batch_size
         )
@@ -44,38 +42,27 @@ class TestPipelineSim:
         """Eq. (13)'s 2x-period latency bounds the simulated per-image
         service latency (conv start -> FCN done)."""
         inf, diag = nets
-        result = simulate_pipeline(
-            wss_timing.design, inf, diag, VX690T, num_images=64
-        )
+        result = simulate_pipeline(wss_timing.design, inf, diag, VX690T)
         assert result.max_service_latency_s <= wss_timing.latency_s * 1.05
 
     def test_backlog_queueing_exceeds_service(self, nets, wss_timing):
         """With everything arriving at t=0, sojourn latency >> service."""
         inf, diag = nets
-        result = simulate_pipeline(
-            wss_timing.design, inf, diag, VX690T, num_images=64
-        )
-        assert result.max_latency_s > result.max_service_latency_s
+        result = simulate_pipeline(wss_timing.design, inf, diag, VX690T)
+        # Arrival is t=0, so an image's sojourn ends at its FCN completion.
+        sojourn = max(t.fcn_done_s for t in result.traces)
+        assert sojourn > result.max_service_latency_s
 
     def test_traces_complete_and_ordered(self, nets, wss_timing):
         inf, diag = nets
-        result = simulate_pipeline(
-            wss_timing.design, inf, diag, VX690T, num_images=10
-        )
-        assert result.images == 10
+        result = simulate_pipeline(wss_timing.design, inf, diag, VX690T)
+        assert result.images == 64
         for trace in result.traces:
             assert (
                 0.0
                 <= trace.conv_start_s
                 <= trace.conv_done_s
                 <= trace.fcn_done_s
-            )
-
-    def test_invalid_args(self, nets, wss_timing):
-        inf, diag = nets
-        with pytest.raises(ValueError):
-            simulate_pipeline(
-                wss_timing.design, inf, diag, VX690T, num_images=0
             )
 
 
@@ -104,7 +91,7 @@ class TestCoRunSim:
         operating point, even though they disagree on the fine structure."""
         inf, diag = nets
         sim = simulate_corun(inf, diag, TX1, diagnosis_batch=8)
-        ana = co_running_latency(inf, diag, TX1, diagnosis_batch=8)
+        ana = co_running_latency(inf, diag, TX1)
         assert sim.inference_slowdown > 1.5
         assert ana.inference_slowdown > 1.5
 
@@ -112,12 +99,7 @@ class TestCoRunSim:
         from repro.hw.gpu import network_time
 
         inf, diag = nets
-        result = simulate_corun(inf, diag, TX1)
+        result = simulate_corun(inf, diag, TX1, diagnosis_batch=8)
         assert result.inference_solo_s == pytest.approx(
             network_time(inf, TX1, 1).total_s
         )
-
-    def test_invalid_args(self, nets):
-        inf, diag = nets
-        with pytest.raises(ValueError):
-            simulate_corun(inf, diag, TX1, num_images=0)

@@ -37,7 +37,7 @@ class TestInterference:
         inf, diag = nets
         result = co_running_latency(inf, diag, TX1, diagnosis_duty=0.0)
         assert result.inference_slowdown == pytest.approx(1.0)
-        assert result.diagnosis_slowdown == pytest.approx(1.0)
+        assert result.diagnosis_corun_s == pytest.approx(result.diagnosis_solo_s)
 
     def test_invalid_duty(self, nets):
         inf, diag = nets
@@ -48,5 +48,6 @@ class TestInterference:
         """Fair sharing: 1/slowdown_inf + 1/slowdown_diag == 1."""
         inf, diag = nets
         result = co_running_latency(inf, diag, TX1)
-        shares = 1 / result.inference_slowdown + 1 / result.diagnosis_slowdown
+        diagnosis_slowdown = result.diagnosis_corun_s / result.diagnosis_solo_s
+        shares = 1 / result.inference_slowdown + 1 / diagnosis_slowdown
         assert shares == pytest.approx(1.0)

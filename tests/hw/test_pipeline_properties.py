@@ -17,7 +17,7 @@ def nets():
     return inf, diagnosis_spec(inf)
 
 
-def make_design(batch, conv_budget, fcn_budget, include_diag, nets):
+def make_design(batch, conv_budget, fcn_budget, nets):
     inf, _ = nets
     return PipelineDesign(
         arch_name="WSS-NWS",
@@ -25,7 +25,6 @@ def make_design(batch, conv_budget, fcn_budget, include_diag, nets):
         fcn_engine=TmTnEngine.best_for(inf.fc_layers, fcn_budget),
         batch_size=batch,
         fcn_batch_optimized=True,
-        include_diagnosis_fcn=include_diag,
     )
 
 
@@ -35,14 +34,11 @@ class TestPipelineInvariants:
         batch=st.integers(1, 32),
         conv_budget=st.integers(700, 3000),
         fcn_budget=st.integers(64, 1024),
-        include_diag=st.booleans(),
     )
-    def test_eq13_identities(self, batch, conv_budget, fcn_budget, include_diag):
+    def test_eq13_identities(self, batch, conv_budget, fcn_budget):
         inf = alexnet_spec()
         diag = diagnosis_spec(inf)
-        design = make_design(
-            batch, conv_budget, fcn_budget, include_diag, (inf, diag)
-        )
+        design = make_design(batch, conv_budget, fcn_budget, (inf, diag))
         timing = pipeline_timing(design, inf, diag, VX690T)
         assert timing.period_s == max(
             timing.conv_stage_s, timing.fcn_stage_s
@@ -52,31 +48,13 @@ class TestPipelineInvariants:
             batch / timing.period_s
         )
 
-    def test_including_diag_fcn_never_faster(self, nets):
-        inf, diag = nets
-        base = pipeline_timing(
-            make_design(4, 2548, 512, False, nets), inf, diag, VX690T
-        )
-        with_diag = pipeline_timing(
-            make_design(4, 2548, 512, True, nets), inf, diag, VX690T
-        )
-        assert with_diag.fcn_stage_s >= base.fcn_stage_s
-        assert with_diag.period_s >= base.period_s
-
-    def test_included_diag_fcn_is_trivially_sustainable(self, nets):
-        inf, diag = nets
-        timing = pipeline_timing(
-            make_design(4, 2548, 512, True, nets), inf, diag, VX690T
-        )
-        assert timing.diagnosis_fcn_sustainable(diag, VX690T)
-
     def test_conv_stage_linear_in_batch(self, nets):
         inf, diag = nets
         t1 = pipeline_timing(
-            make_design(1, 2548, 512, False, nets), inf, diag, VX690T
+            make_design(1, 2548, 512, nets), inf, diag, VX690T
         )
         t8 = pipeline_timing(
-            make_design(8, 2548, 512, False, nets), inf, diag, VX690T
+            make_design(8, 2548, 512, nets), inf, diag, VX690T
         )
         assert t8.conv_stage_s == pytest.approx(8 * t1.conv_stage_s)
 
@@ -84,9 +62,9 @@ class TestPipelineInvariants:
         """Weight reuse: doubling the batch must not double FCN time."""
         inf, diag = nets
         t1 = pipeline_timing(
-            make_design(1, 2548, 512, False, nets), inf, diag, VX690T
+            make_design(1, 2548, 512, nets), inf, diag, VX690T
         )
         t8 = pipeline_timing(
-            make_design(8, 2548, 512, False, nets), inf, diag, VX690T
+            make_design(8, 2548, 512, nets), inf, diag, VX690T
         )
         assert t8.fcn_stage_s < 2 * t1.fcn_stage_s

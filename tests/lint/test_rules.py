@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import all_codes, lint_file, lint_source
+from repro.lint import RULES, all_codes, lint_file, lint_source
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -47,6 +47,10 @@ EXPECTED_BAD_COUNTS = {
     "RPR012": 2,  # ProcessPoolExecutor(...), shared_memory.SharedMemory(...)
     "RPR016": 3,  # print, json.dump, json.dumps
 }
+
+
+def get_rule(code):
+    return next(rule for rule in RULES if rule.code == code)
 
 
 def test_every_rule_code_has_a_fixture_pair():
@@ -172,8 +176,6 @@ class TestTopologyScope:
         assert [f for f in findings if not f.suppressed] == []
 
     def test_rpr006_scope_names_topology(self):
-        from repro.lint import get_rule
-
         assert "repro.topology" in get_rule("RPR006").scope
 
 
@@ -209,8 +211,6 @@ class TestScenarioScope:
         assert [f for f in findings if not f.suppressed] == []
 
     def test_rpr006_scope_names_scenario(self):
-        from repro.lint import get_rule
-
         assert "repro.scenario" in get_rule("RPR006").scope
 
 
@@ -240,8 +240,6 @@ class TestDesignCrossReference:
 
     @pytest.mark.parametrize("code", sorted(CASES) + ["RPR000"])
     def test_name_and_scope_cells_match_registry(self, code):
-        from repro.lint import get_rule
-
         name, scope = self._design_rows()[code]
         rule = get_rule(code)
         assert name == rule.name
@@ -252,8 +250,6 @@ class TestDesignCrossReference:
         # these two rules (in the registry or in DESIGN §8, which the
         # tests above hold cell-by-cell to the registry) fails here
         # with the exact names in the diff.
-        from repro.lint import get_rule
-
         assert get_rule("RPR006").name == "no-set-iteration"
         assert get_rule("RPR007").name == "grad-via-accumulate"
         assert get_rule("RPR006").scope == (

@@ -43,8 +43,8 @@ class TestAlexNet:
         (~1.07 GMACs; the grouped two-tower original is about half of
         conv2/4/5's ops) plus ~0.12 GOPs of FC."""
         net = alexnet_spec()
-        assert 1.9e9 < net.conv_ops < 2.4e9
-        assert 0.1e9 < net.fc_ops < 0.15e9
+        assert 1.9e9 < sum(s.ops for s in net.conv_layers) < 2.4e9
+        assert 0.1e9 < sum(s.ops for s in net.fc_layers) < 0.15e9
 
     def test_fc_weights_dominate(self):
         """The famous AlexNet imbalance: FC holds most weights."""

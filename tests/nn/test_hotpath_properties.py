@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.nn import Conv2D, col2im, conv, im2col, workspace
 from repro.nn.reference import col2im_reference, im2col_reference
+from tests_helpers_im2col import col2im_fresh, im2col_fresh
 
 GEOMETRY = st.tuples(
     st.integers(1, 3),  # batch
@@ -38,7 +39,7 @@ class TestMatchesReference:
         batch, channels, size, kernel, stride, pad = geometry
         rng = np.random.default_rng(hash(geometry) % 2**32)
         x = rng.normal(size=(batch, channels, size, size)).astype(dtype)
-        got = im2col(x, kernel, stride, pad)
+        got = im2col_fresh(x, kernel, stride, pad)
         want = im2col_reference(x, kernel, stride, pad)
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
@@ -51,15 +52,13 @@ class TestMatchesReference:
         batch, channels, size, kernel, stride, pad = geometry
         rng = np.random.default_rng(hash(geometry) % 2**32)
         shape = (batch, channels, size, size)
-        cols_shape = im2col(np.zeros(shape, dtype), kernel, stride, pad).shape
+        cols_shape = im2col_fresh(np.zeros(shape, dtype), kernel, stride, pad).shape
         cols = rng.normal(size=cols_shape).astype(dtype)
         want = col2im_reference(cols, shape, kernel, stride, pad)
-        # C-ordered columns go through the contiguity copy; the same values
-        # as a Dm-layout view (what Conv2D passes) are read in place.
-        for given in (cols, np.ascontiguousarray(cols.T).T):
-            got = col2im(given, shape, kernel, stride, pad)
-            assert got.dtype == want.dtype == dtype
-            assert np.array_equal(got, want)
+        # The Dm-layout view Conv2D passes is read in place.
+        got = col2im_fresh(cols, shape, kernel, stride, pad)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None)
     @given(geometry=GEOMETRY)
@@ -68,10 +67,10 @@ class TestMatchesReference:
         batch, channels, size, kernel, stride, pad = geometry
         rng = np.random.default_rng(hash(geometry) % 2**32)
         x = rng.normal(size=(batch, channels, size, size))
-        cols = im2col(x, kernel, stride, pad)
+        cols = im2col_fresh(x, kernel, stride, pad)
         y = rng.normal(size=cols.shape)
         lhs = float((cols * y).sum())
-        rhs = float((x * col2im(y, x.shape, kernel, stride, pad)).sum())
+        rhs = float((x * col2im_fresh(y, x.shape, kernel, stride, pad)).sum())
         assert np.isclose(lhs, rhs, rtol=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -96,21 +95,24 @@ class TestMatchesReference:
             assert np.array_equal(got, want)
             assert np.array_equal(out, want.T)
 
-            # C-ordered columns (scratch fallback), then the same values as
-            # a Dm-layout view (planes read in place).
+            # Dm-layout columns, planes read in place.
             cols = rng.normal(size=want.shape).astype(dtype)
             want_image = col2im_reference(cols, shape, kernel, stride, pad)
-            for given in (cols, np.ascontiguousarray(cols.T).T):
-                padded = workspace.take(
-                    "col2im_padded",
-                    (channels, batch, size + 2 * pad, size + 2 * pad),
-                    dtype,
-                )
-                got = col2im(
-                    given, shape, kernel, stride, pad, padded_out=padded
-                )
-                assert np.shares_memory(got, padded)
-                assert np.array_equal(got, want_image)
+            padded = workspace.take(
+                "col2im_padded",
+                (channels, batch, size + 2 * pad, size + 2 * pad),
+                dtype,
+            )
+            got = col2im(
+                np.ascontiguousarray(cols.T).T,
+                shape,
+                kernel,
+                stride,
+                pad,
+                padded_out=padded,
+            )
+            assert np.shares_memory(got, padded)
+            assert np.array_equal(got, want_image)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -147,13 +149,11 @@ class TestMatchesReference:
 
         grad = rng.normal(size=cols_ref.shape).astype(np.float32)
         want = col2im_reference(grad, x.shape, 3, 2, 1)
-        # C-ordered columns take the contiguity copy into the workspace's
-        # (N, K, K, B, R, C) scratch.
         padded = np.empty((3, 2, 11, 11), dtype=np.float32)  # channel-major
-        got = col2im(grad, x.shape, 3, 2, 1, padded_out=padded)
+        dm_grad = np.ascontiguousarray(grad.T).T
+        got = col2im(dm_grad, x.shape, 3, 2, 1, padded_out=padded)
         assert np.array_equal(got, want)
-        scratch = workspace.take("col2im_scratch", (3, 3, 3, 2, 5, 5), np.float32)
-        assert np.array_equal(scratch.reshape(27, 50), grad.T)
+        assert np.shares_memory(got, padded)
 
     def test_buffers_in_the_old_layout_are_refused(self):
         x = np.zeros((2, 3, 9, 9), dtype=np.float32)
@@ -163,7 +163,12 @@ class TestMatchesReference:
             im2col(x, 3, 2, 1, out=np.empty((50, 27), dtype=np.float32).T)
         with pytest.raises(ValueError, match="C-contiguous"):
             im2col(x, 3, 2, 1, out=np.empty((27, 100), np.float32)[:, ::2])
-        cols = np.zeros((50, 27), dtype=np.float32)
+        cols = np.zeros((27, 50), dtype=np.float32).T
+        with pytest.raises(ValueError, match="Dm-layout"):
+            col2im(
+                np.ascontiguousarray(cols), x.shape, 3, 2, 1,
+                padded_out=np.empty((3, 2, 11, 11), dtype=np.float32),
+            )
         with pytest.raises(ValueError, match="col2im padded"):
             col2im(
                 cols, x.shape, 3, 2, 1,
@@ -197,7 +202,7 @@ def reference_conv_step(layer, x, grad_out):
     rows = np.ascontiguousarray(grad_out.transpose(0, 2, 3, 1)).reshape(-1, m)
     return {
         "out": out.reshape(len(x), out_h, out_w, m).transpose(0, 3, 1, 2),
-        "grad_w": (rows.T @ cols).reshape(layer.weight.shape),
+        "grad_w": (rows.T @ cols).reshape(layer.weight.data.shape),
         "grad_b": rows.sum(axis=0),
         "grad_in": col2im_reference(rows @ flat_w, x.shape, *geometry),
     }
@@ -285,18 +290,18 @@ class TestConvMatchesReferenceFormulation:
         rng = np.random.default_rng([cin, cout, kernel, batch])
         layer = Conv2D(cin, cout, kernel, stride, pad, rng=rng)
         for p in layer.parameters:
-            p.data = rng.normal(size=p.shape).astype(dtype)
+            p.data = rng.normal(size=p.data.shape).astype(dtype)
             p.grad = np.zeros_like(p.data)
         x = rng.normal(size=(batch, cin, size, size)).astype(dtype)
         _, out_h, out_w = layer.output_shape(x.shape[1:])
         grad_out = rng.normal(size=(batch, cout, out_h, out_w)).astype(dtype)
 
         # Data movement alone: exact at every shape.
-        cols = im2col(x, kernel, stride, pad)
+        cols = im2col_fresh(x, kernel, stride, pad)
         assert cols.T.flags.c_contiguous
         assert np.array_equal(cols, im2col_reference(x, kernel, stride, pad))
         assert np.array_equal(
-            col2im(cols, x.shape, kernel, stride, pad),
+            col2im_fresh(cols, x.shape, kernel, stride, pad),
             col2im_reference(
                 np.ascontiguousarray(cols), x.shape, kernel, stride, pad
             ),
@@ -355,7 +360,7 @@ def test_blocked_conv_forward_matches_whole_batch_gemm(
     rng = np.random.default_rng([cin, batch, per_block])
     layer = Conv2D(cin, cout, kernel, stride, pad, rng=rng)
     for p in layer.parameters:
-        p.data = rng.normal(size=p.shape).astype(dtype)
+        p.data = rng.normal(size=p.data.shape).astype(dtype)
     x = rng.normal(size=(batch, cin, size, size)).astype(dtype)
     if nhwc:  # what a previous conv hands on
         x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)

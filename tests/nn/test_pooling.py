@@ -1,4 +1,4 @@
-"""Pooling layers: values, gradients for tiled and overlapping paths."""
+"""Max pooling: values and gradients over non-overlapping windows."""
 
 from __future__ import annotations
 
@@ -66,16 +66,13 @@ class TestMaxPoolTiledMatchesOldFormulation:
         pool.forward(np.zeros((1, 1, 4, 4)))
         assert pool._cache is None
 
-    def test_indivisible_input_takes_the_general_path(self):
-        """kernel == stride but a ragged edge: not the tiled case."""
-        x = np.random.default_rng(2).normal(size=(1, 2, 5, 5))
-        pool = MaxPool2D(2)
-        out = pool.forward(x, training=True)
-        assert out.shape == (1, 2, 2, 2)
-        assert np.array_equal(out[0, 0, 1, 1], x[0, 0, 2:4, 2:4].max())
-        grad = pool.backward(np.ones_like(out))
-        assert not grad[:, :, 4].any() and not grad[:, :, :, 4].any()
-        assert grad.sum() == out.size
+    def test_indivisible_input_is_rejected(self):
+        """A side the kernel does not divide has no tiling: a ValueError."""
+        x = np.zeros((1, 2, 5, 4))
+        with pytest.raises(ValueError, match="5x4 does not divide"):
+            MaxPool2D(2).forward(x)
+        with pytest.raises(ValueError, match="5x4 does not divide"):
+            MaxPool2D(2).output_shape((2, 5, 4))
 
 
 class TestMaxPool:
@@ -85,18 +82,13 @@ class TestMaxPool:
         assert out.reshape(-1).tolist() == [5, 7, 13, 15]
 
     def test_output_shape(self):
-        assert MaxPool2D(3, stride=2).output_shape((8, 13, 13)) == (8, 6, 6)
+        assert MaxPool2D(3).output_shape((8, 12, 15)) == (8, 4, 5)
 
     @pytest.mark.usefixtures("float64_mode")
     def test_gradcheck_tiled(self, gradcheck, rng):
         # Distinct values avoid max ties, keeping the gradient smooth.
         x = rng.permutation(64).reshape(1, 1, 8, 8).astype(np.float64)
         gradcheck(MaxPool2D(2), x)
-
-    @pytest.mark.usefixtures("float64_mode")
-    def test_gradcheck_overlapping(self, gradcheck, rng):
-        x = rng.permutation(49).reshape(1, 1, 7, 7).astype(np.float64)
-        gradcheck(MaxPool2D(3, stride=2), x)
 
     def test_tie_gradient_splits(self):
         """Equal values in one window share the gradient."""

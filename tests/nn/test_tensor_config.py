@@ -12,7 +12,7 @@ from repro.nn.tensor import Parameter
 class TestParameter:
     def test_defaults(self):
         p = Parameter(np.ones((2, 3)), name="w")
-        assert p.shape == (2, 3)
+        assert p.data.shape == (2, 3)
         assert p.size == 6
         assert not p.frozen
         assert np.all(p.grad == 0.0)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.systems import system_by_id
 from repro.fleet.profiles import FleetScenario
@@ -191,6 +195,33 @@ class TestAnalysisCommands:
                 out = capsys.readouterr().out
                 assert "error:" in out and "bad.jsonl:1:" in out, line
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        cut=st.integers(0, 4),
+        insert=st.text(alphabet='{}[]",:.-0123456789aeflnrstu\\ ', max_size=4),
+    )
+    def test_mutated_fleet_trace_never_raises(
+        self, fleet_tracer, tmp_path_factory, data, cut, insert
+    ):
+        """One mutated line of a fleet trace: each command succeeds or
+        prints one ``error:`` line and exits 1, never a traceback."""
+        path = tmp_path_factory.getbasetemp() / "fuzzed.jsonl"
+        fleet_tracer.write_jsonl(path)
+        lines = path.read_text().splitlines()
+        index = data.draw(st.integers(0, len(lines) - 1))
+        line = lines[index]
+        pos = data.draw(st.integers(0, len(line)))
+        lines[index] = line[:pos] + insert + line[pos + cut :]
+        path.write_text("\n".join(lines) + "\n")
+        for command in ("summarize", "health", "critical-path"):
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                code = main([command, str(path)])
+            out = stdout.getvalue()
+            if code != 0:
+                assert code == 1, (command, lines[index])
+                assert out.startswith("error: ") and out.count("\n") == 1, out
 
 
 class TestBadInputs:

@@ -99,13 +99,11 @@ class TestToggles:
         import numpy as np
 
         from repro.nn.conv import Conv2D
-        from repro.nn.im2col import im2col
 
         enable_profiling()
         conv = Conv2D(1, 2, 3, rng=np.random.default_rng(0))
         out = conv.forward(np.zeros((1, 1, 6, 6)), training=True)
         conv.backward(out)
-        im2col(np.zeros((1, 1, 6, 6)), kernel=3)
         recorded = set(profile_stats())
         assert {
             "conv.forward",

@@ -69,6 +69,19 @@ class TestCLI:
         assert main(argv) == 0
         assert capsys.readouterr().out.split() == sorted(_EXPERIMENTS)
 
+    def test_all_keeps_a_named_claim(self, capsys, monkeypatch):
+        for name in _EXPERIMENTS:
+            monkeypatch.setitem(_EXPERIMENTS, name, lambda name=name: name)
+        claim = sorted(CLAIMS)[0]
+        calls = []
+        rows = lambda seed: calls.append(seed) or []  # noqa: E731
+        monkeypatch.setitem(CLAIMS, claim, (rows, lambda rows: claim))
+        assert main(["all"]) == 0
+        assert calls == []
+        assert main(["all", claim]) == 0
+        assert calls == [0]
+        assert capsys.readouterr().out.split()[-1] == claim
+
     def test_help_names_every_claim(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])

@@ -31,33 +31,26 @@ class TestChurnPlan:
     def test_stage_zero_never_down(self):
         for seed in range(20):
             plan = churn(seed)
-            assert plan.alive_indices(0) == (0, 1, 2, 3)
+            assert all(plan.alive(node, 0) for node in range(4))
 
     def test_every_stage_keeps_one_alive(self):
         for seed in range(20):
             plan = churn(seed, rate=0.9)
-            for stage in range(plan.num_stages):
-                assert plan.alive_indices(stage), f"seed {seed} stage {stage}"
+            for stage in range(6):
+                assert any(
+                    plan.alive(node, stage) for node in range(4)
+                ), f"seed {seed} stage {stage}"
 
     def test_full_rate_still_leaves_survivors(self):
         # even at rate 1.0 the plan refuses any crash that would empty a
         # stage, so the cloud always has uploads to pool
         for seed in range(10):
             plan = churn(seed, rate=1.0)
-            for stage in range(plan.num_stages):
-                assert plan.alive_indices(stage)
-
-    def test_rejoined_marks_first_stage_back(self):
-        plan = churn(7, rate=0.9)
-        for node in range(4):
-            for stage in range(1, plan.num_stages):
-                expected = (
-                    not plan.down[node][stage] and plan.down[node][stage - 1]
-                )
-                assert plan.rejoined(node, stage) is expected
+            for stage in range(6):
+                assert any(plan.alive(node, stage) for node in range(4))
 
     def test_zero_rate_means_nobody_crashes(self):
-        assert churn(5, rate=0.0).downed_node_stages() == 0
+        assert not any(any(row) for row in churn(5, rate=0.0).down)
 
 
 class TestClassPhasePlan:

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenario import ScenarioError, load_spec
+from repro.scenario.schema import load_spec_file
+
+FULL_SPEC = (
+    Path(__file__).resolve().parents[2] / "examples/scenarios/full_insitu.yaml"
+).read_bytes()
 
 MINIMAL = """\
 scenario:
@@ -123,3 +133,31 @@ class TestAnchoredErrors:
         with pytest.raises(ScenarioError) as exc:
             load_spec(text)
         assert "groups" in str(exc.value)
+
+
+class TestFuzzedSpecs:
+    """A spec file with one random byte changed, inserted or deleted
+    either loads or fails with a ``<file>:<line>:`` ScenarioError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pos=st.integers(0, len(FULL_SPEC) - 1),
+        op=st.sampled_from(["replace", "insert", "delete"]),
+        byte=st.integers(0, 255),
+    )
+    def test_mutated_spec_loads_or_fails_anchored(
+        self, tmp_path_factory, pos, op, byte
+    ):
+        data = bytearray(FULL_SPEC)
+        if op == "replace":
+            data[pos] = byte
+        elif op == "insert":
+            data.insert(pos, byte)
+        else:
+            del data[pos]
+        path = tmp_path_factory.getbasetemp() / "fuzzed.yaml"
+        path.write_bytes(bytes(data))
+        try:
+            load_spec_file(path)
+        except ScenarioError as exc:
+            assert re.match(re.escape(f"{path}:") + r"\d+: ", str(exc)), exc

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scenario.yaml_lite import YamlError, load
+from repro.scenario.yaml_lite import YamlError, parse
+
+
+def load(text):
+    """Parse ``text`` into plain data (no line anchors)."""
+    return parse(text).strip()
 
 
 class TestParsing:

@@ -78,7 +78,7 @@ class TestContextNetwork:
         net_b = build_context_network(permset, rng=np.random.default_rng(2))
         net_b.load_state_dict(net_a.state_dict())
         tiles = rng.random((1, 9, 3, 16, 16)).astype(np.float32)
-        assert np.allclose(net_a.predict(tiles), net_b.predict(tiles))
+        assert np.allclose(net_a.forward(tiles), net_b.forward(tiles))
 
     def test_mismatched_head_rejected(self, rng):
         from repro.models import build_jigsaw_trunk
@@ -89,4 +89,4 @@ class TestContextNetwork:
             ContextNetwork(trunk, head)
 
     def test_num_classes(self, net):
-        assert net.num_classes == 6
+        assert net.head.output_shape == (6,)

@@ -7,7 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.selfsup import JigsawSampler, PermutationSet, reassemble_tiles, split_tiles
+from repro.selfsup import JigsawSampler, PermutationSet
+from repro.selfsup.jigsaw import grid_tiles
+
+
+def split_tiles(image):
+    """The 3x3 tiles of one CHW image: ``(9, C, h, w)``."""
+    return grid_tiles(image[None])[0]
+
+
+def reassemble_tiles(tiles):
+    """Inverse of :func:`split_tiles` for row-major ordered tiles."""
+    _, channels, tile_h, tile_w = tiles.shape
+    stacked = tiles.reshape(3, 3, channels, tile_h, tile_w)
+    return stacked.transpose(2, 0, 3, 1, 4).reshape(
+        channels, 3 * tile_h, 3 * tile_w
+    )
 
 
 class TestSplitTiles:
@@ -35,11 +50,11 @@ class TestSplitTiles:
 
     def test_indivisible_raises(self, rng):
         with pytest.raises(ValueError):
-            split_tiles(rng.random((3, 47, 48)))
+            grid_tiles(rng.random((1, 3, 47, 48)))
 
     def test_wrong_rank_raises(self, rng):
         with pytest.raises(ValueError):
-            split_tiles(rng.random((48, 48)))
+            grid_tiles(rng.random((3, 48, 48)))
 
 
 class TestJigsawSampler:
@@ -49,16 +64,17 @@ class TestJigsawSampler:
         return JigsawSampler(permset, rng=rng)
 
     def test_sample_shapes(self, sampler, rng):
-        tiles, label = sampler.sample(rng.random((3, 48, 48)))
-        assert tiles.shape == (9, 3, 16, 16)
-        assert 0 <= label < 8
+        tiles, labels = sampler.batch(rng.random((1, 3, 48, 48)))
+        assert tiles.shape == (1, 9, 3, 16, 16)
+        assert 0 <= labels[0] < 8
 
     def test_sample_specific_perm(self, sampler, rng):
         img = rng.random((3, 48, 48))
-        tiles, label = sampler.sample(img, perm_index=3)
-        assert label == 3
-        expected = sampler.permset.apply(split_tiles(img), 3)
-        assert np.array_equal(tiles, expected)
+        tiles, labels = sampler.batch(img[None], [3])
+        assert labels.tolist() == [3]
+        # Position j receives tile perms[3][j].
+        expected = split_tiles(img)[sampler.permset.perms[3]]
+        assert np.array_equal(tiles[0], expected)
 
     def test_batch_shapes(self, sampler, rng):
         images = rng.random((5, 3, 48, 48))
@@ -73,14 +89,14 @@ class TestJigsawSampler:
         assert labels.tolist() == [0, 1, 2]
 
     def test_grid_permset_mismatch(self, rng):
-        permset = PermutationSet.generate(4, num_tiles=4, rng=rng)
-        with pytest.raises(ValueError):
-            JigsawSampler(permset, grid=3, rng=rng)
+        permset = PermutationSet(np.array([[1, 0, 2, 3]]))  # 4 tiles
+        with pytest.raises(ValueError, match="4 tiles"):
+            JigsawSampler(permset, rng=rng)
 
     def test_puzzle_is_solvable_from_tiles(self, sampler, rng):
         """The shuffled tiles contain exactly the original tiles."""
         img = rng.random((3, 48, 48))
         original = split_tiles(img)
-        tiles, label = sampler.sample(img)
-        perm = sampler.permset[label]
-        assert np.array_equal(tiles, original[perm])
+        tiles, labels = sampler.batch(img[None])
+        perm = sampler.permset.perms[labels[0]]
+        assert np.array_equal(tiles[0], original[perm])

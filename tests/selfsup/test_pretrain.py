@@ -33,13 +33,6 @@ class TestPretrain:
         assert result.losses[-1] < result.losses[0]
         assert result.final_accuracy > 0.5  # chance is 0.25
 
-    def test_sample_steps_counted(self, setup, rng):
-        net, images, sampler = setup
-        result = pretrain(
-            net, images, sampler, epochs=2, batch_size=16, rng=rng
-        )
-        assert result.sample_steps == 2 * len(images)
-
     def test_never_reads_labels(self, setup, rng):
         """Pre-training consumes a bare image array — no label argument
         even exists in the API."""

@@ -21,7 +21,6 @@ from repro.selfsup import (
     build_context_network,
     max_hamming_permutations,
     permutation_accuracy,
-    split_tiles,
 )
 
 
@@ -64,7 +63,7 @@ def test_puzzle_logits_equal_predict_of_batch(network, permset, count):
     for _, logits, labels in yielded:
         tiles, ref_labels = ref_sampler.batch(images)
         assert np.array_equal(labels, ref_labels)
-        assert np.array_equal(logits, network.predict(tiles))
+        assert np.array_equal(logits, network.forward(tiles))
     assert sampler.rng.bit_generator.state == ref_sampler.rng.bit_generator.state
 
 
@@ -72,7 +71,7 @@ def _accuracy_reference(network, images, sampler, batch_size=64):
     correct = 0
     for start in range(0, len(images), batch_size):
         tiles, labels = sampler.batch(images[start : start + batch_size])
-        correct += int((network.predict(tiles).argmax(axis=1) == labels).sum())
+        correct += int((network.forward(tiles).argmax(axis=1) == labels).sum())
     return correct / len(images)
 
 
@@ -96,9 +95,18 @@ class TestVectorizedBatch:
         ref_rng = np.random.default_rng(6)
         tiles, labels = sampler.batch(images)
         ref_labels = ref_rng.integers(0, len(permset), size=count)
+        # Per image: cut the 3x3 grid row-major, then position j receives
+        # tile perms[label][j].
+        side = images.shape[-1] // 3
         ref_tiles = np.stack(
             [
-                permset.apply(split_tiles(img), int(label))
+                np.stack(
+                    [
+                        img[:, r * side : (r + 1) * side, c * side : (c + 1) * side]
+                        for r in range(3)
+                        for c in range(3)
+                    ]
+                )[permset.perms[label]]
                 for img, label in zip(images, ref_labels)
             ]
         )
@@ -150,6 +158,6 @@ def _greedy_reference(num_perms, num_tiles, rng, candidate_pool=300):
 def test_max_hamming_matches_greedy_loop(seed, num_perms):
     rng = np.random.default_rng(seed)
     ref_rng = np.random.default_rng(seed)
-    got = max_hamming_permutations(num_perms, 9, rng=rng)
+    got = max_hamming_permutations(num_perms, rng=rng)
     assert np.array_equal(got, _greedy_reference(num_perms, 9, ref_rng))
     assert rng.bit_generator.state == ref_rng.bit_generator.state

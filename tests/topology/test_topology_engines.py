@@ -78,7 +78,8 @@ def hier_barrier(assets):
 class TestTopologyBoundary:
     def test_flat_run_has_zero_tier_fields(self, assets):
         snap = run_fleet(system_by_id("d"), assets).ledger.snapshot()
-        assert snap.tiered_bytes_moved == 0
+        assert snap.edge_to_gateway_bytes == snap.gateway_to_cloud_bytes == 0
+        assert snap.gateway_to_edge_bytes == snap.cloud_to_gateway_bytes == 0
         assert snap.wan_transfer_events == 0
         assert snap.transfer_overhead_bytes == 0
 

@@ -107,7 +107,7 @@ class TestTrainClassifier:
             freeze_plan=FreezePlan(3),
         )
         FreezePlan(3).apply(net_b)
-        optimizer = SGD(net_b.parameters, lr=0.02, momentum=0.9)
+        optimizer = SGD(net_b.parameters, lr=0.02)
         loss_fn = CrossEntropyLoss()
         images, labels = small_ideal_dataset.images, small_ideal_dataset.labels
         rng_b = np.random.default_rng(5)
