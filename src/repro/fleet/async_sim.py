@@ -112,9 +112,13 @@ class NodeEventTrajectory:
     ledger: DataMovementLedger = field(
         default_factory=lambda: DataMovementLedger(image_bytes=JPEG_IMAGE_BYTES)
     )
-    download_bytes: int = 0
     download_energy_j: float = 0.0
     finish_s: float = 0.0
+
+    @property
+    def download_bytes(self) -> int:
+        """Model bytes this node downloaded (its ledger's count)."""
+        return self.ledger.total_downloaded_bytes
 
     @property
     def epochs_completed(self) -> int:
@@ -855,7 +859,6 @@ class _EventFleet:
         """A model download finished at node ``i``: swap state, charge it."""
         self.node_states[i] = state
         trajectory = self.report.nodes[i]
-        trajectory.download_bytes += num_bytes
         trajectory.download_energy_j += self.tier.node_link(
             i
         ).model_push_energy_j(num_bytes)

@@ -37,10 +37,10 @@ bit-identical reports, trace bytes and metrics
 (``tests/fleet/test_pool.py``).  Only ``run_fleet`` builds a pool, so
 the pool never meets a gateway tier or scenario hooks.
 
-Cleanup contract: :meth:`shutdown` (idempotent, also run by
-``__exit__``) cancels queued futures and joins the workers.  The pool
-owns processes and pipes, nothing with a name: no worker process and no
-``/dev/shm`` entry outlives a run, whether it returns or raises.
+Cleanup contract: :meth:`shutdown` (idempotent) cancels queued futures
+and joins the workers.  The pool owns processes and pipes, nothing with
+a name: no worker process and no ``/dev/shm`` entry outlives a run,
+whether it returns or raises.
 
 This module is the only place in ``src/repro`` allowed to construct a
 ``ProcessPoolExecutor`` (lint rule RPR012).
@@ -194,8 +194,6 @@ class FleetWorkerPool:
         its tokens name.  Each node takes its own report, so merge order
         never depends on completion order.
         """
-        if not tasks:
-            return {}
         futures = [
             self._executor.submit(
                 _pool_worker_chunk,
@@ -224,12 +222,6 @@ class FleetWorkerPool:
         exception tears the pool down instead of hanging on the backlog.
         """
         self._executor.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "FleetWorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
 
 
 #: Worker-process side: filled by the initializer, reused by every chunk,

@@ -66,17 +66,13 @@ def replicate_spec(spec: ScenarioSpec, index: int) -> ScenarioSpec:
 def run_replicate(
     spec: ScenarioSpec, *, tracer: Tracer | None = None
 ) -> ScenarioReport:
-    """Run one replicate on the spec's engine.
+    """Run one replicate on the event engine, barrier per the spec.
 
-    Both engines are the event engine: ``lockstep`` is its barrier mode,
-    ``event`` runs with the spec's ``barrier`` flag.
+    ``engine: lockstep`` specs always hold the barrier
+    (:func:`~repro.scenario.schema.load_spec` refuses ``barrier: false``
+    with them).
     """
-    return run_scenario_event(spec, barrier=_barrier(spec), tracer=tracer)
-
-
-def _barrier(spec: ScenarioSpec) -> bool:
-    """Whether a run of ``spec`` holds the round barrier."""
-    return spec.engine == "lockstep" or spec.barrier
+    return run_scenario_event(spec, barrier=spec.barrier, tracer=tracer)
 
 
 def replicate_metrics(report: ScenarioReport) -> dict[str, float]:
@@ -201,7 +197,7 @@ def build_summary(spec: ScenarioSpec, *, tracer: Tracer | None = None) -> dict:
             "name": spec.name,
             "description": spec.description,
             "engine": spec.engine,
-            "barrier": _barrier(spec),
+            "barrier": spec.barrier,
             "seed": spec.seed,
             "nodes": spec.fleet.num_nodes,
             "stages": spec.num_stages,

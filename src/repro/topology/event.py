@@ -3,7 +3,10 @@
 :func:`repro.fleet.async_sim.run_fleet_event` runs one event engine; what
 a topology changes is *transport*, and :class:`GatewayEventTier` is that
 transport, with the same surface as the flat
-:class:`~repro.fleet.async_sim.DirectEventTier`:
+:class:`~repro.fleet.async_sim.DirectEventTier`.  The one class both
+decides (who sits under which gateway, when the second opinion runs,
+when a buffer leaves for the Cloud, what a WAN frame weighs) and moves
+the bytes through time:
 
 * **transport** — a node's upload rides the uncontended local hop to its
   gateway (a plain timeout) instead of a shared-backhaul flow;
@@ -14,10 +17,6 @@ transport, with the same surface as the flat
   Cloud's initialization barrier sees every node's data;
 * **push-down** — one WAN flow per gateway per wave, then local copies
   fan out to the children.
-
-Every decision (second-opinion gate, flush rule, WAN framing) is
-:class:`~repro.topology.gateway.GatewayPolicy`'s; this module only moves
-the bytes through time.
 
 In ``barrier`` mode — the lockstep reference, and what ``python -m repro
 fleet --topology fan-out`` runs by default — gateways synchronize on the
@@ -39,7 +38,11 @@ import numpy as np
 from repro.comm.link import JPEG_IMAGE_BYTES, NetworkLink
 from repro.events import Store
 from repro.fleet.async_sim import _Arrival
-from repro.topology.gateway import GatewayPolicy
+from repro.topology.gateway import (
+    GatewayBuffer,
+    SecondOpinion,
+    SecondOpinionResult,
+)
 
 __all__ = ["GatewayEventTier", "GatewayFlushRecord"]
 
@@ -76,13 +79,26 @@ class GatewayEventTier:
 
     def __init__(self, topology, config, assets) -> None:
         self.topology = topology
-        self.policy = GatewayPolicy(topology, config, assets)
-        self.canary_ids = self.policy.canary_ids
+        self.uploads_everything = config.uploads_everything
+        self.profiles = assets.profiles
+        #: rollouts canary regionally, on the canary gateway's children
+        self.canary_ids = topology.canary_node_ids
         self.gateway_by_id = {g.gateway_id: g for g in topology.gateways}
+        self.gateway_of = {
+            p.node_id: topology.gateway_of(p.node_id) for p in self.profiles
+        }
+        self.buffers = {
+            gid: GatewayBuffer(policy=topology.aggregation)
+            for gid in self.gateway_by_id
+        }
+        #: one model serves every gateway: ``resolve`` is seeded per
+        #: ``(gateway, node, stage)``
+        self.opinion = SecondOpinion(topology.second_opinion_fraction)
         self.resolved = {gid: 0 for gid in sorted(self.gateway_by_id)}
 
     def node_link(self, i: int) -> NetworkLink:
-        return self.policy.node_link(i)
+        """The local hop node ``i``'s radio pays for."""
+        return self.gateway_of[self.profiles[i].node_id].local_link
 
     def start(self, engine) -> None:
         """Start one process per gateway (the engine is never kept)."""
@@ -105,7 +121,7 @@ class GatewayEventTier:
     def finish(self, report) -> None:
         report.gateway_leftover_images = {
             gateway_id: buffer.buffered_images
-            for gateway_id, buffer in sorted(self.policy.buffers.items())
+            for gateway_id, buffer in sorted(self.buffers.items())
         }
         report.gateway_resolved_images = dict(self.resolved)
 
@@ -115,7 +131,7 @@ class GatewayEventTier:
     def transport(self, engine, i, stage, epoch, upload_data, count, accuracy):
         """Ship the upload one hop, to the node's gateway (uncontended)."""
         node_id = engine.profiles[i].node_id
-        g = self.policy.gateway_of[node_id]
+        g = self.gateway_of[node_id]
         num_bytes = count * JPEG_IMAGE_BYTES
         upload_start = engine.sim.now
         yield engine.sim.timeout(g.local_link.transfer_time_s(num_bytes))
@@ -172,11 +188,22 @@ class GatewayEventTier:
     # Gateway processes
     # ------------------------------------------------------------------
     def _second_opinion(self, engine, g, msgs, stage_key: int):
-        """Settle ``msgs`` at the gateway, then park what escalates."""
+        """Settle ``msgs`` at the gateway, then park what escalates.
+
+        The gateway model skips stage 0 (the initialization upload),
+        systems that upload everything (no flagged subset to settle) and
+        empty uploads.  Seeded per ``(gateway, node, stage)``, so barrier
+        and async runs escalate the same images.
+        """
+        consult = not (
+            stage_key == 0
+            or self.uploads_everything
+            or self.opinion.fraction == 0.0
+        )
         results = [
-            self.policy.second_opinion(
-                g.gateway_id, m.node_id, stage_key, m.data
-            )
+            self.opinion.resolve(g.gateway_id, m.node_id, stage_key, m.data)
+            if consult and len(m.data)
+            else SecondOpinionResult(m.data, 0, 0.0, 0.0)
             for m in msgs
         ]
         so_time = sum(r.time_s for r in results)
@@ -204,14 +231,28 @@ class GatewayEventTier:
                 tier="gateway",
             ).inc(resolved)
         for m, result in zip(msgs, results):
-            self.policy.buffers[g.gateway_id].offer(
+            self.buffers[g.gateway_id].offer(
                 stage_key, m.node_id, result.escalated
             )
 
+    def _flush(self, gateway_id: int, stage: int, *, final: bool):
+        """What leaves this gateway for the Cloud at ``stage``, if anything.
+
+        Stage 0 forces a flush, so the Cloud always initializes from the
+        full stage-0 pool; so does the ``final`` stage of a run with a
+        known end, so no data is stranded.  Otherwise the aggregation
+        policy decides.  ``[]`` means nothing crosses the WAN.
+        """
+        buffer = self.buffers[gateway_id]
+        if stage == 0 or final or buffer.should_flush(stage):
+            return buffer.flush()
+        return []
+
     def _wan_flush(self, engine, g, entries, round_index: int):
         """One framed WAN transfer carrying a flushed buffer upstream."""
-        images, payload = self.policy.wan_payload(entries)
+        images = sum(len(e.data) for e in entries)
         overhead = self.topology.per_transfer_overhead_bytes
+        payload = images * JPEG_IMAGE_BYTES + overhead
         wan = g.wan_link
         start = engine.sim.now
         yield engine.uplink.transfer(
@@ -267,7 +308,7 @@ class GatewayEventTier:
                 msgs.append((yield inbox.get()))
             msgs.sort(key=lambda m: m.node_id)
             yield from self._second_opinion(engine, g, msgs, round_index)
-            entries = self.policy.flush(
+            entries = self._flush(
                 g.gateway_id,
                 round_index,
                 final=engine.horizon_s is None
@@ -298,7 +339,7 @@ class GatewayEventTier:
         while True:
             msg = yield inbox.get()
             yield from self._second_opinion(engine, g, [msg], msg.epoch)
-            entries = self.policy.flush(g.gateway_id, msg.epoch, final=False)
+            entries = self._flush(g.gateway_id, msg.epoch, final=False)
             if entries:
                 yield from self._wan_flush(engine, g, entries, msg.epoch)
                 for arrival in self._as_arrivals(entries):
@@ -311,7 +352,7 @@ class GatewayEventTier:
         """One WAN copy per gateway, then local fan-out to the children."""
         by_gateway: dict[int, list] = {}
         for node_id, num_bytes in pushes:
-            gid = self.policy.gateway_of[node_id].gateway_id
+            gid = self.gateway_of[node_id].gateway_id
             by_gateway.setdefault(gid, []).append((node_id, num_bytes))
         procs = [
             engine.sim.process(

@@ -1,9 +1,9 @@
-"""Gateway-side machinery: upload aggregation and the second-opinion model.
+"""Gateway-side pieces: upload aggregation and the second-opinion model.
 
-Everything here decides; nothing moves bytes through time.  The event
-gateway tier (:mod:`repro.topology.event`) drives these
-:class:`GatewayBuffer` and :class:`SecondOpinion` objects through one
-:class:`GatewayPolicy`, in its barrier and its async mode alike.
+Nothing here moves bytes through time.  The event gateway tier
+(:class:`repro.topology.event.GatewayEventTier`) holds one
+:class:`GatewayBuffer` per gateway and one :class:`SecondOpinion`, and
+decides when each runs, in its barrier and its async mode alike.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.comm.link import JPEG_IMAGE_BYTES, NetworkLink
 from repro.data.datasets import Dataset
 from repro.hw.specs import TX1
 from repro.models.layer_specs import alexnet_spec
@@ -21,7 +20,6 @@ from repro.topology.model import AggregationPolicy
 __all__ = [
     "BufferedUpload",
     "GatewayBuffer",
-    "GatewayPolicy",
     "SecondOpinion",
     "SecondOpinionResult",
 ]
@@ -145,82 +143,4 @@ class SecondOpinion:
             resolved_images=k,
             time_s=time_s,
             energy_j=energy_j,
-        )
-
-
-class GatewayPolicy:
-    """Every decision the gateway tier makes.
-
-    The event tier only moves bytes through time (timeouts and flows);
-    who sits under which gateway, when the second opinion runs, when a
-    buffer leaves for the Cloud and what the WAN frame weighs are
-    decided here, once.
-    """
-
-    def __init__(self, topology, config, assets) -> None:
-        self.topology = topology
-        self.uploads_everything = config.uploads_everything
-        self.profiles = assets.profiles
-        #: rollouts canary regionally, on the canary gateway's children
-        self.canary_ids = topology.canary_node_ids
-        self.gateways = topology.gateways
-        self.gateway_of = {
-            p.node_id: topology.gateway_of(p.node_id) for p in self.profiles
-        }
-        self.buffers = {
-            g.gateway_id: GatewayBuffer(policy=topology.aggregation)
-            for g in self.gateways
-        }
-        self.opinions = {
-            g.gateway_id: SecondOpinion(topology.second_opinion_fraction)
-            for g in self.gateways
-        }
-
-    def node_link(self, i: int) -> NetworkLink:
-        """The local hop node ``i``'s radio pays for."""
-        return self.gateway_of[self.profiles[i].node_id].local_link
-
-    def second_opinion(
-        self, gateway_id: int, node_id: int, stage: int, data: Dataset
-    ) -> SecondOpinionResult:
-        """Run the gateway model over one upload, when it applies.
-
-        Stage 0 is the initialization upload and systems that upload
-        everything have no flagged subset to settle.  Seeded per
-        ``(gateway, node, stage)``, so barrier and async runs escalate
-        the same images.
-        """
-        if (
-            stage == 0
-            or self.uploads_everything
-            or self.topology.second_opinion_fraction == 0.0
-            or not len(data)
-        ):
-            return SecondOpinionResult(data, 0, 0.0, 0.0)
-        return self.opinions[gateway_id].resolve(
-            gateway_id, node_id, stage, data
-        )
-
-    def flush(
-        self, gateway_id: int, stage: int, *, final: bool
-    ) -> list[BufferedUpload]:
-        """What leaves this gateway for the Cloud at ``stage``, if anything.
-
-        Stage 0 forces a flush, so the Cloud always initializes from the
-        full stage-0 pool; so does the ``final`` stage of a run with a
-        known end, so no data is stranded.  Otherwise the aggregation
-        policy decides.  ``[]`` means nothing crosses the WAN.
-        """
-        buffer = self.buffers[gateway_id]
-        if stage == 0 or final or buffer.should_flush(stage):
-            return buffer.flush()
-        return []
-
-    def wan_payload(self, entries: list[BufferedUpload]) -> tuple[int, int]:
-        """``(images, framed bytes)`` of one flushed buffer on the WAN."""
-        images = sum(len(e.data) for e in entries)
-        return (
-            images,
-            images * JPEG_IMAGE_BYTES
-            + self.topology.per_transfer_overhead_bytes,
         )

@@ -140,19 +140,26 @@ def _parent_side_exception(assets):
 
 def _worker_side_exception(assets):
     runtime = build_fleet_runtime(system_by_id("d"), assets)
-    with pytest.raises(IndexError):
-        with FleetWorkerPool(runtime, assets, 2) as pool:
+    pool = FleetWorkerPool(runtime, assets, 2)
+    try:
+        with pytest.raises(IndexError):
             state = pool.publish(assets.initial_state)
             pool.run_stage(0, [PoolTask(0, state), PoolTask(NUM_NODES, state)])
+    finally:
+        pool.shutdown()
 
 
 def _with_block_raising(assets):
+    """The caller's own code raises while the pool is live."""
     runtime = build_fleet_runtime(system_by_id("d"), assets)
+    pool = FleetWorkerPool(runtime, assets, 2)
     with pytest.raises(RuntimeError, match="boom"):
-        with FleetWorkerPool(runtime, assets, 2) as pool:
+        try:
             task = PoolTask(0, pool.publish(assets.initial_state))
             assert pool.run_stage(0, [task]).keys() == {0}
             raise RuntimeError("boom")
+        finally:
+            pool.shutdown()
 
 
 class TestNoResidue:
@@ -253,12 +260,15 @@ class TestForkHygiene:
         assert serial_stage(1, states[0]) != serial[1]
 
         fresh = build_fleet_runtime(config, assets)
-        with FleetWorkerPool(fresh, assets, 2) as pool:
+        pool = FleetWorkerPool(fresh, assets, 2)
+        try:
             tokens = [pool.publish(state) for state in states]
             assert tokens == [pool.publish(state) for state in states]
             assert len(set(tokens)) == 3
             tasks = [PoolTask(i, t) for i, t in enumerate(tokens)]
             pooled = pool.run_stage(stage, tasks)
+        finally:
+            pool.shutdown()
         assert {i: _report_fields(r) for i, r in pooled.items()} == serial
 
     def test_cli_with_piped_stdout_matches_serial(self, tmp_path, no_residue):

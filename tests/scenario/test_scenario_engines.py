@@ -14,9 +14,8 @@ from repro.core.systems import system_by_id
 from repro.fleet.async_sim import _EventFleet
 from repro.fleet.simulation import build_fleet_runtime
 from repro.obs import Tracer
-from repro.scenario import ScenarioReport, build_plans
+from repro.scenario import build_plans, run_scenario_event
 from repro.scenario.event import ScenarioEventHooks
-from repro.scenario.report import ScenarioState, configure_cloud
 from repro.topology import AggregationPolicy, Topology
 
 
@@ -63,11 +62,28 @@ class TestChurnSemantics:
             else:
                 assert info.reconcile_bytes == 0
 
-    def test_node_records_sum_to_node_ledger(self, event_barrier_report):
-        # a rejoining node's catch-up download counts like any push
-        assert event_barrier_report.reconciliations >= 1
-        for node in event_barrier_report.fleet.nodes:
-            assert node.download_bytes == node.ledger.total_downloaded_bytes
+    def test_node_records_sum_to_node_ledger(self, tiny_spec, tiny_assets):
+        # a rejoining node's catch-up download counts like any push: every
+        # download span lands in its node's ledger, reconciles included
+        tracer = Tracer()
+        report = run_scenario_event(
+            tiny_spec, assets=tiny_assets, barrier=True, tracer=tracer
+        )
+        assert report.reconciliations >= 1
+        downloads = [
+            (r.name, dict(r.attrs))
+            for r in tracer.records
+            if r.cat == "net" and r.name in ("push", "push-head", "reconcile")
+        ]
+        for node in report.fleet.nodes:
+            assert node.ledger.total_downloaded_bytes == sum(
+                attrs["bytes"]
+                for _, attrs in downloads
+                if attrs["node"] == node.profile.node_id
+            )
+        assert report.total_reconcile_bytes == sum(
+            attrs["bytes"] for name, attrs in downloads if name == "reconcile"
+        )
 
     def test_download_energy_prices_download_bytes(self, event_barrier_report):
         for node in event_barrier_report.fleet.nodes:
@@ -143,18 +159,14 @@ class TestChurnOverGateways:
         runtime = build_fleet_runtime(
             config, tiny_assets, canary_ids=tier.canary_ids
         )
-        configure_cloud(runtime, tiny_spec)
-        report = ScenarioReport(
-            spec=tiny_spec, mode="", fleet=None, registry=runtime.registry
-        )
-        state = ScenarioState(
+        hooks = ScenarioEventHooks(
             tiny_spec,
             build_plans(tiny_spec, tiny_assets.profiles),
             tiny_assets,
             runtime,
-            report,
-            Tracer(enabled=False),
+            mode="event-barrier",
         )
+        report = hooks.report
         report.fleet = _EventFleet(
             config,
             tiny_assets,
@@ -162,7 +174,7 @@ class TestChurnOverGateways:
             tier,
             horizon_s=None,
             barrier=True,
-            hooks=ScenarioEventHooks(state),
+            hooks=hooks,
         ).run()
         return report, collected
 

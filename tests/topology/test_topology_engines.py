@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -31,9 +32,27 @@ from repro.fleet.async_sim import DirectEventTier, _EventFleet
 from repro.fleet.simulation import build_fleet_runtime
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.analyze import health_report
+from repro.scenario import build_plans, load_spec
+from repro.scenario.event import ScenarioEventHooks
 from repro.topology import AggregationPolicy, Topology
 
 NUM_NODES = 4
+
+#: churn and per-group heads over ``small_fleet()`` (its fleet replaces
+#: this one), so every scenario hook has work in a run
+SCENARIO_YAML = """\
+scenario:
+  name: hooks
+  engine: event
+fleet:
+  nodes: 4
+processes:
+  churn:
+    rate: 0.4
+  per_node_heads:
+    groups: 2
+    epochs: 1
+"""
 
 
 def small_fleet() -> FleetScenario:
@@ -155,8 +174,19 @@ class TestModeEquivalence:
         assert sum(report.gateway_resolved_images.values()) == resolved
         assert set(report.gateway_resolved_images) == {0, 1}
 
-    @pytest.mark.parametrize("hier", [False, True])
-    def test_finished_engine_is_freed_without_the_cycle_gc(self, assets, hier):
+    @pytest.mark.parametrize(
+        "case, barrier",
+        [
+            ("direct", True),
+            ("gateway", True),
+            ("scenario-hooks", True),
+            ("scenario-hooks", False),
+        ],
+        ids=["direct", "gateway", "scenario-hooks-barrier", "scenario-hooks-async"],
+    )
+    def test_finished_engine_is_freed_without_the_cycle_gc(
+        self, assets, case, barrier
+    ):
         # A tier (or hooks) that kept the engine would close a reference
         # cycle, and a replicate loop would then hold the previous run's
         # runtime until the cycle collector got to it: +12% peak RSS on
@@ -164,16 +194,28 @@ class TestModeEquivalence:
         config = system_by_id("d")
         tier = (
             hier_topology().event_tier(config, assets)
-            if hier
+            if case == "gateway"
             else DirectEventTier(assets)
         )
+        runtime = build_fleet_runtime(config, assets, canary_ids=tier.canary_ids)
+        hooks = None
+        if case == "scenario-hooks":
+            spec = replace(load_spec(SCENARIO_YAML), fleet=small_fleet())
+            hooks = ScenarioEventHooks(
+                spec,
+                build_plans(spec, assets.profiles),
+                assets,
+                runtime,
+                mode="event-barrier" if barrier else "event",
+            )
         engine = _EventFleet(
             config,
             assets,
-            build_fleet_runtime(config, assets, canary_ids=tier.canary_ids),
+            runtime,
             tier,
             horizon_s=None,
-            barrier=True,
+            barrier=barrier,
+            hooks=hooks,
         )
         gc.collect()
         gc.disable()
