@@ -178,7 +178,7 @@ def main(argv: list[str] | None = None) -> None:
         f"({report.ledger.overall_reduction_vs_full():.0%} upload "
         "reduction); "
         f"cloud update time {report.total_update_time_s:.1f}s, "
-        f"model versions {report.registry.history()}"
+        f"model versions {[v.version for v in report.registry.versions()]}"
     )
     if topology is not None:
         snap = report.ledger.snapshot()

@@ -30,11 +30,10 @@ class StageMovement:
 
 @dataclass(frozen=True)
 class LedgerTotals:
-    """Immutable snapshot of a ledger's running totals.
+    """Immutable snapshot of a ledger's totals.
 
     Taken mid-run (:meth:`DataMovementLedger.snapshot`) this is a
-    consistent point-in-time view: the metrics layer and the reports
-    read this one source instead of re-summing the stage list ad hoc.
+    consistent point-in-time view.
     """
 
     stages_recorded: int
@@ -61,22 +60,14 @@ class DataMovementLedger:
     each stage's uploads divided by that stage's acquisitions (systems that
     upload everything are the ``1.0`` rows).
 
-    Totals are maintained incrementally as stages are recorded, so they
-    are O(1) to read at any point mid-run; :meth:`snapshot` freezes them
+    The image and download totals are sums over ``stages``, read once a
+    run ends; the tier counters of :meth:`record_tier` are not in the
+    rows, so they run alongside.  :meth:`snapshot` freezes all of them
     into an immutable :class:`LedgerTotals`.
     """
 
     image_bytes: int
     stages: list[StageMovement] = field(default_factory=list)
-    _acquired_images: int = field(
-        default=0, init=False, repr=False, compare=False
-    )
-    _uploaded_images: int = field(
-        default=0, init=False, repr=False, compare=False
-    )
-    _downloaded_bytes: int = field(
-        default=0, init=False, repr=False, compare=False
-    )
     _edge_to_gateway_bytes: int = field(
         default=0, init=False, repr=False, compare=False
     )
@@ -119,8 +110,6 @@ class DataMovementLedger:
             image_bytes=self.image_bytes,
         )
         self.stages.append(movement)
-        self._acquired_images += acquired
-        self._uploaded_images += uploaded
         return movement
 
     def record_download(self, stage_index: int, num_bytes: int) -> StageMovement:
@@ -131,7 +120,6 @@ class DataMovementLedger:
         """
         if num_bytes < 0:
             raise ValueError("counts must be >= 0")
-        self._downloaded_bytes += num_bytes
         for i in range(len(self.stages) - 1, -1, -1):
             entry = self.stages[i]
             if entry.stage_index == stage_index:
@@ -196,13 +184,13 @@ class DataMovementLedger:
         self._transfer_overhead_bytes += overhead_bytes
 
     def snapshot(self) -> LedgerTotals:
-        """Freeze the running totals into an immutable point-in-time view."""
+        """Freeze the totals into an immutable point-in-time view."""
         return LedgerTotals(
             stages_recorded=len(self.stages),
-            acquired_images=self._acquired_images,
-            uploaded_images=self._uploaded_images,
-            uploaded_bytes=self._uploaded_images * self.image_bytes,
-            downloaded_bytes=self._downloaded_bytes,
+            acquired_images=self.total_acquired_images,
+            uploaded_images=self.total_uploaded_images,
+            uploaded_bytes=self.total_uploaded_bytes,
+            downloaded_bytes=self.total_downloaded_bytes,
             edge_to_gateway_bytes=self._edge_to_gateway_bytes,
             gateway_to_cloud_bytes=self._gateway_to_cloud_bytes,
             gateway_to_edge_bytes=self._gateway_to_edge_bytes,
@@ -214,11 +202,11 @@ class DataMovementLedger:
 
     @property
     def total_uploaded_bytes(self) -> int:
-        return self._uploaded_images * self.image_bytes
+        return self.total_uploaded_images * self.image_bytes
 
     @property
     def total_downloaded_bytes(self) -> int:
-        return self._downloaded_bytes
+        return sum(s.downloaded_bytes for s in self.stages)
 
     @property
     def total_bytes_moved(self) -> int:
@@ -227,11 +215,11 @@ class DataMovementLedger:
 
     @property
     def total_uploaded_images(self) -> int:
-        return self._uploaded_images
+        return sum(s.uploaded_images for s in self.stages)
 
     @property
     def total_acquired_images(self) -> int:
-        return self._acquired_images
+        return sum(s.acquired_images for s in self.stages)
 
     def normalized_per_stage(self) -> list[float]:
         """Table II rows: per-stage upload fraction."""
@@ -239,7 +227,7 @@ class DataMovementLedger:
 
     def overall_reduction_vs_full(self) -> float:
         """Fraction of data movement avoided relative to uploading all data."""
-        acquired = self._acquired_images
+        acquired = self.total_acquired_images
         if acquired == 0:
             return 0.0
-        return 1.0 - self._uploaded_images / acquired
+        return 1.0 - self.total_uploaded_images / acquired

@@ -31,12 +31,15 @@ class NodeReport:
 
     stage_index: int
     acquired_images: int
-    flagged_images: int
     accuracy_before_update: float
     inference_time_s: float
     diagnosis_time_s: float
     node_energy_j: float
-    upload_data: Dataset
+    upload_data: Dataset  # the flagged images
+
+    @property
+    def flagged_images(self) -> int:
+        return len(self.upload_data)
 
     @property
     def flagged_fraction(self) -> float:
@@ -115,7 +118,6 @@ class InSituNode:
         return NodeReport(
             stage_index=stage.index,
             acquired_images=len(data),
-            flagged_images=int(flags.sum()),
             accuracy_before_update=accuracy(logits, data.labels),
             inference_time_s=inference.seconds,
             diagnosis_time_s=diagnosis.seconds,

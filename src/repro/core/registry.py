@@ -4,9 +4,9 @@ An autonomous system that continually retrains itself needs a safety net:
 an incremental update trained on a skewed upload batch can regress the
 deployed model, and nobody is watching.  This module provides
 
-* :class:`ModelRegistry` — versioned storage of model state dicts with an
-  *active* pointer that only ever moves forward, to the latest ``main``
-  publish; the node always deploys the active version.
+* :class:`ModelRegistry` — versioned storage of model state dicts whose
+  *active* version is the latest ``main`` publish; the node always
+  deploys the active version.
 * :class:`UpdateGuard` — an acceptance test for updates: the candidate
   model must not lose more than ``max_regression`` accuracy on a held-out
   validation set relative to the active model, otherwise the update is
@@ -16,7 +16,7 @@ deployed model, and nobody is watching.  This module provides
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class ModelVersion:
 
 
 class ModelRegistry:
-    """Versioned model store with an active pointer.
+    """Versioned model store.
 
     The active version is the latest ``main`` publish; side-track
     versions are recorded without moving it.
@@ -52,7 +52,6 @@ class ModelRegistry:
 
     def __init__(self) -> None:
         self._versions: list[ModelVersion] = []
-        self._active: ModelVersion | None = None
 
     def __len__(self) -> int:
         return len(self._versions)
@@ -72,18 +71,14 @@ class ModelRegistry:
             track=track,
         )
         self._versions.append(entry)
-        if track == "main":
-            self._active = entry
         return entry
 
     @property
     def active(self) -> ModelVersion:
-        if self._active is None:
+        active = self.latest("main")
+        if active is None:
             raise LookupError("registry is empty")
-        return self._active
-
-    def history(self) -> list[int]:
-        return [entry.version for entry in self._versions]
+        return active
 
     def versions(self, track: str | None = None) -> list[ModelVersion]:
         """All versions, optionally restricted to one track."""
@@ -93,8 +88,9 @@ class ModelRegistry:
 
     def latest(self, track: str) -> ModelVersion | None:
         """Most recent version on ``track``, or None if none published."""
-        entries = self.versions(track)
-        return entries[-1] if entries else None
+        return next(
+            (e for e in reversed(self._versions) if e.track == track), None
+        )
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,6 @@ class UpdateGuard:
 
     validation_data: Dataset
     max_regression: float = 0.02
-    decisions: list[GuardDecision] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if len(self.validation_data) == 0:
@@ -144,8 +139,6 @@ class UpdateGuard:
         accepted = after >= before - self.max_regression
         if accepted:
             net.load_state_dict(current_state)
-        decision = GuardDecision(
+        return GuardDecision(
             accepted=accepted, accuracy_before=before, accuracy_after=after
         )
-        self.decisions.append(decision)
-        return decision

@@ -115,6 +115,7 @@ class Simulator:
         self.now = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
+        self._processes: list[Process] = []
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -144,7 +145,9 @@ class Simulator:
 
     def process(self, gen: Generator) -> Process:
         """Start a generator as a process; begins at the current time."""
-        return Process(self, gen)
+        proc = Process(self, gen)
+        self._processes.append(proc)
+        return proc
 
     # ------------------------------------------------------------------
     # Execution
@@ -172,6 +175,20 @@ class Simulator:
         if until is not None and until > self.now:
             self.now = until
         return self.now
+
+    def close(self) -> None:
+        """End the simulation: close every process still suspended and
+        drop the queue.
+
+        A process parked on an event that will never fire (a consumer
+        whose producers are done, a flow a horizon froze) holds its
+        generator's frame, and with it whatever the frame references,
+        until the cycle collector runs; closing it frees that now.
+        """
+        for proc in self._processes:
+            proc._gen.close()
+        self._processes.clear()
+        self._heap.clear()
 
 
 class Store:

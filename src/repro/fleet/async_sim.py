@@ -93,9 +93,12 @@ class EpochRecord:
     compute_time_s: float
     upload_start_s: float
     upload_done_s: float  # flow completion, access latency included
-    upload_bytes: int
     upload_energy_j: float
     node_compute_energy_j: float
+
+    @property
+    def upload_bytes(self) -> int:
+        return self.uploaded * JPEG_IMAGE_BYTES
 
     @property
     def upload_wait_s(self) -> float:
@@ -261,7 +264,8 @@ class DirectEventTier:
     ``repro.topology`` supplies the other implementation of this surface
     (gateway processes between the nodes and the backhaul).  Like the
     hooks, a tier is handed the engine per call and keeps no reference
-    to it, so a finished run is freed without waiting for the cycle GC.
+    to it: once the run closes its kernel processes, the engine is freed
+    without waiting for the cycle GC.
     """
 
     #: ``tier`` attribute on node records / attrs on ``cloud/*`` records;
@@ -488,7 +492,6 @@ class _EventFleet:
                 compute_time_s=compute_s,
                 upload_start_s=upload_start,
                 upload_done_s=upload_done,
-                upload_bytes=count * JPEG_IMAGE_BYTES,
                 upload_energy_j=self.tier.node_link(i).image_upload_energy_j(
                     count
                 ),
@@ -898,6 +901,9 @@ class _EventFleet:
             m.gauge("fleet.bytes.downloaded", system=sys_id).set(
                 snap.downloaded_bytes
             )
+        # The free-running Cloud, async gateways and whatever a horizon
+        # froze are still suspended; their frames hold this engine.
+        self.sim.close()
         return self.report
 
 

@@ -135,14 +135,13 @@ class FleetScheduler:
         self._best_accuracy = max(self._best_accuracy, fleet_accuracy)
         return fleet_accuracy <= self._best_accuracy - ACCURACY_DROP
 
-    def drain(self) -> tuple[Dataset, int]:
+    def drain(self) -> Dataset:
         """Pop the pooled uploads as one training set."""
         if not self.pool:
             raise ValueError("no pooled uploads to drain")
         pooled = Dataset.concat([u.data for u in self.pool])
-        count = len(pooled)
         self.pool.clear()
-        return pooled, count
+        return pooled
 
     # ------------------------------------------------------------------
     # Canary rollout

@@ -55,7 +55,6 @@ from repro.diagnosis.diagnoser import Diagnoser
 from repro.fleet.profiles import FleetScenario, NodeProfile
 from repro.nn import Sequential, workspace
 from repro.nn.config import default_dtype
-from repro.nn.prefix_memo import params_digest
 from repro.fleet.scheduler import FleetScheduler, RolloutResult
 from repro.fleet.uplink import model_state_bytes
 from repro.obs.metrics import MetricsRegistry
@@ -328,26 +327,16 @@ class FleetRuntime:
     #: observability sink threaded through the run; ``None``
     #: keeps every instrumentation site a cheap no-op.
     metrics: MetricsRegistry | None = None
-    _eval_memo: dict[tuple[int, bytes], float] = field(
-        default_factory=dict, repr=False
-    )
 
     def eval_accuracy(self, eval_data: Dataset) -> float:
         """Accuracy of the Cloud model as it stands now on ``eval_data``.
 
         The engine scores the Cloud after every decision and at the
-        end, mostly on weights that have not moved since the last score.
-        The memo is keyed on the parameter *bytes*, so however the
-        weights got there (retrain, rollback, reconcile, head load)
-        equal content is one forward sweep and different content never
-        reads a stale score.  ``eval_data`` must outlive the runtime (a
-        run's assets do): it is told apart by identity.
+        end, mostly on weights that have not moved since the last score:
+        there the prefix memo (:mod:`repro.nn.prefix_memo`) holds every
+        image's conv rows, and only the FC tail runs again.
         """
-        net = self.cloud.inference_net
-        key = (id(eval_data), params_digest(net.layers))
-        if key not in self._eval_memo:
-            self._eval_memo[key] = evaluate(net, eval_data)
-        return self._eval_memo[key]
+        return evaluate(self.cloud.inference_net, eval_data)
 
 
 def build_fleet_runtime(
@@ -498,7 +487,7 @@ def cloud_try_update(
     )
     if not scheduler.should_update(fleet_accuracy):
         return outcome
-    pool, pooled_count = scheduler.drain()
+    pool = scheduler.drain()
     train_data = pool
     if runtime.cloud_diagnoser is not None:
         # System b: the Cloud pays an inference scan over every
@@ -517,7 +506,7 @@ def cloud_try_update(
             weight_shared=runtime.config.weight_shared,
             epochs=base.update_epochs,
             lr=UPDATE_LR,
-            pooled_images=pooled_count,
+            pooled_images=len(pool),
         )
         outcome.updated = True
         outcome.promoted = rollout.promoted

@@ -377,31 +377,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.topology == "fan-out":
         from repro.topology import AggregationPolicy, Topology
 
-        if args.fan_out < 1:
-            parser.error("--fan-out must be at least 1")
-        if args.agg_images < 0:
-            parser.error("--agg-images must be >= 0")
-        if args.agg_age_stages < 1:
-            parser.error("--agg-age-stages must be at least 1")
-        if not 0.0 <= args.second_opinion <= 1.0:
-            parser.error("--second-opinion must be in [0, 1]")
-        if args.overhead_bytes < 0:
-            parser.error("--overhead-bytes must be >= 0")
-        aggregation = (
-            AggregationPolicy(
-                flush_images=args.agg_images,
-                max_age_stages=args.agg_age_stages,
+        try:
+            topology = Topology.fan_out(
+                args.nodes,
+                args.fan_out,
+                # the buffer drops empty uploads, so a one-image threshold
+                # is no aggregation: what --agg-images 0 asks for
+                aggregation=AggregationPolicy(
+                    flush_images=args.agg_images or 1,
+                    max_age_stages=args.agg_age_stages,
+                ),
+                second_opinion_fraction=args.second_opinion,
+                per_transfer_overhead_bytes=args.overhead_bytes,
             )
-            if args.agg_images > 0
-            else AggregationPolicy(enabled=False)
-        )
-        topology = Topology.fan_out(
-            args.nodes,
-            args.fan_out,
-            aggregation=aggregation,
-            second_opinion_fraction=args.second_opinion,
-            per_transfer_overhead_bytes=args.overhead_bytes,
-        )
+        except ValueError as exc:
+            parser.error(f"invalid topology: {exc}")
     if "fleet" in selected:
         from repro.fleet import FleetScenario, fleet_base_scenario
 

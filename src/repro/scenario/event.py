@@ -81,7 +81,9 @@ class ScenarioEventHooks(EventHooks):
     machinery first (the replay buffer's RNG is seeded there, so call
     order is part of the determinism contract), then opens the empty
     report and builds the head-training net.  Like the tiers, it is
-    handed the engine per call and keeps no reference to it.
+    handed the engine per call and keeps no reference to it; the
+    engine closes the kernel processes these generators run in as its
+    run ends, so none of them holds it afterwards.
     """
 
     # Churn defines who is in a round, so rounds exist in async mode too.

@@ -101,7 +101,12 @@ class GatewayEventTier:
         return self.gateway_of[self.profiles[i].node_id].local_link
 
     def start(self, engine) -> None:
-        """Start one process per gateway (the engine is never kept)."""
+        """Start one process per gateway.
+
+        The tier keeps no reference to the engine; the async gateway
+        processes never return, and the engine closes them as its run
+        ends.
+        """
         if engine.round_based and not engine.barrier:
             raise ValueError(
                 "a round-based Cloud over gateways needs barrier=True"

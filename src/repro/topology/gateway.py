@@ -64,15 +64,13 @@ class GatewayBuffer:
     def should_flush(self, current_stage: int) -> bool:
         """Does the policy fire at this stage boundary?
 
-        With aggregation disabled every non-empty buffer flushes
+        The size threshold fires at *exactly* ``flush_images``, not only
+        above it, so ``flush_images=1`` flushes every non-empty buffer
         immediately (one WAN transfer per upload — the unamortized
-        baseline).  The size threshold fires at *exactly*
-        ``flush_images``, not only above it.
+        baseline).
         """
         if not self.entries:
             return False
-        if not self.policy.enabled:
-            return True
         if self.buffered_images >= self.policy.flush_images:
             return True
         return (

@@ -28,10 +28,10 @@ class AggregationPolicy:
 
     ``max_age_stages`` is denominated in rounds (``barrier=True``) /
     epochs (async), not virtual seconds, so a flush decision depends on
-    the schedule alone, never on link speeds.
+    the schedule alone, never on link speeds.  ``flush_images=1`` flushes
+    every non-empty buffer at once: no aggregation.
     """
 
-    enabled: bool = True
     flush_images: int = 32  # flush when the buffer reaches this many
     max_age_stages: int = 2  # ... or when the oldest entry is this old
 

@@ -114,6 +114,36 @@ def gradcheck():
 
 
 @pytest.fixture
+def eval_conv_calls(monkeypatch):
+    """``Conv2D.forward`` calls made inside each
+    ``FleetRuntime.eval_accuracy`` call, in order: 0 means the prefix memo
+    served every eval image's conv rows.  The memo starts empty, so rows
+    an earlier test left cannot serve a first score."""
+    from repro.fleet.simulation import FleetRuntime
+    from repro.nn import prefix_memo
+    from repro.nn.conv import Conv2D
+
+    prefix_memo.clear()
+
+    forward, score = Conv2D.forward, FleetRuntime.eval_accuracy
+    calls, per_eval = [0], []
+
+    def counting_forward(self, *args, **kwargs):
+        calls[0] += 1
+        return forward(self, *args, **kwargs)
+
+    def counting_score(self, eval_data):
+        before = calls[0]
+        accuracy = score(self, eval_data)
+        per_eval.append(calls[0] - before)
+        return accuracy
+
+    monkeypatch.setattr(Conv2D, "forward", counting_forward)
+    monkeypatch.setattr(FleetRuntime, "eval_accuracy", counting_score)
+    return per_eval
+
+
+@pytest.fixture
 def explain_divergence():
     """``explain(text_a, text_b, label_a=, label_b=)``: the rendered
     first-divergence report for two JSONL traces, or ``None`` when they

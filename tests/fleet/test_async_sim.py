@@ -25,9 +25,7 @@ from repro.fleet import (
     run_fleet,
     run_fleet_event,
 )
-from repro.fleet import simulation as fleet_simulation
 from repro.fleet.simulation import build_fleet_runtime
-from repro.transfer import evaluate
 
 
 def tiny_fleet(**overrides) -> FleetScenario:
@@ -222,25 +220,21 @@ class TestHeterogeneousHorizon:
 
 
 class TestCloudEvalMemo:
-    """The event engine scores the Cloud through ``FleetRuntime.eval_accuracy``."""
+    """The event engine scores the Cloud through ``FleetRuntime.eval_accuracy``;
+    on unchanged weights the prefix memo serves the conv trunk."""
 
     @pytest.mark.parametrize("barrier", [False, True])
     def test_a_cloud_that_never_retrains_is_swept_once(
-        self, mixed_assets, monkeypatch, barrier
+        self, mixed_assets, eval_conv_calls, barrier
     ):
-        swept = []
-
-        def counting(net, data, **kwargs):
-            swept.append(data)
-            return evaluate(net, data, **kwargs)
-
-        monkeypatch.setattr(fleet_simulation, "evaluate", counting)
         report = run_fleet_event(
             system_by_id("d"), mixed_assets, barrier=barrier
         )
         assert [u.kind for u in report.updates] == ["init"]
-        # the init record and the final eval score the same weights
-        assert len(swept) == 1 and swept[0] is mixed_assets.eval_data
+        # the init record and the final eval score the same weights: the
+        # conv trunk runs for the first only
+        assert len(eval_conv_calls) == 2
+        assert eval_conv_calls[0] > 0 and eval_conv_calls[1] == 0
         assert report.final_eval_accuracy == report.updates[0].eval_accuracy
 
     def test_final_eval_is_the_last_records(self, barrier_d, async_d):

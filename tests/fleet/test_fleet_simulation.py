@@ -12,7 +12,6 @@ from repro.fleet import (
     prepare_fleet_assets,
     run_fleet,
 )
-from repro.fleet import simulation as fleet_simulation
 from repro.fleet.simulation import build_fleet_runtime
 from repro.fleet.uplink import BACKHAUL_BPS
 from repro.nn import workspace
@@ -136,7 +135,7 @@ class TestMovement:
 
 class TestRollouts:
     def test_registry_starts_at_v1(self, report_d):
-        assert report_d.registry.history()[0] == 1
+        assert report_d.registry.versions()[0].version == 1
 
     def test_rollout_events_cover_fleet_on_promotion(self, report_d):
         promoted = [r for r in report_d.rollouts if r.promoted]
@@ -188,21 +187,9 @@ class TestAccuracy:
             assert len(trajectory.records) == 5
 
 
-@pytest.fixture
-def eval_sweeps(monkeypatch):
-    """Every dataset ``FleetRuntime.eval_accuracy`` really sweeps, in order."""
-    swept = []
-
-    def counting(net, data, **kwargs):
-        swept.append(data)
-        return evaluate(net, data, **kwargs)
-
-    monkeypatch.setattr(fleet_simulation, "evaluate", counting)
-    return swept
-
-
 class TestCloudEvalMemo:
-    """The Cloud model is scored once per distinct weights, by content."""
+    """The Cloud's score is always that of its weights as they stand; on
+    unchanged weights the prefix memo serves the conv trunk."""
 
     @pytest.fixture
     def runtime(self, assets):
@@ -221,13 +208,15 @@ class TestCloudEvalMemo:
             epochs=1,
         )
 
-    def test_a_cloud_that_never_retrains_is_swept_once(self, eval_sweeps):
+    def test_a_cloud_that_never_retrains_is_swept_once(self, eval_conv_calls):
         assets = prepare_fleet_assets(
             tiny_fleet(scheduler_policy="threshold", upload_threshold=10**9)
         )
         report = run_fleet(system_by_id("d"), assets)
         assert [u.kind for u in report.updates] == ["init"]
-        assert len(eval_sweeps) == 1 and eval_sweeps[0] is assets.eval_data
+        # the second score of the same weights runs no conv layer
+        assert len(eval_conv_calls) == 2
+        assert eval_conv_calls[0] > 0 and eval_conv_calls[1] == 0
         # ... and both scores are what a sweep of its own would have said
         net = build_fleet_runtime(system_by_id("d"), assets).cloud.inference_net
         net.load_state_dict(report.registry.active.state)
@@ -235,42 +224,32 @@ class TestCloudEvalMemo:
         assert report.updates[0].eval_accuracy == direct
         assert report.final_eval_accuracy == direct
 
-    def test_rollback_hits_and_promotion_misses(
-        self, runtime, assets, eval_sweeps
-    ):
+    def test_score_after_rollback_and_promotion(self, runtime, assets):
         before = runtime.eval_accuracy(assets.eval_data)
-        assert len(eval_sweeps) == 1
         # a guard nothing can satisfy: trained, canaried, restored
         rejected = self.rollout(runtime, assets, max_regression=-2.0)
         assert not rejected.promoted
         assert runtime.eval_accuracy(assets.eval_data) == before
-        assert len(eval_sweeps) == 1
         promoted = self.rollout(runtime, assets, max_regression=2.0)
         assert promoted.promoted
         after = runtime.eval_accuracy(assets.eval_data)
-        assert len(eval_sweeps) == 2
         assert after == promoted.decision.accuracy_after
         assert after == evaluate(runtime.cloud.inference_net, assets.eval_data)
 
-    def test_key_is_the_weight_content(self, runtime, assets, eval_sweeps):
+    def test_key_is_the_weight_content(self, runtime, assets):
         net = runtime.cloud.inference_net
         before = runtime.eval_accuracy(assets.eval_data)
         weight = net.parameters[-1].data
         original = weight.flat[0]
         weight.flat[0] = original + 100.0  # in place: no load, no publish
         moved = runtime.eval_accuracy(assets.eval_data)
-        assert len(eval_sweeps) == 2
         assert moved == evaluate(net, assets.eval_data)
         weight.flat[0] = original
         assert runtime.eval_accuracy(assets.eval_data) == before
-        assert len(eval_sweeps) == 2
 
-    def test_each_eval_set_has_its_own_scores(
-        self, runtime, assets, eval_sweeps
-    ):
+    def test_each_eval_set_has_its_own_scores(self, runtime, assets):
         other = assets.node_stages[0][0].new_data
         runtime.eval_accuracy(assets.eval_data)
         assert runtime.eval_accuracy(other) == evaluate(
             runtime.cloud.inference_net, other
         )
-        assert [d is other for d in eval_sweeps] == [False, True]

@@ -370,7 +370,10 @@ def _event_parts(report) -> dict[str, str]:
         "nodes": _digest(
             [
                 {
-                    "records": [asdict(r) for r in n.records],
+                    "records": [
+                        {**asdict(r), "upload_bytes": r.upload_bytes}
+                        for r in n.records
+                    ],
                     "download_bytes": n.download_bytes,
                     "download_energy_j": n.download_energy_j,
                     "finish_s": n.finish_s,

@@ -66,8 +66,7 @@ class TestTriggerPolicies:
         scheduler = make_trigger_scheduler("per-stage")
         scheduler.offer(1, 0, _dataset(4, generator, rng))
         scheduler.offer(1, 1, _dataset(3, generator, rng))
-        pooled, count = scheduler.drain()
-        assert count == 7 == len(pooled)
+        assert len(scheduler.drain()) == 7
         assert not scheduler.pool
         with pytest.raises(ValueError):
             scheduler.drain()
@@ -130,7 +129,7 @@ class TestCanaryRollout:
         assert {e.node_id for e in rollback_events} == {0, 1}
         assert all(e.version == 1 for e in rollback_events)
         # Registry never saw the candidate; the Cloud runs v1 again.
-        assert registry.history() == [1]
+        assert [v.version for v in registry.versions()] == [1]
         assert registry.active.version == 1
         for name, value in cloud.model_state().items():
             assert np.array_equal(value, v1_state[name])

@@ -191,6 +191,43 @@ class TestFleetOutputPaths:
         assert f"error: {flag} {tmp_path}: is a directory" in err, err
 
 
+class _AssetsPrepared(Exception):
+    """Raised where the fleet would start preparing (training) assets."""
+
+
+class TestFleetTopologyBounds:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--fan-out", "0"),
+            ("--agg-images", "-1"),
+            ("--agg-age-stages", "0"),
+            ("--second-opinion", "1.5"),
+            ("--overhead-bytes", "-1"),
+            ("--agg-images", "0"),
+        ],
+    )
+    def test_out_of_bounds_refused_before_anything_trains(
+        self, flag, value, capsys, monkeypatch
+    ):
+        def prepared(*args, **kwargs):
+            raise _AssetsPrepared
+
+        monkeypatch.setattr("repro.fleet.prepare_fleet_assets", prepared)
+        argv = ["fleet", "--nodes", "2", "--topology", "fan-out", flag, value]
+        if (flag, value) == ("--agg-images", "0"):  # no aggregation: valid
+            with pytest.raises(_AssetsPrepared):
+                main(argv)
+            return
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1, err
+        assert "error: invalid topology: " in errors[0], err
+
+
 class TestFleetTopology:
     def test_lockstep_topology_is_the_event_barrier_run(self, capsys):
         assert main(

@@ -57,7 +57,8 @@ class TestGatewayBuffer:
         assert buffer.should_flush(2)  # oldest entry is 2 stages old
 
     def test_disabled_policy_flushes_immediately(self, generator):
-        buffer = GatewayBuffer(policy=AggregationPolicy(enabled=False))
+        # a one-image threshold is no aggregation
+        buffer = GatewayBuffer(policy=AggregationPolicy(flush_images=1))
         buffer.offer(0, 0, dataset(1, generator))
         assert buffer.should_flush(0)
 
@@ -74,7 +75,7 @@ class TestGatewayBuffer:
 
     def test_single_child_gateway_passes_everything(self, generator):
         # fan-out 1 with aggregation off: the buffer is a pure relay
-        buffer = GatewayBuffer(policy=AggregationPolicy(enabled=False))
+        buffer = GatewayBuffer(policy=AggregationPolicy(flush_images=1))
         d = dataset(5, generator)
         buffer.offer(0, 0, d)
         assert buffer.should_flush(0)

@@ -175,20 +175,39 @@ class TestModeEquivalence:
         assert set(report.gateway_resolved_images) == {0, 1}
 
     @pytest.mark.parametrize(
-        "case, barrier",
+        "case, barrier, horizon_s",
         [
-            ("direct", True),
-            ("gateway", True),
-            ("scenario-hooks", True),
-            ("scenario-hooks", False),
+            ("direct", True, None),
+            ("direct", True, 4.0),
+            ("direct", False, None),
+            ("direct", False, 4.0),
+            ("gateway", True, None),
+            ("gateway", True, 4.0),
+            ("gateway", False, None),
+            ("gateway", False, 4.0),
+            ("scenario-hooks", True, None),
+            ("scenario-hooks", False, None),
         ],
-        ids=["direct", "gateway", "scenario-hooks-barrier", "scenario-hooks-async"],
+        ids=[
+            "direct-barrier",
+            "direct-barrier-horizon",
+            "direct-async",
+            "direct-async-horizon",
+            "gateway-barrier",
+            "gateway-barrier-horizon",
+            "gateway-async",
+            "gateway-async-horizon",
+            "scenario-hooks-barrier",
+            "scenario-hooks-async",
+        ],
     )
     def test_finished_engine_is_freed_without_the_cycle_gc(
-        self, assets, case, barrier
+        self, assets, case, barrier, horizon_s
     ):
         # A tier (or hooks) that kept the engine would close a reference
-        # cycle, and a replicate loop would then hold the previous run's
+        # cycle, and so would a kernel process left suspended at the end
+        # (the free-running Cloud, async gateways, whatever a horizon
+        # froze): a replicate loop would then hold the previous run's
         # runtime until the cycle collector got to it: +12% peak RSS on
         # the scenario_full benchmark workload when this was the case.
         config = system_by_id("d")
@@ -213,7 +232,7 @@ class TestModeEquivalence:
             assets,
             runtime,
             tier,
-            horizon_s=None,
+            horizon_s=horizon_s,
             barrier=barrier,
             hooks=hooks,
         )
@@ -235,7 +254,7 @@ class TestAggregation:
             assets,
             barrier=True,
             topology=hier_topology(
-                aggregation=AggregationPolicy(enabled=False)
+                aggregation=AggregationPolicy(flush_images=1)
             ),
         )
         agg, noagg = (
