@@ -239,7 +239,7 @@ def main(argv: list[str] | None = None) -> None:
     scheduler = FleetScheduler(
         cloud=cloud,
         registry=registry,
-        guard=UpdateGuard(validation_data=holdout, max_regression=0.02),
+        guard=UpdateGuard(max_regression=0.02),
         policy="per-stage",
         canary_ids=assets.canary_ids,
     )

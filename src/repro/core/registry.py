@@ -114,12 +114,9 @@ class UpdateGuard:
     values allow noise-level dips; 0 demands monotone improvement).
     """
 
-    validation_data: Dataset
     max_regression: float = 0.02
 
     def __post_init__(self) -> None:
-        if len(self.validation_data) == 0:
-            raise ValueError("guard needs a non-empty validation set")
         if self.max_regression < 0:
             raise ValueError("max_regression must be >= 0")
 
@@ -127,15 +124,19 @@ class UpdateGuard:
         self,
         net: Sequential,
         previous_state: dict[str, np.ndarray],
+        validation_data: Dataset,
     ) -> GuardDecision:
-        """Evaluate the updated ``net`` against its previous weights.
+        """Evaluate the updated ``net`` against its previous weights on
+        ``validation_data``.
 
         On rejection, ``net`` is restored to ``previous_state`` in place.
         """
-        after = evaluate(net, self.validation_data)
+        if len(validation_data) == 0:
+            raise ValueError("guard needs a non-empty validation set")
+        after = evaluate(net, validation_data)
         current_state = net.state_dict()
         net.load_state_dict(previous_state)
-        before = evaluate(net, self.validation_data)
+        before = evaluate(net, validation_data)
         accepted = after >= before - self.max_regression
         if accepted:
             net.load_state_dict(current_state)

@@ -186,8 +186,9 @@ class FleetScheduler:
             DeployEvent(stage_index, node_id, -1, "canary")
             for node_id in canaries
         ]
-        self.guard.validation_data = canary_validation
-        decision = self.guard.check(self.cloud.inference_net, previous)
+        decision = self.guard.check(
+            self.cloud.inference_net, previous, canary_validation
+        )
         if decision.accepted:
             version = self.registry.publish(
                 self.cloud.model_state(),

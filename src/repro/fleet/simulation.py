@@ -364,14 +364,10 @@ def build_fleet_runtime(
     cloud.inference_net.load_state_dict(assets.initial_state)
 
     registry = ModelRegistry()
-    guard = UpdateGuard(
-        validation_data=assets.eval_data,
-        max_regression=scenario.max_regression,
-    )
     scheduler = FleetScheduler(
         cloud=cloud,
         registry=registry,
-        guard=guard,
+        guard=UpdateGuard(max_regression=scenario.max_regression),
         policy=scenario.scheduler_policy,
         canary_ids=(
             canary_ids if canary_ids is not None else assets.canary_ids

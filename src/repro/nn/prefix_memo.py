@@ -3,7 +3,7 @@ conv-prefix activations: one pass per (weights, image).
 
 :func:`infer` is the one inference loop: ``Sequential.forward(training=False)``
 calls it with the prefix lengths its ``reusing_prefix`` block names (none
-outside one), and the frozen-prefix trainer calls it on the prefix.  The
+outside one), and the frozen-prefix trainers call it on the prefix.  The
 *trunk* — the layers before the first :class:`~repro.nn.linear.Linear` (conv,
 ReLU, max-pool, flatten) — runs one block of consecutive images at a time,
 each block as large as fits :data:`repro.nn.conv.BLOCK_BYTES` of the trunk's

@@ -4,7 +4,6 @@ from repro.selfsup.context_net import ContextNetwork, build_context_head
 from repro.selfsup.jigsaw import JigsawSampler
 from repro.selfsup.permutations import PermutationSet, max_hamming_permutations
 from repro.selfsup.pretrain import (
-    PretrainResult,
     build_context_network,
     permutation_accuracy,
     pretrain,
@@ -14,7 +13,6 @@ __all__ = [
     "ContextNetwork",
     "JigsawSampler",
     "PermutationSet",
-    "PretrainResult",
     "build_context_head",
     "build_context_network",
     "max_hamming_permutations",

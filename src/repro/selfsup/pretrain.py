@@ -1,36 +1,25 @@
-"""Unsupervised pre-training loop (the Cloud's first job in Fig. 4).
+"""Unsupervised pre-training (the Cloud's first job in Fig. 4).
 
 Trains a :class:`ContextNetwork` on raw, unlabeled IoT images by solving
-jigsaw puzzles.  The returned trunk carries the features that transfer
-learning copies into the inference network.
+jigsaw puzzles, through the same SGD loop as fine-tuning and distillation
+(:mod:`repro.transfer.finetune`): a minibatch is the sampler's puzzles of
+the sliced images, and each epoch records the permutation accuracy.  The
+returned trunk carries the features that transfer learning copies into the
+inference network.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from repro.models import build_jigsaw_trunk
-from repro.nn import SGD, CrossEntropyLoss
+from repro.nn import CrossEntropyLoss
 from repro.selfsup.context_net import ContextNetwork, build_context_head
 from repro.selfsup.jigsaw import JigsawSampler
 from repro.selfsup.permutations import PermutationSet
+from repro.transfer.finetune import TrainResult, _sgd_epochs
 
-__all__ = ["PretrainResult", "build_context_network", "pretrain", "permutation_accuracy"]
-
-
-@dataclass
-class PretrainResult:
-    """History of an unsupervised pre-training run."""
-
-    network: ContextNetwork
-    losses: list[float] = field(default_factory=list)
-    accuracies: list[float] = field(default_factory=list)
-
-    @property
-    def final_accuracy(self) -> float:
-        return self.accuracies[-1] if self.accuracies else 0.0
+__all__ = ["build_context_network", "pretrain", "permutation_accuracy"]
 
 
 def build_context_network(
@@ -68,32 +57,28 @@ def pretrain(
     batch_size: int = 32,
     lr: float = 0.02,
     rng: np.random.Generator | None = None,
-) -> PretrainResult:
+) -> TrainResult:
     """Train the context network on unlabeled images.
 
     ``images`` is a raw (B, C, H, W) array — labels are never consulted,
     which is the whole point: the supervisory signal is spatial context.
-    Each epoch ends with the permutation accuracy on those same images.
+    Each epoch ends with the permutation accuracy on those same images
+    (``eval_accuracies``).
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     rng = rng if rng is not None else np.random.default_rng(0)
-    loss_fn = CrossEntropyLoss()
-    optimizer = SGD(network.parameters, lr=lr)
-    result = PretrainResult(network=network)
-    for _ in range(epochs):
-        order = rng.permutation(len(images))
-        epoch_loss = 0.0
-        batches = 0
-        for start in range(0, len(images), batch_size):
-            idx = order[start : start + batch_size]
-            tiles, labels = sampler.batch(images[idx])
-            logits = network.forward(tiles, training=True)
-            epoch_loss += loss_fn(logits, labels)
-            batches += 1
-            network.zero_grad()
-            network.backward(loss_fn.backward())
-            optimizer.step()
-        result.losses.append(epoch_loss / max(1, batches))
-        result.accuracies.append(permutation_accuracy(network, images, sampler))
+    result = TrainResult(network=network)
+    _sgd_epochs(
+        network,
+        result,
+        lambda idx: sampler.batch(images[idx]),
+        CrossEntropyLoss(),
+        samples=len(images),
+        epochs=epochs,
+        batch_size=batch_size,
+        lr=lr,
+        rng=rng,
+        score=lambda: permutation_accuracy(network, images, sampler),
+    )
     return result

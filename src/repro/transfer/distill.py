@@ -15,6 +15,9 @@ The combined objective per batch of size ``B`` is::
 whose logit gradient is ``(p - y)/B + w * T * (q_s - q_t)/B`` — both
 terms are computed here in closed form and summed into one backward
 pass, matching the repo's fused-loss idiom.
+
+:func:`distill_classifier` trains through fine-tuning's SGD loop and its one
+pass over a frozen prefix, with this loss and a teacher forward per minibatch.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.nn import SGD, Sequential
+from repro.nn import Sequential, prefix_memo
 from repro.nn.activations import softmax
-from repro.nn.prefix_memo import params_digest
 from repro.obs.clock import perf_counter
 from repro.transfer.finetune import (
     TrainResult,
+    _frozen_prefix_rows,
+    _sgd_epochs,
     split_at_frozen_prefix,
     trainable_tail,
 )
@@ -115,10 +119,11 @@ def distill_classifier(
     """Fine-tune ``net`` under the combined hard + distillation loss.
 
     ``teacher`` is a frozen snapshot of the pre-update model; its logits are
-    recomputed per batch.  A frozen prefix of ``net`` that the teacher shares
-    byte for byte (system d's locked conv block) runs once per minibatch, in
-    inference mode, for both; backward and the optimizer see the student's
-    tail only.  Shuffled minibatches never recur, so they bypass the memo.
+    recomputed per minibatch.  A frozen prefix of ``net`` that the teacher
+    shares byte for byte (system d's locked conv block) runs once over the
+    dataset, as in :func:`~repro.transfer.finetune.train_classifier`, and
+    both tails read its rows; backward and the optimizer see the student's
+    tail only.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
@@ -130,33 +135,31 @@ def distill_classifier(
 
     started = perf_counter()
     result = TrainResult(network=net)
-    loss_fn = DistillationLoss(distill_weight, temperature)
     boundary = split_at_frozen_prefix(net)
-    prefix = net.layers[:boundary]
-    if params_digest(prefix) != params_digest(teacher.layers[:boundary]):
-        boundary, prefix = 0, []  # nothing byte-equal to run once for both
-    inputs, labels = train_data.images, train_data.labels
+    if prefix_memo.params_digest(net.layers[:boundary]) != (
+        prefix_memo.params_digest(teacher.layers[:boundary])
+    ):
+        boundary = 0  # nothing byte-equal to run once for both
+    inputs = _frozen_prefix_rows(net, boundary, train_data.images)
+    labels = train_data.labels
     with trainable_tail(net, boundary) as student, trainable_tail(
         teacher, boundary
     ) as teacher_tail:
-        optimizer = SGD(student.parameters, lr=lr)
-        for _ in range(epochs):
-            order = rng.permutation(len(labels))
-            epoch_loss = 0.0
-            batches = 0
-            for start in range(0, len(labels), batch_size):
-                idx = order[start : start + batch_size]
-                x, y = inputs[idx], labels[idx]
-                for layer in prefix:
-                    x = layer.forward(x, training=False)
-                teacher_logits = teacher_tail.predict(x)
-                logits = student.forward(x, training=True)
-                epoch_loss += loss_fn(logits, teacher_logits, y)
-                batches += 1
-                student.zero_grad()
-                student.backward(loss_fn.backward())
-                optimizer.step()
-                result.sample_steps += len(idx)
-            result.losses.append(epoch_loss / max(1, batches))
+
+        def minibatch(idx: np.ndarray) -> tuple[np.ndarray, ...]:
+            x = inputs[idx]
+            return x, teacher_tail.predict(x), labels[idx]
+
+        _sgd_epochs(
+            student,
+            result,
+            minibatch,
+            DistillationLoss(distill_weight, temperature),
+            samples=len(labels),
+            epochs=epochs,
+            batch_size=batch_size,
+            lr=lr,
+            rng=rng,
+        )
     result.wall_time_s = perf_counter() - started
     return result

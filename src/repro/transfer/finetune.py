@@ -1,4 +1,6 @@
-"""Supervised training / fine-tuning with frozen-prefix acceleration.
+"""Supervised training / fine-tuning with frozen-prefix acceleration, and
+the one minibatch SGD loop that the Cloud's three jobs (Fig. 4) share:
+pre-training, fine-tuning and distillation.
 
 When the first *n* conv layers are locked, their activations for a fixed
 dataset never change, so the trainer computes them once and trains only the
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
@@ -20,6 +22,9 @@ from repro.nn import SGD, CrossEntropyLoss, Sequential, accuracy, prefix_memo
 from repro.obs import metrics as obs_metrics
 from repro.obs.clock import perf_counter
 from repro.transfer.surgery import FreezePlan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.selfsup.context_net import ContextNetwork
 
 __all__ = [
     "TrainResult",
@@ -34,9 +39,11 @@ __all__ = [
 
 @dataclass
 class TrainResult:
-    """Outcome of a supervised training run."""
+    """Outcome of a training run: fine-tuning, distillation or jigsaw
+    pre-training (whose ``network`` is the ``ContextNetwork`` and whose
+    per-epoch accuracy is the permutation accuracy on its own images)."""
 
-    network: Sequential
+    network: Sequential | ContextNetwork
     losses: list[float] = field(default_factory=list)
     eval_accuracies: list[float] = field(default_factory=list)
     wall_time_s: float = 0.0
@@ -44,6 +51,10 @@ class TrainResult:
     #: multiply-accumulate-ish work units actually spent (frozen prefix
     #: forward passes counted once, not once per epoch)
     compute_units: float = 0.0
+
+    @property
+    def final_accuracy(self) -> float:
+        return self.eval_accuracies[-1] if self.eval_accuracies else 0.0
 
 
 def split_at_frozen_prefix(net: Sequential) -> int:
@@ -105,6 +116,59 @@ def _layer_work(layer, batch: int) -> float:
     return float(layer.num_parameters) * batch
 
 
+def _frozen_prefix_rows(
+    net: Sequential, boundary: int, images: np.ndarray
+) -> np.ndarray:
+    """``net.layers[:boundary]`` on ``images``, in inference mode: one pass
+    over the dataset, rows stored at the reuse depths inside the prefix, or
+    none if sweeps already made every image's rows."""
+    depths = [d for d in reuse_depths(net) if d <= boundary]
+    return prefix_memo.infer(net.layers[:boundary], depths, images)
+
+
+def _sgd_epochs(
+    model: Sequential | ContextNetwork,
+    result: TrainResult,
+    minibatch: Callable[[np.ndarray], tuple],
+    loss_fn,
+    *,
+    samples: int,
+    epochs: int,
+    batch_size: int,
+    lr: float,
+    rng: np.random.Generator,
+    score: Callable[[], float] | None = None,
+) -> None:
+    """The one minibatch SGD loop: :func:`train_classifier`,
+    :func:`~repro.transfer.distill.distill_classifier` and
+    :func:`~repro.selfsup.pretrain.pretrain` differ only in ``minibatch``,
+    ``loss_fn`` and ``score``.
+
+    Each epoch slices one ``rng.permutation(samples)`` into ``batch_size``
+    minibatches; ``minibatch(idx)`` returns ``(inputs, *loss_args)`` and the
+    step descends ``loss_fn(model(inputs), *loss_args)``.  Records each
+    epoch's mean loss, the samples stepped and, given ``score``, its value
+    after every epoch in ``result.eval_accuracies``.
+    """
+    optimizer = SGD(model.parameters, lr=lr)
+    batches = max(1, len(range(0, samples, batch_size)))
+    for _ in range(epochs):
+        order = rng.permutation(samples)
+        epoch_loss = 0.0
+        for start in range(0, samples, batch_size):
+            idx = order[start : start + batch_size]
+            x, *loss_args = minibatch(idx)
+            logits = model.forward(x, training=True)
+            epoch_loss += loss_fn(logits, *loss_args)
+            model.zero_grad()
+            model.backward(loss_fn.backward())
+            optimizer.step()
+            result.sample_steps += len(idx)
+        result.losses.append(epoch_loss / batches)
+        if score is not None:
+            result.eval_accuracies.append(score())
+
+
 def train_classifier(
     net: Sequential,
     train_data: Dataset,
@@ -135,38 +199,27 @@ def train_classifier(
     started = perf_counter()
     result = TrainResult(network=net)
     boundary = split_at_frozen_prefix(net)
-    # One pass over the frozen prefix, or none if sweeps already made every
-    # image's rows.
-    prefix = net.layers[:boundary]
-    depths = [d for d in reuse_depths(net) if d <= boundary]
-    inputs = prefix_memo.infer(prefix, depths, train_data.images)
+    inputs = _frozen_prefix_rows(net, boundary, train_data.images)
     labels = train_data.labels
-    for layer in prefix:
+    for layer in net.layers[:boundary]:
         result.compute_units += _layer_work(layer, len(train_data))
 
-    loss_fn = CrossEntropyLoss()
     with trainable_tail(net, boundary) as trainable:
-        optimizer = SGD(trainable.parameters, lr=lr)
-        for _ in range(epochs):
-            order = rng.permutation(len(labels))
-            epoch_loss = 0.0
-            batches = 0
-            for start in range(0, len(labels), batch_size):
-                idx = order[start : start + batch_size]
-                x, y = inputs[idx], labels[idx]
-                logits = trainable.forward(x, training=True)
-                epoch_loss += loss_fn(logits, y)
-                batches += 1
-                trainable.zero_grad()
-                trainable.backward(loss_fn.backward())
-                optimizer.step()
-                result.sample_steps += len(idx)
-                # Forward + ~2x backward over the trainable portion only.
-                for layer in trainable.layers:
-                    result.compute_units += 3.0 * _layer_work(layer, len(idx))
-            result.losses.append(epoch_loss / max(1, batches))
-            if eval_data is not None:
-                result.eval_accuracies.append(evaluate(net, eval_data))
+        _sgd_epochs(
+            trainable,
+            result,
+            lambda idx: (inputs[idx], labels[idx]),
+            CrossEntropyLoss(),
+            samples=len(labels),
+            epochs=epochs,
+            batch_size=batch_size,
+            lr=lr,
+            rng=rng,
+            score=None if eval_data is None else lambda: evaluate(net, eval_data),
+        )
+        # Forward + ~2x backward over the trainable portion only.
+        for layer in trainable.layers:
+            result.compute_units += 3.0 * _layer_work(layer, result.sample_steps)
     result.wall_time_s = perf_counter() - started
     registry = obs_metrics.active()
     if registry is not None:

@@ -87,8 +87,8 @@ class TestUpdateGuard:
         from repro.transfer import train_classifier
 
         train_classifier(net, data, epochs=3, lr=0.01, rng=rng)
-        guard = UpdateGuard(data, max_regression=0.05)
-        decision = guard.check(net, previous)
+        guard = UpdateGuard(max_regression=0.05)
+        decision = guard.check(net, previous, data)
         assert decision.accepted
         assert decision.accuracy_after >= decision.accuracy_before - 0.05
 
@@ -101,8 +101,8 @@ class TestUpdateGuard:
         good_state = net.state_dict()
         # Sabotage: zero the head — accuracy collapses to chance.
         net["fc8"].weight.data[...] = 0.0
-        guard = UpdateGuard(data, max_regression=0.02)
-        decision = guard.check(net, good_state)
+        guard = UpdateGuard(max_regression=0.02)
+        decision = guard.check(net, good_state, data)
         assert not decision.accepted
         # Weights restored to the pre-update state.
         assert np.allclose(
@@ -111,10 +111,10 @@ class TestUpdateGuard:
 
     def test_empty_validation_rejected(self, rng, generator):
         data = make_dataset(4, generator=generator, rng=rng)
-        with pytest.raises(ValueError):
-            UpdateGuard(data.take(0))
+        net = build_classifier(4, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="non-empty validation set"):
+            UpdateGuard().check(net, net.state_dict(), data.take(0))
 
-    def test_negative_tolerance_rejected(self, rng, generator):
-        data = make_dataset(4, generator=generator, rng=rng)
+    def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
-            UpdateGuard(data, max_regression=-0.1)
+            UpdateGuard(max_regression=-0.1)

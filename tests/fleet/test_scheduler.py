@@ -87,7 +87,7 @@ class TestCanaryRollout:
         registry = ModelRegistry()
         registry.publish(cloud.model_state(), {"stage": 0})
         holdout = _dataset(64, generator, rng)
-        guard = UpdateGuard(validation_data=holdout, max_regression=0.02)
+        guard = UpdateGuard(max_regression=0.02)
         scheduler = FleetScheduler(
             cloud=cloud,
             registry=registry,

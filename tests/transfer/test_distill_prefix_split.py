@@ -15,7 +15,7 @@ from repro.data import ImageGenerator, make_dataset
 from repro.data.datasets import Dataset
 from repro.models import build_classifier
 from repro.nn import SGD, Conv2D, prefix_memo
-from repro.transfer import FreezePlan, evaluate
+from repro.transfer import FreezePlan, evaluate, split_at_frozen_prefix
 from repro.transfer.distill import DistillationLoss, distill_classifier
 
 
@@ -112,13 +112,26 @@ def test_equals_the_unsplit_formulation(data, depth, teacher_prefix_differs):
         assert np.array_equal(old.data, new.data), old.name
 
 
+def prefix_blocks(net, images, calls) -> int:
+    """Trunk blocks of one inference pass of ``net``'s frozen prefix over
+    ``images``: the conv1 forwards it runs, read off ``calls``."""
+    before = calls["forward"].count("conv1")
+    prefix_memo.infer(net.layers[: split_at_frozen_prefix(net)], [], images)
+    blocks = calls["forward"].count("conv1") - before
+    calls["forward"].clear()
+    return blocks
+
+
 @pytest.mark.parametrize("depth", [3, 5])
 def test_shared_prefix_runs_once_and_is_never_walked_back(
     data, depth, monkeypatch
 ):
     train_data, _ = data
     student, teacher = student_and_teacher()
+    FreezePlan(depth).apply(student)
     calls = count_conv_calls(monkeypatch)
+    blocks = prefix_blocks(student, train_data.images, calls)
+    prefix_memo.clear()
     distill_classifier(
         student,
         train_data,
@@ -131,12 +144,38 @@ def test_shared_prefix_runs_once_and_is_never_walked_back(
     minibatches = 3  # 40 rows in 16s
     for i in range(1, 6):
         shared = i <= depth
-        assert calls["forward"].count(f"conv{i}") == minibatches * (
-            1 if shared else 2
+        assert calls["forward"].count(f"conv{i}") == (
+            blocks if shared else 2 * minibatches
         )
         assert calls["backward"].count(f"conv{i}") == (
             0 if shared else minibatches
         )
+
+
+def test_frozen_prefix_runs_once_per_trunk_block_not_per_minibatch(
+    data, monkeypatch
+):
+    """Two epochs of three minibatches run conv1-3 once per trunk block of
+    the training set: the whole-dataset prefix pass ``train_classifier``
+    makes, not a prefix rerun per minibatch per epoch."""
+    train_data, _ = data
+    student, teacher = student_and_teacher()
+    FreezePlan(3).apply(student)
+    calls = count_conv_calls(monkeypatch)
+    blocks = prefix_blocks(student, train_data.images, calls)
+    assert blocks < 2 * 3  # else a rerun per minibatch would count the same
+    prefix_memo.clear()
+    distill_classifier(
+        student,
+        train_data,
+        teacher=teacher,
+        epochs=2,
+        batch_size=16,
+        rng=np.random.default_rng(3),
+        freeze_plan=FreezePlan(3),
+    )
+    for name in ("conv1", "conv2", "conv3"):
+        assert calls["forward"].count(name) == blocks
 
 
 def test_a_differing_teacher_prefix_falls_back_to_two_passes(data, monkeypatch):

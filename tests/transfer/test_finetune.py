@@ -96,7 +96,8 @@ class TestTrainClassifier:
 
     def test_cached_and_uncached_agree(self, small_ideal_dataset):
         """Feature caching is an optimization, not a semantic change: the
-        cached run matches a loop that runs the whole network per batch."""
+        cached run matches, bit for bit, a loop that runs the whole network
+        per batch."""
         net_a = build_classifier(4, np.random.default_rng(1))
         net_b = build_classifier(4, np.random.default_rng(1))
         train_classifier(
@@ -120,7 +121,9 @@ class TestTrainClassifier:
                 net_b.backward(loss_fn.backward())
                 optimizer.step()
         x = small_ideal_dataset.images[:4]
-        assert np.allclose(net_a.predict(x), net_b.predict(x), atol=1e-4)
+        assert np.array_equal(net_a.predict(x), net_b.predict(x))
+        for a, b in zip(net_a.parameters, net_b.parameters, strict=True):
+            assert np.array_equal(a.data, b.data), a.name
 
     def test_tail_training_does_not_leak_skip_input_grad(
         self, rng, small_ideal_dataset
