@@ -19,10 +19,20 @@ from repro.data.datasets import Dataset, make_dataset
 from repro.data.drift import DriftModel
 from repro.data.images import ImageGenerator
 
-__all__ = ["PAPER_SCHEDULE_K", "AcquisitionStage", "IoTStream"]
+__all__ = [
+    "PAPER_SCHEDULE_K",
+    "AcquisitionStage",
+    "IoTStream",
+    "default_severities",
+]
 
 #: cumulative image counts of the paper's update schedule, in thousands
 PAPER_SCHEDULE_K = (100, 200, 400, 800, 1200)
+
+
+def default_severities(num_stages: int) -> tuple[float, ...]:
+    """Per-stage drift severities alternating around a rising baseline."""
+    return tuple(0.35 + 0.1 * (i % 3) for i in range(num_stages))
 
 
 @dataclass
@@ -78,9 +88,7 @@ class IoTStream:
         if sorted(schedule_k) != list(schedule_k) or len(schedule_k) < 2:
             raise ValueError("schedule_k must be increasing with >= 2 stages")
         if severities is None:
-            severities = tuple(
-                0.35 + 0.1 * (i % 3) for i in range(len(schedule_k))
-            )
+            severities = default_severities(len(schedule_k))
         if len(severities) != len(schedule_k):
             raise ValueError("need one severity per stage")
         if class_schedule is not None:

@@ -15,9 +15,9 @@ single implementation shared by this dynamic model and the static view,
 :meth:`~repro.fleet.uplink.SharedUplink.transfer_times`, so the two agree
 whenever all flows happen to start simultaneously.
 
-Every reallocation is recorded in :attr:`FlowLink.rate_history`, which is
-what the property tests interrogate: at no instant may the allocated
-rates exceed the bottleneck capacity or any flow's own cap.
+Flow counts, queue depth and throughput go to the ambient metrics
+registry (:func:`repro.obs.metrics.active`), labelled with the link's
+name; with none installed the link records nothing.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.events.kernel import Event, Simulator
+from repro.obs import metrics as obs_metrics
 
 __all__ = ["FlowRecord", "FlowLink", "max_min_rates"]
 
@@ -89,13 +90,11 @@ class FlowLink:
         The event kernel this link lives on.
     capacity_bps:
         Bottleneck bandwidth in bits/s shared by all concurrent flows.
-    metrics:
-        Optional :class:`repro.obs.MetricsRegistry`.  When set, the link
-        records queue depth (active flows), completed-flow counts/bytes,
-        and a per-flow achieved-throughput histogram — all derived from
-        virtual time, so the dump stays deterministic.
     name:
-        Label distinguishing this link's metrics (e.g. ``uplink``).
+        Label distinguishing this link's metrics (e.g. ``uplink``): queue
+        depth (active flows), completed-flow counts/bytes and a per-flow
+        achieved-throughput histogram, all derived from virtual time, so
+        the dump stays deterministic.
     """
 
     def __init__(
@@ -103,21 +102,17 @@ class FlowLink:
         sim: Simulator,
         capacity_bps: float,
         *,
-        metrics=None,
         name: str = "link",
     ) -> None:
         if capacity_bps <= 0:
             raise ValueError("capacity must be positive")
         self.sim = sim
         self.capacity_bps = capacity_bps
-        self.metrics = metrics
         self.name = name
         self._flows: list[_Flow] = []
         self._rates: list[float] = []
         self._last = 0.0  # clock at the last reallocation
         self._token = 0  # invalidates stale completion ticks
-        #: (time, rates, caps) at every reallocation instant
-        self.rate_history: list[tuple[float, tuple[float, ...], tuple[float, ...]]] = []
 
     def transfer(
         self,
@@ -147,11 +142,10 @@ class FlowLink:
             return done
         self._apply_progress()
         self._flows.append(_Flow(tag, num_bytes, cap_bps, latency_s, now, done))
-        if self.metrics is not None:
-            self.metrics.counter("flows.started", link=self.name).inc()
-            self.metrics.gauge("flows.active", link=self.name).set(
-                len(self._flows)
-            )
+        m = obs_metrics.active()
+        if m is not None:
+            m.counter("flows.started", link=self.name).inc()
+            m.gauge("flows.active", link=self.name).set(len(self._flows))
         self._reallocate()
         return done
 
@@ -172,10 +166,8 @@ class FlowLink:
         if not self._flows:
             self._rates = []
             return
-        caps = [f.cap for f in self._flows]
-        self._rates = max_min_rates(caps, self.capacity_bps)
-        self.rate_history.append(
-            (self.sim.now, tuple(self._rates), tuple(caps))
+        self._rates = max_min_rates(
+            [f.cap for f in self._flows], self.capacity_bps
         )
         dt = min(
             f.bits / r for f, r in zip(self._flows, self._rates) if r > 0
@@ -191,15 +183,12 @@ class FlowLink:
         now = self.sim.now
         finished = [f for f in self._flows if f.bits <= _EPS_BITS]
         self._flows = [f for f in self._flows if f.bits > _EPS_BITS]
-        if self.metrics is not None and finished:
-            self.metrics.gauge("flows.active", link=self.name).set(
-                len(self._flows)
-            )
-            completed = self.metrics.counter("flows.completed", link=self.name)
-            moved = self.metrics.counter("flows.bytes", link=self.name)
-            throughput = self.metrics.histogram(
-                "flows.throughput_bps", link=self.name
-            )
+        m = obs_metrics.active() if finished else None
+        if m is not None:
+            m.gauge("flows.active", link=self.name).set(len(self._flows))
+            completed = m.counter("flows.completed", link=self.name)
+            moved = m.counter("flows.bytes", link=self.name)
+            throughput = m.histogram("flows.throughput_bps", link=self.name)
             for flow in finished:
                 completed.inc()
                 moved.inc(flow.num_bytes)

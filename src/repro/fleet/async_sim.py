@@ -35,6 +35,11 @@ work in forked processes; the engine emits every record itself.
 Determinism: everything runs on the deterministic kernel and all
 randomness derives from the scenario seed, so a given (assets, config,
 mode) always produces the identical report.
+
+Metrics: the engine, its links and its tiers hold no registry.  Each
+recording site reads the ambient one (:func:`repro.obs.metrics.active`),
+and :func:`run_fleet_event` / :func:`~repro.fleet.simulation.run_fleet`
+install their ``metrics=`` argument around the whole run.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from repro.core.registry import ModelRegistry
 from repro.core.simulation import Scenario
 from repro.core.systems import SYSTEMS, SystemConfig
 from repro.data.datasets import Dataset
-from repro.events import Simulator, Store
+from repro.events import FlowLink, Simulator, Store
 from repro.fleet.profiles import FleetScenario, NodeProfile
 from repro.fleet.scheduler import RolloutResult
 from repro.fleet.simulation import (
@@ -62,7 +67,7 @@ from repro.fleet.simulation import (
     node_stage,
     prepare_assets,
 )
-from repro.fleet.uplink import BACKHAUL_BPS, SharedUplink
+from repro.fleet.uplink import BACKHAUL_BPS
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -412,14 +417,12 @@ class _EventFleet:
         # call; spans are stamped with the kernel clock, so the stream is
         # as deterministic as the report itself.
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.metrics = runtime.metrics
 
+        # The backhaul is symmetric: each direction carries the full
+        # capacity, each flow capped by its node's access link.
         self.sim = Simulator()
-        backhaul = SharedUplink(BACKHAUL_BPS)
-        self.uplink = backhaul.open(self.sim, metrics=self.metrics)
-        self.downlink = backhaul.open(
-            self.sim, downlink=True, metrics=self.metrics
-        )
+        self.uplink = FlowLink(self.sim, BACKHAUL_BPS, name="uplink")
+        self.downlink = FlowLink(self.sim, BACKHAUL_BPS, name="downlink")
         self.arrivals = Store(self.sim)
 
         self.report = FleetEventReport(
@@ -558,7 +561,7 @@ class _EventFleet:
             node_report.accuracy_before_update,
         )
         upload_done = self.sim.now
-        m = self.metrics
+        m = obs_metrics.active()
         if m is not None:
             sys_id = self.config.system_id
             m.counter("fleet.epochs", system=sys_id).inc()
@@ -880,8 +883,7 @@ class _EventFleet:
             self._cloud_rounds() if self.round_based else self._cloud_async()
         )
         self.tier.start(self)
-        with obs_metrics.use(self.metrics):
-            self.report.makespan_s = self.sim.run(until=self.horizon_s)
+        self.report.makespan_s = self.sim.run(until=self.horizon_s)
         for trajectory, proc in zip(self.report.nodes, node_procs):
             if not proc.triggered:
                 # Frozen mid-epoch by the horizon: it ran to the end.
@@ -891,7 +893,7 @@ class _EventFleet:
         self.report.final_eval_accuracy = self.runtime.eval_accuracy(
             self.assets.eval_data
         )
-        m = self.metrics
+        m = obs_metrics.active()
         if m is not None:
             sys_id = self.config.system_id
             snap = self.report.ledger.snapshot()
@@ -936,7 +938,11 @@ def run_fleet_event(
     tracer, metrics:
         Optional observability sinks.  Spans are stamped with the kernel
         clock (``Simulator.now``), so a given (assets, config, mode)
-        produces a byte-identical trace stream; both default to off.
+        produces a byte-identical trace stream.  ``metrics`` is installed
+        as the ambient registry (:func:`repro.obs.metrics.use`) for the
+        whole run, which is how every recording site reaches it; with
+        ``None`` the sites record into whatever registry the caller
+        installed, if any.
     topology:
         A :class:`repro.topology.Topology` interposing gateway processes
         between the nodes and the Cloud; gateway flushes become flows on
@@ -950,18 +956,17 @@ def run_fleet_event(
         tier = topology.event_tier(config, assets)
     else:
         tier = DirectEventTier(assets)
-    runtime = build_fleet_runtime(
-        config, assets, metrics=metrics, canary_ids=tier.canary_ids
-    )
-    report = _EventFleet(
-        config,
-        assets,
-        runtime,
-        tier,
-        horizon_s=horizon_s,
-        barrier=barrier,
-        tracer=tracer,
-    ).run()
+    runtime = build_fleet_runtime(config, assets, canary_ids=tier.canary_ids)
+    with obs_metrics.use(metrics):
+        report = _EventFleet(
+            config,
+            assets,
+            runtime,
+            tier,
+            horizon_s=horizon_s,
+            barrier=barrier,
+            tracer=tracer,
+        ).run()
     report.topology = topology
     return report
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.comm.link import LTE, WIFI, NetworkLink
 from repro.core.simulation import Scenario
+from repro.data.stream import default_severities
 from repro.hw.specs import TX1, GPUSpec
 
 __all__ = ["LOW_POWER_TX1", "NodeProfile", "FleetScenario"]
@@ -119,9 +120,7 @@ class FleetScenario:
         rng = np.random.default_rng(self.seed)
         base_sev = self.base.severities
         if base_sev is None:
-            base_sev = tuple(
-                0.35 + 0.1 * (i % 3) for i in range(len(self.base.schedule_k))
-            )
+            base_sev = default_severities(len(self.base.schedule_k))
         num_lte = int(round(self.lte_fraction * self.num_nodes))
         num_low = int(round(self.low_power_fraction * self.num_nodes))
         link_kinds = ["lte"] * num_lte + ["wifi"] * (self.num_nodes - num_lte)

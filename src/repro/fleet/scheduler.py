@@ -27,13 +27,15 @@ from repro.core.registry import GuardDecision, ModelRegistry, UpdateGuard
 from repro.data.datasets import Dataset
 
 __all__ = [
+    "POLICIES",
     "PendingUpload",
     "DeployEvent",
     "RolloutResult",
     "FleetScheduler",
 ]
 
-_POLICIES = ("per-stage", "threshold", "accuracy-drop")
+#: the Cloud-side update policies a :class:`FleetScheduler` accepts
+POLICIES = ("per-stage", "threshold", "accuracy-drop")
 
 #: drop below the best fleet accuracy seen that fires an accuracy-drop update
 ACCURACY_DROP = 0.05
@@ -101,9 +103,9 @@ class FleetScheduler:
     _best_accuracy: float = float("-inf")
 
     def __post_init__(self) -> None:
-        if self.policy not in _POLICIES:
+        if self.policy not in POLICIES:
             raise ValueError(
-                f"unknown policy {self.policy!r}; available: {_POLICIES}"
+                f"unknown policy {self.policy!r}; available: {POLICIES}"
             )
         if self.upload_threshold < 1:
             raise ValueError("upload_threshold must be >= 1")

@@ -57,6 +57,7 @@ from repro.nn import Sequential, workspace
 from repro.nn.config import default_dtype
 from repro.fleet.scheduler import FleetScheduler, RolloutResult
 from repro.fleet.uplink import model_state_bytes
+from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 from repro.models.layer_specs import alexnet_spec, diagnosis_spec
@@ -112,7 +113,6 @@ class FleetAssets:
     profiles: list[NodeProfile]
     node_stages: list[list[AcquisitionStage]]  # [node][stage]
     eval_data: Dataset
-    pretrain_data: Dataset
     permset: PermutationSet
     trunk_state: dict[str, np.ndarray]
     initial_state: dict[str, np.ndarray]
@@ -226,7 +226,6 @@ def prepare_assets(scenario: Scenario) -> FleetAssets:
         profiles=[profile],
         node_stages=[stages],
         eval_data=data["eval_data"],
-        pretrain_data=pretrain_data,
         permset=data["permset"],
         trunk_state=trunk_state,
         initial_state=initial_state,
@@ -300,7 +299,6 @@ def prepare_fleet_assets(
         profiles=profiles,
         node_stages=node_stages,
         eval_data=eval_data,
-        pretrain_data=pretrain_data,
         permset=permset,
         trunk_state=trunk_state,
         initial_state=initial_state,
@@ -324,9 +322,6 @@ class FleetRuntime:
     deployed_net: Sequential  # shared node-side classifier
     nodes: list[InSituNode]
     cloud_diagnoser: Diagnoser | None
-    #: observability sink threaded through the run; ``None``
-    #: keeps every instrumentation site a cheap no-op.
-    metrics: MetricsRegistry | None = None
 
     def eval_accuracy(self, eval_data: Dataset) -> float:
         """Accuracy of the Cloud model as it stands now on ``eval_data``.
@@ -343,7 +338,6 @@ def build_fleet_runtime(
     config: SystemConfig,
     assets: FleetAssets,
     *,
-    metrics: MetricsRegistry | None = None,
     canary_ids: tuple[int, ...] | None = None,
 ) -> FleetRuntime:
     """Construct the Cloud, scheduler, and nodes for one system variant.
@@ -409,7 +403,6 @@ def build_fleet_runtime(
         deployed_net=deployed_net,
         nodes=nodes,
         cloud_diagnoser=cloud_diagnoser,
-        metrics=metrics,
     )
 
 
@@ -521,13 +514,13 @@ def cloud_try_update(
 def _record_cloud_metrics(
     runtime: FleetRuntime, outcome: CloudStageOutcome, *, kind: str
 ) -> None:
-    """Account one Cloud update in the runtime's registry (if any).
+    """Account one Cloud update in the ambient registry (if any).
 
     Everything recorded here derives from modeled (virtual) cost and
     pooled counts, so the dump is identical across reruns and worker
     counts.
     """
-    m = runtime.metrics
+    m = obs_metrics.active()
     if m is None:
         return
     sys_id = runtime.config.system_id
@@ -617,30 +610,33 @@ def run_fleet(
     randomness is seeded per (node, stage) and the engine emits every
     record in the parent, so any worker count gives the same report,
     trace and metrics.  The pool's workers are joined before this
-    returns, whether the run completes or raises.
+    returns, whether the run completes or raises.  ``metrics`` is
+    installed as the ambient registry for the run, as in
+    :func:`~repro.fleet.async_sim.run_fleet_event`.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     # Imported here: both modules import this one.
     from repro.fleet.async_sim import DirectEventTier, _EventFleet
 
-    runtime = build_fleet_runtime(config, assets, metrics=metrics)
+    runtime = build_fleet_runtime(config, assets)
     pool = None
     if workers > 1:
         from repro.fleet.pool import FleetWorkerPool
 
         pool = FleetWorkerPool(runtime, assets, workers)
     try:
-        return _EventFleet(
-            config,
-            assets,
-            runtime,
-            DirectEventTier(assets),
-            horizon_s=None,
-            barrier=True,
-            tracer=tracer,
-            pool=pool,
-        ).run()
+        with obs_metrics.use(metrics):
+            return _EventFleet(
+                config,
+                assets,
+                runtime,
+                DirectEventTier(assets),
+                horizon_s=None,
+                barrier=True,
+                tracer=tracer,
+                pool=pool,
+            ).run()
     finally:
         if pool is not None:
             pool.shutdown()

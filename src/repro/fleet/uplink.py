@@ -4,17 +4,16 @@
 shares backhaul: when many nodes upload flagged data at once the
 aggregate capacity is split between them, and every transfer stretches.
 
-Both views of that contention run on the same engine — the dynamic
-max-min fluid flows of :class:`repro.events.FlowLink`:
-
-* :meth:`SharedUplink.open` is the view every fleet run uses: it binds
-  the capacity to a live simulator so flows join and leave mid-transfer
-  as the fleet produces them, rates recomputed at every
-  arrival/completion event (one link per direction);
-* :meth:`SharedUplink.transfer_times` is the static view: a batch of
-  transfers starts at virtual time zero on a throwaway kernel and the
-  per-flow completion times come back as plain floats (the steady-state
-  behavior of per-flow fair queuing at the bottleneck).
+Contention runs on the dynamic max-min fluid flows of
+:class:`repro.events.FlowLink`.  Every fleet run binds :data:`BACKHAUL_BPS`
+to its own event kernel as two such links, one per direction (the engine
+in :mod:`repro.fleet.async_sim` builds them), so flows join and leave
+mid-transfer as the fleet produces them, rates recomputed at every
+arrival/completion event.  :meth:`SharedUplink.transfer_times` is the
+static view: a batch of transfers starts at virtual time zero on a
+throwaway kernel and the per-flow completion times come back as plain
+floats (the steady-state behavior of per-flow fair queuing at the
+bottleneck).
 
 Energy stays per-byte at each node's radio (the existing
 :class:`~repro.comm.link.NetworkLink` model): contention stretches *time*,
@@ -76,25 +75,6 @@ class SharedUplink:
             raise ValueError("capacity must be positive")
         self.capacity_bps = capacity_bps
 
-    def open(
-        self, sim: Simulator, *, downlink: bool = False, metrics=None
-    ) -> FlowLink:
-        """Bind a dynamic-flow view of this backhaul to an event kernel.
-
-        The asynchronous fleet opens one :class:`FlowLink` per direction
-        (the backhaul is modeled symmetric, each direction at full
-        capacity); per-flow caps come from each node's access link —
-        ``bandwidth_bps`` in both directions.
-        ``metrics`` threads an optional registry into the link so flow
-        counts, queue depth, and throughput are recorded per direction.
-        """
-        return FlowLink(
-            sim,
-            self.capacity_bps,
-            metrics=metrics,
-            name="downlink" if downlink else "uplink",
-        )
-
     def transfer_times(self, transfers: list[Transfer]) -> list[float]:
         """Per-transfer completion times for concurrent flows.
 
@@ -106,7 +86,7 @@ class SharedUplink:
         if not transfers:
             return []
         sim = Simulator()
-        link = self.open(sim)
+        link = FlowLink(sim, self.capacity_bps)
         events = [
             link.transfer(
                 t.num_bytes,

@@ -15,6 +15,7 @@ import argparse
 import os
 from typing import Callable
 
+from repro.fleet.scheduler import POLICIES
 from repro.obs import MetricsRegistry, Tracer
 from repro.reports import figures
 from repro.reports.tables import format_table
@@ -237,7 +238,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--policy",
-        choices=("per-stage", "threshold", "accuracy-drop"),
+        choices=POLICIES,
         default="per-stage",
         help="cloud-side update scheduler policy for 'fleet'",
     )

@@ -54,6 +54,7 @@ from dataclasses import dataclass
 
 from repro.core.simulation import Scenario
 from repro.fleet.profiles import FleetScenario
+from repro.fleet.scheduler import POLICIES
 from repro.fleet.simulation import fleet_base_scenario
 from repro.scenario.yaml_lite import Node, YamlError, parse
 
@@ -69,7 +70,6 @@ __all__ = [
 ]
 
 ENGINES = ("lockstep", "event")
-POLICIES = ("per-stage", "threshold", "accuracy-drop")
 
 
 class ScenarioError(ValueError):

@@ -38,6 +38,7 @@ import numpy as np
 from repro.comm.link import JPEG_IMAGE_BYTES, NetworkLink
 from repro.events import Store
 from repro.fleet.async_sim import _Arrival
+from repro.obs import metrics as obs_metrics
 from repro.topology.gateway import (
     GatewayBuffer,
     SecondOpinion,
@@ -229,8 +230,9 @@ class GatewayEventTier:
                 offered=sum(len(m.data) for m in msgs),
                 resolved=resolved,
             )
-        if engine.metrics is not None:
-            engine.metrics.counter(
+        m = obs_metrics.active()
+        if m is not None:
+            m.counter(
                 "topology.images.resolved",
                 system=engine.config.system_id,
                 tier="gateway",
@@ -295,7 +297,7 @@ class GatewayEventTier:
             wan_up_transfers=1,
             overhead_bytes=overhead,
         )
-        m = engine.metrics
+        m = obs_metrics.active()
         if m is not None:
             labels = dict(system=engine.config.system_id, tier="gateway")
             m.counter("topology.flushes", **labels).inc()

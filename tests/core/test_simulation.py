@@ -15,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import Scenario
+from repro.core.simulation import scenario_data
 from repro.fleet import prepare_assets, run_all_systems
 
 #: sha256 of ``table_payload`` over all four systems, recorded with the
@@ -108,8 +109,8 @@ class TestScenario:
         assets = prepare_assets(fast_scenario)
         assert len(assets.node_stages) == 1
         assert len(assets.node_stages[0]) == 5
-        assert len(assets.pretrain_data) <= fast_scenario.pretrain_images
-        assert not assets.pretrain_data.labeled
+        pretrain = scenario_data(fast_scenario)["pretrain_data"]
+        assert len(pretrain) <= fast_scenario.pretrain_images
         (profile,) = assets.profiles
         assert (profile.link_kind, profile.device_kind) == ("wifi", "tx1")
         assert assets.canary_ids == (0,)

@@ -4,16 +4,22 @@ The fleet's byte-movement claims ride on this model, so the tests pin
 both exact closed-form cases (hand-computed drain times for joins and
 leaves mid-transfer) and the safety invariant: at no reallocation
 instant may the rates exceed the bottleneck capacity or a flow's own
-access cap.  The invariant is property-tested over randomized flow sets.
+access cap.  The invariant is property-tested over randomized flow sets,
+observing every reallocation by wrapping the link's allocator.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.events import FlowLink, Simulator, max_min_rates
+
+#: the allocator every FlowLink reallocation calls
+_ALLOCATOR = "repro.events.flows.max_min_rates"
 
 #: relative slack for float comparisons on rate sums
 _EPS = 1e-9
@@ -101,13 +107,14 @@ class TestFlowLinkExact:
     def test_zero_byte_transfer_completes_instantly(self):
         sim = Simulator()
         link = FlowLink(sim, capacity_bps=10.0)
-        ev = link.transfer(0, 5.0, latency_s=3.0)
-        assert ev.processed or ev.triggered
-        sim.run()
+        with mock.patch(_ALLOCATOR, wraps=max_min_rates) as allocator:
+            ev = link.transfer(0, 5.0, latency_s=3.0)
+            assert ev.processed or ev.triggered
+            sim.run()
         rec = ev.value
         assert rec.num_bytes == 0
         assert rec.start_s == rec.drain_s == rec.done_s == 0.0
-        assert link.rate_history == []  # never touched the link
+        allocator.assert_not_called()  # never touched the link
 
     def test_flow_record_duration(self):
         sim = Simulator()
@@ -157,10 +164,19 @@ class TestRateInvariants:
 
         for num_bytes, cap, delay in flows:
             sim.process(starter(delay, num_bytes, cap))
-        sim.run()
+        allocations = []
+
+        def allocate(caps, link_capacity):
+            rates = max_min_rates(caps, link_capacity)
+            allocations.append((list(caps), link_capacity, rates))
+            return rates
+
+        with mock.patch(_ALLOCATOR, allocate):
+            sim.run()
         assert len(events) == len(flows)  # every flow completed
-        assert link.rate_history  # at least one reallocation happened
-        for when, rates, caps in link.rate_history:
+        assert allocations  # at least one reallocation happened
+        for caps, link_capacity, rates in allocations:
+            assert link_capacity == capacity
             assert sum(rates) <= capacity * (1 + _EPS)
             for rate, cap in zip(rates, caps):
                 assert rate <= cap * (1 + _EPS)

@@ -25,7 +25,9 @@ from repro.fleet import (
     run_fleet,
     run_fleet_event,
 )
+from repro.fleet.async_sim import DirectEventTier, _EventFleet
 from repro.fleet.simulation import build_fleet_runtime
+from repro.fleet.uplink import BACKHAUL_BPS
 
 
 def tiny_fleet(**overrides) -> FleetScenario:
@@ -110,6 +112,28 @@ class TestCloudScan:
                 update.modeled_energy_j,
             ) == cloud.modeled_scan_cost(pooled)
             assert not update.promoted and update.pooled_for_training == 0
+
+
+class TestBackhaul:
+    def test_engine_links_carry_the_backhaul_both_ways(
+        self, homogeneous_assets
+    ):
+        """One link per direction on the engine's own kernel, each at the
+        full backhaul capacity and labelled for its ``flows.*`` metrics."""
+        config = system_by_id("d")
+        engine = _EventFleet(
+            config,
+            homogeneous_assets,
+            build_fleet_runtime(config, homogeneous_assets),
+            DirectEventTier(homogeneous_assets),
+            horizon_s=None,
+            barrier=True,
+        )
+        links = (engine.uplink, engine.downlink)
+        assert [link.name for link in links] == ["uplink", "downlink"]
+        for link in links:
+            assert link.capacity_bps == BACKHAUL_BPS
+            assert link.sim is engine.sim
 
 
 class TestAsyncMode:

@@ -5,10 +5,14 @@ fleet run is a *pure function of the seed* — rerunning produces the
 same bytes, ``run_fleet`` on the worker pool produces the same bytes as
 its serial run (the engine emits every record in the parent),
 and turning observability off changes neither the records collected
-(none) nor the simulation's own trajectory.
+(none) nor the simulation's own trajectory.  A registry installed with
+``obs.metrics.use`` around a run receives exactly what the ``metrics=``
+keyword receives: the keyword only installs it.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 
@@ -21,6 +25,8 @@ from repro.fleet.simulation import (
     run_fleet,
 )
 from repro.obs import MetricsRegistry, Tracer
+from repro.obs import metrics as obs_metrics
+from repro.topology import Topology
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +152,35 @@ class TestEventTraceDeterminism:
         assert tracer.records == []
         assert traced.makespan_s == plain.makespan_s
         assert traced.final_eval_accuracy == plain.final_eval_accuracy
+
+
+class TestAmbientRegistry:
+    """Every recording site reads the ambient registry, so one installed
+    around a run gets the same dump as one handed to ``metrics=``."""
+
+    @staticmethod
+    def _given_and_installed(run) -> tuple[str, str]:
+        given = MetricsRegistry()
+        run(metrics=given)
+        installed = MetricsRegistry()
+        with obs_metrics.use(installed):
+            run()
+        return given.to_json(), installed.to_json()
+
+    @pytest.mark.parametrize("system_id", ["b", "d"])
+    def test_run_fleet(self, assets, system_id):
+        given, installed = self._given_and_installed(
+            partial(run_fleet, system_by_id(system_id), assets)
+        )
+        assert installed == given
+        for family in ("fleet", "flows", "cloud", "train"):
+            assert f'"name": "{family}.' in given
+
+    def test_gateway_run_fleet_event(self, assets):
+        topology = Topology.fan_out(3, 2, second_opinion_fraction=0.5)
+        given, installed = self._given_and_installed(
+            partial(run_fleet_event, system_by_id("d"), assets, topology=topology)
+        )
+        assert installed == given
+        for family in ("fleet", "flows", "cloud", "topology"):
+            assert f'"name": "{family}.' in given

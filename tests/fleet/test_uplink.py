@@ -119,15 +119,6 @@ class TestEdgeCases:
         uplink = SharedUplink(20e6)
         assert uplink.push_times([WIFI, LTE], 0) == [0.0, 0.0]
 
-    def test_open_binds_capacity_to_a_simulator(self):
-        from repro.events import Simulator
-
-        uplink = SharedUplink(20e6)
-        sim = Simulator()
-        link = uplink.open(sim)
-        assert link.capacity_bps == 20e6
-        assert uplink.open(sim, downlink=True).capacity_bps == 20e6
-
 
 def test_model_state_bytes():
     state = {
